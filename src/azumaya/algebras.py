@@ -315,10 +315,6 @@ def upper_triangular_algebra(ring, n):
     return Algebra(ring, table, unit, label=f"UT_{n}({ring!r})")
 
 
-def _binom_mod(n, k, p):
-    return math.comb(n, k) % p
-
-
 @lru_cache(maxsize=None)
 def _y_times_x_pow(c):
     """Normal form of y x^c as {(xexp, yexp): integer coeff}, from the single
@@ -522,11 +518,14 @@ def env_map_flat(A):
 
     Vectorized equivalent of env_map(A).flattened(): row ((u, t), s') and
     column ((i, j), s) hold the s'-coordinate of e_u in (b_s e_i) e_t e_j.
+    Two reduced contractions: B[a, t, m] = (eps_a e_t)_m for every flat
+    coordinate generator eps_a, then (eps_a e_t) e_j = sum_k B[a, t, k]
+    B[k, j, :] as one integer matmul whose sums stay below D * N^2.
     """
     d, f, D = A.rank, A.base.flatten_len, A.dim
     E = np.asarray([A.basis_flat(t) for t in range(d)], dtype=np.int64)  # (d, D)
-    B = np.einsum("tj,ajk->atk", E, A.struct) % A._moduli_arr  # eps_a * e_t
-    C = np.einsum("atk,gl,klm->atgm", B, E, A.struct) % A._moduli_arr
+    B = np.einsum("tj,ajk->atk", E, A.struct) % A._moduli_arr
+    C = (B.reshape(D * d, D) @ B.reshape(D, d * D)).reshape(D, d, d, D) % A._moduli_arr
     # C axes: (alpha=(i,s), t, j, m=(u,s')) -> rows (u,t,s'), cols (i,j,s)
     C6 = C.reshape(d, f, d, d, d, f)
     F = C6.transpose(4, 2, 5, 0, 3, 1).reshape(d * d * f, d * d * f)
@@ -539,19 +538,14 @@ def env_map_bijective(A):
     return linalg.is_bijective_additive(F, src, tgt)
 
 
-def is_azumaya(A):
-    """Check central simplicity of A (x) R/m over every maximal ideal.
-
-    Central simple over a field is decided as: center equals k*1 and the
-    enveloping map is bijective.  Failures carry the offending ideal and a
-    witness (a non-scalar central generator or an enveloping-map kernel
-    vector).
-    """
+def _residue_field_witness(A):
+    """First maximal ideal m at which A (x) R/m is not central simple, with
+    its witness: a non-scalar central generator, or else a kernel vector of
+    the enveloping map over R/m.  None when every residue field passes."""
     from .rings import maximal_ideals, residue_field
 
-    preconditions = {"base": repr(A.base.to_config()), "rank": A.rank}
     for m in maximal_ideals(A.base):
-        field, proj = residue_field(A.base, m)
+        _, proj = residue_field(A.base, m)
         Am = base_change(A, proj)
         zc = center(Am)
         us = Am.unit_span()
@@ -559,44 +553,53 @@ def is_azumaya(A):
             witness = next(
                 g.flat.tolist() for g in zc.generators() if not us.contains(g.flat)
             )
-            return CheckReport(
-                check="is_azumaya",
-                status="fail",
-                witness={
-                    "maximal_ideal": repr(m.locator),
-                    "nonscalar_central_element": witness,
-                },
-                preconditions=preconditions,
-            )
+            return m, {"nonscalar_central_element": witness}
         flat, src_mod, tgt_mod = env_map_flat(Am)
         if not linalg.is_bijective_additive(flat, src_mod, tgt_mod):
-            ker = linalg.kernel_additive(flat, src_mod, tgt_mod)
-            gens = ker.generators()
+            gens = linalg.kernel_additive(flat, src_mod, tgt_mod).generators()
             witness_vec = gens[0].tolist() if len(gens) else "order-mismatch"
-            return CheckReport(
-                check="is_azumaya",
-                status="fail",
-                witness={
-                    "maximal_ideal": repr(m.locator),
-                    "env_kernel_vector": witness_vec,
-                },
-                preconditions=preconditions,
-            )
-    return CheckReport(check="is_azumaya", status="pass", preconditions=preconditions)
+            return m, {"env_kernel_vector": witness_vec}
+    return None
+
+
+def is_azumaya(A):
+    """Decide whether A is Azumaya over its base ring R.
+
+    A is free over R, so it is Azumaya iff its enveloping map
+    A (x) A^op -> End_R(A) is bijective over R itself: the determinant is a
+    unit iff it is a unit modulo every maximal ideal m (Auslander-Goldman),
+    i.e. iff every A (x) R/m is central simple.  That one check decides the
+    verdict.  Only when it fails are the residue fields visited, to report
+    the offending ideal and a witness (a non-scalar central generator or an
+    enveloping-map kernel vector of A (x) R/m).
+    """
+    preconditions = {"base": repr(A.base.to_config()), "rank": A.rank}
+    if env_map_bijective(A):
+        return CheckReport(check="is_azumaya", status="pass", preconditions=preconditions)
+    found = _residue_field_witness(A)
+    if found is None:
+        raise AlgebraError(
+            "enveloping map is not bijective over the base ring, yet every "
+            "residue field is central simple"
+        )
+    m, witness = found
+    return CheckReport(
+        check="is_azumaya",
+        status="fail",
+        witness={"maximal_ideal": repr(m.locator), **witness},
+        preconditions=preconditions,
+    )
 
 
 def rank_at(A, m):
-    """Free rank of A (x) R/m over the residue field; equals A.rank for the
-    free algebras built here, which is asserted rather than assumed."""
+    """Free rank of A (x) R/m over the residue field R/m.
+
+    A is free of rank d over R, so A (x) R/m is free of rank d over R/m;
+    `m` is validated through residue_field, nothing is base-changed."""
     from .rings import residue_field
 
-    field, proj = residue_field(A.base, m)
-    Am = base_change(A, proj)
-    order = Am.size
-    r = round(math.log(order, field.size))
-    assert field.size**r == order
-    assert r == A.rank
-    return r
+    residue_field(A.base, m)
+    return A.rank
 
 
 def has_constant_rank(A):

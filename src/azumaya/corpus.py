@@ -174,7 +174,3 @@ def build_corpus():
     for e in entries:
         assert e.hom.is_verified, e.name
     return entries
-
-
-def corpus_by_name():
-    return {e.name: e for e in build_corpus()}

@@ -197,13 +197,17 @@ def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuple
 
 
 def nonvanishing_witness(A, k, budget=10000, seed=0):
-    """A k-tuple with s_k != 0: basis tuples first, then seeded random.
+    """A k-tuple with s_k != 0: k-subsets of the coordinate generators
+    first, then seeded random tuples.
+
+    s_k is alternating, so it vanishes on every tuple with a repeated entry
+    and the basis phase walks only the subsets of distinct generators.
 
     Returns (tuple of AlgElem or None, CheckReport)."""
     sk = standard_identity(k)
     tried = 0
     basis = [A.basis_flat(i, s) for i in range(A.rank) for s in range(A.base.flatten_len)]
-    for combo in itertools.product(basis, repeat=k):
+    for combo in itertools.combinations(basis, k):
         if tried >= budget:
             break
         tried += 1

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .rings import factorize
+
 
 class LinalgError(Exception):
     pass
@@ -115,41 +117,27 @@ def howell(mat, N):
     return np.vstack(rows)
 
 
-def _rref_mod_p(mat, p, want_rank_only=False):
-    """Row reduction mod a prime; fast path used for field coefficients."""
+def rank_mod_p(mat, p):
+    """Rank mod a prime by forward elimination, one modular inverse per
+    pivot."""
     A = np.asarray(mat, dtype=np.int64) % p
     m, n = A.shape
-    inv = [0] * p
-    for v in range(1, p):
-        inv[v] = pow(v, -1, p)
     r = 0
     for c in range(n):
         if r == m:
             break
-        col = A[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(A[r:, c])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        A[r] = A[r] * inv[int(A[r, c])] % p
-        if want_rank_only:
-            below = A[r + 1 :, c]
-            sel = np.nonzero(below)[0]
-            if sel.size:
-                A[r + 1 + sel] = (A[r + 1 + sel] - np.outer(below[sel], A[r])) % p
-        else:
-            sel = np.nonzero(A[:, c])[0]
-            sel = sel[sel != r]
-            if sel.size:
-                A[sel] = (A[sel] - np.outer(A[sel, c], A[r])) % p
+        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
+        below = A[r + 1 :, c]
+        sel = np.nonzero(below)[0]
+        if sel.size:
+            A[r + 1 + sel] = (A[r + 1 + sel] - np.outer(below[sel], A[r])) % p
         r += 1
-    return A, r
-
-
-def rank_mod_p(mat, p):
-    _, r = _rref_mod_p(mat, p, want_rank_only=True)
     return r
 
 
@@ -302,17 +290,13 @@ def kernel_additive(H, src_moduli, tgt_moduli):
     return Subgroup(gens, src)
 
 
-def image_subgroup(H, src_moduli, tgt_moduli):
-    """Image of the additive map given by H, as a Subgroup of the target."""
-    H = np.asarray(H, dtype=np.int64)
-    return Subgroup(H.T, tgt_moduli)
-
-
 def is_bijective_additive(H, src_moduli, tgt_moduli):
     """Decide bijectivity of a well-defined map of finite abelian groups.
 
-    The group orders must match for bijectivity; when they do, injectivity
-    alone suffices and is what gets checked.
+    The group orders must match for bijectivity.  When every modulus is the
+    same N the map is a square matrix over Z/N, invertible iff its
+    determinant is a unit, i.e. iff it has full rank mod every prime p | N.
+    Mixed moduli fall back to the Howell kernel: injective suffices.
     """
     if not check_well_defined(H, src_moduli, tgt_moduli):
         raise IllFormedMap("N_j * H[i][j] != 0 mod M_i for some entry")
@@ -320,11 +304,8 @@ def is_bijective_additive(H, src_moduli, tgt_moduli):
         return False
     moduli = set(int(m) for m in src_moduli) | set(int(m) for m in tgt_moduli)
     if len(moduli) == 1:
-        p = moduli.pop()
-        d = 2
-        is_prime = p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
-        if is_prime:
-            return rank_mod_p(H, p) == len(src_moduli)
+        N = moduli.pop()
+        return all(rank_mod_p(H, p) == len(src_moduli) for p, _ in factorize(N))
     ker = kernel_additive(H, src_moduli, tgt_moduli)
     return ker.order == 1
 

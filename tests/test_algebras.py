@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from azumaya import algebras
 from azumaya.algebras import (
+    Algebra,
     AlgebraError,
     NotNilpotentWithinCap,
     base_change,
@@ -12,6 +16,7 @@ from azumaya.algebras import (
     commutant,
     env_map,
     env_map_bijective,
+    env_map_flat,
     expand_ideal,
     has_constant_rank,
     ideal_intersection_check,
@@ -202,23 +207,49 @@ def test_env_map_bijective_cases():
     assert env_map_bijective(weyl_quotient(3, 1, 2))
 
 
-def test_env_map_not_bijective_for_split_quadratic():
-    from azumaya.algebras import Algebra
-
+def _split_quadratic():
     R = ZMod(2)
     zero, one = R.zero(), R.one()
     table = [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]]
-    A = Algebra(R, table, [one, one])
-    assert not env_map_bijective(A)
+    return Algebra(R, table, [one, one])
+
+
+def test_env_map_not_bijective_for_split_quadratic():
+    assert not env_map_bijective(_split_quadratic())
 
 
 def test_env_map_ring_matrix_agrees_with_flat():
-    from azumaya.algebras import env_map_flat
-
     A = matrix_algebra(ZMod(3), 2)
     M = env_map(A)
     F, _, _ = env_map_flat(A)
     assert M.flattened().tolist() == F.tolist()
+
+
+_ENV_RINGS = [
+    ZMod(2),
+    ZMod(3),
+    ZMod(5),
+    ZMod(7),
+    ZMod(12),
+    GaloisField.default(2, 2),
+    ProductRing([ZMod(2), ZMod(3)]),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_env_map_flat_matches_ring_matrix_oracle(data):
+    kind = data.draw(st.sampled_from(["matrix", "upper_triangular", "weyl"]))
+    if kind == "weyl":
+        A = weyl_quotient(3, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)))
+    elif kind == "matrix":
+        A = matrix_algebra(data.draw(st.sampled_from(_ENV_RINGS)), data.draw(st.integers(1, 2)))
+    else:
+        A = upper_triangular_algebra(data.draw(st.sampled_from(_ENV_RINGS)), 3)
+    M = env_map(A)
+    F, src, tgt = env_map_flat(A)
+    assert F.tolist() == M.flattened().tolist()
+    assert src == tgt == M.moduli_cols() == M.moduli_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +274,50 @@ def test_is_azumaya_counterexample_with_witness():
 def test_is_azumaya_product_base():
     R = ProductRing([ZMod(2), ZMod(3)])
     assert is_azumaya(matrix_algebra(R, 2)).status == "pass"
+
+
+_AZUMAYA_CASES = (
+    [
+        (f"M{n}(Z/{m})", lambda n=n, m=m: matrix_algebra(ZMod(m), n, check=False))
+        for n in (1, 2, 3)
+        for m in (2, 3, 4, 6, 8, 9, 12)
+    ]
+    + [
+        (f"W({p},{a},{b})", lambda p=p, a=a, b=b: weyl_quotient(p, a, b))
+        for p in (2, 3, 5)
+        for a in range(p)
+        for b in range(p)
+    ]
+    + [
+        ("UT2(F_2)", lambda: upper_triangular_algebra(ZMod(2), 2)),
+        ("UT4(F_2)", lambda: upper_triangular_algebra(ZMod(2), 4)),
+        ("split-quadratic(F_2)", _split_quadratic),
+        ("M2(Z/2 x Z/3)", lambda: matrix_algebra(ProductRing([ZMod(2), ZMod(3)]), 2)),
+    ]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in _AZUMAYA_CASES], ids=[n for n, _ in _AZUMAYA_CASES])
+def test_is_azumaya_matches_residue_field_loop(make):
+    # the one bijectivity check over R against central simplicity of every
+    # A (x) R/m, decided ideal by ideal
+    A = make()
+    rep = is_azumaya(A)
+    found = algebras._residue_field_witness(A)
+    if found is None:
+        assert rep.status == "pass" and rep.witness is None
+    else:
+        m, witness = found
+        assert rep.status == "fail"
+        assert rep.witness == {"maximal_ideal": repr(m.locator), **witness}
+
+
+def test_is_azumaya_refuses_failure_without_witness(monkeypatch):
+    # an R-level failure that no residue field reproduces is an internal
+    # contradiction, reported as an error rather than a verdict
+    monkeypatch.setattr(algebras, "env_map_bijective", lambda A: False)
+    with pytest.raises(AlgebraError):
+        is_azumaya(matrix_algebra(ZMod(2), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,25 @@ def test_witness_s4_m3():
     assert not evaluate(standard_identity(4), list(elems)).is_zero()
 
 
+def test_witness_s6_m4f2_at_default_budget():
+    # s_6 does not vanish on M_4 (Amitsur-Levitzki); the basis phase walks
+    # 6-subsets of distinct generators, where tuples with repeats would all
+    # give zero
+    A = matrix_algebra(ZMod(2), 4, check=False)
+    elems, rep = nonvanishing_witness(A, 6)
+    assert rep.status == "pass"
+    assert rep.details["phase"] == "basis"
+    assert rep.details["tried"] <= 8008  # C(16, 6)
+    assert not evaluate(standard_identity(6), list(elems)).is_zero()
+    assert len({e.flat.tobytes() for e in elems}) == 6
+
+
+def test_witness_s4_m3f3_first_subset():
+    A = matrix_algebra(ZMod(3), 3, check=False)
+    elems, rep = nonvanishing_witness(A, 4)
+    assert rep.status == "pass" and rep.details["tried"] == 1
+
+
 def test_witness_not_found_on_commutative():
     A = matrix_algebra(ZMod(6), 1)
     elems, rep = nonvanishing_witness(A, 2, budget=200)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,15 @@ def test_rank_mod_p():
     assert rank_mod_p(np.zeros((2, 2), dtype=np.int64), 3) == 0
 
 
+def test_rank_mod_large_prime_is_fast():
+    # one modular inverse per pivot, no table of size p
+    p = 10_000_019
+    started = time.perf_counter()
+    assert rank_mod_p(np.asarray([[3, 5], [7, 11]]), p) == 2
+    assert rank_mod_p(np.asarray([[2, 4], [1, 2]]), p) == 1
+    assert time.perf_counter() - started < 0.5
+
+
 # ---------------------------------------------------------------------------
 # mixed-moduli groups
 
@@ -169,6 +180,21 @@ def test_bijective_additive():
     assert not is_bijective_additive(np.asarray([[2, 0], [0, 1]]), (4, 4), (4, 4))
     # order mismatch
     assert not is_bijective_additive(np.asarray([[2]]), (2,), (4,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([4, 6, 12, 30, 49]), st.integers(1, 4), st.data())
+def test_bijective_same_modulus_matches_howell_kernel(N, n, data):
+    # full rank mod every p | N against the Howell kernel of the same map
+    entries = st.integers(0, N - 1)
+    H = np.asarray(
+        data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    moduli = (N,) * n
+    assert is_bijective_additive(H, moduli, moduli) == (
+        kernel_additive(H, moduli, moduli).order == 1
+    )
 
 
 def test_solve_additive_no_solution():

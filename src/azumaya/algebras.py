@@ -5,14 +5,15 @@ structure constants.  Internally everything is flattened to integer
 coordinates (rank d times the base ring's coordinate length), where the
 product is Z-bilinear and stored as a dense integer tensor; that makes
 centers, commutants and the enveloping map plain kernel / bijectivity
-computations over the coordinate moduli.
+computations over the coordinate moduli.  Products of elements go through
+one sparse kernel over the tensor's nonzero entries (`Algebra.mul_batch`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +42,9 @@ class Algebra:
     `table[i][j]` is the coordinate vector (length d, entries RingElem) of
     e_i * e_j; `unit` is the coordinate vector of 1.  Associativity on all
     basis triples and the two-sided unit law are verified at construction.
+    On flattened coordinates the product is the dense integer tensor
+    `struct` (x * y = sum x_i y_j struct[i, j, :]); element products are
+    computed from its nonzero entries only (see `mul_batch`).
     """
 
     def __init__(self, base, table, unit, label="", check=True):
@@ -137,18 +141,46 @@ class Algebra:
             v[i * f + s] = 1
         return v
 
-    def elements(self):
-        for coords in itertools.product(*(range(m) for m in self.moduli)):
-            yield AlgElem(self, np.asarray(coords, dtype=np.int64))
-
     # -- multiplication
 
+    # entries of a kernel temporary (nonzeros x rows), small enough for cache
+    _CHUNK_ENTRIES = 1 << 16
+
+    @cached_property
+    def _sparse_struct(self):
+        """Nonzero entries of `struct` sorted by output coordinate: index
+        arrays I, J and coefficients C with struct[I, J, k] = C on the
+        segment of k, the output coordinates that have a segment, and each
+        segment's start."""
+        K, I, J = np.nonzero(self.struct.transpose(2, 0, 1))
+        outs, starts = np.unique(K, return_index=True)
+        return I, J, self.struct[I, J, K], outs, starts
+
     def mul_flat(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.struct) % self._moduli_arr
+        return self.mul_batch(np.asarray(x)[None], np.asarray(y)[None])[0]
 
     def mul_batch(self, X, Y):
-        """Row-wise products of two (T, dim) coordinate arrays."""
-        return np.einsum("ti,tj,ijk->tk", X, Y, self.struct) % self._moduli_arr
+        """Row-wise products of two (T, dim) coordinate arrays.
+
+        Sparse kernel: out[t, k] = sum over the nonzero struct[i, j, k] of
+        X[t, i] * Y[t, j] * struct[i, j, k], reduced mod the moduli at the
+        end.  With inputs and coefficients below N (the largest modulus),
+        each term is below N^3 and a sum has at most dim^2 terms, so the
+        int64 sums are exact while dim^2 * N^3 < 2^63 -- the same bound as a
+        dense contraction over the whole tensor.
+        """
+        X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
+        I, J, C, outs, starts = self._sparse_struct
+        T = X.shape[0]
+        out = np.zeros((self.dim, T), dtype=np.int64)
+        if len(C):
+            Xt, Yt, Ct = X.T, Y.T, C[:, None]
+            rows = max(1, self._CHUNK_ENTRIES // len(C))
+            for lo in range(0, T, rows):
+                terms = Xt[I, lo : lo + rows] * Yt[J, lo : lo + rows]
+                terms *= Ct
+                out[outs, lo : lo + rows] = np.add.reduceat(terms, starts, axis=0)
+        return out.T % self._moduli_arr
 
     def scalar_mul_flat(self, r, x):
         """Flat coordinates of r*x for a base-ring element r."""
@@ -177,6 +209,8 @@ class Algebra:
         return linalg.Subgroup(np.asarray(gens), self.moduli)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Algebra)
             and self.base == other.base
@@ -269,6 +303,24 @@ class Submodule:
 
     def __repr__(self):
         return f"Submodule(order={self.order} of {self.algebra!r})"
+
+
+def product_rows(start, stop, radices):
+    """Rows start..stop-1 of itertools.product(*map(range, radices)) as one
+    (stop - start, len(radices)) int64 array: the mixed-radix digits of each
+    index, the last digit running fastest."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((len(idx), len(radices)), dtype=np.int64)
+    for c in range(len(radices) - 1, -1, -1):
+        idx, out[:, c] = np.divmod(idx, radices[c])
+    return out
+
+
+def random_rows(rng, radices, T):
+    """(T, len(radices)) int64 array of draws rng.randrange(r), row by row,
+    in the order a loop drawing one row at a time would make them."""
+    draws = (rng.randrange(r) for _ in range(T) for r in radices)
+    return np.fromiter(draws, dtype=np.int64, count=T * len(radices)).reshape(T, len(radices))
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +723,26 @@ def nilpotency_index(x, cap=None):
     cap = cap if cap is not None else x.algebra.rank
     if cap < 1:
         raise AlgebraError("cap must be >= 1")
-    power = x
+    e = int(nilpotency_indices(x.algebra, x.flat[None], cap)[0])
+    if not e:
+        raise NotNilpotentWithinCap(cap)
+    return e
+
+
+def nilpotency_indices(A, X, cap):
+    """For each row x of the (T, dim) array X, the least e <= cap with
+    x^e = 0, or 0 when there is none; one batched product per exponent,
+    over the rows still undecided."""
+    index = np.zeros(len(X), dtype=np.int64)
+    rows, power = np.arange(len(X)), X
     for e in range(1, cap + 1):
-        if power.is_zero():
-            return e
-        power = power * x
-    raise NotNilpotentWithinCap(cap)
+        zero = ~power.any(axis=1)
+        index[rows[zero]] = e
+        rows, power = rows[~zero], power[~zero]
+        if e == cap or not len(rows):
+            break
+        power = A.mul_batch(power, X[rows])
+    return index
 
 
 def jordan_cell(ring, n):

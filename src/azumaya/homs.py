@@ -28,9 +28,10 @@ from .algebras import (
     has_constant_rank,
     is_azumaya,
     matrix_algebra,
-    nilpotency_index,
-    NotNilpotentWithinCap,
+    nilpotency_indices,
+    product_rows,
     quotient_algebra,
+    random_rows,
 )
 from .reports import CONTRADICTS, FAIL, NOT_FOUND, PASS, CheckReport
 from .rings import RingIdeal, ZMod, is_reduced
@@ -87,7 +88,9 @@ class AlgebraHom:
         return AlgElem(self.target, self.matrix @ elem.flat)
 
     def apply_flat(self, flat):
-        return (self.matrix @ np.asarray(flat, dtype=np.int64)) % self.target._moduli_arr
+        """Images of flat source coordinates; rows of a (..., dim) array map
+        one by one."""
+        return (np.asarray(flat, dtype=np.int64) @ self.matrix.T) % self.target._moduli_arr
 
     def verify(self, spot_trials=20, seed=0):
         """Decide verified/refuted; returns self.
@@ -105,13 +108,9 @@ class AlgebraHom:
             self.refutation = {"condition": "unit"}
             return self
         D = src.dim
-        eye = np.eye(D, dtype=np.int64)
-        images = (self.matrix @ eye.T).T % tgt._moduli_arr  # (D, tgt.dim)
-        prods_src = src.struct.reshape(D * D, D)  # eps_j * eps_k stacked
-        lhs = (prods_src @ self.matrix.T) % tgt._moduli_arr
-        rhs = np.einsum("ai,bj,ijk->abk", images, images, tgt.struct).reshape(
-            D * D, tgt.dim
-        ) % tgt._moduli_arr
+        images = self.matrix.T  # (D, tgt.dim): row j is the image of eps_j
+        lhs = self.apply_flat(src.struct.reshape(D * D, D))  # f(eps_j * eps_k)
+        rhs = tgt.mul_batch(np.repeat(images, D, axis=0), np.tile(images, (D, 1)))
         if not np.array_equal(lhs, rhs):
             bad = int(np.argwhere((lhs != rhs).any(axis=1))[0][0])
             self.status = REFUTED
@@ -121,16 +120,13 @@ class AlgebraHom:
             }
             return self
         rng = random.Random(seed)
-        for _ in range(spot_trials):
-            x = np.asarray([rng.randrange(m) for m in src.moduli], dtype=np.int64)
-            y = np.asarray([rng.randrange(m) for m in src.moduli], dtype=np.int64)
-            fx, fy = self.apply_flat(x), self.apply_flat(y)
-            if not np.array_equal(
-                self.apply_flat(src.mul_flat(x, y)), tgt.mul_flat(fx, fy)
-            ):
-                self.status = REFUTED
-                self.refutation = {"condition": "multiplicative-random"}
-                return self
+        pairs = random_rows(rng, src.moduli, 2 * spot_trials).reshape(spot_trials, 2, D)
+        X, Y = pairs[:, 0], pairs[:, 1]
+        fxy = self.apply_flat(src.mul_batch(X, Y))
+        if not np.array_equal(fxy, tgt.mul_batch(self.apply_flat(X), self.apply_flat(Y))):
+            self.status = REFUTED
+            self.refutation = {"condition": "multiplicative-random"}
+            return self
         self.status = VERIFIED
         return self
 
@@ -487,57 +483,48 @@ def rank_comparison_check(f):
     )
 
 
+# candidates raised to powers together in jordan_obstruction_probe
+PROBE_CHUNK = 1024
+
+
 def jordan_obstruction_probe(n, Aprime, samples=10000, seed=0):
     """No element of A' = M_{n'}(k) with n' < n may have nilpotency index
     exactly n.  Exhaustive when the algebra is small enough, seeded sampling
-    otherwise."""
+    otherwise; candidates are raised to powers PROBE_CHUNK at a time.
+
+    A nilpotent of M_{n'} over a field has index <= n', so any index above
+    n' (n among them, when n' < n) is reported with the first candidate
+    that shows it."""
     nprime = math.isqrt(Aprime.rank)
     if nprime * nprime != Aprime.rank:
         raise PreconditionUnmet("probe target must be a full matrix algebra")
     if n <= 1:
         return CheckReport(check="jordan_obstruction", status=PASS, details={"vacuous": True})
     exhaustive = Aprime.size <= samples
+    total = Aprime.size if exhaustive else samples
     rng = random.Random(seed)
-
-    def candidates():
+    for lo in range(0, total, PROBE_CHUNK):
+        hi = min(lo + PROBE_CHUNK, total)
         if exhaustive:
-            yield from Aprime.elements()
+            X = product_rows(lo, hi, Aprime.moduli)
         else:
-            for _ in range(samples):
-                yield AlgElem(
-                    Aprime,
-                    np.asarray([rng.randrange(m) for m in Aprime.moduli], dtype=np.int64),
-                )
-
-    checked = 0
-    for x in candidates():
-        checked += 1
-        try:
-            e = nilpotency_index(x, cap=Aprime.rank)
-        except NotNilpotentWithinCap:
-            continue
-        if e == n and nprime < n:
+            X = random_rows(rng, Aprime.moduli, hi - lo)
+        index = nilpotency_indices(Aprime, X, Aprime.rank)
+        hits = np.flatnonzero(index > nprime)
+        if hits.size:
+            t = int(hits[0])
             return CheckReport(
                 check="jordan_obstruction",
                 status=FAIL,
-                witness={"element": x.flat.tolist(), "index": e},
+                witness={"element": X[t].tolist(), "index": int(index[t])},
                 seed=seed,
-                details={"checked": checked, "exhaustive": exhaustive},
-            )
-        if e > nprime:
-            # any nilpotent of M_{n'} over a field has index <= n'
-            return CheckReport(
-                check="jordan_obstruction",
-                status=FAIL,
-                witness={"element": x.flat.tolist(), "index": e},
-                seed=seed,
-                details={"checked": checked, "exhaustive": exhaustive},
+                details={"checked": lo + t + 1, "exhaustive": exhaustive},
             )
     return CheckReport(
         check="jordan_obstruction",
         status=PASS,
         seed=seed,
-        details={"checked": checked, "exhaustive": exhaustive},
+        details={"checked": total, "exhaustive": exhaustive},
     )
 
 

@@ -2,8 +2,11 @@
 
 The standard identity s_k is evaluated with a subset dynamic program
 (k * 2^(k-1) products instead of k! * (k-1)), batched over tuples with the
-algebra's einsum multiplication; the alternating-sum definition stays
-available as an independent oracle for tests.
+algebra's sparse product kernel (`Algebra.mul_batch`); the alternating-sum
+definition stays available as an independent oracle for tests.  Every
+search over tuples (exhaustive, sampled, generator subsets) evaluates them
+in batches and reports the first hit in the order a one-at-a-time loop
+would meet it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import random
 
 import numpy as np
 
-from .algebras import AlgElem
+from .algebras import AlgElem, product_rows, random_rows
 from .reports import FAIL, NOT_FOUND, PASS, CheckReport
 
 MAX_ARITY = 8
@@ -112,20 +115,28 @@ def _evaluate_batch(identity, A, X):
 
 
 def _standard_batch(A, X):
-    """Subset DP: s_S = sum_{i in S} (-1)^(rank(i, S)+1) x_i * s_(S minus i)."""
+    """Subset DP: s_S = sum_{i in S} (-1)^(rank(i, S)+1) x_i * s_(S minus i).
+
+    Only the subsets one smaller are kept while a size is computed."""
     T, k, D = X.shape
-    table = {0: None}
-    for i in range(k):
-        table[1 << i] = X[:, i, :]
+    table = {1 << i: X[:, i, :] for i in range(k)}
     for size in range(2, k + 1):
+        bigger = {}
         for bits in itertools.combinations(range(k), size):
             S = sum(1 << b for b in bits)
             acc = np.zeros((T, D), dtype=np.int64)
             for r, i in enumerate(bits):
                 term = A.mul_batch(X[:, i, :], table[S & ~(1 << i)])
                 acc = (acc - term) if r % 2 else (acc + term)
-            table[S] = acc % A._moduli_arr
+            bigger[S] = acc % A._moduli_arr
+        table = bigger
     return table[(1 << k) - 1]
+
+
+def _random_tuples(rng, moduli, T, k):
+    """(T, k, D) array of T seeded random k-tuples, drawn element by
+    element, tuple by tuple."""
+    return random_rows(rng, moduli, T * k).reshape(T, k, len(moduli))
 
 
 def _tuple_batches(A, k, mode, max_tuples, seed, batch=4096):
@@ -136,31 +147,20 @@ def _tuple_batches(A, k, mode, max_tuples, seed, batch=4096):
             raise BudgetExceeded(
                 f"{total} tuples exceed the exhaustive budget {max_tuples}"
             )
-        coords = [range(m) for m in A.moduli] * k
-        buf = []
-        for flat in itertools.product(*coords):
-            buf.append(np.asarray(flat, dtype=np.int64).reshape(k, A.dim))
-            if len(buf) == batch:
-                yield np.stack(buf)
-                buf = []
-        if buf:
-            yield np.stack(buf)
+        radices = A.moduli * k
+        for lo in range(0, total, batch):
+            yield product_rows(lo, min(lo + batch, total), radices).reshape(-1, k, A.dim)
     else:
-        count = mode
         rng = random.Random(seed)
-        buf = []
-        for _ in range(count):
-            buf.append(
-                np.asarray(
-                    [[rng.randrange(m) for m in A.moduli] for _ in range(k)],
-                    dtype=np.int64,
-                )
-            )
-            if len(buf) == batch:
-                yield np.stack(buf)
-                buf = []
-        if buf:
-            yield np.stack(buf)
+        for lo in range(0, mode, batch):
+            yield _random_tuples(rng, A.moduli, min(batch, mode - lo), k)
+
+
+def _search_rows(k, D):
+    """Largest batch in a first-hit search: the subset table of
+    _standard_batch (under 2^k arrays of shape (T, D)) stays below 2^20
+    entries."""
+    return max(1, min(1024, (1 << 20) // ((1 << k) * D)))
 
 
 def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuples=10**7):
@@ -198,48 +198,50 @@ def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuple
 
 def nonvanishing_witness(A, k, budget=10000, seed=0):
     """A k-tuple with s_k != 0: k-subsets of the coordinate generators
-    first, then seeded random tuples.
+    first, then seeded random tuples, evaluated in batches.
 
     s_k is alternating, so it vanishes on every tuple with a repeated entry
     and the basis phase walks only the subsets of distinct generators.
+    `tried` counts the tuples up to and including the witness.
 
     Returns (tuple of AlgElem or None, CheckReport)."""
     sk = standard_identity(k)
-    tried = 0
-    basis = [A.basis_flat(i, s) for i in range(A.rank) for s in range(A.base.flatten_len)]
-    for combo in itertools.combinations(basis, k):
-        if tried >= budget:
-            break
-        tried += 1
-        X = np.stack(combo)[None, :, :]
-        val = _evaluate_batch(sk, A, X)[0]
-        if val.any():
-            elems = tuple(AlgElem(A, v) for v in combo)
-            return elems, CheckReport(
-                check="nonvanishing_witness",
-                status=PASS,
-                seed=seed,
-                witness={"tuple": [v.tolist() for v in combo], "value": val.tolist()},
-                details={"k": k, "tried": tried, "phase": "basis"},
-            )
+    basis = np.asarray(
+        [A.basis_flat(i, s) for i in range(A.rank) for s in range(A.base.flatten_len)]
+    )
+    subsets = itertools.combinations(range(len(basis)), k)
     rng = random.Random(seed)
-    while tried < budget:
-        tried += 1
-        combo = [
-            np.asarray([rng.randrange(m) for m in A.moduli], dtype=np.int64)
-            for _ in range(k)
-        ]
-        X = np.stack(combo)[None, :, :]
-        val = _evaluate_batch(sk, A, X)[0]
-        if val.any():
-            elems = tuple(AlgElem(A, v) for v in combo)
-            return elems, CheckReport(
-                check="nonvanishing_witness",
-                status=PASS,
-                seed=seed,
-                witness={"tuple": [v.tolist() for v in combo], "value": val.tolist()},
-                details={"k": k, "tried": tried, "phase": "random"},
-            )
+
+    def next_subsets(T):
+        idx = np.asarray(list(itertools.islice(subsets, T)), dtype=np.intp)
+        return basis[idx.reshape(-1, k)]
+
+    phases = (
+        ("basis", next_subsets),
+        ("random", lambda T: _random_tuples(rng, A.moduli, T, k)),
+    )
+    # batches double from one tuple, so a witness at position t costs
+    # fewer than 2t evaluations
+    rows, cap = 1, _search_rows(k, A.dim)
+    tried = 0
+    for phase, draw in phases:
+        while tried < budget:
+            X = draw(min(rows, budget - tried))
+            rows = min(2 * rows, cap)
+            if not len(X):
+                break
+            vals = _evaluate_batch(sk, A, X)
+            hits = np.flatnonzero(vals.any(axis=1))
+            if hits.size:
+                t = int(hits[0])
+                return tuple(AlgElem(A, v) for v in X[t]), CheckReport(
+                    check="nonvanishing_witness",
+                    status=PASS,
+                    seed=seed,
+                    witness={"tuple": X[t].tolist(), "value": vals[t].tolist()},
+                    details={"k": k, "tried": tried + t + 1, "phase": phase},
+                )
+            tried += len(X)
     return None, CheckReport(
         check="nonvanishing_witness",
         status=NOT_FOUND,
@@ -249,23 +251,24 @@ def nonvanishing_witness(A, k, budget=10000, seed=0):
 
 
 def identity_transfer_check(f, identity, trials=100, seed=0):
-    """phi(p(x_1..x_k)) = p(phi(x_1)..phi(x_k)) on seeded random tuples."""
+    """phi(p(x_1..x_k)) = p(phi(x_1)..phi(x_k)) on seeded random tuples,
+    evaluated in batches on each side."""
     f.require_verified()
     A, B = f.source, f.target
     rng = random.Random(seed)
-    for t in range(trials):
-        xs = [
-            np.asarray([rng.randrange(m) for m in A.moduli], dtype=np.int64)
-            for _ in range(identity.arity)
-        ]
-        lhs = f.apply_flat(_evaluate_batch(identity, A, np.stack(xs)[None])[0])
-        ys = np.stack([f.apply_flat(x) for x in xs])
-        rhs = _evaluate_batch(identity, B, ys[None])[0]
-        if not np.array_equal(lhs, rhs):
+    k = identity.arity
+    rows = _search_rows(k, max(A.dim, B.dim))
+    for lo in range(0, trials, rows):
+        X = _random_tuples(rng, A.moduli, min(rows, trials - lo), k)
+        lhs = f.apply_flat(_evaluate_batch(identity, A, X))
+        rhs = _evaluate_batch(identity, B, f.apply_flat(X))
+        bad = np.flatnonzero((lhs != rhs).any(axis=1))
+        if bad.size:
+            t = int(bad[0])
             return CheckReport(
                 check="identity_transfer",
                 status=FAIL,
-                witness={"tuple": [x.tolist() for x in xs], "trial": t},
+                witness={"tuple": X[t].tolist(), "trial": lo + t},
                 seed=seed,
                 details={"trials": trials},
             )

@@ -119,8 +119,13 @@ def howell(mat, N):
 
 def rank_mod_p(mat, p):
     """Rank mod a prime by forward elimination, one modular inverse per
-    pivot."""
-    A = np.asarray(mat, dtype=np.int64) % p
+    pivot.
+
+    Row updates form products of two residues, below (p-1)^2; that fits
+    int64 only while (p-1)^2 < 2^63 (p <= 3,037,000,499), so larger primes
+    eliminate over exact Python ints (object arrays)."""
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    A = np.asarray(mat, dtype=dtype) % p
     m, n = A.shape
     r = 0
     for c in range(n):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -53,8 +53,12 @@ def _is_prime(n):
     return True
 
 
+@lru_cache(maxsize=None)
 def factorize(n):
-    """Prime factorization of n >= 2 as a sorted list of (p, e) pairs."""
+    """Prime factorization of n >= 2 as a sorted tuple of (p, e) pairs.
+
+    Trial division, memoized: rings, ideals and bijectivity checks ask for
+    the same few moduli again and again."""
     out = []
     d = 2
     while d * d <= n:
@@ -67,7 +71,7 @@ def factorize(n):
         d += 1
     if n > 1:
         out.append((n, 1))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

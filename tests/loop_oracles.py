@@ -1,0 +1,168 @@
+"""Test-only oracles for the batched product kernel and the batched searches.
+
+`dense_mul_batch` is the dense contraction over the whole structure tensor.
+The other functions are the one-tuple-at-a-time loops that the library's
+batched searches replaced, kept verbatim in behaviour: they draw random
+numbers in the same order and return the same reports, so a test can
+compare the two forms report by report.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+
+import numpy as np
+
+from azumaya.algebras import AlgElem
+from azumaya.identities import _evaluate_batch, standard_identity
+from azumaya.reports import FAIL, NOT_FOUND, PASS, CheckReport
+
+
+def dense_mul_batch(A, X, Y):
+    """Row-wise products by einsum("ti,tj,ijk->tk") over the dense tensor,
+    in exact Python ints once int64 could wrap."""
+    N = max(A.moduli)
+    dtype = np.int64 if A.dim**2 * N**3 < 2**63 else object
+    X, Y, S = (np.asarray(a).astype(dtype) for a in (X, Y, A.struct))
+    out = np.einsum("ti,tj,ijk->tk", X, Y, S) % np.asarray(A.moduli, dtype=dtype)
+    return out.astype(np.int64)
+
+
+def _nilpotency_index_loop(x, cap):
+    power = x
+    for e in range(1, cap + 1):
+        if power.is_zero():
+            return e
+        power = AlgElem(x.algebra, dense_mul_batch(x.algebra, power.flat[None], x.flat[None])[0])
+    return None
+
+
+def exhaustive_tuples_loop(A, k, batch=4096):
+    """(T, k, D) batches of every k-tuple, one itertools.product row at a time."""
+    coords = [range(m) for m in A.moduli] * k
+    buf = []
+    for flat in itertools.product(*coords):
+        buf.append(np.asarray(flat, dtype=np.int64).reshape(k, A.dim))
+        if len(buf) == batch:
+            yield np.stack(buf)
+            buf = []
+    if buf:
+        yield np.stack(buf)
+
+
+def sampled_tuples_loop(A, k, count, seed, batch=4096):
+    """(T, k, D) batches of seeded random k-tuples, drawn one tuple at a time."""
+    rng = random.Random(seed)
+    buf = []
+    for _ in range(count):
+        buf.append(
+            np.asarray([[rng.randrange(m) for m in A.moduli] for _ in range(k)], dtype=np.int64)
+        )
+        if len(buf) == batch:
+            yield np.stack(buf)
+            buf = []
+    if buf:
+        yield np.stack(buf)
+
+
+def jordan_obstruction_probe_loop(n, Aprime, samples=10000, seed=0):
+    nprime = math.isqrt(Aprime.rank)
+    if n <= 1:
+        return CheckReport(check="jordan_obstruction", status=PASS, details={"vacuous": True})
+    exhaustive = Aprime.size <= samples
+    rng = random.Random(seed)
+
+    def candidates():
+        if exhaustive:
+            for coords in itertools.product(*(range(m) for m in Aprime.moduli)):
+                yield AlgElem(Aprime, np.asarray(coords, dtype=np.int64))
+        else:
+            for _ in range(samples):
+                yield AlgElem(
+                    Aprime,
+                    np.asarray([rng.randrange(m) for m in Aprime.moduli], dtype=np.int64),
+                )
+
+    checked = 0
+    for x in candidates():
+        checked += 1
+        e = _nilpotency_index_loop(x, Aprime.rank)
+        if e is None:
+            continue
+        if (e == n and nprime < n) or e > nprime:
+            return CheckReport(
+                check="jordan_obstruction",
+                status=FAIL,
+                witness={"element": x.flat.tolist(), "index": e},
+                seed=seed,
+                details={"checked": checked, "exhaustive": exhaustive},
+            )
+    return CheckReport(
+        check="jordan_obstruction",
+        status=PASS,
+        seed=seed,
+        details={"checked": checked, "exhaustive": exhaustive},
+    )
+
+
+def nonvanishing_witness_loop(A, k, budget=10000, seed=0):
+    sk = standard_identity(k)
+    tried = 0
+    basis = [A.basis_flat(i, s) for i in range(A.rank) for s in range(A.base.flatten_len)]
+    for combo in itertools.combinations(basis, k):
+        if tried >= budget:
+            break
+        tried += 1
+        val = _evaluate_batch(sk, A, np.stack(combo)[None, :, :])[0]
+        if val.any():
+            return tuple(AlgElem(A, v) for v in combo), CheckReport(
+                check="nonvanishing_witness",
+                status=PASS,
+                seed=seed,
+                witness={"tuple": [v.tolist() for v in combo], "value": val.tolist()},
+                details={"k": k, "tried": tried, "phase": "basis"},
+            )
+    rng = random.Random(seed)
+    while tried < budget:
+        tried += 1
+        combo = [
+            np.asarray([rng.randrange(m) for m in A.moduli], dtype=np.int64) for _ in range(k)
+        ]
+        val = _evaluate_batch(sk, A, np.stack(combo)[None, :, :])[0]
+        if val.any():
+            return tuple(AlgElem(A, v) for v in combo), CheckReport(
+                check="nonvanishing_witness",
+                status=PASS,
+                seed=seed,
+                witness={"tuple": [v.tolist() for v in combo], "value": val.tolist()},
+                details={"k": k, "tried": tried, "phase": "random"},
+            )
+    return None, CheckReport(
+        check="nonvanishing_witness", status=NOT_FOUND, seed=seed, details={"k": k, "tried": tried}
+    )
+
+
+def identity_transfer_check_loop(f, identity, trials=100, seed=0):
+    A, B = f.source, f.target
+    rng = random.Random(seed)
+    for t in range(trials):
+        xs = [
+            np.asarray([rng.randrange(m) for m in A.moduli], dtype=np.int64)
+            for _ in range(identity.arity)
+        ]
+        lhs = f.apply_flat(_evaluate_batch(identity, A, np.stack(xs)[None])[0])
+        ys = np.stack([f.apply_flat(x) for x in xs])
+        rhs = _evaluate_batch(identity, B, ys[None])[0]
+        if not np.array_equal(lhs, rhs):
+            return CheckReport(
+                check="identity_transfer",
+                status=FAIL,
+                witness={"tuple": [x.tolist() for x in xs], "trial": t},
+                seed=seed,
+                details={"trials": trials},
+            )
+    return CheckReport(
+        check="identity_transfer", status=PASS, seed=seed, details={"trials": trials}
+    )

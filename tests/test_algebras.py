@@ -109,6 +109,29 @@ def test_opposite_reverses_products():
     assert Aop.mul_flat(x, y).tolist() == A.mul_flat(y, x).tolist()
 
 
+def test_elements_of_equal_algebras_combine():
+    # two distinct Algebra objects with the same structure are equal
+    A, B = matrix_algebra(ZMod(3), 2), matrix_algebra(ZMod(3), 2)
+    assert A is not B and A == B and B == A
+    x, y = A.element(A.basis_flat(1)), B.element(B.basis_flat(2))
+    assert (x * y).flat.tolist() == A.basis_flat(0).tolist()
+    assert (y * x).flat.tolist() == A.basis_flat(3).tolist()
+    assert (x + y).flat.tolist() == [0, 1, 1, 0]
+    assert x == A.element(B.basis_flat(1))
+
+
+def test_elements_of_unequal_algebras_raise():
+    A = matrix_algebra(ZMod(3), 2)
+    for B in (opposite(A), matrix_algebra(ZMod(5), 2), upper_triangular_algebra(ZMod(3), 2)):
+        assert A != B and B != A
+        x, y = A.one(), B.one()
+        for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(AlgebraError):
+                op(x, y)
+            with pytest.raises(AlgebraError):
+                op(y, x)
+
+
 def test_tensor_product_rank_and_unit():
     A = matrix_algebra(ZMod(2), 2)
     T = tensor_product(A, A)

@@ -1,0 +1,262 @@
+"""The sparse product kernel against the dense contraction, and each batched
+search against the one-tuple-at-a-time loop it replaced (tests/loop_oracles.py)."""
+
+import functools
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from azumaya import homs
+from azumaya.algebras import (
+    matrix_algebra,
+    opposite,
+    product_rows,
+    tensor_product,
+    upper_triangular_algebra,
+    weyl_quotient,
+)
+from azumaya.homs import (
+    VERIFIED,
+    AlgebraHom,
+    diagonal_embed,
+    jordan_obstruction_probe,
+    reduction_hom,
+    weyl_splitting,
+)
+from azumaya.identities import (
+    MultilinearIdentity,
+    _tuple_batches,
+    identity_transfer_check,
+    nonvanishing_witness,
+    standard_identity,
+)
+from azumaya.rings import GaloisField, ProductRing, RingIdeal, ZMod
+from loop_oracles import (
+    dense_mul_batch,
+    exhaustive_tuples_loop,
+    identity_transfer_check_loop,
+    jordan_obstruction_probe_loop,
+    nonvanishing_witness_loop,
+    sampled_tuples_loop,
+)
+
+# ---------------------------------------------------------------------------
+# the product kernel
+
+
+_KERNEL_ALGEBRAS = {
+    "M2(Z/2)": lambda: matrix_algebra(ZMod(2), 2),
+    "M3(Z/2)": lambda: matrix_algebra(ZMod(2), 3),
+    "M2(Z/12)": lambda: matrix_algebra(ZMod(12), 2),
+    "M2(GF(4))": lambda: matrix_algebra(GaloisField.default(2, 2), 2),
+    "M2(Z/2 x Z/3)": lambda: matrix_algebra(ProductRing([ZMod(2), ZMod(3)]), 2),
+    "UT3(Z/2)": lambda: upper_triangular_algebra(ZMod(2), 3),
+    "UT3(Z/6)": lambda: upper_triangular_algebra(ZMod(6), 3),
+    "W(2,1,0)": lambda: weyl_quotient(2, 1, 0),
+    "W(3,1,2)": lambda: weyl_quotient(3, 1, 2),
+    "op(UT3(Z/2))": lambda: opposite(upper_triangular_algebra(ZMod(2), 3)),
+    "op(W(3,2,0))": lambda: opposite(weyl_quotient(3, 2, 0)),
+    "M2(Z/3)(x)UT2(Z/3)": lambda: tensor_product(
+        matrix_algebra(ZMod(3), 2), upper_triangular_algebra(ZMod(3), 2)
+    ),
+    "W(2,0,1)(x)op(W(2,1,1))": lambda: tensor_product(
+        weyl_quotient(2, 0, 1), opposite(weyl_quotient(2, 1, 1))
+    ),
+}
+
+
+@functools.cache
+def _kernel_algebra(name):
+    return _KERNEL_ALGEBRAS[name]()
+
+
+def _random_rows(A, T, seed):
+    rng = np.random.default_rng(seed)
+    hi = np.asarray(A.moduli, dtype=np.int64)
+    return rng.integers(0, hi, size=(T, A.dim)), rng.integers(0, hi, size=(T, A.dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_KERNEL_ALGEBRAS)),
+    T=st.sampled_from([1, 7, 4096]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_batch_matches_dense_contraction(name, T, seed):
+    A = _kernel_algebra(name)
+    X, Y = _random_rows(A, T, seed)
+    want = dense_mul_batch(A, X, Y)
+    got = A.mul_batch(X, Y)
+    assert got.dtype == np.int64 and got.shape == (T, A.dim)
+    assert np.array_equal(got, want)
+    assert np.array_equal(A.mul_flat(X[0], Y[0]), want[0])
+
+
+def _envelope_top(D):
+    """Largest modulus N with D^2 * N^3 < 2^63, the kernel's exactness bound."""
+    N = round(((2**63 - 1) / D**2) ** (1 / 3))
+    while D**2 * N**3 >= 2**63:
+        N -= 1
+    while D**2 * (N + 1) ** 3 < 2**63:
+        N += 1
+    return N
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("T", [1, 7, 4096])
+def test_mul_batch_at_top_of_envelope(n, T):
+    # products checked against exact Python-int contractions
+    N = _envelope_top(n * n)
+    A = matrix_algebra(ZMod(N), n, check=False)
+    for seed in range(3):
+        X, Y = _random_rows(A, T, seed)
+        X[0] = Y[0] = N - 1
+        assert np.array_equal(A.mul_batch(X, Y), dense_mul_batch(A, X, Y))
+        assert np.array_equal(A.mul_flat(X[0], Y[0]), dense_mul_batch(A, X[:1], Y[:1])[0])
+
+
+def test_mul_batch_empty_batch():
+    A = matrix_algebra(ZMod(3), 2)
+    empty = np.zeros((0, A.dim), dtype=np.int64)
+    assert A.mul_batch(empty, empty).shape == (0, A.dim)
+
+
+# ---------------------------------------------------------------------------
+# tuple generation
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exhaustive_tuples_in_product_order(k):
+    A = matrix_algebra(ZMod(2), 2)  # 16 elements, 16^3 = 4096 triples
+    got = list(_tuple_batches(A, k, "exhaustive", 10**7, None, batch=100))
+    want = list(exhaustive_tuples_loop(A, k, batch=100))
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_product_rows_matches_itertools():
+    radices = (3, 1, 4, 2)
+    rows = list(itertools.product(*(range(r) for r in radices)))
+    assert product_rows(0, len(rows), radices).tolist() == [list(r) for r in rows]
+    assert product_rows(5, 17, radices).tolist() == [list(r) for r in rows[5:17]]
+
+
+def test_sampled_tuples_draw_in_loop_order():
+    A = matrix_algebra(ZMod(6), 2)
+    got = list(_tuple_batches(A, 3, 1000, None, 11, batch=300))
+    want = list(sampled_tuples_loop(A, 3, 1000, 11, batch=300))
+    assert [g.shape for g in got] == [w.shape for w in want]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# jordan probe
+
+
+_JORDAN_CASES = [
+    # (n, algebra, samples, seed)
+    (4, lambda: matrix_algebra(ZMod(3), 3, check=False), 3000, 17),  # sampled, pass
+    (3, lambda: matrix_algebra(ZMod(5), 2), 10**4, 1),  # exhaustive, pass
+    (3, lambda: matrix_algebra(ZMod(9), 2), 10**4, 0),  # exhaustive, fail over Z/9
+    (3, lambda: matrix_algebra(ZMod(4), 2), 100, 5),  # sampled, fail over Z/4
+    (3, lambda: matrix_algebra(ZMod(4), 2), 10**3, 5),  # exhaustive, fail over Z/4
+]
+
+
+@pytest.mark.parametrize("n,make,samples,seed", _JORDAN_CASES)
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+def test_jordan_probe_matches_loop(n, make, samples, seed, chunk, monkeypatch):
+    monkeypatch.setattr(homs, "PROBE_CHUNK", chunk)
+    A = make()
+    got = jordan_obstruction_probe(n, A, samples=samples, seed=seed)
+    want = jordan_obstruction_probe_loop(n, A, samples=samples, seed=seed)
+    assert got.comparable_dict() == want.comparable_dict()
+
+
+def test_jordan_probe_fail_cases_fail():
+    statuses = [
+        jordan_obstruction_probe(n, make(), samples=samples, seed=seed).status
+        for n, make, samples, seed in _JORDAN_CASES
+    ]
+    assert statuses == ["pass", "pass", "fail", "fail", "fail"]
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+
+
+@pytest.mark.parametrize(
+    "make,k,budget",
+    [
+        (lambda: matrix_algebra(ZMod(2), 2), 2, 10000),
+        (lambda: matrix_algebra(ZMod(4), 2), 2, 10000),
+        (lambda: matrix_algebra(ZMod(2), 3), 4, 10000),
+        (lambda: matrix_algebra(ZMod(3), 3, check=False), 4, 10000),
+        (lambda: matrix_algebra(ZMod(2), 4, check=False), 6, 10000),
+        (lambda: matrix_algebra(ZMod(2), 4, check=False), 6, 300),  # budget ends the basis phase
+        (lambda: matrix_algebra(ZMod(6), 1), 2, 200),  # not found, random phase
+        (lambda: matrix_algebra(ZMod(2), 2), 4, 50),  # s_4 vanishes on M_2
+    ],
+)
+def test_witness_matches_loop(make, k, budget):
+    A = make()
+    got_elems, got = nonvanishing_witness(A, k, budget=budget, seed=3)
+    want_elems, want = nonvanishing_witness_loop(A, k, budget=budget, seed=3)
+    assert got.comparable_dict() == want.comparable_dict()
+    if want_elems is None:
+        assert got_elems is None
+    else:
+        assert [e.flat.tolist() for e in got_elems] == [e.flat.tolist() for e in want_elems]
+
+
+def test_s6_witness_on_m4f2_after_568_subsets():
+    _, rep = nonvanishing_witness(matrix_algebra(ZMod(2), 4, check=False), 6)
+    assert rep.details == {"k": 6, "tried": 568, "phase": "basis"}
+
+
+# ---------------------------------------------------------------------------
+# identity transfer
+
+
+def _not_multiplicative():
+    # the transpose on M_2(F_3) reverses products; marked verified by hand
+    A = matrix_algebra(ZMod(3), 2)
+    T = np.zeros((4, 4), dtype=np.int64)
+    for i, j in itertools.product(range(2), repeat=2):
+        T[j * 2 + i, i * 2 + j] = 1
+    f = AlgebraHom(A, A, T, label="transpose")
+    f.status = VERIFIED
+    return f
+
+
+def _reduction_mod2():
+    return reduction_hom(matrix_algebra(ZMod(4), 2), RingIdeal(ZMod(4), 2))
+
+
+_NOT_STANDARD = MultilinearIdentity(3, [(1, (2, 3, 1)), (2, (1, 3, 2))])
+
+
+@pytest.mark.parametrize(
+    "make_hom,identity,trials,seed",
+    [
+        (_reduction_mod2, standard_identity(2), 100, 3),
+        (lambda: diagonal_embed(ZMod(5), 2, 2), standard_identity(4), 100, 5),
+        (lambda: weyl_splitting(3, 1, 2), standard_identity(6), 30, 7),
+        (lambda: diagonal_embed(ZMod(2), 2, 2), _NOT_STANDARD, 50, 1),
+        (_not_multiplicative, standard_identity(2), 100, 9),
+        (_not_multiplicative, MultilinearIdentity(2, [(1, (1, 2))]), 5000, 2),
+    ],
+)
+def test_transfer_matches_loop(make_hom, identity, trials, seed):
+    f = make_hom()
+    got = identity_transfer_check(f, identity, trials=trials, seed=seed)
+    want = identity_transfer_check_loop(f, identity, trials=trials, seed=seed)
+    assert got.comparable_dict() == want.comparable_dict()
+
+
+def test_transfer_of_non_hom_fails():
+    rep = identity_transfer_check(_not_multiplicative(), standard_identity(2), trials=100, seed=9)
+    assert rep.status == "fail"

@@ -1,3 +1,4 @@
+import random
 import time
 
 import numpy as np
@@ -121,6 +122,18 @@ def test_rank_mod_large_prime_is_fast():
     assert rank_mod_p(np.asarray([[3, 5], [7, 11]]), p) == 2
     assert rank_mod_p(np.asarray([[2, 4], [1, 2]]), p) == 1
     assert time.perf_counter() - started < 0.5
+
+
+def test_rank_mod_p_beyond_int64_products():
+    # (p-1)^2 >= 2^63: elimination runs over exact Python ints
+    p = 4_000_000_007
+    rng = random.Random(0)
+    for _ in range(200):
+        a, b, c, d = (rng.randrange(1, p) for _ in range(4))
+        rank_one = [[a * c % p, a * d % p], [b * c % p, b * d % p]]
+        assert rank_mod_p(rank_one, p) == 1
+    assert rank_mod_p([[p - 1, p - 2], [p - 3, p - 5]], p) == 2
+    assert rank_mod_p([[p - 1, 1], [1, p - 1]], p) == 1
 
 
 # ---------------------------------------------------------------------------

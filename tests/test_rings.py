@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from azumaya.rings import (
     RingIdeal,
     ZMod,
     crt_decompose,
+    factorize,
     intersect_ideals,
     is_reduced,
     make_ring,
@@ -274,3 +277,14 @@ def test_gf4_ring_axioms(a0, a1, b0, b1):
     y = F4.element((b0 % 2, b1 % 2))
     assert x * y == y * x
     assert x * (y + y) == x * y + x * y
+
+
+def test_factorize_is_memoized():
+    p = 10**14 + 31
+    first = factorize(p)
+    started = time.perf_counter()
+    again = factorize(p)
+    assert time.perf_counter() - started < 0.01
+    assert again == first == ((p, 1),)
+    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+    assert isinstance(factorize(360), tuple)

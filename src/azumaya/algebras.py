@@ -1,12 +1,21 @@
 """Structure-constant algebras over finite commutative rings.
 
-An algebra is a free module R^d with an R-bilinear product given by
-structure constants.  Internally everything is flattened to integer
-coordinates (rank d times the base ring's coordinate length), where the
-product is Z-bilinear and stored as a dense integer tensor; that makes
+An algebra is a free module R^d with an R-bilinear product.  It is stored as
+one integer structure tensor `struct` plus the flat unit `unit_flat`, over
+flat coordinates (rank d times the base ring's coordinate length f) with a
+modulus per coordinate; the product is Z-bilinear on them.  That makes
 centers, commutants and the enveloping map plain kernel / bijectivity
 computations over the coordinate moduli.  Products of elements go through
 one sparse kernel over the tensor's nonzero entries (`Algebra.mul_batch`).
+
+Every constructor fills a (d, d, d, f) integer table of the base-ring
+coordinates of e_i * e_j and hands it to `structure_tensor`, which
+contracts it with the ring's multiplication tensor: matrix and
+upper-triangular algebras by index arithmetic, the Weyl quotients from the
+normal-ordering coefficients, tensor products from the two factors' ring
+tables (`ring_table`) and base changes from the ring table times the
+ring-hom matrix; structure constants given as integers (configs) go in
+as they are.  `opposite` transposes `struct` directly.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .rings import BaseRingHom, RingError, ZMod
+from .rings import BaseRingHom, ZMod
 from .reports import CheckReport
 
 
@@ -37,65 +46,40 @@ class NotNilpotentWithinCap(AlgebraError):
 
 
 class Algebra:
-    """Finite free algebra given by structure constants over a base ring.
+    """Finite free algebra over a base ring, stored as its integer structure
+    tensor.
 
-    `table[i][j]` is the coordinate vector (length d, entries RingElem) of
-    e_i * e_j; `unit` is the coordinate vector of 1.  Associativity on all
-    basis triples and the two-sided unit law are verified at construction.
-    On flattened coordinates the product is the dense integer tensor
-    `struct` (x * y = sum x_i y_j struct[i, j, :]); element products are
-    computed from its nonzero entries only (see `mul_batch`).
+    With f the base ring's coordinate length and d the rank, the flat
+    coordinates number dim = d * f, coordinate (i, s) standing for b_s e_i
+    (b_s the ring's s-th coordinate generator).  `struct[a, b, :]` holds the
+    flat coordinates of the product of coordinates a and b, so
+    x * y = sum x_a y_b struct[a, b, :]; `unit_flat` holds those of 1.  Both
+    are reduced mod the per-coordinate moduli.  Associativity on all basis
+    triples and the two-sided unit law are verified at construction unless
+    `check` is False.  Element products use the tensor's nonzero entries only
+    (see `mul_batch`).  The constructors below build both arrays, through
+    `structure_tensor` from a ring table or, for `opposite`, from another
+    algebra's tensor.
     """
 
-    def __init__(self, base, table, unit, label="", check=True):
+    def __init__(self, base, struct, unit_flat, label="", check=True):
         self.base = base
-        self.rank = len(table)
         self.label = label
         f = base.flatten_len
-        d = self.rank
-        self.dim = d * f  # flattened Z-coordinate count
-        self.moduli = tuple(base.moduli) * d
+        self.dim = len(unit_flat)  # flattened Z-coordinate count
+        self.rank = self.dim // f
+        self.moduli = tuple(base.moduli) * self.rank
         self._moduli_arr = np.asarray(self.moduli, dtype=np.int64)
-        self.table = table
-        self.unit = tuple(unit)
-        self.struct = self._flatten_table()
-        self.unit_flat = self._flatten_coords(unit)
+        struct = np.asarray(struct, dtype=np.int64)
+        if self.dim % f or struct.shape != (self.dim,) * 3:
+            raise AlgebraError(
+                f"structure tensor of shape {struct.shape} and unit of length "
+                f"{self.dim} do not fit a free module over {base!r}"
+            )
+        self.struct = struct % self._moduli_arr
+        self.unit_flat = np.asarray(unit_flat, dtype=np.int64) % self._moduli_arr
         if check:
             self._verify_axioms()
-
-    # -- flattening helpers
-
-    def _flatten_coords(self, ring_coords):
-        out = np.zeros(self.dim, dtype=np.int64)
-        f = self.base.flatten_len
-        for i, r in enumerate(ring_coords):
-            out[i * f : (i + 1) * f] = r.coords
-        return out
-
-    def ring_coords(self, flat):
-        f = self.base.flatten_len
-        return [
-            self.base.element(tuple(int(c) for c in flat[i * f : (i + 1) * f]))
-            for i in range(self.rank)
-        ]
-
-    def _flatten_table(self):
-        d, f, D = self.rank, self.base.flatten_len, self.dim
-        base = self.base
-        S = np.zeros((D, D, D), dtype=np.int64)
-        basis = [base.basis_elem(s) for s in range(f)]
-        for i in range(d):
-            for j in range(d):
-                cij = self.table[i][j]
-                for s in range(f):
-                    for t in range(f):
-                        scalar = basis[s] * basis[t]
-                        row = np.zeros(D, dtype=np.int64)
-                        for k, c in enumerate(cij):
-                            prod = scalar * c
-                            row[k * f : (k + 1) * f] = prod.coords
-                        S[i * f + s, j * f + t] = row
-        return S
 
     def _verify_axioms(self):
         S = self.struct
@@ -127,9 +111,6 @@ class Algebra:
 
     def element(self, flat):
         return AlgElem(self, flat)
-
-    def from_ring_coords(self, ring_coords):
-        return AlgElem(self, self._flatten_coords(ring_coords))
 
     def basis_flat(self, i, s=None):
         """Flat vector of e_i (times the s-th ring coordinate generator)."""
@@ -327,44 +308,68 @@ def random_rows(rng, radices, T):
 # constructors
 
 
+def _ring_mul_tensor(base):
+    """(f, f, f) array M with M[s, t, u] = (b_s * b_t)_u for the base ring's
+    coordinate generators b_s."""
+    f = base.flatten_len
+    return np.stack([base.mul_matrix(tuple(int(s == t) for t in range(f))).T for s in range(f)])
+
+
+def structure_tensor(base, table, unit):
+    """Integer structure tensor and flat unit of a free algebra over `base`.
+
+    `table` holds the base-ring coordinates of e_i * e_j (shape (d, d, d, f)),
+    `unit` those of 1 (shape (d, f)).  The result is
+    struct[(i, s), (j, t), (k, u)] = ((b_s b_t) * table[i, j, k])_u, built as
+    two contractions with the ring's multiplication tensor, reduced mod the
+    moduli in between; each sum has at most f terms below N^2 for the largest
+    modulus N.
+    """
+    f = base.flatten_len
+    moduli = np.asarray(base.moduli, dtype=np.int64)
+    unit = np.asarray(unit, dtype=np.int64).reshape(-1, f) % moduli
+    d = len(unit)
+    table = np.asarray(table, dtype=np.int64).reshape(d, d, d, f) % moduli
+    M = _ring_mul_tensor(base)
+    # scaled[i, j, k, v, u] = (b_v * table[i, j, k])_u
+    scaled = np.einsum("ijkw,vwu->ijkvu", table, M) % moduli
+    S = np.einsum("stv,ijkvu->isjtku", M, scaled) % moduli
+    return S.reshape(d * f, d * f, d * f), unit.reshape(-1)
+
+
+def ring_table(A):
+    """(d, d, d, f) array of the base-ring coordinates of e_i * e_j, read off
+    `struct` with one batched product over all pairs of basis vectors."""
+    d, f = A.rank, A.base.flatten_len
+    E = np.kron(np.eye(d, dtype=np.int64), A.base.one().coords)  # row i is e_i
+    return A.mul_batch(np.repeat(E, d, axis=0), np.tile(E, (d, 1))).reshape(d, d, d, f)
+
+
 def matrix_algebra(ring, n, check=True):
     """The algebra of n x n matrices, basis E_ij ordered row-major."""
     if n < 1:
         raise AlgebraError("matrix size must be >= 1")
-    d = n * n
-    zero, one = ring.zero(), ring.one()
-    table = [[None] * d for _ in range(d)]
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        row = [zero] * d
-        if j == k:
-            row[i * n + l] = one
-        table[i * n + j][k * n + l] = row
-    unit = [zero] * d
-    for i in range(n):
-        unit[i * n + i] = one
-    return Algebra(ring, table, unit, label=f"M_{n}({ring!r})", check=check)
+    d, one = n * n, ring.one().coords
+    r = np.arange(n)
+    i, j, l = r[:, None, None], r[None, :, None], r[None, None, :]
+    table = np.zeros((d, d, d, ring.flatten_len), dtype=np.int64)
+    table[i * n + j, j * n + l, i * n + l] = one  # E_ij E_jl = E_il
+    unit = np.zeros((d, ring.flatten_len), dtype=np.int64)
+    unit[r * n + r] = one
+    return Algebra(ring, *structure_tensor(ring, table, unit), label=f"M_{n}({ring!r})", check=check)
 
 
 def upper_triangular_algebra(ring, n):
     """Upper-triangular n x n matrices; not Azumaya for n >= 2 (the strictly
     upper-triangular matrices form a proper two-sided ideal)."""
-    idx = [(i, j) for i in range(n) for j in range(i, n)]
-    pos = {p: a for a, p in enumerate(idx)}
-    d = len(idx)
-    zero, one = ring.zero(), ring.one()
-    table = []
-    for (i, j) in idx:
-        row_tab = []
-        for (k, l) in idx:
-            row = [zero] * d
-            if j == k:
-                row[pos[(i, l)]] = one
-            row_tab.append(row)
-        table.append(row_tab)
-    unit = [zero] * d
-    for i in range(n):
-        unit[pos[(i, i)]] = one
-    return Algebra(ring, table, unit, label=f"UT_{n}({ring!r})")
+    pos = {p: a for a, p in enumerate((i, j) for i in range(n) for j in range(i, n))}
+    d, one = len(pos), ring.one().coords
+    table = np.zeros((d, d, d, ring.flatten_len), dtype=np.int64)
+    for i, j, l in itertools.combinations_with_replacement(range(n), 3):
+        table[pos[i, j], pos[j, l], pos[i, l]] = one
+    unit = np.zeros((d, ring.flatten_len), dtype=np.int64)
+    unit[[pos[i, i] for i in range(n)]] = one
+    return Algebra(ring, *structure_tensor(ring, table, unit), label=f"UT_{n}({ring!r})")
 
 
 @lru_cache(maxsize=None)
@@ -405,37 +410,24 @@ def weyl_quotient(p, a, b):
     a %= p
     b %= p
     d = p * p
-    zero = ring.zero()
-
-    def reduce_pair(xe, ye, coeff):
-        # fold exponents >= p into the scalars a, b
-        qx, rx = divmod(xe, p)
-        qy, ry = divmod(ye, p)
-        return rx, ry, coeff * pow(a, qx, p) * pow(b, qy, p)
-
-    table = []
-    for i in range(p):
-        for j in range(p):
-            row_tab = []
-            for k in range(p):
-                for l in range(p):
-                    row = [0] * d
-                    for (c, e), coeff in _normal_order(j, k).items():
-                        rx, ry, cf = reduce_pair(i + c, e + l, coeff)
-                        row[rx * p + ry] = (row[rx * p + ry] + cf) % p
-                    row_tab.append([ring.element((v,)) for v in row])
-            table.append(row_tab)
-    unit = [zero] * d
-    unit[0] = ring.one()
-    return Algebra(ring, table, unit, label=f"W({p},{a},{b})")
+    # table[i, j, k, l] holds x^i y^j * x^k y^l = x^i (y^j x^k) y^l
+    table = np.zeros((p, p, p, p, d), dtype=np.int64)
+    i, l = np.arange(p)[:, None], np.arange(p)[None, :]
+    for j in range(p):
+        for k in range(p):
+            for (c, e), coeff in _normal_order(j, k).items():
+                # fold exponents >= p into the scalars a, b
+                qx, rx = np.divmod(i + c, p)
+                qy, ry = np.divmod(e + l, p)
+                table[i, j, k, l, rx * p + ry] += coeff % p * a**qx * b**qy % p
+    unit = np.zeros(d, dtype=np.int64)
+    unit[0] = 1
+    return Algebra(ring, *structure_tensor(ring, table, unit), label=f"W({p},{a},{b})")
 
 
 def opposite(A):
     """Same module, reversed multiplication."""
-    d = A.rank
-    table = [[A.table[j][i] for j in range(d)] for i in range(d)]
-    unit = [A.base.element(u.coords) for u in A.unit]
-    return Algebra(A.base, table, unit, label=f"op({A.label})", check=False)
+    return Algebra(A.base, A.struct.transpose(1, 0, 2), A.unit_flat, label=f"op({A.label})", check=False)
 
 
 def tensor_product(A, B):
@@ -443,31 +435,13 @@ def tensor_product(A, B):
     A-index major."""
     if A.base != B.base:
         raise BaseMismatch("tensor factors must share the base ring")
-    base = A.base
-    da, db = A.rank, B.rank
-    d = da * db
-    zero = base.zero()
-    table = []
-    for i1, j1 in itertools.product(range(da), range(db)):
-        row_tab = []
-        for i2, j2 in itertools.product(range(da), range(db)):
-            ca = A.table[i1][i2]
-            cb = B.table[j1][j2]
-            row = [zero] * d
-            for k, ra in enumerate(ca):
-                if ra.is_zero():
-                    continue
-                for l, rb in enumerate(cb):
-                    if rb.is_zero():
-                        continue
-                    row[k * db + l] = row[k * db + l] + ra * rb
-            row_tab.append(row)
-        table.append(row_tab)
-    unit = [zero] * d
-    for k, ra in enumerate(A.unit):
-        for l, rb in enumerate(B.unit):
-            unit[k * db + l] = ra * rb
-    return Algebra(base, table, unit, label=f"{A.label}(x){B.label}", check=False)
+    f, M = A.base.flatten_len, _ring_mul_tensor(A.base)
+    # (e_i1 f_j1)(e_i2 f_j2) = sum (e_i1 e_i2)_k (f_j1 f_j2)_l e_k f_l; each sum
+    # has f^2 terms below N^3, inside mul_batch's dim^2 * N^3 < 2^63 envelope
+    table = np.einsum("ackv,bdlw,vwu->abcdklu", ring_table(A), ring_table(B), M)
+    unit = np.einsum("kv,lw,vwu->klu", A.unit_flat.reshape(-1, f), B.unit_flat.reshape(-1, f), M)
+    struct, unit_flat = structure_tensor(A.base, table, unit)
+    return Algebra(A.base, struct, unit_flat, label=f"{A.label}(x){B.label}", check=False)
 
 
 def base_change(A, hom):
@@ -476,13 +450,10 @@ def base_change(A, hom):
         raise AlgebraError("base_change expects a BaseRingHom")
     if hom.source != A.base:
         raise BaseMismatch("hom source does not match the algebra base")
-    d = A.rank
-    table = [
-        [[hom.apply(c) for c in A.table[i][j]] for j in range(d)]
-        for i in range(d)
-    ]
-    unit = [hom.apply(u) for u in A.unit]
-    return Algebra(hom.target, table, unit, label=A.label, check=False)
+    H = hom.matrix.T
+    table = ring_table(A) @ H
+    unit = A.unit_flat.reshape(A.rank, -1) @ H
+    return Algebra(hom.target, *structure_tensor(hom.target, table, unit), label=A.label, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -505,18 +476,6 @@ def center(A):
 
 def is_central(A):
     return center(A).group == A.unit_span()
-
-
-def center_bruteforce(A):
-    """Oracle: scan all elements for commutation with every basis vector."""
-    elems = np.asarray(
-        list(itertools.product(*(range(m) for m in A.moduli))), dtype=np.int64
-    )
-    mask = np.ones(len(elems), dtype=bool)
-    for alpha in range(A.dim):
-        M = A.struct[:, alpha, :] - A.struct[alpha, :, :]
-        mask &= ~((elems @ M) % A._moduli_arr).any(axis=1)
-    return [AlgElem(A, v) for v in elems[mask]]
 
 
 def commutant(A, gens, check_closure=True):
@@ -544,32 +503,11 @@ def commutant(A, gens, check_closure=True):
     return sub
 
 
-def env_map(A):
-    """Matrix over the base ring of A (x) A^op -> End_R(A), a (x) b acting as
-    x -> a x b.  Size d^2 x d^2; column (i, j) is the endomorphism e_i _ e_j,
-    row (u, t) the coefficient of e_u in the image of e_t."""
-    d = A.rank
-    base = A.base
-    cols = []
-    for i in range(d):
-        ei = A.basis_flat(i)
-        for j in range(d):
-            ej = A.basis_flat(j)
-            col = []
-            for t in range(d):
-                v = A.mul_flat(A.mul_flat(ei, A.basis_flat(t)), ej)
-                col.append(A.ring_coords(v))
-            # entry at row (u, t) is col[t][u]
-            cols.append([col[t][u] for u in range(d) for t in range(d)])
-    entries = [cols[c][r] for r in range(d * d) for c in range(d * d)]
-    return linalg.Matrix(base, d * d, d * d, entries)
-
-
 def env_map_flat(A):
     """Flattened integer matrix of the enveloping map, plus its moduli.
 
-    Vectorized equivalent of env_map(A).flattened(): row ((u, t), s') and
-    column ((i, j), s) hold the s'-coordinate of e_u in (b_s e_i) e_t e_j.
+    Row ((u, t), s') and column ((i, j), s) hold the s'-coordinate of e_u in
+    (b_s e_i) e_t e_j.
     Two reduced contractions: B[a, t, m] = (eps_a e_t)_m for every flat
     coordinate generator eps_a, then (eps_a e_t) e_j = sum_k B[a, t, k]
     B[k, j, :] as one integer matmul whose sums stay below D * N^2.

@@ -67,8 +67,6 @@ def _load(args):
         cfg.seed = args.seed
     if args.max_tuples is not None:
         cfg.max_tuples = args.max_tuples
-    if args.max_elements is not None:
-        cfg.max_elements = args.max_elements
     return cfg
 
 
@@ -226,8 +224,6 @@ def cmd_suite(args):
     kwargs = {}
     if args.max_tuples is not None:
         kwargs["max_tuples"] = args.max_tuples
-    if args.max_elements is not None:
-        kwargs["max_elements"] = args.max_elements
     reports = run_suite(args.name, seed=args.seed, **kwargs)
     return _emit(reports, args.json, started)
 
@@ -264,7 +260,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None, help="root seed for sampled checks")
         p.add_argument("--json", action="store_true", help="emit one JSON document instead of NDJSON")
         p.add_argument("--max-tuples", type=int, default=None, dest="max_tuples")
-        p.add_argument("--max-elements", type=int, default=None, dest="max_elements")
 
     p = sub.add_parser("construct", help="validate a config and echo canonical forms")
     add_common(p)

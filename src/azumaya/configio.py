@@ -16,6 +16,7 @@ from .algebras import (
     Algebra,
     matrix_algebra,
     opposite,
+    structure_tensor,
     tensor_product,
     upper_triangular_algebra,
     weyl_quotient,
@@ -96,7 +97,8 @@ def make_algebra(cfg, rings=None, location="algebra"):
                 vals = [entry] if f == 1 and isinstance(entry, int) else list(entry)
                 if len(vals) != f:
                     raise ConfigError(f"expected {f} ring coordinates", loc)
-                return ring.element(tuple(vals))
+                # reduced here: a config integer may not fit in int64
+                return [int(v) % m for v, m in zip(vals, ring.moduli)]
 
             table = [
                 [
@@ -106,7 +108,7 @@ def make_algebra(cfg, rings=None, location="algebra"):
                 for i in range(d)
             ]
             unit = [coords(unit_raw[k], f"{location}.unit[{k}]") for k in range(d)]
-            return Algebra(ring, table, unit, label="custom")
+            return Algebra(ring, *structure_tensor(ring, table, unit), label="custom")
         raise ConfigError(f"unknown algebra kind {kind!r}", location)
     except (IndexError, TypeError, ValueError) as e:
         raise ConfigError(str(e), location) from e
@@ -188,7 +190,6 @@ class RunConfig:
         if self.seed is not None:
             self.seed = int(self.seed)
         self.max_tuples = int(data.get("max_tuples", 10**7))
-        self.max_elements = int(data.get("max_elements", 5000))
         self.rings = {}
         for name, cfg in objects.get("rings", {}).items():
             self.rings[name] = make_ring_checked(cfg, f"objects.rings.{name}")

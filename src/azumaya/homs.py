@@ -214,15 +214,16 @@ def conjugation_auto(A, u):
     return H
 
 
+def _blockwise(A, ring_hom):
+    """Matrix of A -> A (x)_R S on flattened coordinates: the ring-hom matrix
+    on each of the rank-many coordinate blocks."""
+    return np.kron(np.eye(A.rank, dtype=np.int64), ring_hom.matrix)
+
+
 def reduction_hom(A, ideal):
     """Canonical surjection A -> A/IA, entries reduced through R -> R/I."""
     Q, proj = quotient_algebra(A, ideal)
-    f_src = A.base.flatten_len
-    f_tgt = Q.base.flatten_len
-    H = np.zeros((Q.dim, A.dim), dtype=np.int64)
-    for i in range(A.rank):
-        H[i * f_tgt : (i + 1) * f_tgt, i * f_src : (i + 1) * f_src] = proj.matrix
-    hom = AlgebraHom(A, Q, H, label=f"mod {ideal.data!r}").verify()
+    hom = AlgebraHom(A, Q, _blockwise(A, proj), label=f"mod {ideal.data!r}").verify()
     if hom.status != VERIFIED:
         raise VerificationFailed(f"reduction failed verification: {hom.refutation}")
     return hom
@@ -231,12 +232,7 @@ def reduction_hom(A, ideal):
 def base_change_hom(A, ring_hom):
     """A -> A (x)_R S along a base-ring hom, identity on the basis."""
     Q = base_change(A, ring_hom)
-    f_src = A.base.flatten_len
-    f_tgt = Q.base.flatten_len
-    H = np.zeros((Q.dim, A.dim), dtype=np.int64)
-    for i in range(A.rank):
-        H[i * f_tgt : (i + 1) * f_tgt, i * f_src : (i + 1) * f_src] = ring_hom.matrix
-    hom = AlgebraHom(A, Q, H, label="base-change").verify()
+    hom = AlgebraHom(A, Q, _blockwise(A, ring_hom), label="base-change").verify()
     if hom.status != VERIFIED:
         raise VerificationFailed(f"base change failed verification: {hom.refutation}")
     return hom
@@ -437,23 +433,23 @@ def center_preservation_check(f, verify_preconditions=True):
     for g in gens:
         img = f.apply_flat(g)
         images.append(img)
-        for alpha in range(tgt.dim):
-            e = np.zeros(tgt.dim, dtype=np.int64)
-            e[alpha] = 1
-            comm = (tgt.mul_flat(img, e) - tgt.mul_flat(e, img)) % tgt._moduli_arr
-            if comm.any():
-                report = CheckReport(
-                    check="center_preservation",
-                    status=CONTRADICTS if pre_met else FAIL,
-                    witness={
-                        "center_generator": g.tolist(),
-                        "image": img.tolist(),
-                        "noncommuting_coordinate": alpha,
-                        "commutator": comm.tolist(),
-                    },
-                    preconditions=pre,
-                )
-                return report, None
+        # column alpha is img * eps_alpha - eps_alpha * img
+        comm = (tgt.left_mul_matrix(img) - tgt.right_mul_matrix(img)) % tgt._moduli_arr[:, None]
+        bad = np.flatnonzero(comm.any(axis=0))
+        if bad.size:
+            alpha = int(bad[0])
+            report = CheckReport(
+                check="center_preservation",
+                status=CONTRADICTS if pre_met else FAIL,
+                witness={
+                    "center_generator": g.tolist(),
+                    "image": img.tolist(),
+                    "noncommuting_coordinate": alpha,
+                    "commutator": comm[:, alpha].tolist(),
+                },
+                preconditions=pre,
+            )
+            return report, None
     cmap = CenterMap(f, gens, np.asarray(images).reshape(-1, tgt.dim))
     report = CheckReport(check="center_preservation", status=PASS, preconditions=pre)
     return report, cmap

@@ -29,10 +29,6 @@ class IllFormedMap(LinalgError):
     pass
 
 
-class UnsupportedRing(LinalgError):
-    pass
-
-
 def _xgcd(a, b):
     s0, s1, t0, t1 = 1, 0, 0, 1
     while b:
@@ -331,97 +327,3 @@ def solve_additive(H, b, src_moduli, tgt_moduli):
     bs = np.asarray(b, dtype=np.int64) * tscale % L
     x = solve_mod(scaled, bs, L) % np.asarray(src, dtype=np.int64)
     return x, kernel_additive(H, src, tgt)
-
-
-# ---------------------------------------------------------------------------
-# ring-level matrices
-
-
-class Matrix:
-    """Dense matrix with entries in a base ring."""
-
-    def __init__(self, ring, rows, cols, entries):
-        entries = list(entries)
-        if len(entries) != rows * cols:
-            raise LinalgError("entry count does not match the shape")
-        for e in entries:
-            if e.ring != ring:
-                raise LinalgError("entry from a different ring")
-        self.ring = ring
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_int_rows(cls, ring, data):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        if ring.flatten_len != 1:
-            raise LinalgError("integer entries only make sense for ZMod rings")
-        entries = [ring.element((v,)) for row in data for v in row]
-        return cls(ring, rows, cols, entries)
-
-    def entry(self, i, j):
-        return self.entries[i * self.cols + j]
-
-    def flattened(self):
-        """Z-linear matrix on flattened coordinates (f x f block per entry)."""
-        f = self.ring.flatten_len
-        if f == 1:
-            return np.asarray(
-                [[self.entry(i, j).coords[0] for j in range(self.cols)] for i in range(self.rows)],
-                dtype=np.int64,
-            ).reshape(self.rows, self.cols)
-        out = np.zeros((self.rows * f, self.cols * f), dtype=np.int64)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                block = self.ring.mul_matrix(self.entry(i, j).coords)
-                out[i * f : (i + 1) * f, j * f : (j + 1) * f] = block
-        return out
-
-    def moduli_rows(self):
-        return tuple(self.ring.moduli) * self.rows
-
-    def moduli_cols(self):
-        return tuple(self.ring.moduli) * self.cols
-
-    def apply(self, vec_flat):
-        return self.flattened() @ np.asarray(vec_flat, dtype=np.int64)
-
-    def __repr__(self):
-        return f"Matrix({self.ring!r}, {self.rows}x{self.cols})"
-
-
-class HowellResult:
-    """Howell form of a ZMod matrix together with a transformation certificate
-    T satisfying H = T M over Z/N."""
-
-    def __init__(self, H, T, pivots, modulus):
-        self.H = H
-        self.T = T
-        self.pivots = pivots
-        self.modulus = modulus
-
-
-def howell_form(matrix):
-    """Howell normal form of a Matrix over ZMod(N), with certificate."""
-    from .rings import ZMod
-
-    if not isinstance(matrix.ring, ZMod):
-        raise UnsupportedRing("howell_form expects a matrix over ZMod")
-    N = matrix.ring.n
-    M = np.asarray(
-        [[matrix.entry(i, j).coords[0] for j in range(matrix.cols)] for i in range(matrix.rows)],
-        dtype=np.int64,
-    ).reshape(matrix.rows, matrix.cols)
-    aug = np.concatenate([M, np.eye(matrix.rows, dtype=np.int64)], axis=1)
-    Haug = howell(aug, N)
-    mask = Haug[:, : matrix.cols].any(axis=1) if Haug.size else np.zeros(0, dtype=bool)
-    Haug = Haug[mask]
-    H = Haug[:, : matrix.cols]
-    T = Haug[:, matrix.cols :]
-    pivots = [int(np.nonzero(row)[0][0]) for row in H]
-    assert not ((T @ M - H) % N).any()
-    ring = matrix.ring
-    Hmat = Matrix(ring, H.shape[0], matrix.cols, [ring.element((int(v),)) for v in H.ravel()])
-    return HowellResult(Hmat, T, pivots, N)

@@ -13,6 +13,7 @@ from . import corpus as corpus_mod
 from . import homs as homs_mod
 from . import identities as idn
 from .algebras import (
+    Algebra,
     env_map_bijective,
     ideal_intersection_check,
     is_azumaya,
@@ -21,6 +22,7 @@ from .algebras import (
     nilpotency_index,
     opposite,
     square_rank_check,
+    structure_tensor,
     tensor_product,
     upper_triangular_algebra,
     weyl_quotient,
@@ -235,12 +237,9 @@ def suite_endo_cor52(seed=None, **_):
 def _split_quadratic_f2():
     """F_2 x F_2 as a rank-2 algebra over F_2 (idempotent basis): commutative
     but not central, so its enveloping map cannot be bijective."""
-    from .algebras import Algebra
-
     ring = ZMod(2)
-    zero, one = ring.zero(), ring.one()
-    table = [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]]
-    return Algebra(ring, table, [one, one], label="F_2xF_2")
+    table = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    return Algebra(ring, *structure_tensor(ring, table, [1, 1]), label="F_2xF_2")
 
 
 def suite_tensor_env_rem23(seed=None, **_):
@@ -301,7 +300,7 @@ def builtin_suites():
     return list(BUILTIN_SUITES)
 
 
-def run_suite(name, seed=None, max_tuples=10**7, max_elements=5000):
+def run_suite(name, seed=None, max_tuples=10**7):
     if name not in BUILTIN_SUITES:
         raise SuiteError(f"unknown suite {name!r}; known: {', '.join(BUILTIN_SUITES)}")
-    return BUILTIN_SUITES[name](seed=seed, max_tuples=max_tuples, max_elements=max_elements)
+    return BUILTIN_SUITES[name](seed=seed, max_tuples=max_tuples)

@@ -1,0 +1,303 @@
+"""Test-only oracles over RingElem entries.
+
+The library stores an algebra as its integer structure tensor only.  The
+functions here keep the older representation -- nested lists of RingElem
+structure constants and ring-entry matrices -- as independent references:
+
+- the table constructors (`matrix_table`, `upper_triangular_table`,
+  `weyl_table`, `opposite_table`, `tensor_table`, `base_change_table`) build
+  e_i * e_j ring element by ring element, and `flatten_table` turns a table
+  into the (struct, unit_flat) pair the library's constructors must emit;
+- `env_map` is the enveloping map as a matrix over the base ring, checked
+  against the library's flattened `env_map_flat`;
+- `center_bruteforce` scans every element of a small algebra;
+- `Matrix` and `howell_form` are ring-entry matrices and the Howell form
+  with its transformation certificate.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from azumaya.algebras import AlgElem, _normal_order
+from azumaya.linalg import LinalgError, howell
+from azumaya.rings import ZMod
+
+
+# ---------------------------------------------------------------------------
+# RingElem structure tables: table[i][j] is the coordinate vector (length d,
+# entries RingElem) of e_i * e_j, unit the coordinate vector of 1
+
+
+def matrix_table(ring, n):
+    d = n * n
+    zero, one = ring.zero(), ring.one()
+    table = [[None] * d for _ in range(d)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        row = [zero] * d
+        if j == k:
+            row[i * n + l] = one
+        table[i * n + j][k * n + l] = row
+    unit = [zero] * d
+    for i in range(n):
+        unit[i * n + i] = one
+    return table, unit
+
+
+def upper_triangular_table(ring, n):
+    idx = [(i, j) for i in range(n) for j in range(i, n)]
+    pos = {p: a for a, p in enumerate(idx)}
+    d = len(idx)
+    zero, one = ring.zero(), ring.one()
+    table = []
+    for (i, j) in idx:
+        row_tab = []
+        for (k, l) in idx:
+            row = [zero] * d
+            if j == k:
+                row[pos[(i, l)]] = one
+            row_tab.append(row)
+        table.append(row_tab)
+    unit = [zero] * d
+    for i in range(n):
+        unit[pos[(i, i)]] = one
+    return table, unit
+
+
+def weyl_table(p, a, b):
+    ring = ZMod(p)
+    a %= p
+    b %= p
+    d = p * p
+    zero = ring.zero()
+
+    def reduce_pair(xe, ye, coeff):
+        # fold exponents >= p into the scalars a, b
+        qx, rx = divmod(xe, p)
+        qy, ry = divmod(ye, p)
+        return rx, ry, coeff * pow(a, qx, p) * pow(b, qy, p)
+
+    table = []
+    for i in range(p):
+        for j in range(p):
+            row_tab = []
+            for k in range(p):
+                for l in range(p):
+                    row = [0] * d
+                    for (c, e), coeff in _normal_order(j, k).items():
+                        rx, ry, cf = reduce_pair(i + c, e + l, coeff)
+                        row[rx * p + ry] = (row[rx * p + ry] + cf) % p
+                    row_tab.append([ring.element((v,)) for v in row])
+            table.append(row_tab)
+    unit = [zero] * d
+    unit[0] = ring.one()
+    return table, unit
+
+
+def opposite_table(base, table, unit):
+    d = len(table)
+    table = [[table[j][i] for j in range(d)] for i in range(d)]
+    unit = [base.element(u.coords) for u in unit]
+    return table, unit
+
+
+def tensor_table(base, table_a, unit_a, table_b, unit_b):
+    da, db = len(table_a), len(table_b)
+    d = da * db
+    zero = base.zero()
+    table = []
+    for i1, j1 in itertools.product(range(da), range(db)):
+        row_tab = []
+        for i2, j2 in itertools.product(range(da), range(db)):
+            ca = table_a[i1][i2]
+            cb = table_b[j1][j2]
+            row = [zero] * d
+            for k, ra in enumerate(ca):
+                if ra.is_zero():
+                    continue
+                for l, rb in enumerate(cb):
+                    if rb.is_zero():
+                        continue
+                    row[k * db + l] = row[k * db + l] + ra * rb
+            row_tab.append(row)
+        table.append(row_tab)
+    unit = [zero] * d
+    for k, ra in enumerate(unit_a):
+        for l, rb in enumerate(unit_b):
+            unit[k * db + l] = ra * rb
+    return table, unit
+
+
+def base_change_table(hom, table, unit):
+    d = len(table)
+    table = [[[hom.apply(c) for c in table[i][j]] for j in range(d)] for i in range(d)]
+    unit = [hom.apply(u) for u in unit]
+    return table, unit
+
+
+def flatten_table(base, table, unit):
+    """(struct, unit_flat) of a RingElem table: struct[(i, s), (j, t)] holds
+    the flat coordinates of (b_s e_i)(b_t e_j) for the ring's coordinate
+    generators b_s."""
+    d, f = len(table), base.flatten_len
+    D = d * f
+    S = np.zeros((D, D, D), dtype=np.int64)
+    basis = [base.basis_elem(s) for s in range(f)]
+    for i in range(d):
+        for j in range(d):
+            cij = table[i][j]
+            for s in range(f):
+                for t in range(f):
+                    scalar = basis[s] * basis[t]
+                    row = np.zeros(D, dtype=np.int64)
+                    for k, c in enumerate(cij):
+                        prod = scalar * c
+                        row[k * f : (k + 1) * f] = prod.coords
+                    S[i * f + s, j * f + t] = row
+    unit_flat = np.zeros(D, dtype=np.int64)
+    for i, r in enumerate(unit):
+        unit_flat[i * f : (i + 1) * f] = r.coords
+    return S, unit_flat
+
+
+# ---------------------------------------------------------------------------
+# enveloping map and center
+
+
+def ring_coords(A, flat):
+    f = A.base.flatten_len
+    return [
+        A.base.element(tuple(int(c) for c in flat[i * f : (i + 1) * f]))
+        for i in range(A.rank)
+    ]
+
+
+def env_map(A):
+    """Matrix over the base ring of A (x) A^op -> End_R(A), a (x) b acting as
+    x -> a x b.  Size d^2 x d^2; column (i, j) is the endomorphism e_i _ e_j,
+    row (u, t) the coefficient of e_u in the image of e_t."""
+    d = A.rank
+    base = A.base
+    cols = []
+    for i in range(d):
+        ei = A.basis_flat(i)
+        for j in range(d):
+            ej = A.basis_flat(j)
+            col = []
+            for t in range(d):
+                v = A.mul_flat(A.mul_flat(ei, A.basis_flat(t)), ej)
+                col.append(ring_coords(A, v))
+            # entry at row (u, t) is col[t][u]
+            cols.append([col[t][u] for u in range(d) for t in range(d)])
+    entries = [cols[c][r] for r in range(d * d) for c in range(d * d)]
+    return Matrix(base, d * d, d * d, entries)
+
+
+def center_bruteforce(A):
+    """Scan all elements for commutation with every basis vector."""
+    elems = np.asarray(
+        list(itertools.product(*(range(m) for m in A.moduli))), dtype=np.int64
+    )
+    mask = np.ones(len(elems), dtype=bool)
+    for alpha in range(A.dim):
+        M = A.struct[:, alpha, :] - A.struct[alpha, :, :]
+        mask &= ~((elems @ M) % A._moduli_arr).any(axis=1)
+    return [AlgElem(A, v) for v in elems[mask]]
+
+
+# ---------------------------------------------------------------------------
+# ring-entry matrices and the Howell form with certificate
+
+
+class UnsupportedRing(LinalgError):
+    pass
+
+
+class Matrix:
+    """Dense matrix with entries in a base ring."""
+
+    def __init__(self, ring, rows, cols, entries):
+        entries = list(entries)
+        if len(entries) != rows * cols:
+            raise LinalgError("entry count does not match the shape")
+        for e in entries:
+            if e.ring != ring:
+                raise LinalgError("entry from a different ring")
+        self.ring = ring
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    @classmethod
+    def from_int_rows(cls, ring, data):
+        rows = len(data)
+        cols = len(data[0]) if rows else 0
+        if ring.flatten_len != 1:
+            raise LinalgError("integer entries only make sense for ZMod rings")
+        entries = [ring.element((v,)) for row in data for v in row]
+        return cls(ring, rows, cols, entries)
+
+    def entry(self, i, j):
+        return self.entries[i * self.cols + j]
+
+    def flattened(self):
+        """Z-linear matrix on flattened coordinates (f x f block per entry)."""
+        f = self.ring.flatten_len
+        if f == 1:
+            return np.asarray(
+                [[self.entry(i, j).coords[0] for j in range(self.cols)] for i in range(self.rows)],
+                dtype=np.int64,
+            ).reshape(self.rows, self.cols)
+        out = np.zeros((self.rows * f, self.cols * f), dtype=np.int64)
+        for i in range(self.rows):
+            for j in range(self.cols):
+                block = self.ring.mul_matrix(self.entry(i, j).coords)
+                out[i * f : (i + 1) * f, j * f : (j + 1) * f] = block
+        return out
+
+    def moduli_rows(self):
+        return tuple(self.ring.moduli) * self.rows
+
+    def moduli_cols(self):
+        return tuple(self.ring.moduli) * self.cols
+
+    def apply(self, vec_flat):
+        return self.flattened() @ np.asarray(vec_flat, dtype=np.int64)
+
+    def __repr__(self):
+        return f"Matrix({self.ring!r}, {self.rows}x{self.cols})"
+
+
+class HowellResult:
+    """Howell form of a ZMod matrix together with a transformation certificate
+    T satisfying H = T M over Z/N."""
+
+    def __init__(self, H, T, pivots, modulus):
+        self.H = H
+        self.T = T
+        self.pivots = pivots
+        self.modulus = modulus
+
+
+def howell_form(matrix):
+    """Howell normal form of a Matrix over ZMod(N), with certificate."""
+    if not isinstance(matrix.ring, ZMod):
+        raise UnsupportedRing("howell_form expects a matrix over ZMod")
+    N = matrix.ring.n
+    M = np.asarray(
+        [[matrix.entry(i, j).coords[0] for j in range(matrix.cols)] for i in range(matrix.rows)],
+        dtype=np.int64,
+    ).reshape(matrix.rows, matrix.cols)
+    aug = np.concatenate([M, np.eye(matrix.rows, dtype=np.int64)], axis=1)
+    Haug = howell(aug, N)
+    mask = Haug[:, : matrix.cols].any(axis=1) if Haug.size else np.zeros(0, dtype=bool)
+    Haug = Haug[mask]
+    H = Haug[:, : matrix.cols]
+    T = Haug[:, matrix.cols :]
+    pivots = [int(np.nonzero(row)[0][0]) for row in H]
+    assert not ((T @ M - H) % N).any()
+    ring = matrix.ring
+    Hmat = Matrix(ring, H.shape[0], matrix.cols, [ring.element((int(v),)) for v in H.ravel()])
+    return HowellResult(Hmat, T, pivots, N)

@@ -12,9 +12,7 @@ from azumaya.algebras import (
     NotNilpotentWithinCap,
     base_change,
     center,
-    center_bruteforce,
     commutant,
-    env_map,
     env_map_bijective,
     env_map_flat,
     expand_ideal,
@@ -29,11 +27,13 @@ from azumaya.algebras import (
     quotient_algebra,
     rank_at,
     square_rank_check,
+    structure_tensor,
     tensor_product,
     upper_triangular_algebra,
     weyl_quotient,
 )
 from azumaya.rings import GaloisField, MaxIdeal, ProductRing, RingIdeal, ZMod
+from ring_oracles import center_bruteforce, env_map
 
 
 # ---------------------------------------------------------------------------
@@ -54,14 +54,11 @@ def test_matrix_algebra_rejects_n0():
 
 
 def test_associativity_checked_at_construction():
-    from azumaya.algebras import Algebra
-
     R = ZMod(2)
-    zero, one = R.zero(), R.one()
     # e1*e1 = e2, e2*anything = e1: not associative
-    table = [[[zero, one], [one, zero]], [[one, zero], [one, zero]]]
+    table = [[[0, 1], [1, 0]], [[1, 0], [1, 0]]]
     with pytest.raises(AlgebraError):
-        Algebra(R, table, [one, zero])
+        Algebra(R, *structure_tensor(R, table, [1, 0]))
 
 
 def test_weyl_relations():
@@ -232,9 +229,8 @@ def test_env_map_bijective_cases():
 
 def _split_quadratic():
     R = ZMod(2)
-    zero, one = R.zero(), R.one()
-    table = [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]]
-    return Algebra(R, table, [one, one])
+    table = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    return Algebra(R, *structure_tensor(R, table, [1, 1]))
 
 
 def test_env_map_not_bijective_for_split_quadratic():

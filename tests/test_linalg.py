@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from azumaya.linalg import (
     IllFormedMap,
-    Matrix,
     NoSolution,
     Subgroup,
-    UnsupportedRing,
     howell,
-    howell_form,
     is_bijective_additive,
     kernel_additive,
     kernel_mod,
@@ -22,6 +19,7 @@ from azumaya.linalg import (
     solve_mod,
 )
 from azumaya.rings import GaloisField, ZMod
+from ring_oracles import Matrix, UnsupportedRing, howell_form
 
 
 # ---------------------------------------------------------------------------

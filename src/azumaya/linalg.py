@@ -1,11 +1,29 @@
 """Exact linear algebra over Z/N and over finite abelian groups.
 
-The canonical row form used throughout is the Howell normal form: unlike a
-plain echelon form it is saturated, so two matrices over Z/N have the same
-row span iff their Howell forms are identical, and span membership can be
-decided by successive leading-coefficient division.  Mixed moduli are
-handled by scaling every coordinate into Z/L for L the lcm of the moduli;
-the scaling x_j -> (L/N_j) x_j embeds prod Z/N_j into (Z/L)^n as a group.
+One routine reduces rows: `_echelon`, the forward pass of the Howell
+elimination (Howell 1986), vectorized per pivot as in Storjohann-Mulders
+("Fast algorithms for linear algebra modulo N", ESA 1998).  Column by
+column it takes the entry with the smallest gcd with N as pivot and scales
+its row so that the pivot is that gcd g, a divisor of N.  A unit pivot
+clears every row below it in one update; a non-unit pivot clears the rows
+whose entry g divides in one update and folds each other row into the pivot
+row by xgcd, which shrinks g.  The annihilator (N/g) * row of each pivot row
+is appended below, so the rows come out saturated: a vector of the span
+that vanishes in the first c columns is a combination of the rows with
+pivot column c or later.  So membership is decided by successive
+leading-coefficient division, and the span has order prod N/g over the
+pivots: orders, ranks over F_p and bijectivity are read off the forward
+pass alone.  `howell` adds back-reduction of the entries above each pivot,
+which makes the form canonical: two matrices over Z/N have the same row
+span iff their Howell forms are equal.
+
+Arrays mod N are int64 while (N-1)^2 < 2^63 (N <= 3,037,000,500) and exact
+Python ints (object arrays) beyond: every update forms products of two
+residues and reduces each product before adding it.
+
+Mixed moduli are handled by scaling every coordinate into Z/L for L the
+lcm of the moduli; the scaling x_j -> (L/N_j) x_j embeds prod Z/N_j into
+(Z/L)^n as a group.
 """
 
 from __future__ import annotations
@@ -13,8 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .rings import factorize
 
 
 class LinalgError(Exception):
@@ -49,6 +65,89 @@ def _unit_lift(a, N):
     return pow(b, -1, N)
 
 
+def _dtype(N):
+    return np.int64 if (N - 1) ** 2 < 2**63 else object
+
+
+def _residues(mat, N):
+    """A new C-ordered array of the residues of the 2d `mat` mod N."""
+    A = np.remainder(np.asarray(mat, dtype=_dtype(N)), N, order="C")
+    if A.ndim != 2:
+        raise LinalgError("expected a 2d array")
+    return A
+
+
+def _echelon(A, N):
+    """Saturated echelon rows of the residues A mod N (a C-ordered array
+    it overwrites), one per pivot, each pivot a divisor of N: the forward
+    pass described above."""
+    r, end = 0, len(A)  # rows [r, end) are still to be reduced
+    for c in range(A.shape[1]):
+        if r == end:
+            break
+        nz = r + A[r:end, c].nonzero()[0]
+        if not nz.size:
+            continue
+        i = nz[0]
+        a = int(A[i, c])
+        g = math.gcd(a, N)
+        if g > 1:
+            i = nz[np.argmin(np.gcd(A[nz, c], N))]
+            a = int(A[i, c])
+            g = math.gcd(a, N)
+        pivot = A[i] * _unit_lift(a, N) % N
+        rest = nz[nz != i]
+        while rest.size:
+            block = A[rest, c:]
+            A[rest, c:] = (block - block[:, :1] // g * pivot[c:]) % N
+            if g == 1:
+                break
+            # fold a row the pivot does not divide into it: gcd(g, b) < g
+            rest = rest[A[rest, c] != 0]
+            if not rest.size:
+                break
+            j, rest = rest[0], rest[1:]
+            b = int(A[j, c])
+            d, s, t = _xgcd(g, b)
+            pivot, A[j] = (
+                (s % N * pivot % N + t % N * A[j] % N) % N,
+                ((N - b // d) * pivot % N + g // d * A[j] % N) % N,
+            )
+            g = d
+        A[i] = A[r]
+        A[r] = pivot
+        if g > 1:
+            ann = pivot * (N // g) % N
+            if ann.any():
+                if end == len(A):
+                    A = np.concatenate([A, np.zeros_like(A)])
+                A[end] = ann
+                end += 1
+        r += 1
+    return A[:r]
+
+
+def _leads(E):
+    """Pivot column of each row of an echelon form."""
+    return (E != 0).argmax(axis=1) if len(E) else ()
+
+
+def _order(E, N):
+    """Order of the row span of saturated echelon rows over Z/N."""
+    return math.prod(N // int(E[k, c]) for k, c in enumerate(_leads(E)))
+
+
+def _reduce(v, E, N):
+    """v reduced by saturated echelon rows E, row by row, to below each
+    pivot: zero iff v is in their span, since a nonzero remainder at a
+    pivot column is never cleared by the later rows."""
+    for row, c in zip(E, _leads(E)):
+        q = v[c] // row[c]
+        if q:
+            v = (v - q * row) % N
+    return v
+
+
 def howell(mat, N):
     """Howell normal form of the rows of `mat` over Z/N.
 
@@ -57,124 +156,58 @@ def howell(mat, N):
     reduced below it.  The row span (including the multiples contributed by
     zero divisors, via annihilator rows) is preserved exactly.
     """
-    A = np.asarray(mat, dtype=np.int64) % N
-    if A.ndim != 2:
-        raise LinalgError("expected a 2d array")
-    ncols = A.shape[1]
-    rows = [r for r in A if r.any()]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(rows)) if rows[i][c]]
-            if not nz:
-                break
-            # pick the entry with the smallest gcd with N as pivot candidate
-            i0 = min(nz, key=lambda i: math.gcd(int(rows[i][c]), N))
-            rows[r], rows[i0] = rows[i0], rows[r]
-            a = int(rows[r][c])
-            g = math.gcd(a, N)
-            rows[r] = rows[r] * _unit_lift(a, N) % N
-            # eliminate every lower row whose entry is a multiple of g
-            stubborn = []
-            for i in range(r + 1, len(rows)):
-                e = int(rows[i][c])
-                if e == 0:
-                    continue
-                if e % g == 0:
-                    rows[i] = (rows[i] - (e // g) * rows[r]) % N
-                else:
-                    stubborn.append(i)
-            if not stubborn:
-                break
-            # fold one stubborn row into the pivot row to shrink the gcd
-            i = stubborn[0]
-            b = int(rows[i][c])
-            _, s, t = _xgcd(g, b)
-            combined = (s * rows[r] + t * rows[i]) % N
-            rows[i] = ((-(b // math.gcd(g, b))) * rows[r] + (g // math.gcd(g, b)) * rows[i]) % N
-            rows[r] = combined
-        if r < len(rows) and rows[r][c]:
-            g = int(rows[r][c])
-            # annihilator row keeps the span saturated over zero divisors
-            q = N // g
-            ann = rows[r] * q % N
-            if ann.any():
-                rows.append(ann)
-            for i in range(r):
-                e = int(rows[i][c])
-                if e >= g:
-                    rows[i] = (rows[i] - (e // g) * rows[r]) % N
-            pivots.append(c)
-            r += 1
-    rows = rows[:r]
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.vstack(rows)
+    E = _echelon(_residues(mat, N), N)
+    for k, c in enumerate(_leads(E)):
+        if k:
+            E[:k, c:] = (E[:k, c:] - (E[:k, c] // E[k, c])[:, None] * E[k, c:]) % N
+    return E
 
 
 def rank_mod_p(mat, p):
-    """Rank mod a prime by forward elimination, one modular inverse per
-    pivot.
+    """Rank over the field F_p: the number of pivots of the forward pass."""
+    return len(_echelon(_residues(mat, p), p))
 
-    Row updates form products of two residues, below (p-1)^2; that fits
-    int64 only while (p-1)^2 < 2^63 (p <= 3,037,000,499), so larger primes
-    eliminate over exact Python ints (object arrays)."""
-    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-    A = np.asarray(mat, dtype=dtype) % p
+
+def _kernel_form(A, N):
+    """Howell form of [A^T | I] over Z/N for an m x n matrix A.
+
+    Each of its rows [a | x] has A x = a.  Returns the rows with a != 0,
+    which solve A x = b by reduction, and the x of the rest, which generate
+    the kernel."""
+    A = np.asarray(A, dtype=_dtype(N))
     m, n = A.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
-        below = A[r + 1 :, c]
-        sel = np.nonzero(below)[0]
-        if sel.size:
-            A[r + 1 + sel] = (A[r + 1 + sel] - np.outer(below[sel], A[r])) % p
-        r += 1
-    return r
+    E = howell(np.concatenate([A.T, np.eye(n, dtype=A.dtype)], axis=1), N)
+    k = int((E[:, :m] != 0).any(axis=1).sum())
+    return E[:k], E[k:, m:]
+
+
+def _solve(rows, b, N):
+    """One x with A x = b from the solving rows of `_kernel_form`."""
+    m = len(b)
+    v = _reduce(np.concatenate([b, np.zeros(rows.shape[1] - m, dtype=rows.dtype)]), rows, N)
+    if v[:m].any():
+        raise NoSolution("right-hand side is not in the column span")
+    return -v[m:] % N
 
 
 def kernel_mod(A, N):
     """Generators of the right kernel {x : A x = 0} over Z/N, as rows."""
-    A = np.asarray(A, dtype=np.int64) % N
-    m, n = A.shape
-    aug = np.concatenate([A.T, np.eye(n, dtype=np.int64)], axis=1)
-    H = howell(aug, N)
-    mask = ~H[:, :m].any(axis=1) if H.size else np.zeros(0, dtype=bool)
-    return H[mask, m:] if H.size else np.zeros((0, n), dtype=np.int64)
+    return _kernel_form(A, N)[1]
 
 
 def solve_mod(A, b, N):
     """One solution of A x = b over Z/N, or raise NoSolution."""
-    A = np.asarray(A, dtype=np.int64) % N
-    b = np.asarray(b, dtype=np.int64) % N
-    m, n = A.shape
-    aug = np.concatenate([A.T, np.eye(n, dtype=np.int64)], axis=1)
-    H = howell(aug, N)
-    rem = b.copy()
-    x = np.zeros(n, dtype=np.int64)
-    for row in H:
-        left = row[:m]
-        nz = np.nonzero(left)[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        g = int(left[c])
-        if rem[c] % g:
-            continue
-        t = int(rem[c]) // g
-        rem = (rem - t * left) % N
-        x = (x + t * row[m:]) % N
-    if rem.any():
-        raise NoSolution("right-hand side is not in the column span")
+    rows, _ = _kernel_form(A, N)
+    return _solve(rows, np.asarray(b, dtype=rows.dtype) % N, N)
+
+
+def _embed(x, moduli, L):
+    """Rows of x in prod Z/N_j, scaled into (Z/L)^n by x_j -> (L/N_j) x_j,
+    as a new C-ordered array."""
+    dtype = _dtype(L)
+    moduli = np.asarray(moduli, dtype=dtype)
+    x = np.remainder(np.asarray(x, dtype=dtype), moduli, order="C")
+    x *= L // moduli
     return x
 
 
@@ -189,56 +222,30 @@ class Subgroup:
     def __init__(self, gens, moduli):
         self.moduli = tuple(int(m) for m in moduli)
         self.L = math.lcm(*self.moduli) if self.moduli else 1
-        n = len(self.moduli)
-        scale = np.asarray([self.L // m for m in self.moduli], dtype=np.int64)
-        gens = np.asarray(gens, dtype=np.int64).reshape(-1, n)
-        base = np.diag(np.asarray(self.moduli, dtype=np.int64)) * scale[None, :]
-        embedded = np.concatenate([gens * scale[None, :], base], axis=0)
-        H = howell(embedded, self.L)
-        # drop the rows that only express the ambient moduli relations:
-        # those are exactly the rows equal to N_j * (L/N_j) e_j = L e_j = 0
-        # after reduction, so no filtering beyond howell() is needed; but the
-        # diagonal rows N_j e_j (embedded: L e_j = 0 mod L) vanish already.
-        self.H = H
-        self._scale = scale
+        gens = np.reshape(gens, (-1, len(self.moduli)))
+        self.H = howell(_embed(gens, self.moduli, self.L), self.L)
 
     @property
     def order(self):
-        if self.H.shape[0] == 0:
-            return 1
-        total = 1
-        for row in self.H:
-            g = int(row[np.nonzero(row)[0][0]])
-            total *= self.L // g
-        return total
+        return _order(self.H, self.L)
 
     def contains(self, vec):
-        v = (np.asarray(vec, dtype=np.int64) % np.asarray(self.moduli)) * self._scale
-        v = v % self.L
-        for row in self.H:
-            nz = np.nonzero(row)[0]
-            c = int(nz[0])
-            g = int(row[c])
-            if v[c] % g == 0:
-                v = (v - (int(v[c]) // g) * row) % self.L
-        return not v.any()
+        return not _reduce(_embed(vec, self.moduli, self.L), self.H, self.L).any()
 
     def generators(self):
         """Generators back in natural (unscaled) coordinates, as rows."""
-        if self.H.shape[0] == 0:
-            return np.zeros((0, len(self.moduli)), dtype=np.int64)
-        return (self.H // self._scale[None, :]) % np.asarray(self.moduli)
+        moduli = np.asarray(self.moduli, dtype=self.H.dtype)
+        return self.H // (self.L // moduli) % moduli
 
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
             and self.moduli == other.moduli
-            and self.H.shape == other.H.shape
-            and bool(np.all(self.H == other.H))
+            and np.array_equal(self.H, other.H)
         )
 
     def __hash__(self):
-        return hash((self.moduli, self.H.tobytes()))
+        return hash((self.moduli, tuple(self.H.ravel().tolist())))
 
     def __le__(self, other):
         if self.moduli != other.moduli:
@@ -253,9 +260,8 @@ class Subgroup:
         G2 = other.generators()
         if G1.shape[0] == 0 or G2.shape[0] == 0:
             return Subgroup(np.zeros((0, len(self.moduli))), self.moduli)
-        stacked = np.concatenate([G1, -G2], axis=0)  # (r1+r2, n)
-        scale = self._scale
-        A = (stacked * scale[None, :]).T % self.L  # columns are combos
+        # columns are combos
+        A = _embed(np.concatenate([G1, -G2], axis=0), self.moduli, self.L).T
         ker = kernel_mod(A, self.L)
         combos = ker[:, : G1.shape[0]] if ker.size else np.zeros((0, G1.shape[0]), dtype=np.int64)
         vecs = combos @ G1 if combos.size else np.zeros((0, len(self.moduli)), dtype=np.int64)
@@ -266,12 +272,28 @@ class Subgroup:
 
 
 def check_well_defined(H, src_moduli, tgt_moduli):
-    H = np.asarray(H, dtype=np.int64)
-    src = np.asarray(src_moduli, dtype=np.int64)
-    tgt = np.asarray(tgt_moduli, dtype=np.int64)
-    if H.shape != (len(tgt), len(src)):
+    """Whether N_j H[i][j] = 0 mod M_i for every entry, decided as
+    H[i][j] = 0 mod M_i / gcd(N_j, M_i) so that no product is formed."""
+    H = np.asarray(H)
+    if H.shape != (len(tgt_moduli), len(src_moduli)):
         raise IllFormedMap("matrix shape does not match the moduli vectors")
-    return not np.any((H * src[None, :]) % tgt[:, None])
+    dtype = _dtype(max((*src_moduli, *tgt_moduli), default=1))
+    # one gcd per pair of distinct moduli, spread over the entries
+    src, src_at = np.unique(np.asarray(src_moduli, dtype=dtype), return_inverse=True)
+    tgt, tgt_at = np.unique(np.asarray(tgt_moduli, dtype=dtype), return_inverse=True)
+    step = (tgt[:, None] // np.gcd(src, tgt[:, None]))[np.ix_(tgt_at, src_at)]
+    checked = step > 1
+    return not np.any(H[checked] % step[checked])
+
+
+def _columns_over_lcm(H, src_moduli, tgt_moduli):
+    """The columns of a well-defined map H, the images of the generators,
+    as rows over Z/L for L the lcm of all moduli, and L.  Raises
+    IllFormedMap if H is not well-defined."""
+    if not check_well_defined(H, src_moduli, tgt_moduli):
+        raise IllFormedMap("N_j * H[i][j] != 0 mod M_i for some entry")
+    L = math.lcm(*(int(m) for m in (*src_moduli, *tgt_moduli)))
+    return _embed(np.asarray(H).T, tgt_moduli, L), L
 
 
 def kernel_additive(H, src_moduli, tgt_moduli):
@@ -280,35 +302,23 @@ def kernel_additive(H, src_moduli, tgt_moduli):
     Requires the map to be well-defined (N_j H[i][j] = 0 mod M_i); raises
     IllFormedMap otherwise.  Returns the kernel as a Subgroup.
     """
-    if not check_well_defined(H, src_moduli, tgt_moduli):
-        raise IllFormedMap("N_j * H[i][j] != 0 mod M_i for some entry")
-    H = np.asarray(H, dtype=np.int64)
-    src = tuple(int(m) for m in src_moduli)
-    tgt = tuple(int(m) for m in tgt_moduli)
-    L = math.lcm(*src, *tgt)
-    scaled = H * np.asarray([L // m for m in tgt], dtype=np.int64)[:, None] % L
-    gens = kernel_mod(scaled, L)
-    return Subgroup(gens, src)
+    cols, L = _columns_over_lcm(H, src_moduli, tgt_moduli)
+    return Subgroup(kernel_mod(cols.T, L), src_moduli)
 
 
 def is_bijective_additive(H, src_moduli, tgt_moduli):
     """Decide bijectivity of a well-defined map of finite abelian groups.
 
-    The group orders must match for bijectivity.  When every modulus is the
-    same N the map is a square matrix over Z/N, invertible iff its
-    determinant is a unit, i.e. iff it has full rank mod every prime p | N.
-    Mixed moduli fall back to the Howell kernel: injective suffices.
+    It is bijective iff source and target have the same order and the
+    columns generate the target; the order of their span over Z/L is read
+    off the forward pass, with no back-reduction.
     """
-    if not check_well_defined(H, src_moduli, tgt_moduli):
-        raise IllFormedMap("N_j * H[i][j] != 0 mod M_i for some entry")
-    if math.prod(src_moduli) != math.prod(tgt_moduli):
-        return False
-    moduli = set(int(m) for m in src_moduli) | set(int(m) for m in tgt_moduli)
-    if len(moduli) == 1:
-        N = moduli.pop()
-        return all(rank_mod_p(H, p) == len(src_moduli) for p, _ in factorize(N))
-    ker = kernel_additive(H, src_moduli, tgt_moduli)
-    return ker.order == 1
+    cols, L = _columns_over_lcm(H, src_moduli, tgt_moduli)
+    order = math.prod(int(m) for m in tgt_moduli)
+    return (
+        math.prod(int(m) for m in src_moduli) == order
+        and _order(_echelon(cols, L), L) == order
+    )
 
 
 def solve_additive(H, b, src_moduli, tgt_moduli):
@@ -316,14 +326,7 @@ def solve_additive(H, b, src_moduli, tgt_moduli):
 
     Raises NoSolution when b is not in the image.
     """
-    if not check_well_defined(H, src_moduli, tgt_moduli):
-        raise IllFormedMap("map is not well-defined")
-    H = np.asarray(H, dtype=np.int64)
-    src = tuple(int(m) for m in src_moduli)
-    tgt = tuple(int(m) for m in tgt_moduli)
-    L = math.lcm(*src, *tgt)
-    tscale = np.asarray([L // m for m in tgt], dtype=np.int64)
-    scaled = H * tscale[:, None] % L
-    bs = np.asarray(b, dtype=np.int64) * tscale % L
-    x = solve_mod(scaled, bs, L) % np.asarray(src, dtype=np.int64)
-    return x, kernel_additive(H, src, tgt)
+    cols, L = _columns_over_lcm(H, src_moduli, tgt_moduli)
+    rows, kernel = _kernel_form(cols.T, L)
+    x = _solve(rows, _embed(b, tgt_moduli, L), L)
+    return x % np.asarray(src_moduli, dtype=x.dtype), Subgroup(kernel, src_moduli)

@@ -7,6 +7,8 @@ require an explicit seed; fully deterministic suites ignore it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import corpus as corpus_mod
@@ -134,8 +136,11 @@ def suite_split_cor29(seed=None, **_):
     return reports
 
 
+@lru_cache(maxsize=None)
 def _corpus():
-    return corpus_mod.build_corpus()
+    """The hom corpus, built once per process and shared by the corpus
+    suites (read-only: a tuple)."""
+    return tuple(corpus_mod.build_corpus())
 
 
 def suite_matrixcenter_thm31(seed=None, **_):

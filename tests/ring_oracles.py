@@ -12,12 +12,16 @@ structure constants and ring-entry matrices -- as independent references:
   against the library's flattened `env_map_flat`;
 - `center_bruteforce` scans every element of a small algebra;
 - `Matrix` and `howell_form` are ring-entry matrices and the Howell form
-  with its transformation certificate.
+  with its transformation certificate;
+- `howell_rowloop` and `rank_mod_p_rowloop` are the row-at-a-time
+  eliminations the library used before its single vectorized forward pass,
+  kept as references for it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -301,3 +305,120 @@ def howell_form(matrix):
     ring = matrix.ring
     Hmat = Matrix(ring, H.shape[0], matrix.cols, [ring.element((int(v),)) for v in H.ravel()])
     return HowellResult(Hmat, T, pivots, N)
+
+
+# ---------------------------------------------------------------------------
+# row-at-a-time eliminations over Z/N and F_p
+
+
+def _xgcd(a, b):
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _unit_lift(a, N):
+    """A unit u mod N with u*a = gcd(a, N) mod N."""
+    g = math.gcd(a, N)
+    b = a // g
+    step = N // g
+    while math.gcd(b, N) != 1:
+        b += step
+    return pow(b, -1, N)
+
+
+def howell_rowloop(mat, N):
+    """Howell normal form of the rows of `mat` over Z/N.
+
+    Returns an array with zero rows pruned, rows ordered by pivot column,
+    each pivot the gcd-normalized leading entry, and entries above a pivot
+    reduced below it.  The row span (including the multiples contributed by
+    zero divisors, via annihilator rows) is preserved exactly.
+    """
+    A = np.asarray(mat, dtype=np.int64) % N
+    if A.ndim != 2:
+        raise LinalgError("expected a 2d array")
+    ncols = A.shape[1]
+    rows = [r for r in A if r.any()]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, len(rows)) if rows[i][c]]
+            if not nz:
+                break
+            # pick the entry with the smallest gcd with N as pivot candidate
+            i0 = min(nz, key=lambda i: math.gcd(int(rows[i][c]), N))
+            rows[r], rows[i0] = rows[i0], rows[r]
+            a = int(rows[r][c])
+            g = math.gcd(a, N)
+            rows[r] = rows[r] * _unit_lift(a, N) % N
+            # eliminate every lower row whose entry is a multiple of g
+            stubborn = []
+            for i in range(r + 1, len(rows)):
+                e = int(rows[i][c])
+                if e == 0:
+                    continue
+                if e % g == 0:
+                    rows[i] = (rows[i] - (e // g) * rows[r]) % N
+                else:
+                    stubborn.append(i)
+            if not stubborn:
+                break
+            # fold one stubborn row into the pivot row to shrink the gcd
+            i = stubborn[0]
+            b = int(rows[i][c])
+            _, s, t = _xgcd(g, b)
+            combined = (s * rows[r] + t * rows[i]) % N
+            rows[i] = ((-(b // math.gcd(g, b))) * rows[r] + (g // math.gcd(g, b)) * rows[i]) % N
+            rows[r] = combined
+        if r < len(rows) and rows[r][c]:
+            g = int(rows[r][c])
+            # annihilator row keeps the span saturated over zero divisors
+            q = N // g
+            ann = rows[r] * q % N
+            if ann.any():
+                rows.append(ann)
+            for i in range(r):
+                e = int(rows[i][c])
+                if e >= g:
+                    rows[i] = (rows[i] - (e // g) * rows[r]) % N
+            pivots.append(c)
+            r += 1
+    rows = rows[:r]
+    if not rows:
+        return np.zeros((0, ncols), dtype=np.int64)
+    return np.vstack(rows)
+
+
+def rank_mod_p_rowloop(mat, p):
+    """Rank mod a prime by forward elimination, one modular inverse per
+    pivot.
+
+    Row updates form products of two residues, below (p-1)^2; that fits
+    int64 only while (p-1)^2 < 2^63 (p <= 3,037,000,499), so larger primes
+    eliminate over exact Python ints (object arrays)."""
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    A = np.asarray(mat, dtype=dtype) % p
+    m, n = A.shape
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
+        below = A[r + 1 :, c]
+        sel = np.nonzero(below)[0]
+        if sel.size:
+            A[r + 1 + sel] = (A[r + 1 + sel] - np.outer(below[sel], A[r])) % p
+        r += 1
+    return r

@@ -283,6 +283,26 @@ def test_corpus_names_unique_and_deterministic(corpus):
     assert names == again
 
 
+def test_corpus_suites_build_the_corpus_once(monkeypatch):
+    from azumaya import corpus as corpus_mod
+    from azumaya import suites
+
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return build_corpus()
+
+    monkeypatch.setattr(corpus_mod, "build_corpus", counted)
+    suites._corpus.cache_clear()
+    try:
+        suites.run_suite("matrixcenter-thm31", seed=42)
+        suites.run_suite("rank-thm41", seed=42)
+    finally:
+        suites._corpus.cache_clear()
+    assert len(calls) == 1
+
+
 def test_corpus_center_preservation_zero_failures(corpus):
     for e in corpus:
         if not e.equal_rank_reduced:

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from azumaya.algebras import center, is_central, matrix_algebra
 from azumaya.linalg import (
     IllFormedMap,
     NoSolution,
     Subgroup,
+    check_well_defined,
     howell,
     is_bijective_additive,
     kernel_additive,
@@ -18,8 +21,14 @@ from azumaya.linalg import (
     solve_additive,
     solve_mod,
 )
-from azumaya.rings import GaloisField, ZMod
-from ring_oracles import Matrix, UnsupportedRing, howell_form
+from azumaya.rings import GaloisField, ZMod, factorize
+from ring_oracles import (
+    Matrix,
+    UnsupportedRing,
+    howell_form,
+    howell_rowloop,
+    rank_mod_p_rowloop,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +259,161 @@ def test_howell_form_requires_zmod():
     M = Matrix(F4, 1, 1, [F4.one()])
     with pytest.raises(UnsupportedRing):
         howell_form(M)
+
+
+# ---------------------------------------------------------------------------
+# exactness at every modulus
+
+M61 = 2**61 - 1  # prime
+P4 = 4_000_000_007  # prime, (P4 - 1)^2 > 2^63
+
+
+def test_well_defined_forms_no_product():
+    assert check_well_defined([[P4 - 1]], (P4,), (P4,))
+    assert check_well_defined([[M61 - 1, 1]], (M61, M61), (M61,))
+    assert check_well_defined([[2]], (2,), (4,))
+    assert not check_well_defined([[1]], (2,), (4,))
+    assert not check_well_defined([[1]], (P4,), (2 * P4,))
+
+
+def test_subgroup_order_beyond_int64_products():
+    rng = random.Random(0)
+    for _ in range(200):
+        a, b, c, d = (rng.randrange(1, P4) for _ in range(4))
+        rank_one = [[a * c % P4, a * d % P4], [b * c % P4, b * d % P4]]
+        sub = Subgroup(rank_one, (P4, P4))
+        assert sub.order == P4
+        assert sub.contains([c, d])
+
+
+def test_subgroup_order_with_lcm_beyond_int64():
+    moduli = (M61, 2**31 - 1)
+    sub = Subgroup([[1, 1]], moduli)
+    assert sub.order == moduli[0] * moduli[1]
+    assert sub.contains([5, 5]) and sub.contains([0, 0])
+
+
+def test_center_of_matrix_algebra_mod_mersenne_prime():
+    A = matrix_algebra(ZMod(M61), 2)
+    assert center(A).order == M61
+    assert is_central(A)
+
+
+def test_bijective_identity_mod_mersenne_prime_is_fast():
+    started = time.perf_counter()
+    assert is_bijective_additive(np.eye(2, dtype=np.int64), (M61, M61), (M61, M61))
+    assert not is_bijective_additive([[1, 1], [1, 1]], (M61, M61), (M61, M61))
+    assert time.perf_counter() - started < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the forward pass against the row-loop eliminations in ring_oracles
+
+
+def _divisors(N):
+    return [d for d in range(1, N + 1) if N % d == 0]
+
+
+@st.composite
+def _matrix_mod(draw, N, max_rows, max_cols):
+    """Rows scaled by divisors of N (so zero divisors and zero rows occur),
+    with some columns zeroed."""
+    m = draw(st.integers(0, max_rows))
+    n = draw(st.integers(0, max_cols))
+    entry = st.integers(0, N - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    scales = draw(st.lists(st.sampled_from(_divisors(N)), min_size=m, max_size=m))
+    zero_cols = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    A = np.asarray([[s * x % N for x in row] for row, s in zip(rows, scales)], dtype=np.int64)
+    A = A.reshape(m, n)
+    A[:, np.asarray(zero_cols, dtype=bool)] = 0
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_howell_matches_rowloop(data):
+    N = data.draw(st.integers(2, 64))
+    A = data.draw(_matrix_mod(N, 8, 12))
+    H = howell(A, N)
+    assert H.tolist() == howell_rowloop(A, N).tolist()
+    assert H.shape[1] == A.shape[1]
+
+
+PRIMES = [2, 3, 5, 7, 13, 251, 65_537, 1_000_003, 10_000_019, P4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 6), st.integers(1, 6), st.integers(0, 6), st.data())
+def test_rank_mod_p_matches_rowloop(p, m, n, k, data):
+    # B C has rank at most k, so deficient ranks occur at every prime
+    entry = st.integers(0, p - 1)
+    B = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    C = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    A = [[sum(B[i][t] * C[t][j] for t in range(k)) % p for j in range(n)] for i in range(m)]
+    assert rank_mod_p(A, p) == rank_mod_p_rowloop(A, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 64), st.integers(1, 5), st.data())
+def test_bijective_equal_moduli_matches_rank_oracle(N, n, data):
+    entry = st.integers(0, N - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    scales = data.draw(st.lists(st.sampled_from(_divisors(N)), min_size=n, max_size=n))
+    H = np.asarray([[s * x % N for x in row] for row, s in zip(rows, scales)], dtype=np.int64)
+    moduli = (N,) * n
+    full_rank = all(rank_mod_p_rowloop(H, p) == n for p, _ in factorize(N))
+    assert is_bijective_additive(H, moduli, moduli) == full_rank
+
+
+MIXED = [2, 3, 4, 6, 8, 9, 12]
+
+
+@st.composite
+def _additive_map(draw):
+    """A well-defined map prod Z/N_j -> prod Z/M_i; the target is often a
+    permutation of the source, so the group orders agree."""
+    src = draw(st.lists(st.sampled_from(MIXED), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        tgt = draw(st.permutations(src))
+    else:
+        tgt = draw(st.lists(st.sampled_from(MIXED), min_size=1, max_size=4))
+    H = [
+        [draw(st.integers(0, M - 1)) * (M // math.gcd(N, M)) % M for N in src]
+        for M in tgt
+    ]
+    return np.asarray(H, dtype=np.int64), tuple(src), tuple(tgt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_additive_map())
+def test_bijective_mixed_moduli_matches_kernel(case):
+    H, src, tgt = case
+    injective = kernel_additive(H, src, tgt).order == 1
+    assert is_bijective_additive(H, src, tgt) == (math.prod(src) == math.prod(tgt) and injective)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_additive_map(), st.data())
+def test_solve_additive_solution_and_kernel(case, data):
+    H, src, tgt = case
+    x = np.asarray([data.draw(st.integers(0, N - 1)) for N in src], dtype=np.int64)
+    b = H @ x % np.asarray(tgt)
+    y, ker = solve_additive(H, b, src, tgt)
+    assert (H @ y % np.asarray(tgt)).tolist() == b.tolist()
+    assert all(0 <= v < N for v, N in zip(y.tolist(), src))
+    assert ker == kernel_additive(H, src, tgt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_subgroup_order_splits_by_crt_beyond_int64(m, n, data):
+    # over Z/(6 P4) the order is the order over Z/6 times P4^(rank mod P4)
+    N = 6 * P4
+    rows = data.draw(
+        st.lists(st.lists(st.integers(0, N - 1), min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    rows += [[6 * x % N for x in row] for row in rows[:1]]
+    small = [[x % 6 for x in row] for row in rows]
+    expected = Subgroup(small, (6,) * n).order * P4 ** rank_mod_p(rows, P4)
+    assert Subgroup(rows, (N,) * n).order == expected

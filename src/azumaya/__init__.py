@@ -25,7 +25,6 @@ from .algebras import (
     base_change,
     center,
     commutant,
-    has_constant_rank,
     is_azumaya,
     is_central,
     jordan_cell,

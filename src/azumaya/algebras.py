@@ -70,6 +70,7 @@ class Algebra:
         self.rank = self.dim // f
         self.moduli = tuple(base.moduli) * self.rank
         self._moduli_arr = np.asarray(self.moduli, dtype=np.int64)
+        self._N = max(base.moduli)  # every coordinate is a residue below it
         struct = np.asarray(struct, dtype=np.int64)
         if self.dim % f or struct.shape != (self.dim,) * 3:
             raise AlgebraError(
@@ -82,18 +83,18 @@ class Algebra:
             self._verify_axioms()
 
     def _verify_axioms(self):
-        S = self.struct
-        left = np.einsum("abk,kcm->abcm", S, S) % self._moduli_arr
-        right = np.einsum("bck,akm->abcm", S, S) % self._moduli_arr
+        S, mod, N = self.struct, self._moduli_arr, self._N
+        left = linalg.einsum_mod("abk,kcm->abcm", S, S, moduli=mod, N=N)
+        right = linalg.einsum_mod("bck,akm->abcm", S, S, moduli=mod, N=N)
         if np.any(left != right):
             bad = np.argwhere((left != right).any(axis=3))[0]
             raise AlgebraError(
                 f"associativity fails on basis triple {tuple(int(x) for x in bad)}"
             )
         u = self.unit_flat
-        lu = np.einsum("i,ijk->jk", u, S) % self._moduli_arr
-        ru = np.einsum("j,ijk->ik", u, S) % self._moduli_arr
-        eye = np.eye(self.dim, dtype=np.int64) % self._moduli_arr
+        lu = linalg.einsum_mod("i,ijk->jk", u, S, moduli=mod, N=N)
+        ru = linalg.einsum_mod("j,ijk->ik", u, S, moduli=mod, N=N)
+        eye = np.eye(self.dim, dtype=np.int64) % mod
         if np.any(lu != eye) or np.any(ru != eye):
             raise AlgebraError("unit vector is not a two-sided unit")
 
@@ -131,11 +132,14 @@ class Algebra:
     def _sparse_struct(self):
         """Nonzero entries of `struct` sorted by output coordinate: index
         arrays I, J and coefficients C with struct[I, J, k] = C on the
-        segment of k, the output coordinates that have a segment, and each
-        segment's start."""
+        segment of k, the output coordinates that have a segment, each
+        segment's start, and the dtype of the products: a sum runs over one
+        segment of products of three residues (`linalg._dtype`)."""
         K, I, J = np.nonzero(self.struct.transpose(2, 0, 1))
         outs, starts = np.unique(K, return_index=True)
-        return I, J, self.struct[I, J, K], outs, starts
+        longest = int(np.diff(starts, append=len(K)).max(initial=0))
+        dtype = linalg._dtype(self._N, longest, 3)
+        return I, J, self.struct[I, J, K].astype(dtype), outs, starts, dtype
 
     def mul_flat(self, x, y):
         return self.mul_batch(np.asarray(x)[None], np.asarray(y)[None])[0]
@@ -145,15 +149,12 @@ class Algebra:
 
         Sparse kernel: out[t, k] = sum over the nonzero struct[i, j, k] of
         X[t, i] * Y[t, j] * struct[i, j, k], reduced mod the moduli at the
-        end.  With inputs and coefficients below N (the largest modulus),
-        each term is below N^3 and a sum has at most dim^2 terms, so the
-        int64 sums are exact while dim^2 * N^3 < 2^63 -- the same bound as a
-        dense contraction over the whole tensor.
+        end.  The inputs are residues; the result is int64 residues.
         """
-        X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
-        I, J, C, outs, starts = self._sparse_struct
+        I, J, C, outs, starts, dtype = self._sparse_struct
+        X, Y = np.asarray(X, dtype=dtype), np.asarray(Y, dtype=dtype)
         T = X.shape[0]
-        out = np.zeros((self.dim, T), dtype=np.int64)
+        out = np.zeros((self.dim, T), dtype=dtype)
         if len(C):
             Xt, Yt, Ct = X.T, Y.T, C[:, None]
             rows = max(1, self._CHUNK_ENTRIES // len(C))
@@ -161,33 +162,32 @@ class Algebra:
                 terms = Xt[I, lo : lo + rows] * Yt[J, lo : lo + rows]
                 terms *= Ct
                 out[outs, lo : lo + rows] = np.add.reduceat(terms, starts, axis=0)
-        return out.T % self._moduli_arr
+        return (out.T % self._moduli_arr).astype(np.int64, copy=False)
 
     def scalar_mul_flat(self, r, x):
         """Flat coordinates of r*x for a base-ring element r."""
-        f = self.base.flatten_len
         block = self.base.mul_matrix(r.coords)
-        out = np.zeros_like(x)
-        for i in range(self.rank):
-            out[i * f : (i + 1) * f] = block @ x[i * f : (i + 1) * f]
-        return out % self._moduli_arr
+        x = np.reshape(x, (self.rank, -1))
+        out = linalg.einsum_mod("uv,iv->iu", block, x, moduli=self._moduli_arr.reshape(x.shape), N=self._N)
+        return out.reshape(-1)
 
     def left_mul_matrix(self, x):
         """Matrix of y -> x*y on flattened coordinates."""
-        return (np.einsum("i,ijk->kj", x, self.struct)) % self._moduli_arr[:, None]
+        return linalg.einsum_mod("i,ijk->kj", x, self.struct, moduli=self._moduli_arr[:, None], N=self._N)
 
     def right_mul_matrix(self, x):
         """Matrix of y -> y*x on flattened coordinates."""
-        return (np.einsum("j,ijk->ki", x, self.struct)) % self._moduli_arr[:, None]
+        return linalg.einsum_mod("j,ijk->ki", x, self.struct, moduli=self._moduli_arr[:, None], N=self._N)
+
+    def scalars_flat(self):
+        """Rows b_s * 1 for the base ring's coordinate generators b_s; they
+        span R*1."""
+        gens = (self.base.basis_elem(s) for s in range(self.base.flatten_len))
+        return np.asarray([self.scalar_mul_flat(b, self.unit_flat) for b in gens])
 
     def unit_span(self):
         """The subgroup R*1 of the flattened module."""
-        f = self.base.flatten_len
-        gens = [
-            self.scalar_mul_flat(self.base.basis_elem(s), self.unit_flat)
-            for s in range(f)
-        ]
-        return linalg.Subgroup(np.asarray(gens), self.moduli)
+        return linalg.Subgroup(self.scalars_flat(), self.moduli)
 
     def __eq__(self, other):
         if self is other:
@@ -322,18 +322,17 @@ def structure_tensor(base, table, unit):
     `unit` those of 1 (shape (d, f)).  The result is
     struct[(i, s), (j, t), (k, u)] = ((b_s b_t) * table[i, j, k])_u, built as
     two contractions with the ring's multiplication tensor, reduced mod the
-    moduli in between; each sum has at most f terms below N^2 for the largest
-    modulus N.
+    moduli in between.
     """
-    f = base.flatten_len
+    f, N = base.flatten_len, max(base.moduli)
     moduli = np.asarray(base.moduli, dtype=np.int64)
     unit = np.asarray(unit, dtype=np.int64).reshape(-1, f) % moduli
     d = len(unit)
     table = np.asarray(table, dtype=np.int64).reshape(d, d, d, f) % moduli
     M = _ring_mul_tensor(base)
     # scaled[i, j, k, v, u] = (b_v * table[i, j, k])_u
-    scaled = np.einsum("ijkw,vwu->ijkvu", table, M) % moduli
-    S = np.einsum("stv,ijkvu->isjtku", M, scaled) % moduli
+    scaled = linalg.einsum_mod("ijkw,vwu->ijkvu", table, M, moduli=moduli, N=N)
+    S = linalg.einsum_mod("stv,ijkvu->isjtku", M, scaled, moduli=moduli, N=N)
     return S.reshape(d * f, d * f, d * f), unit.reshape(-1)
 
 
@@ -436,10 +435,13 @@ def tensor_product(A, B):
     if A.base != B.base:
         raise BaseMismatch("tensor factors must share the base ring")
     f, M = A.base.flatten_len, _ring_mul_tensor(A.base)
-    # (e_i1 f_j1)(e_i2 f_j2) = sum (e_i1 e_i2)_k (f_j1 f_j2)_l e_k f_l; each sum
-    # has f^2 terms below N^3, inside mul_batch's dim^2 * N^3 < 2^63 envelope
-    table = np.einsum("ackv,bdlw,vwu->abcdklu", ring_table(A), ring_table(B), M)
-    unit = np.einsum("kv,lw,vwu->klu", A.unit_flat.reshape(-1, f), B.unit_flat.reshape(-1, f), M)
+    moduli = np.asarray(A.base.moduli, dtype=np.int64)
+    # (e_i1 f_j1)(e_i2 f_j2) = sum (e_i1 e_i2)_k (f_j1 f_j2)_l e_k f_l
+    table = linalg.einsum_mod(
+        "ackv,bdlw,vwu->abcdklu", ring_table(A), ring_table(B), M, moduli=moduli, N=A._N
+    )
+    uA, uB = A.unit_flat.reshape(-1, f), B.unit_flat.reshape(-1, f)
+    unit = linalg.einsum_mod("kv,lw,vwu->klu", uA, uB, M, moduli=moduli, N=A._N)
     struct, unit_flat = structure_tensor(A.base, table, unit)
     return Algebra(A.base, struct, unit_flat, label=f"{A.label}(x){B.label}", check=False)
 
@@ -450,9 +452,9 @@ def base_change(A, hom):
         raise AlgebraError("base_change expects a BaseRingHom")
     if hom.source != A.base:
         raise BaseMismatch("hom source does not match the algebra base")
-    H = hom.matrix.T
-    table = ring_table(A) @ H
-    unit = A.unit_flat.reshape(A.rank, -1) @ H
+    H, moduli = hom.matrix, np.asarray(hom.target.moduli, dtype=np.int64)
+    table = linalg.einsum_mod("ijks,ts->ijkt", ring_table(A), H, moduli=moduli, N=hom._N)
+    unit = linalg.einsum_mod("is,ts->it", A.unit_flat.reshape(A.rank, -1), H, moduli=moduli, N=hom._N)
     return Algebra(hom.target, *structure_tensor(hom.target, table, unit), label=A.label, check=False)
 
 
@@ -510,12 +512,12 @@ def env_map_flat(A):
     (b_s e_i) e_t e_j.
     Two reduced contractions: B[a, t, m] = (eps_a e_t)_m for every flat
     coordinate generator eps_a, then (eps_a e_t) e_j = sum_k B[a, t, k]
-    B[k, j, :] as one integer matmul whose sums stay below D * N^2.
+    B[k, j, :].
     """
     d, f, D = A.rank, A.base.flatten_len, A.dim
     E = np.asarray([A.basis_flat(t) for t in range(d)], dtype=np.int64)  # (d, D)
-    B = np.einsum("tj,ajk->atk", E, A.struct) % A._moduli_arr
-    C = (B.reshape(D * d, D) @ B.reshape(D, d * D)).reshape(D, d, d, D) % A._moduli_arr
+    B = linalg.einsum_mod("tj,ajk->atk", E, A.struct, moduli=A._moduli_arr, N=A._N)
+    C = linalg.einsum_mod("atk,kjm->atjm", B, B, moduli=A._moduli_arr, N=A._N)
     # C axes: (alpha=(i,s), t, j, m=(u,s')) -> rows (u,t,s'), cols (i,j,s)
     C6 = C.reshape(d, f, d, d, d, f)
     F = C6.transpose(4, 2, 5, 0, 3, 1).reshape(d * d * f, d * d * f)
@@ -592,20 +594,10 @@ def rank_at(A, m):
     return A.rank
 
 
-def has_constant_rank(A):
-    from .rings import maximal_ideals
-
-    ranks = {rank_at(A, m) for m in maximal_ideals(A.base)}
-    if len(ranks) == 1:
-        return True, ranks.pop()
-    return False, None
-
-
 def square_rank_check(A):
-    """Constant rank must be a perfect square for an Azumaya algebra."""
-    const, r = has_constant_rank(A)
-    if not const:
-        return CheckReport(check="square_rank", status="fail", witness={"ranks": "non-constant"})
+    """The rank, constant since A is free, must be a perfect square for an
+    Azumaya algebra."""
+    r = A.rank
     n = math.isqrt(r)
     if n * n != r:
         return CheckReport(check="square_rank", status="fail", witness={"rank": r})

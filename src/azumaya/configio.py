@@ -25,6 +25,12 @@ from .homs import AlgebraHom, compose, conjugation_auto, diagonal_embed, reducti
 from .identities import MultilinearIdentity, standard_identity
 from .rings import RingError, RingIdeal, make_ring
 
+# Cap on the entries of the largest dense array that building a configured
+# algebra of D flat coordinates forms, checked before anything is allocated:
+# the D^3 `struct` (above the (d, d, d, f) table), and for a checked build
+# each D^4 associativity array.  2^26 int64 entries are 512 MiB.
+MAX_DENSE_ENTRIES = 2**26
+
 
 class ConfigError(Exception):
     def __init__(self, message, location=""):
@@ -38,6 +44,15 @@ def _require(cfg, key, location):
     if key not in cfg:
         raise ConfigError(f"missing required field {key!r}", location)
     return cfg[key]
+
+
+def _check_size(D, checked, location):
+    """Refuse an algebra of D flat coordinates whose construction would
+    exceed MAX_DENSE_ENTRIES."""
+    entries = D**4 if checked else D**3
+    if entries > MAX_DENSE_ENTRIES:
+        msg = f"{D} flat coordinates need {entries} dense entries, above the cap {MAX_DENSE_ENTRIES}"
+        raise ConfigError(msg, location)
 
 
 def make_ring_checked(cfg, location="ring"):
@@ -70,25 +85,30 @@ def make_algebra(cfg, rings=None, location="algebra"):
             if n < 1:
                 raise ConfigError("matrix size must be >= 1", location)
             ring = resolve_ring(_require(cfg, "ring", location), location + ".ring")
+            _check_size(n * n * ring.flatten_len, True, location)
             return matrix_algebra(ring, n)
         if kind == "upper_triangular":
             n = int(_require(cfg, "n", location))
             if n < 1:
                 raise ConfigError("matrix size must be >= 1", location)
             ring = resolve_ring(_require(cfg, "ring", location), location + ".ring")
+            _check_size(n * (n + 1) // 2 * ring.flatten_len, True, location)
             return upper_triangular_algebra(ring, n)
         if kind == "weyl":
             p = int(_require(cfg, "p", location))
+            _check_size(p * p, True, location)
             return weyl_quotient(p, int(_require(cfg, "a", location)), int(_require(cfg, "b", location)))
         if kind == "tensor":
             left = make_algebra(_require(cfg, "left", location), rings, location + ".left")
             right = make_algebra(_require(cfg, "right", location), rings, location + ".right")
+            _check_size(left.rank * right.rank * left.base.flatten_len, False, location)
             return tensor_product(left, right)
         if kind == "opposite":
             return opposite(make_algebra(_require(cfg, "of", location), rings, location + ".of"))
         if kind == "structure_constants":
             ring = resolve_ring(_require(cfg, "ring", location), location + ".ring")
             d = int(_require(cfg, "rank", location))
+            _check_size(d * ring.flatten_len, True, location)
             raw = _require(cfg, "table", location)
             unit_raw = _require(cfg, "unit", location)
             f = ring.flatten_len
@@ -133,14 +153,11 @@ def make_hom(cfg, algebras, homs=None, location="hom"):
 
     source = resolve(_require(cfg, "source", location), location + ".source")
     if kind == "conjugation":
-        u_rows = _require(cfg, "u", location)
-        flat = np.asarray(u_rows, dtype=np.int64).reshape(-1)
-        if flat.shape[0] != source.dim:
-            raise ConfigError(
-                f"unit has {flat.shape[0]} coordinates, algebra needs {source.dim}",
-                location + ".u",
-            )
-        return conjugation_auto(source, source.element(flat))
+        u = np.asarray(_require(cfg, "u", location), dtype=object).reshape(-1)
+        if len(u) != source.dim:
+            raise ConfigError(f"unit has {len(u)} coordinates, algebra needs {source.dim}", location + ".u")
+        # reduced as Python ints: a config integer may not fit in int64
+        return conjugation_auto(source, source.element(u % np.asarray(source.moduli, dtype=object)))
     if kind == "reduction":
         return reduction_hom(source, RingIdeal(source.base, _require(cfg, "ideal", location)))
     if kind == "diagonal":
@@ -148,15 +165,18 @@ def make_hom(cfg, algebras, homs=None, location="hom"):
         m = math.isqrt(source.rank)
         if m * m != source.rank:
             raise ConfigError("diagonal embedding needs a matrix algebra source", location)
+        _check_size((k * m) ** 2 * source.base.flatten_len, False, location)
         return diagonal_embed(source.base, m, k)
     if kind == "explicit":
         target = resolve(_require(cfg, "target", location), location + ".target")
-        matrix = np.asarray(_require(cfg, "matrix", location), dtype=np.int64)
+        matrix = np.asarray(_require(cfg, "matrix", location), dtype=object)
         if matrix.shape != (target.dim, source.dim):
             raise ConfigError(
                 f"matrix shape {matrix.shape} != {(target.dim, source.dim)}",
                 location + ".matrix",
             )
+        # row i reduced mod the modulus of target coordinate i, as Python ints
+        matrix = matrix % np.asarray(target.moduli, dtype=object)[:, None]
         return AlgebraHom(source, target, matrix, label="explicit").verify()
     raise ConfigError(f"unknown hom kind {kind!r}", location)
 

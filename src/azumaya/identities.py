@@ -16,6 +16,7 @@ import random
 
 import numpy as np
 
+from . import linalg
 from .algebras import AlgElem, product_rows, random_rows
 from .reports import FAIL, NOT_FOUND, PASS, CheckReport
 
@@ -106,11 +107,14 @@ def _evaluate_batch(identity, A, X):
         return _standard_batch(A, X)
     T = X.shape[0]
     acc = np.zeros((T, A.dim), dtype=np.int64)
-    for coef, word in identity.terms:
+    # coefficients reduced in Python first: a config integer may not fit int64
+    coefs = np.asarray([[coef % m for m in A.moduli] for coef, _ in identity.terms], dtype=np.int64)
+    for c, (_, word) in zip(coefs, identity.terms):
         prod = X[:, word[0] - 1, :]
         for v in word[1:]:
             prod = A.mul_batch(prod, X[:, v - 1, :])
-        acc = (acc + coef * prod) % A._moduli_arr
+        term = linalg.einsum_mod("k,tk->tk", c, prod, moduli=A._moduli_arr, N=A._N)
+        acc = (acc + term) % A._moduli_arr
     return acc
 
 

@@ -17,9 +17,13 @@ pass alone.  `howell` adds back-reduction of the entries above each pivot,
 which makes the form canonical: two matrices over Z/N have the same row
 span iff their Howell forms are equal.
 
-Arrays mod N are int64 while (N-1)^2 < 2^63 (N <= 3,037,000,500) and exact
-Python ints (object arrays) beyond: every update forms products of two
-residues and reduces each product before adding it.
+One exactness rule covers every product of residues in the workbench
+(`_dtype`, the delayed-reduction rule of FFLAS-FFPACK: Dumas, Giorgi,
+Pernet, ACM TOMS 35(3), 2008): a sum of `terms` products of `factors`
+residues mod N runs in int64 while terms * (N-1)^factors < 2^63, and over
+exact Python ints (object arrays) beyond.  An elimination update reduces
+each product of two residues before adding it, so its arrays mod N are
+int64 while (N-1)^2 < 2^63; every other contraction is `einsum_mod`.
 
 Mixed moduli are handled by scaling every coordinate into Z/L for L the
 lcm of the moduli; the scaling x_j -> (L/N_j) x_j embeds prod Z/N_j into
@@ -29,6 +33,7 @@ lcm of the moduli; the scaling x_j -> (L/N_j) x_j embeds prod Z/N_j into
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,8 +70,36 @@ def _unit_lift(a, N):
     return pow(b, -1, N)
 
 
-def _dtype(N):
-    return np.int64 if (N - 1) ** 2 < 2**63 else object
+def _dtype(N, terms=1, factors=2):
+    """int64 while a sum of `terms` products of `factors` residues mod N
+    fits, exact Python ints (object) beyond."""
+    return np.int64 if terms * (N - 1) ** factors < 2**63 else object
+
+
+@lru_cache(maxsize=None)
+def _summed_axes(subscripts):
+    """(operand, axis) of one occurrence of each summed index of an explicit
+    einsum signature; axes after an ellipsis count from the end."""
+    inputs, out = subscripts.split("->")
+    axes = {}
+    for i, term in enumerate(inputs.split(",")):
+        head, _, tail = term.rpartition("...")
+        for ax, c in [*enumerate(head), *((k - len(tail), c) for k, c in enumerate(tail))]:
+            if c not in out:
+                axes.setdefault(c, (i, ax))
+    return tuple(axes.values())
+
+
+def einsum_mod(subscripts, *operands, moduli, N):
+    """`np.einsum(subscripts, *operands) % moduli` for arrays of residues
+    below N, exact by `_dtype`: int64 when every sum fits, else over Python
+    ints, returned as int64 residues (object only for moduli beyond int64).
+    `moduli` broadcasts against the result."""
+    terms = math.prod(operands[i].shape[ax] for i, ax in _summed_axes(subscripts))
+    if _dtype(N, terms, len(operands)) is np.int64:
+        return (np.einsum(subscripts, *operands) % moduli).astype(np.int64, copy=False)
+    out = np.einsum(subscripts, *(np.asarray(x, dtype=object) for x in operands)) % moduli
+    return out.astype(_dtype(N, 1, 1))
 
 
 def _residues(mat, N):
@@ -258,14 +291,11 @@ class Subgroup:
             raise LinalgError("subgroups of different ambient groups")
         G1 = self.generators()
         G2 = other.generators()
-        if G1.shape[0] == 0 or G2.shape[0] == 0:
-            return Subgroup(np.zeros((0, len(self.moduli))), self.moduli)
         # columns are combos
         A = _embed(np.concatenate([G1, -G2], axis=0), self.moduli, self.L).T
-        ker = kernel_mod(A, self.L)
-        combos = ker[:, : G1.shape[0]] if ker.size else np.zeros((0, G1.shape[0]), dtype=np.int64)
-        vecs = combos @ G1 if combos.size else np.zeros((0, len(self.moduli)), dtype=np.int64)
-        return Subgroup(vecs, self.moduli)
+        combos = kernel_mod(A, self.L)[:, : len(G1)]
+        moduli = np.asarray(self.moduli, dtype=G1.dtype)
+        return Subgroup(einsum_mod("ij,jk->ik", combos, G1, moduli=moduli, N=self.L), self.moduli)
 
     def __repr__(self):
         return f"Subgroup(order={self.order}, moduli={self.moduli})"

@@ -15,6 +15,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from . import linalg
+
 
 class RingError(Exception):
     pass
@@ -460,21 +462,21 @@ class BaseRingHom:
         self.matrix = np.asarray(matrix, dtype=np.int64)
         if self.matrix.shape != (target.flatten_len, source.flatten_len):
             raise InvalidBaseHom("matrix shape does not match the rings")
-        tmod = np.asarray(target.moduli, dtype=np.int64)
-        self.matrix = self.matrix % tmod[:, None]
+        self._tmod = np.asarray(target.moduli, dtype=np.int64)
+        self._N = max(*source.moduli, *target.moduli)  # entries and coordinates are below it
+        self.matrix = self.matrix % self._tmod[:, None]
         if verify:
             self.verify()
 
     def apply(self, elem):
         if elem.ring != self.source:
             raise RingError("element not in the source ring")
-        vec = self.matrix @ np.asarray(elem.coords, dtype=np.int64)
+        coords = np.asarray(elem.coords, dtype=np.int64)
+        vec = linalg.einsum_mod("ij,j->i", self.matrix, coords, moduli=self._tmod, N=self._N)
         return self.target.element(vec.tolist())
 
     def verify(self):
-        smod = np.asarray(self.source.moduli, dtype=np.int64)
-        tmod = np.asarray(self.target.moduli, dtype=np.int64)
-        if np.any((self.matrix * smod[None, :]) % tmod[:, None]):
+        if not linalg.check_well_defined(self.matrix, self.source.moduli, self.target.moduli):
             raise InvalidBaseHom("map is not well-defined on the coordinate moduli")
         if self.apply(self.source.one()) != self.target.one():
             raise InvalidBaseHom("unit is not preserved")
@@ -497,7 +499,9 @@ class BaseRingHom:
         """self after inner."""
         if inner.target != self.source:
             raise InvalidBaseHom("homs are not composable")
-        return BaseRingHom(inner.source, self.target, self.matrix @ inner.matrix)
+        N = max(self._N, inner._N)
+        matrix = linalg.einsum_mod("ij,jk->ik", self.matrix, inner.matrix, moduli=self._tmod[:, None], N=N)
+        return BaseRingHom(inner.source, self.target, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -590,15 +594,17 @@ def residue_field(ring, m):
         return ring, BaseRingHom.identity(ring)
     if isinstance(ring, ProductRing):
         i, sub = m.locator
-        factor = ring.factors[i]
-        field, proj = residue_field(factor, sub)
-        off = ring._offsets[i]
-        select = np.zeros((factor.flatten_len, ring.flatten_len), dtype=np.int64)
-        for s in range(factor.flatten_len):
-            select[s, off + s] = 1
-        mat = proj.matrix @ select
-        return field, BaseRingHom(ring, field, mat)
+        field, proj = residue_field(ring.factors[i], sub)
+        return field, BaseRingHom(ring, field, _on_factor(ring, i, proj.matrix))
     raise RingError(f"unsupported ring kind {ring.kind!r}")
+
+
+def _on_factor(ring, i, matrix):
+    """The matrix of a map out of the i-th factor of a product ring, as a
+    map out of the whole ring: zero on the other factors' coordinates."""
+    out = np.zeros((len(matrix), ring.flatten_len), dtype=np.int64)
+    out[:, ring._offsets[i] : ring._offsets[i] + ring.factors[i].flatten_len] = matrix
+    return out
 
 
 def is_reduced(ring):
@@ -752,13 +758,8 @@ class RingIdeal:
         ]
         pieces = []
         for i, ideal in kept:
-            factor = r.factors[i]
             tgt, proj = ideal.quotient()
-            off = r._offsets[i]
-            select = np.zeros((factor.flatten_len, r.flatten_len), dtype=np.int64)
-            for s in range(factor.flatten_len):
-                select[s, off + s] = 1
-            pieces.append((tgt, proj.matrix @ select))
+            pieces.append((tgt, _on_factor(r, i, proj.matrix)))
         if len(pieces) == 1:
             tgt, mat = pieces[0]
             return tgt, BaseRingHom(r, tgt, mat)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import homs as homs_mod
 from . import identities as idn
@@ -210,11 +208,8 @@ def suite_iso_prop51_thm53(seed=None, **_):
         reports.append(_named(rep, f"iso:{e.name}"))
     # Commutant of diagonally embedded M_2 in M_4(F_5): rank 4, tau bijective
     d2 = homs_mod.diagonal_embed(ZMod(5), 2, 2)
-    gens = [
-        d2.apply_flat(np.eye(d2.source.dim, dtype=np.int64)[j])
-        for j in range(d2.source.dim)
-    ]
-    C, bij = homs_mod.tensor_commutant_map(d2.target, gens)
+    # the images of the coordinate generators: the columns of the matrix
+    C, bij = homs_mod.tensor_commutant_map(d2.target, d2.matrix.T)
     ok = C.order == 5**4 and bij
     reports.append(
         CheckReport(

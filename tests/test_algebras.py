@@ -16,7 +16,6 @@ from azumaya.algebras import (
     env_map_bijective,
     env_map_flat,
     expand_ideal,
-    has_constant_rank,
     ideal_intersection_check,
     is_azumaya,
     is_central,
@@ -346,8 +345,6 @@ def test_is_azumaya_refuses_failure_without_witness(monkeypatch):
 def test_rank_at_and_constant_rank():
     A = matrix_algebra(ZMod(12), 2)
     assert rank_at(A, MaxIdeal(ZMod(12), 2)) == 4
-    const, r = has_constant_rank(A)
-    assert const and r == 4
 
 
 def test_square_rank_check():

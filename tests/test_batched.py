@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from azumaya import homs
 from azumaya.algebras import (
+    Algebra,
     matrix_algebra,
     opposite,
     product_rows,
+    structure_tensor,
     tensor_product,
     upper_triangular_algebra,
     weyl_quotient,
@@ -96,7 +98,8 @@ def test_mul_batch_matches_dense_contraction(name, T, seed):
 
 
 def _envelope_top(D):
-    """Largest modulus N with D^2 * N^3 < 2^63, the kernel's exactness bound."""
+    """Largest modulus N with D^2 * N^3 < 2^63, the bound of a dense int64
+    contraction over the whole tensor (the oracle's switch to Python ints)."""
     N = round(((2**63 - 1) / D**2) ** (1 / 3))
     while D**2 * N**3 >= 2**63:
         N -= 1
@@ -108,14 +111,27 @@ def _envelope_top(D):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("T", [1, 7, 4096])
 def test_mul_batch_at_top_of_envelope(n, T):
-    # products checked against exact Python-int contractions
-    N = _envelope_top(n * n)
-    A = matrix_algebra(ZMod(N), n, check=False)
-    for seed in range(3):
-        X, Y = _random_rows(A, T, seed)
-        X[0] = Y[0] = N - 1
+    # products checked against exact Python-int contractions, up to and
+    # beyond the moduli where a dense int64 contraction would wrap
+    for N in (_envelope_top(n * n), _envelope_top(n * n) + 1, 2**61 - 1):
+        A = matrix_algebra(ZMod(N), n, check=False)
+        for seed in range(3):
+            X, Y = _random_rows(A, T, seed)
+            X[0] = Y[0] = N - 1
+            assert np.array_equal(A.mul_batch(X, Y), dense_mul_batch(A, X, Y))
+            assert np.array_equal(A.mul_flat(X[0], Y[0]), dense_mul_batch(A, X[:1], Y[:1])[0])
+
+
+def test_products_beyond_int64_regressions():
+    # each wrapped int64 sums: 37 of 200 and 182 of 200 rows came back wrong
+    rng = np.random.default_rng(0)
+    N = 10**7 + 19
+    R = ZMod(N)
+    quadratic = Algebra(R, *structure_tensor(R, [[[1, 0], [0, 1]], [[0, 1], [N - 3, 0]]], [1, 0]))
+    for A in (matrix_algebra(ZMod(3_000_000_021), 2, check=False), quadratic):
+        hi = max(A.moduli)
+        X, Y = rng.integers(0, hi, (200, A.dim)), rng.integers(0, hi, (200, A.dim))
         assert np.array_equal(A.mul_batch(X, Y), dense_mul_batch(A, X, Y))
-        assert np.array_equal(A.mul_flat(X[0], Y[0]), dense_mul_batch(A, X[:1], Y[:1])[0])
 
 
 def test_mul_batch_empty_batch():

@@ -1,5 +1,7 @@
 import json
+import time
 
+import numpy as np
 import pytest
 
 from azumaya.cli import main
@@ -188,6 +190,42 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
     bad = {"objects": {"algebras": {"A": {"kind": "matrix", "n": 0, "ring": {"kind": "zmod", "n": 2}}}}}
     path = write_config(tmp_path, bad)
     assert main(["construct", "--config", path]) == 2
+
+
+def test_cli_config_integers_beyond_int64_load(tmp_path, capsys):
+    # a conjugation unit and an explicit hom matrix with entries past int64
+    # are reduced mod the moduli in Python, as structure constants are
+    big = 10**20  # divisible by 4
+    data = {
+        "objects": {
+            "rings": {"R4": {"kind": "zmod", "n": 4}},
+            "algebras": {"A": {"kind": "matrix", "n": 2, "ring": "R4"}},
+            "homs": {
+                "conj": {"kind": "conjugation", "source": "A", "u": [[1, big + 1], [0, 1]]},
+                "id": {
+                    "kind": "explicit",
+                    "source": "A",
+                    "target": "A",
+                    "matrix": [[big + (i == j) for j in range(4)] for i in range(4)],
+                },
+            },
+        }
+    }
+    path = write_config(tmp_path, data)
+    assert main(["construct", "--config", path]) == 0
+    cfg = load_run_config(path)
+    assert cfg.homs["conj"].is_verified and cfg.homs["id"].is_verified
+    assert np.array_equal(cfg.homs["id"].matrix, np.eye(4, dtype=np.int64))
+
+
+def test_cli_oversized_algebra_exits_2_before_allocating(tmp_path, capsys):
+    # M_40 would need a 30.5 GiB table; refused from its size alone
+    data = {"objects": {"algebras": {"A": {"kind": "matrix", "n": 40, "ring": {"kind": "zmod", "n": 2}}}}}
+    path = write_config(tmp_path, data)
+    start = time.perf_counter()
+    assert main(["construct", "--config", path]) == 2
+    assert time.perf_counter() - start < 1
+    assert "above the cap" in capsys.readouterr().err
 
 
 def test_cli_refuted_hom_exits_1(tmp_path, capsys):

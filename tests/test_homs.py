@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from azumaya.algebras import matrix_algebra, weyl_quotient
+from azumaya.algebras import Algebra, matrix_algebra, weyl_quotient
 from azumaya.corpus import build_corpus
 from azumaya.homs import (
     ComposabilityMismatch,
@@ -26,6 +28,7 @@ from azumaya.homs import (
     weyl_splitting,
 )
 from azumaya.rings import GaloisField, RingIdeal, ZMod, crt_decompose
+from loop_oracles import dense_mul_batch
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,32 @@ def corpus():
 def test_identity_verified():
     A = matrix_algebra(ZMod(3), 2)
     assert identity_hom(A).status == "verified"
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_corpus_homs_multiplicative_on_random_pairs(corpus, data, seed):
+    # verify decides multiplicativity on generator pairs; random pairs
+    # through the dense product oracle must agree
+    f = data.draw(st.sampled_from(corpus)).hom
+    rng = np.random.default_rng(seed)
+    X, Y = rng.integers(0, np.asarray(f.source.moduli), size=(2, 16, f.source.dim))
+    lhs = f.apply_flat(dense_mul_batch(f.source, X, Y))
+    assert np.array_equal(lhs, dense_mul_batch(f.target, f.apply_flat(X), f.apply_flat(Y)))
+
+
+def test_conjugation_verified_beyond_int64_products():
+    # refuted as "multiplicative-random" while products wrapped int64
+    N = 3_000_000_021
+    A = matrix_algebra(ZMod(N), 2, check=False)
+    h = conjugation_auto(A, A.element([1, N - 5, 0, 1]))
+    assert h.status == "verified"
+    # u x u^-1 for u = [[1, -5], [0, 1]], in Python ints
+    x = [[N - 2, 3], [5, N - 7]]
+    u, u_inv = [[1, -5], [0, 1]], [[1, 5], [0, 1]]
+    ux = [[sum(u[i][k] * x[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    want = [sum(ux[i][k] * u_inv[k][j] for k in range(2)) % N for i in range(2) for j in range(2)]
+    assert h.apply_flat(np.ravel(x)).tolist() == want
 
 
 def test_unit_killing_map_refuted():
@@ -145,6 +174,16 @@ def test_weyl_splitting_all_parameters(p):
             h = weyl_splitting(p, a, b)
             assert h.status == "verified"
             assert h.is_bijective()
+
+
+def test_weyl_splitting_p11_with_reduced_powers(monkeypatch):
+    # unreduced int64 matrix powers refuted this genuine splitting at the
+    # generator pair [1, 86]; W(11) is built unchecked, since its dense
+    # associativity check alone takes minutes
+    monkeypatch.setattr(Algebra, "_verify_axioms", lambda self: None)
+    h = weyl_splitting(11, 10, 10)
+    assert h.status == "verified"
+    assert h.is_bijective()
 
 
 def test_weyl_splitting_images_satisfy_relations():

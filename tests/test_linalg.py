@@ -1,18 +1,22 @@
+import ast
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import azumaya
 from azumaya.algebras import center, is_central, matrix_algebra
 from azumaya.linalg import (
     IllFormedMap,
     NoSolution,
     Subgroup,
     check_well_defined,
+    einsum_mod,
     howell,
     is_bijective_additive,
     kernel_additive,
@@ -417,3 +421,48 @@ def test_subgroup_order_splits_by_crt_beyond_int64(m, n, data):
     small = [[x % 6 for x in row] for row in rows]
     expected = Subgroup(small, (6,) * n).order * P4 ** rank_mod_p(rows, P4)
     assert Subgroup(rows, (N,) * n).order == expected
+
+
+# ---------------------------------------------------------------------------
+# the one exactness rule for products of residues
+
+
+@pytest.mark.parametrize(
+    "subscripts, shapes, last",
+    [
+        ("ij,jk->ik", [(3, 4), (4, 2)], 2),
+        ("...j,ij->...i", [(2, 3, 4), (5, 4)], 5),
+        ("ackv,bdlw,vwu->abcdklu", [(2, 2, 2, 2), (2, 2, 2, 2), (2, 2, 2)], 2),
+    ],
+)
+@pytest.mark.parametrize("N", [7, 3_037_000_500, 3_037_000_501, 2**61 - 1, 2**63 - 25])
+def test_einsum_mod_exact_at_every_modulus(subscripts, shapes, last, N):
+    # int64 while terms * (N-1)^factors < 2^63, Python ints beyond; both
+    # against the same contraction over Python ints, reduced by one modulus
+    # per entry of the last axis
+    rng = np.random.default_rng(N % 1000)
+    operands = [rng.integers(0, N, size=shape, dtype=np.int64) for shape in shapes]
+    operands[0].flat[0] = operands[-1].flat[0] = N - 1
+    moduli = np.arange(N - last + 1, N + 1)
+    got = einsum_mod(subscripts, *operands, moduli=moduli, N=N)
+    want = np.einsum(subscripts, *(x.astype(object) for x in operands)) % moduli
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+
+
+# numpy calls that contract arrays; outside linalg every product of residue
+# arrays goes through linalg.einsum_mod or linalg._dtype instead
+_CONTRACTIONS = {"np.einsum", "np.matmul", "np.dot", "np.tensordot", "np.linalg.matrix_power"}
+
+
+def test_products_of_residues_go_through_one_helper():
+    found = []
+    for path in sorted(Path(azumaya.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) in _CONTRACTIONS:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found

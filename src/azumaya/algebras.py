@@ -3,14 +3,15 @@
 An algebra is a free module R^d with an R-bilinear product.  It is stored as
 one integer structure tensor `struct` plus the flat unit `unit_flat`, over
 flat coordinates (rank d times the base ring's coordinate length f) with a
-modulus per coordinate; the product is Z-bilinear on them.  That makes
-centers, commutants and the enveloping map plain kernel / bijectivity
-computations over the coordinate moduli.  Products of elements go through
-one sparse kernel over the tensor's nonzero entries (`Algebra.mul_batch`).
+modulus per coordinate; the product is Z-bilinear on them.  Base rings are
+stored the same way (`rings`), and every algebra tensor is built from the
+base ring's `struct`.  That makes centers, commutants and the enveloping
+map plain kernel / bijectivity computations over the coordinate moduli.
+Products of elements go through one sparse kernel over the tensor's
+nonzero entries (`Algebra.mul_batch`).
 
 Every constructor fills a (d, d, d, f) integer table of the base-ring
-coordinates of e_i * e_j and hands it to `structure_tensor`, which
-contracts it with the ring's multiplication tensor: matrix and
+coordinates of e_i * e_j and hands it to `structure_tensor`: matrix and
 upper-triangular algebras by index arithmetic, the Weyl quotients from the
 normal-ordering coefficients, tensor products from the two factors' ring
 tables (`ring_table`) and base changes from the ring table times the
@@ -70,7 +71,8 @@ class Algebra:
         self.rank = self.dim // f
         self.moduli = tuple(base.moduli) * self.rank
         self._moduli_arr = np.asarray(self.moduli, dtype=np.int64)
-        self._N = max(base.moduli)  # every coordinate is a residue below it
+        self._N = base._N  # every coordinate is a residue below it
+        self._sum_dtype = linalg._dtype(self._N, 2, 1)  # of a sum of two residues
         struct = np.asarray(struct, dtype=np.int64)
         if self.dim % f or struct.shape != (self.dim,) * 3:
             raise AlgebraError(
@@ -221,11 +223,13 @@ class AlgElem:
 
     def __add__(self, other):
         self._check(other)
-        return AlgElem(self.algebra, self.flat + other.flat)
+        A = self.algebra
+        return AlgElem(A, (self.flat.astype(A._sum_dtype) + other.flat) % A._moduli_arr)
 
     def __sub__(self, other):
         self._check(other)
-        return AlgElem(self.algebra, self.flat - other.flat)
+        A = self.algebra
+        return AlgElem(A, (self.flat.astype(A._sum_dtype) - other.flat) % A._moduli_arr)
 
     def __neg__(self):
         return AlgElem(self.algebra, -self.flat)
@@ -308,28 +312,19 @@ def random_rows(rng, radices, T):
 # constructors
 
 
-def _ring_mul_tensor(base):
-    """(f, f, f) array M with M[s, t, u] = (b_s * b_t)_u for the base ring's
-    coordinate generators b_s."""
-    f = base.flatten_len
-    return np.stack([base.mul_matrix(tuple(int(s == t) for t in range(f))).T for s in range(f)])
-
-
 def structure_tensor(base, table, unit):
     """Integer structure tensor and flat unit of a free algebra over `base`.
 
     `table` holds the base-ring coordinates of e_i * e_j (shape (d, d, d, f)),
     `unit` those of 1 (shape (d, f)).  The result is
     struct[(i, s), (j, t), (k, u)] = ((b_s b_t) * table[i, j, k])_u, built as
-    two contractions with the ring's multiplication tensor, reduced mod the
-    moduli in between.
+    two contractions with the ring's multiplication tensor `base.struct`,
+    reduced mod the moduli in between.
     """
-    f, N = base.flatten_len, max(base.moduli)
-    moduli = np.asarray(base.moduli, dtype=np.int64)
+    f, N, moduli, M = base.flatten_len, base._N, base._moduli_arr, base.struct
     unit = np.asarray(unit, dtype=np.int64).reshape(-1, f) % moduli
     d = len(unit)
     table = np.asarray(table, dtype=np.int64).reshape(d, d, d, f) % moduli
-    M = _ring_mul_tensor(base)
     # scaled[i, j, k, v, u] = (b_v * table[i, j, k])_u
     scaled = linalg.einsum_mod("ijkw,vwu->ijkvu", table, M, moduli=moduli, N=N)
     S = linalg.einsum_mod("stv,ijkvu->isjtku", M, scaled, moduli=moduli, N=N)
@@ -434,8 +429,7 @@ def tensor_product(A, B):
     A-index major."""
     if A.base != B.base:
         raise BaseMismatch("tensor factors must share the base ring")
-    f, M = A.base.flatten_len, _ring_mul_tensor(A.base)
-    moduli = np.asarray(A.base.moduli, dtype=np.int64)
+    f, M, moduli = A.base.flatten_len, A.base.struct, A.base._moduli_arr
     # (e_i1 f_j1)(e_i2 f_j2) = sum (e_i1 e_i2)_k (f_j1 f_j2)_l e_k f_l
     table = linalg.einsum_mod(
         "ackv,bdlw,vwu->abcdklu", ring_table(A), ring_table(B), M, moduli=moduli, N=A._N
@@ -480,11 +474,11 @@ def is_central(A):
     return center(A).group == A.unit_span()
 
 
-def commutant(A, gens, check_closure=True):
+def commutant(A, gens):
     """Elements commuting with every generator, as a Submodule.
 
-    When the generators span a unital subalgebra the result is closed under
-    multiplication; this is verified unless check_closure is False.
+    It is always a subring: if x and y commute with s, then
+    (xy)s = x(sy) = s(xy).
     """
     mats = []
     for g in gens:
@@ -495,14 +489,7 @@ def commutant(A, gens, check_closure=True):
     stacked = np.concatenate(mats, axis=0)
     tgt = A.moduli * (len(stacked) // A.dim)
     ker = linalg.kernel_additive(stacked, A.moduli, tgt)
-    sub = Submodule(A, ker.generators())
-    if check_closure:
-        gs = sub.group.generators()
-        for u in gs:
-            for v in gs:
-                if not sub.group.contains(A.mul_flat(u, v)):
-                    raise AlgebraError("commutant is not closed under products")
-    return sub
+    return Submodule(A, ker.generators())
 
 
 def env_map_flat(A):
@@ -548,9 +535,10 @@ def _residue_field_witness(A):
             return m, {"nonscalar_central_element": witness}
         flat, src_mod, tgt_mod = env_map_flat(Am)
         if not linalg.is_bijective_additive(flat, src_mod, tgt_mod):
-            gens = linalg.kernel_additive(flat, src_mod, tgt_mod).generators()
-            witness_vec = gens[0].tolist() if len(gens) else "order-mismatch"
-            return m, {"env_kernel_vector": witness_vec}
+            # a square map with equal moduli that is not bijective has a
+            # nonzero kernel
+            kernel = linalg.kernel_additive(flat, src_mod, tgt_mod)
+            return m, {"env_kernel_vector": kernel.generators()[0].tolist()}
     return None
 
 

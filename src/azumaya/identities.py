@@ -106,7 +106,7 @@ def _evaluate_batch(identity, A, X):
     if identity.is_standard:
         return _standard_batch(A, X)
     T = X.shape[0]
-    acc = np.zeros((T, A.dim), dtype=np.int64)
+    acc = np.zeros((T, A.dim), dtype=A._sum_dtype)
     # coefficients reduced in Python first: a config integer may not fit int64
     coefs = np.asarray([[coef % m for m in A.moduli] for coef, _ in identity.terms], dtype=np.int64)
     for c, (_, word) in zip(coefs, identity.terms):
@@ -115,24 +115,26 @@ def _evaluate_batch(identity, A, X):
             prod = A.mul_batch(prod, X[:, v - 1, :])
         term = linalg.einsum_mod("k,tk->tk", c, prod, moduli=A._moduli_arr, N=A._N)
         acc = (acc + term) % A._moduli_arr
-    return acc
+    return acc.astype(np.int64, copy=False)
 
 
 def _standard_batch(A, X):
     """Subset DP: s_S = sum_{i in S} (-1)^(rank(i, S)+1) x_i * s_(S minus i).
 
-    Only the subsets one smaller are kept while a size is computed."""
+    Only the subsets one smaller are kept while a size is computed.  A sum
+    runs over at most k residues, in the dtype the exactness rule gives."""
     T, k, D = X.shape
+    dtype = linalg._dtype(A._N, k, 1)
     table = {1 << i: X[:, i, :] for i in range(k)}
     for size in range(2, k + 1):
         bigger = {}
         for bits in itertools.combinations(range(k), size):
             S = sum(1 << b for b in bits)
-            acc = np.zeros((T, D), dtype=np.int64)
+            acc = np.zeros((T, D), dtype=dtype)
             for r, i in enumerate(bits):
                 term = A.mul_batch(X[:, i, :], table[S & ~(1 << i)])
                 acc = (acc - term) if r % 2 else (acc + term)
-            bigger[S] = acc % A._moduli_arr
+            bigger[S] = (acc % A._moduli_arr).astype(np.int64, copy=False)
         table = bigger
     return table[(1 << k) - 1]
 

@@ -1,5 +1,15 @@
 """Finite commutative base rings: Z/n, Galois fields, and finite products.
 
+A ring is stored the way an algebra is: its integer multiplication tensor
+`struct` over the ring's additive coordinate generators, the coordinates
+of its unit, and a modulus per coordinate.  Each kind only fills those
+arrays once, at construction: Z/n is [[[1]]], GF(p^k) = F_p[t]/(f) the
+regular representation read off the powers of t, and a product ring its
+factors' tensors placed block-diagonally.  Everything else is one path
+over that data: one product (`mul_batch`), one inverse (solving x*y = 1
+through multiplication-by-x), and one hom check (`hom_refutation`), which
+algebra homs share.
+
 Elements are stored canonically reduced (each flattened coordinate in
 [0, modulus)), so equality is plain tuple comparison.  Every ring here is
 finite, hence semi-local and Jacobson; every prime ideal is maximal, which
@@ -81,13 +91,22 @@ def factorize(n):
 
 
 class FiniteCommRing:
-    """Base class.  Subclasses set `moduli`, a per-coordinate modulus vector.
+    """Base class: a ring stored as its multiplication tensor.
 
-    An element is a vector of integers, coordinate i reduced mod moduli[i].
+    With b_0, ..., b_(f-1) the additive coordinate generators (b_s of order
+    moduli[s]), an element is a vector of integers, coordinate s reduced mod
+    moduli[s].  `struct[s, t, u]` holds (b_s * b_t)_u and `unit_flat` the
+    coordinates of 1; subclasses fill both once through `_store`.
     """
 
     kind = None
-    moduli = ()
+
+    def _store(self, moduli, struct, unit):
+        self.moduli = tuple(moduli)
+        self._moduli_arr = np.asarray(self.moduli, dtype=np.int64)
+        self._N = max(self.moduli)  # every coordinate is a residue below it
+        self.struct = np.asarray(struct, dtype=np.int64)
+        self.unit_flat = np.asarray(unit, dtype=np.int64)
 
     @property
     def flatten_len(self):
@@ -109,7 +128,7 @@ class FiniteCommRing:
         return RingElem(self, (0,) * self.flatten_len)
 
     def one(self):
-        return RingElem(self, self._one_coords())
+        return RingElem(self, self.unit_flat)
 
     def basis_elem(self, s):
         """s-th additive coordinate generator (e.g. t^s for a Galois field)."""
@@ -121,25 +140,14 @@ class FiniteCommRing:
         for coords in itertools.product(*(range(m) for m in self.moduli)):
             yield RingElem(self, coords)
 
+    def mul_batch(self, X, Y):
+        """Row-wise products of two (T, f) arrays of coordinate residues."""
+        return linalg.einsum_mod("ts,tu,suv->tv", X, Y, self.struct, moduli=self._moduli_arr, N=self._N)
+
     def mul_matrix(self, coords):
         """Integer matrix of multiplication-by-x on flattened coordinates."""
-        f = self.flatten_len
-        out = np.zeros((f, f), dtype=np.int64)
-        for s in range(f):
-            basis = [0] * f
-            basis[s] = 1
-            out[:, s] = self._mul_coords(coords, tuple(basis))
-        return out
-
-    # subclasses implement
-    def _one_coords(self):
-        raise NotImplementedError
-
-    def _mul_coords(self, a, b):
-        raise NotImplementedError
-
-    def _inv_coords(self, a):
-        raise NotImplementedError
+        x = np.asarray(coords, dtype=np.int64)
+        return linalg.einsum_mod("s,stu->ut", x, self.struct, moduli=self._moduli_arr[:, None], N=self._N)
 
     def to_config(self):
         raise NotImplementedError
@@ -152,32 +160,20 @@ class FiniteCommRing:
 
 
 class ZMod(FiniteCommRing):
-    """The ring Z/n, n >= 2."""
+    """The ring Z/n, 2 <= n < 2^63 (coordinates are int64 residues)."""
 
     kind = "zmod"
 
     def __init__(self, n):
         n = int(n)
-        if n < 2:
-            raise RingError(f"modulus must be >= 2, got {n}")
+        if not 2 <= n < 2**63:
+            raise RingError(f"modulus must be >= 2 and below 2^63, got {n}")
         self.n = n
-        self.moduli = (n,)
+        self._store((n,), [[[1]]], [1])
 
     @property
     def is_field(self):
         return _is_prime(self.n)
-
-    def _one_coords(self):
-        return (1,)
-
-    def _mul_coords(self, a, b):
-        return ((a[0] * b[0]) % self.n,)
-
-    def _inv_coords(self, a):
-        try:
-            return (pow(a[0], -1, self.n),)
-        except ValueError:
-            raise NotAUnit(f"{a[0]} is not a unit mod {self.n}") from None
 
     def to_config(self):
         return {"kind": "zmod", "n": self.n}
@@ -186,31 +182,12 @@ class ZMod(FiniteCommRing):
         return f"ZMod({self.n})"
 
 
-def _poly_mul_mod(a, b, p, reduction):
-    """Multiply coefficient tuples mod p, reducing t^k.. via `reduction`.
-
-    reduction[j] gives the coefficients of t^(k+j) in the basis 1..t^(k-1).
-    """
-    k = len(reduction[0]) if reduction else len(a)
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for deg in range(len(prod) - 1, k - 1, -1):
-        c = prod[deg]
-        if c:
-            prod[deg] = 0
-            red = reduction[deg - k]
-            for s in range(k):
-                prod[s] = (prod[s] + c * red[s]) % p
-    return tuple(prod[:k])
-
-
 class GaloisField(FiniteCommRing):
     """GF(p^k) presented as F_p[t]/(f) for a monic irreducible f.
 
     Coefficients are stored low-to-high; f has length k+1 with leading 1.
+    The coordinate generators are 1, t, ..., t^(k-1), so b_s * b_t = t^(s+t)
+    and the multiplication tensor is the regular representation.
     """
 
     kind = "gf"
@@ -228,26 +205,21 @@ class GaloisField(FiniteCommRing):
         self.p = p
         self.f = f
         self.k = k
-        self.moduli = (p,) * k
-        self._reduction = self._build_reduction()
         if k > 1:
             self._check_irreducible()
+        powers = self._powers()
+        self._store((p,) * k, powers[np.add.outer(np.arange(k), np.arange(k))], powers[0])
 
-    def _build_reduction(self):
-        # coefficients of t^(k+j), j = 0..k-2, in the basis 1..t^(k-1)
+    def _powers(self):
+        """Coordinates of t^0, ..., t^(2k-2): each is t times the one
+        before, with t^k = -(f_0 + f_1 t + ... + f_(k-1) t^(k-1))."""
         p, k = self.p, self.k
-        rows = []
-        cur = [(-c) % p for c in self.f[:k]]  # t^k
-        rows.append(tuple(cur))
-        for _ in range(k - 2):
-            nxt = [0] + cur[: k - 1]
-            lead = cur[k - 1]
-            if lead:
-                for s in range(k):
-                    nxt[s] = (nxt[s] + lead * rows[0][s]) % p
-            cur = [c % p for c in nxt]
-            rows.append(tuple(cur))
-        return rows
+        rows = [[int(s == e) for s in range(k)] for e in range(k)]
+        for _ in range(k - 1):
+            prev = rows[-1]
+            shifted = [0] + prev[:-1]
+            rows.append([(a - prev[-1] * c) % p for a, c in zip(shifted, self.f[:k])])
+        return np.asarray(rows, dtype=np.int64)
 
     def _check_irreducible(self):
         # exhaustive trial division by monic polynomials of degree <= k/2
@@ -280,28 +252,6 @@ class GaloisField(FiniteCommRing):
     def is_field(self):
         return True
 
-    def _one_coords(self):
-        return (1,) + (0,) * (self.k - 1)
-
-    def _mul_coords(self, a, b):
-        if self.k == 1:
-            return ((a[0] * b[0]) % self.p,)
-        return _poly_mul_mod(a, b, self.p, self._reduction)
-
-    def _inv_coords(self, a):
-        if all(c == 0 for c in a):
-            raise NotAUnit("zero is not a unit")
-        # x^(q-2) = x^(-1) in GF(q)*
-        e = self.size - 2
-        result = self._one_coords()
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_coords(result, base)
-            base = self._mul_coords(base, base)
-            e >>= 1
-        return result
-
     @classmethod
     def default(cls, p, k):
         """GF(p^k) with the lexicographically smallest irreducible monic f."""
@@ -322,7 +272,8 @@ class GaloisField(FiniteCommRing):
 
 
 class ProductRing(FiniteCommRing):
-    """Finite product of base rings, coordinates concatenated."""
+    """Finite product of base rings, coordinates concatenated and the
+    factors' multiplication tensors placed block-diagonally."""
 
     kind = "product"
 
@@ -331,37 +282,23 @@ class ProductRing(FiniteCommRing):
         if not factors:
             raise EmptyProduct("product ring needs at least one factor")
         self.factors = factors
-        self.moduli = tuple(m for r in factors for m in r.moduli)
+        f = sum(r.flatten_len for r in factors)
+        struct = np.zeros((f, f, f), dtype=np.int64)
         self._offsets = []
         off = 0
         for r in factors:
             self._offsets.append(off)
+            block = slice(off, off + r.flatten_len)
+            struct[block, block, block] = r.struct
             off += r.flatten_len
+        moduli = [m for r in factors for m in r.moduli]
+        self._store(moduli, struct, np.concatenate([r.unit_flat for r in factors]))
 
     def split(self, coords):
         out = []
         for r, off in zip(self.factors, self._offsets):
             out.append(tuple(coords[off : off + r.flatten_len]))
         return out
-
-    def join(self, parts):
-        return tuple(c for part in parts for c in part)
-
-    def _one_coords(self):
-        return self.join([r._one_coords() for r in self.factors])
-
-    def _mul_coords(self, a, b):
-        return self.join(
-            [
-                r._mul_coords(x, y)
-                for r, x, y in zip(self.factors, self.split(a), self.split(b))
-            ]
-        )
-
-    def _inv_coords(self, a):
-        return self.join(
-            [r._inv_coords(x) for r, x in zip(self.factors, self.split(a))]
-        )
 
     def to_config(self):
         return {"kind": "product", "factors": [r.to_config() for r in self.factors]}
@@ -414,17 +351,25 @@ class RingElem:
 
     def __mul__(self, other):
         self._check(other)
-        return RingElem(self.ring, self.ring._mul_coords(self.coords, other.coords))
+        x, y = (np.asarray([e.coords], dtype=np.int64) for e in (self, other))
+        return RingElem(self.ring, self.ring.mul_batch(x, y)[0])
 
     def inv(self):
-        return RingElem(self.ring, self.ring._inv_coords(self.coords))
+        """The y with x * y = 1, solved through multiplication-by-x; in a
+        finite commutative ring it exists iff x is a unit, and is unique."""
+        R = self.ring
+        try:
+            y, _ = linalg.solve_additive(R.mul_matrix(self.coords), R.unit_flat, R.moduli, R.moduli)
+        except linalg.NoSolution:
+            raise NotAUnit(f"{list(self.coords)} is not a unit of {R!r}") from None
+        return RingElem(R, y)
 
     def is_unit(self):
         try:
-            self.ring._inv_coords(self.coords)
-            return True
+            self.inv()
         except NotAUnit:
             return False
+        return True
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -444,17 +389,47 @@ class RingElem:
 
 
 # ---------------------------------------------------------------------------
-# base-ring homomorphisms
+# homomorphisms
+
+
+def hom_refutation(matrix, source, target):
+    """The first condition under which the additive map `matrix` (target by
+    source coordinates, residues) fails to be a unital ring hom, or None.
+
+    Source and target are base rings or algebras, both stored as `moduli`,
+    `struct`, `unit_flat` and `_N` with a row-wise `mul_batch`.  The
+    conditions, in order: well-definedness over the coordinate moduli, the
+    unit, and multiplicativity on the coordinate-generator pairs (j, k),
+    the first failing pair in row-major order.  The pairs decide
+    multiplicativity, since both products are Z-bilinear.
+    """
+    if not linalg.check_well_defined(matrix, source.moduli, target.moduli):
+        return {"condition": "well-defined"}
+    moduli, N = target._moduli_arr, max(source._N, target._N)
+    unit = linalg.einsum_mod("j,ij->i", source.unit_flat, matrix, moduli=moduli, N=N)
+    if not np.array_equal(unit, target.unit_flat):
+        return {"condition": "unit"}
+    D = len(source.unit_flat)
+    images = matrix.T  # row j is the image of the j-th coordinate generator
+    lhs = linalg.einsum_mod("aj,ij->ai", source.struct.reshape(D * D, D), matrix, moduli=moduli, N=N)
+    rhs = target.mul_batch(np.repeat(images, D, axis=0), np.tile(images, (D, 1)))
+    bad = np.flatnonzero((lhs != rhs).any(axis=1))
+    if bad.size:
+        return {"condition": "multiplicative", "pair": [int(bad[0]) // D, int(bad[0]) % D]}
+    return None
+
+
+# InvalidBaseHom message for each condition `hom_refutation` reports
+_REFUTED = {
+    "well-defined": "map is not well-defined on the coordinate moduli",
+    "unit": "unit is not preserved",
+    "multiplicative": "multiplicativity fails on coordinate pair ({}, {})",
+}
 
 
 class BaseRingHom:
     """Unital ring homomorphism between base rings, as an integer matrix on
-    flattened coordinates.
-
-    Multiplicativity on coordinate-generator pairs plus Z-bilinearity of the
-    ring product implies full multiplicativity; verify() also checks the
-    additive well-definedness condition modulus by modulus.
-    """
+    flattened coordinates, verified by `hom_refutation`."""
 
     def __init__(self, source, target, matrix, verify=True):
         self.source = source
@@ -462,9 +437,8 @@ class BaseRingHom:
         self.matrix = np.asarray(matrix, dtype=np.int64)
         if self.matrix.shape != (target.flatten_len, source.flatten_len):
             raise InvalidBaseHom("matrix shape does not match the rings")
-        self._tmod = np.asarray(target.moduli, dtype=np.int64)
-        self._N = max(*source.moduli, *target.moduli)  # entries and coordinates are below it
-        self.matrix = self.matrix % self._tmod[:, None]
+        self._N = max(source._N, target._N)  # entries and coordinates are below it
+        self.matrix = self.matrix % target._moduli_arr[:, None]
         if verify:
             self.verify()
 
@@ -472,23 +446,13 @@ class BaseRingHom:
         if elem.ring != self.source:
             raise RingError("element not in the source ring")
         coords = np.asarray(elem.coords, dtype=np.int64)
-        vec = linalg.einsum_mod("ij,j->i", self.matrix, coords, moduli=self._tmod, N=self._N)
+        vec = linalg.einsum_mod("ij,j->i", self.matrix, coords, moduli=self.target._moduli_arr, N=self._N)
         return self.target.element(vec.tolist())
 
     def verify(self):
-        if not linalg.check_well_defined(self.matrix, self.source.moduli, self.target.moduli):
-            raise InvalidBaseHom("map is not well-defined on the coordinate moduli")
-        if self.apply(self.source.one()) != self.target.one():
-            raise InvalidBaseHom("unit is not preserved")
-        f = self.source.flatten_len
-        for j in range(f):
-            bj = self.source.basis_elem(j)
-            for k in range(j, f):
-                bk = self.source.basis_elem(k)
-                if self.apply(bj * bk) != self.apply(bj) * self.apply(bk):
-                    raise InvalidBaseHom(
-                        f"multiplicativity fails on coordinate pair ({j}, {k})"
-                    )
+        refutation = hom_refutation(self.matrix, self.source, self.target)
+        if refutation is not None:
+            raise InvalidBaseHom(_REFUTED[refutation["condition"]].format(*refutation.get("pair", ())))
         return self
 
     @classmethod
@@ -500,7 +464,8 @@ class BaseRingHom:
         if inner.target != self.source:
             raise InvalidBaseHom("homs are not composable")
         N = max(self._N, inner._N)
-        matrix = linalg.einsum_mod("ij,jk->ik", self.matrix, inner.matrix, moduli=self._tmod[:, None], N=N)
+        moduli = self.target._moduli_arr[:, None]
+        matrix = linalg.einsum_mod("ij,jk->ik", self.matrix, inner.matrix, moduli=moduli, N=N)
         return BaseRingHom(inner.source, self.target, matrix)
 
 

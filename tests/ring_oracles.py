@@ -15,7 +15,13 @@ structure constants and ring-entry matrices -- as independent references:
   with its transformation certificate;
 - `howell_rowloop` and `rank_mod_p_rowloop` are the row-at-a-time
   eliminations the library used before its single vectorized forward pass,
-  kept as references for it.
+  kept as references for it;
+- `mul_coords`, `inv_coords` and `base_hom_refutation` are the per-kind
+  base-ring arithmetic the library used before it stored every ring as its
+  multiplication tensor: Z/n by Python ints, GF(p^k) by polynomial
+  multiplication reduced mod f (`poly_mul_mod`) and inversion by x^(q-2),
+  products factor by factor, and the pairwise loop over coordinate
+  generators that checked a base-ring hom.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from azumaya.algebras import AlgElem, _normal_order
 from azumaya.linalg import LinalgError, howell
-from azumaya.rings import ZMod
+from azumaya.rings import GaloisField, NotAUnit, ProductRing, ZMod
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +428,118 @@ def rank_mod_p_rowloop(mat, p):
             A[r + 1 + sel] = (A[r + 1 + sel] - np.outer(below[sel], A[r])) % p
         r += 1
     return r
+
+
+# ---------------------------------------------------------------------------
+# per-kind base-ring arithmetic on coordinate tuples
+
+
+def gf_reduction(F):
+    """Coefficients of t^(k+j), j = 0..k-2, in the basis 1..t^(k-1)."""
+    p, k = F.p, F.k
+    rows = []
+    cur = [(-c) % p for c in F.f[:k]]  # t^k
+    rows.append(tuple(cur))
+    for _ in range(k - 2):
+        nxt = [0] + cur[: k - 1]
+        lead = cur[k - 1]
+        if lead:
+            for s in range(k):
+                nxt[s] = (nxt[s] + lead * rows[0][s]) % p
+        cur = [c % p for c in nxt]
+        rows.append(tuple(cur))
+    return rows
+
+
+def poly_mul_mod(a, b, p, reduction):
+    """Multiply coefficient tuples mod p, reducing t^k.. via `reduction`."""
+    k = len(reduction[0]) if reduction else len(a)
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for deg in range(len(prod) - 1, k - 1, -1):
+        c = prod[deg]
+        if c:
+            prod[deg] = 0
+            red = reduction[deg - k]
+            for s in range(k):
+                prod[s] = (prod[s] + c * red[s]) % p
+    return tuple(prod[:k])
+
+
+def _split(R, coords):
+    out, off = [], 0
+    for r in R.factors:
+        out.append(tuple(coords[off : off + r.flatten_len]))
+        off += r.flatten_len
+    return out
+
+
+def one_coords(R):
+    if isinstance(R, ZMod):
+        return (1,)
+    if isinstance(R, GaloisField):
+        return (1,) + (0,) * (R.k - 1)
+    return tuple(c for r in R.factors for c in one_coords(r))
+
+
+def mul_coords(R, a, b):
+    if isinstance(R, ZMod):
+        return ((a[0] * b[0]) % R.n,)
+    if isinstance(R, GaloisField):
+        if R.k == 1:
+            return ((a[0] * b[0]) % R.p,)
+        return poly_mul_mod(a, b, R.p, gf_reduction(R))
+    assert isinstance(R, ProductRing)
+    parts = zip(R.factors, _split(R, a), _split(R, b))
+    return tuple(c for r, x, y in parts for c in mul_coords(r, x, y))
+
+
+def inv_coords(R, a):
+    """Inverse coordinates, or raise NotAUnit."""
+    if isinstance(R, ZMod):
+        try:
+            return (pow(a[0], -1, R.n),)
+        except ValueError:
+            raise NotAUnit(f"{a[0]} is not a unit mod {R.n}") from None
+    if isinstance(R, GaloisField):
+        if all(c == 0 for c in a):
+            raise NotAUnit("zero is not a unit")
+        # x^(q-2) = x^(-1) in GF(q)*
+        e, result, base = R.size - 2, one_coords(R), tuple(a)
+        while e:
+            if e & 1:
+                result = mul_coords(R, result, base)
+            base = mul_coords(R, base, base)
+            e >>= 1
+        return result
+    return tuple(c for r, x in zip(R.factors, _split(R, a)) for c in inv_coords(r, x))
+
+
+def base_hom_refutation(source, target, matrix):
+    """The InvalidBaseHom message the pairwise check gives for an integer
+    matrix on flattened coordinates, or None when it is a unital ring hom."""
+    H = [[int(v) for v in row] for row in np.asarray(matrix).tolist()]
+    tmod = target.moduli
+
+    def apply(coords):
+        return tuple(
+            sum(H[i][j] * c for j, c in enumerate(coords)) % m for i, m in enumerate(tmod)
+        )
+
+    for i, m in enumerate(tmod):
+        for j, n in enumerate(source.moduli):
+            if n * H[i][j] % m:
+                return "map is not well-defined on the coordinate moduli"
+    if apply(one_coords(source)) != one_coords(target):
+        return "unit is not preserved"
+    f = source.flatten_len
+    basis = [tuple(int(s == t) for t in range(f)) for s in range(f)]
+    for j in range(f):
+        for k in range(j, f):
+            lhs = apply(mul_coords(source, basis[j], basis[k]))
+            if lhs != mul_coords(target, apply(basis[j]), apply(basis[k])):
+                return f"multiplicativity fails on coordinate pair ({j}, {k})"
+    return None

@@ -116,6 +116,16 @@ def test_elements_of_equal_algebras_combine():
     assert x == A.element(B.basis_flat(1))
 
 
+def test_element_sums_past_int64():
+    # (N-1) + (N-1) = N-2 mod N, whose unreduced sum 2N-2 is past 2^63
+    N = 2**63 - 25
+    A = matrix_algebra(ZMod(N), 2, check=False)
+    x = A.element([N - 1, N - 2, 1, 0])
+    assert (x + x).flat.tolist() == [N - 2, N - 4, 2, 0]
+    assert (A.zero() - x).flat.tolist() == [1, 2, N - 1, 0]
+    assert ((x + x) - x) == x
+
+
 def test_elements_of_unequal_algebras_raise():
     A = matrix_algebra(ZMod(3), 2)
     for B in (opposite(A), matrix_algebra(ZMod(5), 2), upper_triangular_algebra(ZMod(3), 2)):
@@ -214,6 +224,30 @@ def test_commutant_of_scalars_is_everything():
     A = matrix_algebra(ZMod(3), 2)
     C = commutant(A, [A.one()])
     assert C.order == A.size
+
+
+_SMALL_ALGEBRAS = [
+    lambda: matrix_algebra(ZMod(4), 2),
+    lambda: matrix_algebra(GaloisField(2, [1, 1, 1]), 2),
+    lambda: weyl_quotient(3, 1, 2),
+    lambda: upper_triangular_algebra(ZMod(6), 2),
+    lambda: upper_triangular_algebra(ZMod(2), 3),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_commutant_of_any_subset_is_a_subring(data):
+    # (xy)s = x(sy) = s(xy) whenever x and y commute with s
+    A = data.draw(st.sampled_from(_SMALL_ALGEBRAS))()
+    coords = st.tuples(*(st.integers(0, m - 1) for m in A.moduli))
+    gens = [A.element(g) for g in data.draw(st.lists(coords, max_size=3))]
+    C = commutant(A, gens)
+    basis = C.group.generators()
+    assert C.contains(A.one())
+    for u in basis:
+        for v in basis:
+            assert C.group.contains(A.mul_flat(u, v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +163,29 @@ def test_cli_check_all(tmp_path, capsys):
     assert "4 checks" in out.err
 
 
+GF_PRODUCT_CONFIG = str(Path(__file__).parent / "configs" / "gf_product.json")
+
+
+@pytest.mark.parametrize(
+    "argv", [["construct"], ["check", "all", "--seed", "42"]], ids=["construct", "check-all"]
+)
+def test_cli_gf_and_product_rings_byte_identical(argv, capsys):
+    # M_2 over GF(4) and over Z/4 x GF(4), a reduction by the ideal (2, zero)
+    runs = []
+    for _ in range(2):
+        assert main([*argv, "--config", GF_PRODUCT_CONFIG]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    lines = [json.loads(line) for line in runs[0].splitlines()]
+    if argv[0] == "check":
+        assert [r["status"] for r in lines] == ["pass"] * 6
+        by_name = {r["check"]: r for r in lines}
+        assert by_name["iso_conj"]["details"]["is_isomorphism"] is True
+        assert by_name["iso_red"]["details"]["is_isomorphism"] is False
+    else:
+        assert all(o["canonical"]["status"] == "verified" for o in lines if o["type"] == "hom")
+
+
 def test_cli_single_check(tmp_path, capsys):
     path = write_config(tmp_path, BASIC)
     code = main(["check", "az", "--config", path])
@@ -216,6 +240,12 @@ def test_cli_config_integers_beyond_int64_load(tmp_path, capsys):
     cfg = load_run_config(path)
     assert cfg.homs["conj"].is_verified and cfg.homs["id"].is_verified
     assert np.array_equal(cfg.homs["id"].matrix, np.eye(4, dtype=np.int64))
+
+
+def test_cli_modulus_beyond_int64_exits_2(tmp_path, capsys):
+    data = {"objects": {"algebras": {"A": {"kind": "matrix", "n": 2, "ring": {"kind": "zmod", "n": 10**20}}}}}
+    assert main(["construct", "--config", write_config(tmp_path, data)]) == 2
+    assert "below 2^63" in capsys.readouterr().err
 
 
 def test_cli_oversized_algebra_exits_2_before_allocating(tmp_path, capsys):

@@ -109,6 +109,28 @@ def test_subset_dp_matches_direct_expansion():
             assert evaluate(sk, xs) == evaluate(naive, xs)
 
 
+def _mat_mul(X, Y, N):
+    return [[sum(X[i][k] * Y[k][j] for k in range(2)) % N for j in range(2)] for i in range(2)]
+
+
+def test_s3_past_int64_matches_alternating_sum():
+    # the subset DP sums up to three residues below N = 2^63 - 25
+    N = 2**63 - 25
+    A = matrix_algebra(ZMod(N), 2, check=False)
+    s3 = standard_identity(3)
+    rng = random.Random(7)
+    for _ in range(50):
+        mats = [[[rng.randrange(N) for _ in range(2)] for _ in range(2)] for _ in range(3)]
+        expected = [[0, 0], [0, 0]]
+        for sign, word in s3.terms:
+            P = _mat_mul(_mat_mul(mats[word[0] - 1], mats[word[1] - 1], N), mats[word[2] - 1], N)
+            expected = [[(expected[i][j] + sign * P[i][j]) % N for j in range(2)] for i in range(2)]
+        xs = [A.element([v for row in M for v in row]) for M in mats]
+        assert evaluate(s3, xs).flat.tolist() == [v for row in expected for v in row]
+        generic = MultilinearIdentity(3, s3.terms)
+        assert evaluate(generic, xs) == evaluate(s3, xs)
+
+
 def test_evaluate_errors():
     A = matrix_algebra(ZMod(2), 2)
     B = matrix_algebra(ZMod(3), 2)

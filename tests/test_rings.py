@@ -1,5 +1,7 @@
 import time
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +10,14 @@ from azumaya.rings import (
     BaseRingHom,
     EmptyProduct,
     GaloisField,
+    InvalidBaseHom,
     InvalidIdeal,
     MaxIdeal,
     NonPrimeModulus,
     NotAUnit,
     ProductRing,
     ReduciblePolynomial,
+    RingError,
     RingIdeal,
     ZMod,
     crt_decompose,
@@ -24,6 +28,7 @@ from azumaya.rings import (
     maximal_ideals,
     residue_field,
 )
+from ring_oracles import base_hom_refutation, inv_coords, mul_coords
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +52,13 @@ def test_zmod_inverse():
     assert not R.element((4,)).is_unit()
     with pytest.raises(NotAUnit):
         R.element((4,)).inv()
+
+
+def test_zmod_modulus_must_fit_int64():
+    assert ZMod(2**63 - 25).moduli == (2**63 - 25,)
+    for n in (1, 2**63, 10**20):
+        with pytest.raises(RingError):
+            ZMod(n)
 
 
 def test_zmod_size_and_field():
@@ -288,3 +300,151 @@ def test_factorize_is_memoized():
     assert again == first == ((p, 1),)
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
     assert isinstance(factorize(360), tuple)
+
+
+# ---------------------------------------------------------------------------
+# the multiplication tensor against the per-kind arithmetic (ring_oracles)
+
+BIG_PRIMES = (2**61 - 1, 2**63 - 25)
+
+
+@lru_cache(maxsize=None)
+def _gf(p, f):
+    try:
+        return GaloisField(p, list(f))
+    except ReduciblePolynomial:
+        return None
+
+
+@st.composite
+def galois_fields(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(1, 3))
+    tail = draw(st.tuples(*[st.integers(0, p - 1)] * k))
+    F = _gf(p, tail + (1,))
+    return F if F is not None else GaloisField.default(p, k)
+
+
+small_zmods = st.integers(2, 30).map(ZMod)
+zmods = st.one_of(small_zmods, st.sampled_from(BIG_PRIMES).map(ZMod))
+
+
+def _products(factors):
+    return st.lists(st.one_of(factors, galois_fields()), min_size=1, max_size=3).map(ProductRing)
+
+
+rings = st.one_of(zmods, galois_fields(), _products(zmods))
+
+
+def _coords(data, R):
+    return data.draw(st.tuples(*(st.integers(0, m - 1) for m in R.moduli)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_products_match_per_kind_oracle(data):
+    R = data.draw(rings)
+    x, y = _coords(data, R), _coords(data, R)
+    assert (R.element(x) * R.element(y)).coords == mul_coords(R, x, y)
+    M = R.mul_matrix(x)
+    for t in range(R.flatten_len):
+        basis = tuple(int(s == t) for s in range(R.flatten_len))
+        assert tuple(int(v) for v in M[:, t]) == mul_coords(R, x, basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inverse_matches_per_kind_oracle(data):
+    R = data.draw(rings)
+    x = R.element(_coords(data, R))
+    try:
+        expected = inv_coords(R, x.coords)
+    except NotAUnit:
+        expected = None
+    assert x.is_unit() == (expected is not None)
+    if expected is None:
+        with pytest.raises(NotAUnit):
+            x.inv()
+    else:
+        assert x.inv().coords == expected
+
+
+def _verdict(source, target, matrix):
+    try:
+        BaseRingHom(source, target, matrix)
+    except InvalidBaseHom as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_base_hom_verdict_matches_pairwise_oracle(data):
+    R = data.draw(rings)
+    targets = [R]
+    if R._N < 2**32:  # its maximal ideals come from factoring by trial division
+        targets += [residue_field(R, m)[0] for m in maximal_ideals(R)]
+    T = data.draw(st.sampled_from(targets))
+    H = [[data.draw(st.integers(0, m - 1)) for _ in R.moduli] for m in T.moduli]
+    if data.draw(st.booleans()):
+        # fix the unit: the first unit coordinate is a 1, so solve for its column
+        u = R.unit_flat.tolist()
+        j0 = u.index(1)
+        for row, m, one in zip(H, T.moduli, T.unit_flat.tolist()):
+            row[j0] = (one - sum(h * c for j, (h, c) in enumerate(zip(row, u)) if j != j0)) % m
+    H = np.asarray(H, dtype=np.int64).reshape(T.flatten_len, R.flatten_len)
+    assert _verdict(R, T, H) == base_hom_refutation(R, T, H)
+
+
+def _frobenius(F):
+    """Matrix of x -> x^p: column s holds the coordinates of (t^s)^p."""
+    cols = []
+    for s in range(F.flatten_len):
+        b = F.basis_elem(s)
+        power = F.one()
+        for _ in range(F.p):
+            power = power * b
+        cols.append(power.coords)
+    return np.asarray(cols, dtype=np.int64).T
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_frobenius_verifies(k):
+    F = GaloisField.default(2, k)
+    H = _frobenius(F)
+    assert base_hom_refutation(F, F, H) is None
+    hom = BaseRingHom(F, F, H)
+    t = F.basis_elem(1)
+    assert hom.apply(t) == t * t
+
+
+def test_base_hom_refutations_name_condition_and_pair():
+    # x -> 2x on Z/4 keeps the unit only if 2 = 1
+    assert _verdict(ZMod(4), ZMod(4), [[2]]) == "unit is not preserved"
+    # 1 -> 1, t -> 0 on GF(4): t * t = t + 1 is sent to 1, not 0
+    F4 = GaloisField(2, [1, 1, 1])
+    message = "multiplicativity fails on coordinate pair (1, 1)"
+    assert _verdict(F4, F4, [[1, 0], [0, 0]]) == message == base_hom_refutation(F4, F4, [[1, 0], [0, 0]])
+    # Z/2 -> Z/4 by 1 -> 1 is not additive: 2 * 1 = 2 in Z/4
+    assert _verdict(ZMod(2), ZMod(4), [[1]]) == "map is not well-defined on the coordinate moduli"
+
+
+def test_non_unit_of_product_ring_raises():
+    R = ProductRing([ZMod(4), GaloisField(2, [1, 1, 1])])
+    for coords in [(2, 1, 0), (1, 0, 0), (0, 0, 1)]:
+        x = R.element(coords)
+        assert not x.is_unit()
+        with pytest.raises(NotAUnit):
+            x.inv()
+    u = R.element((3, 0, 1))
+    assert u * u.inv() == R.one()
+
+
+def test_ring_tensors_by_kind():
+    assert ZMod(12).struct.tolist() == [[[1]]]
+    # GF(4): 1, t with t^2 = t + 1
+    assert GaloisField(2, [1, 1, 1]).struct.tolist() == [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
+    R = ProductRing([ZMod(3), GaloisField(2, [1, 1, 1])])
+    assert R.struct[0, 0].tolist() == [1, 0, 0] and not R.struct[0, 1:].any()
+    assert R.struct[1:, 1:, 1:].tolist() == GaloisField(2, [1, 1, 1]).struct.tolist()
+    assert R.unit_flat.tolist() == [1, 1, 0]

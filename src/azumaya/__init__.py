@@ -7,7 +7,6 @@ polynomial identities)."""
 from .rings import (
     BaseRingHom,
     GaloisField,
-    MaxIdeal,
     ProductRing,
     RingElem,
     RingIdeal,

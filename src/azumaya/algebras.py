@@ -566,7 +566,7 @@ def is_azumaya(A):
     return CheckReport(
         check="is_azumaya",
         status="fail",
-        witness={"maximal_ideal": repr(m.locator), **witness},
+        witness={"maximal_ideal": repr(m.data), **witness},
         preconditions=preconditions,
     )
 

@@ -268,7 +268,7 @@ def kernel_ideal(f):
     ker = f.kernel_subgroup()
     # restrict f to R*1 to contract the kernel to the base ring
     rker = linalg.kernel_additive(f.apply_flat(A.scalars_flat()).T, base.moduli, f.target.moduli)
-    ideal = _subgroup_to_ideal(base, rker)
+    ideal = RingIdeal.from_group(base, rker)
     expanded = expand_ideal(A, ideal)
     ok = expanded.group == Submodule(A, ker.generators()).group
     report = CheckReport(
@@ -278,35 +278,6 @@ def kernel_ideal(f):
         details={"ideal": repr(ideal.data)},
     )
     return ideal, report
-
-
-def _subgroup_to_ideal(ring, subgroup):
-    """Interpret a subgroup of the base ring as an ideal of the supported
-    shapes (divisor ideal / zero-or-unit / per-factor)."""
-    from .rings import GaloisField, ProductRing
-
-    if isinstance(ring, ZMod):
-        gens = subgroup.generators()
-        d = ring.n
-        for g in gens:
-            d = math.gcd(d, int(g[0]))
-        return RingIdeal(ring, d if d else ring.n)
-    if isinstance(ring, GaloisField):
-        return RingIdeal(ring, "zero" if subgroup.order == 1 else "unit")
-    if isinstance(ring, ProductRing):
-        parts = []
-        gens = subgroup.generators()
-        off = 0
-        for factor in ring.factors:
-            fl = factor.flatten_len
-            sub = linalg.Subgroup(
-                gens[:, off : off + fl] if len(gens) else np.zeros((0, fl)),
-                factor.moduli,
-            )
-            parts.append(_subgroup_to_ideal(factor, sub).data)
-            off += fl
-        return RingIdeal(ring, tuple(parts))
-    raise HomError(f"unsupported base ring {ring!r}")
 
 
 # ---------------------------------------------------------------------------

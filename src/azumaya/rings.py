@@ -15,13 +15,25 @@ Elements are stored canonically reduced (each flattened coordinate in
 finite, hence semi-local and Jacobson; every prime ideal is maximal, which
 is why ideals and "rank at a prime" are handled through maximal ideals
 alone.
+
+An ideal is its additive subgroup of the coordinates, closed under the
+multiplication tensor, held as a canonical `linalg.Subgroup`; containment,
+equality, intersection, zero and unit are decided on that group for every
+kind.  Only the notation an ideal is written in is per kind: an integer d
+for (d) in Z/n (canonically the divisor gcd(d, n), n for the zero ideal),
+"zero" or "unit" in a field, and one ideal per factor, as a list or tuple,
+in a product.  Each kind reads and writes that notation, forms its
+quotient rings and lists the notations of its maximal ideals; nothing else
+looks at the kind.  A residue field is a quotient that is a field, and a
+ring is reduced iff its maximal ideals intersect in zero.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache, reduce
+from collections import Counter
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -56,34 +68,83 @@ class InvalidBaseHom(RingError):
     pass
 
 
+# The first twelve primes as Miller-Rabin bases decide primality below
+# this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017): for every Z/n modulus, as those are below
+# 2^63.  A larger GF characteristic is refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    for q in range(2, math.isqrt(n) + 1):
-        if n % q == 0:
+    """Deterministic Miller-Rabin, refused beyond the proven bound."""
+    if n >= _MR_BOUND:
+        raise RingError(f"primality is decided only below {_MR_BOUND}, got {n}")
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
+
+
+def _rho(n):
+    """A proper factor of an odd composite n: Pollard's rho in Brent's
+    variant (BIT 20, 1980), one gcd per batch of 128 steps, over the maps
+    x -> x^2 + c for c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: replay it one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 @lru_cache(maxsize=None)
 def factorize(n):
     """Prime factorization of n >= 2 as a sorted tuple of (p, e) pairs.
 
-    Trial division, memoized: rings, ideals and bijectivity checks ask for
-    the same few moduli again and again."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    Division by the Miller-Rabin bases, then Miller-Rabin and Brent's rho
+    on the rest; memoized, since rings, ideals and bijectivity checks ask
+    for the same few moduli again and again."""
+    counts = Counter()
+    for p in _MR_BASES:
+        while n % p == 0:
+            n //= p
+            counts[p] += 1
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _is_prime(m):
+            counts[m] += 1
+        else:
+            d = _rho(m)
+            rest += [d, m // d]
+    return tuple(sorted(counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +158,13 @@ class FiniteCommRing:
     moduli[s]), an element is a vector of integers, coordinate s reduced mod
     moduli[s].  `struct[s, t, u]` holds (b_s * b_t)_u and `unit_flat` the
     coordinates of 1; subclasses fill both once through `_store`.
+
+    Ideals need four small methods of each kind: `_ideal_rows` reads the
+    kind's notation into generating coordinate rows (or raises
+    InvalidIdeal), `_ideal_data` writes an ideal's group back as notation,
+    `_quotient` gives R/I for a proper ideal as the target ring and the
+    projection's matrix, and `_maximal_data` lists the notations of the
+    maximal ideals.
     """
 
     kind = None
@@ -175,6 +243,20 @@ class ZMod(FiniteCommRing):
     def is_field(self):
         return _is_prime(self.n)
 
+    def _ideal_rows(self, data):
+        if not isinstance(data, (int, np.integer)) or isinstance(data, bool):
+            raise InvalidIdeal(f"an ideal of Z/{self.n} is an integer d, for (d), got {data!r}")
+        return [[int(data) % self.n]]
+
+    def _ideal_data(self, group):
+        return math.gcd(self.n, *group.generators()[:, 0].tolist())
+
+    def _quotient(self, ideal):
+        return ZMod(ideal.data), [[1]]
+
+    def _maximal_data(self):
+        return [p for p, _ in factorize(self.n)]
+
     def to_config(self):
         return {"kind": "zmod", "n": self.n}
 
@@ -252,6 +334,21 @@ class GaloisField(FiniteCommRing):
     def is_field(self):
         return True
 
+    def _ideal_rows(self, data):
+        rows = {"zero": [], "unit": [self.unit_flat]}
+        if not isinstance(data, str) or data not in rows:
+            raise InvalidIdeal(f"an ideal of a field is 'zero' or 'unit', got {data!r}")
+        return rows[data]
+
+    def _ideal_data(self, group):
+        return "zero" if group.order == 1 else "unit"
+
+    def _quotient(self, ideal):  # a proper ideal of a field is zero
+        return self, np.eye(self.k, dtype=np.int64)
+
+    def _maximal_data(self):
+        return ["zero"]
+
     @classmethod
     def default(cls, p, k):
         """GF(p^k) with the lexicographically smallest irreducible monic f."""
@@ -282,23 +379,53 @@ class ProductRing(FiniteCommRing):
         if not factors:
             raise EmptyProduct("product ring needs at least one factor")
         self.factors = factors
-        f = sum(r.flatten_len for r in factors)
+        ends = np.cumsum([r.flatten_len for r in factors]).tolist()
+        self._blocks = [slice(end - r.flatten_len, end) for r, end in zip(factors, ends)]
+        f = ends[-1]
         struct = np.zeros((f, f, f), dtype=np.int64)
-        self._offsets = []
-        off = 0
-        for r in factors:
-            self._offsets.append(off)
-            block = slice(off, off + r.flatten_len)
+        for r, block in zip(factors, self._blocks):
             struct[block, block, block] = r.struct
-            off += r.flatten_len
         moduli = [m for r in factors for m in r.moduli]
         self._store(moduli, struct, np.concatenate([r.unit_flat for r in factors]))
 
-    def split(self, coords):
-        out = []
-        for r, off in zip(self.factors, self._offsets):
-            out.append(tuple(coords[off : off + r.flatten_len]))
-        return out
+    def _parts(self, group):
+        """The projections of an ideal's group onto the factors, which are
+        the factors' ideals it is the product of."""
+        gens = group.generators()
+        return [linalg.Subgroup(gens[:, block], r.moduli) for r, block in zip(self.factors, self._blocks)]
+
+    def _ideal_rows(self, data):
+        if not isinstance(data, (list, tuple)) or len(data) != len(self.factors):
+            raise InvalidIdeal(
+                f"an ideal of a product of {len(self.factors)} rings is one ideal per factor, got {data!r}"
+            )
+        rows = []
+        for r, block, part in zip(self.factors, self._blocks, data):
+            sub = np.reshape(r._ideal_rows(part), (-1, r.flatten_len))
+            rows.append(np.zeros((len(sub), self.flatten_len), dtype=np.int64))
+            rows[-1][:, block] = sub
+        return np.concatenate(rows)
+
+    def _ideal_data(self, group):
+        return tuple(r._ideal_data(sub) for r, sub in zip(self.factors, self._parts(group)))
+
+    def _quotient(self, ideal):
+        pieces = []
+        for r, block, sub in zip(self.factors, self._blocks, self._parts(ideal.group)):
+            part = RingIdeal.from_group(r, sub)
+            if not part.is_unit:  # R/I is the product of the nonzero R_i/I_i
+                target, proj = part.quotient()
+                matrix = np.zeros((target.flatten_len, self.flatten_len), dtype=np.int64)
+                matrix[:, block] = proj.matrix
+                pieces.append((target, matrix))
+        if len(pieces) == 1:
+            return pieces[0]
+        return ProductRing([t for t, _ in pieces]), np.concatenate([m for _, m in pieces])
+
+    def _maximal_data(self):
+        # the unit ideal of each factor, read back from its whole group
+        units = [r._ideal_data(linalg.Subgroup(np.eye(r.flatten_len, dtype=np.int64), r.moduli)) for r in self.factors]
+        return [(*units[:i], m, *units[i + 1 :]) for i, r in enumerate(self.factors) for m in r._maximal_data()]
 
     def to_config(self):
         return {"kind": "product", "factors": [r.to_config() for r in self.factors]}
@@ -470,117 +597,107 @@ class BaseRingHom:
 
 
 # ---------------------------------------------------------------------------
-# maximal ideals and residue fields
+# ideals
 
 
-class MaxIdeal:
-    """Maximal ideal, encoded by ring kind:
+def _ideal_span(ring, rows):
+    """The ideal generated by coordinate rows: the additive subgroup
+    spanned by every row times every coordinate generator (1 is a sum of
+    those, so it holds the rows themselves)."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, ring.flatten_len)
+    products = linalg.einsum_mod("gs,stu->gtu", rows, ring.struct, moduli=ring._moduli_arr, N=ring._N)
+    return linalg.Subgroup(products.reshape(-1, ring.flatten_len), ring.moduli)
 
-    ZMod(n): a prime p | n.  GaloisField: the zero ideal.  Product: a factor
-    index plus a maximal ideal of that factor.
+
+class RingIdeal:
+    """Ideal of a base ring, stored as its additive subgroup of the ring's
+    coordinates (`group`, canonical: equal ideals have equal groups).
+
+    It is built from its notation `data`, which depends on the ring's kind
+    (see the module docstring), or from any additive subgroup by
+    `from_group`; `data` reads the notation back from the group.
     """
 
-    def __init__(self, ring, locator):
+    def __init__(self, ring, data):
         self.ring = ring
-        self.locator = locator
-        self._validate()
+        self.group = _ideal_span(ring, ring._ideal_rows(data))
 
-    def _validate(self):
-        r = self.ring
-        if isinstance(r, ZMod):
-            p = self.locator
-            if not (_is_prime(p) and r.n % p == 0):
-                raise InvalidIdeal(f"{p} is not a prime divisor of {r.n}")
-        elif isinstance(r, GaloisField):
-            if self.locator != 0:
-                raise InvalidIdeal("a field has only the zero ideal")
-        elif isinstance(r, ProductRing):
-            i, sub = self.locator
-            if not (0 <= i < len(r.factors)):
-                raise InvalidIdeal("factor index out of range")
-            if not isinstance(sub, MaxIdeal) or sub.ring != r.factors[i]:
-                raise InvalidIdeal("locator does not reference the factor ring")
-        else:
-            raise InvalidIdeal(f"unsupported ring kind {r.kind!r}")
+    @classmethod
+    def from_group(cls, ring, group):
+        """The ideal generated by an additive subgroup of the ring's coordinates."""
+        ideal = cls.__new__(cls)
+        ideal.ring, ideal.group = ring, _ideal_span(ring, group.generators())
+        return ideal
 
-    def as_ideal(self):
-        r = self.ring
-        if isinstance(r, ZMod):
-            return RingIdeal(r, self.locator)
-        if isinstance(r, GaloisField):
-            return RingIdeal(r, "zero")
-        i, sub = self.locator
-        data = ["unit"] * len(r.factors)
-        data[i] = sub.as_ideal().data
-        return RingIdeal(r, tuple(data))
+    @cached_property
+    def data(self):
+        return self.ring._ideal_data(self.group)
 
-    def key(self):
-        if isinstance(self.ring, ProductRing):
-            return (self.locator[0], self.locator[1].key())
-        return self.locator
+    @property
+    def is_zero(self):
+        return self.group.order == 1
+
+    @property
+    def is_unit(self):
+        return self.group.contains(self.ring.unit_flat)
+
+    def contains(self, elem):
+        return self.group.contains(elem.coords)
+
+    def generators(self):
+        """Ring elements generating the ideal as a subgroup."""
+        return [self.ring.element(g) for g in self.group.generators().tolist()]
+
+    def intersect(self, other):
+        if self.ring != other.ring:
+            raise InvalidIdeal("ideals of different rings")
+        return RingIdeal.from_group(self.ring, self.group.intersection(other.group))
+
+    def quotient(self):
+        """Quotient ring R/I and the verified projection.
+
+        The unit ideal is rejected: the zero ring is not a valid base ring.
+        """
+        if self.is_unit:
+            raise InvalidIdeal("quotient by the unit ideal is the zero ring")
+        target, matrix = self.ring._quotient(self)
+        return target, BaseRingHom(self.ring, target, matrix)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MaxIdeal)
-            and self.ring == other.ring
-            and self.key() == other.key()
-        )
+        return isinstance(other, RingIdeal) and self.ring == other.ring and self.group == other.group
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.group)
 
     def __repr__(self):
-        return f"MaxIdeal({self.ring!r}, {self.locator!r})"
+        return f"RingIdeal({self.ring!r}, {self.data!r})"
+
+
+def intersect_ideals(ideals):
+    return reduce(lambda a, b: a.intersect(b), ideals)
 
 
 def maximal_ideals(ring):
     """Complete duplicate-free list of maximal ideals."""
-    if isinstance(ring, ZMod):
-        return [MaxIdeal(ring, p) for p, _ in factorize(ring.n)]
-    if isinstance(ring, GaloisField):
-        return [MaxIdeal(ring, 0)]
-    if isinstance(ring, ProductRing):
-        out = []
-        for i, factor in enumerate(ring.factors):
-            for sub in maximal_ideals(factor):
-                out.append(MaxIdeal(ring, (i, sub)))
-        return out
-    raise RingError(f"unsupported ring kind {ring.kind!r}")
+    return [RingIdeal(ring, data) for data in ring._maximal_data()]
 
 
 def residue_field(ring, m):
     """Residue field at a maximal ideal and the verified projection onto it."""
     if m.ring != ring:
         raise InvalidIdeal("ideal does not belong to the ring")
-    if isinstance(ring, ZMod):
-        field = ZMod(m.locator)
-        return field, BaseRingHom(ring, field, [[1]])
-    if isinstance(ring, GaloisField):
-        return ring, BaseRingHom.identity(ring)
-    if isinstance(ring, ProductRing):
-        i, sub = m.locator
-        field, proj = residue_field(ring.factors[i], sub)
-        return field, BaseRingHom(ring, field, _on_factor(ring, i, proj.matrix))
-    raise RingError(f"unsupported ring kind {ring.kind!r}")
+    field, proj = m.quotient()
+    if not field.is_field:
+        raise InvalidIdeal(f"{m.data!r} is not a maximal ideal of {ring!r}")
+    return field, proj
 
 
-def _on_factor(ring, i, matrix):
-    """The matrix of a map out of the i-th factor of a product ring, as a
-    map out of the whole ring: zero on the other factors' coordinates."""
-    out = np.zeros((len(matrix), ring.flatten_len), dtype=np.int64)
-    out[:, ring._offsets[i] : ring._offsets[i] + ring.factors[i].flatten_len] = matrix
-    return out
-
-
+@lru_cache(maxsize=None)
 def is_reduced(ring):
-    """True iff the ring has no nonzero nilpotent elements."""
-    if isinstance(ring, ZMod):
-        return all(e == 1 for _, e in factorize(ring.n))
-    if isinstance(ring, GaloisField):
-        return True
-    if isinstance(ring, ProductRing):
-        return all(is_reduced(r) for r in ring.factors)
-    raise RingError(f"unsupported ring kind {ring.kind!r}")
+    """True iff the ring has no nonzero nilpotent elements: in a finite
+    ring the nilradical is the Jacobson radical, the intersection of the
+    maximal ideals.  Memoized, as `_azumaya_preconditions` asks per hom."""
+    return intersect_ideals(maximal_ideals(ring)).is_zero
 
 
 def crt_decompose(ring):
@@ -601,149 +718,3 @@ def crt_decompose(ring):
         back_row.append(rest * pow(rest, -1, q) % n)
     back = BaseRingHom(product, ring, np.asarray([back_row], dtype=np.int64))
     return product, fwd, back
-
-
-# ---------------------------------------------------------------------------
-# ideals
-
-
-class RingIdeal:
-    """Ideal of a base ring.
-
-    ZMod(n): generated by a divisor d of n (d = n is the zero ideal, d = 1
-    the unit ideal).  GaloisField: "zero" or "unit".  Product: a tuple of
-    per-factor ideals.
-    """
-
-    def __init__(self, ring, data):
-        self.ring = ring
-        if isinstance(ring, ZMod):
-            d = int(data) % ring.n
-            d = math.gcd(d, ring.n)
-            self.data = d if d else ring.n
-        elif isinstance(ring, GaloisField):
-            if data not in ("zero", "unit"):
-                raise InvalidIdeal("field ideal must be 'zero' or 'unit'")
-            self.data = data
-        elif isinstance(ring, ProductRing):
-            parts = tuple(data)
-            if len(parts) != len(ring.factors):
-                raise InvalidIdeal("one ideal per factor required")
-            self.data = tuple(
-                RingIdeal(r, part).data for r, part in zip(ring.factors, parts)
-            )
-        else:
-            raise InvalidIdeal(f"unsupported ring kind {ring.kind!r}")
-
-    def factor_ideals(self):
-        return [RingIdeal(r, d) for r, d in zip(self.ring.factors, self.data)]
-
-    @property
-    def is_zero(self):
-        if isinstance(self.ring, ZMod):
-            return self.data == self.ring.n
-        if isinstance(self.ring, GaloisField):
-            return self.data == "zero"
-        return all(i.is_zero for i in self.factor_ideals())
-
-    @property
-    def is_unit(self):
-        if isinstance(self.ring, ZMod):
-            return self.data == 1
-        if isinstance(self.ring, GaloisField):
-            return self.data == "unit"
-        return all(i.is_unit for i in self.factor_ideals())
-
-    def generators(self):
-        """Ring elements generating the ideal as a subgroup."""
-        r = self.ring
-        if isinstance(r, ZMod):
-            return [] if self.data == r.n else [r.element((self.data,))]
-        if isinstance(r, GaloisField):
-            if self.data == "zero":
-                return []
-            return [r.basis_elem(s) for s in range(r.flatten_len)]
-        gens = []
-        for i, ideal in enumerate(self.factor_ideals()):
-            for g in ideal.generators():
-                coords = [0] * r.flatten_len
-                off = r._offsets[i]
-                for s, c in enumerate(g.coords):
-                    coords[off + s] = c
-                gens.append(r.element(coords))
-        return gens
-
-    def contains(self, elem):
-        r = self.ring
-        if isinstance(r, ZMod):
-            return elem.coords[0] % self.data == 0
-        if isinstance(r, GaloisField):
-            return self.data == "unit" or elem.is_zero()
-        return all(
-            ideal.contains(factor.element(part))
-            for ideal, factor, part in zip(
-                self.factor_ideals(), r.factors, r.split(elem.coords)
-            )
-        )
-
-    def intersect(self, other):
-        if self.ring != other.ring:
-            raise InvalidIdeal("ideals of different rings")
-        r = self.ring
-        if isinstance(r, ZMod):
-            return RingIdeal(r, math.lcm(self.data, other.data))
-        if isinstance(r, GaloisField):
-            both_unit = self.data == "unit" and other.data == "unit"
-            return RingIdeal(r, "unit" if both_unit else "zero")
-        return RingIdeal(
-            r,
-            tuple(
-                a.intersect(b).data
-                for a, b in zip(self.factor_ideals(), other.factor_ideals())
-            ),
-        )
-
-    def quotient(self):
-        """Quotient ring R/I and the verified projection.
-
-        The unit ideal is rejected: the zero ring is not a valid base ring.
-        """
-        r = self.ring
-        if self.is_unit:
-            raise InvalidIdeal("quotient by the unit ideal is the zero ring")
-        if isinstance(r, ZMod):
-            target = ZMod(self.data)
-            return target, BaseRingHom(r, target, [[1]])
-        if isinstance(r, GaloisField):
-            return r, BaseRingHom.identity(r)
-        kept = [
-            (i, ideal)
-            for i, ideal in enumerate(self.factor_ideals())
-            if not ideal.is_unit
-        ]
-        pieces = []
-        for i, ideal in kept:
-            tgt, proj = ideal.quotient()
-            pieces.append((tgt, _on_factor(r, i, proj.matrix)))
-        if len(pieces) == 1:
-            tgt, mat = pieces[0]
-            return tgt, BaseRingHom(r, tgt, mat)
-        target = ProductRing([t for t, _ in pieces])
-        mat = np.concatenate([m for _, m in pieces], axis=0)
-        return target, BaseRingHom(r, target, mat)
-
-    def key(self):
-        return (self.ring.to_config().__repr__(), self.data)
-
-    def __eq__(self, other):
-        return isinstance(other, RingIdeal) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"RingIdeal({self.ring!r}, {self.data!r})"
-
-
-def intersect_ideals(ideals):
-    return reduce(lambda a, b: a.intersect(b), ideals)

@@ -21,7 +21,12 @@ structure constants and ring-entry matrices -- as independent references:
   multiplication tensor: Z/n by Python ints, GF(p^k) by polynomial
   multiplication reduced mod f (`poly_mul_mod`) and inversion by x^(q-2),
   products factor by factor, and the pairwise loop over coordinate
-  generators that checked a base-ring hom.
+  generators that checked a base-ring hom;
+- `is_prime_trial` and `factorize_trial` are the trial division the
+  library factored moduli by before Miller-Rabin and Brent's rho;
+- `ideal_elements`, `all_ideals` and `nilpotent_elements` decide ideals of
+  a small ring on its element set: an ideal is its generators closed under
+  multiplication by every element and under addition.
 """
 
 from __future__ import annotations
@@ -543,3 +548,94 @@ def base_hom_refutation(source, target, matrix):
             if lhs != mul_coords(target, apply(basis[j]), apply(basis[k])):
                 return f"multiplicativity fails on coordinate pair ({j}, {k})"
     return None
+
+
+# ---------------------------------------------------------------------------
+# trial-division factoring
+
+
+def is_prime_trial(n):
+    if n < 2:
+        return False
+    for q in range(2, math.isqrt(n) + 1):
+        if n % q == 0:
+            return False
+    return True
+
+
+def factorize_trial(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# ideals of small rings as element sets
+
+
+def element_coords(R):
+    return list(itertools.product(*(range(m) for m in R.moduli)))
+
+
+def add_coords(R, a, b):
+    return tuple((x + y) % m for x, y, m in zip(a, b, R.moduli))
+
+
+def ideal_elements(R, gens):
+    """The ideal generated by coordinate tuples, as a frozenset of
+    coordinate tuples: every r * g, closed under addition."""
+    products = {mul_coords(R, r, tuple(g)) for r in element_coords(R) for g in gens}
+    ideal = {(0,) * len(R.moduli)}
+    frontier = list(ideal)
+    while frontier:
+        x = frontier.pop()
+        for g in products:
+            y = add_coords(R, x, g)
+            if y not in ideal:
+                ideal.add(y)
+                frontier.append(y)
+    return frozenset(ideal)
+
+
+def all_ideals(R):
+    """Every ideal of R: the principal ideals and their sums."""
+    principal = {ideal_elements(R, [x]) for x in element_coords(R)}
+    ideals, frontier = set(principal), list(principal)
+    while frontier:
+        I = frontier.pop()
+        for P in principal:
+            S = frozenset(add_coords(R, a, b) for a in I for b in P)
+            if S not in ideals:
+                ideals.add(S)
+                frontier.append(S)
+    return ideals
+
+
+def maximal_ideal_sets(R):
+    """The proper ideals of R contained in no other proper ideal."""
+    proper = [I for I in all_ideals(R) if len(I) < R.size]
+    return {I for I in proper if not any(I < J for J in proper)}
+
+
+def nilpotent_elements(R):
+    """The x with x^k = 0 for some k <= |R|."""
+    zero = (0,) * len(R.moduli)
+    out = set()
+    for x in element_coords(R):
+        power = x
+        for _ in range(R.size):
+            if power == zero:
+                out.add(x)
+                break
+            power = mul_coords(R, power, x)
+    return out

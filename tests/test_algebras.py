@@ -31,7 +31,7 @@ from azumaya.algebras import (
     upper_triangular_algebra,
     weyl_quotient,
 )
-from azumaya.rings import GaloisField, MaxIdeal, ProductRing, RingIdeal, ZMod
+from azumaya.rings import GaloisField, ProductRing, RingIdeal, ZMod
 from ring_oracles import center_bruteforce, env_map
 
 
@@ -361,7 +361,7 @@ def test_is_azumaya_matches_residue_field_loop(make):
     else:
         m, witness = found
         assert rep.status == "fail"
-        assert rep.witness == {"maximal_ideal": repr(m.locator), **witness}
+        assert rep.witness == {"maximal_ideal": repr(m.data), **witness}
 
 
 def test_is_azumaya_refuses_failure_without_witness(monkeypatch):
@@ -378,7 +378,7 @@ def test_is_azumaya_refuses_failure_without_witness(monkeypatch):
 
 def test_rank_at_and_constant_rank():
     A = matrix_algebra(ZMod(12), 2)
-    assert rank_at(A, MaxIdeal(ZMod(12), 2)) == 4
+    assert rank_at(A, RingIdeal(ZMod(12), 2)) == 4
 
 
 def test_square_rank_check():

@@ -186,6 +186,31 @@ def test_cli_gf_and_product_rings_byte_identical(argv, capsys):
         assert all(o["canonical"]["status"] == "verified" for o in lines if o["type"] == "hom")
 
 
+IDEALS_CONFIG = Path(__file__).parent / "configs" / "ideals.json"
+
+
+def test_cli_ideal_config_matches_pinned_output(capsys):
+    # reductions by a GF zero ideal and a product ideal, their kernel ideals,
+    # an intersection over Z/4 x GF(4) and a failing is_azumaya over Z/2 x Z/3
+    assert main(["check", "all", "--config", str(IDEALS_CONFIG), "--seed", "42"]) == 1
+    assert capsys.readouterr().out == IDEALS_CONFIG.with_suffix(".expected").read_text()
+
+
+@pytest.mark.parametrize("ideal", ["zero", 2.5, None, [2], True])
+def test_cli_malformed_zmod_ideal_exits_2(tmp_path, capsys, ideal):
+    data = json.loads(json.dumps(BASIC))
+    data["objects"]["homs"]["red"]["ideal"] = ideal
+    assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
+    assert "ideal of Z/4" in capsys.readouterr().err
+
+
+def test_cli_malformed_product_ideal_exits_2(tmp_path, capsys):
+    data = json.loads(Path(GF_PRODUCT_CONFIG).read_text())
+    data["objects"]["homs"]["red"]["ideal"] = 2
+    assert main(["construct", "--config", write_config(tmp_path, data)]) == 2
+    assert "one ideal per factor" in capsys.readouterr().err
+
+
 def test_cli_single_check(tmp_path, capsys):
     path = write_config(tmp_path, BASIC)
     code = main(["check", "az", "--config", path])

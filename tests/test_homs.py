@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,17 @@ def test_center_preservation_conjugation():
     rep, cmap = center_preservation_check(h)
     assert rep.status == "pass"
     assert cmap is not None and cmap.is_bijective_onto_center()
+
+
+def test_center_preservation_over_a_large_prime_is_fast():
+    # its preconditions factor 2^61 - 1 (is_reduced, and is_azumaya's residue fields)
+    p = 2**61 - 1
+    A = matrix_algebra(ZMod(p), 2, check=False)
+    h = conjugation_auto(A, A.element([1, p - 5, 0, 1]))
+    started = time.perf_counter()
+    rep, cmap = center_preservation_check(h)
+    assert time.perf_counter() - started < 1
+    assert rep.status == "pass" and all(rep.preconditions.values())
 
 
 def test_center_preservation_reduction_mod2():

@@ -1,3 +1,4 @@
+import math
 import time
 from functools import lru_cache
 
@@ -12,7 +13,6 @@ from azumaya.rings import (
     GaloisField,
     InvalidBaseHom,
     InvalidIdeal,
-    MaxIdeal,
     NonPrimeModulus,
     NotAUnit,
     ProductRing,
@@ -28,7 +28,19 @@ from azumaya.rings import (
     maximal_ideals,
     residue_field,
 )
-from ring_oracles import base_hom_refutation, inv_coords, mul_coords
+from azumaya.algebras import matrix_algebra, rank_at
+from azumaya.linalg import Subgroup
+from ring_oracles import (
+    base_hom_refutation,
+    element_coords,
+    factorize_trial,
+    ideal_elements,
+    inv_coords,
+    is_prime_trial,
+    maximal_ideal_sets,
+    mul_coords,
+    nilpotent_elements,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +154,12 @@ def test_ring_config_roundtrip(config):
 
 def test_maximal_ideals_z12():
     ms = maximal_ideals(ZMod(12))
-    assert sorted(m.locator for m in ms) == [2, 3]
+    assert sorted(m.data for m in ms) == [2, 3]
 
 
 def test_residue_field_projection():
     R = ZMod(12)
-    m = MaxIdeal(R, 2)
+    m = RingIdeal(R, 2)
     field, proj = residue_field(R, m)
     assert field.size == 2
     assert proj.apply(R.element((7,))).coords == (1,)
@@ -250,6 +262,79 @@ def test_product_ideal():
     assert not I.contains(R.element((2, 1)))
 
 
+F4 = GaloisField(2, [1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "factors,sizes",
+    [
+        ([ZMod(4), ZMod(3)], [2, 3]),
+        ([ZMod(4), F4], [2, 4]),
+        ([ZMod(2), ZMod(3), F4], [2, 3, 4]),
+    ],
+    ids=["Z4xZ3", "Z4xGF4", "Z2xZ3xGF4"],
+)
+def test_maximal_ideals_and_residue_fields_of_products(factors, sizes):
+    R = ProductRing(factors)
+    A = matrix_algebra(R, 2)
+    ms = maximal_ideals(R)
+    fields = [residue_field(R, m)[0] for m in ms]
+    assert [F.size for F in fields] == sizes
+    assert all(F.is_field for F in fields)
+    assert not any(m.is_unit for m in ms)
+    assert [rank_at(A, m) for m in ms] == [4] * len(ms)
+
+
+def test_residue_field_of_non_maximal_ideal_refused():
+    with pytest.raises(InvalidIdeal):
+        residue_field(ZMod(12), RingIdeal(ZMod(12), 4))
+    with pytest.raises(InvalidIdeal):
+        residue_field(ZMod(12), RingIdeal(ZMod(12), 1))
+    with pytest.raises(InvalidIdeal):
+        residue_field(ZMod(6), RingIdeal(ZMod(12), 2))
+
+
+def test_product_maximal_ideal_notation_names_the_factor_units():
+    # the other factors carry their own unit notation: 1 for Z/n, "unit" for a field
+    R = ProductRing([ZMod(4), F4])
+    assert [m.data for m in maximal_ideals(R)] == [(2, "unit"), (1, "zero")]
+    assert [m.data for m in maximal_ideals(ProductRing([R, ZMod(3)]))] == [
+        ((2, "unit"), 1),
+        ((1, "zero"), 1),
+        ((1, "unit"), 3),
+    ]
+
+
+@pytest.mark.parametrize(
+    "ring,data",
+    [
+        (ZMod(4), "zero"),
+        (ZMod(4), [2]),
+        (ZMod(4), None),
+        (ZMod(4), 2.5),
+        (ZMod(4), True),
+        (F4, 0),
+        (F4, "one"),
+        (F4, None),
+        (ProductRing([ZMod(4), F4]), 2),
+        (ProductRing([ZMod(4), F4]), [2]),
+        (ProductRing([ZMod(4), F4]), [2, 0]),
+        (ProductRing([ZMod(4), F4]), "zero"),
+    ],
+)
+def test_malformed_ideal_notation_refused(ring, data):
+    with pytest.raises(InvalidIdeal):
+        RingIdeal(ring, data)
+
+
+def test_ideal_from_group_is_the_generated_ideal():
+    # the subgroup {0, (2, 0)} of Z/4 x Z/3 generates (2) x (0); t alone generates GF(4)
+    R = ProductRing([ZMod(4), ZMod(3)])
+    assert RingIdeal.from_group(R, Subgroup([[2, 0]], R.moduli)) == RingIdeal(R, (2, 3))
+    assert RingIdeal.from_group(F4, Subgroup([[0, 1]], F4.moduli)).data == "unit"
+    assert RingIdeal.from_group(ZMod(12), Subgroup([[8], [6]], (12,))).data == 2
+
+
 # ---------------------------------------------------------------------------
 # base ring homs
 
@@ -289,6 +374,49 @@ def test_gf4_ring_axioms(a0, a1, b0, b1):
     y = F4.element((b0 % 2, b1 % 2))
     assert x * y == y * x
     assert x * (y + y) == x * y + x * y
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(2, 10**6), st.integers(2, 10**4).map(lambda q: q * q * 10007)))
+def test_factorize_matches_trial_division(n):
+    assert factorize(n) == factorize_trial(n)
+    assert ZMod(n).is_field == is_prime_trial(n)
+
+
+@pytest.mark.parametrize(
+    "n,factors",
+    [
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 23
+        (3215031751, ((151, 1), (751, 1), (28351, 1))),
+        (3825123056546413051, ((149491, 1), (747451, 1), (34233211, 1))),
+        (2147483647 * 4294967291, ((2147483647, 1), (4294967291, 1))),
+        (41**2 * 1000003**2, ((41, 2), (1000003, 2))),
+        (2**61 - 1, ((2**61 - 1, 1),)),
+        (2**63 - 25, ((2**63 - 25, 1),)),
+    ],
+)
+def test_factorize_large_moduli(n, factors):
+    assert factorize(n) == factors
+    assert math.prod(p**e for p, e in factors) == n
+
+
+def test_primality_refused_beyond_the_proven_bound():
+    with pytest.raises(RingError):
+        GaloisField(318665857834031151167461, [0, 1])
+
+
+def test_is_reduced_of_a_large_prime_is_fast():
+    started = time.perf_counter()
+    assert is_reduced(ZMod(2**61 - 1))
+    assert ZMod(2**61 - 1).is_field
+    assert time.perf_counter() - started < 1
+
+
+def test_maximal_ideals_of_a_two_prime_modulus_are_fast():
+    started = time.perf_counter()
+    ms = maximal_ideals(ZMod(2147483647 * 4294967291))
+    assert time.perf_counter() - started < 1
+    assert [m.data for m in ms] == [2147483647, 4294967291]
 
 
 def test_factorize_is_memoized():
@@ -381,9 +509,7 @@ def _verdict(source, target, matrix):
 @given(st.data())
 def test_base_hom_verdict_matches_pairwise_oracle(data):
     R = data.draw(rings)
-    targets = [R]
-    if R._N < 2**32:  # its maximal ideals come from factoring by trial division
-        targets += [residue_field(R, m)[0] for m in maximal_ideals(R)]
+    targets = [R] + [residue_field(R, m)[0] for m in maximal_ideals(R)]
     T = data.draw(st.sampled_from(targets))
     H = [[data.draw(st.integers(0, m - 1)) for _ in R.moduli] for m in T.moduli]
     if data.draw(st.booleans()):
@@ -448,3 +574,72 @@ def test_ring_tensors_by_kind():
     assert R.struct[0, 0].tolist() == [1, 0, 0] and not R.struct[0, 1:].any()
     assert R.struct[1:, 1:, 1:].tolist() == GaloisField(2, [1, 1, 1]).struct.tolist()
     assert R.unit_flat.tolist() == [1, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# ideals against their element sets (ring_oracles)
+
+
+@lru_cache(maxsize=None)
+def _field(p, k):
+    return GaloisField.default(p, k)
+
+
+SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 7) if p**k <= 64]
+SMALL_FIELDS += [(p, 1) for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)]
+
+
+def _small_factors(size):
+    return st.one_of(
+        st.integers(2, size).map(ZMod),
+        st.sampled_from([pk for pk in SMALL_FIELDS if pk[0] ** pk[1] <= size]).map(lambda pk: _field(*pk)),
+    )
+
+
+@st.composite
+def small_rings(draw, size=64):
+    """Z/n, GF(q) and products of up to three factors, of size <= 64."""
+    kind = draw(st.sampled_from(["zmod", "gf", "product"]))
+    if kind == "zmod":
+        return ZMod(draw(st.integers(2, size)))
+    if kind == "gf":
+        return _field(*draw(st.sampled_from(SMALL_FIELDS)))
+    factors = []
+    while len(factors) < 3 and size >= 2 and (len(factors) < 2 or draw(st.booleans())):
+        factors.append(draw(_small_factors(size)))
+        size //= factors[-1].size
+    return ProductRing(factors)
+
+
+def _small_ideal(data, R):
+    gens = data.draw(st.lists(st.sampled_from(element_coords(R)), max_size=3))
+    ideal = RingIdeal.from_group(R, Subgroup(np.reshape(gens, (-1, R.flatten_len)), R.moduli))
+    return ideal, ideal_elements(R, gens)
+
+
+def _members(R, ideal):
+    return frozenset(x for x in element_coords(R) if ideal.contains(R.element(x)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ideals_match_element_set_oracle(data):
+    R = data.draw(small_rings())
+    (I, I_set), (J, J_set) = _small_ideal(data, R), _small_ideal(data, R)
+    assert _members(R, I) == I_set and I.group.order == len(I_set)
+    assert I.is_zero == (len(I_set) == 1)
+    assert I.is_unit == (len(I_set) == R.size)
+    assert _members(R, I.intersect(J)) == I_set & J_set
+    assert (I == J) == (I_set == J_set)
+    assert RingIdeal(R, I.data) == I
+    assert {g.coords for g in I.generators()} <= I_set
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings())
+def test_maximal_ideals_and_is_reduced_match_element_set_oracle(R):
+    ms = maximal_ideals(R)
+    sets = [_members(R, m) for m in ms]
+    assert len(set(sets)) == len(ms)
+    assert set(sets) == maximal_ideal_sets(R)
+    assert is_reduced(R) == (len(nilpotent_elements(R)) == 1)

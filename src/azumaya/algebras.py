@@ -8,7 +8,10 @@ stored the same way (`rings`), and every algebra tensor is built from the
 base ring's `struct`.  That makes centers, commutants and the enveloping
 map plain kernel / bijectivity computations over the coordinate moduli.
 Products of elements go through one sparse kernel over the tensor's
-nonzero entries (`Algebra.mul_batch`).
+nonzero entries (`Algebra.mul_batch`).  Searches over elements or tuples
+take their candidates from `candidate_batches` (product order or seeded
+draws) and stop at the first hit through `first_hit`, in batches sized by
+the one rule `search_rows`.
 
 Every constructor fills a (d, d, d, f) integer table of the base-ring
 coordinates of e_i * e_j and hands it to `structure_tensor`: matrix and
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -202,8 +206,12 @@ class Algebra:
             and np.array_equal(self.unit_flat, other.unit_flat)
         )
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self):
         return hash((self.base, self.rank, self.struct.tobytes()))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         name = self.label or "Algebra"
@@ -237,9 +245,6 @@ class AlgElem:
     def __mul__(self, other):
         self._check(other)
         return AlgElem(self.algebra, self.algebra.mul_flat(self.flat, other.flat))
-
-    def scale(self, r):
-        return AlgElem(self.algebra, self.algebra.scalar_mul_flat(r, self.flat))
 
     def is_zero(self):
         return not self.flat.any()
@@ -306,6 +311,48 @@ def random_rows(rng, radices, T):
     in the order a loop drawing one row at a time would make them."""
     draws = (rng.randrange(r) for _ in range(T) for r in radices)
     return np.fromiter(draws, dtype=np.int64, count=T * len(radices)).reshape(T, len(radices))
+
+
+def search_rows(entries):
+    """Rows per batch of a first-hit search whose candidates each hold
+    `entries` array entries while evaluated: at most 1024, and the batch
+    stays below 2^20 entries."""
+    return max(1, min(1024, (1 << 20) // entries))
+
+
+def candidate_batches(radices, rows, count=None, seed=None):
+    """Search candidates in batches of at most `rows` rows: every row of
+    itertools.product(*map(range, radices)), or with a `count`, that many
+    rows of random_rows on random.Random(seed), in the order a loop taking
+    one candidate at a time would meet them."""
+    if count is None:
+        total = math.prod(radices)
+        for lo in range(0, total, rows):
+            yield product_rows(lo, min(lo + rows, total), radices)
+    else:
+        rng = random.Random(seed)
+        for lo in range(0, count, rows):
+            yield random_rows(rng, radices, min(rows, count - lo))
+
+
+def first_hit(source, entries, evaluate):
+    """The first marked candidate of a search, evaluated in batches.
+
+    `source(rows)` yields the candidates in batches of at most
+    rows = search_rows(entries) (`entries` per candidate), and
+    `evaluate(X)` returns the values of a batch and the mask of its marked
+    rows.  Returns the first marked row, its value and its 1-based position
+    in the source's order, or (None, None, n) when none of the n
+    candidates is marked."""
+    seen = 0
+    for X in source(search_rows(entries)):
+        values, marked = evaluate(X)
+        hits = np.flatnonzero(marked)
+        if hits.size:
+            t = int(hits[0])
+            return X[t], values[t], seen + t + 1
+        seen += len(X)
+    return None, None, seen
 
 
 # ---------------------------------------------------------------------------

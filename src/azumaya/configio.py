@@ -240,7 +240,8 @@ class RunConfig:
                 raise ConfigError(f"duplicate check name {name!r}", loc)
             names.add(name)
             self.checks.append(dict(c, name=name))
-        sampled = {"al_vanishing", "nonvanishing_witness", "identity_transfer", "jordan_obstruction"}
+        # checks that draw at random (a witness search walks generator subsets)
+        sampled = {"al_vanishing", "identity_transfer", "jordan_obstruction"}
         if self.seed is None and any(
             c["check"] in sampled and c.get("mode", "") != "exhaustive" for c in self.checks
         ):

@@ -24,14 +24,14 @@ from .algebras import (
     AlgElem,
     Submodule,
     base_change,
+    candidate_batches,
     center,
     commutant,
+    first_hit,
     is_azumaya,
     matrix_algebra,
     nilpotency_indices,
-    product_rows,
     quotient_algebra,
-    random_rows,
 )
 from .reports import CONTRADICTS, FAIL, NOT_FOUND, PASS, CheckReport
 from .rings import RingIdeal, ZMod, hom_refutation, is_reduced
@@ -159,6 +159,15 @@ def compose(g, f):
 # constructors
 
 
+def _verified(source, target, matrix, label, failure):
+    """The verified hom of `matrix`; a refuted one raises VerificationFailed
+    with the message `failure` and the refutation."""
+    hom = AlgebraHom(source, target, matrix, label=label).verify()
+    if hom.status != VERIFIED:
+        raise VerificationFailed(f"{failure}: {hom.refutation}")
+    return hom
+
+
 def conjugation_auto(A, u):
     """x -> u x u^{-1} for a unit u; verified automorphism fixing the base."""
     u_flat = u.flat if isinstance(u, AlgElem) else np.asarray(u, dtype=np.int64)
@@ -169,10 +178,7 @@ def conjugation_auto(A, u):
     # x -> u x, then y -> y u^{-1}
     R = A.right_mul_matrix(u_inv)
     H = linalg.einsum_mod("ij,jk->ik", R, L, moduli=A._moduli_arr[:, None], N=A._N)
-    H = AlgebraHom(A, A, H, label="conj").verify()
-    if H.status != VERIFIED:
-        raise VerificationFailed(f"conjugation failed verification: {H.refutation}")
-    return H
+    return _verified(A, A, H, "conj", "conjugation failed verification")
 
 
 def _blockwise(A, ring_hom):
@@ -184,19 +190,13 @@ def _blockwise(A, ring_hom):
 def reduction_hom(A, ideal):
     """Canonical surjection A -> A/IA, entries reduced through R -> R/I."""
     Q, proj = quotient_algebra(A, ideal)
-    hom = AlgebraHom(A, Q, _blockwise(A, proj), label=f"mod {ideal.data!r}").verify()
-    if hom.status != VERIFIED:
-        raise VerificationFailed(f"reduction failed verification: {hom.refutation}")
-    return hom
+    return _verified(A, Q, _blockwise(A, proj), f"mod {ideal.data!r}", "reduction failed verification")
 
 
 def base_change_hom(A, ring_hom):
     """A -> A (x)_R S along a base-ring hom, identity on the basis."""
     Q = base_change(A, ring_hom)
-    hom = AlgebraHom(A, Q, _blockwise(A, ring_hom), label="base-change").verify()
-    if hom.status != VERIFIED:
-        raise VerificationFailed(f"base change failed verification: {hom.refutation}")
-    return hom
+    return _verified(A, Q, _blockwise(A, ring_hom), "base-change", "base change failed verification")
 
 
 def diagonal_embed(ring, m, k):
@@ -215,10 +215,7 @@ def diagonal_embed(ring, m, k):
             for t in range(k):
                 tgt_slot = (t * m + i) * n + (t * m + j)
                 H[tgt_slot * f : (tgt_slot + 1) * f, src_slot * f : (src_slot + 1) * f] = eye_f
-    hom = AlgebraHom(src, tgt, H, label=f"diag x{k}").verify()
-    if hom.status != VERIFIED:
-        raise VerificationFailed(f"diagonal embedding failed: {hom.refutation}")
-    return hom
+    return _verified(src, tgt, H, f"diag x{k}", "diagonal embedding failed")
 
 
 def weyl_splitting(p, a, b):
@@ -246,9 +243,7 @@ def weyl_splitting(p, a, b):
         Ys.append(linalg.einsum_mod("ij,jk->ik", Ys[-1], Y, moduli=p, N=p))
     images = linalg.einsum_mod("iab,jbc->ijac", np.stack(Xs), np.stack(Ys), moduli=p, N=p)
     H = images.reshape(W.dim, M.dim).T
-    hom = AlgebraHom(W, M, H, label=f"split W({p},{a},{b})").verify()
-    if hom.status != VERIFIED:
-        raise VerificationFailed(f"splitting failed verification: {hom.refutation}")
+    hom = _verified(W, M, H, f"split W({p},{a},{b})", "splitting failed verification")
     if not hom.is_bijective():
         raise VerificationFailed("splitting is not bijective")
     return hom
@@ -389,14 +384,11 @@ def rank_comparison_check(f):
     )
 
 
-# candidates raised to powers together in jordan_obstruction_probe
-PROBE_CHUNK = 1024
-
-
 def jordan_obstruction_probe(n, Aprime, samples=10000, seed=0):
     """No element of A' = M_{n'}(k) with n' < n may have nilpotency index
     exactly n.  Exhaustive when the algebra is small enough, seeded sampling
-    otherwise; candidates are raised to powers PROBE_CHUNK at a time.
+    otherwise; candidates are raised to powers a batch at a time through the
+    batched first-hit search (`algebras.first_hit`).
 
     A nilpotent of M_{n'} over a field has index <= n', so any index above
     n' (n among them, when n' < n) is reported with the first candidate
@@ -407,30 +399,26 @@ def jordan_obstruction_probe(n, Aprime, samples=10000, seed=0):
     if n <= 1:
         return CheckReport(check="jordan_obstruction", status=PASS, details={"vacuous": True})
     exhaustive = Aprime.size <= samples
-    total = Aprime.size if exhaustive else samples
-    rng = random.Random(seed)
-    for lo in range(0, total, PROBE_CHUNK):
-        hi = min(lo + PROBE_CHUNK, total)
-        if exhaustive:
-            X = product_rows(lo, hi, Aprime.moduli)
-        else:
-            X = random_rows(rng, Aprime.moduli, hi - lo)
+    count = None if exhaustive else samples
+
+    def above_nprime(X):
         index = nilpotency_indices(Aprime, X, Aprime.rank)
-        hits = np.flatnonzero(index > nprime)
-        if hits.size:
-            t = int(hits[0])
-            return CheckReport(
-                check="jordan_obstruction",
-                status=FAIL,
-                witness={"element": X[t].tolist(), "index": int(index[t])},
-                seed=seed,
-                details={"checked": lo + t + 1, "exhaustive": exhaustive},
-            )
+        return index, index > nprime
+
+    def candidates(rows):
+        return candidate_batches(Aprime.moduli, rows, count, seed)
+
+    # a batch holds its candidates and their powers
+    x, index, checked = first_hit(candidates, 2 * Aprime.dim, above_nprime)
+    details = {"checked": checked, "exhaustive": exhaustive}
+    if x is None:
+        return CheckReport(check="jordan_obstruction", status=PASS, seed=seed, details=details)
     return CheckReport(
         check="jordan_obstruction",
-        status=PASS,
+        status=FAIL,
+        witness={"element": x.tolist(), "index": int(index)},
         seed=seed,
-        details={"checked": total, "exhaustive": exhaustive},
+        details=details,
     )
 
 

@@ -4,20 +4,22 @@ The standard identity s_k is evaluated with a subset dynamic program
 (k * 2^(k-1) products instead of k! * (k-1)), batched over tuples with the
 algebra's sparse product kernel (`Algebra.mul_batch`); the alternating-sum
 definition stays available as an independent oracle for tests.  Every
-search over tuples (exhaustive, sampled, generator subsets) evaluates them
-in batches and reports the first hit in the order a one-at-a-time loop
-would meet it.
+search (exhaustive or sampled tuples, generator subsets) goes through the
+one batched first-hit search, `algebras.first_hit`, with its one batch-size
+rule, and reports the first hit in the order a one-at-a-time loop would
+meet it.  The witness search for s_k walks only the k-subsets of the
+coordinate generators: s_k is multilinear and alternating and they span A,
+so once they run out no tuple can be a witness.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
 import numpy as np
 
 from . import linalg
-from .algebras import AlgElem, product_rows, random_rows
+from .algebras import AlgElem, candidate_batches, first_hit
 from .reports import FAIL, NOT_FOUND, PASS, CheckReport
 
 MAX_ARITY = 8
@@ -139,120 +141,90 @@ def _standard_batch(A, X):
     return table[(1 << k) - 1]
 
 
-def _random_tuples(rng, moduli, T, k):
-    """(T, k, D) array of T seeded random k-tuples, drawn element by
-    element, tuple by tuple."""
-    return random_rows(rng, moduli, T * k).reshape(T, k, len(moduli))
+def _tuples(A, k, count=None, seed=None):
+    """Source of k-tuples of A for `first_hit`: every tuple in
+    itertools.product order, or `count` seeded random tuples drawn element
+    by element, tuple by tuple; as (T, k, D) arrays."""
+    return lambda rows: (
+        X.reshape(-1, k, A.dim) for X in candidate_batches(A.moduli * k, rows, count, seed)
+    )
 
 
-def _tuple_batches(A, k, mode, max_tuples, seed, batch=4096):
-    """Yield (T, k, D) integer arrays; exhaustive or seeded sampling."""
-    if mode == "exhaustive":
-        total = A.size**k
-        if total > max_tuples:
-            raise BudgetExceeded(
-                f"{total} tuples exceed the exhaustive budget {max_tuples}"
-            )
-        radices = A.moduli * k
-        for lo in range(0, total, batch):
-            yield product_rows(lo, min(lo + batch, total), radices).reshape(-1, k, A.dim)
-    else:
-        rng = random.Random(seed)
-        for lo in range(0, mode, batch):
-            yield _random_tuples(rng, A.moduli, min(batch, mode - lo), k)
+def _entries(k, D):
+    """Entries per k-tuple while s_k is evaluated, for the batch rule: the
+    subset table of _standard_batch holds under 2^k rows of D entries."""
+    return (1 << k) * D
 
 
-def _search_rows(k, D):
-    """Largest batch in a first-hit search: the subset table of
-    _standard_batch (under 2^k arrays of shape (T, D)) stays below 2^20
-    entries."""
-    return max(1, min(1024, (1 << 20) // ((1 << k) * D)))
+def _nonzero(identity, A):
+    """Batch evaluator for `first_hit`: the identity's values, marked where
+    nonzero."""
+
+    def evaluate(X):
+        vals = _evaluate_batch(identity, A, X)
+        return vals, vals.any(axis=1)
+
+    return evaluate
 
 
 def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuples=10**7):
     """Does s_(2n) vanish on A?  Exhaustive over all 2n-tuples when the count
-    fits the budget, else seeded sampling; either way exact per tuple."""
+    fits the budget, else seeded sampling; either way exact per tuple.
+    `tested` counts the tuples up to and including a witness."""
     k = 2 * n
     sk = standard_identity(k)
     if mode == "samples" and seed is None:
         raise IdentityError("sampled mode requires a seed")
-    gen_mode = "exhaustive" if mode == "exhaustive" else count
-    tested = 0
-    for X in _tuple_batches(A, k, gen_mode, max_tuples, seed):
-        vals = _evaluate_batch(sk, A, X)
-        nz = np.nonzero(vals.any(axis=1))[0]
-        tested += X.shape[0]
-        if nz.size:
-            t = int(nz[0])
-            return CheckReport(
-                check="al_vanishing",
-                status=FAIL,
-                witness={
-                    "tuple": X[t].tolist(),
-                    "value": vals[t].tolist(),
-                },
-                seed=seed,
-                details={"k": k, "mode": mode, "tested": tested},
-            )
+    if mode == "exhaustive":
+        total = A.size**k
+        if total > max_tuples:
+            raise BudgetExceeded(f"{total} tuples exceed the exhaustive budget {max_tuples}")
+        tuples = _tuples(A, k)
+    else:
+        tuples = _tuples(A, k, count, seed)
+    X, value, tested = first_hit(tuples, _entries(k, A.dim), _nonzero(sk, A))
+    details = {"k": k, "mode": mode, "tested": tested}
+    if X is None:
+        return CheckReport(check="al_vanishing", status=PASS, seed=seed, details=details)
     return CheckReport(
         check="al_vanishing",
-        status=PASS,
+        status=FAIL,
+        witness={"tuple": X.tolist(), "value": value.tolist()},
         seed=seed,
-        details={"k": k, "mode": mode, "tested": tested},
+        details=details,
     )
 
 
 def nonvanishing_witness(A, k, budget=10000, seed=0):
-    """A k-tuple with s_k != 0: k-subsets of the coordinate generators
-    first, then seeded random tuples, evaluated in batches.
+    """A k-tuple with s_k != 0 among the k-subsets of the coordinate
+    generators, evaluated in batches.
 
-    s_k is alternating, so it vanishes on every tuple with a repeated entry
-    and the basis phase walks only the subsets of distinct generators.
-    `tried` counts the tuples up to and including the witness.
+    s_k is Z-multilinear and alternating and the coordinate generators span
+    A, so s_k vanishes on A iff it vanishes on every such subset: the
+    search is complete, and nothing is drawn at random.  `seed` is only
+    recorded in the report.  `tried` counts the subsets up to and including
+    the witness, or all that were walked: min(budget, C(dim, k)).
 
     Returns (tuple of AlgElem or None, CheckReport)."""
     sk = standard_identity(k)
-    basis = np.asarray(
-        [A.basis_flat(i, s) for i in range(A.rank) for s in range(A.base.flatten_len)]
-    )
-    subsets = itertools.combinations(range(len(basis)), k)
-    rng = random.Random(seed)
+    basis = np.eye(A.dim, dtype=np.int64)  # the flat coordinate generators
 
-    def next_subsets(T):
-        idx = np.asarray(list(itertools.islice(subsets, T)), dtype=np.intp)
-        return basis[idx.reshape(-1, k)]
+    def subsets(rows):
+        walk = itertools.islice(itertools.combinations(range(A.dim), k), max(budget, 0))
+        while batch := list(itertools.islice(walk, rows)):
+            yield basis[np.asarray(batch, dtype=np.intp)]
 
-    phases = (
-        ("basis", next_subsets),
-        ("random", lambda T: _random_tuples(rng, A.moduli, T, k)),
-    )
-    # batches double from one tuple, so a witness at position t costs
-    # fewer than 2t evaluations
-    rows, cap = 1, _search_rows(k, A.dim)
-    tried = 0
-    for phase, draw in phases:
-        while tried < budget:
-            X = draw(min(rows, budget - tried))
-            rows = min(2 * rows, cap)
-            if not len(X):
-                break
-            vals = _evaluate_batch(sk, A, X)
-            hits = np.flatnonzero(vals.any(axis=1))
-            if hits.size:
-                t = int(hits[0])
-                return tuple(AlgElem(A, v) for v in X[t]), CheckReport(
-                    check="nonvanishing_witness",
-                    status=PASS,
-                    seed=seed,
-                    witness={"tuple": X[t].tolist(), "value": vals[t].tolist()},
-                    details={"k": k, "tried": tried + t + 1, "phase": phase},
-                )
-            tried += len(X)
-    return None, CheckReport(
+    X, value, tried = first_hit(subsets, _entries(k, A.dim), _nonzero(sk, A))
+    if X is None:
+        return None, CheckReport(
+            check="nonvanishing_witness", status=NOT_FOUND, seed=seed, details={"k": k, "tried": tried}
+        )
+    return tuple(AlgElem(A, v) for v in X), CheckReport(
         check="nonvanishing_witness",
-        status=NOT_FOUND,
+        status=PASS,
         seed=seed,
-        details={"k": k, "tried": tried},
+        witness={"tuple": X.tolist(), "value": value.tolist()},
+        details={"k": k, "tried": tried, "phase": "basis"},
     )
 
 
@@ -261,26 +233,20 @@ def identity_transfer_check(f, identity, trials=100, seed=0):
     evaluated in batches on each side."""
     f.require_verified()
     A, B = f.source, f.target
-    rng = random.Random(seed)
     k = identity.arity
-    rows = _search_rows(k, max(A.dim, B.dim))
-    for lo in range(0, trials, rows):
-        X = _random_tuples(rng, A.moduli, min(rows, trials - lo), k)
+
+    def differs(X):
         lhs = f.apply_flat(_evaluate_batch(identity, A, X))
         rhs = _evaluate_batch(identity, B, f.apply_flat(X))
-        bad = np.flatnonzero((lhs != rhs).any(axis=1))
-        if bad.size:
-            t = int(bad[0])
-            return CheckReport(
-                check="identity_transfer",
-                status=FAIL,
-                witness={"tuple": X[t].tolist(), "trial": lo + t},
-                seed=seed,
-                details={"trials": trials},
-            )
+        return lhs, (lhs != rhs).any(axis=1)
+
+    X, _, trial = first_hit(_tuples(A, k, trials, seed), _entries(k, max(A.dim, B.dim)), differs)
+    if X is None:
+        return CheckReport(check="identity_transfer", status=PASS, seed=seed, details={"trials": trials})
     return CheckReport(
         check="identity_transfer",
-        status=PASS,
+        status=FAIL,
+        witness={"tuple": X.tolist(), "trial": trial - 1},
         seed=seed,
         details={"trials": trials},
     )

@@ -280,11 +280,6 @@ class Subgroup:
     def __hash__(self):
         return hash((self.moduli, tuple(self.H.ravel().tolist())))
 
-    def __le__(self, other):
-        if self.moduli != other.moduli:
-            raise LinalgError("subgroups of different ambient groups")
-        return all(other.contains(g) for g in self.generators())
-
     def intersection(self, other):
         """Intersection, via the kernel of (x, y) -> x G1 - y G2."""
         if self.moduli != other.moduli:

@@ -220,11 +220,16 @@ class FiniteCommRing:
     def to_config(self):
         raise NotImplementedError
 
+    @cached_property
+    def _key(self):
+        """The ring's identity: its config, written out once."""
+        return repr(self.to_config())
+
     def __eq__(self, other):
-        return isinstance(other, FiniteCommRing) and self.to_config() == other.to_config()
+        return isinstance(other, FiniteCommRing) and self._key == other._key
 
     def __hash__(self):
-        return hash(repr(self.to_config()))
+        return hash(self._key)
 
 
 class ZMod(FiniteCommRing):
@@ -558,7 +563,7 @@ class BaseRingHom:
     """Unital ring homomorphism between base rings, as an integer matrix on
     flattened coordinates, verified by `hom_refutation`."""
 
-    def __init__(self, source, target, matrix, verify=True):
+    def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
         self.matrix = np.asarray(matrix, dtype=np.int64)
@@ -566,8 +571,7 @@ class BaseRingHom:
             raise InvalidBaseHom("matrix shape does not match the rings")
         self._N = max(source._N, target._N)  # entries and coordinates are below it
         self.matrix = self.matrix % target._moduli_arr[:, None]
-        if verify:
-            self.verify()
+        self.verify()
 
     def apply(self, elem):
         if elem.ring != self.source:

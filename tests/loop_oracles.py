@@ -124,21 +124,6 @@ def nonvanishing_witness_loop(A, k, budget=10000, seed=0):
                 witness={"tuple": [v.tolist() for v in combo], "value": val.tolist()},
                 details={"k": k, "tried": tried, "phase": "basis"},
             )
-    rng = random.Random(seed)
-    while tried < budget:
-        tried += 1
-        combo = [
-            np.asarray([rng.randrange(m) for m in A.moduli], dtype=np.int64) for _ in range(k)
-        ]
-        val = _evaluate_batch(sk, A, np.stack(combo)[None, :, :])[0]
-        if val.any():
-            return tuple(AlgElem(A, v) for v in combo), CheckReport(
-                check="nonvanishing_witness",
-                status=PASS,
-                seed=seed,
-                witness={"tuple": [v.tolist() for v in combo], "value": val.tolist()},
-                details={"k": k, "tried": tried, "phase": "random"},
-            )
     return None, CheckReport(
         check="nonvanishing_witness", status=NOT_FOUND, seed=seed, details={"k": k, "tried": tried}
     )

@@ -3,13 +3,14 @@ search against the one-tuple-at-a-time loop it replaced (tests/loop_oracles.py).
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya import homs
+from azumaya import algebras
 from azumaya.algebras import (
     Algebra,
     matrix_algebra,
@@ -30,7 +31,7 @@ from azumaya.homs import (
 )
 from azumaya.identities import (
     MultilinearIdentity,
-    _tuple_batches,
+    _tuples,
     identity_transfer_check,
     nonvanishing_witness,
     standard_identity,
@@ -147,7 +148,7 @@ def test_mul_batch_empty_batch():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_exhaustive_tuples_in_product_order(k):
     A = matrix_algebra(ZMod(2), 2)  # 16 elements, 16^3 = 4096 triples
-    got = list(_tuple_batches(A, k, "exhaustive", 10**7, None, batch=100))
+    got = list(_tuples(A, k)(100))
     want = list(exhaustive_tuples_loop(A, k, batch=100))
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -162,7 +163,7 @@ def test_product_rows_matches_itertools():
 
 def test_sampled_tuples_draw_in_loop_order():
     A = matrix_algebra(ZMod(6), 2)
-    got = list(_tuple_batches(A, 3, 1000, None, 11, batch=300))
+    got = list(_tuples(A, 3, 1000, 11)(300))
     want = list(sampled_tuples_loop(A, 3, 1000, 11, batch=300))
     assert [g.shape for g in got] == [w.shape for w in want]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -185,7 +186,7 @@ _JORDAN_CASES = [
 @pytest.mark.parametrize("n,make,samples,seed", _JORDAN_CASES)
 @pytest.mark.parametrize("chunk", [1, 7, 1024])
 def test_jordan_probe_matches_loop(n, make, samples, seed, chunk, monkeypatch):
-    monkeypatch.setattr(homs, "PROBE_CHUNK", chunk)
+    monkeypatch.setattr(algebras, "search_rows", lambda entries: chunk)
     A = make()
     got = jordan_obstruction_probe(n, A, samples=samples, seed=seed)
     want = jordan_obstruction_probe_loop(n, A, samples=samples, seed=seed)
@@ -213,19 +214,41 @@ def test_jordan_probe_fail_cases_fail():
         (lambda: matrix_algebra(ZMod(3), 3, check=False), 4, 10000),
         (lambda: matrix_algebra(ZMod(2), 4, check=False), 6, 10000),
         (lambda: matrix_algebra(ZMod(2), 4, check=False), 6, 300),  # budget ends the basis phase
-        (lambda: matrix_algebra(ZMod(6), 1), 2, 200),  # not found, random phase
+        (lambda: matrix_algebra(ZMod(6), 1), 2, 200),  # not found: no 2-subset of one generator
         (lambda: matrix_algebra(ZMod(2), 2), 4, 50),  # s_4 vanishes on M_2
     ],
 )
-def test_witness_matches_loop(make, k, budget):
+def test_witness_matches_loop(make, k, budget, monkeypatch):
     A = make()
-    got_elems, got = nonvanishing_witness(A, k, budget=budget, seed=3)
     want_elems, want = nonvanishing_witness_loop(A, k, budget=budget, seed=3)
-    assert got.comparable_dict() == want.comparable_dict()
-    if want_elems is None:
-        assert got_elems is None
-    else:
-        assert [e.flat.tolist() for e in got_elems] == [e.flat.tolist() for e in want_elems]
+    # at the batch rule's own size, then at patched sizes
+    for chunk in (None, 1, 7):
+        if chunk:
+            monkeypatch.setattr(algebras, "search_rows", lambda entries: chunk)
+        got_elems, got = nonvanishing_witness(A, k, budget=budget, seed=3)
+        assert got.comparable_dict() == want.comparable_dict()
+        if want_elems is None:
+            assert got_elems is None
+        else:
+            assert [e.flat.tolist() for e in got_elems] == [e.flat.tolist() for e in want_elems]
+
+
+@pytest.mark.parametrize(
+    "make,k,budget,tried",
+    [
+        (lambda: matrix_algebra(ZMod(6), 1), 2, 200, 0),  # C(1, 2) = 0
+        (lambda: matrix_algebra(GaloisField.default(2, 2), 1), 2, 200, 1),  # commutative, C(2, 2)
+        (lambda: matrix_algebra(ZMod(4), 2), 4, 10000, 1),  # s_4 vanishes on M_2, C(4, 4)
+        (lambda: matrix_algebra(ZMod(2), 3), 6, 10000, 84),  # s_6 vanishes on M_3, C(9, 6)
+        (lambda: matrix_algebra(ZMod(2), 3), 6, 50, 50),  # the budget ends the walk
+    ],
+)
+def test_witness_not_found_walks_every_subset_within_budget(make, k, budget, tried):
+    A = make()
+    assert tried == min(budget, math.comb(A.dim, k))
+    elems, rep = nonvanishing_witness(A, k, budget=budget)
+    assert elems is None and rep.status == "not-found"
+    assert rep.details == {"k": k, "tried": tried}
 
 
 def test_s6_witness_on_m4f2_after_568_subsets():
@@ -266,11 +289,15 @@ _NOT_STANDARD = MultilinearIdentity(3, [(1, (2, 3, 1)), (2, (1, 3, 2))])
         (_not_multiplicative, MultilinearIdentity(2, [(1, (1, 2))]), 5000, 2),
     ],
 )
-def test_transfer_matches_loop(make_hom, identity, trials, seed):
+def test_transfer_matches_loop(make_hom, identity, trials, seed, monkeypatch):
     f = make_hom()
-    got = identity_transfer_check(f, identity, trials=trials, seed=seed)
     want = identity_transfer_check_loop(f, identity, trials=trials, seed=seed)
-    assert got.comparable_dict() == want.comparable_dict()
+    # at the batch rule's own size, then at patched sizes
+    for chunk in (None, 1, 7):
+        if chunk:
+            monkeypatch.setattr(algebras, "search_rows", lambda entries: chunk)
+        got = identity_transfer_check(f, identity, trials=trials, seed=seed)
+        assert got.comparable_dict() == want.comparable_dict()
 
 
 def test_transfer_of_non_hom_fails():

@@ -129,6 +129,19 @@ def test_config_seed_required_for_sampled_checks():
         RunConfig(data)
 
 
+def test_config_without_seed_loads_a_witness_search():
+    # the witness search walks generator subsets and draws nothing
+    data = {
+        "objects": {
+            "rings": {"F2": {"kind": "zmod", "n": 2}},
+            "algebras": {"A": {"kind": "matrix", "n": 2, "ring": "F2"}},
+        },
+        "checks": [{"name": "w", "check": "nonvanishing_witness", "algebra": "A", "k": 2}],
+    }
+    cfg = RunConfig(data)
+    assert cfg.seed is None and [c["check"] for c in cfg.checks] == ["nonvanishing_witness"]
+
+
 def test_config_duplicate_check_names():
     data = dict(BASIC, checks=[{"name": "x", "check": "is_azumaya", "algebra": "M2_4"}] * 2)
     with pytest.raises(ConfigError):

@@ -176,11 +176,11 @@ def test_subgroup_intersection():
     assert not inter.contains([1, 0])
 
 
-def test_subgroup_le():
+def test_subgroup_containment_by_generators():
     small = Subgroup([[2, 0]], (4, 4))
     big = Subgroup([[1, 0]], (4, 4))
-    assert small <= big
-    assert not big <= small
+    assert all(big.contains(g) for g in small.generators())
+    assert not all(small.contains(g) for g in big.generators())
 
 
 # ---------------------------------------------------------------------------

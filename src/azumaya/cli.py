@@ -62,9 +62,7 @@ def _invalid(message):
 def _load(args):
     if not args.config:
         raise ConfigError("--config is required for this subcommand")
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = load_run_config(args.config, seed=args.seed)
     if args.max_tuples is not None:
         cfg.max_tuples = args.max_tuples
     return cfg

@@ -22,7 +22,7 @@ from .algebras import (
     weyl_quotient,
 )
 from .homs import AlgebraHom, compose, conjugation_auto, diagonal_embed, reduction_hom
-from .identities import MultilinearIdentity, standard_identity
+from .identities import MODES, MultilinearIdentity, standard_identity
 from .rings import RingError, RingIdeal, make_ring
 
 # Cap on the entries of the largest dense array that building a configured
@@ -240,15 +240,35 @@ class RunConfig:
                 raise ConfigError(f"duplicate check name {name!r}", loc)
             names.add(name)
             self.checks.append(dict(c, name=name))
-        # checks that draw at random (a witness search walks generator subsets)
-        sampled = {"al_vanishing", "identity_transfer", "jordan_obstruction"}
-        if self.seed is None and any(
-            c["check"] in sampled and c.get("mode", "") != "exhaustive" for c in self.checks
-        ):
+        draws = [self._draws(c) for c in self.checks]
+        if self.seed is None and any(draws):
             raise ConfigError("a seed is required whenever sampled checks are configured", "seed")
 
+    def _draws(self, check):
+        """Whether a check may draw at random, with the CLI's defaults: an
+        identity transfer always does, an AL check in sampled mode, and a
+        Jordan probe when its algebra has more elements than `samples`.  A
+        witness search walks generator subsets and draws nothing."""
+        kind, loc = check["check"], f"checks.{check['name']}"
+        if kind == "identity_transfer":
+            return True
+        if kind == "al_vanishing":
+            mode = check.get("mode", "exhaustive")
+            if mode not in MODES:
+                raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}", loc)
+            return mode == "samples"
+        if kind == "jordan_obstruction":
+            algebra = self.algebras.get(check.get("algebra"))
+            try:
+                samples = int(check.get("samples", 10**4))
+            except (TypeError, ValueError) as e:
+                raise ConfigError(str(e), loc) from e
+            return algebra is None or algebra.size > samples
+        return False
 
-def load_run_config(path):
+
+def load_run_config(path, seed=None):
+    """The run config at `path`; a `seed` given here replaces the file's."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -256,4 +276,6 @@ def load_run_config(path):
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    if seed is not None and isinstance(data, dict):
+        data = dict(data, seed=seed)
     return RunConfig(data)

@@ -2,27 +2,37 @@
 
 The standard identity s_k is evaluated with a subset dynamic program
 (k * 2^(k-1) products instead of k! * (k-1)), batched over tuples with the
-algebra's sparse product kernel (`Algebra.mul_batch`); the alternating-sum
+algebra's sparse product kernel (`Algebra.mul_batch`); its k! signed terms
+are built only when something reads them, and the alternating-sum
 definition stays available as an independent oracle for tests.  Every
 search (exhaustive or sampled tuples, generator subsets) goes through the
 one batched first-hit search, `algebras.first_hit`, with its one batch-size
 rule, and reports the first hit in the order a one-at-a-time loop would
-meet it.  The witness search for s_k walks only the k-subsets of the
-coordinate generators: s_k is multilinear and alternating and they span A,
-so once they run out no tuple can be a witness.
+meet it.
+
+s_k is Z-multilinear and alternating, and the coordinate generators span A,
+so s_k vanishes on A iff it vanishes on every k-subset of them.  The
+witness search walks only those subsets, and `al_vanishing_check` decides a
+pass on them before any tuple scan: exhaustively always, and in sampled
+mode when there are no more subsets than samples.  Only when some subset
+gives a nonzero value does it scan the tuples, to report the first failing
+tuple in scan order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .algebras import AlgElem, candidate_batches, first_hit
+from .algebras import AlgElem, candidate_batches, first_hit, product_rows
 from .reports import FAIL, NOT_FOUND, PASS, CheckReport
 
 MAX_ARITY = 8
+MODES = ("exhaustive", "samples")
 
 
 class IdentityError(Exception):
@@ -59,7 +69,6 @@ class MultilinearIdentity:
                 raise IdentityError(f"word {word} is not a permutation of 1..{arity}")
             self.terms.append((coef, word))
         self.label = label or f"identity(arity={arity})"
-        self.is_standard = False  # set by standard_identity()
 
     def to_config(self):
         return {
@@ -71,24 +80,34 @@ class MultilinearIdentity:
         return f"<{self.label}: {len(self.terms)} terms>"
 
 
+class StandardIdentity(MultilinearIdentity):
+    """s_k = sum over all permutations sigma of sgn(sigma) x_sigma(1)...x_sigma(k).
+
+    Evaluation runs the subset DP and never reads `terms`, which are built
+    on first use."""
+
+    def __init__(self, k):
+        self.arity = k
+        self.label = f"s_{k}"
+
+    @cached_property
+    def terms(self):
+        # itertools.permutations meets the permutations in lexicographic
+        # order, and the Lehmer code of the i-th one is the factorial-base
+        # digits of i; their sum is its number of inversions
+        k = self.arity
+        lehmer = product_rows(0, math.factorial(k), range(k, 0, -1))
+        signs = 1 - 2 * (lehmer.sum(axis=1) & 1)
+        return list(zip(signs.tolist(), itertools.permutations(range(1, k + 1))))
+
+
 def standard_identity(k):
-    """s_k = sum over all permutations sigma of sgn(sigma) x_sigma(1)...x_sigma(k)."""
+    """The standard identity s_k, for 1 <= k <= MAX_ARITY."""
     if k < 1:
         raise IdentityError("k must be >= 1")
     if k > MAX_ARITY:
         raise IdentityError(f"k capped at {MAX_ARITY} ({MAX_ARITY}! terms already)")
-    terms = []
-    for perm in itertools.permutations(range(1, k + 1)):
-        inversions = sum(
-            1
-            for a in range(k)
-            for b in range(a + 1, k)
-            if perm[a] > perm[b]
-        )
-        terms.append((-1 if inversions % 2 else 1, perm))
-    ident = MultilinearIdentity(k, terms, label=f"s_{k}")
-    ident.is_standard = True
-    return ident
+    return StandardIdentity(k)
 
 
 def evaluate(identity, elems):
@@ -105,7 +124,7 @@ def evaluate(identity, elems):
 
 def _evaluate_batch(identity, A, X):
     """Identity values for a (T, k, D) array of flattened tuples."""
-    if identity.is_standard:
+    if isinstance(identity, StandardIdentity):
         return _standard_batch(A, X)
     T = X.shape[0]
     acc = np.zeros((T, A.dim), dtype=A._sum_dtype)
@@ -167,22 +186,50 @@ def _nonzero(identity, A):
     return evaluate
 
 
+def _subset_hit(sk, A, budget=None):
+    """`first_hit` over the k-subsets of the coordinate generators, in
+    itertools.combinations order, at most `budget` of them: the first
+    subset on which s_k is nonzero, its value and its position."""
+    k = sk.arity
+    basis = np.eye(A.dim, dtype=np.int64)  # the flat coordinate generators
+
+    def subsets(rows):
+        walk = itertools.islice(itertools.combinations(range(A.dim), k), budget)
+        while batch := list(itertools.islice(walk, rows)):
+            yield basis[np.asarray(batch, dtype=np.intp)]
+
+    return first_hit(subsets, _entries(k, A.dim), _nonzero(sk, A))
+
+
 def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuples=10**7):
-    """Does s_(2n) vanish on A?  Exhaustive over all 2n-tuples when the count
-    fits the budget, else seeded sampling; either way exact per tuple.
-    `tested` counts the tuples up to and including a witness."""
+    """Does s_(2n) vanish on A?  Over all 2n-tuples (`mode="exhaustive"`,
+    within `max_tuples`) or `count` seeded random ones (`mode="samples"`);
+    either way exact per tuple.  `tested` counts the tuples up to and
+    including a witness, or all of them on a pass.
+
+    A pass is decided on the 2n-subsets of the coordinate generators
+    whenever the scan would meet every tuple or there are no more subsets
+    than samples: s_(2n) vanishing on them means it vanishes on every tuple,
+    so the scan is skipped and nothing is drawn.  Otherwise, or when a
+    subset gives a nonzero value, the tuples are scanned in order."""
+    if mode not in MODES:
+        raise IdentityError(f"unknown mode {mode!r}, expected one of {MODES}")
     k = 2 * n
     sk = standard_identity(k)
-    if mode == "samples" and seed is None:
-        raise IdentityError("sampled mode requires a seed")
     if mode == "exhaustive":
         total = A.size**k
         if total > max_tuples:
             raise BudgetExceeded(f"{total} tuples exceed the exhaustive budget {max_tuples}")
         tuples = _tuples(A, k)
     else:
+        if seed is None:
+            raise IdentityError("sampled mode requires a seed")
+        total = count
         tuples = _tuples(A, k, count, seed)
-    X, value, tested = first_hit(tuples, _entries(k, A.dim), _nonzero(sk, A))
+    if (mode == "exhaustive" or math.comb(A.dim, k) <= count) and _subset_hit(sk, A)[0] is None:
+        X, value, tested = None, None, total
+    else:
+        X, value, tested = first_hit(tuples, _entries(k, A.dim), _nonzero(sk, A))
     details = {"k": k, "mode": mode, "tested": tested}
     if X is None:
         return CheckReport(check="al_vanishing", status=PASS, seed=seed, details=details)
@@ -199,22 +246,13 @@ def nonvanishing_witness(A, k, budget=10000, seed=0):
     """A k-tuple with s_k != 0 among the k-subsets of the coordinate
     generators, evaluated in batches.
 
-    s_k is Z-multilinear and alternating and the coordinate generators span
-    A, so s_k vanishes on A iff it vanishes on every such subset: the
-    search is complete, and nothing is drawn at random.  `seed` is only
-    recorded in the report.  `tried` counts the subsets up to and including
-    the witness, or all that were walked: min(budget, C(dim, k)).
+    s_k vanishes on A iff it vanishes on every such subset (see the module
+    docstring): the search is complete, and nothing is drawn at random.
+    `seed` is only recorded in the report.  `tried` counts the subsets up to
+    and including the witness, or all that were walked: min(budget, C(dim, k)).
 
     Returns (tuple of AlgElem or None, CheckReport)."""
-    sk = standard_identity(k)
-    basis = np.eye(A.dim, dtype=np.int64)  # the flat coordinate generators
-
-    def subsets(rows):
-        walk = itertools.islice(itertools.combinations(range(A.dim), k), max(budget, 0))
-        while batch := list(itertools.islice(walk, rows)):
-            yield basis[np.asarray(batch, dtype=np.intp)]
-
-    X, value, tried = first_hit(subsets, _entries(k, A.dim), _nonzero(sk, A))
+    X, value, tried = _subset_hit(standard_identity(k), A, max(budget, 0))
     if X is None:
         return None, CheckReport(
             check="nonvanishing_witness", status=NOT_FOUND, seed=seed, details={"k": k, "tried": tried}

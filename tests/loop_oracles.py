@@ -1,10 +1,13 @@
 """Test-only oracles for the batched product kernel and the batched searches.
 
-`dense_mul_batch` is the dense contraction over the whole structure tensor.
-The other functions are the one-tuple-at-a-time loops that the library's
-batched searches replaced, kept verbatim in behaviour: they draw random
-numbers in the same order and return the same reports, so a test can
-compare the two forms report by report.
+`dense_mul_batch` is the dense contraction over the whole structure tensor,
+and `standard_identity_terms_loop` builds the k! signed terms of s_k by
+counting each permutation's inversions.  The other functions are the
+one-tuple-at-a-time loops that the library's batched searches replaced,
+kept verbatim in behaviour: they draw random numbers in the same order and
+return the same reports, so a test can compare the two forms report by
+report.  The AL loop scans every tuple, where the library decides a pass on
+the generator subsets first.
 """
 
 from __future__ import annotations
@@ -28,6 +31,16 @@ def dense_mul_batch(A, X, Y):
     X, Y, S = (np.asarray(a).astype(dtype) for a in (X, Y, A.struct))
     out = np.einsum("ti,tj,ijk->tk", X, Y, S) % np.asarray(A.moduli, dtype=dtype)
     return out.astype(np.int64)
+
+
+def standard_identity_terms_loop(k):
+    """The (sign, word) terms of s_k, signs by counting inversions, in
+    itertools.permutations order."""
+    terms = []
+    for perm in itertools.permutations(range(1, k + 1)):
+        inversions = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
+        terms.append((-1 if inversions % 2 else 1, perm))
+    return terms
 
 
 def _nilpotency_index_loop(x, cap):
@@ -65,6 +78,32 @@ def sampled_tuples_loop(A, k, count, seed, batch=4096):
             buf = []
     if buf:
         yield np.stack(buf)
+
+
+def al_vanishing_check_loop(A, n, mode="exhaustive", count=2000, seed=None):
+    """s_(2n) on every tuple in itertools.product order, or on `count`
+    seeded random tuples drawn one at a time, until the first nonzero value."""
+    k = 2 * n
+    sk = standard_identity(k)
+    if mode == "exhaustive":
+        tuples = exhaustive_tuples_loop(A, k, batch=1)
+    else:
+        tuples = sampled_tuples_loop(A, k, count, seed, batch=1)
+    tested = 0
+    for X in tuples:
+        tested += 1
+        val = _evaluate_batch(sk, A, X)[0]
+        if val.any():
+            return CheckReport(
+                check="al_vanishing",
+                status=FAIL,
+                witness={"tuple": X[0].tolist(), "value": val.tolist()},
+                seed=seed,
+                details={"k": k, "mode": mode, "tested": tested},
+            )
+    return CheckReport(
+        check="al_vanishing", status=PASS, seed=seed, details={"k": k, "mode": mode, "tested": tested}
+    )
 
 
 def jordan_obstruction_probe_loop(n, Aprime, samples=10000, seed=0):

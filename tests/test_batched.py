@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya import algebras
+from azumaya import algebras, identities
 from azumaya.algebras import (
     Algebra,
     matrix_algebra,
@@ -32,12 +32,14 @@ from azumaya.homs import (
 from azumaya.identities import (
     MultilinearIdentity,
     _tuples,
+    al_vanishing_check,
     identity_transfer_check,
     nonvanishing_witness,
     standard_identity,
 )
 from azumaya.rings import GaloisField, ProductRing, RingIdeal, ZMod
 from loop_oracles import (
+    al_vanishing_check_loop,
     dense_mul_batch,
     exhaustive_tuples_loop,
     identity_transfer_check_loop,
@@ -199,6 +201,81 @@ def test_jordan_probe_fail_cases_fail():
         for n, make, samples, seed in _JORDAN_CASES
     ]
     assert statuses == ["pass", "pass", "fail", "fail", "fail"]
+
+
+# ---------------------------------------------------------------------------
+# AL vanishing
+
+
+def _gf4():
+    return GaloisField.default(2, 2)
+
+
+def _z2z3():
+    return ProductRing([ZMod(2), ZMod(3)])
+
+
+@pytest.mark.parametrize(
+    "make,n,mode,count,seed",
+    [
+        # exhaustive: a pass is decided on the generator subsets
+        (lambda: matrix_algebra(_gf4(), 1), 1, "exhaustive", None, None),
+        (lambda: matrix_algebra(_z2z3(), 1), 1, "exhaustive", None, None),
+        (lambda: matrix_algebra(ZMod(4), 1), 2, "exhaustive", None, None),  # C(1, 4) = 0
+        (lambda: upper_triangular_algebra(ZMod(2), 2), 2, "exhaustive", None, None),
+        # exhaustive failures: a subset gives s_2 != 0, then the scan runs
+        (lambda: matrix_algebra(ZMod(4), 2), 1, "exhaustive", None, None),
+        (lambda: matrix_algebra(_gf4(), 2), 1, "exhaustive", None, None),
+        (lambda: upper_triangular_algebra(_z2z3(), 2), 1, "exhaustive", None, None),
+        # sampled, C(dim, 2n) <= count: decided on the subsets when they vanish
+        (lambda: matrix_algebra(_gf4(), 2), 2, "samples", 100, 1),  # C(8, 4) = 70
+        (lambda: matrix_algebra(_z2z3(), 2), 2, "samples", 80, 2),
+        (lambda: matrix_algebra(ZMod(4), 2), 2, "samples", 50, 3),  # C(4, 4) = 1
+        (lambda: matrix_algebra(ZMod(4), 1), 2, "samples", 0, 4),  # C(1, 4) = 0 = count
+        (lambda: matrix_algebra(ZMod(4), 2), 1, "samples", 50, 5),  # C(4, 2) = 6, fails
+        (lambda: matrix_algebra(_gf4(), 2), 1, "samples", 50, 6),  # C(8, 2) = 28, fails
+        (lambda: upper_triangular_algebra(_z2z3(), 2), 1, "samples", 30, 7),  # C(6, 2) = 15
+        (lambda: upper_triangular_algebra(ZMod(2), 2), 1, "samples", 3, 8),  # C(3, 2) = 3
+        (lambda: upper_triangular_algebra(ZMod(2), 2), 1, "samples", 3, 9),  # the scan misses
+        # sampled, C(dim, 2n) > count: the seeded scan runs
+        (lambda: matrix_algebra(_gf4(), 2), 2, "samples", 40, 9),
+        (lambda: matrix_algebra(_z2z3(), 2), 2, "samples", 30, 10),
+        (lambda: matrix_algebra(ZMod(4), 3), 1, "samples", 20, 11),  # C(9, 2) = 36
+        (lambda: matrix_algebra(_gf4(), 2), 1, "samples", 10, 12),
+        (lambda: upper_triangular_algebra(ZMod(2), 2), 1, "samples", 2, 13),
+    ],
+)
+def test_al_vanishing_matches_loop(make, n, mode, count, seed, monkeypatch):
+    A = make()
+    kwargs = {"mode": mode, "seed": seed} if count is None else {"mode": mode, "count": count, "seed": seed}
+    want = al_vanishing_check_loop(A, n, **kwargs)
+    # at the batch rule's own size, then at a patched size
+    for chunk in (None, 7):
+        if chunk:
+            monkeypatch.setattr(algebras, "search_rows", lambda entries: chunk)
+        assert al_vanishing_check(A, n, **kwargs).comparable_dict() == want.comparable_dict()
+
+
+def test_al_vanishing_sampled_pass_despite_a_nonvanishing_subset():
+    # s_2 does not vanish on UT_2(F_2), but none of the 3 seeded pairs shows it
+    A = upper_triangular_algebra(ZMod(2), 2)
+    assert al_vanishing_check(A, 1, mode="samples", count=3, seed=9).status == "pass"
+    assert al_vanishing_check(A, 1, mode="samples", count=3, seed=8).status == "fail"
+
+
+def test_passing_exhaustive_s4_on_m2f2_evaluates_one_tuple(monkeypatch):
+    # one 4-subset of the four generators decides the 16^4 tuples
+    evaluated = []
+    evaluate_batch = identities._evaluate_batch
+
+    def counting(identity, A, X):
+        evaluated.append(len(X))
+        return evaluate_batch(identity, A, X)
+
+    monkeypatch.setattr(identities, "_evaluate_batch", counting)
+    rep = al_vanishing_check(matrix_algebra(ZMod(2), 2), 2)
+    assert rep.status == "pass" and rep.details["tested"] == 16**4
+    assert sum(evaluated) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,55 @@ def test_config_without_seed_loads_a_witness_search():
     assert cfg.seed is None and [c["check"] for c in cfg.checks] == ["nonvanishing_witness"]
 
 
+def _seedless(check):
+    return {
+        "objects": {
+            "rings": {"F2": {"kind": "zmod", "n": 2}},
+            "algebras": {"A": {"kind": "matrix", "n": 2, "ring": "F2"}},
+        },
+        "checks": [dict(check, name="c", algebra="A")],
+    }
+
+
+def test_cli_seedless_al_check_runs_exhaustively(tmp_path, capsys):
+    # no mode means the exhaustive scan, which draws nothing
+    path = write_config(tmp_path, _seedless({"check": "al_vanishing", "n": 2}))
+    assert main(["check", "all", "--config", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "pass" and rep["details"]["mode"] == "exhaustive"
+
+
+def test_cli_seedless_exhaustive_jordan_probe_runs(tmp_path, capsys):
+    # M_2(F_2) has 16 elements, at most `samples`, so the probe is exhaustive
+    path = write_config(tmp_path, _seedless({"check": "jordan_obstruction", "n": 3, "samples": 16}))
+    assert main(["check", "all", "--config", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "pass" and rep["details"] == {"checked": 16, "exhaustive": True}
+
+
+def test_config_seed_required_for_sampled_jordan_probe():
+    with pytest.raises(ConfigError, match="seed is required"):
+        RunConfig(_seedless({"check": "jordan_obstruction", "n": 3, "samples": 15}))
+
+
+def test_cli_seed_option_serves_a_seedless_sampled_config(tmp_path, capsys):
+    path = write_config(tmp_path, _seedless({"check": "al_vanishing", "n": 2, "mode": "samples", "count": 100}))
+    assert main(["check", "all", "--config", path]) == 2
+    assert "seed is required" in capsys.readouterr().err
+    assert main(["check", "all", "--config", path, "--seed", "42"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["seed"] == 42 and rep["details"] == {"k": 4, "mode": "samples", "tested": 100}
+
+
+@pytest.mark.parametrize("seed", [None, 42])
+def test_cli_unknown_al_mode_exits_2(tmp_path, capsys, seed):
+    data = dict(_seedless({"check": "al_vanishing", "n": 1, "mode": "sampels"}), seed=seed)
+    with pytest.raises(ConfigError, match="unknown mode 'sampels'"):
+        RunConfig(data)
+    assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
+    assert "unknown mode" in capsys.readouterr().err
+
+
 def test_config_duplicate_check_names():
     data = dict(BASIC, checks=[{"name": "x", "check": "is_azumaya", "algebra": "M2_4"}] * 2)
     with pytest.raises(ConfigError):

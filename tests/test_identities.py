@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from azumaya import identities
 from azumaya.algebras import matrix_algebra, weyl_quotient
 from azumaya.homs import diagonal_embed, identity_hom, reduction_hom
 from azumaya.identities import (
@@ -18,6 +19,7 @@ from azumaya.identities import (
     standard_identity,
 )
 from azumaya.rings import RingIdeal, ZMod
+from loop_oracles import standard_identity_terms_loop
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +31,28 @@ def test_standard_identity_shapes():
     s2 = standard_identity(2)
     assert sorted(s2.terms) == [(-1, (2, 1)), (1, (1, 2))]
     assert len(standard_identity(3).terms) == 6
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_standard_identity_terms_match_inversion_count(k):
+    assert standard_identity(k).terms == standard_identity_terms_loop(k)
+
+
+def test_standard_identity_terms_built_on_first_read(monkeypatch):
+    # the searches evaluate s_k by the subset DP and never read its terms
+    made = []
+
+    def recording(k):
+        made.append(standard_identity(k))
+        return made[-1]
+
+    monkeypatch.setattr(identities, "standard_identity", recording)
+    A = matrix_algebra(ZMod(2), 4, check=False)
+    assert al_vanishing_check(A, 4, mode="samples", count=3, seed=1).status == "pass"
+    assert nonvanishing_witness(A, 6)[1].status == "pass"
+    assert [s.arity for s in made] == [8, 6]
+    assert all("terms" not in vars(s) for s in made)
+    assert repr(made[0]) == "<s_8: 40320 terms>" and "terms" in vars(made[0])
 
 
 def test_standard_identity_cap():
@@ -161,6 +185,13 @@ def test_al_sampled_requires_seed():
     A = matrix_algebra(ZMod(4), 2)
     with pytest.raises(IdentityError):
         al_vanishing_check(A, 2, mode="samples", count=10)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_al_unknown_mode_refused(seed):
+    A = matrix_algebra(ZMod(6), 2)
+    with pytest.raises(IdentityError, match="unknown mode 'sampels'"):
+        al_vanishing_check(A, 1, mode="sampels", count=50, seed=seed)
 
 
 def test_al_sampled_m3z6():

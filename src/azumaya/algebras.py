@@ -20,6 +20,13 @@ normal-ordering coefficients, tensor products from the two factors' ring
 tables (`ring_table`) and base changes from the ring table times the
 ring-hom matrix; structure constants given as integers (configs) go in
 as they are.  `opposite` transposes `struct` directly.
+
+`is_azumaya` decides a pass by a certificate when it can: `splitting`
+builds an isomorphism A -> M_n(R) over R = Z/N (a minimal left ideal and a
+lifted idempotent per prime power of N, joined by the CRT) and verifies it
+with the one hom check and the one bijectivity check, in D x D linear
+algebra.  Every miss falls back to the bijectivity of the D^2 x D^2
+enveloping map, which alone decides a fail and finds its witness.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .rings import BaseRingHom, ZMod
+from .rings import BaseRingHom, ZMod, factorize
 from .reports import CheckReport
 
 
@@ -90,13 +97,16 @@ class Algebra:
 
     def _verify_axioms(self):
         S, mod, N = self.struct, self._moduli_arr, self._N
-        left = linalg.einsum_mod("abk,kcm->abcm", S, S, moduli=mod, N=N)
-        right = linalg.einsum_mod("bck,akm->abcm", S, S, moduli=mod, N=N)
-        if np.any(left != right):
-            bad = np.argwhere((left != right).any(axis=3))[0]
-            raise AlgebraError(
-                f"associativity fails on basis triple {tuple(int(x) for x in bad)}"
-            )
+        # (e_a e_b) e_c against e_a (e_b e_c), one a at a time: the D^4
+        # products are formed in D^3 pieces
+        for a in range(self.dim):
+            left = linalg.einsum_mod("bk,kcm->bcm", S[a], S, moduli=mod, N=N)
+            right = linalg.einsum_mod("bck,km->bcm", S, S[a], moduli=mod, N=N)
+            bad = np.argwhere((left != right).any(axis=2))
+            if bad.size:
+                raise AlgebraError(
+                    f"associativity fails on basis triple {tuple(int(x) for x in (a, *bad[0]))}"
+                )
         u = self.unit_flat
         lu = linalg.einsum_mod("i,ijk->jk", u, S, moduli=mod, N=N)
         ru = linalg.einsum_mod("j,ijk->ik", u, S, moduli=mod, N=N)
@@ -440,12 +450,13 @@ def _normal_order(j, k):
     return cur
 
 
-def weyl_quotient(p, a, b):
+def weyl_quotient(p, a, b, check=True):
     """Rank-p^2 algebra over F_p with basis x^i y^j (0 <= i, j < p) and
     relations y x = x y + 1, x^p = a, y^p = b.
 
     Structure constants come from memoized normal-ordering rewriting; the
-    closed-form commutation formula is used only as a test oracle.
+    closed-form commutation formula is used only as a test oracle.  The
+    axioms are verified unless `check` is False.
     """
     ring = ZMod(p)
     a %= p
@@ -463,7 +474,7 @@ def weyl_quotient(p, a, b):
                 table[i, j, k, l, rx * p + ry] += coeff % p * a**qx * b**qy % p
     unit = np.zeros(d, dtype=np.int64)
     unit[0] = 1
-    return Algebra(ring, *structure_tensor(ring, table, unit), label=f"W({p},{a},{b})")
+    return Algebra(ring, *structure_tensor(ring, table, unit), label=f"W({p},{a},{b})", check=check)
 
 
 def opposite(A):
@@ -564,6 +575,102 @@ def env_map_bijective(A):
     return linalg.is_bijective_additive(F, src, tgt)
 
 
+# The certificate search of `splitting`: its fixed seed, the number of
+# elements x (and of elements u per x) it draws, and the largest residue
+# characteristic for which it tries every eigenvalue candidate.
+_SPLIT_SEED = 0
+_SPLIT_DRAWS = 8
+_SPLIT_MAX_P = 64
+
+
+def _local_splitting(A, p, k, rng):
+    """The (n*n, dim) matrix, mod q = p^k, of a ring hom A/qA -> M_n(Z/q),
+    or None when no draw gives one; A has rank n^2 over Z/N with q | N.
+
+    Over F_p (Parker's MeatAxe step): for a drawn x and some lambda in F_p,
+    L = {y : y x = lambda y} is a left ideal; when dim L = n it is minimal,
+    and a drawn u in L with u^2 = c u, c != 0, gives the idempotent
+    e = u / c with A e = L.  Newton's step e <- 3e^2 - 2e^3 lifts e to an
+    idempotent mod q (Lam, A First Course in Noncommutative Rings, section 21),
+    and b_j = l_j e for the basis rows l_j of L is an R-basis of Ae by
+    Nakayama.  The hom sends a to its left multiplication on Ae in the
+    basis b."""
+    q, n, D = p**k, math.isqrt(A.rank), A.dim
+    steps = (k - 1).bit_length()  # Newton doubles the p-adic precision
+    eye_D, eye_n = np.eye(D, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(_SPLIT_DRAWS):
+        Rx = A.right_mul_matrix(random_rows(rng, (p,) * D, 1)[0]) % p  # y -> y x
+        shifted = ((Rx - lam * eye_D) % p for lam in range(p))
+        M = next((M for M in shifted if linalg.rank_mod_p(M, p) == D - n), None)
+        if M is None:
+            continue
+        # reduced echelon rows over F_p: the identity at their pivots P
+        ell = linalg.kernel_mod(M, p)
+        P = (ell != 0).argmax(axis=1)
+        U = linalg.einsum_mod("tj,jd->td", random_rows(rng, (p,) * n, _SPLIT_DRAWS), ell, moduli=p, N=p)
+        U2, lead = A.mul_batch(U, U) % p, (U != 0).argmax(axis=1)
+        scale = [int(U2[t, i]) * pow(int(U[t, i]), -1, p) % p if U[t, i] else 0 for t, i in enumerate(lead)]
+        t = next((t for t, c in enumerate(scale) if c and np.array_equal(U2[t], c * U[t] % p)), None)
+        if t is None:
+            continue
+        e = U[t] * pow(scale[t], -1, p) % p
+        for _ in range(steps):
+            e2 = A.mul_batch(e[None], e[None]) % q
+            e3 = A.mul_batch(e2, e[None]) % q
+            e = linalg.einsum_mod("s,std->td", np.asarray([3, q - 2]), np.stack([e2, e3]), moduli=q, N=q)[0]
+        B = A.mul_batch(ell, np.tile(e, (n, 1))).T % q  # column j is l_j e
+        if not np.array_equal(B[P] % p, eye_n):
+            continue  # A e is not L
+        # B[P] = I mod p: Newton's X <- X (2I - B[P] X) inverts it mod q
+        X = eye_n
+        for _ in range(steps):
+            BX = linalg.einsum_mod("ij,jk->ik", B[P], X, moduli=q, N=q)
+            X = linalg.einsum_mod("ij,jk->ik", X, (2 * eye_n - BX) % q, moduli=q, N=q)
+        # normalized basis: B[P] = I, so y in Ae has coordinates y[P]
+        B = linalg.einsum_mod("dj,jk->dk", B, X, moduli=q, N=q)
+        # entry (i, j) of the image of coordinate a: (e_a b_j)[P_i]
+        phi = linalg.einsum_mod("abi,bj->ija", A.struct[:, :, P], B, moduli=q, N=A._N)
+        return phi.reshape(n * n, D)
+    return None
+
+
+def splitting(A):
+    """A verified isomorphism A -> M_n(R) of R-algebras, as a bijective
+    `homs.AlgebraHom`, or None when the search misses.
+
+    An Azumaya algebra of rank n^2 over a finite commutative ring R is
+    M_n(R): the Brauer group of a commutative Artin ring is the sum of those
+    of its residue fields (the paper's Theorem 2.8), and finite fields have
+    trivial Brauer groups (Wedderburn).  Over R = Z/N the hom is built per
+    prime power q of N (`_local_splitting`) and the pieces are joined by
+    the CRT.  It is then checked by the one hom check and the one
+    bijectivity check, which together are complete, so a hom returned here
+    proves A Azumaya.  A miss proves nothing: a rank that is not a square,
+    a base other than Z/N (GF(q) and products are not handled yet), a prime
+    above _SPLIT_MAX_P, no hom within the fixed draws of the fixed seed, or
+    a hom that fails either check."""
+    from .homs import AlgebraHom
+
+    n = math.isqrt(A.rank)
+    if n * n != A.rank or not isinstance(A.base, ZMod):
+        return None
+    N, factors = A.base.n, factorize(A.base.n)
+    if any(p > _SPLIT_MAX_P for p, _ in factors):
+        return None
+    rng = random.Random(_SPLIT_SEED)
+    parts, coeffs = [], []
+    for p, k in factors:
+        phi = _local_splitting(A, p, k, rng)
+        if phi is None:
+            return None
+        q = p**k
+        parts.append(phi)
+        coeffs.append(N // q * pow(N // q, -1, q) % N)  # 1 mod q, 0 mod N/q
+    H = linalg.einsum_mod("s,sij->ij", np.asarray(coeffs), np.stack(parts), moduli=N, N=N)
+    hom = AlgebraHom(A, matrix_algebra(A.base, n, check=False), H, label=f"split {A.label}").verify()
+    return hom if hom.is_verified and hom.is_bijective() else None
+
+
 def _residue_field_witness(A):
     """First maximal ideal m at which A (x) R/m is not central simple, with
     its witness: a non-scalar central generator, or else a kernel vector of
@@ -592,16 +699,18 @@ def _residue_field_witness(A):
 def is_azumaya(A):
     """Decide whether A is Azumaya over its base ring R.
 
-    A is free over R, so it is Azumaya iff its enveloping map
-    A (x) A^op -> End_R(A) is bijective over R itself: the determinant is a
-    unit iff it is a unit modulo every maximal ideal m (Auslander-Goldman),
-    i.e. iff every A (x) R/m is central simple.  That one check decides the
-    verdict.  Only when it fails are the residue fields visited, to report
-    the offending ideal and a witness (a non-scalar central generator or an
+    A pass is decided first by a certificate: a verified isomorphism
+    A -> M_n(R) from `splitting`.  On a miss, A is free over R, so it is
+    Azumaya iff its enveloping map A (x) A^op -> End_R(A) is bijective over
+    R itself: the determinant is a unit iff it is a unit modulo every
+    maximal ideal m (Auslander-Goldman), i.e. iff every A (x) R/m is
+    central simple.  That check decides the verdict, so every fail comes
+    from it.  Only then are the residue fields visited, to report the
+    offending ideal and a witness (a non-scalar central generator or an
     enveloping-map kernel vector of A (x) R/m).
     """
     preconditions = {"base": repr(A.base.to_config()), "rank": A.rank}
-    if env_map_bijective(A):
+    if splitting(A) is not None or env_map_bijective(A):
         return CheckReport(check="is_azumaya", status="pass", preconditions=preconditions)
     found = _residue_field_witness(A)
     if found is None:

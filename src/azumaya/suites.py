@@ -1,8 +1,9 @@
 """Builtin theorem suites: named bundles of checks over fixed object grids
 and the deterministic hom corpus.
 
-Each suite returns an ordered list of CheckReports.  Suites that sample
-require an explicit seed; fully deterministic suites ignore it.
+Each suite returns an ordered list of CheckReports.  A suite that samples
+(`jordan-lem32`) requires an explicit seed; the others draw nothing.
+`al-thm26` records a given seed in its reports, and the rest ignore it.
 """
 
 from __future__ import annotations
@@ -73,9 +74,20 @@ def suite_azumaya_def21(seed=None, **_):
     return reports
 
 
+def _sampled_al(A, n, seed):
+    """s_2n on A in sampled mode with 2000 samples.  Every algebra it is
+    called on has C(dim, 2n) <= 2000, so `al_vanishing_check` decides it on
+    the generator subsets and draws nothing; without a seed it runs on
+    seed 0, and the report records none."""
+    rep = idn.al_vanishing_check(A, n, mode="samples", count=2000, seed=0 if seed is None else seed)
+    rep.seed = seed
+    return rep
+
+
 def suite_al_thm26(seed=None, max_tuples=10**7, **_):
-    if seed is None:
-        raise SeedRequired("al-thm26 samples tuples and needs --seed")
+    """Amitsur-Levitzki on small matrix and Weyl algebras.  Every check is
+    decided on generator subsets and draws nothing, so no seed is needed;
+    a given one is recorded in the reports."""
     reports = []
     M2F2 = matrix_algebra(ZMod(2), 2, check=False)
     reports.append(
@@ -94,7 +106,7 @@ def suite_al_thm26(seed=None, max_tuples=10**7, **_):
         A = matrix_algebra(ZMod(m), 2, check=False)
         reports.append(
             _named(
-                idn.al_vanishing_check(A, 2, mode="samples", count=2000, seed=seed),
+                _sampled_al(A, 2, seed),
                 f"s4:M2(Z/{m}):sampled",
             )
         )
@@ -102,7 +114,7 @@ def suite_al_thm26(seed=None, max_tuples=10**7, **_):
         A = matrix_algebra(ZMod(m), 3, check=False)
         reports.append(
             _named(
-                idn.al_vanishing_check(A, 3, mode="samples", count=2000, seed=seed),
+                _sampled_al(A, 3, seed),
                 f"s6:M3(Z/{m}):sampled",
             )
         )

@@ -375,7 +375,15 @@ def test_cli_suite_unknown_exits_2(capsys):
 
 
 def test_cli_suite_seed_required(capsys):
-    assert main(["suite", "al-thm26"]) == 2
+    assert main(["suite", "jordan-lem32"]) == 2
+
+
+def test_cli_suite_al_thm26_runs_without_seed(capsys):
+    # every check is decided on generator subsets, so nothing is drawn
+    code = main(["suite", "al-thm26"])
+    lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert code == 0
+    assert len(lines) == 14 and all(l["status"] == "pass" for l in lines)
 
 
 def test_cli_suite_runs(capsys):

@@ -1,0 +1,240 @@
+"""The splitting certificate A -> M_n(R) against the enveloping-map
+decision and the explicit Weyl splitting."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from azumaya import algebras
+from azumaya.algebras import (
+    Algebra,
+    env_map_bijective,
+    is_azumaya,
+    matrix_algebra,
+    opposite,
+    splitting,
+    structure_tensor,
+    tensor_product,
+    upper_triangular_algebra,
+    weyl_quotient,
+)
+from azumaya.homs import weyl_splitting
+from azumaya.linalg import is_bijective_additive, kernel_mod, rank_mod_p
+from azumaya.rings import GaloisField, ProductRing, ZMod
+from azumaya.suites import _split_quadratic_f2
+
+MATRIX_GRID = [(n, m) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
+WEYL_GRID = [(p, a, b) for p in (2, 3, 5) for a in range(p) for b in range(p)]
+
+
+def _grid_algebras():
+    yield from (matrix_algebra(ZMod(m), n, check=False) for n, m in MATRIX_GRID)
+    yield from (weyl_quotient(p, a, b, check=False) for p, a, b in WEYL_GRID)
+
+
+def _assert_certificate(A):
+    hom = splitting(A)
+    assert hom is not None, A.label
+    assert hom.is_verified and hom.is_bijective()
+    assert hom.target == matrix_algebra(A.base, math.isqrt(A.rank), check=False)
+    assert env_map_bijective(A), A.label
+
+
+def test_acceptance_grid_certifies():
+    algs = list(_grid_algebras())
+    assert len(algs) == 59
+    for A in algs:
+        _assert_certificate(A)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_tensor_squares_certify(m):
+    M = matrix_algebra(ZMod(m), 2, check=False)
+    _assert_certificate(tensor_product(M, opposite(M)) if m == 4 else tensor_product(M, M))
+
+
+@pytest.mark.parametrize("N", [2**62, 3**39, 2**31 * 3**19, 4 * 9 * 25 * 49])
+def test_certificate_exact_near_int64(N):
+    # Newton lifts and the CRT over moduli whose products leave int64
+    _assert_certificate(matrix_algebra(ZMod(N), 2, check=False))
+
+
+def _twisted(A, T):
+    """A with its coordinates changed by the invertible T over Z/N: the new
+    generator a is sum_i T[i, a] e_i.  Exact over Python ints."""
+    N = A.base.n
+    T = np.asarray(T, dtype=object) % N
+    Tinv = _inverse(T, N)
+    S = np.einsum("ijk,ck->ijc", A.struct.astype(object), Tinv)
+    S = np.einsum("ia,ijc->ajc", T, S)
+    S = np.einsum("jb,ajc->abc", T, S) % N
+    unit = Tinv.dot(A.unit_flat.astype(object)) % N
+    return Algebra(A.base, S.astype(np.int64), unit.astype(np.int64), label=f"twist {A.label}", check=False)
+
+
+def _inverse(T, N):
+    """T^-1 over Z/N by Gauss-Jordan over Python ints; T is invertible mod
+    every prime of N, so each column has a unit pivot."""
+    D = len(T)
+    M = [[int(T[i, j]) for j in range(D)] + [int(i == j) for j in range(D)] for i in range(D)]
+    for c in range(D):
+        r = next(r for r in range(c, D) if math.gcd(M[r][c], N) == 1)
+        M[c], M[r] = M[r], M[c]
+        inv = pow(M[c][c], -1, N)
+        M[c] = [v * inv % N for v in M[c]]
+        for r in range(D):
+            if r != c and M[r][c]:
+                f = M[r][c]
+                M[r] = [(v - f * w) % N for v, w in zip(M[r], M[c])]
+    return np.asarray([row[D:] for row in M], dtype=object)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), pk=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]))
+def test_twisted_matrix_algebras_certify(data, n, pk):
+    p, k = pk
+    N, D = p**k, n * n
+    T = np.asarray(data.draw(st.lists(st.integers(0, N - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
+    assume(rank_mod_p(T, p) == D)
+    A = _twisted(matrix_algebra(ZMod(N), n, check=False), T)
+    A._verify_axioms()
+    _assert_certificate(A)
+
+
+def _diagonal_power(p):
+    """F_p^4, coordinatewise: commutative of square rank."""
+    table = np.zeros((4, 4, 4, 1), dtype=np.int64)
+    for i in range(4):
+        table[i, i, i] = 1
+    R = ZMod(p)
+    return Algebra(R, *structure_tensor(R, table, np.ones((4, 1))), label=f"F_{p}^4")
+
+
+def _truncated_polynomials(p):
+    """F_p[t]/(t^4): local and commutative of square rank."""
+    table = np.zeros((4, 4, 4, 1), dtype=np.int64)
+    for i in range(4):
+        for j in range(4 - i):
+            table[i, j, i + j] = 1
+    R = ZMod(p)
+    return Algebra(R, *structure_tensor(R, table, [[1], [0], [0], [0]]), label=f"F_{p}[t]/t^4")
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3]), make=st.sampled_from([_diagonal_power, _truncated_polynomials]))
+def test_twisted_commutative_rank_4_never_certifies(data, p, make):
+    D = 4
+    T = np.asarray(data.draw(st.lists(st.integers(0, p - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
+    assume(rank_mod_p(T, p) == D)
+    A = _twisted(make(p), T)
+    assert splitting(A) is None
+    assert is_azumaya(A).status == "fail"
+
+
+_FALLBACK_CASES = {
+    "UT_2": lambda: upper_triangular_algebra(ZMod(2), 2),
+    "UT_4": lambda: upper_triangular_algebra(ZMod(2), 4),
+    "split quadratic": _split_quadratic_f2,
+    "F_2^4": lambda: _diagonal_power(2),
+    "M_2(GF(4))": lambda: matrix_algebra(GaloisField.default(2, 2), 2, check=False),
+    "M_2(Z/2 x Z/3)": lambda: matrix_algebra(ProductRing([ZMod(2), ZMod(3)]), 2, check=False),
+    "UT_2(Z/2 x Z/3)": lambda: upper_triangular_algebra(ProductRing([ZMod(2), ZMod(3)]), 2),
+    "M_3(Z/12)": lambda: matrix_algebra(ZMod(12), 3, check=False),
+    "W(3,1,2)": lambda: weyl_quotient(3, 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_FALLBACK_CASES))
+def test_report_equals_forced_env_map_decision(name, monkeypatch):
+    A = _FALLBACK_CASES[name]()
+    got = is_azumaya(A).comparable_dict()
+    monkeypatch.setattr(algebras, "splitting", lambda A: None)
+    assert got == is_azumaya(A).comparable_dict()
+
+
+@pytest.mark.parametrize("name", ["UT_2", "UT_4", "split quadratic", "F_2^4", "M_2(GF(4))", "M_2(Z/2 x Z/3)"])
+def test_misses(name):
+    assert splitting(_FALLBACK_CASES[name]()) is None
+
+
+def test_unhandled_bases_refused_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(algebras, "random_rows", no_draws)
+    for name in ["UT_2", "M_2(GF(4))", "M_2(Z/2 x Z/3)"]:
+        assert splitting(_FALLBACK_CASES[name]()) is None
+    # a prime above the search's cap: every eigenvalue cannot be tried
+    A = matrix_algebra(ZMod(algebras._SPLIT_MAX_P + 3), 2, check=False)  # 67
+    assert splitting(A) is None
+    monkeypatch.undo()
+    assert is_azumaya(A).status == "pass"  # by the enveloping map
+
+
+@pytest.mark.parametrize("name", ["M_3(Z/12)", "W(3,1,2)"])
+def test_certified_pass_skips_the_env_map(name, monkeypatch):
+    def no_env_map(A):
+        raise AssertionError("env map formed")
+
+    monkeypatch.setattr(algebras, "env_map_bijective", no_env_map)
+    assert is_azumaya(_FALLBACK_CASES[name]()).status == "pass"
+
+
+@pytest.mark.parametrize("name", ["M_3(Z/12)", "F_2^4"])
+def test_refuted_certificate_falls_back(name, monkeypatch):
+    # a bijective local matrix that is no hom (the transpose, anti-
+    # multiplicative on matrix algebras) is refuted: only the env map decides
+    def transpose(A, p, k, rng):
+        n = math.isqrt(A.rank)
+        return np.eye(A.dim, dtype=np.int64).reshape(n, n, A.dim).transpose(1, 0, 2).reshape(A.dim, A.dim)
+
+    monkeypatch.setattr(algebras, "_local_splitting", transpose)
+    A = _FALLBACK_CASES[name]()
+    assert splitting(A) is None
+    monkeypatch.undo()
+    want = is_azumaya(A).comparable_dict()
+    monkeypatch.setattr(algebras, "_local_splitting", transpose)
+    assert is_azumaya(A).comparable_dict() == want
+
+
+def test_search_is_deterministic():
+    A = weyl_quotient(5, 2, 1, check=False)
+    assert np.array_equal(splitting(A).matrix, splitting(A).matrix)
+
+
+# ---------------------------------------------------------------------------
+# against the explicit Weyl splitting
+
+
+@pytest.mark.parametrize("p, a, b", WEYL_GRID)
+def test_splitting_agrees_with_weyl_splitting_up_to_inner(p, a, b):
+    """splitting(W) o weyl_splitting^-1 fixes the base, so by Skolem-Noether
+    it is conjugation by a unit u: u X = X' u on the images X, X' of x and
+    of y, which generate W.  The solutions u are one kernel computation."""
+    explicit = weyl_splitting(p, a, b)
+    W, M = explicit.source, explicit.target
+    cert = splitting(W)
+    assert cert.target == M
+    blocks = []
+    for gen in (W.basis_flat(p), W.basis_flat(1)):  # x and y
+        X, X2 = explicit.apply_flat(gen), cert.apply_flat(gen)
+        blocks.append(M.right_mul_matrix(X) - M.left_mul_matrix(X2))  # u -> u X - X' u
+    solutions = kernel_mod(np.concatenate(blocks) % p, p)
+    assert len(solutions) == 1  # the intertwiners are F_p u
+    u = solutions[0]
+    assert is_bijective_additive(M.left_mul_matrix(u), M.moduli, M.moduli)
+    # u f(w) = f'(w) u on every coordinate generator w of W
+    images, images2 = explicit.matrix.T, cert.matrix.T
+    lhs = M.mul_batch(np.tile(u, (W.dim, 1)), images)
+    rhs = M.mul_batch(images2, np.tile(u, (W.dim, 1)))
+    assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("p, a, b", WEYL_GRID)
+def test_unchecked_weyl_equals_checked(p, a, b):
+    W, U = weyl_quotient(p, a, b), weyl_quotient(p, a, b, check=False)
+    assert np.array_equal(W.struct, U.struct)
+    assert np.array_equal(W.unit_flat, U.unit_flat)

@@ -40,7 +40,6 @@ from .homs import (
     AlgebraHom,
     compose,
     conjugation_auto,
-    counterexample_search,
     diagonal_embed,
     endo_auto_check,
     center_preservation_check,

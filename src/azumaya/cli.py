@@ -2,7 +2,7 @@
 
 Subcommands: construct (validate a config and echo canonical forms),
 check <name> (run one configured check), suite <name> (run a builtin theorem
-suite), search counterexample (randomized hunt per config).
+suite).
 
 Reports go to stdout as newline-delimited JSON restricted to the
 deterministic fields, so identical (config, seed) runs are byte-identical;
@@ -26,10 +26,10 @@ from .algebras import (
     is_azumaya,
     square_rank_check,
 )
-from .configio import ConfigError, load_run_config
+from .configio import ConfigError, integer, load_run_config
 from .reports import FAIL, PASS, CheckReport, worst_exit_code
 from .rings import RingError, RingIdeal
-from .suites import SeedRequired, SuiteError, builtin_suites, run_suite
+from .suites import SuiteError, builtin_suites, run_suite
 
 EXIT_INVALID = 2
 
@@ -124,18 +124,29 @@ def cmd_construct(args):
 def _run_check(cfg, desc):
     kind = desc["check"]
     params = desc
+    where = f"checks.{desc['name']}"
 
-    def algebra(key="algebra"):
+    def named(key, objects):
         name = params.get(key)
-        if name not in cfg.algebras:
-            raise ConfigError(f"unknown algebra {name!r}", f"checks.{desc['name']}")
-        return cfg.algebras[name]
+        if not isinstance(name, str) or name not in objects:
+            raise ConfigError(f"unknown {key} {name!r}", where)
+        return objects[name]
 
-    def hom(key="hom"):
-        name = params.get(key)
-        if name not in cfg.homs:
-            raise ConfigError(f"unknown hom {name!r}", f"checks.{desc['name']}")
-        return cfg.homs[name]
+    def algebra():
+        return named("algebra", cfg.algebras)
+
+    def hom():
+        return named("hom", cfg.homs)
+
+    def parameter(key, default):
+        return integer(params.get(key, default), where, key)
+
+    def draws(key, default):
+        # no draws at all would report a pass that tested nothing
+        value = parameter(key, default)
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}", where)
+        return value
 
     if kind == "is_azumaya":
         return is_azumaya(algebra())
@@ -154,13 +165,12 @@ def _run_check(cfg, desc):
         )
     if kind == "ideal_intersection":
         A = algebra()
-        ideals = [RingIdeal(A.base, d) for d in params.get("ideals", [])]
-        if len(ideals) < 2:
-            raise ConfigError("ideal_intersection needs >= 2 ideals", f"checks.{desc['name']}")
-        return ideal_intersection_check(A, ideals)
+        ideals = params.get("ideals", [])
+        if not isinstance(ideals, list) or len(ideals) < 2:
+            raise ConfigError("ideal_intersection needs a list of >= 2 ideals", where)
+        return ideal_intersection_check(A, [RingIdeal(A.base, d) for d in ideals])
     if kind == "center_preservation":
-        rep, _ = homs_mod.center_preservation_check(hom())
-        return rep
+        return homs_mod.center_preservation_check(hom())
     if kind == "rank_comparison":
         return homs_mod.rank_comparison_check(hom())
     if kind == "isomorphism":
@@ -172,30 +182,27 @@ def _run_check(cfg, desc):
         return rep
     if kind == "jordan_obstruction":
         return homs_mod.jordan_obstruction_probe(
-            int(params.get("n", 2)), algebra(), samples=int(params.get("samples", 10**4)), seed=cfg.seed
+            parameter("n", 2), algebra(), samples=draws("samples", 10**4), seed=cfg.seed
         )
     if kind == "al_vanishing":
         return idn.al_vanishing_check(
             algebra(),
-            int(params.get("n", 2)),
+            parameter("n", 2),
             mode=params.get("mode", "exhaustive"),
-            count=int(params.get("count", 2000)),
+            count=draws("count", 2000),
             seed=cfg.seed,
             max_tuples=cfg.max_tuples,
         )
     if kind == "nonvanishing_witness":
         _, rep = idn.nonvanishing_witness(
-            algebra(), int(params.get("k", 2)), budget=int(params.get("budget", 10000)), seed=cfg.seed or 0
+            algebra(), parameter("k", 2), budget=parameter("budget", 10000), seed=cfg.seed or 0
         )
         return rep
     if kind == "identity_transfer":
-        name = params.get("identity")
-        if name not in cfg.identities:
-            raise ConfigError(f"unknown identity {name!r}", f"checks.{desc['name']}")
         return idn.identity_transfer_check(
-            hom(), cfg.identities[name], trials=int(params.get("trials", 100)), seed=cfg.seed or 0
+            hom(), named("identity", cfg.identities), trials=draws("trials", 100), seed=cfg.seed or 0
         )
-    raise ConfigError(f"unknown check kind {kind!r}", f"checks.{desc['name']}")
+    raise ConfigError(f"unknown check kind {kind!r}", where)
 
 
 def cmd_check(args):
@@ -212,6 +219,9 @@ def cmd_check(args):
             rep = CheckReport(
                 check=desc["name"], status="precondition-unmet", details={"reason": str(e)}
             )
+        except idn.IdentityError as e:
+            # an arity out of range for s_k: a malformed check parameter
+            raise ConfigError(str(e), f"checks.{desc['name']}") from e
         rep.check = desc["name"]
         reports.append(rep)
     return _emit(reports, args.json, started)
@@ -224,26 +234,6 @@ def cmd_suite(args):
         kwargs["max_tuples"] = args.max_tuples
     reports = run_suite(args.name, seed=args.seed, **kwargs)
     return _emit(reports, args.json, started)
-
-
-def cmd_search(args):
-    started = time.perf_counter()
-    if args.target != "counterexample":
-        return _invalid(f"unknown search target {args.target!r}; expected 'counterexample'")
-    cfg = _load(args)
-    spec = getattr(cfg, "search", None)
-    if not spec:
-        raise ConfigError("config needs a 'search' section with source/target/budget")
-    if cfg.seed is None:
-        raise ConfigError("counterexample search requires --seed (or a seed in the config)")
-    src = cfg.algebras.get(spec.get("source"))
-    tgt = cfg.algebras.get(spec.get("target"))
-    if src is None or tgt is None:
-        raise ConfigError("search source/target must name configured algebras")
-    budget = int(spec.get("budget", 1000))
-    known = [cfg.homs[n] for n in spec.get("known_homs", []) if n in cfg.homs]
-    rep = homs_mod.counterexample_search(src, tgt, budget=budget, seed=cfg.seed, known_homs=known)
-    return _emit([rep], args.json, started)
 
 
 def build_parser():
@@ -273,11 +263,6 @@ def build_parser():
     add_common(p)
     p.set_defaults(func=cmd_suite)
 
-    p = sub.add_parser("search", help="randomized counterexample search")
-    p.add_argument("target", help="what to search for; only 'counterexample' is supported")
-    add_common(p)
-    p.set_defaults(func=cmd_search)
-
     return parser
 
 
@@ -286,11 +271,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SuiteError, SeedRequired, RingError, AlgebraError) as e:
-        return _invalid(str(e))
-    except homs_mod.PreconditionUnmet as e:
-        return _invalid(str(e))
-    except homs_mod.HomError as e:
+    except (ConfigError, SuiteError, RingError, AlgebraError, homs_mod.HomError) as e:
         return _invalid(str(e))
 
 

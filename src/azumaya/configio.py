@@ -38,6 +38,14 @@ class ConfigError(Exception):
         super().__init__(f"{location}: {message}" if location else message)
 
 
+def integer(value, location, name):
+    """int(value), or a ConfigError at `location` naming the field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}", location) from None
+
+
 def _require(cfg, key, location):
     if not isinstance(cfg, dict):
         raise ConfigError("expected an object", location)
@@ -140,14 +148,14 @@ def make_hom(cfg, algebras, homs=None, location="hom"):
     kind = _require(cfg, "kind", location)
 
     def resolve(name, loc):
-        if name not in algebras:
+        if not isinstance(name, str) or name not in algebras:
             raise ConfigError(f"unknown algebra name {name!r}", loc)
         return algebras[name]
 
     if kind == "compose":
         outer = _require(cfg, "outer", location)
         inner = _require(cfg, "inner", location)
-        if outer not in homs or inner not in homs:
+        if not all(isinstance(h, str) and h in homs for h in (outer, inner)):
             raise ConfigError("compose refers to unknown hom names", location)
         return compose(homs[outer], homs[inner])
 
@@ -157,11 +165,12 @@ def make_hom(cfg, algebras, homs=None, location="hom"):
         if len(u) != source.dim:
             raise ConfigError(f"unit has {len(u)} coordinates, algebra needs {source.dim}", location + ".u")
         # reduced as Python ints: a config integer may not fit in int64
-        return conjugation_auto(source, source.element(u % np.asarray(source.moduli, dtype=object)))
+        u = [integer(x, location + ".u", "a unit coordinate") % m for x, m in zip(u, source.moduli)]
+        return conjugation_auto(source, source.element(u))
     if kind == "reduction":
         return reduction_hom(source, RingIdeal(source.base, _require(cfg, "ideal", location)))
     if kind == "diagonal":
-        k = int(_require(cfg, "k", location))
+        k = integer(_require(cfg, "k", location), location, "k")
         m = math.isqrt(source.rank)
         if m * m != source.rank:
             raise ConfigError("diagonal embedding needs a matrix algebra source", location)
@@ -182,13 +191,13 @@ def make_hom(cfg, algebras, homs=None, location="hom"):
 
 
 def make_identity(cfg, location="identity"):
-    if "standard" in cfg:
-        k = int(cfg["standard"])
+    if isinstance(cfg, dict) and "standard" in cfg:
+        k = integer(cfg["standard"], location, "standard")
         try:
             return standard_identity(k)
         except Exception as e:
             raise ConfigError(str(e), location) from e
-    arity = int(_require(cfg, "arity", location))
+    arity = integer(_require(cfg, "arity", location), location, "arity")
     raw_terms = _require(cfg, "terms", location)
     try:
         terms = [(t["coef"], t["word"]) for t in raw_terms]
@@ -208,8 +217,8 @@ class RunConfig:
         objects = data.get("objects", {})
         self.seed = data.get("seed")
         if self.seed is not None:
-            self.seed = int(self.seed)
-        self.max_tuples = int(data.get("max_tuples", 10**7))
+            self.seed = integer(self.seed, "seed", "seed")
+        self.max_tuples = integer(data.get("max_tuples", 10**7), "max_tuples", "max_tuples")
         self.rings = {}
         for name, cfg in objects.get("rings", {}).items():
             self.rings[name] = make_ring_checked(cfg, f"objects.rings.{name}")
@@ -224,9 +233,6 @@ class RunConfig:
         self.identities = {}
         for name, cfg in objects.get("identities", {}).items():
             self.identities[name] = make_identity(cfg, f"objects.identities.{name}")
-        self.search = data.get("search")
-        if self.search is not None and not isinstance(self.search, dict):
-            raise ConfigError("search must be an object", "search")
         self.checks = []
         raw_checks = data.get("checks", [])
         if not isinstance(raw_checks, list):
@@ -236,6 +242,8 @@ class RunConfig:
             loc = f"checks[{i}]"
             kind = _require(c, "check", loc)
             name = c.get("name", f"{kind}-{i}")
+            if not isinstance(name, str):
+                raise ConfigError(f"check name must be a string, got {name!r}", loc)
             if name in names:
                 raise ConfigError(f"duplicate check name {name!r}", loc)
             names.add(name)
@@ -258,11 +266,9 @@ class RunConfig:
                 raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}", loc)
             return mode == "samples"
         if kind == "jordan_obstruction":
-            algebra = self.algebras.get(check.get("algebra"))
-            try:
-                samples = int(check.get("samples", 10**4))
-            except (TypeError, ValueError) as e:
-                raise ConfigError(str(e), loc) from e
+            name = check.get("algebra")
+            algebra = self.algebras.get(name) if isinstance(name, str) else None
+            samples = integer(check.get("samples", 10**4), loc, "samples")
             return algebra is None or algebra.size > samples
         return False
 

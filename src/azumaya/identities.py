@@ -211,7 +211,8 @@ def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuple
     whenever the scan would meet every tuple or there are no more subsets
     than samples: s_(2n) vanishing on them means it vanishes on every tuple,
     so the scan is skipped and nothing is drawn.  Otherwise, or when a
-    subset gives a nonzero value, the tuples are scanned in order."""
+    subset gives a nonzero value, the tuples are scanned in order; only a
+    sampled scan draws, and only it needs a seed."""
     if mode not in MODES:
         raise IdentityError(f"unknown mode {mode!r}, expected one of {MODES}")
     k = 2 * n
@@ -222,13 +223,13 @@ def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuple
             raise BudgetExceeded(f"{total} tuples exceed the exhaustive budget {max_tuples}")
         tuples = _tuples(A, k)
     else:
-        if seed is None:
-            raise IdentityError("sampled mode requires a seed")
         total = count
         tuples = _tuples(A, k, count, seed)
     if (mode == "exhaustive" or math.comb(A.dim, k) <= count) and _subset_hit(sk, A)[0] is None:
         X, value, tested = None, None, total
     else:
+        if mode == "samples" and seed is None:
+            raise IdentityError("sampled mode requires a seed")
         X, value, tested = first_hit(tuples, _entries(k, A.dim), _nonzero(sk, A))
     details = {"k": k, "mode": mode, "tested": tested}
     if X is None:

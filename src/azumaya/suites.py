@@ -74,16 +74,6 @@ def suite_azumaya_def21(seed=None, **_):
     return reports
 
 
-def _sampled_al(A, n, seed):
-    """s_2n on A in sampled mode with 2000 samples.  Every algebra it is
-    called on has C(dim, 2n) <= 2000, so `al_vanishing_check` decides it on
-    the generator subsets and draws nothing; without a seed it runs on
-    seed 0, and the report records none."""
-    rep = idn.al_vanishing_check(A, n, mode="samples", count=2000, seed=0 if seed is None else seed)
-    rep.seed = seed
-    return rep
-
-
 def suite_al_thm26(seed=None, max_tuples=10**7, **_):
     """Amitsur-Levitzki on small matrix and Weyl algebras.  Every check is
     decided on generator subsets and draws nothing, so no seed is needed;
@@ -106,7 +96,7 @@ def suite_al_thm26(seed=None, max_tuples=10**7, **_):
         A = matrix_algebra(ZMod(m), 2, check=False)
         reports.append(
             _named(
-                _sampled_al(A, 2, seed),
+                idn.al_vanishing_check(A, 2, mode="samples", count=2000, seed=seed),
                 f"s4:M2(Z/{m}):sampled",
             )
         )
@@ -114,7 +104,7 @@ def suite_al_thm26(seed=None, max_tuples=10**7, **_):
         A = matrix_algebra(ZMod(m), 3, check=False)
         reports.append(
             _named(
-                _sampled_al(A, 3, seed),
+                idn.al_vanishing_check(A, 3, mode="samples", count=2000, seed=seed),
                 f"s6:M3(Z/{m}):sampled",
             )
         )
@@ -159,8 +149,7 @@ def suite_matrixcenter_thm31(seed=None, **_):
     for e in _corpus():
         if e.kind in ("weyl_splitting",) or not e.equal_rank_reduced:
             continue
-        rep, _ = homs_mod.center_preservation_check(e.hom)
-        reports.append(_named(rep, f"matrixcenter:{e.name}"))
+        reports.append(_named(homs_mod.center_preservation_check(e.hom), f"matrixcenter:{e.name}"))
     return reports
 
 
@@ -193,8 +182,7 @@ def suite_center_thm41(seed=None, **_):
     for e in _corpus():
         if not e.equal_rank_reduced:
             continue
-        rep, _ = homs_mod.center_preservation_check(e.hom)
-        reports.append(_named(rep, f"center:{e.name}"))
+        reports.append(_named(homs_mod.center_preservation_check(e.hom), f"center:{e.name}"))
     return reports
 
 

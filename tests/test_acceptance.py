@@ -132,7 +132,7 @@ def test_criterion_06_center_preservation_corpus(corpus):
     assert len(eligible) >= 50
     reports = []
     for e in eligible:
-        rep, _ = center_preservation_check(e.hom)
+        rep = center_preservation_check(e.hom)
         reports.append(rep)
         assert rep.status == "pass", e.name
     assert worst_exit_code(reports) == 0

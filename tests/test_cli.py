@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from azumaya.cli import main
 from azumaya.configio import ConfigError, RunConfig, load_run_config, make_algebra, make_hom, make_identity
@@ -394,39 +396,157 @@ def test_cli_suite_runs(capsys):
     assert all(l["status"] == "pass" for l in lines)
 
 
-def test_cli_search_counterexample(tmp_path, capsys):
-    data = {
-        "objects": {
-            "rings": {"F2": {"kind": "zmod", "n": 2}, "R4": {"kind": "zmod", "n": 4}},
-            "algebras": {
-                "src": {"kind": "matrix", "n": 2, "ring": "F2"},
-                "tgt": {"kind": "matrix", "n": 2, "ring": "R4"},
-            },
-        },
-        "search": {"source": "src", "target": "tgt", "budget": 20},
-    }
-    path = write_config(tmp_path, data)
-    code = main(["search", "counterexample", "--config", path, "--seed", "3"])
-    out = capsys.readouterr()
-    assert code == 0
-    rep = json.loads(out.out.strip())
-    assert rep["status"] == "not-found"
-    assert rep["seed"] == 3
+def test_cli_search_subcommand_is_gone(capsys):
+    # the randomized counterexample search is deleted (see azumaya.homs)
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "counterexample", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'search'" in capsys.readouterr().err
 
 
-def test_cli_search_reduced_target_rejected(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "check",
+    [
+        {"check": "al_vanishing", "algebra": "M2_4", "n": "two"},
+        # s_18: above identities.MAX_ARITY
+        {"check": "al_vanishing", "algebra": "M2_4", "n": 9},
+        {"check": "nonvanishing_witness", "algebra": "M2_4", "k": 12},
+        {"check": "identity_transfer", "hom": "red", "identity": "s2", "trials": "x"},
+        # no samples: s_2 does not vanish on M_2(Z/4), yet nothing would be tested
+        {"check": "al_vanishing", "algebra": "M2_4", "n": 1, "mode": "samples", "count": 0},
+        {"check": "jordan_obstruction", "algebra": "M2_4", "n": 3, "samples": -5},
+        {"check": "identity_transfer", "hom": "red", "identity": "s2", "trials": 0},
+    ],
+)
+def test_cli_malformed_check_parameter_exits_2(tmp_path, capsys, check):
+    data = dict(BASIC, checks=[dict(check, name="bad")])
+    assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checks.bad: ") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every config either runs or is refused
+
+
+def _junk():
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=3),
+        st.floats(-3, 3),
+        st.lists(st.integers(0, 3), max_size=2),
+    )
+
+
+def _param(valid, bad=(), wrong_in=30):
+    """A value from `valid`, or about once in `wrong_in` draws junk or one
+    of `bad`: out-of-range values that must be refused before anything of
+    their size is built."""
+    wrong = st.one_of(st.sampled_from(bad), _junk()) if bad else _junk()
+    return st.integers(1, wrong_in).flatmap(lambda i: wrong if i == 1 else valid)
+
+
+def _check_param(valid, bad=()):
+    # malformed more often than an object field: each check reads several
+    return _param(valid, bad, wrong_in=4)
+
+
+# per check kind, the parameters it reads besides its algebra and hom
+_CHECK_PARAMS = {
+    "is_azumaya": {},
+    "square_rank": {},
+    "env_bijective": {"expected": _check_param(st.booleans())},
+    "ideal_intersection": {"ideals": _check_param(st.lists(_check_param(st.integers(0, 12)), min_size=2, max_size=3))},
+    "center_preservation": {},
+    "rank_comparison": {},
+    "isomorphism": {},
+    "endo_auto": {},
+    "kernel_ideal": {},
+    "jordan_obstruction": {"n": _check_param(st.integers(1, 4)), "samples": _check_param(st.integers(1, 12), bad=(-1, 0))},
+    "al_vanishing": {
+        "n": _check_param(st.integers(1, 2), bad=(-1, 0, 9)),
+        "mode": _check_param(st.sampled_from(["exhaustive", "samples"]), bad=("sampels",)),
+        "count": _check_param(st.integers(1, 12), bad=(-1, 0)),
+    },
+    "nonvanishing_witness": {
+        "k": _check_param(st.integers(1, 4), bad=(-1, 0, 12)),
+        "budget": _check_param(st.integers(1, 12)),
+    },
+    "identity_transfer": {"identity": _param(st.just("s"), bad=("nope",)), "trials": _check_param(st.integers(1, 12))},
+}
+
+
+@st.composite
+def _fuzz_check(draw):
+    kind = draw(st.sampled_from(sorted(_CHECK_PARAMS)))
+    check = {
+        "check": draw(_param(st.just(kind), bad=("no_such_check",))),
+        "algebra": draw(_param(st.sampled_from(["A", "B"]), bad=("nope",))),
+        "hom": draw(_param(st.just("h"), bad=("nope",))),
+    }
+    for key, value in _CHECK_PARAMS[kind].items():
+        if draw(st.booleans()):
+            check[key] = draw(value)
+    if draw(st.booleans()):
+        check["name"] = draw(_param(st.text("abcdefgh", min_size=3, max_size=3)))
+    return check
+
+
+@st.composite
+def _fuzz_config(draw):
+    """M_n over Z/m, one more algebra, a hom out of M_n and s_k, for
+    m <= 12, n <= 2 and k <= 4, with 1 to 3 checks; any field may be
+    malformed."""
+    m = draw(_param(st.integers(2, 12), bad=(-1, 0, 1)))
+    n = draw(_param(st.integers(1, 2), bad=(-1, 0)))
+    # the zero ideal or a proper one: a unit ideal is refused
+    divisors = [d for d in range(2, m) if m % d == 0] if isinstance(m, int) else []
+    ideal = draw(_param(st.sampled_from([0, *divisors]), bad=(-1,)))
+    unit = draw(_param(st.just([[1, 1], [0, 1]] if n == 2 else [[1]])))
+    hom = draw(
+        st.sampled_from(
+            [
+                {"kind": "reduction", "source": "A", "ideal": ideal},
+                {"kind": "conjugation", "source": "A", "u": unit},
+            ]
+        )
+    )
+    other = draw(
+        st.sampled_from(
+            [
+                {"kind": "upper_triangular", "n": 2, "ring": "R"},
+                {"kind": "weyl", "p": 2, "a": 1, "b": 0},
+                {"kind": "matrix", "n": 1, "ring": "R"},
+            ]
+        )
+    )
     data = {
         "objects": {
-            "rings": {"F2": {"kind": "zmod", "n": 2}, "R6": {"kind": "zmod", "n": 6}},
-            "algebras": {
-                "src": {"kind": "matrix", "n": 2, "ring": "F2"},
-                "tgt": {"kind": "matrix", "n": 2, "ring": "R6"},
-            },
+            "rings": {"R": {"kind": "zmod", "n": m}},
+            "algebras": {"A": {"kind": "matrix", "n": n, "ring": "R"}, "B": other},
+            "homs": {"h": hom},
+            "identities": {"s": {"standard": draw(_param(st.integers(1, 4), bad=(-1, 0, 12)))}},
         },
-        "search": {"source": "src", "target": "tgt", "budget": 5},
+        "checks": draw(st.lists(_fuzz_check(), min_size=1, max_size=3)),
     }
-    path = write_config(tmp_path, data)
-    assert main(["search", "counterexample", "--config", path, "--seed", "3"]) == 2
+    for i, check in enumerate(data["checks"]):
+        if isinstance(check.get("name"), str):
+            check["name"] += str(i)  # a duplicate name is refused
+    if draw(st.booleans()):
+        data["seed"] = draw(_param(st.integers(0, 100)))
+    if draw(st.booleans()):
+        data["max_tuples"] = draw(_param(st.integers(1, 10**5), bad=(-1, 0)))
+    return data
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_fuzz_config())
+def test_fuzz_config_runs_or_is_refused(tmp_path, data):
+    # Z/n with n <= 12, M_n with n <= 2 and s_k with k <= 4 when valid; a
+    # check either runs to a verdict (0, 1 or 3) or is refused (2), never raises
+    code = main(["check", "all", "--config", write_config(tmp_path, data)])
+    assert code in (0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -182,9 +182,19 @@ def test_al_weyl_exhaustive():
 
 
 def test_al_sampled_requires_seed():
+    # s_2 on M_2(Z/4) fails on a generator pair, and s_4 on M_3(F_2) has
+    # C(9, 4) = 126 > 10 generator subsets: either way the check must draw
+    for A, n in [(matrix_algebra(ZMod(4), 2), 1), (matrix_algebra(ZMod(2), 3), 2)]:
+        with pytest.raises(IdentityError, match="requires a seed"):
+            al_vanishing_check(A, n, mode="samples", count=10)
+
+
+def test_al_sampled_without_seed_decided_on_subsets():
+    # C(4, 4) = 1 <= 10 subsets, on which s_4 vanishes: nothing is drawn
     A = matrix_algebra(ZMod(4), 2)
-    with pytest.raises(IdentityError):
-        al_vanishing_check(A, 2, mode="samples", count=10)
+    rep = al_vanishing_check(A, 2, mode="samples", count=10)
+    assert rep.status == "pass" and rep.seed is None
+    assert rep.details == {"k": 4, "mode": "samples", "tested": 10}
 
 
 @pytest.mark.parametrize("seed", [None, 1])

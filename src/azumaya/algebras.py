@@ -323,11 +323,16 @@ def random_rows(rng, radices, T):
     return np.fromiter(draws, dtype=np.int64, count=T * len(radices)).reshape(T, len(radices))
 
 
+# array entries a search may hold at once: a batch of candidates, or the
+# stored tables a search is seeded from
+SEARCH_ENTRIES = 1 << 20
+
+
 def search_rows(entries):
     """Rows per batch of a first-hit search whose candidates each hold
     `entries` array entries while evaluated: at most 1024, and the batch
-    stays below 2^20 entries."""
-    return max(1, min(1024, (1 << 20) // entries))
+    stays below SEARCH_ENTRIES."""
+    return max(1, min(1024, SEARCH_ENTRIES // entries))
 
 
 def candidate_batches(radices, rows, count=None, seed=None):

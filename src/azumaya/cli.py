@@ -26,7 +26,7 @@ from .algebras import (
     is_azumaya,
     square_rank_check,
 )
-from .configio import ConfigError, integer, load_run_config
+from .configio import MAX_DRAWS, ConfigError, integer, load_run_config
 from .reports import FAIL, PASS, CheckReport, worst_exit_code
 from .rings import RingError, RingIdeal
 from .suites import SuiteError, builtin_suites, run_suite
@@ -144,8 +144,8 @@ def _run_check(cfg, desc):
     def draws(key, default):
         # no draws at all would report a pass that tested nothing
         value = parameter(key, default)
-        if value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value}", where)
+        if not 1 <= value <= MAX_DRAWS:
+            raise ConfigError(f"{key} must be between 1 and {MAX_DRAWS}, got {value}", where)
         return value
 
     if kind == "is_azumaya":

@@ -31,6 +31,11 @@ from .rings import RingError, RingIdeal, make_ring
 # each D^4 associativity array.  2^26 int64 entries are 512 MiB.
 MAX_DENSE_ENTRIES = 2**26
 
+# Cap on the draws a configured check may ask for (`samples`, `count`,
+# `trials`).  A draw costs microseconds to about a millisecond (an s_8 tuple
+# of M_4), so a check within the cap ends in minutes, not hours.
+MAX_DRAWS = 10**5
+
 
 class ConfigError(Exception):
     def __init__(self, message, location=""):

@@ -378,10 +378,13 @@ def jordan_obstruction_probe(n, Aprime, samples=10000, seed=0):
 
     A nilpotent of M_{n'} over a field has index <= n', so any index above
     n' (n among them, when n' < n) is reported with the first candidate
-    that shows it."""
+    that shows it.  Over a ring that is not a field the bound fails (in
+    M_2(Z/12), [[6, 10], [3, 6]] has index 4), so such a base is refused."""
     nprime = math.isqrt(Aprime.rank)
     if nprime * nprime != Aprime.rank:
         raise PreconditionUnmet("probe target must be a full matrix algebra")
+    if not Aprime.base.is_field:
+        raise PreconditionUnmet("probe target must be a matrix algebra over a field (Lemma 3.2)")
     if n <= 1:
         return CheckReport(check="jordan_obstruction", status=PASS, details={"vacuous": True})
     exhaustive = Aprime.size <= samples

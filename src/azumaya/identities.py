@@ -14,9 +14,19 @@ s_k is Z-multilinear and alternating, and the coordinate generators span A,
 so s_k vanishes on A iff it vanishes on every k-subset of them.  The
 witness search walks only those subsets, and `al_vanishing_check` decides a
 pass on them before any tuple scan: exhaustively always, and in sampled
-mode when there are no more subsets than samples.  Only when some subset
-gives a nonzero value does it scan the tuples, to report the first failing
-tuple in scan order.
+mode when there are no more subsets than samples or the subset tables
+below fit.  Only when some subset gives a nonzero value does it scan the
+tuples, to report the first failing tuple in scan order.
+
+The subsets share their sub-subsets: s_S = sum over i in S of
++-e_i * s_(S minus i).  So the values on all m-subsets of the generators,
+for m = 1, 2, ..., follow size by size, each row a signed sum of products
+e_i * y read off the nonzeros of struct[i].  They are stored while two
+adjacent sizes fit the search's entry budget (`algebras.SEARCH_ENTRIES`),
+and the k-subsets are walked in first-hit batches and evaluated from the
+deepest stored size: in one step when that is k - 1, by the subset DP from
+there otherwise.  For s_8 on M_4(F_2) the sizes up to 7 fit, so each of
+its 12,870 subsets takes one step from the stored 7-subsets.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .algebras import AlgElem, candidate_batches, first_hit, product_rows
+from .algebras import SEARCH_ENTRIES, AlgElem, candidate_batches, first_hit, product_rows, search_rows
 from .reports import FAIL, NOT_FOUND, PASS, CheckReport
 
 MAX_ARITY = 8
@@ -169,10 +179,12 @@ def _tuples(A, k, count=None, seed=None):
     )
 
 
-def _entries(k, D):
-    """Entries per k-tuple while s_k is evaluated, for the batch rule: the
-    subset table of _standard_batch holds under 2^k rows of D entries."""
-    return (1 << k) * D
+def _entries(k, D, depth=1):
+    """Entries per k-tuple while s_k is evaluated from its values on the
+    depth-subsets of the tuple, for the batch rule: the subset DP holds the
+    values on two adjacent sizes m - 1 and m, C(k + 1, m) rows of D entries,
+    for the m above `depth` (one row for s_1)."""
+    return D * max([math.comb(k + 1, m) for m in range(depth + 1, k + 1)], default=1)
 
 
 def _nonzero(identity, A):
@@ -186,19 +198,178 @@ def _nonzero(identity, A):
     return evaluate
 
 
+# -- s_k on the k-subsets of the coordinate generators
+
+
+def _binomials(D, m):
+    """C(a, j) at [j, a], for j <= m and a < D."""
+    return np.asarray([[math.comb(a, j) for a in range(D)] for j in range(m + 1)], dtype=np.int64)
+
+
+def _drop_ranks(D, G):
+    """For each row of G, an increasing m-subset of range(D), and each
+    r < m: the position of the row without G[:, r] among the (m-1)-subsets
+    of range(D) in itertools.combinations order.  A subset (s_0, ..., s_j)
+    sits at C(D, j + 1) - 1 minus the sum of C(D - 1 - s_i, j + 1 - i); here
+    the entries before G[:, r] keep their place in it and those after move
+    up one."""
+    m = G.shape[1]
+    binom = _binomials(D, m)
+    before = binom[np.arange(m - 1, -1, -1), D - 1 - G]
+    after = binom[np.arange(m, 0, -1), D - 1 - G]
+    ahead = np.cumsum(before, axis=1) - before
+    behind = after.sum(axis=1, keepdims=True) - np.cumsum(after, axis=1)
+    return math.comb(D, m - 1) - 1 - ahead - behind
+
+
+def _positions(k, m):
+    """The m-subsets of range(k) in combinations order, and their
+    `_drop_ranks`."""
+    P = next(_subsets(k, m, math.comb(k, m)))
+    return P, _drop_ranks(k, P)
+
+
+def _subsets(D, m, rows, budget=None):
+    """The m-subsets of range(D) in itertools.combinations order, at most
+    `budget` of them, as (T, m) arrays of at most `rows` rows.  The subset
+    at position i has entries D - 1 - c_m < ... < D - 1 - c_1, where
+    c_m > ... > c_1 write C(D, m) - 1 - i as the sum of C(c_j, j): each c_j
+    is the largest c with C(c, j) at most what is left."""
+    count = math.comb(D, m)
+    stop = count if budget is None else min(budget, count)
+    binom = _binomials(D, m)
+    for lo in range(0, stop, rows):
+        left = count - 1 - np.arange(lo, min(lo + rows, stop))
+        S = np.empty((len(left), m), dtype=np.int64)
+        for j in range(m, 0, -1):
+            c = np.searchsorted(binom[j], left, side="right") - 1
+            left -= binom[j, c]
+            S[:, m - j] = D - 1 - c
+        yield S
+
+
+def _within(keys):
+    """Each entry's index among the equal entries of `keys`, in order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    index = np.empty_like(keys)
+    index[order] = np.arange(len(keys)) - np.repeat(first, np.diff(first, append=len(keys)))
+    return index
+
+
+def _by_generator(A):
+    """The nonzeros of each struct[g], from `_sparse_struct`, laid out so
+    that e_g * y for a g per row is one gather and one scatter per layer: a
+    list of layers, each three (D, width) arrays of columns J, output
+    coordinates K and coefficients C, layer l holding g's l-th nonzero
+    towards each of its output coordinates, padded with zero coefficients
+    towards the spare coordinate D."""
+    I, J, C, outs, starts, _ = A._sparse_struct
+    K = np.repeat(outs, np.diff(starts, append=len(C)))
+    D = A.dim
+    layer = _within(I * D + K)
+    slot = _within(I * D + layer)
+    shape = (int(layer.max(initial=-1)) + 1, D, int(slot.max(initial=-1)) + 1)
+    Jp, Kp, Cp = np.zeros(shape, np.int64), np.full(shape, D), np.zeros(shape, np.int64)
+    Jp[layer, I, slot], Kp[layer, I, slot], Cp[layer, I, slot] = J, K, C
+    return list(zip(Jp, Kp, Cp))
+
+
+def _step(A, gens, G, sub, below):
+    """Values on a batch of m-subsets of the generators from the values
+    `below` on (m-1)-subsets: row t is the sum over r of
+    (-1)^r e_(G[t, r]) * below[sub[t, r]], where G[t] lists the subset in
+    increasing order and sub[t, r] is the row of `below` that holds it
+    without G[t, r].  Each product e_g * y is formed from the nonzeros of
+    struct[g], reading only the coordinates of y they use: one gather and
+    one scatter per position and layer.  An output coordinate sums m times
+    `layers` products of two residues."""
+    T, m = G.shape
+    D = A.dim
+    dtype = linalg._dtype(A._N, m * len(gens), 2)
+    below, out = below.ravel(), np.zeros(T * (D + 1), dtype=dtype)
+    rows = np.arange(T)[:, None] * (D + 1)
+    for r in range(m):
+        g, y = G[:, r], sub[:, r, None] * D
+        for J, K, C in gens:
+            terms = np.asarray(below[y + J[g]], dtype=dtype) * C[g]
+            if r % 2:
+                out[rows + K[g]] -= terms
+            else:
+                out[rows + K[g]] += terms
+    out = out.reshape(T, D + 1)[:, :D] % A._moduli_arr
+    return out.astype(np.int64, copy=False)
+
+
+def _from_level(A, gens, S, level, depth):
+    """s_k on the rows of S, increasing k-subsets of the coordinate
+    generators: the subset DP over each row's k positions, seeded with
+    `level`, the stored values on every depth-subset of the generators in
+    combinations order.  The DP's rows are the (row, position subset) pairs,
+    row-major, and its first step reads `level` by generator ranks."""
+    T, k = S.shape
+    values = level
+    for m in range(depth + 1, k + 1):
+        P, drop = _positions(k, m)
+        G = S[:, P].reshape(-1, m)
+        if m == depth + 1:
+            sub = _drop_ranks(A.dim, G)
+        else:
+            sub = (np.arange(T)[:, None, None] * math.comb(k, m - 1) + drop).reshape(-1, m)
+        values = _step(A, gens, G, sub, values)
+    return values
+
+
+def _depth(D, k):
+    """The deepest size below k whose values on every subset of the D
+    generators are stored: building size m holds the values on the sizes
+    m - 1 and m, within the search's entry budget."""
+    d = 0
+    while d + 1 < k and (math.comb(D, d) + math.comb(D, d + 1)) * D <= SEARCH_ENTRIES:
+        d += 1
+    return d
+
+
+def _level(A, gens, depth):
+    """s_depth on every depth-subset of the coordinate generators, in
+    combinations order: size 0 is the unit (the empty product), and each
+    larger size is one `_from_level` step from the size below, in batches."""
+    D = A.dim
+    level = A.unit_flat[None, :]
+    for m in range(1, depth + 1):
+        bigger = np.empty((math.comb(D, m), D), dtype=np.min_scalar_type(A._N - 1))
+        lo = 0
+        for S in _subsets(D, m, search_rows(_entries(m, D, m - 1))):
+            bigger[lo : lo + len(S)] = _from_level(A, gens, S, level, m - 1)
+            lo += len(S)
+        level = bigger
+    return level
+
+
 def _subset_hit(sk, A, budget=None):
     """`first_hit` over the k-subsets of the coordinate generators, in
     itertools.combinations order, at most `budget` of them: the first
-    subset on which s_k is nonzero, its value and its position."""
-    k = sk.arity
-    basis = np.eye(A.dim, dtype=np.int64)  # the flat coordinate generators
+    subset on which s_k is nonzero (as its k generator rows), its value and
+    its position.
 
-    def subsets(rows):
-        walk = itertools.islice(itertools.combinations(range(A.dim), k), budget)
-        while batch := list(itertools.islice(walk, rows)):
-            yield basis[np.asarray(batch, dtype=np.intp)]
+    The values on all subsets of the sizes up to `_depth` are built once,
+    and each batch of k-subsets is evaluated from the deepest of them:
+    in one step when every size below k fits, and otherwise by the subset
+    DP from there, which from size 1 is one DP per subset."""
+    k, D = sk.arity, A.dim
+    depth = _depth(D, k)
+    gens = _by_generator(A)
+    level = _level(A, gens, depth)
 
-    return first_hit(subsets, _entries(k, A.dim), _nonzero(sk, A))
+    def evaluate(S):
+        values = _from_level(A, gens, S, level, depth)
+        return values, values.any(axis=1)
+
+    S, value, position = first_hit(
+        lambda rows: _subsets(D, k, rows, budget), _entries(k, D, depth), evaluate
+    )
+    return (None if S is None else np.eye(D, dtype=np.int64)[S]), value, position
 
 
 def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuples=10**7):
@@ -208,9 +379,10 @@ def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuple
     including a witness, or all of them on a pass.
 
     A pass is decided on the 2n-subsets of the coordinate generators
-    whenever the scan would meet every tuple or there are no more subsets
-    than samples: s_(2n) vanishing on them means it vanishes on every tuple,
-    so the scan is skipped and nothing is drawn.  Otherwise, or when a
+    whenever the scan would meet every tuple, there are no more subsets
+    than samples, or the tables of all smaller subsets fit (`_depth`):
+    s_(2n) vanishing on them means it vanishes on every tuple, so the scan
+    is skipped and nothing is drawn.  Otherwise, or when a
     subset gives a nonzero value, the tuples are scanned in order; only a
     sampled scan draws, and only it needs a seed."""
     if mode not in MODES:
@@ -225,7 +397,8 @@ def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuple
     else:
         total = count
         tuples = _tuples(A, k, count, seed)
-    if (mode == "exhaustive" or math.comb(A.dim, k) <= count) and _subset_hit(sk, A)[0] is None:
+    on_subsets = mode == "exhaustive" or math.comb(A.dim, k) <= count or _depth(A.dim, k) == k - 1
+    if on_subsets and _subset_hit(sk, A)[0] is None:
         X, value, tested = None, None, total
     else:
         if mode == "samples" and seed is None:

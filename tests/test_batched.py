@@ -24,6 +24,7 @@ from azumaya.algebras import (
 from azumaya.homs import (
     VERIFIED,
     AlgebraHom,
+    PreconditionUnmet,
     diagonal_embed,
     jordan_obstruction_probe,
     reduction_hom,
@@ -185,21 +186,35 @@ _JORDAN_CASES = [
 ]
 
 
+def _lift_field_precondition(A, monkeypatch):
+    """Lemma 3.2 needs a field, so the probe refuses Z/9 and Z/4, where the
+    index bound fails; the search itself is still compared there, with the
+    refusal lifted."""
+    if not A.base.is_field:
+        with pytest.raises(PreconditionUnmet, match="over a field"):
+            jordan_obstruction_probe(3, A)
+        monkeypatch.setattr(ZMod, "is_field", property(lambda self: True))
+
+
 @pytest.mark.parametrize("n,make,samples,seed", _JORDAN_CASES)
 @pytest.mark.parametrize("chunk", [1, 7, 1024])
 def test_jordan_probe_matches_loop(n, make, samples, seed, chunk, monkeypatch):
     monkeypatch.setattr(algebras, "search_rows", lambda entries: chunk)
     A = make()
+    _lift_field_precondition(A, monkeypatch)
     got = jordan_obstruction_probe(n, A, samples=samples, seed=seed)
     want = jordan_obstruction_probe_loop(n, A, samples=samples, seed=seed)
     assert got.comparable_dict() == want.comparable_dict()
 
 
-def test_jordan_probe_fail_cases_fail():
-    statuses = [
-        jordan_obstruction_probe(n, make(), samples=samples, seed=seed).status
-        for n, make, samples, seed in _JORDAN_CASES
-    ]
+def test_jordan_probe_fail_cases_fail(monkeypatch):
+    # the comparisons above meet the failing path: over Z/9 and Z/4 the
+    # search finds an index above n'
+    statuses = []
+    for n, make, samples, seed in _JORDAN_CASES:
+        A = make()
+        _lift_field_precondition(A, monkeypatch)
+        statuses.append(jordan_obstruction_probe(n, A, samples=samples, seed=seed).status)
     assert statuses == ["pass", "pass", "fail", "fail", "fail"]
 
 
@@ -331,6 +346,114 @@ def test_witness_not_found_walks_every_subset_within_budget(make, k, budget, tri
 def test_s6_witness_on_m4f2_after_568_subsets():
     _, rep = nonvanishing_witness(matrix_algebra(ZMod(2), 4, check=False), 6)
     assert rep.details == {"k": 6, "tried": 568, "phase": "basis"}
+
+
+# ---------------------------------------------------------------------------
+# s_k on the generator k-subsets: the level tables against one DP per subset
+
+
+_MATRIX_GRID = [(n, m) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
+_WEYL_GRID = [(p, a, b) for p in (2, 3, 5) for a in range(p) for b in range(p)]
+_SUBSET_ALGEBRAS = {
+    **{f"M{n}(Z/{m})": functools.partial(matrix_algebra, ZMod(m), n, check=False) for n, m in _MATRIX_GRID},
+    **{f"W({p},{a},{b})": functools.partial(weyl_quotient, p, a, b, check=False) for p, a, b in _WEYL_GRID},
+    "M2(GF(4))": lambda: matrix_algebra(_gf4(), 2),
+    "M2(Z/2 x Z/3)": lambda: matrix_algebra(_z2z3(), 2),
+    # products of two residues pass 2^63: the Python-int path
+    "M2(Z/3000000021)": lambda: matrix_algebra(ZMod(3000000021), 2, check=False),
+}
+
+
+def _generator_subsets(D, k):
+    return np.asarray(list(itertools.combinations(range(D), k)), dtype=np.int64).reshape(-1, k)
+
+
+def _subset_values(A, k, depth):
+    """s_k on every k-subset of A's generators, from the stored values on
+    the depth-subsets."""
+    gens = identities._by_generator(A)
+    return identities._from_level(A, gens, _generator_subsets(A.dim, k), identities._level(A, gens, depth), depth)
+
+
+@pytest.mark.parametrize("name", sorted(_SUBSET_ALGEBRAS))
+def test_level_tables_match_standard_batch_on_every_subset(name):
+    A = _SUBSET_ALGEBRAS[name]()
+    for k in range(1, min(A.dim, identities.MAX_ARITY) + 1):
+        if math.comb(A.dim, k) > 3000:
+            break
+        want = identities._standard_batch(A, np.eye(A.dim, dtype=np.int64)[_generator_subsets(A.dim, k)])
+        # from the stored tables (k - 1, or the unit for s_1), from halfway
+        # and from the generators, where the DP runs per subset
+        for depth in sorted({k - 1, k // 2, min(1, k - 1)}):
+            got = _subset_values(A, k, depth)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (k, depth)
+
+
+def _walk_per_subset(A, k, budget=None):
+    """The first nonzero k-subset by one `_standard_batch` DP per subset."""
+    basis = np.eye(A.dim, dtype=np.int64)
+
+    def subsets(rows):
+        walk = itertools.islice(itertools.combinations(range(A.dim), k), budget)
+        while batch := list(itertools.islice(walk, rows)):
+            yield basis[np.asarray(batch, dtype=np.intp)]
+
+    return algebras.first_hit(subsets, (1 << k) * A.dim, identities._nonzero(standard_identity(k), A))
+
+
+def test_s6_on_m4f2_level_tables_match_per_subset_walk():
+    A = matrix_algebra(ZMod(2), 4, check=False)
+    assert identities._depth(A.dim, 6) == 5
+    got = _subset_values(A, 6, 5)
+    want = identities._standard_batch(A, np.eye(A.dim, dtype=np.int64)[_generator_subsets(A.dim, 6)])
+    assert np.array_equal(got, want)
+    assert (len(want), int(want.any(axis=1).sum())) == (8008, 888)
+    X, value, position = identities._subset_hit(standard_identity(6), A)
+    X_want, value_want, position_want = _walk_per_subset(A, 6)
+    assert position == position_want == 568
+    assert np.array_equal(X, X_want) and np.array_equal(value, value_want)
+
+
+def test_s6_on_m5f2_from_a_partial_level_matches_per_subset_walk():
+    # C(25, 5) * 25 entries do not fit the search budget: the DP runs from
+    # the stored 4-subsets
+    A = matrix_algebra(ZMod(2), 5, check=False)
+    assert identities._depth(A.dim, 6) == 4
+    got = identities._subset_hit(standard_identity(6), A, budget=3000)
+    want = _walk_per_subset(A, 6, budget=3000)
+    assert got[2] == want[2] and np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("D,m", [(1, 1), (4, 2), (9, 4), (16, 8), (25, 3)])
+@pytest.mark.parametrize("rows,budget", [(1, 300), (7, None), (1024, None), (7, 20), (1024, 0)])
+def test_subset_batches_in_combinations_order(D, m, rows, budget):
+    batches = list(identities._subsets(D, m, rows, budget))
+    want = list(itertools.islice(itertools.combinations(range(D), m), budget))
+    assert all(0 < len(S) <= rows for S in batches)
+    assert [tuple(row) for S in batches for row in S.tolist()] == want
+
+
+@pytest.mark.parametrize("seed", [1, 42, 2024])
+def test_sampled_s8_on_m4f2_decided_on_subsets_draws_nothing(seed, monkeypatch):
+    A = matrix_algebra(ZMod(2), 4, check=False)
+    drawn = []
+    random_rows = algebras.random_rows
+
+    def counting(rng, radices, T):
+        drawn.append(T)
+        return random_rows(rng, radices, T)
+
+    monkeypatch.setattr(algebras, "random_rows", counting)
+    # the scan the subsets replace: without stored tables, C(16, 8) = 12,870
+    # subsets exceed the 200 samples, and the seeded tuples are scanned
+    with monkeypatch.context() as scan:
+        scan.setattr(identities, "_depth", lambda D, k: 1)
+        want = al_vanishing_check(A, 4, mode="samples", count=200, seed=seed).comparable_dict()
+    assert sum(drawn) == 200
+    drawn.clear()
+    assert identities._depth(A.dim, 8) == 7
+    assert al_vanishing_check(A, 4, mode="samples", count=200, seed=seed).comparable_dict() == want
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------

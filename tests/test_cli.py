@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from azumaya.cli import main
-from azumaya.configio import ConfigError, RunConfig, load_run_config, make_algebra, make_hom, make_identity
+from azumaya.configio import MAX_DRAWS, ConfigError, RunConfig, load_run_config, make_algebra, make_hom, make_identity
 from azumaya.suites import builtin_suites, run_suite
 from azumaya.reports import CheckReport, worst_exit_code
 
@@ -423,6 +423,26 @@ def test_cli_malformed_check_parameter_exits_2(tmp_path, capsys, check):
     assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: checks.bad: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        {"check": "al_vanishing", "algebra": "M2_4", "n": 1, "mode": "samples"},
+        {"check": "jordan_obstruction", "algebra": "M2_F2", "n": 3},
+        {"check": "identity_transfer", "hom": "red", "identity": "s2"},
+    ],
+)
+def test_cli_draws_above_cap_exit_2(tmp_path, capsys, check):
+    # refused before anything is drawn: at 10 us a trial, 10^9 trials would
+    # run for about 3 hours
+    key = {"al_vanishing": "count", "jordan_obstruction": "samples", "identity_transfer": "trials"}
+    data = dict(BASIC, checks=[dict(check, name="big", **{key[check["check"]]: MAX_DRAWS + 1})])
+    started = time.perf_counter()
+    assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
+    assert time.perf_counter() - started < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: checks.big: ") and f"between 1 and {MAX_DRAWS}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya.algebras import Algebra, matrix_algebra, weyl_quotient
+from azumaya.algebras import Algebra, matrix_algebra, nilpotency_index, weyl_quotient
 from azumaya.corpus import build_corpus
 from azumaya.homs import (
     ComposabilityMismatch,
@@ -285,6 +285,15 @@ def test_jordan_probe_no_index3_in_m2():
     rep = jordan_obstruction_probe(3, A, samples=10**4, seed=1)
     assert rep.status == "pass"
     assert rep.details["exhaustive"]
+
+
+def test_jordan_probe_refuses_non_field_base():
+    # Lemma 3.2 bounds nilpotency indices over a field only: M_2(Z/12) holds
+    # [[6, 10], [3, 6]] of index 4, which contradicts nothing there
+    A = matrix_algebra(ZMod(12), 2)
+    with pytest.raises(PreconditionUnmet, match="over a field"):
+        jordan_obstruction_probe(3, A, samples=2000, seed=1)
+    assert nilpotency_index(A.element([6, 10, 3, 6]), cap=8) == 4
 
 
 def test_jordan_probe_vacuous():

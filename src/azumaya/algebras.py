@@ -318,9 +318,112 @@ def product_rows(start, stop, radices):
 
 def random_rows(rng, radices, T):
     """(T, len(radices)) int64 array of draws rng.randrange(r), row by row,
-    in the order a loop drawing one row at a time would make them."""
-    draws = (rng.randrange(r) for _ in range(T) for r in radices)
-    return np.fromiter(draws, dtype=np.int64, count=T * len(radices)).reshape(T, len(radices))
+    in the order a loop drawing one row at a time would make them, leaving
+    the `random.Random` rng in the state that loop leaves it in.  Every
+    radix lies in [1, 2^63).
+
+    The draws are replayed from the generator's 32-bit words, taken in bulk.
+    randrange(r) takes k = r.bit_length() bits: the top k bits of one word
+    when k <= 32, else ceil(k/32) words, least significant first, with the
+    last one shifted right to its remaining bits; it rejects while the
+    value is >= r and tries again.  getrandbits(32 W) hands out W words
+    least significant first too, so its little-endian bytes are the words
+    in the order the loop takes them.  Each round takes one attempt's words
+    for every draw still missing.  Each missing draw needs at least one
+    attempt, and an attempt gives at most one draw, so a round never takes
+    a word the loop would not; the words of an attempt cut off at the end
+    of a round open the next round."""
+    plan = _radix_plan(tuple(radices))
+    p, period_words = plan[0], plan[-1]
+    m = len(radices)
+    out = np.empty(T * m, dtype=np.int64)
+
+    def words_before(j):  # one attempt's words for each of draws 0..j-1
+        return j // p * period_words[p] + period_words[j % p]
+
+    done, words = 0, np.empty(0, dtype=np.uint64)
+    while done < out.size:
+        fresh = words_before(out.size) - words_before(done) - len(words)
+        got = np.frombuffer(rng.getrandbits(32 * fresh).to_bytes(4 * fresh, "little"), dtype="<u4")
+        words = np.concatenate([words, got])
+        value, radix, stop = _attempts(words, done % p, plan)
+        value = value[value < radix]
+        out[done : done + len(value)] = value
+        done += len(value)
+        words = words[stop:]
+    return out.reshape(T, m)
+
+
+@lru_cache(maxsize=256)
+def _radix_plan(radices):
+    """The shortest period p of the column sequence radices * T, and per
+    column of one period its radix, its words per attempt and the right
+    shift of its last word, with the running word count over the period."""
+    radices = tuple(int(x) for x in radices)
+    if not all(0 < x < 1 << 63 for x in radices):
+        raise ValueError(f"radices must lie in [1, 2^63): {radices}")
+    m = len(radices)
+    p = next((q for q in range(1, m) if m % q == 0 and radices[q:] == radices[:-q]), m)
+    bits = [x.bit_length() for x in radices[:p]]
+    width = [(k + 31) // 32 for k in bits]
+    shift = [32 * w - k for w, k in zip(width, bits)]
+    period_words = [0, *itertools.accumulate(width)]
+    return p, np.asarray(radices[:p], dtype=np.uint64), width, shift, period_words
+
+
+def _ending_at(words, width, shift):
+    """The value of an attempt of `width` (1 or 2) words ending at each
+    word (garbage before the first full attempt)."""
+    value = words >> np.uint64(shift)
+    if width == 2:
+        value[1:] = value[1:] << np.uint64(32) | words[:-1]
+    return value
+
+
+def _attempts(words, c0, plan):
+    """The values of the attempts that `random_rows`' loop completes within
+    `words` when its first attempt starts at word 0 for column c0 of the
+    `_radix_plan` period, the radix each one is drawn below, and the word
+    after the last one.
+
+    With one radix the attempts tile the words.  Otherwise which column an
+    attempt serves depends on the rejections before it: the loop is a
+    machine over the states (column c, word o of its attempt), whose last
+    word of an attempt moves to column c + 1 on acceptance and back to
+    word 0 of column c on rejection.  Every word's transition is a map of
+    the states, and `_trajectory` runs the machine over all words at once."""
+    p, r, width, shift, base = plan
+    L = len(words)
+    if p == 1:
+        return _ending_at(words, width[0], shift[0])[width[0] - 1 :: width[0]], r[0], L
+    base = np.asarray(base)
+    last = base[1:] - 1  # the state of each column's last attempt word
+    values = np.stack([_ending_at(words, w, s) for w, s in zip(width, shift)])
+    accept = values < r[:, None]
+    trans = np.tile(np.arange(1, base[-1] + 1), (L, 1))
+    trans[:, last] = np.where(accept.T, base[1:] % base[-1], base[:-1])
+    state = _trajectory(trans, base[c0])
+    end = np.flatnonzero(np.isin(state, last))
+    col = np.searchsorted(last, state[end])
+    stop = end[-1] + 1 if len(end) else 0
+    return values[col, end], r[col], stop
+
+
+def _trajectory(f, s0):
+    """The state before each step of a machine started in state s0, whose
+    step t maps state s to f[t, s].  The composed maps of the step pairs
+    give, recursively, the state entering each pair; the state between a
+    pair's two steps is its first map at that state.  That is about two
+    gathers per entry of f, over log2 of its length levels."""
+    L, S = f.shape
+    if L == 1:
+        return np.asarray([s0])
+    if L % 2:
+        f = np.concatenate([f, np.arange(S)[None]])  # an identity step
+    first, second = f[0::2], f[1::2]
+    entry = _trajectory(np.take_along_axis(second, first, axis=1), s0)
+    inner = first[np.arange(len(entry)), entry]
+    return np.stack([entry, inner], axis=1).ravel()[:L]
 
 
 # array entries a search may hold at once: a batch of candidates, or the
@@ -339,7 +442,16 @@ def candidate_batches(radices, rows, count=None, seed=None):
     """Search candidates in batches of at most `rows` rows: every row of
     itertools.product(*map(range, radices)), or with a `count`, that many
     rows of random_rows on random.Random(seed), in the order a loop taking
-    one candidate at a time would meet them."""
+    one candidate at a time would meet them.
+
+    The seeded rows equal those of one randrange(r) call per entry: random_rows
+    replays randrange from the generator's 32-bit words, in the order
+    getrandbits hands them out, keeping the top r.bit_length() bits of an
+    attempt (the last word shifted right when it takes two words) and
+    rejecting values >= r as randrange does.  Its rounds take one attempt's
+    words per missing draw and never more than the loop would, so every
+    batch leaves the generator where the loop leaves it, and the next batch
+    goes on from there."""
     if count is None:
         total = math.prod(radices)
         for lo in range(0, total, rows):

@@ -2,7 +2,8 @@
 
 `dense_mul_batch` is the dense contraction over the whole structure tensor,
 and `standard_identity_terms_loop` builds the k! signed terms of s_k by
-counting each permutation's inversions.  The other functions are the
+counting each permutation's inversions.  `random_rows_loop` draws seeded
+candidates with one `randrange` call per entry.  The other functions are the
 one-tuple-at-a-time loops that the library's batched searches replaced,
 kept verbatim in behaviour: they draw random numbers in the same order and
 return the same reports, so a test can compare the two forms report by
@@ -31,6 +32,13 @@ def dense_mul_batch(A, X, Y):
     X, Y, S = (np.asarray(a).astype(dtype) for a in (X, Y, A.struct))
     out = np.einsum("ti,tj,ijk->tk", X, Y, S) % np.asarray(A.moduli, dtype=dtype)
     return out.astype(np.int64)
+
+
+def random_rows_loop(rng, radices, T):
+    """(T, len(radices)) int64 array of draws rng.randrange(r), row by row,
+    in the order a loop drawing one row at a time would make them."""
+    draws = (rng.randrange(r) for _ in range(T) for r in radices)
+    return np.fromiter(draws, dtype=np.int64, count=T * len(radices)).reshape(T, len(radices))
 
 
 def standard_identity_terms_loop(k):

@@ -183,6 +183,8 @@ _JORDAN_CASES = [
     (3, lambda: matrix_algebra(ZMod(9), 2), 10**4, 0),  # exhaustive, fail over Z/9
     (3, lambda: matrix_algebra(ZMod(4), 2), 100, 5),  # sampled, fail over Z/4
     (3, lambda: matrix_algebra(ZMod(4), 2), 10**3, 5),  # exhaustive, fail over Z/4
+    (3, lambda: matrix_algebra(GaloisField.default(2, 2), 2), 100, 3),  # sampled, radix 2 per coordinate
+    (3, lambda: matrix_algebra(ZMod(2**31 - 1), 2, check=False), 200, 11),  # sampled, near 2^31
 ]
 
 
@@ -215,7 +217,7 @@ def test_jordan_probe_fail_cases_fail(monkeypatch):
         A = make()
         _lift_field_precondition(A, monkeypatch)
         statuses.append(jordan_obstruction_probe(n, A, samples=samples, seed=seed).status)
-    assert statuses == ["pass", "pass", "fail", "fail", "fail"]
+    assert statuses == ["pass", "pass", "fail", "fail", "fail", "pass", "pass"]
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +477,12 @@ def _reduction_mod2():
     return reduction_hom(matrix_algebra(ZMod(4), 2), RingIdeal(ZMod(4), 2))
 
 
+def _product_reduction():
+    # `red` of tests/configs/gf_product.json: coordinate radices (4, 2, 2)
+    R = ProductRing([ZMod(4), GaloisField.default(2, 2)])
+    return reduction_hom(matrix_algebra(R, 2), RingIdeal(R, [2, "zero"]))
+
+
 _NOT_STANDARD = MultilinearIdentity(3, [(1, (2, 3, 1)), (2, (1, 3, 2))])
 
 
@@ -483,6 +491,9 @@ _NOT_STANDARD = MultilinearIdentity(3, [(1, (2, 3, 1)), (2, (1, 3, 2))])
     [
         (_reduction_mod2, standard_identity(2), 100, 3),
         (lambda: diagonal_embed(ZMod(5), 2, 2), standard_identity(4), 100, 5),
+        (_product_reduction, standard_identity(4), 20, 42),
+        (lambda: diagonal_embed(ZMod(3000000021), 2, 2), standard_identity(2), 30, 8),
+        (lambda: diagonal_embed(ZMod(2**61 - 1), 2, 2), standard_identity(2), 30, 8),
         (lambda: weyl_splitting(3, 1, 2), standard_identity(6), 30, 7),
         (lambda: diagonal_embed(ZMod(2), 2, 2), _NOT_STANDARD, 50, 1),
         (_not_multiplicative, standard_identity(2), 100, 9),

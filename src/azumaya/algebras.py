@@ -9,9 +9,10 @@ base ring's `struct`.  That makes centers, commutants and the enveloping
 map plain kernel / bijectivity computations over the coordinate moduli.
 Products of elements go through one sparse kernel over the tensor's
 nonzero entries (`Algebra.mul_batch`).  Searches over elements or tuples
-take their candidates from `candidate_batches` (product order or seeded
-draws) and stop at the first hit through `first_hit`, in batches sized by
-the one rule `search_rows`.
+take their candidates from `candidate_batches` (product order, or seeded
+rows named by index, each a counter-based hash of the seed and its entries'
+positions, `random_rows`) and stop at the first hit through `first_hit`,
+in batches sized by the one rule `search_rows`.
 
 Every constructor fills a (d, d, d, f) integer table of the base-ring
 coordinates of e_i * e_j and hands it to `structure_tensor`: matrix and
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -316,114 +316,49 @@ def product_rows(start, stop, radices):
     return out
 
 
-def random_rows(rng, radices, T):
-    """(T, len(radices)) int64 array of draws rng.randrange(r), row by row,
-    in the order a loop drawing one row at a time would make them, leaving
-    the `random.Random` rng in the state that loop leaves it in.  Every
-    radix lies in [1, 2^63).
+# splitmix64's increment, the golden ratio times 2^64 (Steele, Lea and
+# Flood, OOPSLA 2014)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
-    The draws are replayed from the generator's 32-bit words, taken in bulk.
-    randrange(r) takes k = r.bit_length() bits: the top k bits of one word
-    when k <= 32, else ceil(k/32) words, least significant first, with the
-    last one shifted right to its remaining bits; it rejects while the
-    value is >= r and tries again.  getrandbits(32 W) hands out W words
-    least significant first too, so its little-endian bytes are the words
-    in the order the loop takes them.  Each round takes one attempt's words
-    for every draw still missing.  Each missing draw needs at least one
-    attempt, and an attempt gives at most one draw, so a round never takes
-    a word the loop would not; the words of an attempt cut off at the end
-    of a round open the next round."""
-    plan = _radix_plan(tuple(radices))
-    p, period_words = plan[0], plan[-1]
-    m = len(radices)
-    out = np.empty(T * m, dtype=np.int64)
 
-    def words_before(j):  # one attempt's words for each of draws 0..j-1
-        return j // p * period_words[p] + period_words[j % p]
-
-    done, words = 0, np.empty(0, dtype=np.uint64)
-    while done < out.size:
-        fresh = words_before(out.size) - words_before(done) - len(words)
-        got = np.frombuffer(rng.getrandbits(32 * fresh).to_bytes(4 * fresh, "little"), dtype="<u4")
-        words = np.concatenate([words, got])
-        value, radix, stop = _attempts(words, done % p, plan)
-        value = value[value < radix]
-        out[done : done + len(value)] = value
-        done += len(value)
-        words = words[stop:]
-    return out.reshape(T, m)
+def _splitmix(z):
+    """splitmix64's finalizer of a uint64 array, in place, in wrapping
+    arithmetic."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 @lru_cache(maxsize=256)
-def _radix_plan(radices):
-    """The shortest period p of the column sequence radices * T, and per
-    column of one period its radix, its words per attempt and the right
-    shift of its last word, with the running word count over the period."""
-    radices = tuple(int(x) for x in radices)
-    if not all(0 < x < 1 << 63 for x in radices):
+def _stream(seed, radices):
+    """The key and the uint64 radices of a `random_rows` stream."""
+    if seed is None:
+        raise AlgebraError("a seeded draw needs a seed")
+    if not all(0 < r < 1 << 63 for r in radices):
         raise ValueError(f"radices must lie in [1, 2^63): {radices}")
-    m = len(radices)
-    p = next((q for q in range(1, m) if m % q == 0 and radices[q:] == radices[:-q]), m)
-    bits = [x.bit_length() for x in radices[:p]]
-    width = [(k + 31) // 32 for k in bits]
-    shift = [32 * w - k for w, k in zip(width, bits)]
-    period_words = [0, *itertools.accumulate(width)]
-    return p, np.asarray(radices[:p], dtype=np.uint64), width, shift, period_words
+    key = _splitmix(np.asarray([int(seed) % (1 << 64)], dtype=np.uint64))
+    return key, np.asarray(radices, dtype=np.uint64)
 
 
-def _ending_at(words, width, shift):
-    """The value of an attempt of `width` (1 or 2) words ending at each
-    word (garbage before the first full attempt)."""
-    value = words >> np.uint64(shift)
-    if width == 2:
-        value[1:] = value[1:] << np.uint64(32) | words[:-1]
-    return value
+def random_rows(seed, radices, start, stop):
+    """Rows start..stop-1 of the seeded candidate stream over `radices`, as
+    one (stop - start, len(radices)) int64 array.  Every radix lies in
+    [1, 2^63); the seed is any integer, taken mod 2^64, and None raises
+    AlgebraError.
 
-
-def _attempts(words, c0, plan):
-    """The values of the attempts that `random_rows`' loop completes within
-    `words` when its first attempt starts at word 0 for column c0 of the
-    `_radix_plan` period, the radix each one is drawn below, and the word
-    after the last one.
-
-    With one radix the attempts tile the words.  Otherwise which column an
-    attempt serves depends on the rejections before it: the loop is a
-    machine over the states (column c, word o of its attempt), whose last
-    word of an attempt moves to column c + 1 on acceptance and back to
-    word 0 of column c on rejection.  Every word's transition is a map of
-    the states, and `_trajectory` runs the machine over all words at once."""
-    p, r, width, shift, base = plan
-    L = len(words)
-    if p == 1:
-        return _ending_at(words, width[0], shift[0])[width[0] - 1 :: width[0]], r[0], L
-    base = np.asarray(base)
-    last = base[1:] - 1  # the state of each column's last attempt word
-    values = np.stack([_ending_at(words, w, s) for w, s in zip(width, shift)])
-    accept = values < r[:, None]
-    trans = np.tile(np.arange(1, base[-1] + 1), (L, 1))
-    trans[:, last] = np.where(accept.T, base[1:] % base[-1], base[:-1])
-    state = _trajectory(trans, base[c0])
-    end = np.flatnonzero(np.isin(state, last))
-    col = np.searchsorted(last, state[end])
-    stop = end[-1] + 1 if len(end) else 0
-    return values[col, end], r[col], stop
-
-
-def _trajectory(f, s0):
-    """The state before each step of a machine started in state s0, whose
-    step t maps state s to f[t, s].  The composed maps of the step pairs
-    give, recursively, the state entering each pair; the state between a
-    pair's two steps is its first map at that state.  That is about two
-    gathers per entry of f, over log2 of its length levels."""
-    L, S = f.shape
-    if L == 1:
-        return np.asarray([s0])
-    if L % 2:
-        f = np.concatenate([f, np.arange(S)[None]])  # an identity step
-    first, second = f[0::2], f[1::2]
-    entry = _trajectory(np.take_along_axis(second, first, axis=1), s0)
-    inner = first[np.arange(len(entry)), entry]
-    return np.stack([entry, inner], axis=1).ravel()[:L]
+    Entry c of row t is a counter-based hash, splitmix64's finalizer of
+    key + (t m + c) * golden (m = len(radices)), taken mod radices[c].  The
+    key is the finalizer of the seed: with key = seed * golden, seed s + 1
+    would replay seed s shifted by one entry.  A row depends only on the
+    seed, the radices and t, so batches of any size meet the same rows.  A
+    remainder of a uniform 64-bit word mod r is within a factor 1.5 of
+    uniform for r < 2^63, and within 1 + 2^-32 for r < 2^32."""
+    key, r = _stream(seed, tuple(int(x) for x in radices))
+    z = _splitmix(key + np.arange(start * len(r), stop * len(r), dtype=np.uint64) * _GOLDEN)
+    return (z.reshape(stop - start, len(r)) % r).astype(np.int64)
 
 
 # array entries a search may hold at once: a batch of candidates, or the
@@ -440,26 +375,18 @@ def search_rows(entries):
 
 def candidate_batches(radices, rows, count=None, seed=None):
     """Search candidates in batches of at most `rows` rows: every row of
-    itertools.product(*map(range, radices)), or with a `count`, that many
-    rows of random_rows on random.Random(seed), in the order a loop taking
-    one candidate at a time would meet them.
-
-    The seeded rows equal those of one randrange(r) call per entry: random_rows
-    replays randrange from the generator's 32-bit words, in the order
-    getrandbits hands them out, keeping the top r.bit_length() bits of an
-    attempt (the last word shifted right when it takes two words) and
-    rejecting values >= r as randrange does.  Its rounds take one attempt's
-    words per missing draw and never more than the loop would, so every
-    batch leaves the generator where the loop leaves it, and the next batch
-    goes on from there."""
+    itertools.product(*map(range, radices)), or with a `count`, rows
+    0..count-1 of random_rows(seed, radices, ...), in the order a loop
+    taking one candidate at a time would meet them.  Seeded rows are named
+    by their index, so the batching does not change them; drawing without a
+    seed raises AlgebraError."""
     if count is None:
         total = math.prod(radices)
         for lo in range(0, total, rows):
             yield product_rows(lo, min(lo + rows, total), radices)
     else:
-        rng = random.Random(seed)
         for lo in range(0, count, rows):
-            yield random_rows(rng, radices, min(rows, count - lo))
+            yield random_rows(seed, radices, lo, min(lo + rows, count))
 
 
 def first_hit(source, entries, evaluate):
@@ -692,7 +619,8 @@ def env_map_bijective(A):
     return linalg.is_bijective_additive(F, src, tgt)
 
 
-# The certificate search of `splitting`: its fixed seed, the number of
+# The certificate search of `splitting`: its fixed seed (the elements x are
+# drawn under it, the elements u under the next one), the number of
 # elements x (and of elements u per x) it draws, and the largest residue
 # characteristic for which it tries every eigenvalue candidate.
 _SPLIT_SEED = 0
@@ -700,7 +628,7 @@ _SPLIT_DRAWS = 8
 _SPLIT_MAX_P = 64
 
 
-def _local_splitting(A, p, k, rng):
+def _local_splitting(A, p, k):
     """The (n*n, dim) matrix, mod q = p^k, of a ring hom A/qA -> M_n(Z/q),
     or None when no draw gives one; A has rank n^2 over Z/N with q | N.
 
@@ -715,8 +643,8 @@ def _local_splitting(A, p, k, rng):
     q, n, D = p**k, math.isqrt(A.rank), A.dim
     steps = (k - 1).bit_length()  # Newton doubles the p-adic precision
     eye_D, eye_n = np.eye(D, dtype=np.int64), np.eye(n, dtype=np.int64)
-    for _ in range(_SPLIT_DRAWS):
-        Rx = A.right_mul_matrix(random_rows(rng, (p,) * D, 1)[0]) % p  # y -> y x
+    for row in range(_SPLIT_DRAWS):
+        Rx = A.right_mul_matrix(random_rows(_SPLIT_SEED, (p,) * D, row, row + 1)[0]) % p  # y -> y x
         shifted = ((Rx - lam * eye_D) % p for lam in range(p))
         M = next((M for M in shifted if linalg.rank_mod_p(M, p) == D - n), None)
         if M is None:
@@ -724,7 +652,8 @@ def _local_splitting(A, p, k, rng):
         # reduced echelon rows over F_p: the identity at their pivots P
         ell = linalg.kernel_mod(M, p)
         P = (ell != 0).argmax(axis=1)
-        U = linalg.einsum_mod("tj,jd->td", random_rows(rng, (p,) * n, _SPLIT_DRAWS), ell, moduli=p, N=p)
+        draws = random_rows(_SPLIT_SEED + 1, (p,) * n, row * _SPLIT_DRAWS, (row + 1) * _SPLIT_DRAWS)
+        U = linalg.einsum_mod("tj,jd->td", draws, ell, moduli=p, N=p)
         U2, lead = A.mul_batch(U, U) % p, (U != 0).argmax(axis=1)
         scale = [int(U2[t, i]) * pow(int(U[t, i]), -1, p) % p if U[t, i] else 0 for t, i in enumerate(lead)]
         t = next((t for t, c in enumerate(scale) if c and np.array_equal(U2[t], c * U[t] % p)), None)
@@ -774,10 +703,9 @@ def splitting(A):
     N, factors = A.base.n, factorize(A.base.n)
     if any(p > _SPLIT_MAX_P for p, _ in factors):
         return None
-    rng = random.Random(_SPLIT_SEED)
     parts, coeffs = [], []
     for p, k in factors:
-        phi = _local_splitting(A, p, k, rng)
+        phi = _local_splitting(A, p, k)
         if phi is None:
             return None
         q = p**k

@@ -172,8 +172,8 @@ def _standard_batch(A, X):
 
 def _tuples(A, k, count=None, seed=None):
     """Source of k-tuples of A for `first_hit`: every tuple in
-    itertools.product order, or `count` seeded random tuples drawn element
-    by element, tuple by tuple; as (T, k, D) arrays."""
+    itertools.product order, or the first `count` seeded random tuples
+    (tuple t is row t of `random_rows`); as (T, k, D) arrays."""
     return lambda rows: (
         X.reshape(-1, k, A.dim) for X in candidate_batches(A.moduli * k, rows, count, seed)
     )

@@ -2,24 +2,22 @@
 
 `dense_mul_batch` is the dense contraction over the whole structure tensor,
 and `standard_identity_terms_loop` builds the k! signed terms of s_k by
-counting each permutation's inversions.  `random_rows_loop` draws seeded
-candidates with one `randrange` call per entry.  The other functions are the
+counting each permutation's inversions.  The other functions are the
 one-tuple-at-a-time loops that the library's batched searches replaced,
-kept verbatim in behaviour: they draw random numbers in the same order and
-return the same reports, so a test can compare the two forms report by
-report.  The AL loop scans every tuple, where the library decides a pass on
-the generator subsets first.
+kept verbatim in behaviour: seeded tuple t is row t of
+`algebras.random_rows`, drawn alone, and the reports are the same, so a
+test can compare the two forms report by report.  The AL loop scans every
+tuple, where the library decides a pass on the generator subsets first.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 
 import numpy as np
 
-from azumaya.algebras import AlgElem
+from azumaya.algebras import AlgElem, random_rows
 from azumaya.identities import _evaluate_batch, standard_identity
 from azumaya.reports import FAIL, NOT_FOUND, PASS, CheckReport
 
@@ -32,13 +30,6 @@ def dense_mul_batch(A, X, Y):
     X, Y, S = (np.asarray(a).astype(dtype) for a in (X, Y, A.struct))
     out = np.einsum("ti,tj,ijk->tk", X, Y, S) % np.asarray(A.moduli, dtype=dtype)
     return out.astype(np.int64)
-
-
-def random_rows_loop(rng, radices, T):
-    """(T, len(radices)) int64 array of draws rng.randrange(r), row by row,
-    in the order a loop drawing one row at a time would make them."""
-    draws = (rng.randrange(r) for _ in range(T) for r in radices)
-    return np.fromiter(draws, dtype=np.int64, count=T * len(radices)).reshape(T, len(radices))
 
 
 def standard_identity_terms_loop(k):
@@ -75,12 +66,9 @@ def exhaustive_tuples_loop(A, k, batch=4096):
 
 def sampled_tuples_loop(A, k, count, seed, batch=4096):
     """(T, k, D) batches of seeded random k-tuples, drawn one tuple at a time."""
-    rng = random.Random(seed)
     buf = []
-    for _ in range(count):
-        buf.append(
-            np.asarray([[rng.randrange(m) for m in A.moduli] for _ in range(k)], dtype=np.int64)
-        )
+    for t in range(count):
+        buf.append(random_rows(seed, A.moduli * k, t, t + 1).reshape(k, A.dim))
         if len(buf) == batch:
             yield np.stack(buf)
             buf = []
@@ -119,18 +107,14 @@ def jordan_obstruction_probe_loop(n, Aprime, samples=10000, seed=0):
     if n <= 1:
         return CheckReport(check="jordan_obstruction", status=PASS, details={"vacuous": True})
     exhaustive = Aprime.size <= samples
-    rng = random.Random(seed)
 
     def candidates():
         if exhaustive:
             for coords in itertools.product(*(range(m) for m in Aprime.moduli)):
                 yield AlgElem(Aprime, np.asarray(coords, dtype=np.int64))
         else:
-            for _ in range(samples):
-                yield AlgElem(
-                    Aprime,
-                    np.asarray([rng.randrange(m) for m in Aprime.moduli], dtype=np.int64),
-                )
+            for t in range(samples):
+                yield AlgElem(Aprime, random_rows(seed, Aprime.moduli, t, t + 1)[0])
 
     checked = 0
     for x in candidates():
@@ -178,13 +162,9 @@ def nonvanishing_witness_loop(A, k, budget=10000, seed=0):
 
 def identity_transfer_check_loop(f, identity, trials=100, seed=0):
     A, B = f.source, f.target
-    rng = random.Random(seed)
     for t in range(trials):
-        xs = [
-            np.asarray([rng.randrange(m) for m in A.moduli], dtype=np.int64)
-            for _ in range(identity.arity)
-        ]
-        lhs = f.apply_flat(_evaluate_batch(identity, A, np.stack(xs)[None])[0])
+        xs = random_rows(seed, A.moduli * identity.arity, t, t + 1).reshape(identity.arity, A.dim)
+        lhs = f.apply_flat(_evaluate_batch(identity, A, xs[None])[0])
         ys = np.stack([f.apply_flat(x) for x in xs])
         rhs = _evaluate_batch(identity, B, ys[None])[0]
         if not np.array_equal(lhs, rhs):

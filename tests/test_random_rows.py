@@ -1,9 +1,10 @@
-"""`algebras.random_rows`, which replays rng.randrange from the generator's
-32-bit words in bulk, against the per-draw loop it replaced
-(tests/loop_oracles.py): the same draws and the same generator state after."""
+"""`algebras.random_rows`, the seeded candidate stream, against a loop that
+draws each row alone: row t depends only on the seed, the radices and t,
+every entry lies below its radix, and no passing sampled report depends on
+which rows are drawn."""
 
+import ast
 import json
-import random
 from pathlib import Path
 
 import numpy as np
@@ -12,27 +13,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from azumaya import algebras
-from azumaya.algebras import random_rows, splitting, weyl_quotient
-from azumaya.homs import diagonal_embed
+from azumaya.algebras import AlgebraError, candidate_batches, matrix_algebra, random_rows
+from azumaya.cli import main
+from azumaya.homs import diagonal_embed, jordan_obstruction_probe
 from azumaya.identities import identity_transfer_check, standard_identity
 from azumaya.rings import ZMod
 from azumaya.suites import suite_jordan_lem32
-from loop_oracles import identity_transfer_check_loop, random_rows_loop
 
+SRC = Path(algebras.__file__).parent
 CONFIGS = Path(__file__).parent / "configs"
 
-# one word per draw up to 2^32 - 1; 2^32 and up take two, the last shifted
+# a radix of one, small ones, either side of 2^31 and 2^32, and wide ones
 _ONE_RADIX = [1, 2, 3, 5, 12, 2**31 - 1, 2**32 - 1, 2**32, 3000000021, 2**61 - 1]
-# which radix an attempt serves depends on the rejections before it
 _MIXED = [(4, 2, 2) * 4, (2, 3), (3, 2**61 - 1)]
 
 
+def _rows_one_at_a_time(seed, radices, T):
+    rows = [random_rows(seed, radices, t, t + 1)[0] for t in range(T)]
+    return np.array(rows, dtype=np.int64).reshape(T, len(radices))
+
+
 def _assert_same_draws(radices, T, seed):
-    rng, loop_rng = random.Random(seed), random.Random(seed)
-    got, want = random_rows(rng, radices, T), random_rows_loop(loop_rng, radices, T)
-    assert got.dtype == want.dtype and got.shape == want.shape == (T, len(radices))
+    """One call for rows 0..T-1 against a loop drawing each row alone."""
+    got, want = random_rows(seed, radices, 0, T), _rows_one_at_a_time(seed, radices, T)
+    assert got.dtype == want.dtype == np.int64 and got.shape == want.shape == (T, len(radices))
     assert np.array_equal(got, want)
-    assert rng.getrandbits(64) == loop_rng.getrandbits(64)
+    assert ((0 <= got) & (got < np.asarray(radices, dtype=object))).all()
 
 
 @pytest.mark.parametrize("T", [0, 1, 7, 1024])
@@ -51,41 +57,104 @@ def test_mixed_radices_match_loop(radices, T):
 
 
 _RADIX = st.one_of(
+    st.just(1),
+    st.just(2**63 - 1),
     st.integers(1, 40),
     st.integers(2**31 - 8, 2**32 + 8),
     st.integers(2**32 + 9, 2**63 - 1),
 )
+_SEED = st.one_of(
+    st.sampled_from([0, -1, -42, 2**64, 2**64 + 42, 3**50]),
+    st.integers(-(2**70), 2**70),
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_RADIX, min_size=1, max_size=5), st.integers(0, 2**64), st.integers(0, 60))
-def test_short_mixed_tuples_match_loop(radices, seed, T):
-    _assert_same_draws(tuple(radices), T, seed)
+@given(
+    st.lists(_RADIX, min_size=1, max_size=5),
+    _SEED,
+    st.integers(0, 60),
+    st.lists(st.integers(0, 60), max_size=5),
+)
+def test_short_mixed_tuples_match_loop(radices, seed, T, cuts):
+    # any split of rows 0..T-1 into batches gives the same rows
+    _assert_same_draws(radices, T, seed)
+    bounds = [0, *sorted(c for c in cuts if c <= T), T]
+    parts = [random_rows(seed, radices, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(parts), random_rows(seed, radices, 0, T))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1024])
+def test_candidate_batches_name_rows_by_index(rows):
+    radices = (4, 2, 2) * 3
+    batches = list(candidate_batches(radices, rows, 2000, 42))
+    assert all(0 < len(X) <= rows for X in batches)
+    assert np.array_equal(np.concatenate(batches), random_rows(42, radices, 0, 2000))
 
 
 @pytest.mark.parametrize("radices", [(0,), (3, 2**63), (-1, 2)])
 def test_radix_outside_int64_draws_refused(radices):
     with pytest.raises(ValueError, match="radices"):
-        random_rows(random.Random(0), radices, 1)
+        random_rows(0, radices, 0, 1)
 
 
-def test_seeded_checks_never_call_randrange(monkeypatch):
-    # the jordan suite, a sampled transfer and the splitting certificate's
-    # draws all come from random_rows, so their reports survive a
-    # randrange that raises
+@pytest.mark.parametrize("seed", [0, 42, -1, 2**64 - 1])
+def test_next_seed_is_no_shifted_copy(seed):
+    # over radix 2^63 - 1 the entries are all but raw 64-bit words, so a
+    # copy of one stream shifted by fewer than 4096 entries would share
+    # values with the other; two sets of 4096 random words meet with odds
+    # about 2^24 / 2^63
+    a = random_rows(seed, (2**63 - 1,), 0, 4096).ravel()
+    b = random_rows(seed + 1, (2**63 - 1,), 0, 4096).ravel()
+    assert not set(a.tolist()) & set(b.tolist())
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_frequencies_near_uniform(r):
+    n = 10**5
+    counts = np.bincount(random_rows(2024, (r,) * 10, 0, n // 10).ravel(), minlength=r)
+    sigma = (n * (1 / r) * (1 - 1 / r)) ** 0.5
+    assert counts.sum() == n
+    assert (abs(counts - n / r) < 5 * sigma).all(), counts
+
+
+def test_draw_without_a_seed_refused():
+    with pytest.raises(AlgebraError, match="seed"):
+        random_rows(None, (2, 3), 0, 1)
+    with pytest.raises(AlgebraError, match="seed"):
+        next(candidate_batches((2, 3), 10, count=5))
     f, s4 = diagonal_embed(ZMod(5), 2, 2), standard_identity(4)
-    transfer = identity_transfer_check_loop(f, s4, trials=100, seed=5).comparable_dict()
-    W = weyl_quotient(5, 1, 1, check=False)
-    with monkeypatch.context() as loop:
-        loop.setattr(algebras, "random_rows", random_rows_loop)
-        split = splitting(W).matrix
+    with pytest.raises(AlgebraError, match="seed"):
+        identity_transfer_check(f, s4, trials=10, seed=None)
+    # an exhaustive probe draws nothing, so it needs no seed
+    rep = jordan_obstruction_probe(3, matrix_algebra(ZMod(5), 2), samples=10**4, seed=None)
+    assert rep.status == "pass" and rep.details == {"checked": 625, "exhaustive": True}
 
-    def no_randrange(self, *args, **kwargs):
-        raise AssertionError("randrange called")
 
-    monkeypatch.setattr(random.Random, "randrange", no_randrange)
+def test_no_library_module_imports_random():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "random" not in {a.name.split(".")[0] for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "random", path.name
+
+
+def test_pinned_sampled_reports_do_not_depend_on_the_rows_drawn(monkeypatch, capsys):
+    # the pinned jordan probes and the transfer over radices (4, 2, 2) pass
+    # and record only counts, so another seed's rows give the same bytes
+    draw, seeds = algebras.random_rows, []
+
+    def next_seed(seed, *args):
+        seeds.append(seed)
+        return draw(seed + 1, *args)
+
+    monkeypatch.setattr(algebras, "random_rows", next_seed)
     reports = [r.comparable_dict() for r in suite_jordan_lem32(seed=42)]
     stream = json.dumps({"reports": reports}, sort_keys=True) + "\n"
     assert stream == (CONFIGS / "jordan-lem32.expected").read_text()
-    assert identity_transfer_check(f, s4, trials=100, seed=5).comparable_dict() == transfer
-    assert np.array_equal(splitting(W).matrix, split)
+    assert seeds  # the sampled probes drew under the patch
+    seeds.clear()
+    assert main(["check", "all", "--config", str(CONFIGS / "gf_product.json"), "--seed", "42"]) == 0
+    assert capsys.readouterr().out == (CONFIGS / "gf_product.expected").read_text()
+    assert seeds == [42]  # the transfer drew under the patch

@@ -56,6 +56,12 @@ def test_tensor_squares_certify(m):
     _assert_certificate(tensor_product(M, opposite(M)) if m == 4 else tensor_product(M, M))
 
 
+@pytest.mark.parametrize("m", [2, 12])
+def test_benchmark_matrix_algebras_certify(m):
+    # M_5(F_2) and M_5(Z/12) of the benchmark's `kernels` workload
+    _assert_certificate(matrix_algebra(ZMod(m), 5, check=False))
+
+
 @pytest.mark.parametrize("N", [2**62, 3**39, 2**31 * 3**19, 4 * 9 * 25 * 49])
 def test_certificate_exact_near_int64(N):
     # Newton lifts and the CRT over moduli whose products leave int64
@@ -187,7 +193,7 @@ def test_certified_pass_skips_the_env_map(name, monkeypatch):
 def test_refuted_certificate_falls_back(name, monkeypatch):
     # a bijective local matrix that is no hom (the transpose, anti-
     # multiplicative on matrix algebras) is refuted: only the env map decides
-    def transpose(A, p, k, rng):
+    def transpose(A, p, k):
         n = math.isqrt(A.rank)
         return np.eye(A.dim, dtype=np.int64).reshape(n, n, A.dim).transpose(1, 0, 2).reshape(A.dim, A.dim)
 

@@ -201,8 +201,10 @@ class Algebra:
         gens = (self.base.basis_elem(s) for s in range(self.base.flatten_len))
         return np.asarray([self.scalar_mul_flat(b, self.unit_flat) for b in gens])
 
+    @lru_cache(maxsize=256)
     def unit_span(self):
-        """The subgroup R*1 of the flattened module."""
+        """The subgroup R*1 of the flattened module, memoized by algebra
+        equality like `center`."""
         return linalg.Subgroup(self.scalars_flat(), self.moduli)
 
     def __eq__(self, other):
@@ -558,9 +560,15 @@ def base_change(A, hom):
 # structural computations
 
 
+@lru_cache(maxsize=256)
 def center(A):
     """Z(A) as the kernel of z -> (z e_a - e_a z)_a over all coordinate
-    generators."""
+    generators.
+
+    Memoized by algebra equality (`Algebra.__eq__`), not by object: equal
+    algebras share one entry, so a hit may return a Submodule over an equal
+    algebra.  Its group is read-only.  `center.__wrapped__` computes it
+    afresh."""
     D = A.dim
     mats = []
     for alpha in range(D):
@@ -848,17 +856,34 @@ def nilpotency_index(x, cap=None):
     return e
 
 
+def _powers(A, X, e):
+    """Row-wise e-th powers (e >= 1) of the (T, dim) array X, by binary
+    powering: at most 2 log2(e) batched products."""
+    result, square = None, X
+    while True:
+        if e & 1:
+            result = square if result is None else A.mul_batch(result, square)
+        e >>= 1
+        if not e:
+            return result
+        square = A.mul_batch(square, square)
+
+
 def nilpotency_indices(A, X, cap):
     """For each row x of the (T, dim) array X, the least e <= cap with
-    x^e = 0, or 0 when there is none; one batched product per exponent,
-    over the rows still undecided."""
+    x^e = 0, or 0 when there is none; cap >= 1.
+
+    x^cap = 0 iff that e exists, so x^cap, by binary powering, screens out
+    the rows whose index is 0; the others walk one batched product per
+    exponent, over the rows still undecided, and all end by e = cap."""
     index = np.zeros(len(X), dtype=np.int64)
-    rows, power = np.arange(len(X)), X
+    rows = np.flatnonzero(~_powers(A, X, cap).any(axis=1))
+    power = X[rows]
     for e in range(1, cap + 1):
         zero = ~power.any(axis=1)
         index[rows[zero]] = e
         rows, power = rows[~zero], power[~zero]
-        if e == cap or not len(rows):
+        if not len(rows):
             break
         power = A.mul_batch(power, X[rows])
     return index

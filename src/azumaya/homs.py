@@ -127,9 +127,6 @@ class AlgebraHom:
             self.matrix, self.source.moduli, self.target.moduli
         )
 
-    def image(self):
-        return Submodule(self.target, self.matrix.T)
-
     def kernel_subgroup(self):
         return linalg.kernel_additive(self.matrix, self.source.moduli, self.target.moduli)
 
@@ -291,7 +288,7 @@ def kernel_ideal(f):
 # theorem checks
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _azumaya_ok(A):
     return is_azumaya(A).status == PASS
 
@@ -421,7 +418,11 @@ def isomorphism_check(f):
     (d) the commutant route: with A2 the image of f, the commutant C of A2
         in the target equals R'*1, the image has full order, and the source
         injects -- making the canonical multiplication map A2 (x) C -> target
-        an isomorphism.
+        an isomorphism.  The image order and the kernel come from one
+        elimination of f's matrix (`linalg.image_order_and_kernel`); (c)
+        keeps its own forward pass.  When f is onto, C is by definition
+        Z(target), taken from the `center` memo; otherwise it is the
+        commutant of f's columns.
 
     (a) and (b) together imply (c) by the isomorphism criterion; (c) and (d)
     agree by the commutant decomposition.  Any disagreement is flagged
@@ -438,12 +439,12 @@ def isomorphism_check(f):
     b_ok = pre["source_constant_rank"] == pre["target_constant_rank"]
     c_ok = f.is_bijective()
 
-    image = f.image()
+    image_order, kernel = linalg.image_order_and_kernel(f.matrix, f.source.moduli, f.target.moduli)
+    onto = image_order == f.target.size
     # column j of the matrix is the image of the j-th coordinate generator
-    C = commutant(f.target, [AlgElem(f.target, g) for g in f.matrix.T])
+    C = center(f.target) if onto else commutant(f.target, [AlgElem(f.target, g) for g in f.matrix.T])
     c_scalar = C.group == f.target.unit_span()
-    injective = f.kernel_subgroup().order == 1
-    d_ok = c_scalar and injective and image.order == f.target.size
+    d_ok = c_scalar and kernel.order == 1 and onto
 
     verdicts = {"center_iso_and_rank": a_ok and b_ok, "direct_bijectivity": c_ok, "commutant_route": d_ok}
     agree = len(set(verdicts.values())) == 1

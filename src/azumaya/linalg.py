@@ -257,6 +257,7 @@ class Subgroup:
         self.L = math.lcm(*self.moduli) if self.moduli else 1
         gens = np.reshape(gens, (-1, len(self.moduli)))
         self.H = howell(_embed(gens, self.moduli, self.L), self.L)
+        self.H.setflags(write=False)  # memoized subgroups are shared
 
     @property
     def order(self):
@@ -321,14 +322,25 @@ def _columns_over_lcm(H, src_moduli, tgt_moduli):
     return _embed(np.asarray(H).T, tgt_moduli, L), L
 
 
-def kernel_additive(H, src_moduli, tgt_moduli):
-    """Kernel of the additive map prod Z/N_j -> prod Z/M_i given by H.
+def image_order_and_kernel(H, src_moduli, tgt_moduli):
+    """Order of the image and kernel (a Subgroup) of the additive map
+    prod Z/N_j -> prod Z/M_i given by H, from one elimination.
 
     Requires the map to be well-defined (N_j H[i][j] = 0 mod M_i); raises
-    IllFormedMap otherwise.  Returns the kernel as a Subgroup.
+    IllFormedMap otherwise.  The solving rows of `_kernel_form`, cut to
+    the target's columns, are saturated echelon rows of the image (the rows
+    below them span the vectors of the form that vanish there), so their
+    pivots give its order.
     """
     cols, L = _columns_over_lcm(H, src_moduli, tgt_moduli)
-    return Subgroup(kernel_mod(cols.T, L), src_moduli)
+    rows, kernel = _kernel_form(cols.T, L)
+    return _order(rows, L), Subgroup(kernel, src_moduli)
+
+
+def kernel_additive(H, src_moduli, tgt_moduli):
+    """Kernel of the additive map given by H, as a Subgroup; see
+    `image_order_and_kernel`."""
+    return image_order_and_kernel(H, src_moduli, tgt_moduli)[1]
 
 
 def is_bijective_additive(H, src_moduli, tgt_moduli):

@@ -1,9 +1,10 @@
 """Test-only oracles for the batched product kernel and the batched searches.
 
 `dense_mul_batch` is the dense contraction over the whole structure tensor,
-and `standard_identity_terms_loop` builds the k! signed terms of s_k by
-counting each permutation's inversions.  The other functions are the
-one-tuple-at-a-time loops that the library's batched searches replaced,
+`standard_identity_terms_loop` builds the k! signed terms of s_k by
+counting each permutation's inversions, and `nilpotency_indices_walk` is
+the batched nilpotency walk without the powering screen.  The other
+functions are the one-tuple-at-a-time loops that the library's batched searches replaced,
 kept verbatim in behaviour: seeded tuple t is row t of
 `algebras.random_rows`, drawn alone, and the reports are the same, so a
 test can compare the two forms report by report.  The AL loop scans every
@@ -49,6 +50,22 @@ def _nilpotency_index_loop(x, cap):
             return e
         power = AlgElem(x.algebra, dense_mul_batch(x.algebra, power.flat[None], x.flat[None])[0])
     return None
+
+
+def nilpotency_indices_walk(A, X, cap):
+    """The batched walk `algebras.nilpotency_indices` used before its
+    powering screen: one product per exponent, over the rows still
+    undecided, the rows that are not nilpotent among them up to the cap."""
+    index = np.zeros(len(X), dtype=np.int64)
+    rows, power = np.arange(len(X)), X
+    for e in range(1, cap + 1):
+        zero = ~power.any(axis=1)
+        index[rows[zero]] = e
+        rows, power = rows[~zero], power[~zero]
+        if e == cap or not len(rows):
+            break
+        power = A.mul_batch(power, X[rows])
+    return index
 
 
 def exhaustive_tuples_loop(A, k, batch=4096):

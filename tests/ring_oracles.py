@@ -10,7 +10,9 @@ structure constants and ring-entry matrices -- as independent references:
   into the (struct, unit_flat) pair the library's constructors must emit;
 - `env_map` is the enveloping map as a matrix over the base ring, checked
   against the library's flattened `env_map_flat`;
-- `center_bruteforce` scans every element of a small algebra;
+- `center_bruteforce` scans every element of a small algebra, and
+  `twisted` changes an algebra's coordinates over Z/N, giving algebras that
+  are isomorphic to a constructor's but not equal to it;
 - `Matrix` and `howell_form` are ring-entry matrices and the Howell form
   with its transformation certificate;
 - `howell_rowloop` and `rank_mod_p_rowloop` are the row-at-a-time
@@ -36,7 +38,7 @@ import math
 
 import numpy as np
 
-from azumaya.algebras import AlgElem, _normal_order
+from azumaya.algebras import AlgElem, Algebra, _normal_order
 from azumaya.linalg import LinalgError, howell
 from azumaya.rings import GaloisField, NotAUnit, ProductRing, ZMod
 
@@ -220,6 +222,36 @@ def center_bruteforce(A):
         M = A.struct[:, alpha, :] - A.struct[alpha, :, :]
         mask &= ~((elems @ M) % A._moduli_arr).any(axis=1)
     return [AlgElem(A, v) for v in elems[mask]]
+
+
+def twisted(A, T):
+    """A with its coordinates changed by the invertible T over Z/N: the new
+    generator a is sum_i T[i, a] e_i.  Exact over Python ints."""
+    N = A.base.n
+    T = np.asarray(T, dtype=object) % N
+    Tinv = inverse_mod(T, N)
+    S = np.einsum("ijk,ck->ijc", A.struct.astype(object), Tinv)
+    S = np.einsum("ia,ijc->ajc", T, S)
+    S = np.einsum("jb,ajc->abc", T, S) % N
+    unit = Tinv.dot(A.unit_flat.astype(object)) % N
+    return Algebra(A.base, S.astype(np.int64), unit.astype(np.int64), label=f"twist {A.label}", check=False)
+
+
+def inverse_mod(T, N):
+    """T^-1 over Z/N by Gauss-Jordan over Python ints; T is invertible mod
+    every prime of N, so each column has a unit pivot."""
+    D = len(T)
+    M = [[int(T[i, j]) for j in range(D)] + [int(i == j) for j in range(D)] for i in range(D)]
+    for c in range(D):
+        r = next(r for r in range(c, D) if math.gcd(M[r][c], N) == 1)
+        M[c], M[r] = M[r], M[c]
+        inv = pow(M[c][c], -1, N)
+        M[c] = [v * inv % N for v in M[c]]
+        for r in range(D):
+            if r != c and M[r][c]:
+                f = M[r][c]
+                M[r] = [(v - f * w) % N for v, w in zip(M[r], M[c])]
+    return np.asarray([row[D:] for row in M], dtype=object)
 
 
 # ---------------------------------------------------------------------------

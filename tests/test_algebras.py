@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from azumaya import algebras
@@ -31,8 +31,9 @@ from azumaya.algebras import (
     upper_triangular_algebra,
     weyl_quotient,
 )
+from azumaya.linalg import rank_mod_p
 from azumaya.rings import GaloisField, ProductRing, RingIdeal, ZMod
-from ring_oracles import center_bruteforce, env_map
+from ring_oracles import center_bruteforce, env_map, twisted
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +242,72 @@ def test_commutant_of_whole_algebra_is_center():
     gens = [A.element(A.basis_flat(i)) for i in range(4)]
     C = commutant(A, gens)
     assert C.group == center(A).group
+
+
+def _corpus_algebras():
+    from azumaya.corpus import build_corpus
+
+    algebras_seen = []
+    for e in build_corpus():
+        for A in (e.hom.source, e.hom.target):
+            if A not in algebras_seen:
+                algebras_seen.append(A)
+    return algebras_seen
+
+
+def test_memoized_center_matches_uncached_on_the_corpus():
+    found = _corpus_algebras()
+    assert len(found) == 35
+    for A in found:
+        zc = center(A)
+        assert zc.algebra == A
+        assert zc.group == center.__wrapped__(A).group, A.label
+        if A.size <= 5000:
+            assert zc.order == len(center_bruteforce(A)), A.label
+
+
+def test_equal_algebras_share_one_center_entry():
+    A = matrix_algebra(ZMod(6), 2, check=False)
+    B = Algebra(A.base, A.struct.copy(), A.unit_flat.copy(), check=False)
+    assert A == B and A is not B
+    first = center(A)
+    hits, size = center.cache_info().hits, center.cache_info().currsize
+    assert center(B) is first
+    assert center.cache_info().hits == hits + 1
+    assert center.cache_info().currsize == size
+    assert B.unit_span() is A.unit_span()
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), n=st.integers(1, 2), pk=st.sampled_from([(2, 1), (2, 2), (3, 1), (5, 1)]))
+def test_memoized_center_matches_uncached_on_twists(data, n, pk):
+    # a coordinate twist is isomorphic to M_n(Z/N) but not equal to it;
+    # its center is computed once, and an equal copy hits that entry
+    p, k = pk
+    N, D = p**k, n * n
+    T = np.asarray(data.draw(st.lists(st.integers(0, N - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
+    assume(rank_mod_p(T, p) == D)
+    A = twisted(matrix_algebra(ZMod(N), n, check=False), T)
+    copy = Algebra(A.base, A.struct.copy(), A.unit_flat.copy(), check=False)
+    zc = center(A)
+    assert center(copy) is zc
+    assert zc.group == center.__wrapped__(copy).group == A.unit_span()
+    assert zc.order == len(center_bruteforce(A)) == N
+
+
+def test_memoized_results_are_read_only():
+    A = matrix_algebra(ZMod(4), 2, check=False)
+    for group in (center(A).group, A.unit_span()):
+        with pytest.raises(ValueError, match="read-only"):
+            group.H[0, 0] = 3
+    assert center(A).group == center.__wrapped__(A).group == A.unit_span()
+
+
+def test_memos_are_bounded():
+    from azumaya import homs
+
+    for memo in (center, Algebra.unit_span, homs._azumaya_ok):
+        assert memo.cache_info().maxsize == 256
 
 
 def test_commutant_of_scalars_is_everything():

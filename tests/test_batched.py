@@ -45,6 +45,7 @@ from loop_oracles import (
     exhaustive_tuples_loop,
     identity_transfer_check_loop,
     jordan_obstruction_probe_loop,
+    nilpotency_indices_walk,
     nonvanishing_witness_loop,
     sampled_tuples_loop,
 )
@@ -218,6 +219,30 @@ def test_jordan_probe_fail_cases_fail(monkeypatch):
         _lift_field_precondition(A, monkeypatch)
         statuses.append(jordan_obstruction_probe(n, A, samples=samples, seed=seed).status)
     assert statuses == ["pass", "pass", "fail", "fail", "fail", "pass", "pass"]
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 2), (3, 2), (5, 2), (2, 3)], ids=["M2(F_2)", "M2(F_3)", "M2(F_5)", "M3(F_2)"]
+)
+def test_nilpotency_screen_matches_walk_exhaustively(p, n):
+    # every element, at every cap from 1 to past the largest index
+    A = matrix_algebra(ZMod(p), n, check=False)
+    X = product_rows(0, A.size, A.moduli)
+    for cap in range(1, A.rank + 2):
+        assert np.array_equal(algebras.nilpotency_indices(A, X, cap), nilpotency_indices_walk(A, X, cap))
+
+
+@pytest.mark.parametrize("name", ["M2(Z/12)", "M2(GF(4))", "UT3(Z/6)", "W(3,1,2)", "M2(Z/3)(x)UT2(Z/3)"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_nilpotency_screen_matches_walk_on_seeded_batches(name, seed):
+    # seeded rows, with the nilpotent elements of UT3 and the tensor and
+    # zero divisors over Z/12 among them
+    A = _kernel_algebra(name)
+    X = algebras.random_rows(seed, A.moduli, 0, 512)
+    for cap in (1, 2, 3, 5, 8, A.rank):
+        got = algebras.nilpotency_indices(A, X, cap)
+        assert np.array_equal(got, nilpotency_indices_walk(A, X, cap))
+    assert (got > 1).any() and (got == 0).any()
 
 
 # ---------------------------------------------------------------------------

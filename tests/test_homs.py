@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya.algebras import Algebra, matrix_algebra, nilpotency_index, weyl_quotient
+from azumaya import linalg
+from azumaya.algebras import (
+    AlgElem,
+    Algebra,
+    Submodule,
+    center,
+    commutant,
+    matrix_algebra,
+    nilpotency_index,
+    weyl_quotient,
+)
 from azumaya.corpus import build_corpus
 from azumaya.homs import (
     ComposabilityMismatch,
@@ -370,6 +380,31 @@ def test_corpus_center_preserved_over_nonreduced_bases(corpus):
         rep = center_preservation_check(e.hom)
         assert rep.status == "pass", e.name
         assert rep.preconditions["target_base_reduced"] is False
+
+
+def test_corpus_onto_homs_commutant_is_the_center(corpus):
+    # route (d) of isomorphism_check takes C = Z(target) when f is onto
+    onto = 0
+    for e in corpus:
+        f = e.hom
+        if Submodule(f.target, f.matrix.T).order != f.target.size:
+            continue
+        onto += 1
+        C = commutant(f.target, [AlgElem(f.target, g) for g in f.matrix.T])
+        assert center(f.target).group == C.group, e.name
+    assert 0 < onto < len(corpus)
+
+
+def test_corpus_image_order_and_kernel_from_one_elimination(corpus):
+    for e in corpus:
+        f = e.hom
+        src, tgt = f.source.moduli, f.target.moduli
+        image_order, kernel = linalg.image_order_and_kernel(f.matrix, src, tgt)
+        assert image_order == Submodule(f.target, f.matrix.T).order, e.name
+        assert kernel.order == linalg.kernel_additive(f.matrix, src, tgt).order, e.name
+        # |image| |kernel| = |source|, and the kernel maps to 0
+        assert image_order * kernel.order == f.source.size, e.name
+        assert not f.apply_flat(kernel.generators()).any(), e.name
 
 
 def test_corpus_rank_inequality_zero_violations(corpus):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import azumaya
-from azumaya.algebras import center, is_central, matrix_algebra
+from azumaya.algebras import center, is_central, matrix_algebra, product_rows
 from azumaya.linalg import (
     IllFormedMap,
     NoSolution,
@@ -18,6 +18,7 @@ from azumaya.linalg import (
     check_well_defined,
     einsum_mod,
     howell,
+    image_order_and_kernel,
     is_bijective_additive,
     kernel_additive,
     kernel_mod,
@@ -395,6 +396,35 @@ def test_bijective_mixed_moduli_matches_kernel(case):
     H, src, tgt = case
     injective = kernel_additive(H, src, tgt).order == 1
     assert is_bijective_additive(H, src, tgt) == (math.prod(src) == math.prod(tgt) and injective)
+
+
+@pytest.mark.parametrize(
+    "H,src,tgt",
+    [
+        ([[3, 2]], (4, 6), (12,)),  # Z/4 x Z/6 -> Z/12, onto with kernel of order 2
+        ([[6, 4]], (4, 6), (12,)),
+        ([[1], [2]], (12,), (4, 6)),
+    ],
+)
+def test_image_order_and_kernel_mixed_examples(H, src, tgt):
+    _assert_image_and_kernel(np.asarray(H), src, tgt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_additive_map())
+def test_image_order_and_kernel_match_oracles(case):
+    _assert_image_and_kernel(*case)
+
+
+def _assert_image_and_kernel(H, src, tgt):
+    """One elimination's image order and kernel against the span of the
+    columns and a scan of the whole source."""
+    image_order, kernel = image_order_and_kernel(H, src, tgt)
+    assert image_order == Subgroup(H.T, tgt).order
+    X = product_rows(0, math.prod(src), src)
+    in_kernel = X[~(X @ H.T % np.asarray(tgt)).any(axis=1)]
+    assert kernel.order == len(in_kernel) == kernel_additive(H, src, tgt).order
+    assert all(kernel.contains(x) for x in in_kernel)
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,6 +25,7 @@ from azumaya.homs import weyl_splitting
 from azumaya.linalg import is_bijective_additive, kernel_mod, rank_mod_p
 from azumaya.rings import GaloisField, ProductRing, ZMod
 from azumaya.suites import _split_quadratic_f2
+from ring_oracles import twisted
 
 MATRIX_GRID = [(n, m) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
 WEYL_GRID = [(p, a, b) for p in (2, 3, 5) for a in range(p) for b in range(p)]
@@ -68,36 +69,6 @@ def test_certificate_exact_near_int64(N):
     _assert_certificate(matrix_algebra(ZMod(N), 2, check=False))
 
 
-def _twisted(A, T):
-    """A with its coordinates changed by the invertible T over Z/N: the new
-    generator a is sum_i T[i, a] e_i.  Exact over Python ints."""
-    N = A.base.n
-    T = np.asarray(T, dtype=object) % N
-    Tinv = _inverse(T, N)
-    S = np.einsum("ijk,ck->ijc", A.struct.astype(object), Tinv)
-    S = np.einsum("ia,ijc->ajc", T, S)
-    S = np.einsum("jb,ajc->abc", T, S) % N
-    unit = Tinv.dot(A.unit_flat.astype(object)) % N
-    return Algebra(A.base, S.astype(np.int64), unit.astype(np.int64), label=f"twist {A.label}", check=False)
-
-
-def _inverse(T, N):
-    """T^-1 over Z/N by Gauss-Jordan over Python ints; T is invertible mod
-    every prime of N, so each column has a unit pivot."""
-    D = len(T)
-    M = [[int(T[i, j]) for j in range(D)] + [int(i == j) for j in range(D)] for i in range(D)]
-    for c in range(D):
-        r = next(r for r in range(c, D) if math.gcd(M[r][c], N) == 1)
-        M[c], M[r] = M[r], M[c]
-        inv = pow(M[c][c], -1, N)
-        M[c] = [v * inv % N for v in M[c]]
-        for r in range(D):
-            if r != c and M[r][c]:
-                f = M[r][c]
-                M[r] = [(v - f * w) % N for v, w in zip(M[r], M[c])]
-    return np.asarray([row[D:] for row in M], dtype=object)
-
-
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), n=st.integers(1, 3), pk=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]))
 def test_twisted_matrix_algebras_certify(data, n, pk):
@@ -105,7 +76,7 @@ def test_twisted_matrix_algebras_certify(data, n, pk):
     N, D = p**k, n * n
     T = np.asarray(data.draw(st.lists(st.integers(0, N - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
     assume(rank_mod_p(T, p) == D)
-    A = _twisted(matrix_algebra(ZMod(N), n, check=False), T)
+    A = twisted(matrix_algebra(ZMod(N), n, check=False), T)
     A._verify_axioms()
     _assert_certificate(A)
 
@@ -135,7 +106,7 @@ def test_twisted_commutative_rank_4_never_certifies(data, p, make):
     D = 4
     T = np.asarray(data.draw(st.lists(st.integers(0, p - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
     assume(rank_mod_p(T, p) == D)
-    A = _twisted(make(p), T)
+    A = twisted(make(p), T)
     assert splitting(A) is None
     assert is_azumaya(A).status == "fail"
 

@@ -20,7 +20,6 @@ from .rings import (
 from .algebras import (
     AlgElem,
     Algebra,
-    Submodule,
     base_change,
     center,
     commutant,

@@ -129,14 +129,11 @@ class Algebra:
     def element(self, flat):
         return AlgElem(self, flat)
 
-    def basis_flat(self, i, s=None):
-        """Flat vector of e_i (times the s-th ring coordinate generator)."""
+    def basis_flat(self, i):
+        """Flat vector of e_i."""
         v = np.zeros(self.dim, dtype=np.int64)
         f = self.base.flatten_len
-        if s is None:
-            v[i * f : (i + 1) * f] = self.base.one().coords
-        else:
-            v[i * f + s] = 1
+        v[i * f : (i + 1) * f] = self.base.one().coords
         return v
 
     # -- multiplication
@@ -180,13 +177,6 @@ class Algebra:
                 out[outs, lo : lo + rows] = np.add.reduceat(terms, starts, axis=0)
         return (out.T % self._moduli_arr).astype(np.int64, copy=False)
 
-    def scalar_mul_flat(self, r, x):
-        """Flat coordinates of r*x for a base-ring element r."""
-        block = self.base.mul_matrix(r.coords)
-        x = np.reshape(x, (self.rank, -1))
-        out = linalg.einsum_mod("uv,iv->iu", block, x, moduli=self._moduli_arr.reshape(x.shape), N=self._N)
-        return out.reshape(-1)
-
     def left_mul_matrix(self, x):
         """Matrix of y -> x*y on flattened coordinates."""
         return linalg.einsum_mod("i,ijk->kj", x, self.struct, moduli=self._moduli_arr[:, None], N=self._N)
@@ -197,9 +187,11 @@ class Algebra:
 
     def scalars_flat(self):
         """Rows b_s * 1 for the base ring's coordinate generators b_s; they
-        span R*1."""
-        gens = (self.base.basis_elem(s) for s in range(self.base.flatten_len))
-        return np.asarray([self.scalar_mul_flat(b, self.unit_flat) for b in gens])
+        span R*1.  Block i of row s is b_s times the unit's block i, one
+        contraction with the ring's multiplication tensor."""
+        base, unit = self.base, self.unit_flat.reshape(self.rank, -1)
+        rows = linalg.einsum_mod("iv,svu->siu", unit, base.struct, moduli=base._moduli_arr, N=self._N)
+        return rows.reshape(base.flatten_len, self.dim)
 
     @lru_cache(maxsize=256)
     def unit_span(self):
@@ -273,38 +265,6 @@ class AlgElem:
 
     def __repr__(self):
         return f"AlgElem({self.algebra!r}, {self.flat.tolist()})"
-
-
-class Submodule:
-    """Submodule of an algebra's underlying module, canonically represented
-    as a Subgroup of the flattened coordinates."""
-
-    def __init__(self, algebra, gens_flat):
-        self.algebra = algebra
-        self.group = linalg.Subgroup(np.asarray(gens_flat).reshape(-1, algebra.dim), algebra.moduli)
-
-    @property
-    def order(self):
-        return self.group.order
-
-    def generators(self):
-        return [AlgElem(self.algebra, g) for g in self.group.generators()]
-
-    def contains(self, elem):
-        return self.group.contains(elem.flat)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Submodule)
-            and self.algebra == other.algebra
-            and self.group == other.group
-        )
-
-    def __hash__(self):
-        return hash(self.group)
-
-    def __repr__(self):
-        return f"Submodule(order={self.order} of {self.algebra!r})"
 
 
 def product_rows(start, stop, radices):
@@ -562,44 +522,40 @@ def base_change(A, hom):
 
 @lru_cache(maxsize=256)
 def center(A):
-    """Z(A) as the kernel of z -> (z e_a - e_a z)_a over all coordinate
-    generators.
+    """Z(A), a read-only `linalg.Subgroup` of the flat coordinates: the
+    kernel of z -> (z e_a - e_a z)_a over all coordinate generators, one
+    D^2 x D matrix read off `struct`.
 
     Memoized by algebra equality (`Algebra.__eq__`), not by object: equal
-    algebras share one entry, so a hit may return a Submodule over an equal
-    algebra.  Its group is read-only.  `center.__wrapped__` computes it
-    afresh."""
-    D = A.dim
-    mats = []
-    for alpha in range(D):
-        # (z * e_alpha)_k = sum_i z_i S[i, alpha, k]
-        mats.append((A.struct[:, alpha, :] - A.struct[alpha, :, :]).T)
-    stacked = np.concatenate(mats, axis=0)
-    tgt = A.moduli * D
-    ker = linalg.kernel_additive(stacked, A.moduli, tgt)
-    return Submodule(A, ker.generators())
+    algebras share one entry.  `center.__wrapped__` computes it afresh."""
+    D, S = A.dim, A.struct
+    # row (a, k), column i: (e_i e_a - e_a e_i)_k
+    stacked = (S.transpose(1, 2, 0) - S.transpose(0, 2, 1)).reshape(D * D, D)
+    return linalg.kernel_additive(stacked, A.moduli, A.moduli * D)
 
 
 def is_central(A):
-    return center(A).group == A.unit_span()
+    return center(A) == A.unit_span()
 
 
-def commutant(A, gens):
-    """Elements commuting with every generator, as a Submodule.
+def commutator_matrix(A, X):
+    """The maps z -> x z - z x for the rows x of the (T, dim) array X,
+    stacked by rows into a (T * dim, dim) matrix of residues: row (t, k),
+    column j holds (x_t e_j - e_j x_t)_k."""
+    S = (A.struct - A.struct.transpose(1, 0, 2)) % A._moduli_arr
+    C = linalg.einsum_mod("ti,ijk->tkj", X, S, moduli=A._moduli_arr[:, None], N=A._N)
+    return C.reshape(-1, A.dim)
+
+
+def commutant(A, X):
+    """The elements commuting with every row of the (T, dim) array X, as a
+    `linalg.Subgroup`: the kernel of `commutator_matrix`.  With no rows it
+    is all of A.
 
     It is always a subring: if x and y commute with s, then
     (xy)s = x(sy) = s(xy).
     """
-    mats = []
-    for g in gens:
-        flat = g.flat if isinstance(g, AlgElem) else np.asarray(g, dtype=np.int64)
-        mats.append(A.left_mul_matrix(flat) - A.right_mul_matrix(flat))
-    if not mats:
-        mats = [np.zeros((A.dim, A.dim), dtype=np.int64)]
-    stacked = np.concatenate(mats, axis=0)
-    tgt = A.moduli * (len(stacked) // A.dim)
-    ker = linalg.kernel_additive(stacked, A.moduli, tgt)
-    return Submodule(A, ker.generators())
+    return linalg.kernel_additive(commutator_matrix(A, X), A.moduli, A.moduli * len(X))
 
 
 def env_map_flat(A):
@@ -733,12 +689,9 @@ def _residue_field_witness(A):
     for m in maximal_ideals(A.base):
         _, proj = residue_field(A.base, m)
         Am = base_change(A, proj)
-        zc = center(Am)
-        us = Am.unit_span()
-        if zc.group != us:
-            witness = next(
-                g.flat.tolist() for g in zc.generators() if not us.contains(g.flat)
-            )
+        zc, us = center(Am), Am.unit_span()
+        if zc != us:
+            witness = next(g.tolist() for g in zc.generators() if not us.contains(g))
             return m, {"nonscalar_central_element": witness}
         flat, src_mod, tgt_mod = env_map_flat(Am)
         if not linalg.is_bijective_additive(flat, src_mod, tgt_mod):
@@ -802,15 +755,11 @@ def square_rank_check(A):
 
 
 def expand_ideal(A, ideal):
-    """The two-sided ideal I*A, as a Submodule."""
-    gens = []
-    for g in ideal.generators():
-        for i in range(A.rank):
-            for s in range(A.base.flatten_len):
-                gens.append(A.scalar_mul_flat(g, A.basis_flat(i, s)))
-    if not gens:
-        gens = [np.zeros(A.dim, dtype=np.int64)]
-    return Submodule(A, np.asarray(gens))
+    """The two-sided ideal I*A, as a `linalg.Subgroup`.  A is free on the
+    e_i and I is closed under the ring's coordinate generators, so I*A is
+    I's subgroup in every coordinate block."""
+    blocks = np.kron(np.eye(A.rank, dtype=np.int64), ideal.group.generators())
+    return linalg.Subgroup(blocks, A.moduli)
 
 
 def quotient_algebra(A, ideal):
@@ -820,14 +769,13 @@ def quotient_algebra(A, ideal):
 
 
 def ideal_intersection_check(A, ideals):
-    """Submodule intersection of the I_i A must equal (intersect I_i) A."""
+    """The intersection of the I_i A must equal (intersect I_i) A."""
     from .rings import intersect_ideals
 
-    subs = [expand_ideal(A, I) for I in ideals]
-    lhs = subs[0].group
-    for s in subs[1:]:
-        lhs = lhs.intersection(s.group)
-    rhs = expand_ideal(A, intersect_ideals(ideals)).group
+    lhs, *rest = [expand_ideal(A, I) for I in ideals]
+    for sub in rest:
+        lhs = lhs.intersection(sub)
+    rhs = expand_ideal(A, intersect_ideals(ideals))
     if lhs == rhs:
         return CheckReport(check="ideal_intersection", status="pass")
     return CheckReport(

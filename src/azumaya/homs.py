@@ -31,11 +31,11 @@ import numpy as np
 from . import linalg
 from .algebras import (
     AlgElem,
-    Submodule,
     base_change,
     candidate_batches,
     center,
     commutant,
+    commutator_matrix,
     first_hit,
     is_azumaya,
     matrix_algebra,
@@ -146,10 +146,6 @@ class AlgebraHom:
 def verify_hom(matrix, source, target, label=""):
     """Wrap and verify an explicit integer matrix as an AlgebraHom."""
     return AlgebraHom(source, target, matrix, label=label).verify()
-
-
-def identity_hom(A):
-    return AlgebraHom(A, A, np.eye(A.dim, dtype=np.int64), label="id").verify()
 
 
 def compose(g, f):
@@ -273,8 +269,7 @@ def kernel_ideal(f):
     # restrict f to R*1 to contract the kernel to the base ring
     rker = linalg.kernel_additive(f.apply_flat(A.scalars_flat()).T, base.moduli, f.target.moduli)
     ideal = RingIdeal.from_group(base, rker)
-    expanded = expand_ideal(A, ideal)
-    ok = expanded.group == Submodule(A, ker.generators()).group
+    ok = expand_ideal(A, ideal) == ker
     report = CheckReport(
         check="kernel_ideal",
         status=PASS if ok else FAIL,
@@ -323,26 +318,25 @@ def center_preservation_check(f):
         and pre["source_constant_rank"] == pre["target_constant_rank"]
         and pre["target_base_reduced"]
     )
-    tgt = f.target
-    for g in center(f.source).group.generators():
-        img = f.apply_flat(g)
-        # column alpha is img * eps_alpha - eps_alpha * img
-        comm = (tgt.left_mul_matrix(img) - tgt.right_mul_matrix(img)) % tgt._moduli_arr[:, None]
-        bad = np.flatnonzero(comm.any(axis=0))
-        if bad.size:
-            alpha = int(bad[0])
-            return CheckReport(
-                check="center_preservation",
-                status=CONTRADICTS if pre_met else FAIL,
-                witness={
-                    "center_generator": g.tolist(),
-                    "image": img.tolist(),
-                    "noncommuting_coordinate": alpha,
-                    "commutator": comm[:, alpha].tolist(),
-                },
-                preconditions=pre,
-            )
-    return CheckReport(check="center_preservation", status=PASS, preconditions=pre)
+    gens = center(f.source).generators()
+    images = f.apply_flat(gens)
+    # comm[t, :, alpha] is images[t] * eps_alpha - eps_alpha * images[t]
+    comm = commutator_matrix(f.target, images).reshape(len(images), f.target.dim, -1)
+    bad = np.argwhere(comm.any(axis=1))  # first generator, then lowest alpha
+    if not bad.size:
+        return CheckReport(check="center_preservation", status=PASS, preconditions=pre)
+    t, alpha = (int(k) for k in bad[0])
+    return CheckReport(
+        check="center_preservation",
+        status=CONTRADICTS if pre_met else FAIL,
+        witness={
+            "center_generator": gens[t].tolist(),
+            "image": images[t].tolist(),
+            "noncommuting_coordinate": alpha,
+            "commutator": comm[t, :, alpha].tolist(),
+        },
+        preconditions=pre,
+    )
 
 
 def rank_comparison_check(f):
@@ -433,7 +427,7 @@ def isomorphism_check(f):
     if not (pre["source_azumaya"] and pre["target_azumaya"]):
         raise PreconditionUnmet("both algebras must be Azumaya-verified")
 
-    src_center, tgt_center = center(f.source).group, center(f.target).group
+    src_center, tgt_center = center(f.source), center(f.target)
     image_center = linalg.Subgroup(f.apply_flat(src_center.generators()), f.target.moduli)
     a_ok = image_center == tgt_center and src_center.order == tgt_center.order
     b_ok = pre["source_constant_rank"] == pre["target_constant_rank"]
@@ -442,8 +436,8 @@ def isomorphism_check(f):
     image_order, kernel = linalg.image_order_and_kernel(f.matrix, f.source.moduli, f.target.moduli)
     onto = image_order == f.target.size
     # column j of the matrix is the image of the j-th coordinate generator
-    C = center(f.target) if onto else commutant(f.target, [AlgElem(f.target, g) for g in f.matrix.T])
-    c_scalar = C.group == f.target.unit_span()
+    C = center(f.target) if onto else commutant(f.target, f.matrix.T)
+    c_scalar = C == f.target.unit_span()
     d_ok = c_scalar and kernel.order == 1 and onto
 
     verdicts = {"center_iso_and_rank": a_ok and b_ok, "direct_bijectivity": c_ok, "commutant_route": d_ok}
@@ -493,7 +487,8 @@ def endo_auto_check(f):
 
 def tensor_commutant_map(target, sub_gens):
     """The canonical map tau: A2 (x) C -> target for A2 the subalgebra
-    spanned by sub_gens and C its commutant; returns (C, bijective).
+    spanned by the rows of the (T, dim) array sub_gens and C its commutant
+    (a `linalg.Subgroup`); returns (C, bijective).
 
     Restricted to field bases, where submodules are free and the tensor has
     order q^(dim A2 * dim C); tau is then bijective iff that order matches
@@ -502,18 +497,13 @@ def tensor_commutant_map(target, sub_gens):
     if not base.is_field:
         raise PreconditionUnmet("tensor-commutant check needs a field base")
     q = base.size
-    A2 = linalg.Subgroup(
-        np.asarray([g.flat if isinstance(g, AlgElem) else g for g in sub_gens]),
-        target.moduli,
-    )
-    C = commutant(target, [AlgElem(target, g) for g in A2.generators()])
+    A2 = linalg.Subgroup(sub_gens, target.moduli)
+    C = commutant(target, A2.generators())
     dim_a = round(math.log(A2.order, q))
     dim_c = round(math.log(C.order, q))
-    cols = [
-        target.mul_flat(ag, cg)
-        for ag in A2.generators()
-        for cg in C.group.generators()
-    ]
-    span = linalg.Subgroup(np.asarray(cols), target.moduli)
+    Ga, Gc = A2.generators(), C.generators()
+    # the product of each generator of A2 with each generator of C
+    products = target.mul_batch(np.repeat(Ga, len(Gc), axis=0), np.tile(Gc, (len(Ga), 1)))
+    span = linalg.Subgroup(products, target.moduli)
     bij = q ** (dim_a * dim_c) == target.size and span.order == target.size
     return C, bij

@@ -228,12 +228,6 @@ def kernel_mod(A, N):
     return _kernel_form(A, N)[1]
 
 
-def solve_mod(A, b, N):
-    """One solution of A x = b over Z/N, or raise NoSolution."""
-    rows, _ = _kernel_form(A, N)
-    return _solve(rows, np.asarray(b, dtype=rows.dtype) % N, N)
-
-
 def _embed(x, moduli, L):
     """Rows of x in prod Z/N_j, scaled into (Z/L)^n by x_j -> (L/N_j) x_j,
     as a new C-ordered array."""

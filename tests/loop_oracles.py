@@ -158,7 +158,7 @@ def jordan_obstruction_probe_loop(n, Aprime, samples=10000, seed=0):
 def nonvanishing_witness_loop(A, k, budget=10000, seed=0):
     sk = standard_identity(k)
     tried = 0
-    basis = [A.basis_flat(i, s) for i in range(A.rank) for s in range(A.base.flatten_len)]
+    basis = list(np.eye(A.dim, dtype=np.int64))
     for combo in itertools.combinations(basis, k):
         if tried >= budget:
             break

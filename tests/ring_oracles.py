@@ -28,7 +28,12 @@ structure constants and ring-entry matrices -- as independent references:
   library factored moduli by before Miller-Rabin and Brent's rho;
 - `ideal_elements`, `all_ideals` and `nilpotent_elements` decide ideals of
   a small ring on its element set: an ideal is its generators closed under
-  multiplication by every element and under addition.
+  multiplication by every element and under addition;
+- `expand_ideal_loop`, `scalars_flat_loop` and
+  `center_preservation_loop` are the library's older bodies: I*A from
+  every product g * b_s e_i (`scalar_mul_flat`), R*1 one scalar product at
+  a time, and the commutator check one center generator at a time;
+- `identity_hom` and `solve_mod` are helpers only tests use.
 """
 
 from __future__ import annotations
@@ -38,8 +43,11 @@ import math
 
 import numpy as np
 
-from azumaya.algebras import AlgElem, Algebra, _normal_order
+from azumaya import linalg
+from azumaya.algebras import AlgElem, Algebra, _normal_order, center
+from azumaya.homs import UNVERIFIED, AlgebraHom, _azumaya_preconditions
 from azumaya.linalg import LinalgError, howell
+from azumaya.reports import CONTRADICTS, FAIL, PASS, CheckReport
 from azumaya.rings import GaloisField, NotAUnit, ProductRing, ZMod
 
 
@@ -252,6 +260,88 @@ def inverse_mod(T, N):
                 f = M[r][c]
                 M[r] = [(v - f * w) % N for v, w in zip(M[r], M[c])]
     return np.asarray([row[D:] for row in M], dtype=object)
+
+
+# ---------------------------------------------------------------------------
+# submodules and center preservation, one generator at a time
+
+
+def basis_flat(A, i, s):
+    """Flat vector of b_s e_i, the s-th ring coordinate generator times e_i."""
+    v = np.zeros(A.dim, dtype=np.int64)
+    v[i * A.base.flatten_len + s] = 1
+    return v
+
+
+def scalar_mul_flat(A, r, x):
+    """Flat coordinates of r*x for a base-ring element r."""
+    block = A.base.mul_matrix(r.coords)
+    x = np.reshape(x, (A.rank, -1))
+    out = linalg.einsum_mod("uv,iv->iu", block, x, moduli=A._moduli_arr.reshape(x.shape), N=A._N)
+    return out.reshape(-1)
+
+
+def scalars_flat_loop(A):
+    """Rows b_s * 1 for the base ring's coordinate generators b_s."""
+    gens = (A.base.basis_elem(s) for s in range(A.base.flatten_len))
+    return np.asarray([scalar_mul_flat(A, b, A.unit_flat) for b in gens])
+
+
+def expand_ideal_loop(A, ideal):
+    """The two-sided ideal I*A, spanned by every g * b_s e_i."""
+    gens = []
+    for g in ideal.generators():
+        for i in range(A.rank):
+            for s in range(A.base.flatten_len):
+                gens.append(scalar_mul_flat(A, g, basis_flat(A, i, s)))
+    if not gens:
+        gens = [np.zeros(A.dim, dtype=np.int64)]
+    return linalg.Subgroup(np.asarray(gens), A.moduli)
+
+
+def center_preservation_loop(f):
+    """Images of source-center generators must commute with the whole
+    target, checked one generator at a time."""
+    if f.status == UNVERIFIED:
+        f.verify()
+    pre = _azumaya_preconditions(f)
+    pre_met = (
+        pre["hom_verified"]
+        and pre["source_azumaya"]
+        and pre["target_azumaya"]
+        and pre["source_constant_rank"] == pre["target_constant_rank"]
+        and pre["target_base_reduced"]
+    )
+    tgt = f.target
+    for g in center(f.source).generators():
+        img = f.apply_flat(g)
+        # column alpha is img * eps_alpha - eps_alpha * img
+        comm = (tgt.left_mul_matrix(img) - tgt.right_mul_matrix(img)) % tgt._moduli_arr[:, None]
+        bad = np.flatnonzero(comm.any(axis=0))
+        if bad.size:
+            alpha = int(bad[0])
+            return CheckReport(
+                check="center_preservation",
+                status=CONTRADICTS if pre_met else FAIL,
+                witness={
+                    "center_generator": g.tolist(),
+                    "image": img.tolist(),
+                    "noncommuting_coordinate": alpha,
+                    "commutator": comm[:, alpha].tolist(),
+                },
+                preconditions=pre,
+            )
+    return CheckReport(check="center_preservation", status=PASS, preconditions=pre)
+
+
+def identity_hom(A):
+    return AlgebraHom(A, A, np.eye(A.dim, dtype=np.int64), label="id").verify()
+
+
+def solve_mod(A, b, N):
+    """One solution of A x = b over Z/N, or raise NoSolution."""
+    rows, _ = linalg._kernel_form(A, N)
+    return linalg._solve(rows, np.asarray(b, dtype=rows.dtype) % N, N)
 
 
 # ---------------------------------------------------------------------------

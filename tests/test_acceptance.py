@@ -91,7 +91,7 @@ def test_criterion_03_center_oracle():
         brute = center_bruteforce(A)
         assert zc.order == len(brute), A.label
         for e in brute:
-            assert zc.contains(e), A.label
+            assert zc.contains(e.flat), A.label
 
 
 def test_criterion_04_weyl_splitting_all_cases():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from azumaya import algebras
+from azumaya import algebras, linalg
 from azumaya.algebras import (
     Algebra,
     AlgebraError,
@@ -33,7 +33,7 @@ from azumaya.algebras import (
 )
 from azumaya.linalg import rank_mod_p
 from azumaya.rings import GaloisField, ProductRing, RingIdeal, ZMod
-from ring_oracles import center_bruteforce, env_map, twisted
+from ring_oracles import center_bruteforce, env_map, expand_ideal_loop, scalars_flat_loop, twisted
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ def test_center_matches_bruteforce(algebra):
     brute = center_bruteforce(algebra)
     assert zc.order == len(brute)
     for e in brute:
-        assert zc.contains(e)
+        assert zc.contains(e.flat)
 
 
 def test_center_bruteforce_gf4_case():
@@ -225,7 +225,7 @@ def test_center_bruteforce_gf4_case():
 
 def test_center_of_matrix_algebra_is_scalars():
     A = matrix_algebra(ZMod(12), 2)
-    assert center(A).group == A.unit_span()
+    assert center(A) == A.unit_span()
 
 
 def test_upper_triangular_central_but_env_degenerate():
@@ -239,9 +239,9 @@ def test_upper_triangular_central_but_env_degenerate():
 
 def test_commutant_of_whole_algebra_is_center():
     A = matrix_algebra(ZMod(4), 2)
-    gens = [A.element(A.basis_flat(i)) for i in range(4)]
+    gens = np.asarray([A.basis_flat(i) for i in range(4)])
     C = commutant(A, gens)
-    assert C.group == center(A).group
+    assert C == center(A)
 
 
 def _corpus_algebras():
@@ -260,8 +260,7 @@ def test_memoized_center_matches_uncached_on_the_corpus():
     assert len(found) == 35
     for A in found:
         zc = center(A)
-        assert zc.algebra == A
-        assert zc.group == center.__wrapped__(A).group, A.label
+        assert zc == center.__wrapped__(A), A.label
         if A.size <= 5000:
             assert zc.order == len(center_bruteforce(A)), A.label
 
@@ -291,16 +290,16 @@ def test_memoized_center_matches_uncached_on_twists(data, n, pk):
     copy = Algebra(A.base, A.struct.copy(), A.unit_flat.copy(), check=False)
     zc = center(A)
     assert center(copy) is zc
-    assert zc.group == center.__wrapped__(copy).group == A.unit_span()
+    assert zc == center.__wrapped__(copy) == A.unit_span()
     assert zc.order == len(center_bruteforce(A)) == N
 
 
 def test_memoized_results_are_read_only():
     A = matrix_algebra(ZMod(4), 2, check=False)
-    for group in (center(A).group, A.unit_span()):
+    for group in (center(A), A.unit_span()):
         with pytest.raises(ValueError, match="read-only"):
             group.H[0, 0] = 3
-    assert center(A).group == center.__wrapped__(A).group == A.unit_span()
+    assert center(A) == center.__wrapped__(A) == A.unit_span()
 
 
 def test_memos_are_bounded():
@@ -312,7 +311,7 @@ def test_memos_are_bounded():
 
 def test_commutant_of_scalars_is_everything():
     A = matrix_algebra(ZMod(3), 2)
-    C = commutant(A, [A.one()])
+    C = commutant(A, A.unit_flat[None])
     assert C.order == A.size
 
 
@@ -331,13 +330,26 @@ def test_commutant_of_any_subset_is_a_subring(data):
     # (xy)s = x(sy) = s(xy) whenever x and y commute with s
     A = data.draw(st.sampled_from(_SMALL_ALGEBRAS))()
     coords = st.tuples(*(st.integers(0, m - 1) for m in A.moduli))
-    gens = [A.element(g) for g in data.draw(st.lists(coords, max_size=3))]
+    gens = np.asarray(data.draw(st.lists(coords, max_size=3)), dtype=np.int64).reshape(-1, A.dim)
     C = commutant(A, gens)
-    basis = C.group.generators()
-    assert C.contains(A.one())
+    basis = C.generators()
+    assert C.contains(A.one().flat)
     for u in basis:
         for v in basis:
-            assert C.group.contains(A.mul_flat(u, v))
+            assert C.contains(A.mul_flat(u, v))
+
+
+def test_center_is_the_commutant_of_every_coordinate_on_the_corpus():
+    for A in _corpus_algebras():
+        assert center(A) == commutant(A, np.eye(A.dim, dtype=np.int64)), A.label
+
+
+@pytest.mark.parametrize("make", _SMALL_ALGEBRAS)
+def test_commutant_of_no_rows_is_the_whole_algebra(make):
+    A = make()
+    C = commutant(A, np.zeros((0, A.dim), dtype=np.int64))
+    assert C.order == A.size
+    assert C == linalg.Subgroup(np.eye(A.dim, dtype=np.int64), A.moduli)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +498,38 @@ def test_expand_ideal_order():
     A = matrix_algebra(ZMod(4), 2)
     sub = expand_ideal(A, RingIdeal(ZMod(4), 2))
     assert sub.order == 16  # (2)M_2 has 2^4 elements
+
+
+# zero, unit and mixed ideals of each base, in the rings' notations
+_IDEAL_CASES = {
+    "Z12": (ZMod(12), [0, 1, 2, 3, 4, 6]),
+    "Z4xGF4": (
+        ProductRing([ZMod(4), GaloisField.default(2, 2)]),
+        [[0, "zero"], [1, "unit"], [2, "unit"], [1, "zero"], [2, "zero"], [0, "unit"]],
+    ),
+    "Z2xZ3": (ProductRing([ZMod(2), ZMod(3)]), [[0, 0], [1, 1], [0, 1], [1, 0]]),
+    "GF4": (GaloisField.default(2, 2), ["zero", "unit"]),
+    "GF9": (GaloisField.default(3, 2), ["zero", "unit"]),
+}
+
+
+@pytest.mark.parametrize("name", _IDEAL_CASES)
+def test_expand_ideal_and_scalars_match_the_loops(name):
+    ring, ideals = _IDEAL_CASES[name]
+    for A in (matrix_algebra(ring, 2), upper_triangular_algebra(ring, 2), upper_triangular_algebra(ring, 3)):
+        assert np.array_equal(A.scalars_flat(), scalars_flat_loop(A)), A.label
+        for data in ideals:
+            I = RingIdeal(ring, data)
+            assert expand_ideal(A, I) == expand_ideal_loop(A, I), (A.label, data)
+
+
+@pytest.mark.parametrize("p,a,b", [(2, 0, 1), (3, 1, 2), (5, 0, 0)])
+def test_expand_ideal_and_scalars_match_the_loops_on_weyl(p, a, b):
+    W = weyl_quotient(p, a, b)
+    assert np.array_equal(W.scalars_flat(), scalars_flat_loop(W))
+    for data in (0, 1):
+        I = RingIdeal(W.base, data)
+        assert expand_ideal(W, I) == expand_ideal_loop(W, I)
 
 
 def test_quotient_algebra():

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from azumaya import linalg
 from azumaya.algebras import (
-    AlgElem,
     Algebra,
-    Submodule,
     center,
     commutant,
     matrix_algebra,
     nilpotency_index,
+    structure_tensor,
     weyl_quotient,
 )
 from azumaya.corpus import build_corpus
@@ -28,7 +27,6 @@ from azumaya.homs import (
     conjugation_auto,
     diagonal_embed,
     endo_auto_check,
-    identity_hom,
     isomorphism_check,
     jordan_obstruction_probe,
     kernel_ideal,
@@ -40,6 +38,7 @@ from azumaya.homs import (
 )
 from azumaya.rings import GaloisField, RingIdeal, ZMod, crt_decompose, is_reduced
 from loop_oracles import dense_mul_batch
+from ring_oracles import center_preservation_loop, identity_hom
 
 
 @pytest.fixture(scope="module")
@@ -387,11 +386,11 @@ def test_corpus_onto_homs_commutant_is_the_center(corpus):
     onto = 0
     for e in corpus:
         f = e.hom
-        if Submodule(f.target, f.matrix.T).order != f.target.size:
+        if linalg.Subgroup(f.matrix.T, f.target.moduli).order != f.target.size:
             continue
         onto += 1
-        C = commutant(f.target, [AlgElem(f.target, g) for g in f.matrix.T])
-        assert center(f.target).group == C.group, e.name
+        C = commutant(f.target, f.matrix.T)
+        assert center(f.target) == C, e.name
     assert 0 < onto < len(corpus)
 
 
@@ -400,11 +399,42 @@ def test_corpus_image_order_and_kernel_from_one_elimination(corpus):
         f = e.hom
         src, tgt = f.source.moduli, f.target.moduli
         image_order, kernel = linalg.image_order_and_kernel(f.matrix, src, tgt)
-        assert image_order == Submodule(f.target, f.matrix.T).order, e.name
+        assert image_order == linalg.Subgroup(f.matrix.T, tgt).order, e.name
         assert kernel.order == linalg.kernel_additive(f.matrix, src, tgt).order, e.name
         # |image| |kernel| = |source|, and the kernel maps to 0
         assert image_order * kernel.order == f.source.size, e.name
         assert not f.apply_flat(kernel.generators()).any(), e.name
+
+
+def _idempotents_to_diagonal(images):
+    """The hom F_2^d -> M_2(F_2) sending the i-th primitive idempotent of
+    F_2^d to the flat 2 x 2 matrix images[i]."""
+    F2, d = ZMod(2), len(images)
+    table = np.zeros((d, d, d), dtype=np.int64)
+    table[range(d), range(d), range(d)] = 1
+    source = Algebra(F2, *structure_tensor(F2, table, np.ones(d, dtype=np.int64)))
+    return verify_hom(np.asarray(images).T, source, matrix_algebra(F2, 2))
+
+
+# e_1 -> E_11 and e_2 -> E_22 fails at the first center generator; with
+# e_1 -> 0 in front, the first generator passes and the second fails
+_REFUTED_CENTER_MAPS = {
+    "F2xF2": [[1, 0, 0, 0], [0, 0, 0, 1]],
+    "F2xF2xF2": [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+}
+
+
+def test_center_preservation_matches_the_per_generator_loop(corpus):
+    refuted = {name: _idempotents_to_diagonal(images) for name, images in _REFUTED_CENTER_MAPS.items()}
+    for f in [e.hom for e in corpus] + list(refuted.values()):
+        assert f.is_verified, f.label
+        rep = center_preservation_check(f)
+        assert rep.comparable_dict() == center_preservation_loop(f).comparable_dict(), f.label
+    witness = {"image": [1, 0, 0, 0], "noncommuting_coordinate": 1, "commutator": [0, 1, 0, 0]}
+    rep = center_preservation_check(refuted["F2xF2"])
+    assert rep.status == "fail" and rep.witness == {"center_generator": [1, 0], **witness}
+    rep = center_preservation_check(refuted["F2xF2xF2"])
+    assert rep.status == "fail" and rep.witness == {"center_generator": [0, 1, 0], **witness}
 
 
 def test_corpus_rank_inequality_zero_violations(corpus):

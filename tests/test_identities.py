@@ -5,7 +5,7 @@ import pytest
 
 from azumaya import identities
 from azumaya.algebras import matrix_algebra, weyl_quotient
-from azumaya.homs import diagonal_embed, identity_hom, reduction_hom
+from azumaya.homs import diagonal_embed, reduction_hom
 from azumaya.identities import (
     AlgebraMismatch,
     ArityMismatch,
@@ -20,6 +20,7 @@ from azumaya.identities import (
 )
 from azumaya.rings import RingIdeal, ZMod
 from loop_oracles import standard_identity_terms_loop
+from ring_oracles import identity_hom
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from azumaya.linalg import (
     kernel_mod,
     rank_mod_p,
     solve_additive,
-    solve_mod,
 )
 from azumaya.rings import GaloisField, ZMod, factorize
 from ring_oracles import (
@@ -33,6 +32,7 @@ from ring_oracles import (
     howell_form,
     howell_rowloop,
     rank_mod_p_rowloop,
+    solve_mod,
 )
 
 

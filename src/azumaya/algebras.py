@@ -26,8 +26,10 @@ as they are.  `opposite` transposes `struct` directly.
 builds an isomorphism A -> M_n(R) over R = Z/N (a minimal left ideal and a
 lifted idempotent per prime power of N, joined by the CRT) and verifies it
 with the one hom check and the one bijectivity check, in D x D linear
-algebra.  Every miss falls back to the bijectivity of the D^2 x D^2
-enveloping map, which alone decides a fail and finds its witness.
+algebra.  On a miss it decides fiber by fiber: A is Azumaya iff the
+D^2 x D^2 enveloping map of A (x) R/m is bijective for every maximal ideal
+m, so enveloping maps are formed over residue fields only, and the first
+fiber that fails gives the verdict and its witness.
 """
 
 from __future__ import annotations
@@ -658,7 +660,8 @@ def splitting(A):
     proves A Azumaya.  A miss proves nothing: a rank that is not a square,
     a base other than Z/N (GF(q) and products are not handled yet), a prime
     above _SPLIT_MAX_P, no hom within the fixed draws of the fixed seed, or
-    a hom that fails either check."""
+    a hom that fails either check.  `is_azumaya` then decides on the
+    fibers A (x) R/m."""
     from .homs import AlgebraHom
 
     n = math.isqrt(A.rank)
@@ -680,57 +683,36 @@ def splitting(A):
     return hom if hom.is_verified and hom.is_bijective() else None
 
 
-def _residue_field_witness(A):
-    """First maximal ideal m at which A (x) R/m is not central simple, with
-    its witness: a non-scalar central generator, or else a kernel vector of
-    the enveloping map over R/m.  None when every residue field passes."""
-    from .rings import maximal_ideals, residue_field
-
-    for m in maximal_ideals(A.base):
-        _, proj = residue_field(A.base, m)
-        Am = base_change(A, proj)
-        zc, us = center(Am), Am.unit_span()
-        if zc != us:
-            witness = next(g.tolist() for g in zc.generators() if not us.contains(g))
-            return m, {"nonscalar_central_element": witness}
-        flat, src_mod, tgt_mod = env_map_flat(Am)
-        if not linalg.is_bijective_additive(flat, src_mod, tgt_mod):
-            # a square map with equal moduli that is not bijective has a
-            # nonzero kernel
-            kernel = linalg.kernel_additive(flat, src_mod, tgt_mod)
-            return m, {"env_kernel_vector": kernel.generators()[0].tolist()}
-    return None
-
-
 def is_azumaya(A):
     """Decide whether A is Azumaya over its base ring R.
 
     A pass is decided first by a certificate: a verified isomorphism
-    A -> M_n(R) from `splitting`.  On a miss, A is free over R, so it is
-    Azumaya iff its enveloping map A (x) A^op -> End_R(A) is bijective over
-    R itself: the determinant is a unit iff it is a unit modulo every
-    maximal ideal m (Auslander-Goldman), i.e. iff every A (x) R/m is
-    central simple.  That check decides the verdict, so every fail comes
-    from it.  Only then are the residue fields visited, to report the
-    offending ideal and a witness (a non-scalar central generator or an
-    enveloping-map kernel vector of A (x) R/m).
+    A -> M_n(R) from `splitting`.  On a miss the fibers decide: A is free
+    over R, so it is Azumaya iff every A (x) R/m, m maximal, is central
+    simple over the field R/m (Auslander-Goldman), i.e. iff its enveloping
+    map is bijective.  The first fiber that fails is reported with m and a
+    witness: a non-scalar central generator, else an enveloping-map kernel
+    vector.  No enveloping map is formed over a base that is not a field.
     """
+    from .rings import maximal_ideals
+
     preconditions = {"base": repr(A.base.to_config()), "rank": A.rank}
-    if splitting(A) is not None or env_map_bijective(A):
+    if splitting(A) is not None:
         return CheckReport(check="is_azumaya", status="pass", preconditions=preconditions)
-    found = _residue_field_witness(A)
-    if found is None:
-        raise AlgebraError(
-            "enveloping map is not bijective over the base ring, yet every "
-            "residue field is central simple"
-        )
-    m, witness = found
-    return CheckReport(
-        check="is_azumaya",
-        status="fail",
-        witness={"maximal_ideal": repr(m.data), **witness},
-        preconditions=preconditions,
-    )
+    for m in maximal_ideals(A.base):
+        Am, _ = quotient_algebra(A, m)
+        if env_map_bijective(Am):
+            continue
+        us = Am.unit_span()
+        nonscalar = next((g for g in center(Am).generators() if not us.contains(g)), None)
+        if nonscalar is not None:
+            witness = {"nonscalar_central_element": nonscalar.tolist()}
+        else:  # the map is square with equal moduli, so its kernel is nonzero
+            kernel = linalg.kernel_additive(*env_map_flat(Am))
+            witness = {"env_kernel_vector": kernel.generators()[0].tolist()}
+        witness = {"maximal_ideal": repr(m.data), **witness}
+        return CheckReport(check="is_azumaya", status="fail", witness=witness, preconditions=preconditions)
+    return CheckReport(check="is_azumaya", status="pass", preconditions=preconditions)
 
 
 def rank_at(A, m):

@@ -22,13 +22,13 @@ from .algebras import (
     weyl_quotient,
 )
 from .homs import AlgebraHom, compose, conjugation_auto, diagonal_embed, reduction_hom
-from .identities import MODES, MultilinearIdentity, standard_identity
+from .identities import MODES, MultilinearIdentity, decided_on_subsets, standard_identity
 from .rings import RingError, RingIdeal, make_ring
 
-# Cap on the entries of the largest dense array that building a configured
-# algebra of D flat coordinates forms, checked before anything is allocated:
-# the D^3 `struct` (above the (d, d, d, f) table), and for a checked build
-# each D^4 associativity array.  2^26 int64 entries are 512 MiB.
+# Cap on building a configured algebra of D flat coordinates, checked before
+# anything is allocated: the D^3 `struct` (2^26 int64 entries are 512 MiB),
+# and for a checked build D^4, which bounds the time of its associativity
+# check: D^5 multiply-adds, in D^3 pieces one first factor at a time.
 MAX_DENSE_ENTRIES = 2**26
 
 # Cap on the draws a configured check may ask for (`samples`, `count`,
@@ -259,20 +259,24 @@ class RunConfig:
 
     def _draws(self, check):
         """Whether a check may draw at random, with the CLI's defaults: an
-        identity transfer always does, an AL check in sampled mode, and a
-        Jordan probe when its algebra has more elements than `samples`.  A
-        witness search walks generator subsets and draws nothing."""
+        identity transfer always does, a sampled AL check not decided on
+        generator subsets (`identities.decided_on_subsets`), and a Jordan
+        probe when its algebra has more elements than `samples`.  A witness
+        search walks generator subsets and draws nothing."""
         kind, loc = check["check"], f"checks.{check['name']}"
+        name = check.get("algebra")
+        algebra = self.algebras.get(name) if isinstance(name, str) else None
         if kind == "identity_transfer":
             return True
         if kind == "al_vanishing":
             mode = check.get("mode", "exhaustive")
             if mode not in MODES:
                 raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}", loc)
-            return mode == "samples"
+            k = 2 * integer(check.get("n", 2), loc, "n")
+            count = integer(check.get("count", 2000), loc, "count")
+            # an unknown algebra or a k < 1 is refused before any draw
+            return algebra is not None and k >= 1 and not decided_on_subsets(algebra.dim, k, mode, count)
         if kind == "jordan_obstruction":
-            name = check.get("algebra")
-            algebra = self.algebras.get(name) if isinstance(name, str) else None
             samples = integer(check.get("samples", 10**4), loc, "samples")
             return algebra is None or algebra.size > samples
         return False

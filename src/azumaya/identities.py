@@ -372,6 +372,14 @@ def _subset_hit(sk, A, budget=None):
     return (None if S is None else np.eye(D, dtype=np.int64)[S]), value, position
 
 
+def decided_on_subsets(dim, k, mode, count):
+    """Whether `al_vanishing_check` decides s_k on `dim` flat coordinates on
+    the k-subsets of the generators, drawing nothing unless one gives a
+    nonzero value: always when exhaustive, else when there are no more
+    subsets than samples or all smaller subsets' tables fit (`_depth`)."""
+    return mode == "exhaustive" or math.comb(dim, k) <= count or _depth(dim, k) == k - 1
+
+
 def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuples=10**7):
     """Does s_(2n) vanish on A?  Over all 2n-tuples (`mode="exhaustive"`,
     within `max_tuples`) or `count` seeded random ones (`mode="samples"`);
@@ -379,12 +387,11 @@ def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuple
     including a witness, or all of them on a pass.
 
     A pass is decided on the 2n-subsets of the coordinate generators
-    whenever the scan would meet every tuple, there are no more subsets
-    than samples, or the tables of all smaller subsets fit (`_depth`):
-    s_(2n) vanishing on them means it vanishes on every tuple, so the scan
-    is skipped and nothing is drawn.  Otherwise, or when a
-    subset gives a nonzero value, the tuples are scanned in order; only a
-    sampled scan draws, and only it needs a seed."""
+    whenever `decided_on_subsets` says so: s_(2n) vanishing on them means
+    it vanishes on every tuple, so the scan is skipped and nothing is
+    drawn.  Otherwise, or when a subset gives a nonzero value, the tuples
+    are scanned in order; only a sampled scan draws, and only it needs a
+    seed."""
     if mode not in MODES:
         raise IdentityError(f"unknown mode {mode!r}, expected one of {MODES}")
     k = 2 * n
@@ -397,8 +404,7 @@ def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuple
     else:
         total = count
         tuples = _tuples(A, k, count, seed)
-    on_subsets = mode == "exhaustive" or math.comb(A.dim, k) <= count or _depth(A.dim, k) == k - 1
-    if on_subsets and _subset_hit(sk, A)[0] is None:
+    if decided_on_subsets(A.dim, k, mode, count) and _subset_hit(sk, A)[0] is None:
         X, value, tested = None, None, total
     else:
         if mode == "samples" and seed is None:

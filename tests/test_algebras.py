@@ -32,7 +32,7 @@ from azumaya.algebras import (
     weyl_quotient,
 )
 from azumaya.linalg import rank_mod_p
-from azumaya.rings import GaloisField, ProductRing, RingIdeal, ZMod
+from azumaya.rings import GaloisField, ProductRing, RingIdeal, ZMod, maximal_ideals
 from ring_oracles import center_bruteforce, env_map, expand_ideal_loop, scalars_flat_loop, twisted
 
 
@@ -430,6 +430,34 @@ def test_is_azumaya_product_base():
     assert is_azumaya(matrix_algebra(R, 2)).status == "pass"
 
 
+def _quaternions(R):
+    # (-1, -1) on 1, i, j, k: e_x e_y = sign * e_z.  Central simple over
+    # every odd residue field, commutative over F_2.
+    products = {
+        (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+        (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+        (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+    }  # fmt: skip
+    one = R.unit_flat
+    table = np.zeros((4, 4, 4, R.flatten_len), dtype=np.int64)
+    for x in range(4):
+        table[0, x, x] = table[x, 0, x] = one
+    for (x, y), (sign, z) in products.items():
+        table[x, y, z] = sign * one
+    return Algebra(R, *structure_tensor(R, table, [one, 0 * one, 0 * one, 0 * one]))
+
+
+def _m2_f2_by_f3_4():
+    # M_2(F_2) at the first factor of Z/2 x Z/3 and F_3^4 at the second:
+    # central simple at the prime 2, commutative at 3
+    R, M = ProductRing([ZMod(2), ZMod(3)]), matrix_algebra(ZMod(2), 2)
+    table = np.zeros((4, 4, 4, 2), dtype=np.int64)
+    table[..., 0] = algebras.ring_table(M)[..., 0]
+    for i in range(4):
+        table[i, i, i, 1] = 1
+    return Algebra(R, *structure_tensor(R, table, np.stack([M.unit_flat, np.ones(4, dtype=np.int64)], axis=1)))
+
+
 _AZUMAYA_CASES = (
     [
         (f"M{n}(Z/{m})", lambda n=n, m=m: matrix_algebra(ZMod(m), n, check=False))
@@ -447,33 +475,60 @@ _AZUMAYA_CASES = (
         ("UT4(F_2)", lambda: upper_triangular_algebra(ZMod(2), 4)),
         ("split-quadratic(F_2)", _split_quadratic),
         ("M2(Z/2 x Z/3)", lambda: matrix_algebra(ProductRing([ZMod(2), ZMod(3)]), 2)),
+        # product and local bases, where the certificate misses
+        ("M2(Z/4 x Z/3)", lambda: matrix_algebra(ProductRing([ZMod(4), ZMod(3)]), 2)),
+        ("M2(Z/2 x GF(4))", lambda: matrix_algebra(ProductRing([ZMod(2), GaloisField.default(2, 2)]), 2)),
+        ("UT2(Z/2 x Z/3)", lambda: upper_triangular_algebra(ProductRing([ZMod(2), ZMod(3)]), 2)),
+        ("UT3(Z/4)", lambda: upper_triangular_algebra(ZMod(4), 3)),
+        ("M2(Z/2)(x)UT2(Z/2)", lambda: tensor_product(matrix_algebra(ZMod(2), 2), upper_triangular_algebra(ZMod(2), 2))),
+        # fails at the prime 2 only: first of Z/6's fibers, second of Z/3 x Z/2's
+        ("H(Z/6)", lambda: _quaternions(ZMod(6))),
+        ("H(Z/3 x Z/2)", lambda: _quaternions(ProductRing([ZMod(3), ZMod(2)]))),
+        # fails at an odd prime only
+        ("M2(F_2) x F_3^4", _m2_f2_by_f3_4),
+        ("UT2(F_3)", lambda: upper_triangular_algebra(ZMod(3), 2)),
     ]
 )
 
 
 @pytest.mark.parametrize("make", [m for _, m in _AZUMAYA_CASES], ids=[n for n, _ in _AZUMAYA_CASES])
 def test_is_azumaya_matches_residue_field_loop(make):
-    # the one bijectivity check over R against central simplicity of every
-    # A (x) R/m, decided ideal by ideal
+    # the fiber loop against the one bijectivity check over R, the route it
+    # replaced: the enveloping map's determinant is a unit iff it is nonzero
+    # modulo every maximal ideal m
     A = make()
     rep = is_azumaya(A)
-    found = algebras._residue_field_witness(A)
-    if found is None:
-        assert rep.status == "pass" and rep.witness is None
+    assert rep.status == ("pass" if env_map_bijective(A) else "fail")
+    if rep.status == "pass":
+        assert rep.witness is None
+        return
+    # the witness names the first fiber that is not central simple
+    fibers = [(repr(m.data), quotient_algebra(A, m)[0]) for m in maximal_ideals(A.base)]
+    names = [name for name, _ in fibers]
+    first = names.index(rep.witness["maximal_ideal"])
+    assert all(env_map_bijective(Am) for _, Am in fibers[:first])
+    Am = fibers[first][1]
+    assert not env_map_bijective(Am)
+    if "nonscalar_central_element" in rep.witness:
+        x = np.asarray(rep.witness["nonscalar_central_element"])
+        assert center(Am).contains(x) and not Am.unit_span().contains(x)
     else:
-        m, witness = found
-        assert rep.status == "fail"
-        assert rep.witness == {"maximal_ideal": repr(m.data), **witness}
+        v = np.asarray(rep.witness["env_kernel_vector"])
+        F, src, _ = env_map_flat(Am)
+        assert v.any() and not ((F @ v) % np.asarray(src)).any()
 
 
-def test_is_azumaya_refuses_failure_without_witness(monkeypatch):
-    # an R-level failure that no residue field reproduces is an internal
-    # contradiction, reported as an error rather than a verdict; the
-    # splitting certificate is made to miss so the env map decides
-    monkeypatch.setattr(algebras, "splitting", lambda A: None)
-    monkeypatch.setattr(algebras, "env_map_bijective", lambda A: False)
-    with pytest.raises(AlgebraError):
-        is_azumaya(matrix_algebra(ZMod(2), 2))
+@pytest.mark.parametrize("make", [m for _, m in _AZUMAYA_CASES], ids=[n for n, _ in _AZUMAYA_CASES])
+def test_is_azumaya_forms_env_maps_over_fields_only(make, monkeypatch):
+    formed = []
+
+    def recording(A):
+        formed.append(A.base)
+        return env_map_flat(A)
+
+    monkeypatch.setattr(algebras, "env_map_flat", recording)
+    is_azumaya(make())
+    assert all(base.is_field for base in formed)
 
 
 # ---------------------------------------------------------------------------

@@ -120,15 +120,19 @@ def test_config_identity_standard_alias():
 
 
 def test_config_seed_required_for_sampled_checks():
+    # M_2(GF(32)) has 20 flat coordinates: C(20, 8) = 125,970 > 2000
+    # generator 8-subsets, and the level tables stop at size 5, so the
+    # sampled s_8 scans drawn tuples
     data = {
         "objects": {
-            "rings": {"F2": {"kind": "zmod", "n": 2}},
-            "algebras": {"A": {"kind": "matrix", "n": 2, "ring": "F2"}},
+            "rings": {"F32": {"kind": "gf", "p": 2, "f": [1, 0, 1, 0, 0, 1]}},
+            "algebras": {"A": {"kind": "matrix", "n": 2, "ring": "F32"}},
         },
-        "checks": [{"name": "al", "check": "al_vanishing", "algebra": "A", "mode": "samples"}],
+        "checks": [{"name": "al", "check": "al_vanishing", "algebra": "A", "n": 4, "mode": "samples"}],
     }
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="seed is required"):
         RunConfig(data)
+    assert RunConfig(dict(data, seed=1)).seed == 1
 
 
 def test_config_without_seed_loads_a_witness_search():
@@ -176,12 +180,18 @@ def test_config_seed_required_for_sampled_jordan_probe():
 
 
 def test_cli_seed_option_serves_a_seedless_sampled_config(tmp_path, capsys):
+    # s_4 on M_2(F_2) is decided on its one generator 4-subset: no draw, no seed
     path = write_config(tmp_path, _seedless({"check": "al_vanishing", "n": 2, "mode": "samples", "count": 100}))
-    assert main(["check", "all", "--config", path]) == 2
-    assert "seed is required" in capsys.readouterr().err
-    assert main(["check", "all", "--config", path, "--seed", "42"]) == 0
+    assert main(["check", "all", "--config", path]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["seed"] == 42 and rep["details"] == {"k": 4, "mode": "samples", "tested": 100}
+    assert "seed" not in rep and rep["details"] == {"k": 4, "mode": "samples", "tested": 100}
+    # s_2 is nonzero on a generator pair, so the check goes on to draw
+    path = write_config(tmp_path, _seedless({"check": "al_vanishing", "n": 1, "mode": "samples", "count": 100}))
+    assert main(["check", "all", "--config", path]) == 2
+    assert "requires a seed" in capsys.readouterr().err
+    assert main(["check", "all", "--config", path, "--seed", "42"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["seed"] == 42 and rep["status"] == "fail"
 
 
 @pytest.mark.parametrize("seed", [None, 42])

@@ -186,11 +186,9 @@ def test_weyl_splitting_all_parameters(p):
             assert h.is_bijective()
 
 
-def test_weyl_splitting_p11_with_reduced_powers(monkeypatch):
+def test_weyl_splitting_p11_with_reduced_powers():
     # unreduced int64 matrix powers refuted this genuine splitting at the
-    # generator pair [1, 86]; W(11) is built unchecked, since its dense
-    # associativity check alone takes minutes
-    monkeypatch.setattr(Algebra, "_verify_axioms", lambda self: None)
+    # generator pair [1, 86]
     h = weyl_splitting(11, 10, 10)
     assert h.status == "verified"
     assert h.is_bijective()

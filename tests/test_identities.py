@@ -183,8 +183,8 @@ def test_al_weyl_exhaustive():
 
 
 def test_al_sampled_requires_seed():
-    # s_2 on M_2(Z/4) fails on a generator pair, and s_4 on M_3(F_2) has
-    # C(9, 4) = 126 > 10 generator subsets: either way the check must draw
+    # s_2 on M_2(Z/4) and s_4 on M_3(F_2) are decided on generator subsets,
+    # but each is nonzero on one, so the check goes on to draw
     for A, n in [(matrix_algebra(ZMod(4), 2), 1), (matrix_algebra(ZMod(2), 3), 2)]:
         with pytest.raises(IdentityError, match="requires a seed"):
             al_vanishing_check(A, n, mode="samples", count=10)

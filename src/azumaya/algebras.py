@@ -8,7 +8,12 @@ stored the same way (`rings`), and every algebra tensor is built from the
 base ring's `struct`.  That makes centers, commutants and the enveloping
 map plain kernel / bijectivity computations over the coordinate moduli.
 Products of elements go through one sparse kernel over the tensor's
-nonzero entries (`Algebra.mul_batch`).  Searches over elements or tuples
+nonzero entries (`Algebra.mul_batch`), and the tensor's contractions with
+itself through one sparse join over them (`linalg.sparse_join`): the
+associativity check of a checked build, (e_a e_b) e_c against
+e_a (e_b e_c), and the enveloping map's triple products (eps_a e_t) e_j.
+The hom check reads the same nonzero entries (`rings.hom_refutation`).
+Searches over elements or tuples
 take their candidates from `candidate_batches` (product order, or seeded
 rows named by index, each a counter-based hash of the seed and its entries'
 positions, `random_rows`) and stop at the first hit through `first_hit`,
@@ -70,10 +75,13 @@ class Algebra:
     x * y = sum x_a y_b struct[a, b, :]; `unit_flat` holds those of 1.  Both
     are reduced mod the per-coordinate moduli.  Associativity on all basis
     triples and the two-sided unit law are verified at construction unless
-    `check` is False.  Element products use the tensor's nonzero entries only
-    (see `mul_batch`).  The constructors below build both arrays, through
-    `structure_tensor` from a ring table or, for `opposite`, from another
-    algebra's tensor.
+    `check` is False, by a sparse join over the tensor's nonzero entries
+    (`_verify_axioms`), which refuses the first failing triple in
+    lexicographic order.  Element products use the nonzero entries only too
+    (see `mul_batch`).  They are held in two orders: by output coordinate
+    (`_sparse_struct`) and by first index (`_sparse_rows`).  The
+    constructors below build both arrays, through `structure_tensor` from a
+    ring table or, for `opposite`, from another algebra's tensor.
     """
 
     def __init__(self, base, struct, unit_flat, label="", check=True):
@@ -98,16 +106,51 @@ class Algebra:
             self._verify_axioms()
 
     def _verify_axioms(self):
-        S, mod, N = self.struct, self._moduli_arr, self._N
-        # (e_a e_b) e_c against e_a (e_b e_c), one a at a time: the D^4
-        # products are formed in D^3 pieces
-        for a in range(self.dim):
-            left = linalg.einsum_mod("bk,kcm->bcm", S[a], S, moduli=mod, N=N)
-            right = linalg.einsum_mod("bck,km->bcm", S, S[a], moduli=mod, N=N)
-            bad = np.argwhere((left != right).any(axis=2))
+        """Refuse the tensor unless it is associative on every basis triple
+        and `unit_flat` is a two-sided unit, with S = struct.
+
+        (e_a e_b) e_c = sum_k S[a, b, k] S[k, c, :] joins the entries
+        (a, b, k) with row k; e_a (e_b e_c) = sum_k S[b, c, k] S[a, k, :]
+        joins the entries (a, k, m) with the products (b, c) landing on k
+        (`linalg.sparse_join`).  Left minus right is summed per key
+        (a, b, c, m) in a buffer of D^3 keys or more, over a few first
+        factors a at a time; each piece of products reduces the entries it
+        touched, so the buffer is zero again after first factors that pass.
+        The first failing triple in lexicographic order is named."""
+        S, mod, N, D = self.struct, self._moduli_arr, self._N, self.dim
+        (I, J, K), V, ptr = self._sparse_rows
+        Io, Jo, Co, outs, starts, _ = self._sparse_struct
+        # the products landing on k are _sparse_struct's entries optr[k]..optr[k + 1] - 1
+        landing = np.zeros(D, dtype=np.int64)
+        landing[outs] = np.diff(starts, append=len(Co))
+        optr = np.concatenate([[0], np.cumsum(landing)])
+        # an entry is a residue plus at most D left and D right products
+        dtype = linalg._dtype(N, 2 * D + 1, 2)
+        V, Co = V.astype(dtype), Co.astype(dtype)
+        piece = max(D**3, self._CHUNK_ENTRIES)
+        step = min(D, piece // D**3) if D else 1  # first factors per buffer
+        buffer = np.zeros(step * D**3, dtype=dtype)
+        # the parts of a key each side of a join reads off its entries,
+        # left (a, b | c, m) and right (a, m | b, c), and the modulus of m
+        left, row = (I * D + J) * D * D, J * D + K
+        right, landed = I * D**3 + K, (Io * D + Jo) * D
+        at = mod[K]
+        for a0 in range(0, D, step):
+            acc, base = buffer[: min(step, D - a0) * D**3], a0 * D**3
+            lo, hi = ptr[a0], ptr[min(a0 + step, D)]
+            for x, y in linalg.sparse_join(K, ptr, lo, hi, piece):
+                key = left[x] + row[y] - base
+                np.add.at(acc, key, V[x] * V[y])
+                acc[key] %= at[y]
+            for x, y in linalg.sparse_join(J, optr, lo, hi, piece):
+                key = right[x] + landed[y] - base
+                np.subtract.at(acc, key, V[x] * Co[y])
+                acc[key] %= at[x]
+            bad = np.flatnonzero(acc)
             if bad.size:
+                a, b, c = np.unravel_index(bad[0] // D, (step, D, D))
                 raise AlgebraError(
-                    f"associativity fails on basis triple {tuple(int(x) for x in (a, *bad[0]))}"
+                    f"associativity fails on basis triple {(int(a0 + a), int(b), int(c))}"
                 )
         u = self.unit_flat
         lu = linalg.einsum_mod("i,ijk->jk", u, S, moduli=mod, N=N)
@@ -149,12 +192,22 @@ class Algebra:
         arrays I, J and coefficients C with struct[I, J, k] = C on the
         segment of k, the output coordinates that have a segment, each
         segment's start, and the dtype of the products: a sum runs over one
-        segment of products of three residues (`linalg._dtype`)."""
+        segment of products of three residues (`linalg._dtype`).
+        `mul_batch` sums each segment; the axiom check's join reads the
+        segment of k as the products (b, c) that land on k."""
         K, I, J = np.nonzero(self.struct.transpose(2, 0, 1))
         outs, starts = np.unique(K, return_index=True)
         longest = int(np.diff(starts, append=len(K)).max(initial=0))
         dtype = linalg._dtype(self._N, longest, 3)
         return I, J, self.struct[I, J, K].astype(dtype), outs, starts, dtype
+
+    @cached_property
+    def _sparse_rows(self):
+        """Nonzero entries of `struct` by first index (`linalg.sparse_rows`):
+        the index arrays (a, b, k), the values struct[a, b, k] and the row
+        pointer over a.  The joins of the axiom check and of the hom check
+        read them."""
+        return linalg.sparse_rows(self.struct)
 
     def mul_flat(self, x, y):
         return self.mul_batch(np.asarray(x)[None], np.asarray(y)[None])[0]
@@ -565,19 +618,33 @@ def env_map_flat(A):
 
     Row ((u, t), s') and column ((i, j), s) hold the s'-coordinate of e_u in
     (b_s e_i) e_t e_j.
-    Two reduced contractions: B[a, t, m] = (eps_a e_t)_m for every flat
-    coordinate generator eps_a, then (eps_a e_t) e_j = sum_k B[a, t, k]
-    B[k, j, :].
+    One reduced contraction gives B[a, t, m] = (eps_a e_t)_m for every flat
+    coordinate generator eps_a = b_s e_i.  Then (eps_a e_t) e_j =
+    sum_k B[a, t, k] B[k, j, :] is the sparse join of B's nonzero entries
+    with B's rows (`linalg.sparse_join`), in pieces of at most D^3 products,
+    each added straight into its entry of the matrix; a piece reduces the
+    entries it touched.
     """
     d, f, D = A.rank, A.base.flatten_len, A.dim
-    E = np.asarray([A.basis_flat(t) for t in range(d)], dtype=np.int64)  # (d, D)
-    B = linalg.einsum_mod("tj,ajk->atk", E, A.struct, moduli=A._moduli_arr, N=A._N)
-    C = linalg.einsum_mod("atk,kjm->atjm", B, B, moduli=A._moduli_arr, N=A._N)
-    # C axes: (alpha=(i,s), t, j, m=(u,s')) -> rows (u,t,s'), cols (i,j,s)
-    C6 = C.reshape(d, f, d, d, d, f)
-    F = C6.transpose(4, 2, 5, 0, 3, 1).reshape(d * d * f, d * d * f)
+    B = linalg.einsum_mod(
+        "atsk,s->atk", A.struct.reshape(D, d, f, D), A.base.unit_flat, moduli=A._moduli_arr, N=A._N
+    )
+    (a, t, k), v, ptr = linalg.sparse_rows(B)
+    # an entry is a residue plus at most D products
+    dtype = linalg._dtype(A._N, D + 1, 2)
+    v, side = v.astype(dtype), d * d * f
+    # the entry's index split into the parts each side of the join reads
+    # off: (i, s) and t of eps_a e_t, then j and m = (u, s') of e_j
+    (i, s), (u, s2) = np.divmod(a, f), np.divmod(k, f)
+    outer, inner = t * f * side + i * d * f + s, (u * d * f + s2) * side + t * f
+    at = A.base._moduli_arr[s2]
+    F = np.zeros(side * side, dtype=dtype)
+    for x, y in linalg.sparse_join(k, ptr, 0, len(v), D**3):
+        key = outer[x] + inner[y]
+        np.add.at(F, key, v[x] * v[y])
+        F[key] %= at[y]
     moduli = tuple(A.base.moduli) * (d * d)
-    return F, moduli, moduli
+    return F.reshape(side, side).astype(np.int64, copy=False), moduli, moduli
 
 
 def env_map_bijective(A):

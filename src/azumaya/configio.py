@@ -28,7 +28,10 @@ from .rings import RingError, RingIdeal, make_ring
 # Cap on building a configured algebra of D flat coordinates, checked before
 # anything is allocated: the D^3 `struct` (2^26 int64 entries are 512 MiB),
 # and for a checked build D^4, which bounds the time of its associativity
-# check: D^5 multiply-adds, in D^3 pieces one first factor at a time.
+# check.  That check is a sparse join over the nonzero structure constants,
+# in pieces of D^3 keys, but a dense `structure_constants` table has up to
+# D^3 nonzeros, each joined with a row of up to D^2: D^5 terms, so the D^4
+# cap stays.
 MAX_DENSE_ENTRIES = 2**26
 
 # Cap on the draws a configured check may ask for (`samples`, `count`,

@@ -23,7 +23,10 @@ Pernet, ACM TOMS 35(3), 2008): a sum of `terms` products of `factors`
 residues mod N runs in int64 while terms * (N-1)^factors < 2^63, and over
 exact Python ints (object arrays) beyond.  An elimination update reduces
 each product of two residues before adding it, so its arrays mod N are
-int64 while (N-1)^2 < 2^63; every other contraction is `einsum_mod`.
+int64 while (N-1)^2 < 2^63; every other dense contraction is `einsum_mod`.
+Contractions of structure tensors, which are mostly zero, run over their
+nonzero entries instead: `sparse_rows` lists them by first index, and
+`sparse_join` pairs each entry with the row its contracted index names.
 
 Mixed moduli are handled by scaling every coordinate into Z/L for L the
 lcm of the moduli; the scaling x_j -> (L/N_j) x_j embeds prod Z/N_j into
@@ -100,6 +103,40 @@ def einsum_mod(subscripts, *operands, moduli, N):
         return (np.einsum(subscripts, *operands) % moduli).astype(np.int64, copy=False)
     out = np.einsum(subscripts, *(np.asarray(x, dtype=object) for x in operands)) % moduli
     return out.astype(_dtype(N, 1, 1))
+
+
+def sparse_rows(T):
+    """The nonzero entries of an integer array in row-major order: a tuple
+    of index arrays (one per axis), their values, and the pointer `ptr` of
+    the first axis, whose row r holds entries ptr[r]..ptr[r + 1] - 1."""
+    index = np.nonzero(T)
+    return index, T[index], np.searchsorted(index[0], np.arange(len(T) + 1))
+
+
+def sparse_join(link, ptr, lo, hi, budget):
+    """The pairs of a sparse join, as (outer, inner) entry-index arrays in
+    chunks of at most `budget` pairs.
+
+    Outer entry e, lo <= e < hi, meets the inner entries of the row that
+    link[e] names, ptr[link[e]]..ptr[link[e] + 1] - 1.  Chunks run in outer
+    order and end only between outer entries, so an entry whose row alone
+    exceeds the budget is a chunk of its own.  A contraction
+    sum_k X[.., k] Y[k, ..] over the nonzeros joins X's entries, linked by
+    k, with Y's rows; the caller multiplies the paired values, in a dtype
+    chosen by `_dtype`, and adds them up by key."""
+    first = ptr[link[lo:hi]]
+    counts = ptr[link[lo:hi] + 1] - first
+    ends = np.cumsum(counts)  # pairs of the outer entries up to each one
+    start = 0
+    while start < len(ends):
+        done = ends[start] - counts[start]  # pairs before this chunk
+        stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        n = counts[start:stop]
+        outer = np.repeat(np.arange(lo + start, lo + stop), n)
+        # the chunk's pair p is pair p - (ends - n - done) of its entry's row
+        inner = np.repeat(first[start:stop] - (ends[start:stop] - n - done), n)
+        yield outer, inner + np.arange(len(inner))
+        start = stop
 
 
 def _residues(mat, N):

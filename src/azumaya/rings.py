@@ -176,6 +176,11 @@ class FiniteCommRing:
         self.struct = np.asarray(struct, dtype=np.int64)
         self.unit_flat = np.asarray(unit, dtype=np.int64)
 
+    @cached_property
+    def _sparse_rows(self):
+        """Nonzero entries of `struct` by first index, for the hom check."""
+        return linalg.sparse_rows(self.struct)
+
     @property
     def flatten_len(self):
         return len(self.moduli)
@@ -419,9 +424,10 @@ class ProductRing(FiniteCommRing):
         for r, block, sub in zip(self.factors, self._blocks, self._parts(ideal.group)):
             part = RingIdeal.from_group(r, sub)
             if not part.is_unit:  # R/I is the product of the nonzero R_i/I_i
-                target, proj = part.quotient()
+                # the composite projection is verified once, by RingIdeal.quotient
+                target, piece = r._quotient(part)
                 matrix = np.zeros((target.flatten_len, self.flatten_len), dtype=np.int64)
-                matrix[:, block] = proj.matrix
+                matrix[:, block] = piece
                 pieces.append((target, matrix))
         if len(pieces) == 1:
             return pieces[0]
@@ -529,11 +535,14 @@ def hom_refutation(matrix, source, target):
     source coordinates, residues) fails to be a unital ring hom, or None.
 
     Source and target are base rings or algebras, both stored as `moduli`,
-    `struct`, `unit_flat` and `_N` with a row-wise `mul_batch`.  The
-    conditions, in order: well-definedness over the coordinate moduli, the
-    unit, and multiplicativity on the coordinate-generator pairs (j, k),
-    the first failing pair in row-major order.  The pairs decide
-    multiplicativity, since both products are Z-bilinear.
+    `struct`, `unit_flat`, `_N` and the struct's nonzero entries by first
+    index (`_sparse_rows`), with a row-wise `mul_batch`.  The conditions, in
+    order: well-definedness over the coordinate moduli, the unit, and
+    multiplicativity on the coordinate-generator pairs (j, k), the first
+    failing pair in row-major order.  The pairs decide multiplicativity,
+    since both products are Z-bilinear.  The images of the products,
+    f(e_a e_b) = sum_k struct[a, b, k] f(e_k), are summed over the struct's
+    nonzero entries only.
     """
     if not linalg.check_well_defined(matrix, source.moduli, target.moduli):
         return {"condition": "well-defined"}
@@ -541,11 +550,21 @@ def hom_refutation(matrix, source, target):
     unit = linalg.einsum_mod("j,ij->i", source.unit_flat, matrix, moduli=moduli, N=N)
     if not np.array_equal(unit, target.unit_flat):
         return {"condition": "unit"}
-    D = len(source.unit_flat)
+    D, T = len(source.unit_flat), len(target.unit_flat)
     images = matrix.T  # row j is the image of the j-th coordinate generator
-    lhs = linalg.einsum_mod("aj,ij->ai", source.struct.reshape(D * D, D), matrix, moduli=moduli, N=N)
-    rhs = target.mul_batch(np.repeat(images, D, axis=0), np.tile(images, (D, 1)))
-    bad = np.flatnonzero((lhs != rhs).any(axis=1))
+    (a, b, k), v, ptr = source._sparse_rows
+    dtype = linalg._dtype(N, D + 1, 2)  # a residue less at most D products
+    v, cols = v.astype(dtype, copy=False)[:, None], images.astype(dtype, copy=False)
+    # f(e_a) f(e_b) - f(e_a e_b) per pair (a, b), zero mod the moduli iff
+    # they agree; f(e_a e_b) = sum_k struct[a, b, k] f(e_k) is subtracted
+    # over the nonzero entries, a few first factors a at a time, each piece
+    # of at most D^2 T products (or 2^16)
+    diff = target.mul_batch(np.repeat(images, D, axis=0), np.tile(images, (D, 1))).astype(dtype, copy=False)
+    step = max(1, (1 << 16) // (D * D * T))
+    for a0 in range(0, D, step):
+        lo, hi = ptr[a0], ptr[min(a0 + step, D)]
+        np.subtract.at(diff, a[lo:hi] * D + b[lo:hi], v[lo:hi] * cols[k[lo:hi]])
+    bad = np.flatnonzero((diff % moduli).any(axis=1))
     if bad.size:
         return {"condition": "multiplicative", "pair": [int(bad[0]) // D, int(bad[0]) % D]}
     return None

@@ -33,6 +33,11 @@ structure constants and ring-entry matrices -- as independent references:
   `center_preservation_loop` are the library's older bodies: I*A from
   every product g * b_s e_i (`scalar_mul_flat`), R*1 one scalar product at
   a time, and the commutator check one center generator at a time;
+- `verify_axioms_dense`, `env_map_flat_dense` and `hom_refutation_dense`
+  are the dense contractions of the structure tensor the library used
+  before its sparse join: the axiom check one first factor at a time, the
+  enveloping map as two einsums and a transpose, and the hom check's left
+  side as one (D^2, D) by (D, T) product;
 - `identity_hom` and `solve_mod` are helpers only tests use.
 """
 
@@ -44,7 +49,7 @@ import math
 import numpy as np
 
 from azumaya import linalg
-from azumaya.algebras import AlgElem, Algebra, _normal_order, center
+from azumaya.algebras import AlgebraError, AlgElem, Algebra, _normal_order, center
 from azumaya.homs import UNVERIFIED, AlgebraHom, _azumaya_preconditions
 from azumaya.linalg import LinalgError, howell
 from azumaya.reports import CONTRADICTS, FAIL, PASS, CheckReport
@@ -332,6 +337,62 @@ def center_preservation_loop(f):
                 preconditions=pre,
             )
     return CheckReport(check="center_preservation", status=PASS, preconditions=pre)
+
+
+# ---------------------------------------------------------------------------
+# the dense contractions of the structure tensor that the sparse join
+# replaced: the axiom check, the enveloping map and the hom check
+
+
+def verify_axioms_dense(A):
+    """The checked build's axiom check as one D^3 einsum pair per first
+    factor; raises AlgebraError at the first failing triple."""
+    S, mod, N = A.struct, A._moduli_arr, A._N
+    for a in range(A.dim):
+        left = linalg.einsum_mod("bk,kcm->bcm", S[a], S, moduli=mod, N=N)
+        right = linalg.einsum_mod("bck,km->bcm", S, S[a], moduli=mod, N=N)
+        bad = np.argwhere((left != right).any(axis=2))
+        if bad.size:
+            raise AlgebraError(f"associativity fails on basis triple {tuple(int(x) for x in (a, *bad[0]))}")
+    u = A.unit_flat
+    lu = linalg.einsum_mod("i,ijk->jk", u, S, moduli=mod, N=N)
+    ru = linalg.einsum_mod("j,ijk->ik", u, S, moduli=mod, N=N)
+    eye = np.eye(A.dim, dtype=np.int64) % mod
+    if np.any(lu != eye) or np.any(ru != eye):
+        raise AlgebraError("unit vector is not a two-sided unit")
+
+
+def env_map_flat_dense(A):
+    """`env_map_flat` from two dense contractions, B[a, t, m] =
+    (eps_a e_t)_m and (eps_a e_t) e_j = sum_k B[a, t, k] B[k, j, :], then
+    one transpose into the flattened layout."""
+    d, f, D = A.rank, A.base.flatten_len, A.dim
+    E = np.asarray([A.basis_flat(t) for t in range(d)], dtype=np.int64)
+    B = linalg.einsum_mod("tj,ajk->atk", E, A.struct, moduli=A._moduli_arr, N=A._N)
+    C = linalg.einsum_mod("atk,kjm->atjm", B, B, moduli=A._moduli_arr, N=A._N)
+    # C axes: (alpha=(i,s), t, j, m=(u,s')) -> rows (u,t,s'), cols (i,j,s)
+    F = C.reshape(d, f, d, d, d, f).transpose(4, 2, 5, 0, 3, 1).reshape(d * d * f, d * d * f)
+    moduli = tuple(A.base.moduli) * (d * d)
+    return F, moduli, moduli
+
+
+def hom_refutation_dense(matrix, source, target):
+    """`rings.hom_refutation` with its left side f(e_a e_b) as one dense
+    (D^2, D) by (D, T) contraction."""
+    if not linalg.check_well_defined(matrix, source.moduli, target.moduli):
+        return {"condition": "well-defined"}
+    moduli, N = target._moduli_arr, max(source._N, target._N)
+    unit = linalg.einsum_mod("j,ij->i", source.unit_flat, matrix, moduli=moduli, N=N)
+    if not np.array_equal(unit, target.unit_flat):
+        return {"condition": "unit"}
+    D = len(source.unit_flat)
+    images = matrix.T
+    lhs = linalg.einsum_mod("aj,ij->ai", source.struct.reshape(D * D, D), matrix, moduli=moduli, N=N)
+    rhs = target.mul_batch(np.repeat(images, D, axis=0), np.tile(images, (D, 1)))
+    bad = np.flatnonzero((lhs != rhs).any(axis=1))
+    if bad.size:
+        return {"condition": "multiplicative", "pair": [int(bad[0]) // D, int(bad[0]) % D]}
+    return None
 
 
 def identity_hom(A):

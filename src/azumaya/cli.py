@@ -195,12 +195,12 @@ def _run_check(cfg, desc):
         )
     if kind == "nonvanishing_witness":
         _, rep = idn.nonvanishing_witness(
-            algebra(), parameter("k", 2), budget=parameter("budget", 10000), seed=cfg.seed or 0
+            algebra(), parameter("k", 2), budget=parameter("budget", 10000), seed=cfg.seed
         )
         return rep
     if kind == "identity_transfer":
         return idn.identity_transfer_check(
-            hom(), named("identity", cfg.identities), trials=draws("trials", 100), seed=cfg.seed or 0
+            hom(), named("identity", cfg.identities), trials=draws("trials", 100), seed=cfg.seed
         )
     raise ConfigError(f"unknown check kind {kind!r}", where)
 
@@ -219,8 +219,9 @@ def cmd_check(args):
             rep = CheckReport(
                 check=desc["name"], status="precondition-unmet", details={"reason": str(e)}
             )
-        except idn.IdentityError as e:
-            # an arity out of range for s_k: a malformed check parameter
+        except (idn.IdentityError, AlgebraError) as e:
+            # an arity out of range for s_k or an unknown mode (a malformed
+            # check parameter), or a draw without a seed
             raise ConfigError(str(e), f"checks.{desc['name']}") from e
         rep.check = desc["name"]
         reports.append(rep)

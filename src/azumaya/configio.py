@@ -3,6 +3,11 @@
 Configs are JSON documents.  A run config names its objects once and refers
 to them by name; every parse error carries the location path of the
 offending field so the CLI can report it before exiting with code 2.
+
+Loading validates the objects and the check list's names only.  Whether a
+check needs a seed is known when it draws, so a config without one loads
+whatever its checks, and a check that draws is refused at its first draw
+(`algebras.random_rows`).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .algebras import (
     weyl_quotient,
 )
 from .homs import AlgebraHom, compose, conjugation_auto, diagonal_embed, reduction_hom
-from .identities import MODES, MultilinearIdentity, decided_on_subsets, standard_identity
+from .identities import MultilinearIdentity, standard_identity
 from .rings import RingError, RingIdeal, make_ring
 
 # Cap on building a configured algebra of D flat coordinates, checked before
@@ -217,7 +222,9 @@ def make_identity(cfg, location="identity"):
 
 
 class RunConfig:
-    """Validated run configuration: named objects plus an ordered check list."""
+    """Validated run configuration: named objects plus an ordered check
+    list.  `seed` is the config's seed or None; the checks' parameters are
+    read when each check runs."""
 
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -256,33 +263,6 @@ class RunConfig:
                 raise ConfigError(f"duplicate check name {name!r}", loc)
             names.add(name)
             self.checks.append(dict(c, name=name))
-        draws = [self._draws(c) for c in self.checks]
-        if self.seed is None and any(draws):
-            raise ConfigError("a seed is required whenever sampled checks are configured", "seed")
-
-    def _draws(self, check):
-        """Whether a check may draw at random, with the CLI's defaults: an
-        identity transfer always does, a sampled AL check not decided on
-        generator subsets (`identities.decided_on_subsets`), and a Jordan
-        probe when its algebra has more elements than `samples`.  A witness
-        search walks generator subsets and draws nothing."""
-        kind, loc = check["check"], f"checks.{check['name']}"
-        name = check.get("algebra")
-        algebra = self.algebras.get(name) if isinstance(name, str) else None
-        if kind == "identity_transfer":
-            return True
-        if kind == "al_vanishing":
-            mode = check.get("mode", "exhaustive")
-            if mode not in MODES:
-                raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}", loc)
-            k = 2 * integer(check.get("n", 2), loc, "n")
-            count = integer(check.get("count", 2000), loc, "count")
-            # an unknown algebra or a k < 1 is refused before any draw
-            return algebra is not None and k >= 1 and not decided_on_subsets(algebra.dim, k, mode, count)
-        if kind == "jordan_obstruction":
-            samples = integer(check.get("samples", 10**4), loc, "samples")
-            return algebra is None or algebra.size > samples
-        return False
 
 
 def load_run_config(path, seed=None):

@@ -361,11 +361,12 @@ def rank_comparison_check(f):
     )
 
 
-def jordan_obstruction_probe(n, Aprime, samples=10000, seed=0):
+def jordan_obstruction_probe(n, Aprime, samples=10000, seed=None):
     """No element of A' = M_{n'}(k) with n' < n may have nilpotency index
     exactly n.  Exhaustive when the algebra is small enough, seeded sampling
-    otherwise; candidates are raised to powers a batch at a time through the
-    batched first-hit search (`algebras.first_hit`).
+    otherwise (without a seed, its first draw raises AlgebraError);
+    candidates are raised to powers a batch at a time through the batched
+    first-hit search (`algebras.first_hit`).
 
     A nilpotent of M_{n'} over a field has index <= n', so any index above
     n' (n among them, when n' < n) is reported with the first candidate

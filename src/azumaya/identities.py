@@ -18,6 +18,10 @@ mode when there are no more subsets than samples or the subset tables
 below fit.  Only when some subset gives a nonzero value does it scan the
 tuples, to report the first failing tuple in scan order.
 
+Only a sampled tuple scan and the identity transfer draw.  Each takes its
+seed as given, and without one it is refused at its first draw
+(`algebras.random_rows` raises AlgebraError); nothing decides that earlier.
+
 The subsets share their sub-subsets: s_S = sum over i in S of
 +-e_i * s_(S minus i).  So the values on all m-subsets of the generators,
 for m = 1, 2, ..., follow size by size, each row a signed sum of products
@@ -372,26 +376,19 @@ def _subset_hit(sk, A, budget=None):
     return (None if S is None else np.eye(D, dtype=np.int64)[S]), value, position
 
 
-def decided_on_subsets(dim, k, mode, count):
-    """Whether `al_vanishing_check` decides s_k on `dim` flat coordinates on
-    the k-subsets of the generators, drawing nothing unless one gives a
-    nonzero value: always when exhaustive, else when there are no more
-    subsets than samples or all smaller subsets' tables fit (`_depth`)."""
-    return mode == "exhaustive" or math.comb(dim, k) <= count or _depth(dim, k) == k - 1
-
-
 def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuples=10**7):
     """Does s_(2n) vanish on A?  Over all 2n-tuples (`mode="exhaustive"`,
     within `max_tuples`) or `count` seeded random ones (`mode="samples"`);
     either way exact per tuple.  `tested` counts the tuples up to and
     including a witness, or all of them on a pass.
 
-    A pass is decided on the 2n-subsets of the coordinate generators
-    whenever `decided_on_subsets` says so: s_(2n) vanishing on them means
+    A pass is decided on the 2n-subsets of the coordinate generators, when
+    exhaustive, when there are no more subsets than samples, or when all
+    smaller subsets' tables fit (`_depth`): s_(2n) vanishing on them means
     it vanishes on every tuple, so the scan is skipped and nothing is
     drawn.  Otherwise, or when a subset gives a nonzero value, the tuples
-    are scanned in order; only a sampled scan draws, and only it needs a
-    seed."""
+    are scanned in order; only a sampled scan draws, and without a seed
+    its first draw raises AlgebraError."""
     if mode not in MODES:
         raise IdentityError(f"unknown mode {mode!r}, expected one of {MODES}")
     k = 2 * n
@@ -404,11 +401,10 @@ def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuple
     else:
         total = count
         tuples = _tuples(A, k, count, seed)
-    if decided_on_subsets(A.dim, k, mode, count) and _subset_hit(sk, A)[0] is None:
+    on_subsets = mode == "exhaustive" or math.comb(A.dim, k) <= count or _depth(A.dim, k) == k - 1
+    if on_subsets and _subset_hit(sk, A)[0] is None:
         X, value, tested = None, None, total
     else:
-        if mode == "samples" and seed is None:
-            raise IdentityError("sampled mode requires a seed")
         X, value, tested = first_hit(tuples, _entries(k, A.dim), _nonzero(sk, A))
     details = {"k": k, "mode": mode, "tested": tested}
     if X is None:
@@ -422,7 +418,7 @@ def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuple
     )
 
 
-def nonvanishing_witness(A, k, budget=10000, seed=0):
+def nonvanishing_witness(A, k, budget=10000, seed=None):
     """A k-tuple with s_k != 0 among the k-subsets of the coordinate
     generators, evaluated in batches.
 
@@ -446,9 +442,10 @@ def nonvanishing_witness(A, k, budget=10000, seed=0):
     )
 
 
-def identity_transfer_check(f, identity, trials=100, seed=0):
+def identity_transfer_check(f, identity, trials=100, seed=None):
     """phi(p(x_1..x_k)) = p(phi(x_1)..phi(x_k)) on seeded random tuples,
-    evaluated in batches on each side."""
+    evaluated in batches on each side.  Without a seed the first draw
+    raises AlgebraError."""
     f.require_verified()
     A, B = f.source, f.target
     k = identity.arity

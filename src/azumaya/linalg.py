@@ -330,17 +330,20 @@ class Subgroup:
 
 def check_well_defined(H, src_moduli, tgt_moduli):
     """Whether N_j H[i][j] = 0 mod M_i for every entry, decided as
-    H[i][j] = 0 mod M_i / gcd(N_j, M_i) so that no product is formed."""
+    H[i][j] = 0 mod M_i / gcd(N_j, M_i) so that no product is formed: one
+    block of entries per pair of distinct moduli (M, N), tested only where
+    that step exceeds 1.  Over one repeated modulus (Z/n, GF(q)) the step is
+    1 and nothing is read."""
     H = np.asarray(H)
     if H.shape != (len(tgt_moduli), len(src_moduli)):
         raise IllFormedMap("matrix shape does not match the moduli vectors")
-    dtype = _dtype(max((*src_moduli, *tgt_moduli), default=1))
-    # one gcd per pair of distinct moduli, spread over the entries
-    src, src_at = np.unique(np.asarray(src_moduli, dtype=dtype), return_inverse=True)
-    tgt, tgt_at = np.unique(np.asarray(tgt_moduli, dtype=dtype), return_inverse=True)
-    step = (tgt[:, None] // np.gcd(src, tgt[:, None]))[np.ix_(tgt_at, src_at)]
-    checked = step > 1
-    return not np.any(H[checked] % step[checked])
+    src, tgt = np.asarray(src_moduli), np.asarray(tgt_moduli)
+    for M in set(tgt_moduli):
+        for N in set(src_moduli):
+            step = int(M) // math.gcd(int(M), int(N))
+            if step > 1 and np.any(H[np.ix_(tgt == M, src == N)] % step):
+                return False
+    return True
 
 
 def _columns_over_lcm(H, src_moduli, tgt_moduli):

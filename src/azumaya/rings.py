@@ -70,8 +70,8 @@ class InvalidBaseHom(RingError):
 
 # The first twelve primes as Miller-Rabin bases decide primality below
 # this bound, the least strong pseudoprime to all of them (Sorenson and
-# Webster, Math. Comp. 86, 2017): for every Z/n modulus, as those are below
-# 2^63.  A larger GF characteristic is refused.
+# Webster, Math. Comp. 86, 2017): for every Z/n modulus and every GF
+# characteristic, as both are refused from 2^63 on.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 318665857834031151167461
 
@@ -279,13 +279,19 @@ class GaloisField(FiniteCommRing):
 
     Coefficients are stored low-to-high; f has length k+1 with leading 1.
     The coordinate generators are 1, t, ..., t^(k-1), so b_s * b_t = t^(s+t)
-    and the multiplication tensor is the regular representation.
+    and the multiplication tensor is the regular representation.  The
+    characteristic p is a prime below 2^63 (coordinates are int64
+    residues), and f is checked irreducible by Berlekamp's criterion on
+    that tensor: two ranks of a k x k matrix over F_p, whatever the size
+    of p.
     """
 
     kind = "gf"
 
     def __init__(self, p, f):
         p = int(p)
+        if p >= 2**63:
+            raise RingError(f"characteristic must be below 2^63, got {p}")
         if not _is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         f = tuple(int(c) % p for c in f[:-1]) + (int(f[-1]),)
@@ -297,10 +303,10 @@ class GaloisField(FiniteCommRing):
         self.p = p
         self.f = f
         self.k = k
-        if k > 1:
-            self._check_irreducible()
         powers = self._powers()
         self._store((p,) * k, powers[np.add.outer(np.arange(k), np.arange(k))], powers[0])
+        if k > 1:
+            self._check_irreducible()
 
     def _powers(self):
         """Coordinates of t^0, ..., t^(2k-2): each is t times the one
@@ -314,31 +320,27 @@ class GaloisField(FiniteCommRing):
         return np.asarray(rows, dtype=np.int64)
 
     def _check_irreducible(self):
-        # exhaustive trial division by monic polynomials of degree <= k/2
-        p, k, f = self.p, self.k, self.f
-        for c in range(p):
-            val = sum(coef * pow(c, i, p) for i, coef in enumerate(f)) % p
-            if val == 0:
-                raise ReduciblePolynomial(f"t = {c} is a root of {list(f)} mod {p}")
-        for deg in range(2, k // 2 + 1):
-            for tail in itertools.product(range(p), repeat=deg):
-                divisor = list(tail) + [1]
-                if self._poly_divides(divisor, list(f), p):
-                    raise ReduciblePolynomial(
-                        f"{divisor} divides {list(f)} mod {p}"
-                    )
-
-    @staticmethod
-    def _poly_divides(d, f, p):
-        rem = list(f)
-        while len(rem) >= len(d):
-            lead = rem[-1]
-            if lead:
-                shift = len(rem) - len(d)
-                for i, c in enumerate(d):
-                    rem[shift + i] = (rem[shift + i] - lead * c) % p
-            rem.pop()
-        return all(c == 0 for c in rem)
+        """Berlekamp's criterion, read off the stored tensor.  Q, the matrix
+        of the Frobenius x -> x^p of F_p[t]/(f), has column i the
+        coordinates of (t^i)^p, all k found at once by binary powering.
+        The ring is reduced (f squarefree) iff no nonzero x has x^p = 0,
+        that is iff rank Q = k.  A reduced ring is a product of r fields,
+        one per irreducible factor of f, and the fixed points of the
+        Frobenius are then F_p^r: rank(Q - I) = k - r.  So f is irreducible
+        iff rank Q = k and rank(Q - I) = k - 1."""
+        p, k = self.p, self.k
+        basis = np.eye(k, dtype=np.int64)
+        Q = np.repeat(self.unit_flat[None, :], k, axis=0)
+        for bit in bin(p)[2:]:
+            Q = self.mul_batch(Q, Q)
+            if bit == "1":
+                Q = self.mul_batch(Q, basis)
+        Q = Q.T
+        if linalg.rank_mod_p(Q, p) < k:
+            raise ReduciblePolynomial(f"{list(self.f)} has a repeated factor mod {p}")
+        factors = k - linalg.rank_mod_p(Q - basis, p)
+        if factors > 1:
+            raise ReduciblePolynomial(f"{list(self.f)} has {factors} irreducible factors mod {p}")
 
     @property
     def is_field(self):

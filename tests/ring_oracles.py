@@ -38,6 +38,12 @@ structure constants and ring-entry matrices -- as independent references:
   before its sparse join: the axiom check one first factor at a time, the
   enveloping map as two einsums and a transpose, and the hom check's left
   side as one (D^2, D) by (D, T) product;
+- `check_well_defined_spread` is the well-definedness test the library
+  used before it read one block per pair of distinct moduli: one gcd per
+  pair, spread over every entry by `np.unique` and `np.ix_`;
+- `irreducible_trial` decides irreducibility over F_p by the root scan and
+  trial division by every monic polynomial of degree at most k/2
+  (`poly_divides`), as `GaloisField` did before Berlekamp's criterion;
 - `identity_hom` and `solve_mod` are helpers only tests use.
 """
 
@@ -393,6 +399,46 @@ def hom_refutation_dense(matrix, source, target):
     if bad.size:
         return {"condition": "multiplicative", "pair": [int(bad[0]) // D, int(bad[0]) % D]}
     return None
+
+
+def check_well_defined_spread(H, src_moduli, tgt_moduli):
+    """Whether N_j H[i][j] = 0 mod M_i for every entry, from a full matrix
+    of steps M_i / gcd(N_j, M_i)."""
+    H = np.asarray(H)
+    if H.shape != (len(tgt_moduli), len(src_moduli)):
+        raise linalg.IllFormedMap("matrix shape does not match the moduli vectors")
+    dtype = linalg._dtype(max((*src_moduli, *tgt_moduli), default=1))
+    src, src_at = np.unique(np.asarray(src_moduli, dtype=dtype), return_inverse=True)
+    tgt, tgt_at = np.unique(np.asarray(tgt_moduli, dtype=dtype), return_inverse=True)
+    step = (tgt[:, None] // np.gcd(src, tgt[:, None]))[np.ix_(tgt_at, src_at)]
+    checked = step > 1
+    return not np.any(H[checked] % step[checked])
+
+
+def poly_divides(d, f, p):
+    """Whether the monic d divides f over F_p (coefficients low to high)."""
+    rem = list(f)
+    while len(rem) >= len(d):
+        lead = rem[-1]
+        if lead:
+            shift = len(rem) - len(d)
+            for i, c in enumerate(d):
+                rem[shift + i] = (rem[shift + i] - lead * c) % p
+        rem.pop()
+    return all(c == 0 for c in rem)
+
+
+def irreducible_trial(p, f):
+    """Whether the monic f of degree k >= 2 is irreducible over F_p: it has
+    no root and no monic divisor of degree 2..k/2."""
+    k = len(f) - 1
+    if any(sum(c * pow(x, i, p) for i, c in enumerate(f)) % p == 0 for x in range(p)):
+        return False
+    return not any(
+        poly_divides(list(tail) + [1], list(f), p)
+        for deg in range(2, k // 2 + 1)
+        for tail in itertools.product(range(p), repeat=deg)
+    )
 
 
 def identity_hom(A):

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import json
+import pkgutil
 import time
 from pathlib import Path
 
@@ -7,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import azumaya
+from azumaya.algebras import AlgebraError
 from azumaya.cli import main
 from azumaya.configio import MAX_DRAWS, ConfigError, RunConfig, load_run_config, make_algebra, make_hom, make_identity
 from azumaya.suites import builtin_suites, run_suite
@@ -119,20 +124,25 @@ def test_config_identity_standard_alias():
     assert ident.arity == 3 and len(ident.terms) == 6
 
 
-def test_config_seed_required_for_sampled_checks():
-    # M_2(GF(32)) has 20 flat coordinates: C(20, 8) = 125,970 > 2000
-    # generator 8-subsets, and the level tables stop at size 5, so the
-    # sampled s_8 scans drawn tuples
-    data = {
-        "objects": {
-            "rings": {"F32": {"kind": "gf", "p": 2, "f": [1, 0, 1, 0, 0, 1]}},
-            "algebras": {"A": {"kind": "matrix", "n": 2, "ring": "F32"}},
-        },
-        "checks": [{"name": "al", "check": "al_vanishing", "algebra": "A", "n": 4, "mode": "samples"}],
-    }
-    with pytest.raises(ConfigError, match="seed is required"):
-        RunConfig(data)
-    assert RunConfig(dict(data, seed=1)).seed == 1
+# M_2(GF(32)) has 20 flat coordinates: C(20, 8) = 125,970 > 2000 generator
+# 8-subsets, and the level tables stop at size 5, so the sampled s_8 scans
+# drawn tuples
+SAMPLED_S8 = {
+    "objects": {
+        "rings": {"F32": {"kind": "gf", "p": 2, "f": [1, 0, 1, 0, 0, 1]}},
+        "algebras": {"A": {"kind": "matrix", "n": 2, "ring": "F32"}},
+    },
+    "checks": [{"name": "al", "check": "al_vanishing", "algebra": "A", "n": 4, "mode": "samples"}],
+}
+
+
+def test_config_seed_required_for_sampled_checks(tmp_path, capsys):
+    # the config loads without a seed; the check is refused at its first draw
+    assert RunConfig(SAMPLED_S8).seed is None
+    assert RunConfig(dict(SAMPLED_S8, seed=1)).seed == 1
+    assert main(["check", "all", "--config", write_config(tmp_path, SAMPLED_S8)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checks.al: ") and "needs a seed" in err
 
 
 def test_config_without_seed_loads_a_witness_search():
@@ -174,9 +184,13 @@ def test_cli_seedless_exhaustive_jordan_probe_runs(tmp_path, capsys):
     assert rep["status"] == "pass" and rep["details"] == {"checked": 16, "exhaustive": True}
 
 
-def test_config_seed_required_for_sampled_jordan_probe():
-    with pytest.raises(ConfigError, match="seed is required"):
-        RunConfig(_seedless({"check": "jordan_obstruction", "n": 3, "samples": 15}))
+def test_config_seed_required_for_sampled_jordan_probe(tmp_path, capsys):
+    # M_2(F_2) has 16 elements, more than `samples`: the probe draws
+    data = _seedless({"check": "jordan_obstruction", "n": 3, "samples": 15})
+    assert RunConfig(data).seed is None
+    assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checks.c: ") and "needs a seed" in err
 
 
 def test_cli_seed_option_serves_a_seedless_sampled_config(tmp_path, capsys):
@@ -188,7 +202,7 @@ def test_cli_seed_option_serves_a_seedless_sampled_config(tmp_path, capsys):
     # s_2 is nonzero on a generator pair, so the check goes on to draw
     path = write_config(tmp_path, _seedless({"check": "al_vanishing", "n": 1, "mode": "samples", "count": 100}))
     assert main(["check", "all", "--config", path]) == 2
-    assert "requires a seed" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: checks.c: a seeded draw needs a seed")
     assert main(["check", "all", "--config", path, "--seed", "42"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["seed"] == 42 and rep["status"] == "fail"
@@ -196,11 +210,34 @@ def test_cli_seed_option_serves_a_seedless_sampled_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [None, 42])
 def test_cli_unknown_al_mode_exits_2(tmp_path, capsys, seed):
+    # the config loads; the mode is refused when the check runs
     data = dict(_seedless({"check": "al_vanishing", "n": 1, "mode": "sampels"}), seed=seed)
-    with pytest.raises(ConfigError, match="unknown mode 'sampels'"):
-        RunConfig(data)
+    assert RunConfig(data).seed == seed
     assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
-    assert "unknown mode" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: checks.c: unknown mode 'sampels'")
+
+
+# one config per kind of check that draws, each with a seedless check named "c"
+DRAWING_CHECKS = {
+    "probe": _seedless({"check": "jordan_obstruction", "n": 3, "samples": 15}),
+    "transfer": {
+        "objects": BASIC["objects"],
+        "checks": [{"name": "c", "check": "identity_transfer", "hom": "red", "identity": "s2"}],
+    },
+    # s_2 is nonzero on a generator pair of M_2(F_2)
+    "al-subset-hit": _seedless({"check": "al_vanishing", "n": 1, "mode": "samples", "count": 100}),
+    "al-past-tables": dict(SAMPLED_S8, checks=[dict(SAMPLED_S8["checks"][0], name="c")]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DRAWING_CHECKS))
+def test_cli_seedless_check_refused_at_its_first_draw(tmp_path, capsys, kind):
+    path = write_config(tmp_path, DRAWING_CHECKS[kind])
+    assert main(["construct", "--config", path]) == 0
+    capsys.readouterr()
+    assert main(["check", "all", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checks.c: a seeded draw needs a seed") and "Traceback" not in err
 
 
 def test_config_duplicate_check_names():
@@ -382,12 +419,59 @@ def test_cli_refuted_hom_exits_1(tmp_path, capsys):
     assert first["witness"]["condition"] == "unit"
 
 
+@pytest.mark.parametrize(
+    "ring,message",
+    [
+        # t^2 + 3 splits mod 2^61 - 1; trial division over every c < p never ended
+        ({"kind": "gf", "p": 2**61 - 1, "f": [3, 0, 1]}, "2 irreducible factors"),
+        # a prime above 2^63: its residues do not fit int64
+        ({"kind": "gf", "p": 9223372036854775837, "f": [0, 1]}, "characteristic must be below 2^63"),
+    ],
+)
+def test_cli_gf_ring_refused_exits_2(tmp_path, capsys, ring, message):
+    path = write_config(tmp_path, {"objects": {"rings": {"R": ring}}})
+    started = time.perf_counter()
+    assert main(["construct", "--config", path]) == 2
+    assert time.perf_counter() - started < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: objects.rings.R: ") and message in err and "Traceback" not in err
+
+
 def test_cli_suite_unknown_exits_2(capsys):
     assert main(["suite", "definitely-not-a-suite"]) == 2
 
 
 def test_cli_suite_seed_required(capsys):
     assert main(["suite", "jordan-lem32"]) == 2
+
+
+def test_jordan_suite_without_seed_refused_at_its_first_draw():
+    with pytest.raises(AlgebraError, match="needs a seed"):
+        run_suite("jordan-lem32")
+
+
+def test_every_seed_default_is_none():
+    # a missing seed is decided only where a check draws; no function
+    # replaces it with a default of its own
+    defaults = {}
+    for info in pkgutil.iter_modules(azumaya.__path__, "azumaya."):
+        module = importlib.import_module(info.name)
+        members = [v for v in vars(module).values() if getattr(v, "__module__", None) == info.name]
+        members += [v for c in members if inspect.isclass(c) for v in vars(c).values()]
+        for fn in members:
+            if inspect.isfunction(fn) and fn.__module__ == info.name:
+                seed = inspect.signature(fn).parameters.get("seed")
+                if seed is not None and seed.default is not inspect.Parameter.empty:
+                    defaults[f"{info.name}.{fn.__qualname__}"] = seed.default
+    assert {
+        "azumaya.homs.jordan_obstruction_probe",
+        "azumaya.identities.identity_transfer_check",
+        "azumaya.identities.nonvanishing_witness",
+        "azumaya.identities.al_vanishing_check",
+        "azumaya.reports.CheckReport.__init__",
+        "azumaya.suites.run_suite",
+    } <= set(defaults)
+    assert {name: d for name, d in defaults.items() if d is not None} == {}
 
 
 def test_cli_suite_al_thm26_runs_without_seed(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from azumaya import identities
-from azumaya.algebras import matrix_algebra, weyl_quotient
+from azumaya.algebras import AlgebraError, matrix_algebra, weyl_quotient
 from azumaya.homs import diagonal_embed, reduction_hom
 from azumaya.identities import (
     AlgebraMismatch,
@@ -184,9 +184,10 @@ def test_al_weyl_exhaustive():
 
 def test_al_sampled_requires_seed():
     # s_2 on M_2(Z/4) and s_4 on M_3(F_2) are decided on generator subsets,
-    # but each is nonzero on one, so the check goes on to draw
+    # but each is nonzero on one, so the check goes on to draw, and the
+    # draw refuses to run without a seed
     for A, n in [(matrix_algebra(ZMod(4), 2), 1), (matrix_algebra(ZMod(2), 3), 2)]:
-        with pytest.raises(IdentityError, match="requires a seed"):
+        with pytest.raises(AlgebraError, match="needs a seed"):
             al_vanishing_check(A, n, mode="samples", count=10)
 
 

@@ -28,6 +28,7 @@ from azumaya.linalg import (
 from azumaya.rings import GaloisField, ZMod, factorize
 from ring_oracles import (
     Matrix,
+    check_well_defined_spread,
     UnsupportedRing,
     howell_form,
     howell_rowloop,
@@ -279,6 +280,30 @@ def test_well_defined_forms_no_product():
     assert check_well_defined([[2]], (2,), (4,))
     assert not check_well_defined([[1]], (2,), (4,))
     assert not check_well_defined([[1]], (P4,), (2 * P4,))
+
+
+# moduli sharing factors with each other, some near 2^62, some with
+# (M - 1)^2 beyond int64
+WELL_DEFINED_MODULI = [2, 3, 4, 6, 12, P4, 2 * P4, M61, 2 * M61, 3 * M61, 2**62, 2**62 + 57, 2**63 - 25]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(WELL_DEFINED_MODULI), min_size=1, max_size=5),
+    st.lists(st.sampled_from(WELL_DEFINED_MODULI), min_size=1, max_size=5),
+    st.data(),
+)
+def test_well_defined_matches_spread_steps(src, tgt, data):
+    # a well-defined map, then about half the time one entry redrawn, so
+    # both answers occur
+    H = np.asarray(
+        [[data.draw(st.integers(0, M - 1)) * (M // math.gcd(M, N)) % M for N in src] for M in tgt],
+        dtype=np.int64,
+    )
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, len(tgt) - 1)), data.draw(st.integers(0, len(src) - 1))
+        H[i, j] = data.draw(st.integers(0, tgt[i] - 1))
+    assert check_well_defined(H, src, tgt) == check_well_defined_spread(H, src, tgt)
 
 
 def test_subgroup_order_beyond_int64_products():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from functools import lru_cache
@@ -36,6 +37,7 @@ from ring_oracles import (
     factorize_trial,
     ideal_elements,
     inv_coords,
+    irreducible_trial,
     is_prime_trial,
     maximal_ideal_sets,
     mul_coords,
@@ -99,6 +101,55 @@ def test_gf_reducible_rejected():
 def test_gf_nonprime_rejected():
     with pytest.raises(NonPrimeModulus):
         GaloisField(4, [1, 1, 1])
+
+
+# every monic polynomial of these degrees over these primes: 4,385 in all
+GF_GRID = [(2, range(2, 9)), (3, range(2, 7)), (5, range(2, 5)), (7, range(2, 4)), (11, range(2, 4)), (13, [2])]
+
+
+def _monic(p, k):
+    return (list(tail) + [1] for tail in itertools.product(range(p), repeat=k))
+
+
+def test_gf_irreducibility_matches_trial_division():
+    checked = 0
+    for p, degrees in GF_GRID:
+        for k in degrees:
+            for f in _monic(p, k):
+                checked += 1
+                if irreducible_trial(p, f):
+                    assert GaloisField(p, f).f == tuple(f)
+                else:
+                    with pytest.raises(ReduciblePolynomial):
+                        GaloisField(p, f)
+    assert checked == 4385
+
+
+def test_gf_default_is_the_least_irreducible_polynomial():
+    for p, degrees in GF_GRID:
+        for k in degrees:
+            least = next(f for f in _monic(p, k) if irreducible_trial(p, f))
+            assert GaloisField.default(p, k).f == tuple(least)
+
+
+def test_gf_irreducibility_decided_for_a_large_characteristic():
+    # p = 2^61 - 1 is 3 mod 4 and 1 mod 3: -1 is not a square and -3 is
+    p = 2**61 - 1
+    started = time.perf_counter()
+    F = GaloisField(p, [1, 0, 1])
+    with pytest.raises(ReduciblePolynomial, match="2 irreducible factors"):
+        GaloisField(p, [3, 0, 1])
+    with pytest.raises(ReduciblePolynomial, match="repeated factor"):
+        GaloisField(p, [1, 2, 1])
+    assert time.perf_counter() - started < 5
+    t = F.basis_elem(1)
+    assert (t * t).coords == (p - 1, 0)
+
+
+@pytest.mark.parametrize("p", [2**63 + 29, 9223372036854775837])
+def test_gf_characteristic_from_2_63_refused(p):
+    with pytest.raises(RingError, match="below 2\\^63"):
+        GaloisField(p, [0, 1])
 
 
 def test_gf_inverse_all_elements():

@@ -27,14 +27,16 @@ tables (`ring_table`) and base changes from the ring table times the
 ring-hom matrix; structure constants given as integers (configs) go in
 as they are.  `opposite` transposes `struct` directly.
 
-`is_azumaya` decides a pass by a certificate when it can: `splitting`
-builds an isomorphism A -> M_n(R) over R = Z/N (a minimal left ideal and a
-lifted idempotent per prime power of N, joined by the CRT) and verifies it
-with the one hom check and the one bijectivity check, in D x D linear
-algebra.  On a miss it decides fiber by fiber: A is Azumaya iff the
-D^2 x D^2 enveloping map of A (x) R/m is bijective for every maximal ideal
-m, so enveloping maps are formed over residue fields only, and the first
-fiber that fails gives the verdict and its witness.
+`is_azumaya` decides the rank first: a rank that is not a square fails at
+once.  It decides a pass by a certificate when it can: `splitting` builds
+an isomorphism A -> M_n(R) over R = Z/N or GF(q) (a minimal left ideal and
+an idempotent per prime power of N, lifted and joined by the CRT, or one
+over GF(q) in its coordinates) and verifies it with the one hom check and
+the one bijectivity check, in D x D linear algebra.  On a miss it decides
+fiber by fiber: A is Azumaya iff the D^2 x D^2 enveloping map of A (x) R/m
+is bijective for every maximal ideal m, so enveloping maps are formed over
+residue fields only, once each, and the first fiber that fails gives the
+verdict and its witness.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .rings import BaseRingHom, ZMod, factorize
+from .rings import BaseRingHom, GaloisField, ZMod, factorize
 from .reports import CheckReport
 
 
@@ -435,18 +437,17 @@ def structure_tensor(base, table, unit):
 
     `table` holds the base-ring coordinates of e_i * e_j (shape (d, d, d, f)),
     `unit` those of 1 (shape (d, f)).  The result is
-    struct[(i, s), (j, t), (k, u)] = ((b_s b_t) * table[i, j, k])_u, built as
-    two contractions with the ring's multiplication tensor `base.struct`,
-    reduced mod the moduli in between.
+    struct[(i, s), (j, t), (k, u)] = ((b_s b_t) * table[i, j, k])_u: one
+    (d^3, f) by (f, f^3) matrix product (`linalg.matmul_mod`) of the table
+    with the ring's triple products ((b_s b_t) b_w)_u.
     """
     f, N, moduli, M = base.flatten_len, base._N, base._moduli_arr, base.struct
     unit = np.asarray(unit, dtype=np.int64).reshape(-1, f) % moduli
     d = len(unit)
-    table = np.asarray(table, dtype=np.int64).reshape(d, d, d, f) % moduli
-    # scaled[i, j, k, v, u] = (b_v * table[i, j, k])_u
-    scaled = linalg.einsum_mod("ijkw,vwu->ijkvu", table, M, moduli=moduli, N=N)
-    S = linalg.einsum_mod("stv,ijkvu->isjtku", M, scaled, moduli=moduli, N=N)
-    return S.reshape(d * f, d * f, d * f), unit.reshape(-1)
+    table = np.asarray(table, dtype=np.int64).reshape(-1, f) % moduli
+    triple = linalg.einsum_mod("stv,vwu->wstu", M, M, moduli=moduli, N=N).reshape(f, -1)
+    S = linalg.matmul_mod(table, triple, moduli=np.tile(moduli, f * f), N=N)  # row (i, j, k), column (s, t, u)
+    return S.reshape((d,) * 3 + (f,) * 3).transpose(0, 3, 1, 4, 2, 5).reshape((d * f,) * 3), unit.reshape(-1)
 
 
 def ring_table(A):
@@ -655,61 +656,110 @@ def env_map_bijective(A):
 # The certificate search of `splitting`: its fixed seed (the elements x are
 # drawn under it, the elements u under the next one), the number of
 # elements x (and of elements u per x) it draws, and the largest residue
-# characteristic for which it tries every eigenvalue candidate.
+# field size q for which it tries every eigenvalue candidate.
 _SPLIT_SEED = 0
 _SPLIT_DRAWS = 8
 _SPLIT_MAX_P = 64
 
 
-def _local_splitting(A, p, k):
-    """The (n*n, dim) matrix, mod q = p^k, of a ring hom A/qA -> M_n(Z/q),
-    or None when no draw gives one; A has rank n^2 over Z/N with q | N.
+def _index(X, p):
+    """The positions of the rows X (T, f) of residues mod p in
+    `product_rows` order, the order of `_residue_field`'s elements."""
+    return np.ravel_multi_index(X.T, (p,) * X.shape[1])
 
-    Over F_p (Parker's MeatAxe step): for a drawn x and some lambda in F_p,
-    L = {y : y x = lambda y} is a left ideal; when dim L = n it is minimal,
-    and a drawn u in L with u^2 = c u, c != 0, gives the idempotent
-    e = u / c with A e = L.  Newton's step e <- 3e^2 - 2e^3 lifts e to an
-    idempotent mod q (Lam, A First Course in Noncommutative Rings, section 21),
-    and b_j = l_j e for the basis rows l_j of L is an R-basis of Ae by
-    Nakayama.  The hom sends a to its left multiplication on Ae in the
-    basis b."""
-    q, n, D = p**k, math.isqrt(A.rank), A.dim
+
+@lru_cache(maxsize=64)
+def _residue_field(R, p):
+    """The arithmetic of the residue field F = R/pR of size q = p^f (R is
+    Z/N with p | N, or GF(p^f)), for the certificate search: for each of
+    its q elements, in `product_rows` order, the matrix of multiplication
+    by it on R's coordinates mod p, and the index of its inverse (of 0 for
+    0), read off the products of all q^2 pairs."""
+    elements = product_rows(0, p**R.flatten_len, (p,) * R.flatten_len)
+    mats = linalg.einsum_mod("ls,stu->lut", elements, R.struct, moduli=p, N=p)
+    products = linalg.einsum_mod("xut,yt->xyu", mats, elements, moduli=p, N=p)
+    inverse = (products == R.unit_flat % p).all(axis=2).argmax(axis=1)
+    for shared in (mats, inverse):
+        shared.setflags(write=False)
+    return mats, inverse
+
+
+def _scale(U, M, p):
+    """The rows c_t u_t mod p of scalars c_t, given by their multiplication
+    matrices M (T, f, f), times elements U (T, dim) over F:
+    (c 1)(b_t e_i) = (c b_t) e_i, one product per block."""
+    T, f = M.shape[:2]
+    return linalg.matmul_mod(U.reshape(T, -1, f), M.transpose(0, 2, 1), moduli=p, N=p).reshape(U.shape)
+
+
+def _local_splitting(A, p, k):
+    """The (n*n*f, dim) matrix, mod q = p^k, of a ring hom
+    A/qA -> M_n(R/qR), or None when no draw gives one.  A has rank n^2 over
+    R, and R/pR is the field F of size p^f: R is Z/N with q | N (f = 1), or
+    GF(p^f) (k = 1).
+
+    Over F (Parker's MeatAxe step): for a drawn x and some lambda in F,
+    L = {y : y (x - lambda 1) = 0} is a left ideal and an F-subspace; when
+    it has F_p-dimension n f it is minimal.  A drawn u in L with u^2 = c u,
+    c != 0 (one division in F on u's first nonzero block), gives the
+    idempotent e = u / c with A e = L.  Newton's step e <- 3e^2 - 2e^3 lifts
+    e to an idempotent mod q (Lam, A First Course in Noncommutative Rings,
+    section 21).
+
+    L's reduced echelon rows over F_p hold an F-basis of it: an F-subspace
+    takes all f coordinates of a block (one e_i) as pivots or none, so the
+    pivots P are n whole blocks, and the rows l_j pivoted on each block's
+    first coordinate are 1 on their own block and 0 on the others.  The
+    coordinates of y in L are then its blocks at P, and b_j = l_j e is an
+    R-basis of Ae by Nakayama, with b_j[P] = l_j[P] mod p.  The hom sends a
+    to its left multiplication on Ae in the basis b, normalized mod q so
+    that b[P] is the identity (Newton's inverse; f = 1 wherever k > 1)."""
+    f, d = A.base.flatten_len, A.rank
+    q, n, D = p**k, math.isqrt(d), A.dim
     steps = (k - 1).bit_length()  # Newton doubles the p-adic precision
-    eye_D, eye_n = np.eye(D, dtype=np.int64), np.eye(n, dtype=np.int64)
+    eye_n = np.eye(n, dtype=np.int64)
+    mats, inverse = _residue_field(A.base, p)
+    # y -> y (lambda 1) = lambda y: lambda's multiplication matrix on each block
+    shifts = np.zeros((len(mats), d, f, d, f), dtype=np.int64)
+    shifts[:, np.arange(d), :, np.arange(d), :] = mats
     for row in range(_SPLIT_DRAWS):
         Rx = A.right_mul_matrix(random_rows(_SPLIT_SEED, (p,) * D, row, row + 1)[0]) % p  # y -> y x
-        shifted = ((Rx - lam * eye_D) % p for lam in range(p))
-        M = next((M for M in shifted if linalg.rank_mod_p(M, p) == D - n), None)
+        shifted = ((Rx - shift) % p for shift in shifts.reshape(-1, D, D))
+        M = next((M for M in shifted if linalg.rank_mod_p(M, p) == D - n * f), None)
         if M is None:
             continue
         # reduced echelon rows over F_p: the identity at their pivots P
         ell = linalg.kernel_mod(M, p)
         P = (ell != 0).argmax(axis=1)
-        draws = random_rows(_SPLIT_SEED + 1, (p,) * n, row * _SPLIT_DRAWS, (row + 1) * _SPLIT_DRAWS)
+        draws = random_rows(_SPLIT_SEED + 1, (p,) * (n * f), row * _SPLIT_DRAWS, (row + 1) * _SPLIT_DRAWS)
         U = linalg.einsum_mod("tj,jd->td", draws, ell, moduli=p, N=p)
-        U2, lead = A.mul_batch(U, U) % p, (U != 0).argmax(axis=1)
-        scale = [int(U2[t, i]) * pow(int(U[t, i]), -1, p) % p if U[t, i] else 0 for t, i in enumerate(lead)]
-        t = next((t for t, c in enumerate(scale) if c and np.array_equal(U2[t], c * U[t] % p)), None)
-        if t is None:
+        U2, blocks = A.mul_batch(U, U) % p, U.reshape(len(U), -1, f)
+        # c = u^2 / u on u's first nonzero block, as the index of an element of F
+        lead = np.arange(len(U)), blocks.any(axis=2).argmax(axis=1)
+        c = _index(_scale(U2.reshape(blocks.shape)[lead], mats[inverse[_index(blocks[lead], p)]], p), p)
+        ok = (c > 0) & (U2 == _scale(U, mats[c], p)).all(axis=1)  # u^2 = c u with c != 0
+        if not ok.any():
             continue
-        e = U[t] * pow(scale[t], -1, p) % p
+        t = int(ok.argmax())
+        e = _scale(U[t : t + 1], mats[inverse[c[t : t + 1]]], p)[0]
         for _ in range(steps):
             e2 = A.mul_batch(e[None], e[None]) % q
             e3 = A.mul_batch(e2, e[None]) % q
             e = linalg.einsum_mod("s,std->td", np.asarray([3, q - 2]), np.stack([e2, e3]), moduli=q, N=q)[0]
-        B = A.mul_batch(ell, np.tile(e, (n, 1))).T % q  # column j is l_j e
-        if not np.array_equal(B[P] % p, eye_n):
+        B = A.mul_batch(ell[::f], np.tile(e, (n, 1))).T % q  # column j is b_j = l_j e
+        if not np.array_equal(B[P] % p, ell[::f, P].T):
             continue  # A e is not L
-        # B[P] = I mod p: Newton's X <- X (2I - B[P] X) inverts it mod q
+        # B[P] = I mod p when k > 1 (f = 1): Newton's X <- X (2I - B[P] X)
+        # inverts it mod q
         X = eye_n
         for _ in range(steps):
             BX = linalg.einsum_mod("ij,jk->ik", B[P], X, moduli=q, N=q)
             X = linalg.einsum_mod("ij,jk->ik", X, (2 * eye_n - BX) % q, moduli=q, N=q)
         # normalized basis: B[P] = I, so y in Ae has coordinates y[P]
         B = linalg.einsum_mod("dj,jk->dk", B, X, moduli=q, N=q)
-        # entry (i, j) of the image of coordinate a: (e_a b_j)[P_i]
+        # entry (i, j), coordinate s, of the image of a: (e_a b_j)[P_(i, s)]
         phi = linalg.einsum_mod("abi,bj->ija", A.struct[:, :, P], B, moduli=q, N=A._N)
-        return phi.reshape(n * n, D)
+        return phi.reshape(n, f, n, D).transpose(0, 2, 1, 3).reshape(n * n * f, D)
     return None
 
 
@@ -722,20 +772,25 @@ def splitting(A):
     of its residue fields (the paper's Theorem 2.8), and finite fields have
     trivial Brauer groups (Wedderburn).  Over R = Z/N the hom is built per
     prime power q of N (`_local_splitting`) and the pieces are joined by
-    the CRT.  It is then checked by the one hom check and the one
-    bijectivity check, which together are complete, so a hom returned here
-    proves A Azumaya.  A miss proves nothing: a rank that is not a square,
-    a base other than Z/N (GF(q) and products are not handled yet), a prime
-    above _SPLIT_MAX_P, no hom within the fixed draws of the fixed seed, or
-    a hom that fails either check.  `is_azumaya` then decides on the
-    fibers A (x) R/m."""
+    the CRT; over R = GF(p^f) it is built once, in GF(p^f) coordinates.  It
+    is then checked by the one hom check and the one bijectivity check,
+    which together are complete, so a hom returned here proves A Azumaya.
+    A miss proves nothing: a rank that is not a square, a product base
+    (not handled yet), a residue field larger than _SPLIT_MAX_P, no hom
+    within the fixed draws of the fixed seed, or a hom that fails either
+    check.  `is_azumaya` then decides on the fibers A (x) R/m."""
     from .homs import AlgebraHom
 
-    n = math.isqrt(A.rank)
-    if n * n != A.rank or not isinstance(A.base, ZMod):
+    n, base = _square_root(A.rank), A.base
+    if n is None:
         return None
-    N, factors = A.base.n, factorize(A.base.n)
-    if any(p > _SPLIT_MAX_P for p, _ in factors):
+    if isinstance(base, ZMod):
+        N, factors = base.n, factorize(base.n)
+    elif isinstance(base, GaloisField):
+        N, factors = base.p, [(base.p, 1)]
+    else:
+        return None
+    if any(p**base.flatten_len > _SPLIT_MAX_P for p, _ in factors):
         return None
     parts, coeffs = [], []
     for p, k in factors:
@@ -746,37 +801,44 @@ def splitting(A):
         parts.append(phi)
         coeffs.append(N // q * pow(N // q, -1, q) % N)  # 1 mod q, 0 mod N/q
     H = linalg.einsum_mod("s,sij->ij", np.asarray(coeffs), np.stack(parts), moduli=N, N=N)
-    hom = AlgebraHom(A, matrix_algebra(A.base, n, check=False), H, label=f"split {A.label}").verify()
+    hom = AlgebraHom(A, matrix_algebra(base, n, check=False), H, label=f"split {A.label}").verify()
     return hom if hom.is_verified and hom.is_bijective() else None
 
 
 def is_azumaya(A):
     """Decide whether A is Azumaya over its base ring R.
 
-    A pass is decided first by a certificate: a verified isomorphism
-    A -> M_n(R) from `splitting`.  On a miss the fibers decide: A is free
-    over R, so it is Azumaya iff every A (x) R/m, m maximal, is central
-    simple over the field R/m (Auslander-Goldman), i.e. iff its enveloping
-    map is bijective.  The first fiber that fails is reported with m and a
-    witness: a non-scalar central generator, else an enveloping-map kernel
-    vector.  No enveloping map is formed over a base that is not a field.
+    A is free of rank d over R, so it is Azumaya iff d = n^2 and every
+    A (x) R/m, m maximal, is central simple over the field R/m
+    (Auslander-Goldman).  The rank is decided first (`square_rank_check`):
+    a rank that is not a square fails with the witness {"rank": d} before
+    any certificate, quotient or contraction.  A pass is then decided by a
+    certificate when it can be: a verified isomorphism A -> M_n(R) from
+    `splitting`.  On a miss the fibers decide, each by its enveloping map,
+    which is bijective iff the fiber is central simple.  The first fiber
+    that fails is reported with m and a witness: a non-scalar central
+    generator, else a kernel vector of the same enveloping-map matrix.  No
+    enveloping map is formed over a base that is not a field.
     """
     from .rings import maximal_ideals
 
     preconditions = {"base": repr(A.base.to_config()), "rank": A.rank}
+    rank = square_rank_check(A)
+    if rank.status != "pass":
+        return CheckReport(check="is_azumaya", status="fail", witness=rank.witness, preconditions=preconditions)
     if splitting(A) is not None:
         return CheckReport(check="is_azumaya", status="pass", preconditions=preconditions)
     for m in maximal_ideals(A.base):
         Am, _ = quotient_algebra(A, m)
-        if env_map_bijective(Am):
+        env = env_map_flat(Am)
+        if linalg.is_bijective_additive(*env):
             continue
         us = Am.unit_span()
         nonscalar = next((g for g in center(Am).generators() if not us.contains(g)), None)
         if nonscalar is not None:
             witness = {"nonscalar_central_element": nonscalar.tolist()}
         else:  # the map is square with equal moduli, so its kernel is nonzero
-            kernel = linalg.kernel_additive(*env_map_flat(Am))
-            witness = {"env_kernel_vector": kernel.generators()[0].tolist()}
+            witness = {"env_kernel_vector": linalg.kernel_additive(*env).generators()[0].tolist()}
         witness = {"maximal_ideal": repr(m.data), **witness}
         return CheckReport(check="is_azumaya", status="fail", witness=witness, preconditions=preconditions)
     return CheckReport(check="is_azumaya", status="pass", preconditions=preconditions)
@@ -793,12 +855,17 @@ def rank_at(A, m):
     return A.rank
 
 
+def _square_root(d):
+    """The n with n^2 = d, or None: the one test of a square rank."""
+    n = math.isqrt(d)
+    return n if n * n == d else None
+
+
 def square_rank_check(A):
     """The rank, constant since A is free, must be a perfect square for an
     Azumaya algebra."""
-    r = A.rank
-    n = math.isqrt(r)
-    if n * n != r:
+    r, n = A.rank, _square_root(A.rank)
+    if n is None:
         return CheckReport(check="square_rank", status="fail", witness={"rank": r})
     return CheckReport(check="square_rank", status="pass", details={"n": n, "rank": r})
 

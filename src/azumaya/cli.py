@@ -233,7 +233,11 @@ def cmd_suite(args):
     kwargs = {}
     if args.max_tuples is not None:
         kwargs["max_tuples"] = args.max_tuples
-    reports = run_suite(args.name, seed=args.seed, **kwargs)
+    try:
+        reports = run_suite(args.name, seed=args.seed, **kwargs)
+    except AlgebraError as e:  # a draw without a seed, named by the check that drew
+        hint = "; rerun with --seed" if args.seed is None else ""
+        raise ConfigError(f"{e}{hint}", f"suite {args.name}") from e
     return _emit(reports, args.json, started)
 
 

@@ -93,16 +93,27 @@ def _summed_axes(subscripts):
     return tuple(axes.values())
 
 
-def einsum_mod(subscripts, *operands, moduli, N):
-    """`np.einsum(subscripts, *operands) % moduli` for arrays of residues
-    below N, exact by `_dtype`: int64 when every sum fits, else over Python
-    ints, returned as int64 residues (object only for moduli beyond int64).
-    `moduli` broadcasts against the result."""
-    terms = math.prod(operands[i].shape[ax] for i, ax in _summed_axes(subscripts))
+def _contract_mod(contract, operands, terms, moduli, N):
+    """`contract(*operands) % moduli` for arrays of residues below N whose
+    sums run over `terms` products, exact by `_dtype`: int64 when every sum
+    fits, else over Python ints, returned as int64 residues (object only
+    for moduli beyond int64).  `moduli` broadcasts against the result."""
     if _dtype(N, terms, len(operands)) is np.int64:
-        return (np.einsum(subscripts, *operands) % moduli).astype(np.int64, copy=False)
-    out = np.einsum(subscripts, *(np.asarray(x, dtype=object) for x in operands)) % moduli
+        return (contract(*operands) % moduli).astype(np.int64, copy=False)
+    out = contract(*(np.asarray(x, dtype=object) for x in operands)) % moduli
     return out.astype(_dtype(N, 1, 1))
+
+
+def einsum_mod(subscripts, *operands, moduli, N):
+    """`np.einsum(subscripts, *operands) % moduli`, exact (`_contract_mod`)."""
+    terms = math.prod(operands[i].shape[ax] for i, ax in _summed_axes(subscripts))
+    return _contract_mod(lambda *xs: np.einsum(subscripts, *xs), operands, terms, moduli, N)
+
+
+def matmul_mod(a, b, *, moduli, N):
+    """`np.matmul(a, b) % moduli`, exact (`_contract_mod`): a matrix product
+    where `np.einsum` would run its generic loop."""
+    return _contract_mod(np.matmul, (a, b), a.shape[-1], moduli, N)
 
 
 def sparse_rows(T):
@@ -265,13 +276,29 @@ def kernel_mod(A, N):
     return _kernel_form(A, N)[1]
 
 
+@lru_cache(maxsize=256)
+def _embedding(moduli, L):
+    """For `_embed`: the moduli N_j as a read-only array, the scales L/N_j
+    (None when every N_j is L), and the least N_j."""
+    arr = np.asarray(moduli, dtype=_dtype(L))
+    scale = None if all(m == L for m in moduli) else L // arr
+    for shared in (arr, scale):
+        if shared is not None:
+            shared.setflags(write=False)
+    return arr, scale, min(moduli, default=L)
+
+
 def _embed(x, moduli, L):
     """Rows of x in prod Z/N_j, scaled into (Z/L)^n by x_j -> (L/N_j) x_j,
-    as a new C-ordered array."""
-    dtype = _dtype(L)
-    moduli = np.asarray(moduli, dtype=dtype)
-    x = np.remainder(np.asarray(x, dtype=dtype), moduli, order="C")
-    x *= L // moduli
+    as a new C-ordered array.  Input already reduced (every entry in
+    [0, min N_j)) skips the remainder, and moduli all equal to L skip the
+    scaling."""
+    moduli, scale, least = _embedding(tuple(moduli), L)
+    x = np.array(x, dtype=moduli.dtype, order="C")
+    if x.size and (x.min() < 0 or x.max() >= least):
+        np.remainder(x, moduli, out=x)
+    if scale is not None:
+        x *= scale
     return x
 
 

@@ -274,6 +274,60 @@ class ZMod(FiniteCommRing):
         return f"ZMod({self.n})"
 
 
+def _characteristic(p):
+    """p as a GF characteristic: a prime below 2^63."""
+    p = int(p)
+    if p >= 2**63:
+        raise RingError(f"characteristic must be below 2^63, got {p}")
+    if not _is_prime(p):
+        raise NonPrimeModulus(f"{p} is not prime")
+    return p
+
+
+def _regular_tensor(p, f):
+    """Multiplication tensor of F_p[t]/(f), f monic of degree k, over the
+    coordinate generators 1, t, ..., t^(k-1): b_s b_t = t^(s+t), read off
+    the coordinates of t^0, ..., t^(2k-2).  Each power is t times the one
+    before, with t^k = -(f_0 + f_1 t + ... + f_(k-1) t^(k-1))."""
+    k = len(f) - 1
+    rows = [[int(s == e) for s in range(k)] for e in range(k)]
+    for _ in range(k - 1):
+        prev = rows[-1]
+        shifted = [0] + prev[:-1]
+        rows.append([(a - prev[-1] * c) % p for a, c in zip(shifted, f[:k])])
+    powers = np.asarray(rows, dtype=np.int64)
+    return powers[np.add.outer(np.arange(k), np.arange(k))]
+
+
+def _reducible(p, f, struct):
+    """None when the monic f of degree k >= 2 is irreducible over F_p, else
+    why not, by Berlekamp's criterion on its regular tensor `struct`.
+
+    Q, the matrix of the Frobenius x -> x^p of F_p[t]/(f), has column i the
+    coordinates of (t^i)^p, all k found at once by binary powering.  The
+    ring is reduced (f squarefree) iff no nonzero x has x^p = 0, that is iff
+    rank Q = k.  A reduced ring is a product of r fields, one per
+    irreducible factor of f, and the fixed points of the Frobenius are then
+    F_p^r: rank(Q - I) = k - r.  So f is irreducible iff rank Q = k and
+    rank(Q - I) = k - 1: two ranks of a k x k matrix, whatever the size of
+    p."""
+    k = len(f) - 1
+    basis = np.eye(k, dtype=np.int64)
+    Q = np.zeros((k, k), dtype=np.int64)
+    Q[:, 0] = 1
+    for bit in bin(p)[2:]:
+        Q = linalg.einsum_mod("ts,tu,suv->tv", Q, Q, struct, moduli=p, N=p)
+        if bit == "1":
+            Q = linalg.einsum_mod("ts,tu,suv->tv", Q, basis, struct, moduli=p, N=p)
+    Q = Q.T
+    if linalg.rank_mod_p(Q, p) < k:
+        return f"{list(f)} has a repeated factor mod {p}"
+    factors = k - linalg.rank_mod_p(Q - basis, p)
+    if factors > 1:
+        return f"{list(f)} has {factors} irreducible factors mod {p}"
+    return None
+
+
 class GaloisField(FiniteCommRing):
     """GF(p^k) presented as F_p[t]/(f) for a monic irreducible f.
 
@@ -282,18 +336,13 @@ class GaloisField(FiniteCommRing):
     and the multiplication tensor is the regular representation.  The
     characteristic p is a prime below 2^63 (coordinates are int64
     residues), and f is checked irreducible by Berlekamp's criterion on
-    that tensor: two ranks of a k x k matrix over F_p, whatever the size
-    of p.
+    that tensor (`_reducible`).
     """
 
     kind = "gf"
 
     def __init__(self, p, f):
-        p = int(p)
-        if p >= 2**63:
-            raise RingError(f"characteristic must be below 2^63, got {p}")
-        if not _is_prime(p):
-            raise NonPrimeModulus(f"{p} is not prime")
+        p = _characteristic(p)
         f = tuple(int(c) % p for c in f[:-1]) + (int(f[-1]),)
         if f[-1] != 1:
             raise RingError("defining polynomial must be monic")
@@ -303,44 +352,12 @@ class GaloisField(FiniteCommRing):
         self.p = p
         self.f = f
         self.k = k
-        powers = self._powers()
-        self._store((p,) * k, powers[np.add.outer(np.arange(k), np.arange(k))], powers[0])
-        if k > 1:
-            self._check_irreducible()
-
-    def _powers(self):
-        """Coordinates of t^0, ..., t^(2k-2): each is t times the one
-        before, with t^k = -(f_0 + f_1 t + ... + f_(k-1) t^(k-1))."""
-        p, k = self.p, self.k
-        rows = [[int(s == e) for s in range(k)] for e in range(k)]
-        for _ in range(k - 1):
-            prev = rows[-1]
-            shifted = [0] + prev[:-1]
-            rows.append([(a - prev[-1] * c) % p for a, c in zip(shifted, self.f[:k])])
-        return np.asarray(rows, dtype=np.int64)
-
-    def _check_irreducible(self):
-        """Berlekamp's criterion, read off the stored tensor.  Q, the matrix
-        of the Frobenius x -> x^p of F_p[t]/(f), has column i the
-        coordinates of (t^i)^p, all k found at once by binary powering.
-        The ring is reduced (f squarefree) iff no nonzero x has x^p = 0,
-        that is iff rank Q = k.  A reduced ring is a product of r fields,
-        one per irreducible factor of f, and the fixed points of the
-        Frobenius are then F_p^r: rank(Q - I) = k - r.  So f is irreducible
-        iff rank Q = k and rank(Q - I) = k - 1."""
-        p, k = self.p, self.k
-        basis = np.eye(k, dtype=np.int64)
-        Q = np.repeat(self.unit_flat[None, :], k, axis=0)
-        for bit in bin(p)[2:]:
-            Q = self.mul_batch(Q, Q)
-            if bit == "1":
-                Q = self.mul_batch(Q, basis)
-        Q = Q.T
-        if linalg.rank_mod_p(Q, p) < k:
-            raise ReduciblePolynomial(f"{list(self.f)} has a repeated factor mod {p}")
-        factors = k - linalg.rank_mod_p(Q - basis, p)
-        if factors > 1:
-            raise ReduciblePolynomial(f"{list(self.f)} has {factors} irreducible factors mod {p}")
+        unit = np.zeros(k, dtype=np.int64)
+        unit[0] = 1
+        self._store((p,) * k, _regular_tensor(p, f), unit)
+        reason = _reducible(p, f, self.struct) if k > 1 else None
+        if reason:
+            raise ReduciblePolynomial(reason)
 
     @property
     def is_field(self):
@@ -363,14 +380,17 @@ class GaloisField(FiniteCommRing):
 
     @classmethod
     def default(cls, p, k):
-        """GF(p^k) with the lexicographically smallest irreducible monic f."""
+        """GF(p^k) with the lexicographically smallest irreducible monic f.
+        Each candidate is decided before a ring is built for it: a root 0
+        or 1 makes it reducible, and Berlekamp's criterion decides the
+        rest."""
+        p = _characteristic(p)
         if k == 1:
             return cls(p, [0, 1])
         for tail in itertools.product(range(p), repeat=k):
-            try:
-                return cls(p, list(tail) + [1])
-            except ReduciblePolynomial:
-                continue
+            f = (*tail, 1)
+            if tail[0] and sum(f) % p and not _reducible(p, f, _regular_tensor(p, f)):
+                return cls(p, f)
         raise RingError("unreachable: irreducible polynomial always exists")
 
     def to_config(self):

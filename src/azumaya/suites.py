@@ -3,9 +3,9 @@ and the deterministic hom corpus.
 
 Each suite returns an ordered list of CheckReports.  Only `jordan-lem32`
 draws (its probes of M_3(F_3) and M_3(F_5) sample elements), so only it
-needs a seed: without one, its first draw raises AlgebraError.  The others
-draw nothing; `al-thm26` records a given seed in its reports, and the rest
-ignore it.
+needs a seed: without one, its first draw raises AlgebraError, which names
+the probe that drew.  The others draw nothing; `al-thm26` records a given
+seed in its reports, and the rest ignore it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from . import homs as homs_mod
 from . import identities as idn
 from .algebras import (
     Algebra,
+    AlgebraError,
     env_map_bijective,
     ideal_intersection_check,
     is_azumaya,
@@ -167,9 +168,12 @@ def suite_jordan_lem32(seed=None, **_):
             )
         for n in range(2, 5):
             for nprime in range(1, n):
-                A = matrix_algebra(ring, nprime, check=False)
-                rep = homs_mod.jordan_obstruction_probe(n, A, samples=10**4, seed=seed)
-                reports.append(_named(rep, f"jordan-probe:F_{p}:n={n}:nprime={nprime}"))
+                A, name = matrix_algebra(ring, nprime, check=False), f"jordan-probe:F_{p}:n={n}:nprime={nprime}"
+                try:
+                    rep = homs_mod.jordan_obstruction_probe(n, A, samples=10**4, seed=seed)
+                except AlgebraError as e:  # a draw without a seed, named by its probe
+                    raise AlgebraError(f"{name}: {e}") from e
+                reports.append(_named(rep, name))
     return reports
 
 

@@ -11,8 +11,9 @@ structure constants and ring-entry matrices -- as independent references:
 - `env_map` is the enveloping map as a matrix over the base ring, checked
   against the library's flattened `env_map_flat`;
 - `center_bruteforce` scans every element of a small algebra, and
-  `twisted` changes an algebra's coordinates over Z/N, giving algebras that
-  are isomorphic to a constructor's but not equal to it;
+  `twisted` changes an algebra's coordinates over Z/N or GF(q) (by an
+  R-linear `r_linear` matrix), giving algebras that are isomorphic to a
+  constructor's but not equal to it;
 - `Matrix` and `howell_form` are ring-entry matrices and the Howell form
   with its transformation certificate;
 - `howell_rowloop` and `rank_mod_p_rowloop` are the row-at-a-time
@@ -43,7 +44,12 @@ structure constants and ring-entry matrices -- as independent references:
   pair, spread over every entry by `np.unique` and `np.ix_`;
 - `irreducible_trial` decides irreducibility over F_p by the root scan and
   trial division by every monic polynomial of degree at most k/2
-  (`poly_divides`), as `GaloisField` did before Berlekamp's criterion;
+  (`poly_divides`), as `GaloisField` did before Berlekamp's criterion, and
+  `gf_default_search` is the search `GaloisField.default` made before it
+  decided candidates without building them: one ring per candidate;
+- `structure_tensor_einsum` and `embed_remainder` are the bodies
+  `structure_tensor` and `linalg._embed` had before their fast paths: two
+  einsums, and a remainder and a scaling pass on every input;
 - `identity_hom` and `solve_mod` are helpers only tests use.
 """
 
@@ -59,7 +65,7 @@ from azumaya.algebras import AlgebraError, AlgElem, Algebra, _normal_order, cent
 from azumaya.homs import UNVERIFIED, AlgebraHom, _azumaya_preconditions
 from azumaya.linalg import LinalgError, howell
 from azumaya.reports import CONTRADICTS, FAIL, PASS, CheckReport
-from azumaya.rings import GaloisField, NotAUnit, ProductRing, ZMod
+from azumaya.rings import GaloisField, NotAUnit, ProductRing, ReduciblePolynomial, ZMod
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +250,11 @@ def center_bruteforce(A):
 
 
 def twisted(A, T):
-    """A with its coordinates changed by the invertible T over Z/N: the new
-    generator a is sum_i T[i, a] e_i.  Exact over Python ints."""
-    N = A.base.n
+    """A with its coordinates changed by the invertible T over Z/N, every
+    coordinate's modulus (Z/N or GF(q), N = p): the new generator a is
+    sum_i T[i, a] e_i.  Exact over Python ints.  Over GF(q) the new
+    coordinates keep their ring structure only for T from `r_linear`."""
+    N = A._N
     T = np.asarray(T, dtype=object) % N
     Tinv = inverse_mod(T, N)
     S = np.einsum("ijk,ck->ijc", A.struct.astype(object), Tinv)
@@ -254,6 +262,15 @@ def twisted(A, T):
     S = np.einsum("jb,ajc->abc", T, S) % N
     unit = Tinv.dot(A.unit_flat.astype(object)) % N
     return Algebra(A.base, S.astype(np.int64), unit.astype(np.int64), label=f"twist {A.label}", check=False)
+
+
+def r_linear(ring, T):
+    """The flat (d f, d f) matrix over the coordinate moduli of the R-linear
+    map with matrix T over `ring` (shape (d, d, f)): column (a, t), the
+    generator b_t e_a, goes to sum_i (T[i, a] b_t) e_i."""
+    d, f = len(T), ring.flatten_len
+    flat = np.einsum("iav,vts->isat", np.asarray(T, dtype=np.int64), ring.struct) % ring._moduli_arr[:, None, None]
+    return flat.reshape(d * f, d * f)
 
 
 def inverse_mod(T, N):
@@ -868,3 +885,35 @@ def nilpotent_elements(R):
                 break
             power = mul_coords(R, power, x)
     return out
+
+
+def gf_default_search(p, k):
+    """The first monic f of degree k in lexicographic order of its tail
+    (f_0, ..., f_(k-1)) that `GaloisField` accepts, one ring per candidate."""
+    for tail in itertools.product(range(p), repeat=k):
+        try:
+            return GaloisField(p, list(tail) + [1]).f
+        except ReduciblePolynomial:
+            continue
+    raise AssertionError("no irreducible polynomial")
+
+
+def structure_tensor_einsum(base, table, unit):
+    """`structure_tensor` as two einsums over the ring's multiplication
+    tensor, reduced in between."""
+    f, N, moduli, M = base.flatten_len, base._N, base._moduli_arr, base.struct
+    unit = np.asarray(unit, dtype=np.int64).reshape(-1, f) % moduli
+    d = len(unit)
+    table = np.asarray(table, dtype=np.int64).reshape(d, d, d, f) % moduli
+    scaled = linalg.einsum_mod("ijkw,vwu->ijkvu", table, M, moduli=moduli, N=N)
+    S = linalg.einsum_mod("stv,ijkvu->isjtku", M, scaled, moduli=moduli, N=N)
+    return S.reshape(d * f, d * f, d * f), unit.reshape(-1)
+
+
+def embed_remainder(x, moduli, L):
+    """`linalg._embed` with its remainder and scaling passes always run."""
+    dtype = linalg._dtype(L)
+    moduli = np.asarray(moduli, dtype=dtype)
+    x = np.remainder(np.asarray(x, dtype=dtype), moduli, order="C")
+    x *= L // moduli
+    return x

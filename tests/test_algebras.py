@@ -481,6 +481,8 @@ _AZUMAYA_CASES = (
         ("UT2(Z/2 x Z/3)", lambda: upper_triangular_algebra(ProductRing([ZMod(2), ZMod(3)]), 2)),
         ("UT3(Z/4)", lambda: upper_triangular_algebra(ZMod(4), 3)),
         ("M2(Z/2)(x)UT2(Z/2)", lambda: tensor_product(matrix_algebra(ZMod(2), 2), upper_triangular_algebra(ZMod(2), 2))),
+        # of square rank with a scalar center: an env-map kernel vector explains it
+        ("UT2(Z/2)(x)UT2(Z/2)", lambda: tensor_product(*[upper_triangular_algebra(ZMod(2), 2)] * 2)),
         # fails at the prime 2 only: first of Z/6's fibers, second of Z/3 x Z/2's
         ("H(Z/6)", lambda: _quaternions(ZMod(6))),
         ("H(Z/3 x Z/2)", lambda: _quaternions(ProductRing([ZMod(3), ZMod(2)]))),
@@ -501,6 +503,9 @@ def test_is_azumaya_matches_residue_field_loop(make):
     assert rep.status == ("pass" if env_map_bijective(A) else "fail")
     if rep.status == "pass":
         assert rep.witness is None
+        return
+    if square_rank_check(A).status == "fail":  # decided before any fiber
+        assert rep.witness == {"rank": A.rank}
         return
     # the witness names the first fiber that is not central simple
     fibers = [(repr(m.data), quotient_algebra(A, m)[0]) for m in maximal_ideals(A.base)]

@@ -445,6 +445,16 @@ def test_cli_suite_seed_required(capsys):
     assert main(["suite", "jordan-lem32"]) == 2
 
 
+def test_cli_seedless_suite_names_the_suite_probe_and_seed(capsys):
+    # M_3(F_3) has 3^9 > 10^4 elements, so its probe is the first to draw
+    assert main(["suite", "jordan-lem32"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: suite jordan-lem32: jordan-probe:F_3:n=4:nprime=3: "
+        "a seeded draw needs a seed; rerun with --seed\n"
+    )
+
+
 def test_jordan_suite_without_seed_refused_at_its_first_draw():
     with pytest.raises(AlgebraError, match="needs a seed"):
         run_suite("jordan-lem32")

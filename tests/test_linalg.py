@@ -26,9 +26,11 @@ from azumaya.linalg import (
     solve_additive,
 )
 from azumaya.rings import GaloisField, ZMod, factorize
+from azumaya import linalg
 from ring_oracles import (
     Matrix,
     check_well_defined_spread,
+    embed_remainder,
     UnsupportedRing,
     howell_form,
     howell_rowloop,
@@ -521,3 +523,38 @@ def test_products_of_residues_go_through_one_helper():
             elif isinstance(node, ast.Attribute) and ast.unparse(node) in _CONTRACTIONS:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not found
+
+
+# moduli mixed in a coordinate vector, among them beyond int64 products
+_EMBED_MODULI = [2, 3, 4, 6, 12, 2**31 - 1, 2**62, 2 * (2**61 - 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    moduli=st.lists(st.sampled_from(_EMBED_MODULI), min_size=1, max_size=5),
+    rows=st.integers(0, 4),
+    reduced=st.booleans(),
+)
+def test_embed_matches_the_remainder_body(data, moduli, rows, reduced):
+    # reduced input skips the remainder, and one modulus equal to L the
+    # scaling: the result is the same array, a new one, in the same dtype
+    L = math.lcm(*moduli)
+    bound = (0, min(moduli) - 1) if reduced else (-3 * max(moduli), 3 * max(moduli))
+    entries = data.draw(st.lists(st.integers(*bound), min_size=rows * len(moduli), max_size=rows * len(moduli)))
+    x = np.asarray(entries, dtype=linalg._dtype(max(moduli))).reshape(rows, len(moduli))
+    before = x.copy()
+    got, want = linalg._embed(x, moduli, L), embed_remainder(x, moduli, L)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.array_equal(x, before) and not np.shares_memory(got, x)
+
+
+@pytest.mark.parametrize("moduli", [(6,) * 4, (2, 3, 6, 6), (4, 2, 4, 4)])
+def test_embed_of_one_vector_and_of_int64_input_for_object_moduli(moduli):
+    L = math.lcm(*moduli)
+    for x in ([5, -1, 7, 0], [0, 1, 1, 0], np.asarray([[-7, 12, 3, 5], [1, 1, 1, 1]])):
+        assert np.array_equal(linalg._embed(x, moduli, L), embed_remainder(x, moduli, L))
+    big = (2**62, 3)
+    x = np.asarray([[2**62 + 5, -1], [1, 2]], dtype=object)
+    assert np.array_equal(linalg._embed(x, big, 3 * 2**62), embed_remainder(x, big, 3 * 2**62))

@@ -157,4 +157,7 @@ def test_pinned_sampled_reports_do_not_depend_on_the_rows_drawn(monkeypatch, cap
     seeds.clear()
     assert main(["check", "all", "--config", str(CONFIGS / "gf_product.json"), "--seed", "42"]) == 0
     assert capsys.readouterr().out == (CONFIGS / "gf_product.expected").read_text()
-    assert seeds == [42]  # the transfer drew under the patch
+    # the transfer drew under the patch; the certificate of the GF(4) algebra
+    # draws under its own fixed seeds
+    split = (algebras._SPLIT_SEED, algebras._SPLIT_SEED + 1)
+    assert [s for s in seeds if s not in split] == [42]

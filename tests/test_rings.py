@@ -35,6 +35,7 @@ from ring_oracles import (
     base_hom_refutation,
     element_coords,
     factorize_trial,
+    gf_default_search,
     ideal_elements,
     inv_coords,
     irreducible_trial,
@@ -130,6 +131,21 @@ def test_gf_default_is_the_least_irreducible_polynomial():
         for k in degrees:
             least = next(f for f in _monic(p, k) if irreducible_trial(p, f))
             assert GaloisField.default(p, k).f == tuple(least)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gf_default_matches_the_constructor_search(p):
+    # candidates decided before a ring is built: the polynomial the search
+    # that built one ring per candidate chose
+    for k in range(1, 5):
+        assert GaloisField.default(p, k).f == (gf_default_search(p, k) if k > 1 else (0, 1))
+
+
+def test_gf_default_refuses_a_bad_characteristic_before_any_candidate():
+    with pytest.raises(NonPrimeModulus):
+        GaloisField.default(4, 2)
+    with pytest.raises(RingError, match="below 2\\^63"):
+        GaloisField.default(2**63 + 29, 2)
 
 
 def test_gf_irreducibility_decided_for_a_large_characteristic():

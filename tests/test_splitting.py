@@ -23,9 +23,10 @@ from azumaya.algebras import (
 )
 from azumaya.homs import weyl_splitting
 from azumaya.linalg import is_bijective_additive, kernel_mod, rank_mod_p
-from azumaya.rings import GaloisField, ProductRing, ZMod
+from azumaya.rings import GaloisField, ProductRing, ZMod, factorize
 from azumaya.suites import _split_quadratic_f2
-from ring_oracles import twisted
+from ring_oracles import r_linear, twisted
+from test_algebras import _m2_f2_by_f3_4
 
 MATRIX_GRID = [(n, m) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
 WEYL_GRID = [(p, a, b) for p in (2, 3, 5) for a in range(p) for b in range(p)]
@@ -81,32 +82,39 @@ def test_twisted_matrix_algebras_certify(data, n, pk):
     _assert_certificate(A)
 
 
-def _diagonal_power(p):
-    """F_p^4, coordinatewise: commutative of square rank."""
-    table = np.zeros((4, 4, 4, 1), dtype=np.int64)
-    for i in range(4):
-        table[i, i, i] = 1
-    R = ZMod(p)
-    return Algebra(R, *structure_tensor(R, table, np.ones((4, 1))), label=f"F_{p}^4")
+def _diagonal_power(R, d=4):
+    """R^d, coordinatewise: commutative, of square rank for d = 4."""
+    one = R.one().coords
+    table = np.zeros((d, d, d, R.flatten_len), dtype=np.int64)
+    for i in range(d):
+        table[i, i, i] = one
+    return Algebra(R, *structure_tensor(R, table, np.tile(one, (d, 1))), label=f"{R!r}^{d}")
 
 
-def _truncated_polynomials(p):
-    """F_p[t]/(t^4): local and commutative of square rank."""
-    table = np.zeros((4, 4, 4, 1), dtype=np.int64)
+def _truncated_polynomials(R):
+    """R[t]/(t^4): local and commutative of square rank."""
+    one = R.one().coords
+    table = np.zeros((4, 4, 4, R.flatten_len), dtype=np.int64)
     for i in range(4):
         for j in range(4 - i):
-            table[i, j, i + j] = 1
-    R = ZMod(p)
-    return Algebra(R, *structure_tensor(R, table, [[1], [0], [0], [0]]), label=f"F_{p}[t]/t^4")
+            table[i, j, i + j] = one
+    unit = np.zeros((4, R.flatten_len), dtype=np.int64)
+    unit[0] = one
+    return Algebra(R, *structure_tensor(R, table, unit), label=f"{R!r}[t]/t^4")
 
 
 @settings(max_examples=15, deadline=None)
-@given(data=st.data(), p=st.sampled_from([2, 3]), make=st.sampled_from([_diagonal_power, _truncated_polynomials]))
-def test_twisted_commutative_rank_4_never_certifies(data, p, make):
-    D = 4
-    T = np.asarray(data.draw(st.lists(st.integers(0, p - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
-    assume(rank_mod_p(T, p) == D)
-    A = twisted(make(p), T)
+@given(
+    data=st.data(),
+    R=st.sampled_from([ZMod(2), ZMod(3), GaloisField.default(2, 2), GaloisField.default(3, 2)]),
+    make=st.sampled_from([_diagonal_power, _truncated_polynomials]),
+)
+def test_twisted_commutative_rank_4_never_certifies(data, R, make):
+    p, f = R.moduli[0], R.flatten_len
+    T = np.asarray(data.draw(st.lists(st.integers(0, p - 1), min_size=16 * f, max_size=16 * f)))
+    T = r_linear(R, T.reshape(4, 4, f))
+    assume(rank_mod_p(T, p) == 4 * f)
+    A = twisted(make(R), T)
     assert splitting(A) is None
     assert is_azumaya(A).status == "fail"
 
@@ -115,7 +123,7 @@ _FALLBACK_CASES = {
     "UT_2": lambda: upper_triangular_algebra(ZMod(2), 2),
     "UT_4": lambda: upper_triangular_algebra(ZMod(2), 4),
     "split quadratic": _split_quadratic_f2,
-    "F_2^4": lambda: _diagonal_power(2),
+    "F_2^4": lambda: _diagonal_power(ZMod(2)),
     "M_2(GF(4))": lambda: matrix_algebra(GaloisField.default(2, 2), 2, check=False),
     "M_2(Z/2 x Z/3)": lambda: matrix_algebra(ProductRing([ZMod(2), ZMod(3)]), 2, check=False),
     "UT_2(Z/2 x Z/3)": lambda: upper_triangular_algebra(ProductRing([ZMod(2), ZMod(3)]), 2),
@@ -132,7 +140,7 @@ def test_report_equals_forced_env_map_decision(name, monkeypatch):
     assert got == is_azumaya(A).comparable_dict()
 
 
-@pytest.mark.parametrize("name", ["UT_2", "UT_4", "split quadratic", "F_2^4", "M_2(GF(4))", "M_2(Z/2 x Z/3)"])
+@pytest.mark.parametrize("name", ["UT_2", "UT_4", "split quadratic", "F_2^4", "M_2(Z/2 x Z/3)"])
 def test_misses(name):
     assert splitting(_FALLBACK_CASES[name]()) is None
 
@@ -142,22 +150,154 @@ def test_unhandled_bases_refused_before_any_draw(monkeypatch):
         raise AssertionError("drew")
 
     monkeypatch.setattr(algebras, "random_rows", no_draws)
-    for name in ["UT_2", "M_2(GF(4))", "M_2(Z/2 x Z/3)"]:
+    # a rank that is not a square, and product bases
+    for name in ["UT_2", "M_2(Z/2 x Z/3)"]:
         assert splitting(_FALLBACK_CASES[name]()) is None
-    # a prime above the search's cap: every eigenvalue cannot be tried
-    A = matrix_algebra(ZMod(algebras._SPLIT_MAX_P + 3), 2, check=False)  # 67
-    assert splitting(A) is None
+    assert splitting(matrix_algebra(ProductRing([ZMod(2), GaloisField.default(2, 2)]), 2, check=False)) is None
+    # residue fields above the search's cap: every eigenvalue cannot be tried
+    big = [
+        matrix_algebra(ZMod(algebras._SPLIT_MAX_P + 3), 2, check=False),  # 67
+        matrix_algebra(GaloisField.default(2, 7), 2, check=False),  # 128
+        matrix_algebra(GaloisField.default(11, 2), 2, check=False),  # 121
+    ]
+    for A in big:
+        assert splitting(A) is None
     monkeypatch.undo()
-    assert is_azumaya(A).status == "pass"  # by the enveloping map
+    assert [is_azumaya(A).status for A in big] == ["pass"] * 3  # by the enveloping map
 
 
-@pytest.mark.parametrize("name", ["M_3(Z/12)", "W(3,1,2)"])
+def _forbid_env_maps(monkeypatch):
+    """Make every route to an enveloping map or a fiber raise."""
+
+    def forbidden(*args):
+        raise AssertionError("env map or fiber formed")
+
+    for name in ("env_map_flat", "env_map_bijective", "quotient_algebra"):
+        monkeypatch.setattr(algebras, name, forbidden)
+
+
+_CERTIFIED_CASES = {
+    "M_3(Z/12)": _FALLBACK_CASES["M_3(Z/12)"],
+    "W(3,1,2)": _FALLBACK_CASES["W(3,1,2)"],
+    "M_2(GF(4))": _FALLBACK_CASES["M_2(GF(4))"],
+    "M_3(GF(9))": lambda: matrix_algebra(GaloisField.default(3, 2), 3, check=False),
+    "M_2(GF(64))": lambda: matrix_algebra(GaloisField.default(2, 6), 2, check=False),
+    "M_2(GF(4)) (x) M_2(GF(4))": lambda: tensor_product(*[matrix_algebra(GaloisField.default(2, 2), 2)] * 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_CERTIFIED_CASES))
 def test_certified_pass_skips_the_env_map(name, monkeypatch):
-    def no_env_map(A):
-        raise AssertionError("env map formed")
+    A = _CERTIFIED_CASES[name]()
+    _forbid_env_maps(monkeypatch)
+    assert is_azumaya(A).status == "pass"
 
-    monkeypatch.setattr(algebras, "env_map_bijective", no_env_map)
-    assert is_azumaya(_FALLBACK_CASES[name]()).status == "pass"
+
+def _ut2_squared(R):
+    """UT_2 (x) UT_2 over R: rank 9 = 3^2, a scalar center and a nonzero
+    radical, so its failing fibers are explained by an env-map kernel vector."""
+    U = upper_triangular_algebra(R, 2)
+    return tensor_product(U, U)
+
+
+@pytest.mark.parametrize(
+    "make, fibers, witness",
+    [
+        (lambda: _diagonal_power(ZMod(2)), 1, "nonscalar_central_element"),
+        (lambda: _ut2_squared(ZMod(2)), 1, "env_kernel_vector"),
+        # Z/3 x Z/2: the fiber at (3, 1), over F_2, fails first
+        (lambda: _ut2_squared(ProductRing([ZMod(3), ZMod(2)])), 1, "env_kernel_vector"),
+        # passes over F_2, fails over F_3: one env map per fiber
+        (_m2_f2_by_f3_4, 2, "nonscalar_central_element"),
+    ],
+    ids=["F_2^4", "UT_2(x)UT_2(F_2)", "UT_2(x)UT_2(Z/3 x Z/2)", "M_2(F_2) x F_3^4"],
+)
+def test_failing_fiber_forms_its_env_map_once(make, fibers, witness, monkeypatch):
+    # the kernel-vector witness reuses the bijectivity check's matrix
+    A, formed = make(), []
+    env_map_flat = algebras.env_map_flat
+    monkeypatch.setattr(algebras, "env_map_flat", lambda A: formed.append(A) or env_map_flat(A))
+    rep = is_azumaya(A)
+    assert rep.status == "fail" and witness in rep.witness
+    assert len(formed) == fibers
+    if witness == "env_kernel_vector":
+        F, src, _ = env_map_flat(formed[-1])
+        v = np.asarray(rep.witness[witness])
+        assert v.any() and not ((F @ v) % np.asarray(src)).any()
+
+
+# ---------------------------------------------------------------------------
+# GF(q) bases: q = 4, 8, 9, 16, 25 and 64
+
+GF_BASES = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (2, 6)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p, k", GF_BASES, ids=[f"GF({p}^{k})" for p, k in GF_BASES])
+def test_gf_matrix_algebras_certify(p, k, n):
+    A = matrix_algebra(GaloisField.default(p, k), n, check=False)
+    hom = splitting(A)
+    assert hom is not None and hom.is_verified and hom.is_bijective()
+    assert hom.target == A  # M_n(GF(q)) in its own coordinates
+    if A.dim <= 16:  # the enveloping map agrees where it is small
+        assert env_map_bijective(A)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), pk=st.sampled_from(GF_BASES[:5]))
+def test_twisted_gf_matrix_algebras_certify(data, n, pk):
+    p, k = pk
+    R, d = GaloisField.default(p, k), n * n
+    T = np.asarray(data.draw(st.lists(st.integers(0, p - 1), min_size=d * d * k, max_size=d * d * k)))
+    T = r_linear(R, T.reshape(d, d, k))
+    assume(rank_mod_p(T, p) == d * k)
+    A = twisted(matrix_algebra(R, n, check=False), T)
+    A._verify_axioms()
+    hom = splitting(A)
+    assert hom is not None and hom.is_verified and hom.is_bijective()
+    assert hom.target == matrix_algebra(R, n, check=False)
+
+
+# ---------------------------------------------------------------------------
+# a rank that is not a square fails first
+
+
+def _non_square_cases():
+    for R in (ZMod(2), ZMod(6), ProductRing([ZMod(2), ZMod(3)])):
+        for n in (2, 3, 4):
+            yield f"UT_{n}({R!r})", lambda R=R, n=n: upper_triangular_algebra(R, n)
+    yield "M_2(F_2) (x) UT_2(F_2)", lambda: tensor_product(
+        matrix_algebra(ZMod(2), 2), upper_triangular_algebra(ZMod(2), 2)
+    )
+    yield "F_2 x F_2", lambda: _diagonal_power(ZMod(2), 2)
+
+
+_NON_SQUARE = dict(_non_square_cases())
+
+
+@pytest.mark.parametrize("name", list(_NON_SQUARE))
+def test_non_square_rank_fails_before_any_env_map(name, monkeypatch):
+    A = _NON_SQUARE[name]()
+    _forbid_env_maps(monkeypatch)
+    monkeypatch.setattr(algebras, "splitting", lambda A: pytest.fail("certificate tried"))
+    rep = is_azumaya(A)
+    assert rep.status == "fail" and rep.witness == {"rank": A.rank}
+    assert math.isqrt(A.rank) ** 2 != A.rank
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4), N=st.sampled_from([2, 3, 4, 9]))
+def test_twisted_non_square_rank_fails_before_any_env_map(data, n, N):
+    A = upper_triangular_algebra(ZMod(N), n)
+    D, p = A.dim, factorize(N)[0][0]  # prime powers, which `twisted` inverts over
+    T = np.asarray(data.draw(st.lists(st.integers(0, N - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
+    assume(rank_mod_p(T, p) == D)
+    A = twisted(A, T)
+    A._verify_axioms()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _forbid_env_maps(monkeypatch)
+        monkeypatch.setattr(algebras, "splitting", lambda A: pytest.fail("certificate tried"))
+        assert is_azumaya(A).comparable_dict()["witness"] == {"rank": A.rank}
 
 
 @pytest.mark.parametrize("name", ["M_3(Z/12)", "F_2^4"])

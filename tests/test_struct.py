@@ -29,6 +29,7 @@ from ring_oracles import (
     flatten_table,
     matrix_table,
     opposite_table,
+    structure_tensor_einsum,
     tensor_table,
     upper_triangular_table,
     weyl_table,
@@ -135,3 +136,20 @@ def test_algebra_rejects_a_tensor_that_does_not_fit_the_base():
         Algebra(R, struct[:3, :3, :3], unit[:3], check=False)
     with pytest.raises(AlgebraError):
         Algebra(R, struct, unit[:2], check=False)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [*_RINGS, ZMod(2**62), GaloisField(2**61 - 1, [1, 0, 1]), ProductRing([ZMod(2**40), GaloisField.default(3, 3)])],
+    ids=repr,
+)
+def test_structure_tensor_matches_the_einsum_body(ring):
+    # the matrix products give the einsums' tensor byte for byte, over the
+    # int64 path and over Python ints where f (N - 1)^2 leaves int64
+    rng = np.random.default_rng(7)
+    d, f = 3, ring.flatten_len
+    table = rng.integers(-(2**62), 2**62, size=(d, d, d, f))
+    unit = rng.integers(-(2**62), 2**62, size=(d, f))
+    got, want = structure_tensor(ring, table, unit), structure_tensor_einsum(ring, table, unit)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -28,11 +28,13 @@ ring-hom matrix; structure constants given as integers (configs) go in
 as they are.  `opposite` transposes `struct` directly.
 
 `is_azumaya` decides the rank first: a rank that is not a square fails at
-once.  It decides a pass by a certificate when it can: `splitting` builds
-an isomorphism A -> M_n(R) over R = Z/N or GF(q) (a minimal left ideal and
-an idempotent per prime power of N, lifted and joined by the CRT, or one
-over GF(q) in its coordinates) and verifies it with the one hom check and
-the one bijectivity check, in D x D linear algebra.  On a miss it decides
+once.  It decides a pass by a certificate when it can: `splitting` takes
+an isomorphism A -> M_n(R), the identity when A is M_n(R) in matrix-unit
+coordinates over any base, otherwise one searched over R = Z/N or GF(q) (a
+minimal left ideal and an idempotent per prime power of N, lifted and
+joined by the CRT, or one over GF(q) in its coordinates), and verifies it
+with the one hom check and the one bijectivity check, in D x D linear
+algebra.  On a miss it decides
 fiber by fiber: A is Azumaya iff the D^2 x D^2 enveloping map of A (x) R/m
 is bijective for every maximal ideal m, so enveloping maps are formed over
 residue fields only, once each, and the first fiber that fails gives the
@@ -763,27 +765,13 @@ def _local_splitting(A, p, k):
     return None
 
 
-def splitting(A):
-    """A verified isomorphism A -> M_n(R) of R-algebras, as a bijective
-    `homs.AlgebraHom`, or None when the search misses.
-
-    An Azumaya algebra of rank n^2 over a finite commutative ring R is
-    M_n(R): the Brauer group of a commutative Artin ring is the sum of those
-    of its residue fields (the paper's Theorem 2.8), and finite fields have
-    trivial Brauer groups (Wedderburn).  Over R = Z/N the hom is built per
-    prime power q of N (`_local_splitting`) and the pieces are joined by
-    the CRT; over R = GF(p^f) it is built once, in GF(p^f) coordinates.  It
-    is then checked by the one hom check and the one bijectivity check,
-    which together are complete, so a hom returned here proves A Azumaya.
-    A miss proves nothing: a rank that is not a square, a product base
-    (not handled yet), a residue field larger than _SPLIT_MAX_P, no hom
-    within the fixed draws of the fixed seed, or a hom that fails either
-    check.  `is_azumaya` then decides on the fibers A (x) R/m."""
-    from .homs import AlgebraHom
-
-    n, base = _square_root(A.rank), A.base
-    if n is None:
-        return None
+def _searched_splitting(A):
+    """The matrix of a candidate hom A -> M_n(R) from the search, or None:
+    over R = Z/N one `_local_splitting` per prime power q of N, joined by
+    the CRT; over R = GF(p^f) one, in GF(p^f) coordinates.  Product bases
+    and residue fields larger than _SPLIT_MAX_P are refused before any
+    draw."""
+    base = A.base
     if isinstance(base, ZMod):
         N, factors = base.n, factorize(base.n)
     elif isinstance(base, GaloisField):
@@ -800,8 +788,36 @@ def splitting(A):
         q = p**k
         parts.append(phi)
         coeffs.append(N // q * pow(N // q, -1, q) % N)  # 1 mod q, 0 mod N/q
-    H = linalg.einsum_mod("s,sij->ij", np.asarray(coeffs), np.stack(parts), moduli=N, N=N)
-    hom = AlgebraHom(A, matrix_algebra(base, n, check=False), H, label=f"split {A.label}").verify()
+    return linalg.einsum_mod("s,sij->ij", np.asarray(coeffs), np.stack(parts), moduli=N, N=N)
+
+
+def splitting(A):
+    """A verified isomorphism A -> M_n(R) of R-algebras, as a bijective
+    `homs.AlgebraHom`, or None when the search misses.
+
+    An Azumaya algebra of rank n^2 over a finite commutative ring R is
+    M_n(R): the Brauer group of a commutative Artin ring is the sum of those
+    of its residue fields (the paper's Theorem 2.8), and finite fields have
+    trivial Brauer groups (Wedderburn).  The candidate is the identity when
+    A is M_n(R) in its matrix-unit coordinates, over any base; otherwise it
+    comes from the search (`_searched_splitting`).  Either way it is then
+    checked by the one hom check and the one bijectivity check, which
+    together are complete, so a hom returned here proves A Azumaya.  A miss
+    proves nothing, and only an algebra other than M_n(R) itself can miss:
+    a rank that is not a square, a product base (not searched yet), a
+    residue field larger than _SPLIT_MAX_P, no hom within the fixed draws
+    of the fixed seed, or a hom that fails either check.  `is_azumaya` then
+    decides on the fibers A (x) R/m."""
+    from .homs import AlgebraHom
+
+    n = _square_root(A.rank)
+    if n is None:
+        return None
+    M = matrix_algebra(A.base, n, check=False)
+    H = np.eye(A.dim, dtype=np.int64) if A == M else _searched_splitting(A)
+    if H is None:
+        return None
+    hom = AlgebraHom(A, M, H, label=f"split {A.label}").verify()
     return hom if hom.is_verified and hom.is_bijective() else None
 
 
@@ -814,11 +830,13 @@ def is_azumaya(A):
     a rank that is not a square fails with the witness {"rank": d} before
     any certificate, quotient or contraction.  A pass is then decided by a
     certificate when it can be: a verified isomorphism A -> M_n(R) from
-    `splitting`.  On a miss the fibers decide, each by its enveloping map,
-    which is bijective iff the fiber is central simple.  The first fiber
-    that fails is reported with m and a witness: a non-scalar central
-    generator, else a kernel vector of the same enveloping-map matrix.  No
-    enveloping map is formed over a base that is not a field.
+    `splitting`, whose candidate for M_n(R) itself is the identity, so only
+    other forms of it can miss.  On a miss the fibers decide, each by its
+    enveloping map, which is bijective iff the fiber is central simple.
+    The first fiber that fails is reported with m and a witness: a
+    non-scalar central generator, else a kernel vector of the same
+    enveloping-map matrix.  No enveloping map is formed over a base that is
+    not a field.
     """
     from .rings import maximal_ideals
 

@@ -325,12 +325,20 @@ def _from_level(A, gens, S, level, depth):
     return values
 
 
-def _depth(D, k):
+def _depth(D, k, budget=None):
     """The deepest size below k whose values on every subset of the D
     generators are stored: building size m holds the values on the sizes
-    m - 1 and m, within the search's entry budget."""
+    m - 1 and m, within the search's entry budget.  A walk over at most
+    `budget` k-subsets reads at most walk * C(k, m) of the m-subsets, so no
+    size m is stored whose C(D, m) rows exceed that; without a budget the
+    walk covers all C(D, k) subsets and this never binds."""
+    walk = math.comb(D, k) if budget is None else min(budget, math.comb(D, k))
     d = 0
-    while d + 1 < k and (math.comb(D, d) + math.comb(D, d + 1)) * D <= SEARCH_ENTRIES:
+    while (
+        d + 1 < k
+        and (math.comb(D, d) + math.comb(D, d + 1)) * D <= SEARCH_ENTRIES
+        and math.comb(D, d + 1) <= walk * math.comb(k, d + 1)
+    ):
         d += 1
     return d
 
@@ -357,12 +365,13 @@ def _subset_hit(sk, A, budget=None):
     subset on which s_k is nonzero (as its k generator rows), its value and
     its position.
 
-    The values on all subsets of the sizes up to `_depth` are built once,
-    and each batch of k-subsets is evaluated from the deepest of them:
-    in one step when every size below k fits, and otherwise by the subset
-    DP from there, which from size 1 is one DP per subset."""
+    The values on all subsets of the sizes up to `_depth` (sized by the
+    walk) are built once, and each batch of k-subsets is evaluated from the
+    deepest of them: in one step when every size below k fits, and
+    otherwise by the subset DP from there, which from size 1 is one DP per
+    subset."""
     k, D = sk.arity, A.dim
-    depth = _depth(D, k)
+    depth = _depth(D, k, budget)
     gens = _by_generator(A)
     level = _level(A, gens, depth)
 

@@ -65,7 +65,7 @@ from azumaya.algebras import AlgebraError, AlgElem, Algebra, _normal_order, cent
 from azumaya.homs import UNVERIFIED, AlgebraHom, _azumaya_preconditions
 from azumaya.linalg import LinalgError, howell
 from azumaya.reports import CONTRADICTS, FAIL, PASS, CheckReport
-from azumaya.rings import GaloisField, NotAUnit, ProductRing, ReduciblePolynomial, ZMod
+from azumaya.rings import GaloisField, NotAUnit, ProductRing, ReduciblePolynomial, ZMod, factorize
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +274,27 @@ def r_linear(ring, T):
 
 
 def inverse_mod(T, N):
-    """T^-1 over Z/N by Gauss-Jordan over Python ints; T is invertible mod
-    every prime of N, so each column has a unit pivot."""
+    """T^-1 over Z/N, for T invertible mod every prime of N: by Gauss-Jordan
+    over Python ints mod each prime power q of N, where every column has a
+    unit pivot (Z/q is local), joined by the CRT.  Over Z/N itself a column
+    can have none: mod 6 a first column (0, 0, 3, 0, 0, 2)."""
     D = len(T)
-    M = [[int(T[i, j]) for j in range(D)] + [int(i == j) for j in range(D)] for i in range(D)]
-    for c in range(D):
-        r = next(r for r in range(c, D) if math.gcd(M[r][c], N) == 1)
-        M[c], M[r] = M[r], M[c]
-        inv = pow(M[c][c], -1, N)
-        M[c] = [v * inv % N for v in M[c]]
-        for r in range(D):
-            if r != c and M[r][c]:
-                f = M[r][c]
-                M[r] = [(v - f * w) % N for v, w in zip(M[r], M[c])]
-    return np.asarray([row[D:] for row in M], dtype=object)
+    inverse = np.zeros((D, D), dtype=object)
+    for p, k in factorize(N):
+        q = p**k
+        M = [[int(T[i, j]) % q for j in range(D)] + [int(i == j) for j in range(D)] for i in range(D)]
+        for c in range(D):
+            r = next(r for r in range(c, D) if M[r][c] % p)
+            M[c], M[r] = M[r], M[c]
+            inv = pow(M[c][c], -1, q)
+            M[c] = [v * inv % q for v in M[c]]
+            for r in range(D):
+                if r != c and M[r][c]:
+                    f = M[r][c]
+                    M[r] = [(v - f * w) % q for v, w in zip(M[r], M[c])]
+        crt = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod N/q
+        inverse += np.asarray([row[D:] for row in M], dtype=object) * crt
+    return inverse % N
 
 
 # ---------------------------------------------------------------------------

@@ -451,6 +451,36 @@ def test_s6_on_m5f2_from_a_partial_level_matches_per_subset_walk():
     assert got[2] == want[2] and np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("budget", [1, 10, 100, 10**4])
+@pytest.mark.parametrize("n", [4, 5])
+def test_s6_witness_within_budget_matches_loop(n, budget, monkeypatch):
+    # the stored sizes are those a walk of min(budget, C(D, 6)) subsets can
+    # read: M_5(F_2) at budget 10 stores the 1-subsets only, not 12,650
+    # 4-subsets
+    A, depths = matrix_algebra(ZMod(2), n, check=False), []
+    level = identities._level
+    monkeypatch.setattr(identities, "_level", lambda A, gens, depth: depths.append(depth) or level(A, gens, depth))
+    want_elems, want = nonvanishing_witness_loop(A, 6, budget=budget, seed=3)
+    got_elems, got = nonvanishing_witness(A, 6, budget=budget, seed=3)
+    assert got.comparable_dict() == want.comparable_dict()
+    assert (got_elems is None) == (want_elems is None)
+    if want_elems is not None:
+        assert [e.flat.tolist() for e in got_elems] == [e.flat.tolist() for e in want_elems]
+    walk = min(budget, math.comb(A.dim, 6))
+    assert depths == [identities._depth(A.dim, 6, budget)]
+    assert all(math.comb(A.dim, m) <= walk * math.comb(6, m) for m in range(1, depths[0] + 1))
+    if (n, budget) == (5, 10):
+        assert depths == [1]
+
+
+@pytest.mark.parametrize("D", range(1, 41))
+def test_depth_without_a_budget_is_the_full_walk(D):
+    # C(D, k) C(k, m) >= C(D, m): a walk of every k-subset never binds
+    for k in range(1, 10):
+        assert identities._depth(D, k) == identities._depth(D, k, math.comb(D, k))
+        assert identities._depth(D, k, 10**9) == identities._depth(D, k)
+
+
 @pytest.mark.parametrize("D,m", [(1, 1), (4, 2), (9, 4), (16, 8), (25, 3)])
 @pytest.mark.parametrize("rows,budget", [(1, 300), (7, None), (1024, None), (7, 20), (1024, 0)])
 def test_subset_batches_in_combinations_order(D, m, rows, budget):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from azumaya import algebras
 from azumaya.algebras import (
     Algebra,
+    base_change,
     env_map_bijective,
     is_azumaya,
     matrix_algebra,
@@ -23,9 +24,9 @@ from azumaya.algebras import (
 )
 from azumaya.homs import weyl_splitting
 from azumaya.linalg import is_bijective_additive, kernel_mod, rank_mod_p
-from azumaya.rings import GaloisField, ProductRing, ZMod, factorize
+from azumaya.rings import BaseRingHom, GaloisField, ProductRing, ZMod, factorize
 from azumaya.suites import _split_quadratic_f2
-from ring_oracles import r_linear, twisted
+from ring_oracles import inverse_mod, r_linear, twisted
 from test_algebras import _m2_f2_by_f3_4
 
 MATRIX_GRID = [(n, m) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
@@ -60,23 +61,32 @@ def test_tensor_squares_certify(m):
 
 @pytest.mark.parametrize("m", [2, 12])
 def test_benchmark_matrix_algebras_certify(m):
-    # M_5(F_2) and M_5(Z/12) of the benchmark's `kernels` workload
-    _assert_certificate(matrix_algebra(ZMod(m), 5, check=False))
+    # M_5(F_2) and M_5(Z/12) of the benchmark's `kernels` workload, and
+    # their opposites, which the search certifies
+    M = matrix_algebra(ZMod(m), 5, check=False)
+    for A in (M, opposite(M)):
+        _assert_certificate(A)
 
 
 @pytest.mark.parametrize("N", [2**62, 3**39, 2**31 * 3**19, 4 * 9 * 25 * 49])
 def test_certificate_exact_near_int64(N):
-    # Newton lifts and the CRT over moduli whose products leave int64
-    _assert_certificate(matrix_algebra(ZMod(N), 2, check=False))
+    # Newton lifts and the CRT over moduli whose products leave int64, on
+    # the opposite; M_2(Z/N) itself is certified by the identity
+    M = matrix_algebra(ZMod(N), 2, check=False)
+    for A in (M, opposite(M)):
+        _assert_certificate(A)
+
+
+def _invertible_mod_every_prime(T, N):
+    return all(rank_mod_p(T % p, p) == len(T) for p, _ in factorize(N))
 
 
 @settings(max_examples=25, deadline=None)
-@given(data=st.data(), n=st.integers(1, 3), pk=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]))
-def test_twisted_matrix_algebras_certify(data, n, pk):
-    p, k = pk
-    N, D = p**k, n * n
+@given(data=st.data(), n=st.integers(1, 3), N=st.sampled_from([2, 4, 8, 3, 9, 5, 6, 12]))
+def test_twisted_matrix_algebras_certify(data, n, N):
+    D = n * n
     T = np.asarray(data.draw(st.lists(st.integers(0, N - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
-    assume(rank_mod_p(T, p) == D)
+    assume(_invertible_mod_every_prime(T, N))
     A = twisted(matrix_algebra(ZMod(N), n, check=False), T)
     A._verify_axioms()
     _assert_certificate(A)
@@ -129,6 +139,9 @@ _FALLBACK_CASES = {
     "UT_2(Z/2 x Z/3)": lambda: upper_triangular_algebra(ProductRing([ZMod(2), ZMod(3)]), 2),
     "M_3(Z/12)": lambda: matrix_algebra(ZMod(12), 3, check=False),
     "W(3,1,2)": lambda: weyl_quotient(3, 1, 2),
+    # M_n(R) itself takes the identity; its opposite goes through the search
+    "op(M_2(Z/2 x Z/3))": lambda: opposite(matrix_algebra(ProductRing([ZMod(2), ZMod(3)]), 2, check=False)),
+    "op(M_3(Z/12))": lambda: opposite(matrix_algebra(ZMod(12), 3, check=False)),
 }
 
 
@@ -140,7 +153,7 @@ def test_report_equals_forced_env_map_decision(name, monkeypatch):
     assert got == is_azumaya(A).comparable_dict()
 
 
-@pytest.mark.parametrize("name", ["UT_2", "UT_4", "split quadratic", "F_2^4", "M_2(Z/2 x Z/3)"])
+@pytest.mark.parametrize("name", ["UT_2", "UT_4", "split quadratic", "F_2^4", "op(M_2(Z/2 x Z/3))"])
 def test_misses(name):
     assert splitting(_FALLBACK_CASES[name]()) is None
 
@@ -150,15 +163,16 @@ def test_unhandled_bases_refused_before_any_draw(monkeypatch):
         raise AssertionError("drew")
 
     monkeypatch.setattr(algebras, "random_rows", no_draws)
-    # a rank that is not a square, and product bases
-    for name in ["UT_2", "M_2(Z/2 x Z/3)"]:
+    # a rank that is not a square, and product bases (opposites of M_2(R),
+    # since M_2(R) itself takes the identity)
+    for name in ["UT_2", "op(M_2(Z/2 x Z/3))"]:
         assert splitting(_FALLBACK_CASES[name]()) is None
-    assert splitting(matrix_algebra(ProductRing([ZMod(2), GaloisField.default(2, 2)]), 2, check=False)) is None
+    assert splitting(opposite(matrix_algebra(ProductRing([ZMod(2), GaloisField.default(2, 2)]), 2, check=False))) is None
     # residue fields above the search's cap: every eigenvalue cannot be tried
     big = [
-        matrix_algebra(ZMod(algebras._SPLIT_MAX_P + 3), 2, check=False),  # 67
-        matrix_algebra(GaloisField.default(2, 7), 2, check=False),  # 128
-        matrix_algebra(GaloisField.default(11, 2), 2, check=False),  # 121
+        opposite(matrix_algebra(ZMod(algebras._SPLIT_MAX_P + 3), 2, check=False)),  # 67
+        opposite(matrix_algebra(GaloisField.default(2, 7), 2, check=False)),  # 128
+        opposite(matrix_algebra(GaloisField.default(11, 2), 2, check=False)),  # 121
     ]
     for A in big:
         assert splitting(A) is None
@@ -235,12 +249,14 @@ GF_BASES = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (2, 6)]
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("p, k", GF_BASES, ids=[f"GF({p}^{k})" for p, k in GF_BASES])
 def test_gf_matrix_algebras_certify(p, k, n):
-    A = matrix_algebra(GaloisField.default(p, k), n, check=False)
-    hom = splitting(A)
-    assert hom is not None and hom.is_verified and hom.is_bijective()
-    assert hom.target == A  # M_n(GF(q)) in its own coordinates
-    if A.dim <= 16:  # the enveloping map agrees where it is small
-        assert env_map_bijective(A)
+    # M_n(GF(q)) in its own coordinates, and its opposite through the search
+    M = matrix_algebra(GaloisField.default(p, k), n, check=False)
+    for A in (M, opposite(M)):
+        hom = splitting(A)
+        assert hom is not None and hom.is_verified and hom.is_bijective()
+        assert hom.target == M
+        if A.dim <= 16:  # the enveloping map agrees where it is small
+            assert env_map_bijective(A)
 
 
 @settings(max_examples=20, deadline=None)
@@ -286,12 +302,12 @@ def test_non_square_rank_fails_before_any_env_map(name, monkeypatch):
 
 
 @settings(max_examples=20, deadline=None)
-@given(data=st.data(), n=st.integers(2, 4), N=st.sampled_from([2, 3, 4, 9]))
+@given(data=st.data(), n=st.integers(2, 4), N=st.sampled_from([2, 3, 4, 9, 6, 12]))
 def test_twisted_non_square_rank_fails_before_any_env_map(data, n, N):
     A = upper_triangular_algebra(ZMod(N), n)
-    D, p = A.dim, factorize(N)[0][0]  # prime powers, which `twisted` inverts over
+    D = A.dim
     T = np.asarray(data.draw(st.lists(st.integers(0, N - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
-    assume(rank_mod_p(T, p) == D)
+    assume(_invertible_mod_every_prime(T, N))
     A = twisted(A, T)
     A._verify_axioms()
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -300,21 +316,99 @@ def test_twisted_non_square_rank_fails_before_any_env_map(data, n, N):
         assert is_azumaya(A).comparable_dict()["witness"] == {"rank": A.rank}
 
 
-@pytest.mark.parametrize("name", ["M_3(Z/12)", "F_2^4"])
-def test_refuted_certificate_falls_back(name, monkeypatch):
-    # a bijective local matrix that is no hom (the transpose, anti-
-    # multiplicative on matrix algebras) is refuted: only the env map decides
-    def transpose(A, p, k):
-        n = math.isqrt(A.rank)
-        return np.eye(A.dim, dtype=np.int64).reshape(n, n, A.dim).transpose(1, 0, 2).reshape(A.dim, A.dim)
+def test_inverse_mod_over_a_composite_modulus(monkeypatch):
+    # invertible mod 2 and mod 3, with no unit in its first column mod 6
+    T = np.asarray(
+        [
+            [0, 3, 0, 0, 0, 4],
+            [0, 4, 3, 4, 0, 0],
+            [3, 0, 4, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 1, 0],
+            [2, 0, 0, 0, 0, 3],
+        ]
+    )
+    assert T[:, 0].tolist() == [0, 0, 3, 0, 0, 2] and _invertible_mod_every_prime(T, 6)
+    Tinv = inverse_mod(T, 6)
+    eye = np.eye(6, dtype=np.int64)
+    assert np.array_equal(T.dot(Tinv) % 6, eye) and np.array_equal(Tinv.dot(T) % 6, eye)
+    A = twisted(upper_triangular_algebra(ZMod(6), 3), T)
+    A._verify_axioms()
+    _forbid_env_maps(monkeypatch)
+    assert is_azumaya(A).witness == {"rank": 6}
 
-    monkeypatch.setattr(algebras, "_local_splitting", transpose)
+
+@pytest.mark.parametrize("name", ["op(M_3(Z/12))", "F_2^4"])
+def test_refuted_certificate_falls_back(name, monkeypatch):
+    # a bijective local matrix that is no hom (the identity, anti-
+    # multiplicative from the opposite of a matrix algebra; the transpose
+    # would be a hom there) is refuted: only the env map decides
+    def identity(A, p, k):
+        return np.eye(A.dim, dtype=np.int64)
+
+    monkeypatch.setattr(algebras, "_local_splitting", identity)
     A = _FALLBACK_CASES[name]()
     assert splitting(A) is None
     monkeypatch.undo()
     want = is_azumaya(A).comparable_dict()
-    monkeypatch.setattr(algebras, "_local_splitting", transpose)
+    monkeypatch.setattr(algebras, "_local_splitting", identity)
     assert is_azumaya(A).comparable_dict() == want
+
+
+# ---------------------------------------------------------------------------
+# M_n(R) in its matrix-unit coordinates: the identity is the candidate
+
+F4, F128 = GaloisField.default(2, 2), GaloisField.default(2, 7)
+STANDARD_BASES = {
+    "Z/2": ZMod(2),
+    "Z/12": ZMod(12),
+    "Z/2^62": ZMod(2**62),
+    "GF(4)": F4,
+    "GF(128)": F128,
+    "Z/67": ZMod(67),
+    "Z/2 x Z/3": ProductRing([ZMod(2), ZMod(3)]),
+    "Z/4 x Z/3": ProductRing([ZMod(4), ZMod(3)]),
+}
+
+
+def _standard_forms():
+    for name, R in STANDARD_BASES.items():
+        for n in (2, 3):
+            yield f"M_{n}({name})", lambda R=R, n=n: matrix_algebra(R, n, check=False)
+    # equal to M_3(Z/3) once its base is changed
+    yield "M_3(Z/12) over Z/3", lambda: base_change(
+        matrix_algebra(ZMod(12), 3, check=False), BaseRingHom(ZMod(12), ZMod(3), [[1]])
+    )
+
+
+_STANDARD = dict(_standard_forms())
+
+
+@pytest.mark.parametrize("name", list(_STANDARD))
+def test_standard_forms_take_the_identity(name, monkeypatch):
+    A = _STANDARD[name]()
+    hom = splitting(A)
+    assert np.array_equal(hom.matrix, np.eye(A.dim, dtype=np.int64))
+    assert hom.is_verified and hom.is_bijective() and hom.target == A
+
+    def forbidden(*args):
+        raise AssertionError("searched, drew or formed an env map")
+
+    _forbid_env_maps(monkeypatch)
+    for fn in ("_local_splitting", "random_rows"):
+        monkeypatch.setattr(algebras, fn, forbidden)
+    assert is_azumaya(A).status == "pass"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("R", [ZMod(2), ZMod(12), ZMod(9), F4, GaloisField.default(3, 2)], ids=repr)
+def test_opposite_forms_are_searched(R, n, monkeypatch):
+    A, calls = opposite(matrix_algebra(R, n, check=False)), []
+    local = algebras._local_splitting
+    monkeypatch.setattr(algebras, "_local_splitting", lambda *args: calls.append(args) or local(*args))
+    hom = splitting(A)
+    assert calls and hom is not None and hom.is_verified and hom.is_bijective()
+    assert not np.array_equal(hom.matrix, np.eye(A.dim, dtype=np.int64))
 
 
 def test_search_is_deterministic():

@@ -1,31 +1,30 @@
 """Structure-constant algebras over finite commutative rings.
 
-An algebra is a free module R^d with an R-bilinear product.  It is stored as
-one integer structure tensor `struct` plus the flat unit `unit_flat`, over
-flat coordinates (rank d times the base ring's coordinate length f) with a
-modulus per coordinate; the product is Z-bilinear on them.  Base rings are
-stored the same way (`rings`), and every algebra tensor is built from the
-base ring's `struct`.  That makes centers, commutants and the enveloping
-map plain kernel / bijectivity computations over the coordinate moduli.
-Products of elements go through one sparse kernel over the tensor's
-nonzero entries (`Algebra.mul_batch`), and the tensor's contractions with
-itself through one sparse join over them (`linalg.sparse_join`): the
-associativity check of a checked build, (e_a e_b) e_c against
-e_a (e_b e_c), and the enveloping map's triple products (eps_a e_t) e_j.
-The hom check reads the same nonzero entries (`rings.hom_refutation`).
-Searches over elements or tuples
+An algebra is a free module R^d with an R-bilinear product, stored as the
+nonzero entries of its integer structure tensor plus the flat unit
+`unit_flat`, over flat coordinates (rank d times the base ring's coordinate
+length f) with a modulus per coordinate; the product is Z-bilinear on them.
+Element products go through one sparse kernel over the nonzero entries
+(`Algebra.mul_batch`) and multiplication matrices through one scatter
+(`Algebra.mul_matrices`), so centers, commutants and the enveloping map are
+kernel / bijectivity computations over the coordinate moduli.  The
+tensor's contractions with itself are one sparse join (`linalg.sparse_join`):
+the associativity check, (e_a e_b) e_c against e_a (e_b e_c), and the
+enveloping map's triple products (eps_a e_t) e_j; the hom check reads the
+same entries (`rings.hom_refutation`).  Searches over elements or tuples
 take their candidates from `candidate_batches` (product order, or seeded
 rows named by index, each a counter-based hash of the seed and its entries'
 positions, `random_rows`) and stop at the first hit through `first_hit`,
 in batches sized by the one rule `search_rows`.
 
 Every constructor fills a (d, d, d, f) integer table of the base-ring
-coordinates of e_i * e_j and hands it to `structure_tensor`: matrix and
+coordinates of e_i * e_j and hands it to `structure_tensor`, which
+contracts it with the base ring's dense f^3 tensor (`rings`): matrix and
 upper-triangular algebras by index arithmetic, the Weyl quotients from the
 normal-ordering coefficients, tensor products from the two factors' ring
 tables (`ring_table`) and base changes from the ring table times the
 ring-hom matrix; structure constants given as integers (configs) go in
-as they are.  `opposite` transposes `struct` directly.
+as they are.  `opposite` transposes the dense view `struct`.
 
 `is_azumaya` decides the rank first: a rank that is not a square fails at
 once.  It decides a pass by a certificate when it can: `splitting` takes
@@ -34,11 +33,10 @@ coordinates over any base, otherwise one searched over R = Z/N or GF(q) (a
 minimal left ideal and an idempotent per prime power of N, lifted and
 joined by the CRT, or one over GF(q) in its coordinates), and verifies it
 with the one hom check and the one bijectivity check, in D x D linear
-algebra.  On a miss it decides
-fiber by fiber: A is Azumaya iff the D^2 x D^2 enveloping map of A (x) R/m
-is bijective for every maximal ideal m, so enveloping maps are formed over
-residue fields only, once each, and the first fiber that fails gives the
-verdict and its witness.
+algebra.  On a miss it decides fiber by fiber: A is Azumaya iff the
+D^2 x D^2 enveloping map of A (x) R/m is bijective for every maximal ideal
+m, so enveloping maps are formed over residue fields only, once each, and
+the first fiber that fails gives the verdict and its witness.
 """
 
 from __future__ import annotations
@@ -69,23 +67,20 @@ class NotNilpotentWithinCap(AlgebraError):
 
 
 class Algebra:
-    """Finite free algebra over a base ring, stored as its integer structure
-    tensor.
+    """Finite free algebra over a base ring, stored as the nonzero entries of
+    its integer structure tensor S.
 
-    With f the base ring's coordinate length and d the rank, the flat
+    With f the base ring's coordinate length and d >= 1 the rank, the flat
     coordinates number dim = d * f, coordinate (i, s) standing for b_s e_i
-    (b_s the ring's s-th coordinate generator).  `struct[a, b, :]` holds the
-    flat coordinates of the product of coordinates a and b, so
-    x * y = sum x_a y_b struct[a, b, :]; `unit_flat` holds those of 1.  Both
-    are reduced mod the per-coordinate moduli.  Associativity on all basis
-    triples and the two-sided unit law are verified at construction unless
-    `check` is False, by a sparse join over the tensor's nonzero entries
-    (`_verify_axioms`), which refuses the first failing triple in
-    lexicographic order.  Element products use the nonzero entries only too
-    (see `mul_batch`).  They are held in two orders: by output coordinate
-    (`_sparse_struct`) and by first index (`_sparse_rows`).  The
-    constructors below build both arrays, through `structure_tensor` from a
-    ring table or, for `opposite`, from another algebra's tensor.
+    (b_s the ring's s-th coordinate generator).  S[a, b, :] holds the flat
+    coordinates of the product of coordinates a and b, and `unit_flat`
+    those of 1, reduced mod the per-coordinate moduli.  The constructor
+    takes S dense and keeps its nonzero entries in row-major order
+    (`_sparse_rows`); `_sparse_struct` sorts them by output coordinate, and
+    the view `struct` rebuilds S, read-only, on each read.  Unless `check`
+    is False, associativity on all basis triples and the two-sided unit law
+    are verified by a sparse join over the entries (`_verify_axioms`), which
+    refuses the first failing triple in lexicographic order.
     """
 
     def __init__(self, base, struct, unit_flat, label="", check=True):
@@ -99,19 +94,30 @@ class Algebra:
         self._N = base._N  # every coordinate is a residue below it
         self._sum_dtype = linalg._dtype(self._N, 2, 1)  # of a sum of two residues
         struct = np.asarray(struct, dtype=np.int64)
+        if not self.dim:
+            raise AlgebraError("an algebra needs rank >= 1")
         if self.dim % f or struct.shape != (self.dim,) * 3:
             raise AlgebraError(
                 f"structure tensor of shape {struct.shape} and unit of length "
                 f"{self.dim} do not fit a free module over {base!r}"
             )
-        self.struct = struct % self._moduli_arr
+        self._sparse_rows = linalg.sparse_rows(struct % self._moduli_arr)
         self.unit_flat = np.asarray(unit_flat, dtype=np.int64) % self._moduli_arr
         if check:
             self._verify_axioms()
 
+    @property
+    def struct(self):
+        """The dense structure tensor, rebuilt read-only on each read."""
+        index, values, _ = self._sparse_rows
+        S = np.zeros((self.dim,) * 3, dtype=np.int64)
+        S[index] = values
+        S.setflags(write=False)
+        return S
+
     def _verify_axioms(self):
         """Refuse the tensor unless it is associative on every basis triple
-        and `unit_flat` is a two-sided unit, with S = struct.
+        and `unit_flat` is a two-sided unit, with S the structure tensor.
 
         (e_a e_b) e_c = sum_k S[a, b, k] S[k, c, :] joins the entries
         (a, b, k) with row k; e_a (e_b e_c) = sum_k S[b, c, k] S[a, k, :]
@@ -121,7 +127,7 @@ class Algebra:
         factors a at a time; each piece of products reduces the entries it
         touched, so the buffer is zero again after first factors that pass.
         The first failing triple in lexicographic order is named."""
-        S, mod, N, D = self.struct, self._moduli_arr, self._N, self.dim
+        mod, N, D = self._moduli_arr, self._N, self.dim
         (I, J, K), V, ptr = self._sparse_rows
         Io, Jo, Co, outs, starts, _ = self._sparse_struct
         # the products landing on k are _sparse_struct's entries optr[k]..optr[k + 1] - 1
@@ -156,11 +162,9 @@ class Algebra:
                 raise AlgebraError(
                     f"associativity fails on basis triple {(int(a0 + a), int(b), int(c))}"
                 )
-        u = self.unit_flat
-        lu = linalg.einsum_mod("i,ijk->jk", u, S, moduli=mod, N=N)
-        ru = linalg.einsum_mod("j,ijk->ik", u, S, moduli=mod, N=N)
-        eye = np.eye(self.dim, dtype=np.int64) % mod
-        if np.any(lu != eye) or np.any(ru != eye):
+        u = self.unit_flat[None]
+        eye = np.eye(D, dtype=np.int64) % mod[:, None]
+        if np.any(self.mul_matrices(u, "left") != eye) or np.any(self.mul_matrices(u, "right") != eye):
             raise AlgebraError("unit vector is not a two-sided unit")
 
     # -- basic data
@@ -192,26 +196,19 @@ class Algebra:
 
     @cached_property
     def _sparse_struct(self):
-        """Nonzero entries of `struct` sorted by output coordinate: index
-        arrays I, J and coefficients C with struct[I, J, k] = C on the
+        """The nonzero entries sorted by output coordinate k (then row-major):
+        index arrays I, J and coefficients C with S[I, J, k] = C on the
         segment of k, the output coordinates that have a segment, each
         segment's start, and the dtype of the products: a sum runs over one
         segment of products of three residues (`linalg._dtype`).
         `mul_batch` sums each segment; the axiom check's join reads the
         segment of k as the products (b, c) that land on k."""
-        K, I, J = np.nonzero(self.struct.transpose(2, 0, 1))
-        outs, starts = np.unique(K, return_index=True)
+        (I, J, K), V, _ = self._sparse_rows
+        order = np.argsort(K, kind="stable")
+        outs, starts = np.unique(K[order], return_index=True)
         longest = int(np.diff(starts, append=len(K)).max(initial=0))
         dtype = linalg._dtype(self._N, longest, 3)
-        return I, J, self.struct[I, J, K].astype(dtype), outs, starts, dtype
-
-    @cached_property
-    def _sparse_rows(self):
-        """Nonzero entries of `struct` by first index (`linalg.sparse_rows`):
-        the index arrays (a, b, k), the values struct[a, b, k] and the row
-        pointer over a.  The joins of the axiom check and of the hom check
-        read them."""
-        return linalg.sparse_rows(self.struct)
+        return I[order], J[order], V[order].astype(dtype), outs, starts, dtype
 
     def mul_flat(self, x, y):
         return self.mul_batch(np.asarray(x)[None], np.asarray(y)[None])[0]
@@ -219,8 +216,8 @@ class Algebra:
     def mul_batch(self, X, Y):
         """Row-wise products of two (T, dim) coordinate arrays.
 
-        Sparse kernel: out[t, k] = sum over the nonzero struct[i, j, k] of
-        X[t, i] * Y[t, j] * struct[i, j, k], reduced mod the moduli at the
+        Sparse kernel: out[t, k] = sum over the nonzero S[i, j, k] of
+        X[t, i] * Y[t, j] * S[i, j, k], reduced mod the moduli at the
         end.  The inputs are residues; the result is int64 residues.
         """
         I, J, C, outs, starts, dtype = self._sparse_struct
@@ -236,13 +233,20 @@ class Algebra:
                 out[outs, lo : lo + rows] = np.add.reduceat(terms, starts, axis=0)
         return (out.T % self._moduli_arr).astype(np.int64, copy=False)
 
-    def left_mul_matrix(self, x):
-        """Matrix of y -> x*y on flattened coordinates."""
-        return linalg.einsum_mod("i,ijk->kj", x, self.struct, moduli=self._moduli_arr[:, None], N=self._N)
-
-    def right_mul_matrix(self, x):
-        """Matrix of y -> y*x on flattened coordinates."""
-        return linalg.einsum_mod("j,ijk->ki", x, self.struct, moduli=self._moduli_arr[:, None], N=self._N)
+    def mul_matrices(self, X, side):
+        """The (T, dim, dim) residue matrices of y -> x * y (`side` "left")
+        or y -> y * x ("right") for the rows x of X: [t, k, j] is (x_t e_j)_k
+        or (e_j x_t)_k, by one scatter of x_i S[i, j, k] into [k, j], or of
+        x_j S[i, j, k] into [k, i], over the nonzero entries."""
+        (I, J, K), V, _ = self._sparse_rows
+        read, col = (I, J) if side == "left" else (J, I)
+        D = self.dim
+        dtype = linalg._dtype(self._N, D, 2)  # an entry sums at most D products of two residues
+        X = np.asarray(X, dtype=dtype)
+        out = np.zeros(len(X) * D * D, dtype=dtype)
+        keys = np.arange(len(X))[:, None] * (D * D) + (K * D + col)
+        np.add.at(out, keys.ravel(), (X[:, read] * V.astype(dtype)).ravel())
+        return (out.reshape(-1, D, D) % self._moduli_arr[:, None]).astype(np.int64, copy=False)
 
     def scalars_flat(self):
         """Rows b_s * 1 for the base ring's coordinate generators b_s; they
@@ -265,13 +269,15 @@ class Algebra:
             isinstance(other, Algebra)
             and self.base == other.base
             and self.rank == other.rank
-            and np.array_equal(self.struct, other.struct)
+            and np.array_equal(self._sparse_rows[1], other._sparse_rows[1])
+            and all(map(np.array_equal, self._sparse_rows[0], other._sparse_rows[0]))
             and np.array_equal(self.unit_flat, other.unit_flat)
         )
 
     @cached_property
     def _hash(self):
-        return hash((self.base, self.rank, self.struct.tobytes()))
+        index, values, _ = self._sparse_rows
+        return hash((self.base, self.rank, values.tobytes(), *(i.tobytes() for i in index)))
 
     def __hash__(self):
         return self._hash
@@ -581,15 +587,12 @@ def base_change(A, hom):
 @lru_cache(maxsize=256)
 def center(A):
     """Z(A), a read-only `linalg.Subgroup` of the flat coordinates: the
-    kernel of z -> (z e_a - e_a z)_a over all coordinate generators, one
-    D^2 x D matrix read off `struct`.
+    commutant of the coordinate generators, the rows of the identity, which
+    generate A additively.
 
     Memoized by algebra equality (`Algebra.__eq__`), not by object: equal
     algebras share one entry.  `center.__wrapped__` computes it afresh."""
-    D, S = A.dim, A.struct
-    # row (a, k), column i: (e_i e_a - e_a e_i)_k
-    stacked = (S.transpose(1, 2, 0) - S.transpose(0, 2, 1)).reshape(D * D, D)
-    return linalg.kernel_additive(stacked, A.moduli, A.moduli * D)
+    return commutant(A, np.eye(A.dim, dtype=np.int64))
 
 
 def is_central(A):
@@ -599,9 +602,8 @@ def is_central(A):
 def commutator_matrix(A, X):
     """The maps z -> x z - z x for the rows x of the (T, dim) array X,
     stacked by rows into a (T * dim, dim) matrix of residues: row (t, k),
-    column j holds (x_t e_j - e_j x_t)_k."""
-    S = (A.struct - A.struct.transpose(1, 0, 2)) % A._moduli_arr
-    C = linalg.einsum_mod("ti,ijk->tkj", X, S, moduli=A._moduli_arr[:, None], N=A._N)
+    column j holds (x_t e_j - e_j x_t)_k, by `Algebra.mul_matrices`."""
+    C = (A.mul_matrices(X, "left") - A.mul_matrices(X, "right")) % A._moduli_arr[:, None]
     return C.reshape(-1, A.dim)
 
 
@@ -620,18 +622,17 @@ def env_map_flat(A):
     """Flattened integer matrix of the enveloping map, plus its moduli.
 
     Row ((u, t), s') and column ((i, j), s) hold the s'-coordinate of e_u in
-    (b_s e_i) e_t e_j.
-    One reduced contraction gives B[a, t, m] = (eps_a e_t)_m for every flat
-    coordinate generator eps_a = b_s e_i.  Then (eps_a e_t) e_j =
+    (b_s e_i) e_t e_j.  The right multiplications by the basis vectors e_t
+    give B[a, t, m] = (eps_a e_t)_m for every flat coordinate generator
+    eps_a = b_s e_i (`Algebra.mul_matrices`).  Then (eps_a e_t) e_j =
     sum_k B[a, t, k] B[k, j, :] is the sparse join of B's nonzero entries
     with B's rows (`linalg.sparse_join`), in pieces of at most D^3 products,
     each added straight into its entry of the matrix; a piece reduces the
     entries it touched.
     """
     d, f, D = A.rank, A.base.flatten_len, A.dim
-    B = linalg.einsum_mod(
-        "atsk,s->atk", A.struct.reshape(D, d, f, D), A.base.unit_flat, moduli=A._moduli_arr, N=A._N
-    )
+    E = np.kron(np.eye(d, dtype=np.int64), A.base.unit_flat)  # row t is e_t
+    B = A.mul_matrices(E, "right").transpose(2, 0, 1)
     (a, t, k), v, ptr = linalg.sparse_rows(B)
     # an entry is a residue plus at most D products
     dtype = linalg._dtype(A._N, D + 1, 2)
@@ -725,7 +726,7 @@ def _local_splitting(A, p, k):
     shifts = np.zeros((len(mats), d, f, d, f), dtype=np.int64)
     shifts[:, np.arange(d), :, np.arange(d), :] = mats
     for row in range(_SPLIT_DRAWS):
-        Rx = A.right_mul_matrix(random_rows(_SPLIT_SEED, (p,) * D, row, row + 1)[0]) % p  # y -> y x
+        Rx = A.mul_matrices(random_rows(_SPLIT_SEED, (p,) * D, row, row + 1), "right")[0] % p  # y -> y x
         shifted = ((Rx - shift) % p for shift in shifts.reshape(-1, D, D))
         M = next((M for M in shifted if linalg.rank_mod_p(M, p) == D - n * f), None)
         if M is None:
@@ -760,7 +761,7 @@ def _local_splitting(A, p, k):
         # normalized basis: B[P] = I, so y in Ae has coordinates y[P]
         B = linalg.einsum_mod("dj,jk->dk", B, X, moduli=q, N=q)
         # entry (i, j), coordinate s, of the image of a: (e_a b_j)[P_(i, s)]
-        phi = linalg.einsum_mod("abi,bj->ija", A.struct[:, :, P], B, moduli=q, N=A._N)
+        phi = A.mul_matrices(B.T, "right")[:, P].transpose(1, 0, 2) % q
         return phi.reshape(n, f, n, D).transpose(0, 2, 1, 3).reshape(n * n * f, D)
     return None
 

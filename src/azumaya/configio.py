@@ -31,12 +31,12 @@ from .identities import MultilinearIdentity, standard_identity
 from .rings import RingError, RingIdeal, make_ring
 
 # Cap on building a configured algebra of D flat coordinates, checked before
-# anything is allocated: the D^3 `struct` (2^26 int64 entries are 512 MiB),
+# anything is allocated: the transient D^3 tensor a constructor fills before
+# the algebra keeps its nonzero entries (2^26 int64 entries are 512 MiB),
 # and for a checked build D^4, which bounds the time of its associativity
-# check.  That check is a sparse join over the nonzero structure constants,
-# in pieces of D^3 keys, but a dense `structure_constants` table has up to
-# D^3 nonzeros, each joined with a row of up to D^2: D^5 terms, so the D^4
-# cap stays.
+# check, a sparse join in pieces of D^3 keys: a dense `structure_constants`
+# table has up to D^3 nonzeros, each joined with a row of up to D^2, so
+# D^5 terms, and the D^4 cap stays.
 MAX_DENSE_ENTRIES = 2**26
 
 # Cap on the draws a configured check may ask for (`samples`, `count`,
@@ -129,6 +129,8 @@ def make_algebra(cfg, rings=None, location="algebra"):
         if kind == "structure_constants":
             ring = resolve_ring(_require(cfg, "ring", location), location + ".ring")
             d = int(_require(cfg, "rank", location))
+            if d < 1:
+                raise ConfigError("rank must be >= 1", location)
             _check_size(d * ring.flatten_len, True, location)
             raw = _require(cfg, "table", location)
             unit_raw = _require(cfg, "unit", location)

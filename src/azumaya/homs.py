@@ -173,12 +173,12 @@ def _verified(source, target, matrix, label, failure):
 def conjugation_auto(A, u):
     """x -> u x u^{-1} for a unit u; verified automorphism fixing the base."""
     u_flat = u.flat if isinstance(u, AlgElem) else np.asarray(u, dtype=np.int64)
-    L = A.left_mul_matrix(u_flat)
+    L = A.mul_matrices(u_flat[None], "left")[0]
     if not linalg.is_bijective_additive(L, A.moduli, A.moduli):
         raise NotInvertible("left multiplication by u is not bijective")
     u_inv, _ = linalg.solve_additive(L, A.unit_flat, A.moduli, A.moduli)
     # x -> u x, then y -> y u^{-1}
-    R = A.right_mul_matrix(u_inv)
+    R = A.mul_matrices(u_inv[None], "right")[0]
     H = linalg.einsum_mod("ij,jk->ik", R, L, moduli=A._moduli_arr[:, None], N=A._N)
     return _verified(A, A, H, "conj", "conjugation failed verification")
 

@@ -1,14 +1,14 @@
 """Finite commutative base rings: Z/n, Galois fields, and finite products.
 
-A ring is stored the way an algebra is: its integer multiplication tensor
-`struct` over the ring's additive coordinate generators, the coordinates
-of its unit, and a modulus per coordinate.  Each kind only fills those
-arrays once, at construction: Z/n is [[[1]]], GF(p^k) = F_p[t]/(f) the
-regular representation read off the powers of t, and a product ring its
-factors' tensors placed block-diagonally.  Everything else is one path
-over that data: one product (`mul_batch`), one inverse (solving x*y = 1
-through multiplication-by-x), and one hom check (`hom_refutation`), which
-algebra homs share.
+A ring is stored as its dense integer multiplication tensor `struct` over
+its f additive coordinate generators (an algebra keeps only its tensor's
+nonzero entries), the coordinates of its unit, and a modulus per
+coordinate.  Each kind only fills those arrays once, at construction: Z/n
+is [[[1]]], GF(p^k) = F_p[t]/(f) the regular representation read off the
+powers of t, and a product ring its factors' tensors placed
+block-diagonally.  Everything else is one path over that data: one product
+(`mul_batch`), one inverse (solving x*y = 1 through multiplication-by-x),
+and one hom check (`hom_refutation`), which algebra homs share.
 
 Elements are stored canonically reduced (each flattened coordinate in
 [0, modulus)), so equality is plain tuple comparison.  Every ring here is

@@ -1,7 +1,7 @@
 """Test-only oracles over RingElem entries.
 
-The library stores an algebra as its integer structure tensor only.  The
-functions here keep the older representation -- nested lists of RingElem
+The library stores an algebra as the nonzero entries of its integer
+structure tensor only.  The functions here keep the older representation -- nested lists of RingElem
 structure constants and ring-entry matrices -- as independent references:
 
 - the table constructors (`matrix_table`, `upper_triangular_table`,
@@ -39,6 +39,14 @@ structure constants and ring-entry matrices -- as independent references:
   before its sparse join: the axiom check one first factor at a time, the
   enveloping map as two einsums and a transpose, and the hom check's left
   side as one (D^2, D) by (D, T) product;
+- `left_mul_matrix_dense`, `right_mul_matrix_dense`, `center_dense`,
+  `commutator_matrix_dense`, `env_b_dense` and `splitting_phi_dense` are
+  the dense contractions the library made before it stored only the
+  tensor's nonzero entries and formed every multiplication matrix by one
+  scatter (`Algebra.mul_matrices`): one einsum per multiplication matrix,
+  the center's D^2 x D matrix from two transposes, the commutator maps
+  from the antisymmetrized tensor, the enveloping map's B = (eps_a e_t)_m
+  and the splitting certificate's phi;
 - `check_well_defined_spread` is the well-definedness test the library
   used before it read one block per pair of distinct moduli: one gcd per
   pair, spread over every entry by `np.unique` and `np.ix_`;
@@ -351,7 +359,7 @@ def center_preservation_loop(f):
     for g in center(f.source).generators():
         img = f.apply_flat(g)
         # column alpha is img * eps_alpha - eps_alpha * img
-        comm = (tgt.left_mul_matrix(img) - tgt.right_mul_matrix(img)) % tgt._moduli_arr[:, None]
+        comm = (left_mul_matrix_dense(tgt, img) - right_mul_matrix_dense(tgt, img)) % tgt._moduli_arr[:, None]
         bad = np.flatnonzero(comm.any(axis=0))
         if bad.size:
             alpha = int(bad[0])
@@ -423,6 +431,55 @@ def hom_refutation_dense(matrix, source, target):
     if bad.size:
         return {"condition": "multiplicative", "pair": [int(bad[0]) // D, int(bad[0]) % D]}
     return None
+
+
+# ---------------------------------------------------------------------------
+# the dense contractions that `Algebra.mul_matrices` replaced
+
+
+def left_mul_matrix_dense(A, x):
+    """Matrix of y -> x*y on flattened coordinates."""
+    return linalg.einsum_mod("i,ijk->kj", x, A.struct, moduli=A._moduli_arr[:, None], N=A._N)
+
+
+def right_mul_matrix_dense(A, x):
+    """Matrix of y -> y*x on flattened coordinates."""
+    return linalg.einsum_mod("j,ijk->ki", x, A.struct, moduli=A._moduli_arr[:, None], N=A._N)
+
+
+def center_dense(A):
+    """Z(A) as the kernel of z -> (z e_a - e_a z)_a over all coordinate
+    generators, one D^2 x D matrix from two transposes of the tensor."""
+    D, S = A.dim, A.struct
+    # row (a, k), column i: (e_i e_a - e_a e_i)_k
+    stacked = (S.transpose(1, 2, 0) - S.transpose(0, 2, 1)).reshape(D * D, D)
+    return linalg.kernel_additive(stacked, A.moduli, A.moduli * D)
+
+
+def commutator_matrix_dense(A, X):
+    """`algebras.commutator_matrix` as one einsum of the rows X with the
+    antisymmetrized tensor."""
+    S = (A.struct - A.struct.transpose(1, 0, 2)) % A._moduli_arr
+    C = linalg.einsum_mod("ti,ijk->tkj", X, S, moduli=A._moduli_arr[:, None], N=A._N)
+    return C.reshape(-1, A.dim)
+
+
+def env_b_dense(A):
+    """B[a, t, m] = (eps_a e_t)_m of `algebras.env_map_flat`, one reduced
+    contraction of the tensor with the base ring's unit."""
+    d, f, D = A.rank, A.base.flatten_len, A.dim
+    return linalg.einsum_mod(
+        "atsk,s->atk", A.struct.reshape(D, d, f, D), A.base.unit_flat, moduli=A._moduli_arr, N=A._N
+    )
+
+
+def splitting_phi_dense(A, B, P, q):
+    """The matrix `algebras._local_splitting` returns, from the normalized
+    basis B of A e (column j is b_j) and the pivots P: entry (i, j),
+    coordinate s, of the image of e_a is (e_a b_j)[P_(i, s)], mod q."""
+    n, f, D = math.isqrt(A.rank), A.base.flatten_len, A.dim
+    phi = linalg.einsum_mod("abi,bj->ija", A.struct[:, :, P], B, moduli=q, N=A._N)
+    return phi.reshape(n, f, n, D).transpose(0, 2, 1, 3).reshape(n * n * f, D)
 
 
 def check_well_defined_spread(H, src_moduli, tgt_moduli):

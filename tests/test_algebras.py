@@ -53,6 +53,16 @@ def test_matrix_algebra_rejects_n0():
         matrix_algebra(ZMod(2), 0)
 
 
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("R", [ZMod(2), GaloisField(2, [1, 1, 1])], ids=repr)
+def test_algebra_refuses_dim_0(R, check):
+    with pytest.raises(AlgebraError, match="rank >= 1"):
+        Algebra(R, np.zeros((0, 0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), check=check)
+    # the table of a rank-0 structure_constants config
+    with pytest.raises(AlgebraError, match="rank >= 1"):
+        Algebra(R, *structure_tensor(R, [], []), check=check)
+
+
 def test_associativity_checked_at_construction():
     R = ZMod(2)
     # e1*e1 = e2, e2*anything = e1: not associative

@@ -101,6 +101,15 @@ def test_config_invalid_matrix_size():
         make_algebra({"kind": "matrix", "n": 0, "ring": {"kind": "zmod", "n": 2}})
 
 
+@pytest.mark.parametrize("rank", [0, -1])
+def test_cli_structure_constants_rank_below_1_exits_2(tmp_path, capsys, rank):
+    # refused at load, naming the algebra, before any check reaches it
+    algebra = {"kind": "structure_constants", "ring": {"kind": "zmod", "n": 2}, "rank": rank, "table": [], "unit": []}
+    data = {"objects": {"algebras": {"A": algebra}}, "checks": [{"check": "is_azumaya", "algebra": "A"}]}
+    assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == "error: objects.algebras.A: rank must be >= 1\n"
+
+
 def test_config_noncanonical_ring_rejected():
     with pytest.raises(ConfigError):
         make_algebra({"kind": "matrix", "n": 1, "ring": {"kind": "zmod", "n": 4, "extra": 1}})

@@ -432,11 +432,11 @@ def test_splitting_agrees_with_weyl_splitting_up_to_inner(p, a, b):
     blocks = []
     for gen in (W.basis_flat(p), W.basis_flat(1)):  # x and y
         X, X2 = explicit.apply_flat(gen), cert.apply_flat(gen)
-        blocks.append(M.right_mul_matrix(X) - M.left_mul_matrix(X2))  # u -> u X - X' u
+        blocks.append(M.mul_matrices(X[None], "right")[0] - M.mul_matrices(X2[None], "left")[0])  # u -> u X - X' u
     solutions = kernel_mod(np.concatenate(blocks) % p, p)
     assert len(solutions) == 1  # the intertwiners are F_p u
     u = solutions[0]
-    assert is_bijective_additive(M.left_mul_matrix(u), M.moduli, M.moduli)
+    assert is_bijective_additive(M.mul_matrices(u[None], "left")[0], M.moduli, M.moduli)
     # u f(w) = f'(w) u on every coordinate generator w of W
     images, images2 = explicit.matrix.T, cert.matrix.T
     lhs = M.mul_batch(np.tile(u, (W.dim, 1)), images)

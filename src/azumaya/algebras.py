@@ -17,14 +17,13 @@ rows named by index, each a counter-based hash of the seed and its entries'
 positions, `random_rows`) and stop at the first hit through `first_hit`,
 in batches sized by the one rule `search_rows`.
 
-Every constructor fills a (d, d, d, f) integer table of the base-ring
-coordinates of e_i * e_j and hands it to `structure_tensor`, which
-contracts it with the base ring's dense f^3 tensor (`rings`): matrix and
-upper-triangular algebras by index arithmetic, the Weyl quotients from the
-normal-ordering coefficients, tensor products from the two factors' ring
-tables (`ring_table`) and base changes from the ring table times the
-ring-hom matrix; structure constants given as integers (configs) go in
-as they are.  `opposite` transposes the dense view `struct`.
+Every constructor emits the nonzero structure constants as entries, and no
+dense table is formed: matrix and upper-triangular algebras E_ij E_jl = E_il,
+the Weyl quotients their normal-ordering terms, `opposite` the entries
+with their first two indices swapped, and tensor products and base changes
+the ring-level entries of their factors (`_ring_entries`), multiplied out
+over the base ring; structure constants given over the base ring (configs)
+go through `flat_entries` as the constructors' do.
 
 `is_azumaya` decides the rank first: a rank that is not a square fails at
 once.  It decides a pass by a certificate when it can: `splitting` takes
@@ -75,40 +74,49 @@ class Algebra:
     (b_s the ring's s-th coordinate generator).  S[a, b, :] holds the flat
     coordinates of the product of coordinates a and b, and `unit_flat`
     those of 1, reduced mod the per-coordinate moduli.  The constructor
-    takes S dense and keeps its nonzero entries in row-major order
-    (`_sparse_rows`); `_sparse_struct` sorts them by output coordinate, and
-    the view `struct` rebuilds S, read-only, on each read.  Unless `check`
-    is False, associativity on all basis triples and the two-sided unit law
-    are verified by a sparse join over the entries (`_verify_axioms`), which
-    refuses the first failing triple in lexicographic order.
+    takes S as entries ((I, J, K), V): flat indices in [0, dim) and int64
+    values, in any order.  It sums repeats exactly, reduces each sum mod
+    its output coordinate's modulus and keeps the nonzero ones in row-major
+    order (`_sparse_rows`); `_sparse_struct` sorts them by output
+    coordinate, and the view `struct` rebuilds S, read-only, on each read.
+    Unless `check` is False, associativity on all basis triples and the
+    two-sided unit law are verified by a sparse join over the entries
+    (`_verify_axioms`), which refuses the first failing triple in
+    lexicographic order.
     """
 
-    def __init__(self, base, struct, unit_flat, label="", check=True):
+    def __init__(self, base, entries, unit_flat, label="", check=True):
         self.base = base
         self.label = label
         f = base.flatten_len
-        self.dim = len(unit_flat)  # flattened Z-coordinate count
-        self.rank = self.dim // f
+        self.dim = D = len(unit_flat)  # flattened Z-coordinate count
+        self.rank = D // f
         self.moduli = tuple(base.moduli) * self.rank
         self._moduli_arr = np.asarray(self.moduli, dtype=np.int64)
         self._N = base._N  # every coordinate is a residue below it
         self._sum_dtype = linalg._dtype(self._N, 2, 1)  # of a sum of two residues
-        struct = np.asarray(struct, dtype=np.int64)
-        if not self.dim:
+        if not D:
             raise AlgebraError("an algebra needs rank >= 1")
-        if self.dim % f or struct.shape != (self.dim,) * 3:
-            raise AlgebraError(
-                f"structure tensor of shape {struct.shape} and unit of length "
-                f"{self.dim} do not fit a free module over {base!r}"
-            )
-        self._sparse_rows = linalg.sparse_rows(struct % self._moduli_arr)
+        I, J, K = IJK = np.asarray(entries[0], dtype=np.int64).reshape(3, -1)
+        if D % f or (IJK.view(np.uint64) >= D).any():  # a negative index wraps above D
+            raise AlgebraError(f"structure constants do not fit {D} flat coordinates over {base!r}")
+        # repeats of an entry summed exactly, mod the modulus of its output
+        # coordinate, in row-major order; zeros dropped
+        keys, at = np.unique((I * D + J) * D + K, return_inverse=True)
+        sums = np.zeros(len(keys), dtype=linalg._dtype(self._N, len(at), 1))
+        np.add.at(sums, at, (np.asarray(entries[1], dtype=np.int64) % self._moduli_arr[K]).astype(sums.dtype))
+        sums %= self._moduli_arr[keys % D]
+        keep = np.flatnonzero(sums)
+        index = np.unravel_index(keys[keep], (D,) * 3)
+        self._sparse_rows = index, sums[keep].astype(np.int64), np.searchsorted(index[0], np.arange(D + 1))
         self.unit_flat = np.asarray(unit_flat, dtype=np.int64) % self._moduli_arr
         if check:
             self._verify_axioms()
 
     @property
     def struct(self):
-        """The dense structure tensor, rebuilt read-only on each read."""
+        """The dense structure tensor, rebuilt read-only on each read; no
+        library code reads it."""
         index, values, _ = self._sparse_rows
         S = np.zeros((self.dim,) * 3, dtype=np.int64)
         S[index] = values
@@ -440,57 +448,55 @@ def first_hit(source, entries, evaluate):
 # constructors
 
 
-def structure_tensor(base, table, unit):
-    """Integer structure tensor and flat unit of a free algebra over `base`.
-
-    `table` holds the base-ring coordinates of e_i * e_j (shape (d, d, d, f)),
-    `unit` those of 1 (shape (d, f)).  The result is
-    struct[(i, s), (j, t), (k, u)] = ((b_s b_t) * table[i, j, k])_u: one
-    (d^3, f) by (f, f^3) matrix product (`linalg.matmul_mod`) of the table
-    with the ring's triple products ((b_s b_t) b_w)_u.
-    """
+def flat_entries(base, index, values):
+    """The entries of an algebra's flat structure constants from those over
+    its base ring: row n of `values` (or its one row, for every n) holds the
+    ring coordinates of r, the e_k-coefficient of e_i * e_j, for
+    (i, j, k) = index[:, n].  The entry ((i, s), (j, t), (k, u)) is
+    ((b_s b_t) r)_u: one contraction of the rows with the ring's triple
+    products ((b_s b_t) b_w)_u, of which the nonzeros are kept."""
     f, N, moduli, M = base.flatten_len, base._N, base._moduli_arr, base.struct
-    unit = np.asarray(unit, dtype=np.int64).reshape(-1, f) % moduli
-    d = len(unit)
-    table = np.asarray(table, dtype=np.int64).reshape(-1, f) % moduli
-    triple = linalg.einsum_mod("stv,vwu->wstu", M, M, moduli=moduli, N=N).reshape(f, -1)
-    S = linalg.matmul_mod(table, triple, moduli=np.tile(moduli, f * f), N=N)  # row (i, j, k), column (s, t, u)
-    return S.reshape((d,) * 3 + (f,) * 3).transpose(0, 3, 1, 4, 2, 5).reshape((d * f,) * 3), unit.reshape(-1)
+    triple = linalg.einsum_mod("stv,vwu->wstu", M, M, moduli=moduli, N=N)
+    values = np.asarray(values, dtype=np.int64).reshape(-1, f) % moduli
+    products = linalg.einsum_mod("nw,wstu->nstu", values, triple, moduli=moduli, N=N)
+    products = np.broadcast_to(products, (len(index[0]),) + (f,) * 3)
+    n, s, t, u = np.nonzero(products)
+    i, j, k = (np.asarray(x, dtype=np.int64)[n] * f for x in index)
+    return (i + s, j + t, k + u), products[n, s, t, u]
 
 
-def ring_table(A):
-    """(d, d, d, f) array of the base-ring coordinates of e_i * e_j, read off
-    `struct` with one batched product over all pairs of basis vectors."""
-    d, f = A.rank, A.base.flatten_len
-    E = np.kron(np.eye(d, dtype=np.int64), A.base.one().coords)  # row i is e_i
-    return A.mul_batch(np.repeat(E, d, axis=0), np.tile(E, (d, 1))).reshape(d, d, d, f)
+def _ring_entries(A):
+    """A's structure constants over its base ring, as `flat_entries` takes
+    them, read off the nonzero entries of S: with c the coordinates of the
+    ring's 1, e_i * e_j = sum_(s, t) c_s c_t S[(i, s), (j, t), :]."""
+    (I, J, K), V, _ = A._sparse_rows
+    f, d, c = A.base.flatten_len, A.rank, A.base.unit_flat
+    (i, s), (j, t), (k, u) = np.divmod(I, f), np.divmod(J, f), np.divmod(K, f)
+    dtype = linalg._dtype(A._N, f * f, 3)  # a coordinate sums f^2 products of three residues
+    keys, at = np.unique((i * d + j) * d + k, return_inverse=True)
+    values = np.zeros((len(keys), f), dtype=dtype)
+    np.add.at(values, (at, u), c[s].astype(dtype) * c[t] * V)
+    return np.unravel_index(keys, (d,) * 3), (values % A.base._moduli_arr).astype(np.int64)
 
 
 def matrix_algebra(ring, n, check=True):
     """The algebra of n x n matrices, basis E_ij ordered row-major."""
     if n < 1:
         raise AlgebraError("matrix size must be >= 1")
-    d, one = n * n, ring.one().coords
-    r = np.arange(n)
-    i, j, l = r[:, None, None], r[None, :, None], r[None, None, :]
-    table = np.zeros((d, d, d, ring.flatten_len), dtype=np.int64)
-    table[i * n + j, j * n + l, i * n + l] = one  # E_ij E_jl = E_il
-    unit = np.zeros((d, ring.flatten_len), dtype=np.int64)
-    unit[r * n + r] = one
-    return Algebra(ring, *structure_tensor(ring, table, unit), label=f"M_{n}({ring!r})", check=check)
+    i, j, l = np.unravel_index(np.arange(n**3), (n,) * 3)
+    entries = flat_entries(ring, (i * n + j, j * n + l, i * n + l), ring.unit_flat)  # E_ij E_jl = E_il
+    unit = np.outer(np.eye(n, dtype=np.int64), ring.unit_flat).ravel()
+    return Algebra(ring, entries, unit, label=f"M_{n}({ring!r})", check=check)
 
 
 def upper_triangular_algebra(ring, n):
     """Upper-triangular n x n matrices; not Azumaya for n >= 2 (the strictly
     upper-triangular matrices form a proper two-sided ideal)."""
     pos = {p: a for a, p in enumerate((i, j) for i in range(n) for j in range(i, n))}
-    d, one = len(pos), ring.one().coords
-    table = np.zeros((d, d, d, ring.flatten_len), dtype=np.int64)
-    for i, j, l in itertools.combinations_with_replacement(range(n), 3):
-        table[pos[i, j], pos[j, l], pos[i, l]] = one
-    unit = np.zeros((d, ring.flatten_len), dtype=np.int64)
-    unit[[pos[i, i] for i in range(n)]] = one
-    return Algebra(ring, *structure_tensor(ring, table, unit), label=f"UT_{n}({ring!r})")
+    index = [(pos[i, j], pos[j, l], pos[i, l]) for i, j, l in itertools.combinations_with_replacement(range(n), 3)]
+    entries = flat_entries(ring, np.reshape(index, (-1, 3)).T, ring.unit_flat)
+    unit = np.outer([i == j for i, j in pos], ring.unit_flat).ravel()
+    return Algebra(ring, entries, unit, label=f"UT_{n}({ring!r})")
 
 
 @lru_cache(maxsize=None)
@@ -531,25 +537,25 @@ def weyl_quotient(p, a, b, check=True):
     ring = ZMod(p)
     a %= p
     b %= p
-    d = p * p
-    # table[i, j, k, l] holds x^i y^j * x^k y^l = x^i (y^j x^k) y^l
-    table = np.zeros((p, p, p, p, d), dtype=np.int64)
-    i, l = np.arange(p)[:, None], np.arange(p)[None, :]
+    # x^i y^j * x^k y^l = x^i (y^j x^k) y^l, one term per (i, l) and term of
+    # y^j x^k; repeats are summed by `Algebra`
+    i, l = np.divmod(np.arange(p * p), p)
+    terms = []
     for j in range(p):
         for k in range(p):
             for (c, e), coeff in _normal_order(j, k).items():
                 # fold exponents >= p into the scalars a, b
                 qx, rx = np.divmod(i + c, p)
                 qy, ry = np.divmod(e + l, p)
-                table[i, j, k, l, rx * p + ry] += coeff % p * a**qx * b**qy % p
-    unit = np.zeros(d, dtype=np.int64)
-    unit[0] = 1
-    return Algebra(ring, *structure_tensor(ring, table, unit), label=f"W({p},{a},{b})", check=check)
+                terms.append((i * p + j, k * p + l, rx * p + ry, coeff % p * a**qx * b**qy))
+    I, J, K, V = map(np.concatenate, zip(*terms))
+    return Algebra(ring, ((I, J, K), V), np.eye(1, p * p, dtype=np.int64)[0], label=f"W({p},{a},{b})", check=check)
 
 
 def opposite(A):
     """Same module, reversed multiplication."""
-    return Algebra(A.base, A.struct.transpose(1, 0, 2), A.unit_flat, label=f"op({A.label})", check=False)
+    (I, J, K), V, _ = A._sparse_rows
+    return Algebra(A.base, ((J, I, K), V), A.unit_flat, label=f"op({A.label})", check=False)
 
 
 def tensor_product(A, B):
@@ -557,15 +563,17 @@ def tensor_product(A, B):
     A-index major."""
     if A.base != B.base:
         raise BaseMismatch("tensor factors must share the base ring")
-    f, M, moduli = A.base.flatten_len, A.base.struct, A.base._moduli_arr
-    # (e_i1 f_j1)(e_i2 f_j2) = sum (e_i1 e_i2)_k (f_j1 f_j2)_l e_k f_l
-    table = linalg.einsum_mod(
-        "ackv,bdlw,vwu->abcdklu", ring_table(A), ring_table(B), M, moduli=moduli, N=A._N
-    )
+    f, M, moduli, dB = A.base.flatten_len, A.base.struct, A.base._moduli_arr, B.rank
+    # (e_i1 f_j1)(e_i2 f_j2) = sum (e_i1 e_i2)_k (f_j1 f_j2)_l e_k f_l, one
+    # ring product per pair of A's and B's ring-level entries
+    (a1, a2, k), x = _ring_entries(A)
+    (b1, b2, l), y = _ring_entries(B)
+    values = linalg.einsum_mod("nv,mw,vwu->nmu", x, y, M, moduli=moduli, N=A._N)
+    index = [(r[:, None] * dB + c).ravel() for r, c in ((a1, b1), (a2, b2), (k, l))]
     uA, uB = A.unit_flat.reshape(-1, f), B.unit_flat.reshape(-1, f)
     unit = linalg.einsum_mod("kv,lw,vwu->klu", uA, uB, M, moduli=moduli, N=A._N)
-    struct, unit_flat = structure_tensor(A.base, table, unit)
-    return Algebra(A.base, struct, unit_flat, label=f"{A.label}(x){B.label}", check=False)
+    label = f"{A.label}(x){B.label}"
+    return Algebra(A.base, flat_entries(A.base, index, values), unit.reshape(-1), label=label, check=False)
 
 
 def base_change(A, hom):
@@ -575,9 +583,10 @@ def base_change(A, hom):
     if hom.source != A.base:
         raise BaseMismatch("hom source does not match the algebra base")
     H, moduli = hom.matrix, np.asarray(hom.target.moduli, dtype=np.int64)
-    table = linalg.einsum_mod("ijks,ts->ijkt", ring_table(A), H, moduli=moduli, N=hom._N)
+    index, values = _ring_entries(A)
+    values = linalg.einsum_mod("ns,ts->nt", values, H, moduli=moduli, N=hom._N)
     unit = linalg.einsum_mod("is,ts->it", A.unit_flat.reshape(A.rank, -1), H, moduli=moduli, N=hom._N)
-    return Algebra(hom.target, *structure_tensor(hom.target, table, unit), label=A.label, check=False)
+    return Algebra(hom.target, flat_entries(hom.target, index, values), unit.reshape(-1), label=A.label, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ import numpy as np
 
 from .algebras import (
     Algebra,
+    flat_entries,
     matrix_algebra,
     opposite,
-    structure_tensor,
     tensor_product,
     upper_triangular_algebra,
     weyl_quotient,
@@ -31,12 +31,13 @@ from .identities import MultilinearIdentity, standard_identity
 from .rings import RingError, RingIdeal, make_ring
 
 # Cap on building a configured algebra of D flat coordinates, checked before
-# anything is allocated: the transient D^3 tensor a constructor fills before
-# the algebra keeps its nonzero entries (2^26 int64 entries are 512 MiB),
-# and for a checked build D^4, which bounds the time of its associativity
-# check, a sparse join in pieces of D^3 keys: a dense `structure_constants`
-# table has up to D^3 nonzeros, each joined with a row of up to D^2, so
-# D^5 terms, and the D^4 cap stays.
+# anything is allocated.  D^3 bounds the dense table of a
+# `structure_constants` config (d^3 f <= D^3 entries) and the entries a
+# build emits, at most D^3 (2^26 int64 entries are 512 MiB).  A checked
+# build is held to D^4: its associativity check sums into a buffer of D^3
+# keys or more, and its sparse join bounds its time: a dense table has up
+# to D^3 nonzeros, each joined with a row of up to D^2, so D^5 terms, and
+# the D^4 cap stays.
 MAX_DENSE_ENTRIES = 2**26
 
 # Cap on the draws a configured check may ask for (`samples`, `count`,
@@ -143,15 +144,19 @@ def make_algebra(cfg, rings=None, location="algebra"):
                 # reduced here: a config integer may not fit in int64
                 return [int(v) % m for v, m in zip(vals, ring.moduli)]
 
-            table = [
-                [
-                    [coords(raw[i][j][k], f"{location}.table[{i}][{j}][{k}]") for k in range(d)]
-                    for j in range(d)
-                ]
-                for i in range(d)
-            ]
-            unit = [coords(unit_raw[k], f"{location}.unit[{k}]") for k in range(d)]
-            return Algebra(ring, *structure_tensor(ring, table, unit), label="custom")
+            def rows(entry, loc):
+                if len(entry) != d:
+                    raise ConfigError(f"rank {d} needs {d} entries, got {len(entry)}", loc)
+                return enumerate(entry)
+
+            t, table = f"{location}.table", np.zeros((d, d, d, f), dtype=np.int64)
+            for i, a in rows(raw, t):
+                for j, b in rows(a, f"{t}[{i}]"):
+                    for k, c in rows(b, f"{t}[{i}][{j}]"):
+                        table[i, j, k] = coords(c, f"{t}[{i}][{j}][{k}]")
+            unit = [coords(u, f"{location}.unit[{k}]") for k, u in rows(unit_raw, f"{location}.unit")]
+            index = np.nonzero(table.any(axis=3))  # the table's nonzero structure constants
+            return Algebra(ring, flat_entries(ring, index, table[index]), np.ravel(unit), label="custom")
         raise ConfigError(f"unknown algebra kind {kind!r}", location)
     except (IndexError, TypeError, ValueError) as e:
         raise ConfigError(str(e), location) from e

@@ -26,7 +26,6 @@ from .algebras import (
     nilpotency_index,
     opposite,
     square_rank_check,
-    structure_tensor,
     tensor_product,
     upper_triangular_algebra,
     weyl_quotient,
@@ -237,9 +236,8 @@ def suite_endo_cor52(seed=None, **_):
 def _split_quadratic_f2():
     """F_2 x F_2 as a rank-2 algebra over F_2 (idempotent basis): commutative
     but not central, so its enveloping map cannot be bijective."""
-    ring = ZMod(2)
-    table = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
-    return Algebra(ring, *structure_tensor(ring, table, [1, 1]), label="F_2xF_2")
+    # the nonzeros of its table: e_0 e_0 = e_0 and e_1 e_1 = e_1
+    return Algebra(ZMod(2), (([0, 1], [0, 1], [0, 1]), [1, 1]), [1, 1], label="F_2xF_2")
 
 
 def suite_tensor_env_rem23(seed=None, **_):

@@ -55,9 +55,16 @@ structure constants and ring-entry matrices -- as independent references:
   (`poly_divides`), as `GaloisField` did before Berlekamp's criterion, and
   `gf_default_search` is the search `GaloisField.default` made before it
   decided candidates without building them: one ring per candidate;
+- `structure_tensor_dense` and `ring_table_dense` are the library's
+  dense paths before its constructors emitted nonzero entries: the
+  (d f)^3 tensor of a (d, d, d, f) table over the base ring, one matrix
+  product with the ring's triple products, and the (d, d, d, f) table of
+  an algebra from one batched product over all pairs of basis vectors;
+  `entries` and `table_algebra` build an `Algebra` from a dense tensor or
+  table through them;
 - `structure_tensor_einsum` and `embed_remainder` are the bodies
-  `structure_tensor` and `linalg._embed` had before their fast paths: two
-  einsums, and a remainder and a scaling pass on every input;
+  `structure_tensor_dense` and `linalg._embed` had before their fast
+  paths: two einsums, and a remainder and a scaling pass on every input;
 - `identity_hom` and `solve_mod` are helpers only tests use.
 """
 
@@ -269,7 +276,7 @@ def twisted(A, T):
     S = np.einsum("ia,ijc->ajc", T, S)
     S = np.einsum("jb,ajc->abc", T, S) % N
     unit = Tinv.dot(A.unit_flat.astype(object)) % N
-    return Algebra(A.base, S.astype(np.int64), unit.astype(np.int64), label=f"twist {A.label}", check=False)
+    return Algebra(A.base, entries(S.astype(np.int64)), unit.astype(np.int64), label=f"twist {A.label}", check=False)
 
 
 def r_linear(ring, T):
@@ -963,7 +970,7 @@ def gf_default_search(p, k):
 
 
 def structure_tensor_einsum(base, table, unit):
-    """`structure_tensor` as two einsums over the ring's multiplication
+    """`structure_tensor_dense` as two einsums over the ring's multiplication
     tensor, reduced in between."""
     f, N, moduli, M = base.flatten_len, base._N, base._moduli_arr, base.struct
     unit = np.asarray(unit, dtype=np.int64).reshape(-1, f) % moduli
@@ -972,6 +979,46 @@ def structure_tensor_einsum(base, table, unit):
     scaled = linalg.einsum_mod("ijkw,vwu->ijkvu", table, M, moduli=moduli, N=N)
     S = linalg.einsum_mod("stv,ijkvu->isjtku", M, scaled, moduli=moduli, N=N)
     return S.reshape(d * f, d * f, d * f), unit.reshape(-1)
+
+
+def structure_tensor_dense(base, table, unit):
+    """Integer structure tensor and flat unit of a free algebra over `base`.
+
+    `table` holds the base-ring coordinates of e_i * e_j (shape (d, d, d, f)),
+    `unit` those of 1 (shape (d, f)).  The result is
+    struct[(i, s), (j, t), (k, u)] = ((b_s b_t) * table[i, j, k])_u: one
+    (d^3, f) by (f, f^3) matrix product (`linalg.matmul_mod`) of the table
+    with the ring's triple products ((b_s b_t) b_w)_u.
+    """
+    f, N, moduli, M = base.flatten_len, base._N, base._moduli_arr, base.struct
+    unit = np.asarray(unit, dtype=np.int64).reshape(-1, f) % moduli
+    d = len(unit)
+    table = np.asarray(table, dtype=np.int64).reshape(-1, f) % moduli
+    triple = linalg.einsum_mod("stv,vwu->wstu", M, M, moduli=moduli, N=N).reshape(f, -1)
+    S = linalg.matmul_mod(table, triple, moduli=np.tile(moduli, f * f), N=N)  # row (i, j, k), column (s, t, u)
+    return S.reshape((d,) * 3 + (f,) * 3).transpose(0, 3, 1, 4, 2, 5).reshape((d * f,) * 3), unit.reshape(-1)
+
+
+def ring_table_dense(A):
+    """(d, d, d, f) array of the base-ring coordinates of e_i * e_j, read off
+    the algebra with one batched product over all pairs of basis vectors."""
+    d, f = A.rank, A.base.flatten_len
+    E = np.kron(np.eye(d, dtype=np.int64), A.base.one().coords)  # row i is e_i
+    return A.mul_batch(np.repeat(E, d, axis=0), np.tile(E, (d, 1))).reshape(d, d, d, f)
+
+
+def entries(S):
+    """The nonzero entries ((I, J, K), V) of a dense structure tensor, as
+    `Algebra` takes them."""
+    index, values, _ = linalg.sparse_rows(np.asarray(S, dtype=np.int64))
+    return index, values
+
+
+def table_algebra(base, table, unit, **kwargs):
+    """The algebra of a dense (d, d, d, f) table of base-ring structure
+    constants and its (d, f) unit, through `structure_tensor_dense`."""
+    S, unit_flat = structure_tensor_dense(base, table, unit)
+    return Algebra(base, entries(S), unit_flat, **kwargs)
 
 
 def embed_remainder(x, moduli, L):

@@ -26,14 +26,22 @@ from azumaya.algebras import (
     quotient_algebra,
     rank_at,
     square_rank_check,
-    structure_tensor,
     tensor_product,
     upper_triangular_algebra,
     weyl_quotient,
 )
 from azumaya.linalg import rank_mod_p
 from azumaya.rings import GaloisField, ProductRing, RingIdeal, ZMod, maximal_ideals
-from ring_oracles import center_bruteforce, env_map, expand_ideal_loop, scalars_flat_loop, twisted
+from ring_oracles import (
+    center_bruteforce,
+    entries,
+    env_map,
+    expand_ideal_loop,
+    ring_table_dense,
+    scalars_flat_loop,
+    table_algebra,
+    twisted,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +65,10 @@ def test_matrix_algebra_rejects_n0():
 @pytest.mark.parametrize("R", [ZMod(2), GaloisField(2, [1, 1, 1])], ids=repr)
 def test_algebra_refuses_dim_0(R, check):
     with pytest.raises(AlgebraError, match="rank >= 1"):
-        Algebra(R, np.zeros((0, 0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), check=check)
+        Algebra(R, entries(np.zeros((0, 0, 0), dtype=np.int64)), np.zeros(0, dtype=np.int64), check=check)
     # the table of a rank-0 structure_constants config
     with pytest.raises(AlgebraError, match="rank >= 1"):
-        Algebra(R, *structure_tensor(R, [], []), check=check)
+        table_algebra(R, [], [], check=check)
 
 
 def test_associativity_checked_at_construction():
@@ -68,7 +76,7 @@ def test_associativity_checked_at_construction():
     # e1*e1 = e2, e2*anything = e1: not associative
     table = [[[0, 1], [1, 0]], [[1, 0], [1, 0]]]
     with pytest.raises(AlgebraError):
-        Algebra(R, *structure_tensor(R, table, [1, 0]))
+        Algebra(R, entries(table), [1, 0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -86,12 +94,12 @@ def test_associativity_check_names_the_first_failing_triple(data):
     bad = np.argwhere((left != right).any(axis=3))
     if not len(bad):
         try:
-            Algebra(A.base, S, A.unit_flat)
+            Algebra(A.base, entries(S), A.unit_flat)
         except AlgebraError as e:  # the unit law may still fail
             assert "associativity" not in str(e)
         return
     with pytest.raises(AlgebraError, match=rf"basis triple \({bad[0][0]}, {bad[0][1]}, {bad[0][2]}\)"):
-        Algebra(A.base, S, A.unit_flat)
+        Algebra(A.base, entries(S), A.unit_flat)
 
 
 def test_weyl_relations():
@@ -277,7 +285,7 @@ def test_memoized_center_matches_uncached_on_the_corpus():
 
 def test_equal_algebras_share_one_center_entry():
     A = matrix_algebra(ZMod(6), 2, check=False)
-    B = Algebra(A.base, A.struct.copy(), A.unit_flat.copy(), check=False)
+    B = Algebra(A.base, entries(A.struct), A.unit_flat.copy(), check=False)
     assert A == B and A is not B
     first = center(A)
     hits, size = center.cache_info().hits, center.cache_info().currsize
@@ -297,7 +305,7 @@ def test_memoized_center_matches_uncached_on_twists(data, n, pk):
     T = np.asarray(data.draw(st.lists(st.integers(0, N - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
     assume(rank_mod_p(T, p) == D)
     A = twisted(matrix_algebra(ZMod(N), n, check=False), T)
-    copy = Algebra(A.base, A.struct.copy(), A.unit_flat.copy(), check=False)
+    copy = Algebra(A.base, entries(A.struct), A.unit_flat.copy(), check=False)
     zc = center(A)
     assert center(copy) is zc
     assert zc == center.__wrapped__(copy) == A.unit_span()
@@ -375,7 +383,7 @@ def test_env_map_bijective_cases():
 def _split_quadratic():
     R = ZMod(2)
     table = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
-    return Algebra(R, *structure_tensor(R, table, [1, 1]))
+    return Algebra(R, entries(table), [1, 1])
 
 
 def test_env_map_not_bijective_for_split_quadratic():
@@ -454,7 +462,7 @@ def _quaternions(R):
         table[0, x, x] = table[x, 0, x] = one
     for (x, y), (sign, z) in products.items():
         table[x, y, z] = sign * one
-    return Algebra(R, *structure_tensor(R, table, [one, 0 * one, 0 * one, 0 * one]))
+    return table_algebra(R, table, [one, 0 * one, 0 * one, 0 * one])
 
 
 def _m2_f2_by_f3_4():
@@ -462,10 +470,10 @@ def _m2_f2_by_f3_4():
     # central simple at the prime 2, commutative at 3
     R, M = ProductRing([ZMod(2), ZMod(3)]), matrix_algebra(ZMod(2), 2)
     table = np.zeros((4, 4, 4, 2), dtype=np.int64)
-    table[..., 0] = algebras.ring_table(M)[..., 0]
+    table[..., 0] = ring_table_dense(M)[..., 0]
     for i in range(4):
         table[i, i, i, 1] = 1
-    return Algebra(R, *structure_tensor(R, table, np.stack([M.unit_flat, np.ones(4, dtype=np.int64)], axis=1)))
+    return table_algebra(R, table, np.stack([M.unit_flat, np.ones(4, dtype=np.int64)], axis=1))
 
 
 _AZUMAYA_CASES = (

@@ -16,7 +16,6 @@ from azumaya.algebras import (
     matrix_algebra,
     opposite,
     product_rows,
-    structure_tensor,
     tensor_product,
     upper_triangular_algebra,
     weyl_quotient,
@@ -49,6 +48,7 @@ from loop_oracles import (
     nonvanishing_witness_loop,
     sampled_tuples_loop,
 )
+from ring_oracles import entries
 
 # ---------------------------------------------------------------------------
 # the product kernel
@@ -132,7 +132,7 @@ def test_products_beyond_int64_regressions():
     rng = np.random.default_rng(0)
     N = 10**7 + 19
     R = ZMod(N)
-    quadratic = Algebra(R, *structure_tensor(R, [[[1, 0], [0, 1]], [[0, 1], [N - 3, 0]]], [1, 0]))
+    quadratic = Algebra(R, entries([[[1, 0], [0, 1]], [[0, 1], [N - 3, 0]]]), [1, 0])
     for A in (matrix_algebra(ZMod(3_000_000_021), 2, check=False), quadratic):
         hi = max(A.moduli)
         X, Y = rng.integers(0, hi, (200, A.dim)), rng.integers(0, hi, (200, A.dim))

@@ -110,6 +110,25 @@ def test_cli_structure_constants_rank_below_1_exits_2(tmp_path, capsys, rank):
     assert capsys.readouterr().err == "error: objects.algebras.A: rank must be >= 1\n"
 
 
+# a table or unit of rank 1 with two entries at one level; the first is
+# F_2 x F_2's table, which loaded as F_2 when the extra entries were dropped
+_LONGER_THAN_RANK = {
+    "table": ([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1]),
+    "table[0]": ([[[1], [0]]], [1]),
+    "table[0][0]": ([[[1, 0]]], [1]),
+    "unit": ([[[1]]], [1, 0]),
+}
+
+
+@pytest.mark.parametrize("level", _LONGER_THAN_RANK)
+def test_cli_structure_constants_longer_than_rank_exits_2(tmp_path, capsys, level):
+    table, unit = _LONGER_THAN_RANK[level]
+    algebra = {"kind": "structure_constants", "ring": {"kind": "zmod", "n": 2}, "rank": 1, "table": table, "unit": unit}
+    data = {"objects": {"algebras": {"A": algebra}}, "checks": [{"check": "is_azumaya", "algebra": "A"}]}
+    assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"error: objects.algebras.A.{level}: rank 1 needs 1 entries, got 2\n"
+
+
 def test_config_noncanonical_ring_rejected():
     with pytest.raises(ConfigError):
         make_algebra({"kind": "matrix", "n": 1, "ring": {"kind": "zmod", "n": 4, "extra": 1}})

@@ -12,7 +12,6 @@ from azumaya.algebras import (
     commutant,
     matrix_algebra,
     nilpotency_index,
-    structure_tensor,
     weyl_quotient,
 )
 from azumaya.corpus import build_corpus
@@ -38,7 +37,7 @@ from azumaya.homs import (
 )
 from azumaya.rings import GaloisField, RingIdeal, ZMod, crt_decompose, is_reduced
 from loop_oracles import dense_mul_batch
-from ring_oracles import center_preservation_loop, identity_hom
+from ring_oracles import center_preservation_loop, entries, identity_hom
 
 
 @pytest.fixture(scope="module")
@@ -410,7 +409,7 @@ def _idempotents_to_diagonal(images):
     F2, d = ZMod(2), len(images)
     table = np.zeros((d, d, d), dtype=np.int64)
     table[range(d), range(d), range(d)] = 1
-    source = Algebra(F2, *structure_tensor(F2, table, np.ones(d, dtype=np.int64)))
+    source = Algebra(F2, entries(table), np.ones(d, dtype=np.int64))
     return verify_hom(np.asarray(images).T, source, matrix_algebra(F2, 2))
 
 

@@ -3,10 +3,12 @@ callers rewritten on it, against the dense contractions they replaced
 (`ring_oracles`): the same residues, entry for entry, on every side, on
 batches of 0, 1 and many rows, on unchecked random tensors and over moduli
 whose sums leave int64.  Then the layout: with the dense view `struct`
-made to raise, every construction and check still runs, and no attribute
-of an algebra holds D^3 entries."""
+made to raise, every construction and check still runs, no attribute of
+an algebra holds D^3 entries, and builds whose dense tensor would be
+large peak below 32 MB."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from azumaya.algebras import (
     upper_triangular_algebra,
     weyl_quotient,
 )
+from azumaya.configio import make_algebra
 from azumaya.corpus import build_corpus
 from azumaya.homs import center_preservation_check, isomorphism_check
 from azumaya.identities import al_vanishing_check, identity_transfer_check, nonvanishing_witness, standard_identity
@@ -38,6 +41,7 @@ from ring_oracles import (
     center_dense,
     commutator_matrix_dense,
     env_b_dense,
+    entries,
     env_map_flat_dense,
     left_mul_matrix_dense,
     right_mul_matrix_dense,
@@ -59,7 +63,7 @@ def _random_algebra(rng, base, rank, density):
     D = rank * base.flatten_len
     moduli = np.asarray(base.moduli * rank, dtype=np.int64)
     S = rng.integers(0, moduli, size=(D, D, D)) * (rng.random((D, D, D)) < density)
-    return Algebra(base, S, rng.integers(0, moduli), label="random", check=False)
+    return Algebra(base, entries(S), rng.integers(0, moduli), label="random", check=False)
 
 
 def _rows(rng, A, T):
@@ -134,7 +138,7 @@ def test_unit_law_matches_the_dense_contractions(base, n, seed, true_unit):
     law alone decides."""
     M = matrix_algebra(base, n, check=False) if n < 3 else upper_triangular_algebra(base, 2)
     unit = M.unit_flat if true_unit else _rows(np.random.default_rng(seed), M, 1)[0]
-    A = Algebra(base, M.struct, unit, check=False)
+    A = Algebra(base, entries(M.struct), unit, check=False)
     verdict = _verdict(Algebra._verify_axioms, A)
     assert verdict == _verdict(verify_axioms_dense, A)
     assert (verdict is None) == np.array_equal(unit, M.unit_flat)
@@ -185,6 +189,16 @@ def _dense_view(A):
     raise AssertionError("read the dense structure tensor")
 
 
+# F_2 x F_2 as a `structure_constants` config gives it
+_CONFIG_QUADRATIC = {
+    "kind": "structure_constants",
+    "ring": {"kind": "zmod", "n": 2},
+    "rank": 2,
+    "table": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+    "unit": [1, 1],
+}
+
+
 @pytest.fixture
 def forbid_dense_view(monkeypatch):
     """Call it to make every later read of `Algebra.struct` raise."""
@@ -193,6 +207,8 @@ def forbid_dense_view(monkeypatch):
 
 def test_builds_and_checks_never_read_the_dense_view(forbid_dense_view):
     forbid_dense_view()
+    _, _, back = crt_decompose(ZMod(6))
+    split = _base_changed(matrix_algebra(ZMod(6), 2, check=False), 6)
     built = [
         matrix_algebra(ZMod(6), 2),
         matrix_algebra(F4, 2, check=False),
@@ -200,10 +216,14 @@ def test_builds_and_checks_never_read_the_dense_view(forbid_dense_view):
         weyl_quotient(5, 1, 2),
         weyl_quotient(3, 0, 1, check=False),
         tensor_product(matrix_algebra(ZMod(2), 2), upper_triangular_algebra(ZMod(2), 2)),
-        _base_changed(matrix_algebra(ZMod(6), 2, check=False), 6),
+        split,
+        opposite(matrix_algebra(ZMod(4), 2, check=False)),
+        base_change(split, back),  # over the product base Z/2 x Z/3, back to Z/6
+        tensor_product(matrix_algebra(F4, 2, check=False), opposite(upper_triangular_algebra(F4, 2))),
+        make_algebra(_CONFIG_QUADRATIC),
     ]
     verdicts = [is_azumaya(A).status for A in built]
-    assert verdicts == ["pass", "pass", "fail", "pass", "pass", "fail", "pass"]
+    assert verdicts == ["pass", "pass", "fail", "pass", "pass", "fail", "pass", "pass", "pass", "fail", "fail"]
     # a fail decided in the fiber loop, by an env-map kernel vector
     rep = is_azumaya(_ut2_squared(ProductRing([ZMod(3), ZMod(2)])))
     assert rep.status == "fail" and "env_kernel_vector" in rep.witness
@@ -214,8 +234,8 @@ def test_builds_and_checks_never_read_the_dense_view(forbid_dense_view):
 
 
 def test_splitting_of_a_prebuilt_opposite_never_reads_the_dense_view(forbid_dense_view):
-    A = opposite(matrix_algebra(ZMod(4), 2, check=False))  # `opposite` reads the view
     forbid_dense_view()
+    A = opposite(matrix_algebra(ZMod(4), 2, check=False))
     hom = splitting(A)
     assert hom is not None and hom.is_bijective()
 
@@ -252,3 +272,25 @@ def test_no_attribute_holds_the_dense_tensor(make):
     sizes = [a.size for value in vars(A).values() for a in _arrays(value)]
     assert sizes and max(sizes) < A.dim**3
     assert math.prod(A.struct.shape) == A.dim**3 and not A.struct.flags.writeable
+
+
+# builds whose dense int64 tensor would take 128 MiB (D = 256) or 37 MiB
+# (W(13), D = 169), and its (d, d, d, f) table as much again; M_16(F_2) and
+# M_4(F_2) (x) M_4(F_2) have 4,096 nonzero entries
+_LARGE_BUILDS = {
+    "M_16(F_2)": lambda: matrix_algebra(ZMod(2), 16, check=False),
+    "M_4(F_2)(x)M_4(F_2)": lambda: tensor_product(*[matrix_algebra(ZMod(2), 4, check=False)] * 2),
+    "op(M_4(F_2)(x)M_4(F_2))": lambda: opposite(tensor_product(*[matrix_algebra(ZMod(2), 4, check=False)] * 2)),
+    "W(13,0,0)": lambda: weyl_quotient(13, 0, 0, check=False),
+}
+
+
+@pytest.mark.parametrize("name", _LARGE_BUILDS)
+def test_large_builds_peak_below_32_mb(name):
+    tracemalloc.start()
+    try:
+        _LARGE_BUILDS[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak

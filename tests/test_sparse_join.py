@@ -18,14 +18,13 @@ from azumaya.algebras import (
     env_map_flat,
     matrix_algebra,
     opposite,
-    structure_tensor,
     tensor_product,
     upper_triangular_algebra,
     weyl_quotient,
 )
 from azumaya.corpus import build_corpus
 from azumaya.rings import GaloisField, ProductRing, RingIdeal, ZMod, crt_decompose, maximal_ideals
-from ring_oracles import env_map_flat_dense, hom_refutation_dense, verify_axioms_dense
+from ring_oracles import entries, env_map_flat_dense, hom_refutation_dense, verify_axioms_dense
 
 F4, F9 = GaloisField.default(2, 2), GaloisField.default(3, 2)
 Z2xZ3, Z2xF4 = ProductRing([ZMod(2), ZMod(3)]), ProductRing([ZMod(2), F4])
@@ -42,7 +41,7 @@ def _custom():
     R = ZMod(3)
     table = np.zeros((2, 2, 2, 1), dtype=np.int64)
     table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = 1
-    return Algebra(R, *structure_tensor(R, table, [[1], [0]]), label="F_3[t]/t^2", check=False)
+    return Algebra(R, entries(table[..., 0]), [1, 0], label="F_3[t]/t^2", check=False)
 
 
 # every constructor, over Z/N, GF(q) and products; each builds unchecked
@@ -124,13 +123,13 @@ def test_a_perturbed_weyl_tensor_is_refused_at_the_dense_oracle_triple():
     A = weyl_quotient(5, 2, 1, check=False)
     S = A.struct.copy()
     S[3, 7, 11] = (S[3, 7, 11] + 1) % 5
-    B = Algebra(A.base, S, A.unit_flat, check=False)
+    B = Algebra(A.base, entries(S), A.unit_flat, check=False)
     assert _assert_axioms_agree(B) == "associativity fails on basis triple (1, 2, 7)"
 
 
 def test_a_wrong_unit_is_refused_with_the_dense_oracle_message():
     A = matrix_algebra(ZMod(4), 2, check=False)
-    B = Algebra(A.base, A.struct, np.eye(1, A.dim, 1, dtype=np.int64)[0], check=False)
+    B = Algebra(A.base, entries(A.struct), np.eye(1, A.dim, 1, dtype=np.int64)[0], check=False)
     assert _assert_axioms_agree(B) == "unit vector is not a two-sided unit"
 
 
@@ -147,7 +146,7 @@ def test_perturbed_tensors_are_refused_at_the_dense_oracle_triple(data, name, ch
     for _ in range(changes):
         a, b, k = (data.draw(st.integers(0, D - 1)) for _ in range(3))
         S[a, b, k] = (S[a, b, k] + data.draw(st.integers(1, A.moduli[k] - 1))) % A.moduli[k]
-    B = Algebra(A.base, S, A.unit_flat, check=False)
+    B = Algebra(A.base, entries(S), A.unit_flat, check=False)
     _assert_axioms_agree(B)
     if D <= 16:
         _assert_env_maps_equal(B)
@@ -161,7 +160,7 @@ def test_join_is_exact_beyond_int64(ring):
     _assert_env_maps_equal(A)
     S = A.struct.copy()
     S[0, 0, 1] = (S[0, 0, 1] + 2**60) % A.moduli[1]
-    assert _assert_axioms_agree(Algebra(A.base, S, A.unit_flat, check=False)) is not None
+    assert _assert_axioms_agree(Algebra(A.base, entries(S), A.unit_flat, check=False)) is not None
 
 
 def _transpose(n, ring):

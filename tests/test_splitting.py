@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from azumaya import algebras
 from azumaya.algebras import (
-    Algebra,
     base_change,
     env_map_bijective,
     is_azumaya,
     matrix_algebra,
     opposite,
     splitting,
-    structure_tensor,
     tensor_product,
     upper_triangular_algebra,
     weyl_quotient,
@@ -26,7 +24,7 @@ from azumaya.homs import weyl_splitting
 from azumaya.linalg import is_bijective_additive, kernel_mod, rank_mod_p
 from azumaya.rings import BaseRingHom, GaloisField, ProductRing, ZMod, factorize
 from azumaya.suites import _split_quadratic_f2
-from ring_oracles import inverse_mod, r_linear, twisted
+from ring_oracles import inverse_mod, r_linear, table_algebra, twisted
 from test_algebras import _m2_f2_by_f3_4
 
 MATRIX_GRID = [(n, m) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
@@ -98,7 +96,7 @@ def _diagonal_power(R, d=4):
     table = np.zeros((d, d, d, R.flatten_len), dtype=np.int64)
     for i in range(d):
         table[i, i, i] = one
-    return Algebra(R, *structure_tensor(R, table, np.tile(one, (d, 1))), label=f"{R!r}^{d}")
+    return table_algebra(R, table, np.tile(one, (d, 1)), label=f"{R!r}^{d}")
 
 
 def _truncated_polynomials(R):
@@ -110,7 +108,7 @@ def _truncated_polynomials(R):
             table[i, j, i + j] = one
     unit = np.zeros((4, R.flatten_len), dtype=np.int64)
     unit[0] = one
-    return Algebra(R, *structure_tensor(R, table, unit), label=f"{R!r}[t]/t^4")
+    return table_algebra(R, table, unit, label=f"{R!r}[t]/t^4")
 
 
 @settings(max_examples=15, deadline=None)

@@ -11,7 +11,12 @@ kernel / bijectivity computations over the coordinate moduli.  The
 tensor's contractions with itself are one sparse join (`linalg.sparse_join`):
 the associativity check, (e_a e_b) e_c against e_a (e_b e_c), and the
 enveloping map's triple products (eps_a e_t) e_j; the hom check reads the
-same entries (`rings.hom_refutation`).  Searches over elements or tuples
+same entries (`rings.hom_refutation`).  An algebra also carries the rows
+that generate it as a ring (`Algebra.generators`): 2(n - 1) f for M_n(R),
+x and y for a Weyl quotient, its factors' for a tensor product or an
+opposite, and the D identity rows otherwise.  The hom check and `center`
+run on them, |S| D products and an |S| D x D commutator matrix rather
+than D^2 and D^2 x D.  Searches over elements or tuples
 take their candidates from `candidate_batches` (product order, or seeded
 rows named by index, each a counter-based hash of the seed and its entries'
 positions, `random_rows`) and stop at the first hit through `first_hit`,
@@ -79,15 +84,19 @@ class Algebra:
     its output coordinate's modulus and keeps the nonzero ones in row-major
     order (`_sparse_rows`); `_sparse_struct` sorts them by output
     coordinate, and the view `struct` rebuilds S, read-only, on each read.
+    `generators` are rows of flat coordinates whose products and sums, with
+    1, give every element: the identity rows unless a constructor passes
+    fewer.
     Unless `check` is False, associativity on all basis triples and the
     two-sided unit law are verified by a sparse join over the entries
     (`_verify_axioms`), which refuses the first failing triple in
     lexicographic order.
     """
 
-    def __init__(self, base, entries, unit_flat, label="", check=True):
+    def __init__(self, base, entries, unit_flat, label="", check=True, generators=None):
         self.base = base
         self.label = label
+        self._generators = generators
         f = base.flatten_len
         self.dim = D = len(unit_flat)  # flattened Z-coordinate count
         self.rank = D // f
@@ -176,6 +185,25 @@ class Algebra:
             raise AlgebraError("unit vector is not a two-sided unit")
 
     # -- basic data
+
+    @property
+    def generators(self):
+        """Rows that generate A as a ring (see the class docstring); only
+        constructors associative by construction record fewer than the
+        identity rows, since the hom check and `center` need associativity."""
+        if self._generators is None:
+            return np.eye(self.dim, dtype=np.int64)
+        return self._generators
+
+    @cached_property
+    def _generator_products(self):
+        """The generators x_t and the nonzero entries ((t, b, k), v) of the
+        products x_t e_b, by t, for the hom check: `_sparse_rows` for the
+        identity rows, else one `mul_matrices` scatter."""
+        if self._generators is None:
+            return self.generators, self._sparse_rows
+        products = self.mul_matrices(self._generators, "left").transpose(0, 2, 1)  # [t, b, k]
+        return self._generators, linalg.sparse_rows(products)
 
     @property
     def size(self):
@@ -480,13 +508,23 @@ def _ring_entries(A):
 
 
 def matrix_algebra(ring, n, check=True):
-    """The algebra of n x n matrices, basis E_ij ordered row-major."""
+    """The algebra of n x n matrices, basis E_ij ordered row-major.
+
+    For n >= 2 it records the 2(n - 1) f generators b_s E_(i,i+1) and
+    b_s E_(i+1,i).  They generate it as a ring: 1 = sum_s c_s b_s with
+    integers c_s, so E_(i,i+1) and E_(i+1,i) are sums of them, their
+    products give every E_ij, and b_s E_ij = b_s E_(i,i+1) E_(i+1,i) E_ij
+    (or with E_(i,i-1) E_(i-1,i) for i = n)."""
     if n < 1:
         raise AlgebraError("matrix size must be >= 1")
     i, j, l = np.unravel_index(np.arange(n**3), (n,) * 3)
     entries = flat_entries(ring, (i * n + j, j * n + l, i * n + l), ring.unit_flat)  # E_ij E_jl = E_il
     unit = np.outer(np.eye(n, dtype=np.int64), ring.unit_flat).ravel()
-    return Algebra(ring, entries, unit, label=f"M_{n}({ring!r})", check=check)
+    f = ring.flatten_len
+    # b_s E_(i,i+1) and b_s E_(i+1,i), as coordinate generators
+    cols = [e * f + s for i in range(n - 1) for e in (i * n + i + 1, (i + 1) * n + i) for s in range(f)]
+    generators = np.eye(n * n * f, dtype=np.int64)[cols] if n > 1 else None
+    return Algebra(ring, entries, unit, label=f"M_{n}({ring!r})", check=check, generators=generators)
 
 
 def upper_triangular_algebra(ring, n):
@@ -532,7 +570,10 @@ def weyl_quotient(p, a, b, check=True):
 
     Structure constants come from memoized normal-ordering rewriting; the
     closed-form commutation formula is used only as a test oracle.  The
-    axioms are verified unless `check` is False.
+    axioms are verified unless `check` is False.  It is associative by
+    construction, the quotient of the Weyl algebra by its central elements
+    x^p - a and y^p - b, and records the generators x and y: the basis
+    element x^i y^j is a product of them.
     """
     ring = ZMod(p)
     a %= p
@@ -549,18 +590,23 @@ def weyl_quotient(p, a, b, check=True):
                 qy, ry = np.divmod(e + l, p)
                 terms.append((i * p + j, k * p + l, rx * p + ry, coeff % p * a**qx * b**qy))
     I, J, K, V = map(np.concatenate, zip(*terms))
-    return Algebra(ring, ((I, J, K), V), np.eye(1, p * p, dtype=np.int64)[0], label=f"W({p},{a},{b})", check=check)
+    xy = np.eye(p * p, dtype=np.int64)[[p, 1]]  # x = x^1 y^0 and y = x^0 y^1
+    unit = np.eye(1, p * p, dtype=np.int64)[0]
+    return Algebra(ring, ((I, J, K), V), unit, label=f"W({p},{a},{b})", check=check, generators=xy)
 
 
 def opposite(A):
-    """Same module, reversed multiplication."""
+    """Same module, reversed multiplication.  A's generators generate it:
+    a subset closed under every product of A is closed under the reversed
+    ones."""
     (I, J, K), V, _ = A._sparse_rows
-    return Algebra(A.base, ((J, I, K), V), A.unit_flat, label=f"op({A.label})", check=False)
+    return Algebra(A.base, ((J, I, K), V), A.unit_flat, label=f"op({A.label})", check=False, generators=A._generators)
 
 
 def tensor_product(A, B):
     """A tensor B over the common base; basis e_i (x) f_j ordered with the
-    A-index major."""
+    A-index major.  It records the generators s (x) 1 and 1 (x) t, for s
+    and t those of A and B: a (x) b = (a (x) 1)(1 (x) b)."""
     if A.base != B.base:
         raise BaseMismatch("tensor factors must share the base ring")
     f, M, moduli, dB = A.base.flatten_len, A.base.struct, A.base._moduli_arr, B.rank
@@ -570,10 +616,14 @@ def tensor_product(A, B):
     (b1, b2, l), y = _ring_entries(B)
     values = linalg.einsum_mod("nv,mw,vwu->nmu", x, y, M, moduli=moduli, N=A._N)
     index = [(r[:, None] * dB + c).ravel() for r, c in ((a1, b1), (a2, b2), (k, l))]
-    uA, uB = A.unit_flat.reshape(-1, f), B.unit_flat.reshape(-1, f)
-    unit = linalg.einsum_mod("kv,lw,vwu->klu", uA, uB, M, moduli=moduli, N=A._N)
-    label = f"{A.label}(x){B.label}"
-    return Algebra(A.base, flat_entries(A.base, index, values), unit.reshape(-1), label=label, check=False)
+    # the rows x (x) y of the unit 1 (x) 1, then of the generators s (x) 1 and
+    # 1 (x) t: (b_v e_k) (x) (b_w f_l) = (b_v b_w) e_k (x) f_l
+    SA, SB, uA, uB = A.generators, B.generators, A.unit_flat[None], B.unit_flat[None]
+    X = np.concatenate([uA, SA, np.repeat(uA, len(SB), axis=0)]).reshape(-1, A.rank, f)
+    Y = np.concatenate([uB, np.repeat(uB, len(SA), axis=0), SB]).reshape(-1, dB, f)
+    rows = linalg.einsum_mod("tkv,tlw,vwu->tklu", X, Y, M, moduli=moduli, N=A._N).reshape(len(X), -1)
+    entries, label = flat_entries(A.base, index, values), f"{A.label}(x){B.label}"
+    return Algebra(A.base, entries, rows[0], label=label, check=False, generators=rows[1:])
 
 
 def base_change(A, hom):
@@ -596,12 +646,15 @@ def base_change(A, hom):
 @lru_cache(maxsize=256)
 def center(A):
     """Z(A), a read-only `linalg.Subgroup` of the flat coordinates: the
-    commutant of the coordinate generators, the rows of the identity, which
-    generate A additively.
+    commutant of A's generators (`Algebra.generators`).  The elements that
+    commute with z form a subring, and it holds R*1; so z commutes with
+    every element once it commutes with a set that generates A as a ring.
 
     Memoized by algebra equality (`Algebra.__eq__`), not by object: equal
-    algebras share one entry.  `center.__wrapped__` computes it afresh."""
-    return commutant(A, np.eye(A.dim, dtype=np.int64))
+    algebras share one entry, and the subgroup is canonical, so it is the
+    same whichever generators computed it.  `center.__wrapped__` computes it
+    afresh."""
+    return commutant(A, A.generators)
 
 
 def is_central(A):
@@ -809,8 +862,9 @@ def splitting(A):
     M_n(R): the Brauer group of a commutative Artin ring is the sum of those
     of its residue fields (the paper's Theorem 2.8), and finite fields have
     trivial Brauer groups (Wedderburn).  The candidate is the identity when
-    A is M_n(R) in its matrix-unit coordinates, over any base; otherwise it
-    comes from the search (`_searched_splitting`).  Either way it is then
+    A is M_n(R) in its matrix-unit coordinates, over any base, checked on
+    M_n(R)'s generators however A was built; otherwise it comes from the
+    search (`_searched_splitting`).  Either way it is then
     checked by the one hom check and the one bijectivity check, which
     together are complete, so a hom returned here proves A Azumaya.  A miss
     proves nothing, and only an algebra other than M_n(R) itself can miss:
@@ -823,11 +877,15 @@ def splitting(A):
     n = _square_root(A.rank)
     if n is None:
         return None
-    M = matrix_algebra(A.base, n, check=False)
-    H = np.eye(A.dim, dtype=np.int64) if A == M else _searched_splitting(A)
+    M, label = matrix_algebra(A.base, n, check=False), f"split {A.label}"
+    if A == M:
+        # equal algebras share one product, so M's generators serve A too
+        A, H = M, np.eye(A.dim, dtype=np.int64)
+    else:
+        H = _searched_splitting(A)
     if H is None:
         return None
-    hom = AlgebraHom(A, M, H, label=f"split {A.label}").verify()
+    hom = AlgebraHom(A, M, H, label=label).verify()
     return hom if hom.is_verified and hom.is_bijective() else None
 
 

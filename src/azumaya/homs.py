@@ -4,11 +4,14 @@ A hom is stored purely additively: an integer matrix on the flattened
 coordinates of source and target.  That single representation covers
 base-changing maps (e.g. reduction of matrix entries) uniformly.
 Verification is the one hom check base-ring homs use too
-(`rings.hom_refutation`): it checks well-definedness over the coordinate moduli, unit
-preservation, and multiplicativity on all coordinate-generator pairs; by
-Z-bilinearity of both products this implies full multiplicativity, so the
-check is complete.  All homs here are unital by definition: a non-unital
-map is refuted, never accepted.
+(`rings.hom_refutation`): it checks well-definedness over the coordinate
+moduli, unit preservation, and multiplicativity on the pairs (s, e_b) of a
+generator s of the source as a ring (`Algebra.generators`) and a
+coordinate generator e_b; by Z-bilinearity of both products and
+associativity this implies full multiplicativity, so the check is
+complete.  A refuted hom names the first failing pair of coordinate
+generators, from a scan over all of them.  All homs here are unital by
+definition: a non-unital map is refuted, never accepted.
 
 Theorem 4.1's conclusion holds over every finite base, reduced or not.  An
 Azumaya source A of rank n^2 over a finite commutative ring is M_n(R) (the
@@ -105,9 +108,10 @@ class AlgebraHom:
 
     def verify(self):
         """Decide verified/refuted by the one hom check
-        (`rings.hom_refutation`); returns self.  A refutation carries the
-        first failing condition: well-definedness, the unit, or a generator
-        pair (j, k)."""
+        (`rings.hom_refutation`), on the source's generators times its
+        coordinate generators; returns self.  A refutation carries the first
+        failing condition: well-definedness, the unit, or the first pair
+        (j, k) of coordinate generators on which f is not multiplicative."""
         self.refutation = hom_refutation(self.matrix, self.source, self.target)
         self.status = REFUTED if self.refutation else VERIFIED
         return self
@@ -226,9 +230,8 @@ def weyl_splitting(p, a, b):
 
     The relations hold because (t + a)^p = a and (d/dt + b)^p = b in
     characteristic p; everything is re-verified computationally.  W is
-    built without its axiom check: the hom is verified multiplicative and
-    unital on every pair of basis elements and is bijective, so W's product
-    is the one of M_p(F_p) pulled back, which is associative with unit 1.
+    built without its axiom check, being associative by construction
+    (`weyl_quotient`), so the hom check runs on its generators x and y.
     """
     from .algebras import weyl_quotient
 

@@ -185,6 +185,12 @@ class FiniteCommRing:
     def flatten_len(self):
         return len(self.moduli)
 
+    @cached_property
+    def _generator_products(self):
+        """The hom check's generators, the identity rows, and their products
+        with the coordinate generators, the nonzero entries of `struct`."""
+        return np.eye(self.flatten_len, dtype=np.int64), self._sparse_rows
+
     @property
     def size(self):
         return math.prod(self.moduli)
@@ -557,14 +563,26 @@ def hom_refutation(matrix, source, target):
     source coordinates, residues) fails to be a unital ring hom, or None.
 
     Source and target are base rings or algebras, both stored as `moduli`,
-    `struct`, `unit_flat`, `_N` and the struct's nonzero entries by first
-    index (`_sparse_rows`), with a row-wise `mul_batch`.  The conditions, in
-    order: well-definedness over the coordinate moduli, the unit, and
-    multiplicativity on the coordinate-generator pairs (j, k), the first
-    failing pair in row-major order.  The pairs decide multiplicativity,
-    since both products are Z-bilinear.  The images of the products,
-    f(e_a e_b) = sum_k struct[a, b, k] f(e_k), are summed over the struct's
-    nonzero entries only.
+    `unit_flat`, `_N` and the nonzero structure constants by first index
+    (`_sparse_rows`), with a row-wise `mul_batch`; the source also gives
+    rows that generate it as a ring and their products with its coordinate
+    generators (`_generator_products`).  The conditions, in order:
+    well-definedness over the coordinate moduli, the unit, and
+    multiplicativity, reported at the first failing pair (a, b) of
+    coordinate generators in row-major order.
+
+    Multiplicativity is checked on the pairs (s, e_b) of a generator s and
+    a coordinate generator e_b (`_first_unmultiplicative`), |S| D products
+    rather than D^2.  That is complete.  Let T be the set of x with
+    f(x y) = f(x) f(y) for every coordinate generator y; both sides are
+    Z-linear in y, so then for every y.  T is an additive subgroup, and it
+    holds 1 once the unit is preserved.  For x1, x2 in T,
+    f(x1 x2) = f(x1) f(x2), and f((x1 x2) y) = f(x1 (x2 y)) =
+    f(x1) f(x2) f(y) = f(x1 x2) f(y), so T is closed under products; this
+    step reads associativity of the source and of the target.  So T is a
+    subring, and T contains S, which generates the source: T is all of it.
+    A failure on the generators is scanned again over every pair (e_a, e_b),
+    which names the same first failing pair a full check would.
     """
     if not linalg.check_well_defined(matrix, source.moduli, target.moduli):
         return {"condition": "well-defined"}
@@ -572,24 +590,37 @@ def hom_refutation(matrix, source, target):
     unit = linalg.einsum_mod("j,ij->i", source.unit_flat, matrix, moduli=moduli, N=N)
     if not np.array_equal(unit, target.unit_flat):
         return {"condition": "unit"}
-    D, T = len(source.unit_flat), len(target.unit_flat)
-    images = matrix.T  # row j is the image of the j-th coordinate generator
-    (a, b, k), v, ptr = source._sparse_rows
+    rows, products = source._generator_products
+    bad = _first_unmultiplicative(matrix, rows, products, target, N)
+    if bad is not None and products is not source._sparse_rows:
+        eye = np.eye(len(source.unit_flat), dtype=np.int64)
+        bad = _first_unmultiplicative(matrix, eye, source._sparse_rows, target, N)
+    return None if bad is None else {"condition": "multiplicative", "pair": bad}
+
+
+def _first_unmultiplicative(matrix, rows, products, target, N):
+    """The first pair [t, b] in row-major order with f(x_t e_b) !=
+    f(x_t) f(e_b), for the rows x_t of `rows` and the coordinate generators
+    e_b of the source, or None.  `products` holds the nonzero entries
+    ((t, b, k), v) of the products x_t e_b, by t, with their pointer.
+
+    The right sides are one `target.mul_batch` over len(rows) * D pairs.
+    The left sides f(x_t e_b) = sum_k v f(e_k) are subtracted over the
+    entries, a few rows t at a time, each piece of at most D^2 T products
+    (or 2^16)."""
+    T, D = matrix.shape
+    moduli, images = target._moduli_arr, matrix.T  # row j of images is f(e_j)
+    (t, b, k), v, ptr = products
     dtype = linalg._dtype(N, D + 1, 2)  # a residue less at most D products
     v, cols = v.astype(dtype, copy=False)[:, None], images.astype(dtype, copy=False)
-    # f(e_a) f(e_b) - f(e_a e_b) per pair (a, b), zero mod the moduli iff
-    # they agree; f(e_a e_b) = sum_k struct[a, b, k] f(e_k) is subtracted
-    # over the nonzero entries, a few first factors a at a time, each piece
-    # of at most D^2 T products (or 2^16)
-    diff = target.mul_batch(np.repeat(images, D, axis=0), np.tile(images, (D, 1))).astype(dtype, copy=False)
+    X = linalg.matmul_mod(rows, images, moduli=moduli, N=N)  # f(x_t)
+    diff = target.mul_batch(np.repeat(X, D, axis=0), np.tile(images, (len(rows), 1))).astype(dtype, copy=False)
     step = max(1, (1 << 16) // (D * D * T))
-    for a0 in range(0, D, step):
-        lo, hi = ptr[a0], ptr[min(a0 + step, D)]
-        np.subtract.at(diff, a[lo:hi] * D + b[lo:hi], v[lo:hi] * cols[k[lo:hi]])
+    for t0 in range(0, len(rows), step):
+        lo, hi = ptr[t0], ptr[min(t0 + step, len(rows))]
+        np.subtract.at(diff, t[lo:hi] * D + b[lo:hi], v[lo:hi] * cols[k[lo:hi]])
     bad = np.flatnonzero((diff % moduli).any(axis=1))
-    if bad.size:
-        return {"condition": "multiplicative", "pair": [int(bad[0]) // D, int(bad[0]) % D]}
-    return None
+    return [int(bad[0]) // D, int(bad[0]) % D] if bad.size else None
 
 
 # InvalidBaseHom message for each condition `hom_refutation` reports

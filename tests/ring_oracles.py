@@ -38,7 +38,9 @@ structure constants and ring-entry matrices -- as independent references:
   are the dense contractions of the structure tensor the library used
   before its sparse join: the axiom check one first factor at a time, the
   enveloping map as two einsums and a transpose, and the hom check's left
-  side as one (D^2, D) by (D, T) product;
+  side as one (D^2, D) by (D, T) product; `hom_refutation_full` is the
+  library's hom check over all D^2 pairs of coordinate generators, as it
+  ran before algebras recorded their ring generators;
 - `left_mul_matrix_dense`, `right_mul_matrix_dense`, `center_dense`,
   `commutator_matrix_dense`, `env_b_dense` and `splitting_phi_dense` are
   the dense contractions the library made before it stored only the
@@ -75,7 +77,7 @@ import math
 
 import numpy as np
 
-from azumaya import linalg
+from azumaya import linalg, rings
 from azumaya.algebras import AlgebraError, AlgElem, Algebra, _normal_order, center
 from azumaya.homs import UNVERIFIED, AlgebraHom, _azumaya_preconditions
 from azumaya.linalg import LinalgError, howell
@@ -438,6 +440,18 @@ def hom_refutation_dense(matrix, source, target):
     if bad.size:
         return {"condition": "multiplicative", "pair": [int(bad[0]) // D, int(bad[0]) % D]}
     return None
+
+
+def hom_refutation_full(matrix, source, target):
+    """`rings.hom_refutation` over every pair of coordinate generators, as
+    it checked before algebras recorded their ring generators: on a copy of
+    an algebra source built from its entries, which carries the identity
+    rows."""
+    if isinstance(source, Algebra):
+        index, values, _ = source._sparse_rows
+        source = Algebra(source.base, (index, values), source.unit_flat, label=source.label, check=False)
+        assert np.array_equal(source.generators, np.eye(source.dim, dtype=np.int64))
+    return rings.hom_refutation(matrix, source, target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,193 @@
+"""The generators an algebra records (`Algebra.generators`): each set
+generates its algebra as a ring, the hom check on them returns what the
+scan over every pair of coordinate generators returns, and the center as
+their commutant is the dense center.  The corpus and its perturbed homs
+are compared in `test_sparse_join.py`."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from azumaya import algebras, linalg, rings
+from azumaya.algebras import (
+    base_change,
+    center,
+    is_azumaya,
+    matrix_algebra,
+    opposite,
+    splitting,
+    tensor_product,
+    weyl_quotient,
+)
+from azumaya.rings import BaseRingHom, GaloisField, ProductRing, ZMod
+from ring_oracles import center_dense, hom_refutation_dense, hom_refutation_full
+
+F4 = GaloisField.default(2, 2)
+MATRIX_BASES = {
+    "Z/2": ZMod(2),
+    "Z/12": ZMod(12),
+    "GF(4)": F4,
+    "Z/2xZ/3": ProductRing([ZMod(2), ZMod(3)]),
+    "Z/4xGF(4)": ProductRing([ZMod(4), F4]),
+}
+WEYL = [(2, 0, 0), (2, 1, 1), (3, 1, 2), (3, 0, 0), (5, 2, 1), (7, 1, 1), (7, 0, 4)]
+
+
+def _matrix(R, n):
+    return lambda: matrix_algebra(R, n, check=False)
+
+
+def _weyl(p, a, b):
+    return lambda: weyl_quotient(p, a, b, check=False)
+
+
+def _tensors():
+    M2, M3 = matrix_algebra(ZMod(2), 2, check=False), matrix_algebra(ZMod(2), 3, check=False)
+    yield "M_2(Z/2)(x)M_3(Z/2)", lambda: tensor_product(M2, M3)
+    yield "W(3,1,2)(x)M_2(Z/3)", lambda: tensor_product(weyl_quotient(3, 1, 2), matrix_algebra(ZMod(3), 2))
+    M = matrix_algebra(F4, 2, check=False)
+    yield "M_2(GF(4))(x)op(M_2(GF(4)))", lambda: tensor_product(M, opposite(M))
+
+
+BUILDS = {}
+for _name, _R in MATRIX_BASES.items():
+    for _n in range(1, 7):
+        BUILDS[f"M_{_n}({_name})"] = _matrix(_R, _n)
+for _p, _a, _b in WEYL:
+    BUILDS[f"W({_p},{_a},{_b})"] = _weyl(_p, _a, _b)
+BUILDS.update({f"op({name})": (lambda make=make: opposite(make())) for name, make in list(BUILDS.items())})
+BUILDS.update(_tensors())
+
+# each of their generators is needed: over Z/N and products of prime
+# fields, and for W(p), its opposite and tensor products of those.  Over
+# GF(4) the rows t E_(i,i+1) are redundant (t E_12 = E_12 (t E_21) E_12),
+# and M_1's rows hold the unit's coordinates.
+NEEDED = [name for name in BUILDS if "GF(4)" not in name and "M_1(" not in name]
+
+
+def _ring_span(A, rows):
+    """The subring generated by the rows, as a `linalg.Subgroup`: the span
+    of 1 and the rows, grown by the products of the rows the last round
+    added with the generators, until a round adds nothing.  With W_k the
+    span of the words of length at most k, W_k = W_(k-1) + (W_(k-1) \\
+    W_(k-2)) S, so only the new rows are multiplied."""
+    span = linalg.Subgroup(np.vstack([A.unit_flat, rows]), A.moduli)
+    new = span.generators()
+    while len(new):
+        products = A.mul_batch(np.repeat(new, len(rows), axis=0), np.tile(rows, (len(new), 1)))
+        grown = linalg.Subgroup(np.vstack([span.generators(), products]), A.moduli)
+        new = np.asarray([g for g in grown.generators() if not span.contains(g)]).reshape(-1, A.dim)
+        span = grown
+    return span
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_recorded_rows_generate_the_algebra(name):
+    A = BUILDS[name]()
+    assert _ring_span(A, A.generators).order == A.size
+
+
+@pytest.mark.parametrize("name", NEEDED)
+def test_dropping_any_one_row_leaves_a_proper_subring(name):
+    A = BUILDS[name]()
+    rows = A.generators
+    for t in range(len(rows)):
+        assert _ring_span(A, np.delete(rows, t, axis=0)).order < A.size, (name, t)
+
+
+def test_generator_counts():
+    for R in MATRIX_BASES.values():
+        f = R.flatten_len
+        assert len(matrix_algebra(R, 1, check=False).generators) == f  # the identity rows
+        for n in (2, 5, 16 if R == ZMod(2) else 3):
+            assert matrix_algebra(R, n, check=False).generators.shape == (2 * (n - 1) * f, n * n * f)
+    assert weyl_quotient(11, 0, 4, check=False).generators.shape == (2, 121)
+    M = matrix_algebra(ZMod(2), 3, check=False)
+    assert np.array_equal(opposite(M).generators, M.generators)
+    assert len(tensor_product(M, M).generators) == 8
+
+
+def _assert_checks_agree(H, source, target):
+    refutation = rings.hom_refutation(H, source, target)
+    assert refutation == hom_refutation_full(H, source, target) == hom_refutation_dense(H, source, target)
+    return refutation
+
+
+def test_generator_check_matches_the_full_scan_on_the_grid_certificates():
+    grid = [matrix_algebra(ZMod(m), n, check=False) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
+    grid += [weyl_quotient(p, a, b, check=False) for p in (2, 3, 5) for a in range(p) for b in range(p)]
+    for A in grid:
+        hom = splitting(A)
+        assert _assert_checks_agree(hom.matrix, A, hom.target) is None, A.label
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), changes=st.integers(1, 4))
+def test_unital_non_multiplicative_maps_out_of_gf4_matrices(data, n, changes):
+    # the identity of M_n(GF(4)) with entries changed, then made unital
+    # again through the column of the first unit coordinate
+    A = matrix_algebra(F4, n, check=False)
+    H = np.eye(A.dim, dtype=np.int64)
+    for _ in range(changes):
+        i, j = data.draw(st.integers(0, A.dim - 1)), data.draw(st.integers(0, A.dim - 1))
+        H[i, j] = data.draw(st.integers(0, 1))
+    units = np.flatnonzero(A.unit_flat)
+    H[:, units[0]] = (A.unit_flat - H[:, units[1:]].sum(axis=1)) % 2
+    refutation = _assert_checks_agree(H, A, A)
+    assume(refutation is not None)
+    assert refutation["condition"] == "multiplicative"
+
+
+@pytest.mark.parametrize("name", [name for name in BUILDS if BUILDS[name]().dim <= 64])
+def test_center_is_the_dense_center(name):
+    A = BUILDS[name]()
+    assert center.__wrapped__(A) == center_dense(A)
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The row count of each multiplicativity scan the hom check runs."""
+    counts, scan = [], rings._first_unmultiplicative
+    monkeypatch.setattr(rings, "_first_unmultiplicative", lambda H, rows, *a: counts.append(len(rows)) or scan(H, rows, *a))
+    return counts
+
+
+def test_an_equal_matrix_algebra_is_certified_on_its_generators(scanned):
+    # M_3(Z/12) carried to Z/3 is M_3(Z/3), but built as a base change it
+    # carries the identity rows
+    A = base_change(matrix_algebra(ZMod(12), 3, check=False), BaseRingHom(ZMod(12), ZMod(3), [[1]]))
+    assert A == matrix_algebra(ZMod(3), 3, check=False) and len(A.generators) == A.dim
+    scanned.clear()  # the ring hom's own check
+    hom = splitting(A)
+    assert hom.is_verified and hom.is_bijective() and np.array_equal(hom.matrix, np.eye(A.dim))
+    assert scanned == [4]  # E_12, E_23, E_21 and E_32
+
+
+def test_a_refuted_generator_check_rescans_every_pair(scanned):
+    M = matrix_algebra(ZMod(3), 3, check=False)
+    T = np.eye(M.dim, dtype=np.int64).reshape(3, 3, -1).transpose(1, 0, 2).reshape(M.dim, M.dim)  # transpose
+    assert rings.hom_refutation(T, M, M) == hom_refutation_dense(T, M, M)
+    assert scanned == [4, 9]
+
+
+def test_m16_f2_is_certified_within_128_mb():
+    A = matrix_algebra(ZMod(2), 16, check=False)
+    tracemalloc.start()
+    try:
+        assert is_azumaya(A).status == "pass"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 20
+
+
+def test_the_center_reads_only_the_generators(monkeypatch):
+    A = matrix_algebra(ZMod(2), 4, check=False)
+    seen = []
+    commutant = algebras.commutant
+    monkeypatch.setattr(algebras, "commutant", lambda A, X: seen.append(len(X)) or commutant(A, X))
+    assert center.__wrapped__(A) == A.unit_span()
+    assert seen == [6]

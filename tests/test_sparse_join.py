@@ -1,7 +1,9 @@
 """The sparse join behind the axiom check, the enveloping map and the hom
 check, against the dense contractions it replaced (`ring_oracles`):
 the same verdict, the same first failing triple or pair, the same message
-and the same enveloping matrix, entry for entry."""
+and the same enveloping matrix, entry for entry.  The hom check on the
+source's ring generators also returns what the scan over every pair of
+coordinate generators returns (`hom_refutation_full`)."""
 
 import tracemalloc
 
@@ -24,7 +26,7 @@ from azumaya.algebras import (
 )
 from azumaya.corpus import build_corpus
 from azumaya.rings import GaloisField, ProductRing, RingIdeal, ZMod, crt_decompose, maximal_ideals
-from ring_oracles import entries, env_map_flat_dense, hom_refutation_dense, verify_axioms_dense
+from ring_oracles import entries, env_map_flat_dense, hom_refutation_dense, hom_refutation_full, verify_axioms_dense
 
 F4, F9 = GaloisField.default(2, 2), GaloisField.default(3, 2)
 Z2xZ3, Z2xF4 = ProductRing([ZMod(2), ZMod(3)]), ProductRing([ZMod(2), F4])
@@ -116,7 +118,8 @@ def test_hom_check_matches_dense_oracle_on_every_constructor(name):
     assert rings.hom_refutation(identity, A, A) is None is hom_refutation_dense(identity, A, A)
     # the identity map onto the opposite algebra is a hom iff A is commutative
     op = opposite(A)
-    assert rings.hom_refutation(identity, A, op) == hom_refutation_dense(identity, A, op)
+    refutation = rings.hom_refutation(identity, A, op)
+    assert refutation == hom_refutation_dense(identity, A, op) == hom_refutation_full(identity, A, op)
 
 
 def test_a_perturbed_weyl_tensor_is_refused_at_the_dense_oracle_triple():
@@ -176,16 +179,17 @@ def _transpose(n, ring):
 def test_transpose_is_refuted_at_the_dense_oracle_pair(n, ring):
     A, T = _transpose(n, ring)
     refutation = rings.hom_refutation(T, A, A)
-    assert refutation == hom_refutation_dense(T, A, A)
+    assert refutation == hom_refutation_dense(T, A, A) == hom_refutation_full(T, A, A)
     assert refutation["condition"] == "multiplicative"
 
 
 def test_hom_refutations_match_dense_oracle_on_the_corpus():
     for entry in build_corpus():
         f = entry.hom
-        assert rings.hom_refutation(f.matrix, f.source, f.target) == hom_refutation_dense(
-            f.matrix, f.source, f.target
-        ), entry.name
+        refutation = rings.hom_refutation(f.matrix, f.source, f.target)
+        assert refutation is None, entry.name
+        assert refutation == hom_refutation_dense(f.matrix, f.source, f.target), entry.name
+        assert refutation == hom_refutation_full(f.matrix, f.source, f.target), entry.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,7 +201,8 @@ def test_perturbed_hom_matrices_are_refuted_at_the_dense_oracle_pair(data, chang
     for _ in range(changes):
         i, j = data.draw(st.integers(0, H.shape[0] - 1)), data.draw(st.integers(0, H.shape[1] - 1))
         H[i, j] = data.draw(st.integers(0, f.target.moduli[i] - 1))
-    assert rings.hom_refutation(H, f.source, f.target) == hom_refutation_dense(H, f.source, f.target)
+    refutation = rings.hom_refutation(H, f.source, f.target)
+    assert refutation == hom_refutation_dense(H, f.source, f.target) == hom_refutation_full(H, f.source, f.target)
 
 
 @settings(max_examples=60, deadline=None)

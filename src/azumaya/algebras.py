@@ -12,9 +12,10 @@ tensor's contractions with itself are one sparse join (`linalg.sparse_join`):
 the associativity check, (e_a e_b) e_c against e_a (e_b e_c), and the
 enveloping map's triple products (eps_a e_t) e_j; the hom check reads the
 same entries (`rings.hom_refutation`).  An algebra also carries the rows
-that generate it as a ring (`Algebra.generators`): 2(n - 1) f for M_n(R),
-x and y for a Weyl quotient, its factors' for a tensor product or an
-opposite, and the D identity rows otherwise.  The hom check and `center`
+that generate it as a ring (`Algebra.generators`): 2(n - 1) plus one per
+coordinate generator other than 1 for M_n(R), x and y for a Weyl quotient,
+its factors' for a tensor product or an opposite, and the D identity rows
+otherwise.  The hom check and `center`
 run on them, |S| D products and an |S| D x D commutator matrix rather
 than D^2 and D^2 x D.  Searches over elements or tuples
 take their candidates from `candidate_batches` (product order, or seeded
@@ -31,15 +32,13 @@ over the base ring; structure constants given over the base ring (configs)
 go through `flat_entries` as the constructors' do.
 
 `is_azumaya` decides the rank first: a rank that is not a square fails at
-once.  It decides a pass by a certificate when it can: `splitting` takes
-an isomorphism A -> M_n(R), the identity when A is M_n(R) in matrix-unit
-coordinates over any base, otherwise one searched over R = Z/N or GF(q) (a
-minimal left ideal and an idempotent per prime power of N, lifted and
-joined by the CRT, or one over GF(q) in its coordinates), and verifies it
-with the one hom check and the one bijectivity check, in D x D linear
-algebra.  On a miss it decides fiber by fiber: A is Azumaya iff the
-D^2 x D^2 enveloping map of A (x) R/m is bijective for every maximal ideal
-m, so enveloping maps are formed over residue fields only, once each, and
+once.  A pass is decided by a certificate when it can be: `splitting`
+takes an isomorphism A -> M_n(R), the identity when A is M_n(R) in
+matrix-unit coordinates, otherwise one searched inside A over any finite
+base (idempotents of A/pA split by Berlekamp and Cantor-Zassenhaus, lifted
+and joined by the CRT), verified by the one hom check and the one
+bijectivity check.  On a miss the fibers decide: A is Azumaya iff the
+enveloping map of A (x) R/m is bijective for every maximal ideal m, and
 the first fiber that fails gives the verdict and its witness.
 """
 
@@ -47,12 +46,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from . import linalg
-from .rings import BaseRingHom, GaloisField, ZMod, factorize
+from .rings import BaseRingHom, ProductRing, ZMod, factorize
 from .reports import CheckReport
 
 
@@ -510,20 +509,24 @@ def _ring_entries(A):
 def matrix_algebra(ring, n, check=True):
     """The algebra of n x n matrices, basis E_ij ordered row-major.
 
-    For n >= 2 it records the 2(n - 1) f generators b_s E_(i,i+1) and
-    b_s E_(i+1,i).  They generate it as a ring: 1 = sum_s c_s b_s with
-    integers c_s, so E_(i,i+1) and E_(i+1,i) are sums of them, their
-    products give every E_ij, and b_s E_ij = b_s E_(i,i+1) E_(i+1,i) E_ij
-    (or with E_(i,i-1) E_(i-1,i) for i = n)."""
+    For n >= 2 it records the generators E_(i,i+1) and E_(i+1,i), and
+    b_s E_11 for each coordinate generator b_s other than 1: 2(n - 1) rows
+    over Z/N, 2(n - 1) + f - 1 over GF(q) and 2(n - 1) + f over a product.
+    They generate it as a ring: products of the first give every E_ij, and
+    b_s E_ij = E_i1 (b_s E_11) E_1j."""
     if n < 1:
         raise AlgebraError("matrix size must be >= 1")
     i, j, l = np.unravel_index(np.arange(n**3), (n,) * 3)
     entries = flat_entries(ring, (i * n + j, j * n + l, i * n + l), ring.unit_flat)  # E_ij E_jl = E_il
     unit = np.outer(np.eye(n, dtype=np.int64), ring.unit_flat).ravel()
-    f = ring.flatten_len
-    # b_s E_(i,i+1) and b_s E_(i+1,i), as coordinate generators
-    cols = [e * f + s for i in range(n - 1) for e in (i * n + i + 1, (i + 1) * n + i) for s in range(f)]
-    generators = np.eye(n * n * f, dtype=np.int64)[cols] if n > 1 else None
+    f, one = ring.flatten_len, ring.unit_flat.tolist()
+    # E_(i,i+1) and E_(i+1,i), then b_s E_11 for the b_s other than 1
+    blocks = [e for i in range(n - 1) for e in (i * n + i + 1, (i + 1) * n + i)]
+    scalars = [s for s in range(f) if one != [int(t == s) for t in range(f)]]
+    rows = np.zeros((len(blocks) + len(scalars), n * n, f), dtype=np.int64)
+    rows[np.arange(len(blocks)), blocks] = ring.unit_flat
+    rows[len(blocks) + np.arange(len(scalars)), 0, scalars] = 1
+    generators = rows.reshape(len(rows), -1) if n > 1 else None
     return Algebra(ring, entries, unit, label=f"M_{n}({ring!r})", check=check, generators=generators)
 
 
@@ -718,131 +721,131 @@ def env_map_bijective(A):
     return linalg.is_bijective_additive(F, src, tgt)
 
 
-# The certificate search of `splitting`: its fixed seed (the elements x are
-# drawn under it, the elements u under the next one), the number of
-# elements x (and of elements u per x) it draws, and the largest residue
-# field size q for which it tries every eigenvalue candidate.
+# The search's fixed seed (x is drawn under it, z under the next one) and
+# its number of draws: of x in all, and of z per x.
 _SPLIT_SEED = 0
-_SPLIT_DRAWS = 8
-_SPLIT_MAX_P = 64
+_SPLIT_DRAWS = 32
 
 
-def _index(X, p):
-    """The positions of the rows X (T, f) of residues mod p in
-    `product_rows` order, the order of `_residue_field`'s elements."""
-    return np.ravel_multi_index(X.T, (p,) * X.shape[1])
+def _primitive_idempotent(A, p, n):
+    """An idempotent e of A/pA with A e of F_p-dimension n f and the reduced
+    echelon rows of A e, or two Nones, where R/pR is the field F of size p^f.
 
+    While A e is larger, with m = dim(A e) / (n f), it draws x in
+    eAe = M_m(F) and takes F[x], spanned by the rows b_s x^i, i < m, in its
+    own coordinates: the reduced echelon rows V of the span, at pivots P,
+    and the tensor (V_a V_b)[P].  F[x] is a product of c local rings, one
+    per irreducible factor of x's minimal polynomial (of degree m at most),
+    and the Frobenius y -> y^(p^f) fixes F^c in it (Berlekamp, Math. Comp.
+    24, 1970).  For c > 1 a drawn fixed point z gives an idempotent t
+    (Cantor and Zassenhaus, Math. Comp. 36, 1981): for odd p,
+    w = z^((p^f - 1)/2) is 0 or +-1 on each factor and t = (w^2 + w)/2; for
+    p = 2, t is the trace z + z^2 + ... + z^(2^(f-1)).  For a cyclic x,
+    F^m = F[x] as F[x]-modules, so dim(A t) = n dim(t F[x]); the search
+    goes on with the smaller of A t and A (e - t), halving m."""
+    f, d, D = A.base.flatten_len, A.rank, A.dim
+    matmul = partial(linalg.matmul_mod, moduli=p, N=p)
+    e, dim = A.unit_flat % p, D  # dim is that of A e over F_p
+    L = R = np.eye(D, dtype=np.int64)  # y -> e y and y -> y e
+    for row in range(_SPLIT_DRAWS):
+        if dim <= n * f:
+            break
+        x = matmul(L, matmul(R, random_rows(_SPLIT_SEED, (p,) * D, row, row + 1)[0]))
+        Rx, X = A.mul_matrices(x[None], "right")[0] % p, [e]
+        for _ in range(dim // (n * f) - 1):
+            X.append(matmul(Rx, X[-1]))
+        # (b_s y)_(k, u) = y_(k, v) (b_s b_v)_u
+        rows = linalg.einsum_mod("tkv,svu->tsku", np.reshape(X, (-1, d, f)), A.base.struct, moduli=p, N=p)
+        V = linalg.howell(rows.reshape(-1, D), p)
+        P, r = (V != 0).argmax(axis=1), len(V)
+        if r < dim // n:
+            continue  # x is not cyclic on F^m
+        S = matmul(A.mul_matrices(V, "left")[:, P] % p, V.T).reshape(r, r * r)  # [a, (c, b)]: (V_a V_b)[P_c]
 
-@lru_cache(maxsize=64)
-def _residue_field(R, p):
-    """The arithmetic of the residue field F = R/pR of size q = p^f (R is
-    Z/N with p | N, or GF(p^f)), for the certificate search: for each of
-    its q elements, in `product_rows` order, the matrix of multiplication
-    by it on R's coordinates mod p, and the index of its inverse (of 0 for
-    0), read off the products of all q^2 pairs."""
-    elements = product_rows(0, p**R.flatten_len, (p,) * R.flatten_len)
-    mats = linalg.einsum_mod("ls,stu->lut", elements, R.struct, moduli=p, N=p)
-    products = linalg.einsum_mod("xut,yt->xyu", mats, elements, moduli=p, N=p)
-    inverse = (products == R.unit_flat % p).all(axis=2).argmax(axis=1)
-    for shared in (mats, inverse):
-        shared.setflags(write=False)
-    return mats, inverse
+        def mul(Y, Z):
+            return matmul(matmul(Y, S).reshape(-1, r, r), Z[:, :, None])[:, :, 0]
 
-
-def _scale(U, M, p):
-    """The rows c_t u_t mod p of scalars c_t, given by their multiplication
-    matrices M (T, f, f), times elements U (T, dim) over F:
-    (c 1)(b_t e_i) = (c b_t) e_i, one product per block."""
-    T, f = M.shape[:2]
-    return linalg.matmul_mod(U.reshape(T, -1, f), M.transpose(0, 2, 1), moduli=p, N=p).reshape(U.shape)
+        eye = np.eye(r, dtype=np.int64)
+        Qp = _powers(mul, eye, p)  # y^p = y Qp: row a of Qp is V_a^p
+        fixed = linalg.kernel_mod((_powers(matmul, Qp, f) - eye).T % p, p)
+        if len(fixed) <= f:
+            continue  # F[x] is local
+        Z = matmul(random_rows(_SPLIT_SEED + 1, (p,) * len(fixed), row * _SPLIT_DRAWS, (row + 1) * _SPLIT_DRAWS), fixed)
+        if p == 2:
+            T = Z
+            for _ in range(f - 1):
+                T = (Z + matmul(T, Qp)) % 2
+        else:
+            W = _powers(mul, Z, (p**f - 1) // 2)
+            T = linalg.einsum_mod("ts,->ts", mul(W, W) + W, np.asarray((p + 1) // 2), moduli=p, N=2 * p)
+        split = np.flatnonzero(T.any(axis=1) & (T != e[P]).any(axis=1))
+        if not split.size:
+            continue
+        rank = n * linalg.rank_mod_p(matmul(T[split[:1]], S).reshape(r, r), p)  # n dim(t F[x])
+        t = matmul(T[split[0]], V)
+        Lt, Rt = (A.mul_matrices(t[None], side)[0] % p for side in ("left", "right"))
+        if 2 * rank > dim:  # keep e - t
+            t, Lt, Rt, rank = (e - t) % p, (L - Lt) % p, (R - Rt) % p, dim - rank
+        e, L, R, dim = t, Lt, Rt, rank
+    ell = linalg.howell(R.T, p)  # reduced echelon rows of A e over F_p
+    return (e, ell) if dim == len(ell) == n * f else (None, None)
 
 
 def _local_splitting(A, p, k):
     """The (n*n*f, dim) matrix, mod q = p^k, of a ring hom
-    A/qA -> M_n(R/qR), or None when no draw gives one.  A has rank n^2 over
-    R, and R/pR is the field F of size p^f: R is Z/N with q | N (f = 1), or
-    GF(p^f) (k = 1).
+    A/qA -> M_n(R/qR), or None.  A has rank n^2 over R, and R/pR is the
+    field F of size p^f: R is Z/N with q | N (f = 1), or GF(p^f) (k = 1).
 
-    Over F (Parker's MeatAxe step): for a drawn x and some lambda in F,
-    L = {y : y (x - lambda 1) = 0} is a left ideal and an F-subspace; when
-    it has F_p-dimension n f it is minimal.  A drawn u in L with u^2 = c u,
-    c != 0 (one division in F on u's first nonzero block), gives the
-    idempotent e = u / c with A e = L.  Newton's step e <- 3e^2 - 2e^3 lifts
-    e to an idempotent mod q (Lam, A First Course in Noncommutative Rings,
-    section 21).
-
-    L's reduced echelon rows over F_p hold an F-basis of it: an F-subspace
-    takes all f coordinates of a block (one e_i) as pivots or none, so the
-    pivots P are n whole blocks, and the rows l_j pivoted on each block's
-    first coordinate are 1 on their own block and 0 on the others.  The
-    coordinates of y in L are then its blocks at P, and b_j = l_j e is an
-    R-basis of Ae by Nakayama, with b_j[P] = l_j[P] mod p.  The hom sends a
-    to its left multiplication on Ae in the basis b, normalized mod q so
-    that b[P] is the identity (Newton's inverse; f = 1 wherever k > 1)."""
-    f, d = A.base.flatten_len, A.rank
-    q, n, D = p**k, math.isqrt(d), A.dim
+    Newton's step e <- 3e^2 - 2e^3 lifts the idempotent e of A/pA from
+    `_primitive_idempotent` to one mod q (Lam, A First Course in
+    Noncommutative Rings, section 21).  The reduced echelon rows of L = A e
+    mod p (the Howell form of the rows e_j e) hold an F-basis of it: an
+    F-subspace takes all f coordinates of a block (one e_i) as pivots or
+    none, so the pivots P are n whole blocks, and the rows l_j pivoted on
+    each block's first coordinate are 1 on their own block and 0 on the
+    others.  So y in L has coordinates y[P], and b_j = l_j e is an R-basis
+    of Ae by Nakayama, with b_j[P] = l_j[P] mod p.  The hom sends a to its
+    left multiplication on Ae in the basis b, normalized mod q so that b[P]
+    is the identity (Newton's inverse; f = 1 wherever k > 1)."""
+    f, q, n = A.base.flatten_len, p**k, math.isqrt(A.rank)
+    e, ell = _primitive_idempotent(A, p, n)
+    if e is None:
+        return None
     steps = (k - 1).bit_length()  # Newton doubles the p-adic precision
-    eye_n = np.eye(n, dtype=np.int64)
-    mats, inverse = _residue_field(A.base, p)
-    # y -> y (lambda 1) = lambda y: lambda's multiplication matrix on each block
-    shifts = np.zeros((len(mats), d, f, d, f), dtype=np.int64)
-    shifts[:, np.arange(d), :, np.arange(d), :] = mats
-    for row in range(_SPLIT_DRAWS):
-        Rx = A.mul_matrices(random_rows(_SPLIT_SEED, (p,) * D, row, row + 1), "right")[0] % p  # y -> y x
-        shifted = ((Rx - shift) % p for shift in shifts.reshape(-1, D, D))
-        M = next((M for M in shifted if linalg.rank_mod_p(M, p) == D - n * f), None)
-        if M is None:
-            continue
-        # reduced echelon rows over F_p: the identity at their pivots P
-        ell = linalg.kernel_mod(M, p)
-        P = (ell != 0).argmax(axis=1)
-        draws = random_rows(_SPLIT_SEED + 1, (p,) * (n * f), row * _SPLIT_DRAWS, (row + 1) * _SPLIT_DRAWS)
-        U = linalg.einsum_mod("tj,jd->td", draws, ell, moduli=p, N=p)
-        U2, blocks = A.mul_batch(U, U) % p, U.reshape(len(U), -1, f)
-        # c = u^2 / u on u's first nonzero block, as the index of an element of F
-        lead = np.arange(len(U)), blocks.any(axis=2).argmax(axis=1)
-        c = _index(_scale(U2.reshape(blocks.shape)[lead], mats[inverse[_index(blocks[lead], p)]], p), p)
-        ok = (c > 0) & (U2 == _scale(U, mats[c], p)).all(axis=1)  # u^2 = c u with c != 0
-        if not ok.any():
-            continue
-        t = int(ok.argmax())
-        e = _scale(U[t : t + 1], mats[inverse[c[t : t + 1]]], p)[0]
-        for _ in range(steps):
-            e2 = A.mul_batch(e[None], e[None]) % q
-            e3 = A.mul_batch(e2, e[None]) % q
-            e = linalg.einsum_mod("s,std->td", np.asarray([3, q - 2]), np.stack([e2, e3]), moduli=q, N=q)[0]
-        B = A.mul_batch(ell[::f], np.tile(e, (n, 1))).T % q  # column j is b_j = l_j e
-        if not np.array_equal(B[P] % p, ell[::f, P].T):
-            continue  # A e is not L
-        # B[P] = I mod p when k > 1 (f = 1): Newton's X <- X (2I - B[P] X)
-        # inverts it mod q
-        X = eye_n
-        for _ in range(steps):
-            BX = linalg.einsum_mod("ij,jk->ik", B[P], X, moduli=q, N=q)
-            X = linalg.einsum_mod("ij,jk->ik", X, (2 * eye_n - BX) % q, moduli=q, N=q)
-        # normalized basis: B[P] = I, so y in Ae has coordinates y[P]
-        B = linalg.einsum_mod("dj,jk->dk", B, X, moduli=q, N=q)
-        # entry (i, j), coordinate s, of the image of a: (e_a b_j)[P_(i, s)]
-        phi = A.mul_matrices(B.T, "right")[:, P].transpose(1, 0, 2) % q
-        return phi.reshape(n, f, n, D).transpose(0, 2, 1, 3).reshape(n * n * f, D)
-    return None
+    for _ in range(steps):
+        e2 = A.mul_batch(e[None], e[None]) % q
+        e3 = A.mul_batch(e2, e[None]) % q
+        e = linalg.einsum_mod("s,std->td", np.asarray([3, q - 2]), np.stack([e2, e3]), moduli=q, N=q)[0]
+    P = (ell != 0).argmax(axis=1)  # ell is the identity at its pivots
+    B = A.mul_batch(ell[::f], np.tile(e, (n, 1))).T % q  # column j is b_j = l_j e
+    # B[P] = I mod p when k > 1 (f = 1): Newton's X <- X (2I - B[P] X) inverts it mod q
+    X = eye_n = np.eye(n, dtype=np.int64)
+    for _ in range(steps):
+        BX = linalg.einsum_mod("ij,jk->ik", B[P], X, moduli=q, N=q)
+        X = linalg.einsum_mod("ij,jk->ik", X, (2 * eye_n - BX) % q, moduli=q, N=q)
+    # normalized basis: B[P] = I, so y in Ae has coordinates y[P]
+    B = linalg.einsum_mod("dj,jk->dk", B, X, moduli=q, N=q)
+    # entry (i, j), coordinate s, of the image of a: (e_a b_j)[P_(i, s)]
+    phi = A.mul_matrices(B.T, "right")[:, P].transpose(1, 0, 2) % q
+    return phi.reshape(n, f, n, A.dim).transpose(0, 2, 1, 3).reshape(n * n * f, A.dim)
 
 
 def _searched_splitting(A):
     """The matrix of a candidate hom A -> M_n(R) from the search, or None:
-    over R = Z/N one `_local_splitting` per prime power q of N, joined by
-    the CRT; over R = GF(p^f) one, in GF(p^f) coordinates.  Product bases
-    and residue fields larger than _SPLIT_MAX_P are refused before any
-    draw."""
+    over Z/N one `_local_splitting` per prime power q of N, joined by the
+    CRT; over GF(p^f) one; over a product one per factor R_i, searched on
+    A (x) R_i and placed in R_i's coordinate block."""
     base = A.base
-    if isinstance(base, ZMod):
-        N, factors = base.n, factorize(base.n)
-    elif isinstance(base, GaloisField):
-        N, factors = base.p, [(base.p, 1)]
-    else:
-        return None
-    if any(p**base.flatten_len > _SPLIT_MAX_P for p, _ in factors):
-        return None
+    if isinstance(base, ProductRing):
+        d, f = A.rank, base.flatten_len
+        H = np.zeros((d, f, d, f), dtype=np.int64)
+        for r, block in zip(base.factors, base._blocks):
+            piece = _searched_splitting(base_change(A, BaseRingHom(base, r, np.eye(f, dtype=np.int64)[block])))
+            if piece is None:
+                return None
+            H[:, block, :, block] = piece.reshape(d, r.flatten_len, d, r.flatten_len)
+        return H.reshape(d * f, d * f)
+    N, factors = (base.n, factorize(base.n)) if isinstance(base, ZMod) else (base.p, [(base.p, 1)])
     parts, coeffs = [], []
     for p, k in factors:
         phi = _local_splitting(A, p, k)
@@ -862,16 +865,12 @@ def splitting(A):
     M_n(R): the Brauer group of a commutative Artin ring is the sum of those
     of its residue fields (the paper's Theorem 2.8), and finite fields have
     trivial Brauer groups (Wedderburn).  The candidate is the identity when
-    A is M_n(R) in its matrix-unit coordinates, over any base, checked on
-    M_n(R)'s generators however A was built; otherwise it comes from the
-    search (`_searched_splitting`).  Either way it is then
-    checked by the one hom check and the one bijectivity check, which
-    together are complete, so a hom returned here proves A Azumaya.  A miss
-    proves nothing, and only an algebra other than M_n(R) itself can miss:
-    a rank that is not a square, a product base (not searched yet), a
-    residue field larger than _SPLIT_MAX_P, no hom within the fixed draws
-    of the fixed seed, or a hom that fails either check.  `is_azumaya` then
-    decides on the fibers A (x) R/m."""
+    A is M_n(R) in its matrix-unit coordinates, checked on M_n(R)'s
+    generators however A was built, and otherwise comes from the search
+    (`_searched_splitting`).  The one hom check and the one bijectivity
+    check are complete, so a hom returned here proves A Azumaya.  A miss
+    proves nothing: a rank that is not a square, no hom within the fixed
+    draws of the fixed seed, or a hom that fails either check."""
     from .homs import AlgebraHom
 
     n = _square_root(A.rank)
@@ -897,14 +896,12 @@ def is_azumaya(A):
     (Auslander-Goldman).  The rank is decided first (`square_rank_check`):
     a rank that is not a square fails with the witness {"rank": d} before
     any certificate, quotient or contraction.  A pass is then decided by a
-    certificate when it can be: a verified isomorphism A -> M_n(R) from
-    `splitting`, whose candidate for M_n(R) itself is the identity, so only
-    other forms of it can miss.  On a miss the fibers decide, each by its
-    enveloping map, which is bijective iff the fiber is central simple.
-    The first fiber that fails is reported with m and a witness: a
-    non-scalar central generator, else a kernel vector of the same
-    enveloping-map matrix.  No enveloping map is formed over a base that is
-    not a field.
+    verified isomorphism A -> M_n(R) from `splitting`; one exists whenever
+    A is Azumaya, so only the fixed draws of its search can miss it.  On a
+    miss the fibers decide, each by its enveloping map over the residue
+    field, which is bijective iff the fiber is central simple.  The first
+    fiber that fails is reported with m and a witness: a non-scalar central
+    generator, else a kernel vector of the same enveloping-map matrix.
     """
     from .rings import maximal_ideals
 
@@ -1006,17 +1003,17 @@ def nilpotency_index(x, cap=None):
     return e
 
 
-def _powers(A, X, e):
-    """Row-wise e-th powers (e >= 1) of the (T, dim) array X, by binary
-    powering: at most 2 log2(e) batched products."""
+def _powers(mul, X, e):
+    """The e-th power (e >= 1) of X under an associative product `mul`, of
+    rows or of matrices, by binary powering: at most 2 log2(e) products."""
     result, square = None, X
     while True:
         if e & 1:
-            result = square if result is None else A.mul_batch(result, square)
+            result = square if result is None else mul(result, square)
         e >>= 1
         if not e:
             return result
-        square = A.mul_batch(square, square)
+        square = mul(square, square)
 
 
 def nilpotency_indices(A, X, cap):
@@ -1027,7 +1024,7 @@ def nilpotency_indices(A, X, cap):
     the rows whose index is 0; the others walk one batched product per
     exponent, over the rows still undecided, and all end by e = cap."""
     index = np.zeros(len(X), dtype=np.int64)
-    rows = np.flatnonzero(~_powers(A, X, cap).any(axis=1))
+    rows = np.flatnonzero(~_powers(A.mul_batch, X, cap).any(axis=1))
     power = X[rows]
     for e in range(1, cap + 1):
         zero = ~power.any(axis=1)

@@ -61,11 +61,14 @@ for _p, _a, _b in WEYL:
 BUILDS.update({f"op({name})": (lambda make=make: opposite(make())) for name, make in list(BUILDS.items())})
 BUILDS.update(_tensors())
 
-# each of their generators is needed: over Z/N and products of prime
-# fields, and for W(p), its opposite and tensor products of those.  Over
-# GF(4) the rows t E_(i,i+1) are redundant (t E_12 = E_12 (t E_21) E_12),
-# and M_1's rows hold the unit's coordinates.
-NEEDED = [name for name in BUILDS if "GF(4)" not in name and "M_1(" not in name]
+# each of their generators is needed: over Z/N, GF(4) and products, for
+# W(p), opposites and the tensor products over prime fields.  M_1's rows
+# hold the unit's coordinates, and in M_2(GF(4)) (x) op(M_2(GF(4))) the
+# rows t E_11 (x) 1 and 1 (x) t E_11 give each other: t (x) 1 = 1 (x) t.
+NEEDED = [name for name in BUILDS if "M_1(" not in name and name != "M_2(GF(4))(x)op(M_2(GF(4)))"]
+# the rows b_s E_11 that M_n records beside E_(i,i+1) and E_(i+1,i), one
+# per coordinate generator other than 1
+SCALAR_ROWS = {"Z/2": 0, "Z/12": 0, "GF(4)": 1, "Z/2xZ/3": 2, "Z/4xGF(4)": 3}
 
 
 def _ring_span(A, rows):
@@ -93,17 +96,23 @@ def test_recorded_rows_generate_the_algebra(name):
 @pytest.mark.parametrize("name", NEEDED)
 def test_dropping_any_one_row_leaves_a_proper_subring(name):
     A = BUILDS[name]()
-    rows = A.generators
-    for t in range(len(rows)):
+    rows, needed = A.generators, len(A.generators)
+    if isinstance(A.base, ProductRing):
+        # the rows b_s E_11 sum to E_11 = E_12 E_21, so over a product base
+        # only the rows E_(i,i+1) and E_(i+1,i) are each needed
+        needed -= A.base.flatten_len
+    for t in range(needed):
         assert _ring_span(A, np.delete(rows, t, axis=0)).order < A.size, (name, t)
 
 
 def test_generator_counts():
-    for R in MATRIX_BASES.values():
+    for name, R in MATRIX_BASES.items():
         f = R.flatten_len
         assert len(matrix_algebra(R, 1, check=False).generators) == f  # the identity rows
         for n in (2, 5, 16 if R == ZMod(2) else 3):
-            assert matrix_algebra(R, n, check=False).generators.shape == (2 * (n - 1) * f, n * n * f)
+            shape = (2 * (n - 1) + SCALAR_ROWS[name], n * n * f)
+            assert matrix_algebra(R, n, check=False).generators.shape == shape
+    assert len(matrix_algebra(F4, 4, check=False).generators) == 7
     assert weyl_quotient(11, 0, 4, check=False).generators.shape == (2, 121)
     M = matrix_algebra(ZMod(2), 3, check=False)
     assert np.array_equal(opposite(M).generators, M.generators)

@@ -158,16 +158,17 @@ _SEARCHED = {
 @pytest.mark.parametrize("name", _SEARCHED)
 def test_splitting_phi_matches_the_dense_einsum(name, monkeypatch):
     """The kernel's phi equals the einsum on the same basis B and pivots P,
-    recorded from the search: P from the last kernel it takes, B from the
-    last multiplication matrices it forms."""
+    recorded from the search: P from the last Howell form it takes, L's
+    echelon rows, and B from the last multiplication matrices it forms."""
     make, p, k = _SEARCHED[name]
-    A, kernels, calls = make(), [], []
-    kernel_mod, mul_matrices = linalg.kernel_mod, Algebra.mul_matrices
-    monkeypatch.setattr(linalg, "kernel_mod", lambda M, p: kernels.append(kernel_mod(M, p)) or kernels[-1])
+    A, forms, calls = make(), [], []
+    howell, mul_matrices = linalg.howell, Algebra.mul_matrices
+    monkeypatch.setattr(linalg, "howell", lambda M, p: forms.append(howell(M, p)) or forms[-1])
     monkeypatch.setattr(Algebra, "mul_matrices", lambda A, X, side: calls.append(X) or mul_matrices(A, X, side))
     phi = algebras._local_splitting(A, p, k)
     assert phi is not None
-    P = (kernels[-1] != 0).argmax(axis=1)
+    assert len(forms[-1]) == math.isqrt(A.rank) * A.base.flatten_len  # A e, of F_p-dimension n f
+    P = (forms[-1] != 0).argmax(axis=1)
     assert np.array_equal(phi, splitting_phi_dense(A, calls[-1].T, P, p**k))
 
 

@@ -2,10 +2,11 @@
 decision and the explicit Weyl splitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from azumaya import algebras
@@ -22,7 +23,7 @@ from azumaya.algebras import (
 )
 from azumaya.homs import weyl_splitting
 from azumaya.linalg import is_bijective_additive, kernel_mod, rank_mod_p
-from azumaya.rings import BaseRingHom, GaloisField, ProductRing, ZMod, factorize
+from azumaya.rings import BaseRingHom, GaloisField, ProductRing, ZMod, crt_decompose, factorize
 from azumaya.suites import _split_quadratic_f2
 from ring_oracles import inverse_mod, r_linear, table_algebra, twisted
 from test_algebras import _m2_f2_by_f3_4
@@ -79,12 +80,31 @@ def _invertible_mod_every_prime(T, N):
     return all(rank_mod_p(T % p, p) == len(T) for p, _ in factorize(N))
 
 
+def _draw_invertible(data, R, d):
+    """A d x d matrix over R = Z/N or GF(q), invertible by construction, as
+    the flat R-linear map of `r_linear`: a diagonal of units times
+    elementary transvections I + c E_ij, i != j."""
+    f, N = R.flatten_len, R._N  # every coordinate is a residue mod N
+    elements = [x.coords for x in R.elements()]
+    units = [c for c in elements if R.element(c).is_unit()]
+    diagonal = np.zeros((d, d, f), dtype=np.int64)
+    diagonal[np.arange(d), np.arange(d)] = data.draw(st.lists(st.sampled_from(units), min_size=d, max_size=d))
+    T = r_linear(R, diagonal)
+    if d > 1:
+        steps = st.tuples(st.integers(0, d - 1), st.integers(0, d - 2), st.sampled_from(elements))
+        for i, j, c in data.draw(st.lists(steps, max_size=2 * d * d)):
+            step = np.zeros((d, d, f), dtype=np.int64)
+            step[np.arange(d), np.arange(d)] = R.unit_flat
+            step[i, j + (j >= i)] = c  # the j-th column other than column i
+            T = T.dot(r_linear(R, step)) % N
+    return T
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), n=st.integers(1, 3), N=st.sampled_from([2, 4, 8, 3, 9, 5, 6, 12]))
 def test_twisted_matrix_algebras_certify(data, n, N):
-    D = n * n
-    T = np.asarray(data.draw(st.lists(st.integers(0, N - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
-    assume(_invertible_mod_every_prime(T, N))
+    T = _draw_invertible(data, ZMod(N), n * n)
+    assert _invertible_mod_every_prime(T, N)
     A = twisted(matrix_algebra(ZMod(N), n, check=False), T)
     A._verify_axioms()
     _assert_certificate(A)
@@ -118,11 +138,7 @@ def _truncated_polynomials(R):
     make=st.sampled_from([_diagonal_power, _truncated_polynomials]),
 )
 def test_twisted_commutative_rank_4_never_certifies(data, R, make):
-    p, f = R.moduli[0], R.flatten_len
-    T = np.asarray(data.draw(st.lists(st.integers(0, p - 1), min_size=16 * f, max_size=16 * f)))
-    T = r_linear(R, T.reshape(4, 4, f))
-    assume(rank_mod_p(T, p) == 4 * f)
-    A = twisted(make(R), T)
+    A = twisted(make(R), _draw_invertible(data, R, 4))
     assert splitting(A) is None
     assert is_azumaya(A).status == "fail"
 
@@ -151,7 +167,7 @@ def test_report_equals_forced_env_map_decision(name, monkeypatch):
     assert got == is_azumaya(A).comparable_dict()
 
 
-@pytest.mark.parametrize("name", ["UT_2", "UT_4", "split quadratic", "F_2^4", "op(M_2(Z/2 x Z/3))"])
+@pytest.mark.parametrize("name", ["UT_2", "UT_4", "split quadratic", "F_2^4"])
 def test_misses(name):
     assert splitting(_FALLBACK_CASES[name]()) is None
 
@@ -161,21 +177,8 @@ def test_unhandled_bases_refused_before_any_draw(monkeypatch):
         raise AssertionError("drew")
 
     monkeypatch.setattr(algebras, "random_rows", no_draws)
-    # a rank that is not a square, and product bases (opposites of M_2(R),
-    # since M_2(R) itself takes the identity)
-    for name in ["UT_2", "op(M_2(Z/2 x Z/3))"]:
-        assert splitting(_FALLBACK_CASES[name]()) is None
-    assert splitting(opposite(matrix_algebra(ProductRing([ZMod(2), GaloisField.default(2, 2)]), 2, check=False))) is None
-    # residue fields above the search's cap: every eigenvalue cannot be tried
-    big = [
-        opposite(matrix_algebra(ZMod(algebras._SPLIT_MAX_P + 3), 2, check=False)),  # 67
-        opposite(matrix_algebra(GaloisField.default(2, 7), 2, check=False)),  # 128
-        opposite(matrix_algebra(GaloisField.default(11, 2), 2, check=False)),  # 121
-    ]
-    for A in big:
-        assert splitting(A) is None
-    monkeypatch.undo()
-    assert [is_azumaya(A).status for A in big] == ["pass"] * 3  # by the enveloping map
+    # a rank that is not a square
+    assert splitting(_FALLBACK_CASES["UT_2"]()) is None
 
 
 def _forbid_env_maps(monkeypatch):
@@ -198,11 +201,78 @@ _CERTIFIED_CASES = {
 }
 
 
+# forms of M_n(R) that the search certifies over every kind of base: residue
+# fields above 64 elements, Z/p^k with p > 64 and product bases, and a Weyl
+# quotient
+_SEARCHED_FORMS = {
+    "op(M_8(Z/67))": lambda: opposite(matrix_algebra(ZMod(67), 8, check=False)),
+    "op(M_2(Z/67^2))": lambda: opposite(matrix_algebra(ZMod(67**2), 2, check=False)),
+    "op(M_4(GF(128)))": lambda: opposite(matrix_algebra(GaloisField.default(2, 7), 4, check=False)),
+    "op(M_2(GF(121)))": lambda: opposite(matrix_algebra(GaloisField.default(11, 2), 2, check=False)),
+    # t^2 + 1 over p = 2^61 - 1, a field of about 2^122 elements
+    "op(M_2(GF((2^61 - 1)^2)))": lambda: opposite(matrix_algebra(GaloisField(2**61 - 1, [1, 0, 1]), 2, check=False)),
+    "op(M_8(Z/2 x Z/3))": lambda: opposite(matrix_algebra(ProductRing([ZMod(2), ZMod(3)]), 8, check=False)),
+    "op(M_2(Z/2 x GF(4)))": lambda: opposite(
+        matrix_algebra(ProductRing([ZMod(2), GaloisField.default(2, 2)]), 2, check=False)
+    ),
+    "W(7,5,0)": lambda: weyl_quotient(7, 5, 0, check=False),
+}
+_CERTIFIED_CASES.update(_SEARCHED_FORMS)
+
+
 @pytest.mark.parametrize("name", list(_CERTIFIED_CASES))
 def test_certified_pass_skips_the_env_map(name, monkeypatch):
     A = _CERTIFIED_CASES[name]()
     _forbid_env_maps(monkeypatch)
     assert is_azumaya(A).status == "pass"
+
+
+@pytest.mark.parametrize("name", list(_SEARCHED_FORMS))
+def test_searched_forms_match_the_fiber_loop(name, monkeypatch):
+    A = _SEARCHED_FORMS[name]()
+    got = is_azumaya(A).comparable_dict()
+    monkeypatch.setattr(algebras, "splitting", lambda A: None)
+    assert got == is_azumaya(A).comparable_dict()
+
+
+@pytest.mark.parametrize("name", ["op(M_8(Z/67))", "op(M_8(Z/2 x Z/3))"])
+def test_searched_forms_certify_within_32_mb(name):
+    # the fiber loop forms a 4,096 x 4,096 enveloping map per fiber here
+    tracemalloc.start()
+    try:
+        assert is_azumaya(_SEARCHED_FORMS[name]()).status == "pass"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+
+
+def _twisted_form(data, base, n):
+    """A twist of M_n over Z/N, GF(q) or Z/2 x Z/3, the last a twist over
+    Z/6 carried to Z/2 x Z/3 by the CRT."""
+    if base == "Z/2 x Z/3":
+        R, fwd = ZMod(6), crt_decompose(ZMod(6))[1]
+    else:
+        R, fwd = base, None
+    A = twisted(matrix_algebra(R, n, check=False), _draw_invertible(data, R, n * n))
+    return A if fwd is None else base_change(A, fwd)
+
+
+TWIST_BASES = [ZMod(4), ZMod(6), ZMod(9), GaloisField.default(2, 2), GaloisField.default(3, 2), "Z/2 x Z/3"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), base=st.sampled_from(TWIST_BASES))
+def test_twisted_forms_pass_without_env_maps(data, n, base):
+    A = _twisted_form(data, base, n)
+    A._verify_axioms()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _forbid_env_maps(monkeypatch)
+        got = is_azumaya(A).comparable_dict()
+    assert got["status"] == "pass"
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(algebras, "splitting", lambda A: None)
+        assert is_azumaya(A).comparable_dict() == got
 
 
 def _ut2_squared(R):
@@ -260,12 +330,8 @@ def test_gf_matrix_algebras_certify(p, k, n):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(), n=st.integers(1, 3), pk=st.sampled_from(GF_BASES[:5]))
 def test_twisted_gf_matrix_algebras_certify(data, n, pk):
-    p, k = pk
-    R, d = GaloisField.default(p, k), n * n
-    T = np.asarray(data.draw(st.lists(st.integers(0, p - 1), min_size=d * d * k, max_size=d * d * k)))
-    T = r_linear(R, T.reshape(d, d, k))
-    assume(rank_mod_p(T, p) == d * k)
-    A = twisted(matrix_algebra(R, n, check=False), T)
+    R = GaloisField.default(*pk)
+    A = twisted(matrix_algebra(R, n, check=False), _draw_invertible(data, R, n * n))
     A._verify_axioms()
     hom = splitting(A)
     assert hom is not None and hom.is_verified and hom.is_bijective()
@@ -303,10 +369,7 @@ def test_non_square_rank_fails_before_any_env_map(name, monkeypatch):
 @given(data=st.data(), n=st.integers(2, 4), N=st.sampled_from([2, 3, 4, 9, 6, 12]))
 def test_twisted_non_square_rank_fails_before_any_env_map(data, n, N):
     A = upper_triangular_algebra(ZMod(N), n)
-    D = A.dim
-    T = np.asarray(data.draw(st.lists(st.integers(0, N - 1), min_size=D * D, max_size=D * D))).reshape(D, D)
-    assume(_invertible_mod_every_prime(T, N))
-    A = twisted(A, T)
+    A = twisted(A, _draw_invertible(data, ZMod(N), A.dim))
     A._verify_axioms()
     with pytest.MonkeyPatch.context() as monkeypatch:
         _forbid_env_maps(monkeypatch)

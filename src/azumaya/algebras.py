@@ -6,22 +6,22 @@ nonzero entries of its integer structure tensor plus the flat unit
 length f) with a modulus per coordinate; the product is Z-bilinear on them.
 Element products go through one sparse kernel over the nonzero entries
 (`Algebra.mul_batch`) and multiplication matrices through one scatter
-(`Algebra.mul_matrices`), so centers, commutants and the enveloping map are
-kernel / bijectivity computations over the coordinate moduli.  The
-tensor's contractions with itself are one sparse join (`linalg.sparse_join`):
-the associativity check, (e_a e_b) e_c against e_a (e_b e_c), and the
-enveloping map's triple products (eps_a e_t) e_j; the hom check reads the
-same entries (`rings.hom_refutation`).  An algebra also carries the rows
-that generate it as a ring (`Algebra.generators`): 2(n - 1) plus one per
-coordinate generator other than 1 for M_n(R), x and y for a Weyl quotient,
-its factors' for a tensor product or an opposite, and the D identity rows
-otherwise.  The hom check and `center`
-run on them, |S| D products and an |S| D x D commutator matrix rather
-than D^2 and D^2 x D.  Searches over elements or tuples
-take their candidates from `candidate_batches` (product order, or seeded
-rows named by index, each a counter-based hash of the seed and its entries'
-positions, `random_rows`) and stop at the first hit through `first_hit`,
-in batches sized by the one rule `search_rows`.
+(`Algebra.mul_matrices`), so centers, commutants, radicals and the
+enveloping map are kernel / bijectivity computations over the coordinate
+moduli.  The tensor's contractions with itself are one sparse join
+(`linalg.sparse_join`): the associativity check, (e_a e_b) e_c against
+e_a (e_b e_c), and the enveloping map's triple products (eps_a e_t) e_j;
+the hom check reads the same entries (`rings.hom_refutation`).  An algebra
+also carries the rows that generate it as a ring (`Algebra.generators`):
+2(n - 1) + f - 1 for M_n(R), x and y for a Weyl quotient, its factors'
+for a tensor product or an opposite, their images and b_s 1 for a base
+change, and the D identity rows otherwise.  The hom check and `center` run
+on them, |S| D products and an |S| D x D commutator matrix rather than D^2
+and D^2 x D.  Searches over elements or tuples take their candidates from
+`candidate_batches` (product order, or seeded rows named by index, each a
+counter-based hash of the seed and its entries' positions, `random_rows`)
+and stop at the first hit through `first_hit`, in batches sized by the one
+rule `search_rows`.
 
 Every constructor emits the nonzero structure constants as entries, and no
 dense table is formed: matrix and upper-triangular algebras E_ij E_jl = E_il,
@@ -37,9 +37,9 @@ takes an isomorphism A -> M_n(R), the identity when A is M_n(R) in
 matrix-unit coordinates, otherwise one searched inside A over any finite
 base (idempotents of A/pA split by Berlekamp and Cantor-Zassenhaus, lifted
 and joined by the CRT), verified by the one hom check and the one
-bijectivity check.  On a miss the fibers decide: A is Azumaya iff the
-enveloping map of A (x) R/m is bijective for every maximal ideal m, and
-the first fiber that fails gives the verdict and its witness.
+bijectivity check.  On a miss each fiber A (x) R/m is decided by its
+center, then its radical (Cohen-Ivanyos-Wales, `_radical`): D-vectors, and
+no enveloping map.
 """
 
 from __future__ import annotations
@@ -216,13 +216,6 @@ class Algebra:
 
     def element(self, flat):
         return AlgElem(self, flat)
-
-    def basis_flat(self, i):
-        """Flat vector of e_i."""
-        v = np.zeros(self.dim, dtype=np.int64)
-        f = self.base.flatten_len
-        v[i * f : (i + 1) * f] = self.base.one().coords
-        return v
 
     # -- multiplication
 
@@ -506,12 +499,18 @@ def _ring_entries(A):
     return np.unravel_index(keys, (d,) * 3), (values % A.base._moduli_arr).astype(np.int64)
 
 
+def _scalar_generators(ring):
+    """The b_s a generating set names beside 1: all but the first with
+    coefficient 1 in 1, which is 1 less the others' multiples."""
+    first = ring.unit_flat.tolist().index(1)
+    return [s for s in range(ring.flatten_len) if s != first]
+
+
 def matrix_algebra(ring, n, check=True):
     """The algebra of n x n matrices, basis E_ij ordered row-major.
 
     For n >= 2 it records the generators E_(i,i+1) and E_(i+1,i), and
-    b_s E_11 for each coordinate generator b_s other than 1: 2(n - 1) rows
-    over Z/N, 2(n - 1) + f - 1 over GF(q) and 2(n - 1) + f over a product.
+    b_s E_11 for the b_s of `_scalar_generators`: 2(n - 1) + f - 1 rows.
     They generate it as a ring: products of the first give every E_ij, and
     b_s E_ij = E_i1 (b_s E_11) E_1j."""
     if n < 1:
@@ -519,11 +518,10 @@ def matrix_algebra(ring, n, check=True):
     i, j, l = np.unravel_index(np.arange(n**3), (n,) * 3)
     entries = flat_entries(ring, (i * n + j, j * n + l, i * n + l), ring.unit_flat)  # E_ij E_jl = E_il
     unit = np.outer(np.eye(n, dtype=np.int64), ring.unit_flat).ravel()
-    f, one = ring.flatten_len, ring.unit_flat.tolist()
-    # E_(i,i+1) and E_(i+1,i), then b_s E_11 for the b_s other than 1
+    # E_(i,i+1) and E_(i+1,i), then b_s E_11
     blocks = [e for i in range(n - 1) for e in (i * n + i + 1, (i + 1) * n + i)]
-    scalars = [s for s in range(f) if one != [int(t == s) for t in range(f)]]
-    rows = np.zeros((len(blocks) + len(scalars), n * n, f), dtype=np.int64)
+    scalars = _scalar_generators(ring)
+    rows = np.zeros((len(blocks) + len(scalars), n * n, ring.flatten_len), dtype=np.int64)
     rows[np.arange(len(blocks)), blocks] = ring.unit_flat
     rows[len(blocks) + np.arange(len(scalars)), 0, scalars] = 1
     generators = rows.reshape(len(rows), -1) if n > 1 else None
@@ -630,16 +628,24 @@ def tensor_product(A, B):
 
 
 def base_change(A, hom):
-    """Push the structure constants through a verified base-ring hom."""
+    """Push the structure constants through a verified base-ring hom.  The
+    images of A's recorded generators, and b_s 1 for the target's
+    `_scalar_generators`, generate the result: the images over the image of
+    A's base, the b_s with 1 every scalar."""
     if not isinstance(hom, BaseRingHom):
         raise AlgebraError("base_change expects a BaseRingHom")
     if hom.source != A.base:
         raise BaseMismatch("hom source does not match the algebra base")
-    H, moduli = hom.matrix, np.asarray(hom.target.moduli, dtype=np.int64)
+    H, R, N = hom.matrix, hom.target, hom._N
     index, values = _ring_entries(A)
-    values = linalg.einsum_mod("ns,ts->nt", values, H, moduli=moduli, N=hom._N)
-    unit = linalg.einsum_mod("is,ts->it", A.unit_flat.reshape(A.rank, -1), H, moduli=moduli, N=hom._N)
-    return Algebra(hom.target, flat_entries(hom.target, index, values), unit.reshape(-1), label=A.label, check=False)
+    values = linalg.einsum_mod("ns,ts->nt", values, H, moduli=R._moduli_arr, N=N)
+    rows = np.concatenate([A.unit_flat[None], A.generators]).reshape(-1, A.rank, A.base.flatten_len)
+    rows = linalg.einsum_mod("ris,ts->rit", rows, H, moduli=R._moduli_arr, N=N)
+    generators = None
+    if A._generators is not None:  # the images, then b_s 1
+        scalars = linalg.einsum_mod("iv,svu->siu", rows[0], R.struct, moduli=R._moduli_arr, N=N)
+        generators = np.concatenate([rows[1:], scalars[_scalar_generators(R)]]).reshape(-1, A.rank * R.flatten_len)
+    return Algebra(R, flat_entries(R, index, values), rows[0].ravel(), label=A.label, check=False, generators=generators)
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +772,8 @@ def _primitive_idempotent(A, p, n):
             return matmul(matmul(Y, S).reshape(-1, r, r), Z[:, :, None])[:, :, 0]
 
         eye = np.eye(r, dtype=np.int64)
-        Qp = _powers(mul, eye, p)  # y^p = y Qp: row a of Qp is V_a^p
-        fixed = linalg.kernel_mod((_powers(matmul, Qp, f) - eye).T % p, p)
+        Qp = linalg.power(mul, eye, p)  # y^p = y Qp: row a of Qp is V_a^p
+        fixed = linalg.kernel_mod((linalg.power(matmul, Qp, f) - eye).T % p, p)
         if len(fixed) <= f:
             continue  # F[x] is local
         Z = matmul(random_rows(_SPLIT_SEED + 1, (p,) * len(fixed), row * _SPLIT_DRAWS, (row + 1) * _SPLIT_DRAWS), fixed)
@@ -776,7 +782,7 @@ def _primitive_idempotent(A, p, n):
             for _ in range(f - 1):
                 T = (Z + matmul(T, Qp)) % 2
         else:
-            W = _powers(mul, Z, (p**f - 1) // 2)
+            W = linalg.power(mul, Z, (p**f - 1) // 2)
             T = linalg.einsum_mod("ts,->ts", mul(W, W) + W, np.asarray((p + 1) // 2), moduli=p, N=2 * p)
         split = np.flatnonzero(T.any(axis=1) & (T != e[P]).any(axis=1))
         if not split.size:
@@ -888,6 +894,25 @@ def splitting(A):
     return hom if hom.is_verified and hom.is_bijective() else None
 
 
+def _radical(A):
+    """J(A), for A over a field of characteristic p (read off the moduli), as
+    Howell rows over F_p, by Cohen, Ivanyos and Wales (JPAA 117/118, 1997):
+    with L~_x the left multiplication by x lifted to [0, p) and
+    g_i(x) = tr(L~_x^(p^i)) / p^i mod p, I_-1 = A and
+    I_i = {x in I_(i-1) : g_i(x e_b) = 0 for every b} are ideals, g_i is
+    linear on I_(i-1), and I_i = J(A) for the last i with p^i <= D.  Each
+    step takes g_i on the reduced echelon rows v_a of I_(i-1), at pivots P,
+    and g_i(v_k e_b) = sum_a (v_k e_b)[P_a] g_i(v_a)."""
+    p, V, i = A.moduli[0], np.eye(A.dim, dtype=np.int64), 0
+    while len(V) and p**i <= A.dim:
+        q, L = p ** (i + 1), A.mul_matrices(V, "left")  # [k, c, b]: (v_k e_b)_c
+        powered = linalg.power(partial(linalg.matmul_mod, moduli=q, N=q), L, p**i)
+        g = linalg.einsum_mod("kaa->k", powered, moduli=q, N=q) // p**i  # p^i divides the trace on I_(i-1)
+        G = linalg.einsum_mod("kab,a->bk", L[:, (V != 0).argmax(axis=1)], g, moduli=p, N=p)
+        V, i = linalg.howell(linalg.matmul_mod(linalg.kernel_mod(G, p), V, moduli=p, N=p), p), i + 1
+    return V
+
+
 def is_azumaya(A):
     """Decide whether A is Azumaya over its base ring R.
 
@@ -898,10 +923,11 @@ def is_azumaya(A):
     any certificate, quotient or contraction.  A pass is then decided by a
     verified isomorphism A -> M_n(R) from `splitting`; one exists whenever
     A is Azumaya, so only the fixed draws of its search can miss it.  On a
-    miss the fibers decide, each by its enveloping map over the residue
-    field, which is bijective iff the fiber is central simple.  The first
-    fiber that fails is reported with m and a witness: a non-scalar central
-    generator, else a kernel vector of the same enveloping-map matrix.
+    miss the fibers decide, each over its residue field: A (x) R/m is
+    central simple iff its center is the scalars and its radical is zero
+    (`_radical`).  The first fiber that fails is reported with m and a
+    witness: a non-scalar central generator, else the first row of the
+    radical and its dimension over F_p.  No enveloping map is formed.
     """
     from .rings import maximal_ideals
 
@@ -913,15 +939,14 @@ def is_azumaya(A):
         return CheckReport(check="is_azumaya", status="pass", preconditions=preconditions)
     for m in maximal_ideals(A.base):
         Am, _ = quotient_algebra(A, m)
-        env = env_map_flat(Am)
-        if linalg.is_bijective_additive(*env):
-            continue
         us = Am.unit_span()
         nonscalar = next((g for g in center(Am).generators() if not us.contains(g)), None)
         if nonscalar is not None:
             witness = {"nonscalar_central_element": nonscalar.tolist()}
-        else:  # the map is square with equal moduli, so its kernel is nonzero
-            witness = {"env_kernel_vector": linalg.kernel_additive(*env).generators()[0].tolist()}
+        elif len(J := _radical(Am)):
+            witness = {"radical_element": J[0].tolist(), "radical_dimension": len(J)}
+        else:
+            continue
         witness = {"maximal_ideal": repr(m.data), **witness}
         return CheckReport(check="is_azumaya", status="fail", witness=witness, preconditions=preconditions)
     return CheckReport(check="is_azumaya", status="pass", preconditions=preconditions)
@@ -1003,19 +1028,6 @@ def nilpotency_index(x, cap=None):
     return e
 
 
-def _powers(mul, X, e):
-    """The e-th power (e >= 1) of X under an associative product `mul`, of
-    rows or of matrices, by binary powering: at most 2 log2(e) products."""
-    result, square = None, X
-    while True:
-        if e & 1:
-            result = square if result is None else mul(result, square)
-        e >>= 1
-        if not e:
-            return result
-        square = mul(square, square)
-
-
 def nilpotency_indices(A, X, cap):
     """For each row x of the (T, dim) array X, the least e <= cap with
     x^e = 0, or 0 when there is none; cap >= 1.
@@ -1024,7 +1036,7 @@ def nilpotency_indices(A, X, cap):
     the rows whose index is 0; the others walk one batched product per
     exponent, over the rows still undecided, and all end by e = cap."""
     index = np.zeros(len(X), dtype=np.int64)
-    rows = np.flatnonzero(~_powers(A.mul_batch, X, cap).any(axis=1))
+    rows = np.flatnonzero(~linalg.power(A.mul_batch, X, cap).any(axis=1))
     power = X[rows]
     for e in range(1, cap + 1):
         zero = ~power.any(axis=1)

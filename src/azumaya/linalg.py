@@ -150,6 +150,19 @@ def sparse_join(link, ptr, lo, hi, budget):
         start = stop
 
 
+def power(mul, X, e):
+    """The e-th power (e >= 1) of X under an associative product `mul`, of
+    rows or of matrices, by binary powering: at most 2 log2(e) products."""
+    result, square = None, X
+    while True:
+        if e & 1:
+            result = square if result is None else mul(result, square)
+        e >>= 1
+        if not e:
+            return result
+        square = mul(square, square)
+
+
 def _residues(mat, N):
     """A new C-ordered array of the residues of the 2d `mat` mod N."""
     A = np.remainder(np.asarray(mat, dtype=_dtype(N)), N, order="C")

@@ -209,16 +209,6 @@ class FiniteCommRing:
     def one(self):
         return RingElem(self, self.unit_flat)
 
-    def basis_elem(self, s):
-        """s-th additive coordinate generator (e.g. t^s for a Galois field)."""
-        coords = [0] * self.flatten_len
-        coords[s] = 1
-        return RingElem(self, tuple(coords))
-
-    def elements(self):
-        for coords in itertools.product(*(range(m) for m in self.moduli)):
-            yield RingElem(self, coords)
-
     def mul_batch(self, X, Y):
         """Row-wise products of two (T, f) arrays of coordinate residues."""
         return linalg.einsum_mod("ts,tu,suv->tv", X, Y, self.struct, moduli=self._moduli_arr, N=self._N)
@@ -310,22 +300,16 @@ def _reducible(p, f, struct):
     why not, by Berlekamp's criterion on its regular tensor `struct`.
 
     Q, the matrix of the Frobenius x -> x^p of F_p[t]/(f), has column i the
-    coordinates of (t^i)^p, all k found at once by binary powering.  The
-    ring is reduced (f squarefree) iff no nonzero x has x^p = 0, that is iff
-    rank Q = k.  A reduced ring is a product of r fields, one per
-    irreducible factor of f, and the fixed points of the Frobenius are then
-    F_p^r: rank(Q - I) = k - r.  So f is irreducible iff rank Q = k and
-    rank(Q - I) = k - 1: two ranks of a k x k matrix, whatever the size of
-    p."""
+    coordinates of (t^i)^p, all k found at once by binary powering of the
+    rows t^i (`linalg.power`).  The ring is reduced (f squarefree) iff no
+    nonzero x has x^p = 0, that is iff rank Q = k.  A reduced ring is a
+    product of r fields, one per irreducible factor of f, and the fixed
+    points of the Frobenius are then F_p^r: rank(Q - I) = k - r.  So f is
+    irreducible iff rank Q = k and rank(Q - I) = k - 1: two ranks of a
+    k x k matrix, whatever the size of p."""
     k = len(f) - 1
     basis = np.eye(k, dtype=np.int64)
-    Q = np.zeros((k, k), dtype=np.int64)
-    Q[:, 0] = 1
-    for bit in bin(p)[2:]:
-        Q = linalg.einsum_mod("ts,tu,suv->tv", Q, Q, struct, moduli=p, N=p)
-        if bit == "1":
-            Q = linalg.einsum_mod("ts,tu,suv->tv", Q, basis, struct, moduli=p, N=p)
-    Q = Q.T
+    Q = linalg.power(lambda X, Y: linalg.einsum_mod("ts,tu,suv->tv", X, Y, struct, moduli=p, N=p), basis, p).T
     if linalg.rank_mod_p(Q, p) < k:
         return f"{list(f)} has a repeated factor mod {p}"
     factors = k - linalg.rank_mod_p(Q - basis, p)
@@ -657,19 +641,6 @@ class BaseRingHom:
         if refutation is not None:
             raise InvalidBaseHom(_REFUTED[refutation["condition"]].format(*refutation.get("pair", ())))
         return self
-
-    @classmethod
-    def identity(cls, ring):
-        return cls(ring, ring, np.eye(ring.flatten_len, dtype=np.int64))
-
-    def compose(self, inner):
-        """self after inner."""
-        if inner.target != self.source:
-            raise InvalidBaseHom("homs are not composable")
-        N = max(self._N, inner._N)
-        moduli = self.target._moduli_arr[:, None]
-        matrix = linalg.einsum_mod("ij,jk->ik", self.matrix, inner.matrix, moduli=moduli, N=N)
-        return BaseRingHom(inner.source, self.target, matrix)
 
 
 # ---------------------------------------------------------------------------

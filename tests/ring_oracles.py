@@ -67,7 +67,13 @@ structure constants and ring-entry matrices -- as independent references:
 - `structure_tensor_einsum` and `embed_remainder` are the bodies
   `structure_tensor_dense` and `linalg._embed` had before their fast
   paths: two einsums, and a remainder and a scaling pass on every input;
-- `identity_hom` and `solve_mod` are helpers only tests use.
+- `fiber_loop` decides `is_azumaya` by the enveloping map of every fiber,
+  as the library did when its certificate missed, before it decided a fiber
+  by its center and its radical; `ideal_closure`, `is_nilpotent_ideal` and
+  `trace_form_radical` are references for that radical: the ideal rows
+  generate, whether it is nilpotent, and Dickson's trace-form radical;
+- `identity_hom`, `solve_mod`, `unit_basis`, `basis_elem` and
+  `ring_elements` are helpers only tests use.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ import math
 import numpy as np
 
 from azumaya import linalg, rings
-from azumaya.algebras import AlgebraError, AlgElem, Algebra, _normal_order, center
+from azumaya.algebras import AlgebraError, AlgElem, Algebra, _normal_order, center, env_map_flat, quotient_algebra
 from azumaya.homs import UNVERIFIED, AlgebraHom, _azumaya_preconditions
 from azumaya.linalg import LinalgError, howell
 from azumaya.reports import CONTRADICTS, FAIL, PASS, CheckReport
@@ -203,7 +209,7 @@ def flatten_table(base, table, unit):
     d, f = len(table), base.flatten_len
     D = d * f
     S = np.zeros((D, D, D), dtype=np.int64)
-    basis = [base.basis_elem(s) for s in range(f)]
+    basis = [basis_elem(base, s) for s in range(f)]
     for i in range(d):
         for j in range(d):
             cij = table[i][j]
@@ -241,12 +247,12 @@ def env_map(A):
     base = A.base
     cols = []
     for i in range(d):
-        ei = A.basis_flat(i)
+        ei = unit_basis(A, i)
         for j in range(d):
-            ej = A.basis_flat(j)
+            ej = unit_basis(A, j)
             col = []
             for t in range(d):
-                v = A.mul_flat(A.mul_flat(ei, A.basis_flat(t)), ej)
+                v = A.mul_flat(A.mul_flat(ei, unit_basis(A, t)), ej)
                 col.append(ring_coords(A, v))
             # entry at row (u, t) is col[t][u]
             cols.append([col[t][u] for u in range(d) for t in range(d)])
@@ -318,6 +324,14 @@ def inverse_mod(T, N):
 # submodules and center preservation, one generator at a time
 
 
+def unit_basis(A, i):
+    """Flat vector of e_i = 1 e_i."""
+    v = np.zeros(A.dim, dtype=np.int64)
+    f = A.base.flatten_len
+    v[i * f : (i + 1) * f] = A.base.unit_flat
+    return v
+
+
 def basis_flat(A, i, s):
     """Flat vector of b_s e_i, the s-th ring coordinate generator times e_i."""
     v = np.zeros(A.dim, dtype=np.int64)
@@ -335,7 +349,7 @@ def scalar_mul_flat(A, r, x):
 
 def scalars_flat_loop(A):
     """Rows b_s * 1 for the base ring's coordinate generators b_s."""
-    gens = (A.base.basis_elem(s) for s in range(A.base.flatten_len))
+    gens = (basis_elem(A.base, s) for s in range(A.base.flatten_len))
     return np.asarray([scalar_mul_flat(A, b, A.unit_flat) for b in gens])
 
 
@@ -414,7 +428,7 @@ def env_map_flat_dense(A):
     (eps_a e_t)_m and (eps_a e_t) e_j = sum_k B[a, t, k] B[k, j, :], then
     one transpose into the flattened layout."""
     d, f, D = A.rank, A.base.flatten_len, A.dim
-    E = np.asarray([A.basis_flat(t) for t in range(d)], dtype=np.int64)
+    E = np.asarray([unit_basis(A, t) for t in range(d)], dtype=np.int64)
     B = linalg.einsum_mod("tj,ajk->atk", E, A.struct, moduli=A._moduli_arr, N=A._N)
     C = linalg.einsum_mod("atk,kjm->atjm", B, B, moduli=A._moduli_arr, N=A._N)
     # C axes: (alpha=(i,s), t, j, m=(u,s')) -> rows (u,t,s'), cols (i,j,s)
@@ -503,6 +517,62 @@ def splitting_phi_dense(A, B, P, q):
     return phi.reshape(n, f, n, D).transpose(0, 2, 1, 3).reshape(n * n * f, D)
 
 
+# ---------------------------------------------------------------------------
+# fibers and radicals
+
+
+def fiber_loop(A):
+    """`is_azumaya`'s status and the repr of its first failing maximal ideal
+    (None on a pass or a rank that is not a square), by the enveloping map
+    of every fiber over its residue field, bijective iff the fiber is
+    central simple: the route `is_azumaya` took on a certificate's miss
+    before it decided each fiber by its center and its radical."""
+    if math.isqrt(A.rank) ** 2 != A.rank:
+        return "fail", None
+    for m in rings.maximal_ideals(A.base):
+        if not linalg.is_bijective_additive(*env_map_flat(quotient_algebra(A, m)[0])):
+            return "fail", repr(m.data)
+    return "pass", None
+
+
+def ideal_closure(A, rows):
+    """The two-sided ideal the rows generate, as a `linalg.Subgroup`: their
+    span grown by every product with a flat coordinate generator, on either
+    side, until a round adds nothing."""
+    E, span = np.eye(A.dim, dtype=np.int64), linalg.Subgroup(rows, A.moduli)
+    while True:
+        G = span.generators()
+        X, Y = np.repeat(E, len(G), axis=0), np.tile(G, (A.dim, 1))
+        grown = linalg.Subgroup(np.vstack([G, A.mul_batch(X, Y), A.mul_batch(Y, X)]), A.moduli)
+        if grown == span:
+            return span
+        span = grown
+
+
+def is_nilpotent_ideal(A, ideal):
+    """Whether the products of D + 1 elements of the ideal (a Subgroup) all
+    vanish, by D rounds of products of the last power's generators with
+    the ideal's."""
+    G = power = ideal.generators()
+    for _ in range(A.dim):
+        if not power.any():
+            return True
+        X, Y = np.repeat(power, len(G), axis=0), np.tile(G, (len(power), 1))
+        power = linalg.Subgroup(A.mul_batch(X, Y), A.moduli).generators()
+    return not power.any()
+
+
+def trace_form_radical(A):
+    """The kernel of the trace form (x, y) -> tr(L_xy) of an algebra over a
+    field of characteristic p, as a Subgroup: the radical when p > D
+    (Dickson), from the dense left multiplications of every e_a e_b."""
+    D, p = A.dim, A.moduli[0]
+    E = np.eye(D, dtype=np.int64)
+    products = A.mul_batch(np.repeat(E, D, axis=0), np.tile(E, (D, 1)))
+    T = np.asarray([np.trace(left_mul_matrix_dense(A, x)) for x in products]).reshape(D, D) % p
+    return linalg.Subgroup(linalg.kernel_mod(T, p), A.moduli)
+
+
 def check_well_defined_spread(H, src_moduli, tgt_moduli):
     """Whether N_j H[i][j] = 0 mod M_i for every entry, from a full matrix
     of steps M_i / gcd(N_j, M_i)."""
@@ -541,6 +611,16 @@ def irreducible_trial(p, f):
         for deg in range(2, k // 2 + 1)
         for tail in itertools.product(range(p), repeat=deg)
     )
+
+
+def basis_elem(R, s):
+    """The s-th additive coordinate generator of R (t^s for a Galois field)."""
+    return R.element([int(t == s) for t in range(R.flatten_len)])
+
+
+def ring_elements(R):
+    """Every element of a small ring R, in coordinate order."""
+    return [R.element(coords) for coords in element_coords(R)]
 
 
 def identity_hom(A):

@@ -37,10 +37,14 @@ from ring_oracles import (
     entries,
     env_map,
     expand_ideal_loop,
+    fiber_loop,
+    ideal_closure,
+    is_nilpotent_ideal,
     ring_table_dense,
     scalars_flat_loop,
     table_algebra,
     twisted,
+    unit_basis,
 )
 
 
@@ -50,7 +54,7 @@ from ring_oracles import (
 
 def test_matrix_algebra_products():
     A = matrix_algebra(ZMod(5), 2)
-    E11, E12, E21 = A.basis_flat(0), A.basis_flat(1), A.basis_flat(2)
+    E11, E12, E21 = unit_basis(A, 0), unit_basis(A, 1), unit_basis(A, 2)
     assert A.mul_flat(E11, E12).tolist() == E12.tolist()
     assert A.mul_flat(E12, E11).tolist() == [0, 0, 0, 0]
     assert A.mul_flat(E12, E21).tolist() == E11.tolist()
@@ -104,8 +108,8 @@ def test_associativity_check_names_the_first_failing_triple(data):
 
 def test_weyl_relations():
     W = weyl_quotient(2, 0, 0)
-    x = W.basis_flat(2)  # x^1 y^0 at index 1*2+0
-    y = W.basis_flat(1)  # x^0 y^1
+    x = unit_basis(W, 2)  # x^1 y^0 at index 1*2+0
+    y = unit_basis(W, 1)  # x^0 y^1
     xy = W.mul_flat(x, y)
     yx = W.mul_flat(y, x)
     one = W.unit_flat
@@ -117,8 +121,8 @@ def test_weyl_relations():
 
 def test_weyl_powers_fold_to_scalars():
     W = weyl_quotient(3, 1, 2)
-    x = W.basis_flat(3)
-    y = W.basis_flat(1)
+    x = unit_basis(W, 3)
+    y = unit_basis(W, 1)
     x3 = W.mul_flat(W.mul_flat(x, x), x)
     y3 = W.mul_flat(W.mul_flat(y, y), y)
     assert x3.tolist() == (1 * W.unit_flat % 3).tolist()
@@ -130,8 +134,8 @@ def test_weyl_commutation_closed_form():
     p = 5
     W = weyl_quotient(p, 0, 0)
     for b, c in [(1, 1), (2, 1), (2, 2), (3, 2), (4, 4)]:
-        yb = W.basis_flat(b)  # x^0 y^b
-        xc = W.basis_flat(c * p)  # x^c y^0
+        yb = unit_basis(W, b)  # x^0 y^b
+        xc = unit_basis(W, c * p)  # x^c y^0
         got = W.mul_flat(yb, xc)
         expect = np.zeros(W.dim, dtype=np.int64)
         for k in range(min(b, c) + 1):
@@ -143,7 +147,7 @@ def test_weyl_commutation_closed_form():
 def test_opposite_reverses_products():
     A = matrix_algebra(ZMod(3), 2)
     Aop = opposite(A)
-    x, y = A.basis_flat(1), A.basis_flat(2)
+    x, y = unit_basis(A, 1), unit_basis(A, 2)
     assert Aop.mul_flat(x, y).tolist() == A.mul_flat(y, x).tolist()
 
 
@@ -151,11 +155,11 @@ def test_elements_of_equal_algebras_combine():
     # two distinct Algebra objects with the same structure are equal
     A, B = matrix_algebra(ZMod(3), 2), matrix_algebra(ZMod(3), 2)
     assert A is not B and A == B and B == A
-    x, y = A.element(A.basis_flat(1)), B.element(B.basis_flat(2))
-    assert (x * y).flat.tolist() == A.basis_flat(0).tolist()
-    assert (y * x).flat.tolist() == A.basis_flat(3).tolist()
+    x, y = A.element(unit_basis(A, 1)), B.element(unit_basis(B, 2))
+    assert (x * y).flat.tolist() == unit_basis(A, 0).tolist()
+    assert (y * x).flat.tolist() == unit_basis(A, 3).tolist()
     assert (x + y).flat.tolist() == [0, 1, 1, 0]
-    assert x == A.element(B.basis_flat(1))
+    assert x == A.element(unit_basis(B, 1))
 
 
 def test_element_sums_past_int64():
@@ -184,17 +188,17 @@ def test_tensor_product_rank_and_unit():
     A = matrix_algebra(ZMod(2), 2)
     T = tensor_product(A, A)
     assert T.rank == 16
-    assert T.mul_flat(T.unit_flat, T.basis_flat(5)).tolist() == T.basis_flat(5).tolist()
+    assert T.mul_flat(T.unit_flat, unit_basis(T, 5)).tolist() == unit_basis(T, 5).tolist()
 
 
 def test_tensor_product_componentwise():
     A = matrix_algebra(ZMod(3), 2)
     T = tensor_product(A, A)
     # (e_i (x) f_j)(e_k (x) f_l) = e_i e_k (x) f_j f_l on a sample
-    x = T.basis_flat(0 * 4 + 1)  # E11 (x) E12
-    y = T.basis_flat(0 * 4 + 2)  # E11 (x) E21
+    x = unit_basis(T, 0 * 4 + 1)  # E11 (x) E12
+    y = unit_basis(T, 0 * 4 + 2)  # E11 (x) E21
     got = T.mul_flat(x, y)
-    assert got.tolist() == T.basis_flat(0 * 4 + 0).tolist()  # E11 (x) E11
+    assert got.tolist() == unit_basis(T, 0 * 4 + 0).tolist()  # E11 (x) E11
 
 
 def test_base_change_preserves_relations():
@@ -204,8 +208,8 @@ def test_base_change_preserves_relations():
     proj = BaseRingHom(ZMod(4), ZMod(2), [[1]])
     B = base_change(A, proj)
     assert B.base.size == 2
-    x, y = B.basis_flat(1), B.basis_flat(2)
-    assert B.mul_flat(x, y).tolist() == B.basis_flat(0).tolist()
+    x, y = unit_basis(B, 1), unit_basis(B, 2)
+    assert B.mul_flat(x, y).tolist() == unit_basis(B, 0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +261,7 @@ def test_upper_triangular_central_but_env_degenerate():
 
 def test_commutant_of_whole_algebra_is_center():
     A = matrix_algebra(ZMod(4), 2)
-    gens = np.asarray([A.basis_flat(i) for i in range(4)])
+    gens = np.asarray([unit_basis(A, i) for i in range(4)])
     C = commutant(A, gens)
     assert C == center(A)
 
@@ -499,7 +503,7 @@ _AZUMAYA_CASES = (
         ("UT2(Z/2 x Z/3)", lambda: upper_triangular_algebra(ProductRing([ZMod(2), ZMod(3)]), 2)),
         ("UT3(Z/4)", lambda: upper_triangular_algebra(ZMod(4), 3)),
         ("M2(Z/2)(x)UT2(Z/2)", lambda: tensor_product(matrix_algebra(ZMod(2), 2), upper_triangular_algebra(ZMod(2), 2))),
-        # of square rank with a scalar center: an env-map kernel vector explains it
+        # of square rank with a scalar center: a radical element explains it
         ("UT2(Z/2)(x)UT2(Z/2)", lambda: tensor_product(*[upper_triangular_algebra(ZMod(2), 2)] * 2)),
         # fails at the prime 2 only: first of Z/6's fibers, second of Z/3 x Z/2's
         ("H(Z/6)", lambda: _quaternions(ZMod(6))),
@@ -536,22 +540,40 @@ def test_is_azumaya_matches_residue_field_loop(make):
         x = np.asarray(rep.witness["nonscalar_central_element"])
         assert center(Am).contains(x) and not Am.unit_span().contains(x)
     else:
-        v = np.asarray(rep.witness["env_kernel_vector"])
-        F, src, _ = env_map_flat(Am)
-        assert v.any() and not ((F @ v) % np.asarray(src)).any()
+        assert_radical_witness(A, rep.witness)
+
+
+def assert_radical_witness(A, witness):
+    """The radical element is nonzero and generates a nilpotent two-sided
+    ideal of its fiber, whose radical has the reported dimension."""
+    m = next(m for m in maximal_ideals(A.base) if repr(m.data) == witness["maximal_ideal"])
+    Am, x = quotient_algebra(A, m)[0], np.asarray(witness["radical_element"])
+    assert x.any() and is_nilpotent_ideal(Am, ideal_closure(Am, x[None]))
+    assert witness["radical_dimension"] == len(algebras._radical(Am))
+
+
+def assert_matches_fiber_loop(A, monkeypatch):
+    """`is_azumaya` forms no enveloping map, with or without its
+    certificate, and gives the status and the failing maximal ideal of the
+    enveloping-map fiber loop; a radical witness is checked too."""
+    want = fiber_loop(A)
+
+    def forbidden(*args):
+        raise AssertionError("env map formed")
+
+    monkeypatch.setattr(algebras, "env_map_flat", forbidden)
+    rep = is_azumaya(A)
+    assert (rep.status, (rep.witness or {}).get("maximal_ideal")) == want
+    monkeypatch.setattr(algebras, "splitting", lambda A: None)
+    assert is_azumaya(A).comparable_dict() == rep.comparable_dict()
+    if "radical_element" in (rep.witness or {}):
+        assert_radical_witness(A, rep.witness)
 
 
 @pytest.mark.parametrize("make", [m for _, m in _AZUMAYA_CASES], ids=[n for n, _ in _AZUMAYA_CASES])
 def test_is_azumaya_forms_env_maps_over_fields_only(make, monkeypatch):
-    formed = []
-
-    def recording(A):
-        formed.append(A.base)
-        return env_map_flat(A)
-
-    monkeypatch.setattr(algebras, "env_map_flat", recording)
-    is_azumaya(make())
-    assert all(base.is_field for base in formed)
+    # it forms none: each fiber is decided by its center and its radical
+    assert_matches_fiber_loop(make(), monkeypatch)
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,20 @@ from hypothesis import strategies as st
 
 from azumaya import algebras, linalg, rings
 from azumaya.algebras import (
+    Algebra,
     base_change,
     center,
     is_azumaya,
     matrix_algebra,
     opposite,
+    quotient_algebra,
     splitting,
     tensor_product,
+    upper_triangular_algebra,
     weyl_quotient,
 )
-from azumaya.rings import BaseRingHom, GaloisField, ProductRing, ZMod
-from ring_oracles import center_dense, hom_refutation_dense, hom_refutation_full
+from azumaya.rings import BaseRingHom, GaloisField, ProductRing, ZMod, crt_decompose, maximal_ideals
+from ring_oracles import center_dense, entries, hom_refutation_dense, hom_refutation_full
 
 F4 = GaloisField.default(2, 2)
 MATRIX_BASES = {
@@ -52,6 +55,18 @@ def _tensors():
     yield "M_2(GF(4))(x)op(M_2(GF(4)))", lambda: tensor_product(M, opposite(M))
 
 
+def _base_changes():
+    # images of the source's rows, with b_s 1 for the target's coordinates
+    M2, F9 = matrix_algebra(ZMod(2), 2, check=False), GaloisField.default(3, 2)
+    yield "M_3(Z/12)->Z/3", lambda: base_change(matrix_algebra(ZMod(12), 3, check=False), BaseRingHom(ZMod(12), ZMod(3), [[1]]))
+    yield "M_2(Z/2)->GF(4)", lambda: base_change(M2, BaseRingHom(ZMod(2), F4, [[1], [0]]))
+    yield "W(3,1,2)->GF(9)", lambda: base_change(weyl_quotient(3, 1, 2), BaseRingHom(ZMod(3), F9, [[1], [0]]))
+    yield "M_2(Z/6)->Z/2xZ/3", lambda: base_change(matrix_algebra(ZMod(6), 2, check=False), crt_decompose(ZMod(6))[1])
+    for m in maximal_ideals(MATRIX_BASES["Z/4xGF(4)"]):
+        make = _matrix(MATRIX_BASES["Z/4xGF(4)"], 2)
+        yield f"op(M_2(Z/4xGF(4)))/{m.data}", lambda make=make, m=m: quotient_algebra(opposite(make()), m)[0]
+
+
 BUILDS = {}
 for _name, _R in MATRIX_BASES.items():
     for _n in range(1, 7):
@@ -60,15 +75,14 @@ for _p, _a, _b in WEYL:
     BUILDS[f"W({_p},{_a},{_b})"] = _weyl(_p, _a, _b)
 BUILDS.update({f"op({name})": (lambda make=make: opposite(make())) for name, make in list(BUILDS.items())})
 BUILDS.update(_tensors())
+BUILDS.update(_base_changes())
 
 # each of their generators is needed: over Z/N, GF(4) and products, for
 # W(p), opposites and the tensor products over prime fields.  M_1's rows
 # hold the unit's coordinates, and in M_2(GF(4)) (x) op(M_2(GF(4))) the
 # rows t E_11 (x) 1 and 1 (x) t E_11 give each other: t (x) 1 = 1 (x) t.
-NEEDED = [name for name in BUILDS if "M_1(" not in name and name != "M_2(GF(4))(x)op(M_2(GF(4)))"]
-# the rows b_s E_11 that M_n records beside E_(i,i+1) and E_(i+1,i), one
-# per coordinate generator other than 1
-SCALAR_ROWS = {"Z/2": 0, "Z/12": 0, "GF(4)": 1, "Z/2xZ/3": 2, "Z/4xGF(4)": 3}
+# A fiber of a product base sends the other factors' rows b_s E_11 to 0.
+NEEDED = [name for name in BUILDS if "M_1(" not in name and "/(" not in name and name != "M_2(GF(4))(x)op(M_2(GF(4)))"]
 
 
 def _ring_span(A, rows):
@@ -98,25 +112,30 @@ def test_dropping_any_one_row_leaves_a_proper_subring(name):
     A = BUILDS[name]()
     rows, needed = A.generators, len(A.generators)
     if isinstance(A.base, ProductRing):
-        # the rows b_s E_11 sum to E_11 = E_12 E_21, so over a product base
-        # only the rows E_(i,i+1) and E_(i+1,i) are each needed
-        needed -= A.base.flatten_len
+        # over a product base the rows b_s E_11 can still be redundant (Z 1
+        # is all of Z/2 x Z/3), so only E_(i,i+1) and E_(i+1,i) are each needed
+        needed -= A.base.flatten_len - 1
     for t in range(needed):
         assert _ring_span(A, np.delete(rows, t, axis=0)).order < A.size, (name, t)
 
 
 def test_generator_counts():
-    for name, R in MATRIX_BASES.items():
+    for R in MATRIX_BASES.values():
         f = R.flatten_len
         assert len(matrix_algebra(R, 1, check=False).generators) == f  # the identity rows
         for n in (2, 5, 16 if R == ZMod(2) else 3):
-            shape = (2 * (n - 1) + SCALAR_ROWS[name], n * n * f)
+            # E_(i,i+1), E_(i+1,i) and b_s E_11 for all but one coordinate generator b_s
+            shape = (2 * (n - 1) + f - 1, n * n * f)
             assert matrix_algebra(R, n, check=False).generators.shape == shape
     assert len(matrix_algebra(F4, 4, check=False).generators) == 7
     assert weyl_quotient(11, 0, 4, check=False).generators.shape == (2, 121)
     M = matrix_algebra(ZMod(2), 3, check=False)
     assert np.array_equal(opposite(M).generators, M.generators)
     assert len(tensor_product(M, M).generators) == 8
+    # a base change maps recorded rows and keeps the identity rows otherwise
+    to_z2 = BaseRingHom(ZMod(4), ZMod(2), [[1]])
+    assert len(base_change(matrix_algebra(ZMod(4), 3, check=False), to_z2).generators) == 4
+    assert len(base_change(upper_triangular_algebra(ZMod(4), 3), to_z2).generators) == 6
 
 
 def _assert_checks_agree(H, source, target):
@@ -165,10 +184,10 @@ def scanned(monkeypatch):
 
 
 def test_an_equal_matrix_algebra_is_certified_on_its_generators(scanned):
-    # M_3(Z/12) carried to Z/3 is M_3(Z/3), but built as a base change it
-    # carries the identity rows
-    A = base_change(matrix_algebra(ZMod(12), 3, check=False), BaseRingHom(ZMod(12), ZMod(3), [[1]]))
-    assert A == matrix_algebra(ZMod(3), 3, check=False) and len(A.generators) == A.dim
+    # M_3(Z/3) built from its entries alone carries the identity rows
+    M = matrix_algebra(ZMod(3), 3, check=False)
+    A = Algebra(M.base, entries(M.struct), M.unit_flat, check=False)
+    assert A == M and len(A.generators) == A.dim
     scanned.clear()  # the ring hom's own check
     hom = splitting(A)
     assert hom.is_verified and hom.is_bijective() and np.array_equal(hom.matrix, np.eye(A.dim))

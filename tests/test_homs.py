@@ -37,7 +37,7 @@ from azumaya.homs import (
 )
 from azumaya.rings import GaloisField, RingIdeal, ZMod, crt_decompose, is_reduced
 from loop_oracles import dense_mul_batch
-from ring_oracles import center_preservation_loop, entries, identity_hom
+from ring_oracles import center_preservation_loop, entries, identity_hom, unit_basis
 
 
 @pytest.fixture(scope="module")
@@ -196,8 +196,8 @@ def test_weyl_splitting_p11_with_reduced_powers():
 def test_weyl_splitting_images_satisfy_relations():
     h = weyl_splitting(3, 1, 2)
     W, M = h.source, h.target
-    x = h.apply_flat(W.basis_flat(3))  # image of x
-    y = h.apply_flat(W.basis_flat(1))  # image of y
+    x = h.apply_flat(unit_basis(W, 3))  # image of x
+    y = h.apply_flat(unit_basis(W, 1))  # image of y
     lhs = M.mul_flat(y, x)
     rhs = (M.mul_flat(x, y) + M.unit_flat) % 3
     assert lhs.tolist() == rhs.tolist()

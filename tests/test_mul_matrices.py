@@ -48,6 +48,7 @@ from ring_oracles import (
     splitting_phi_dense,
     verify_axioms_dense,
 )
+from test_algebras import assert_radical_witness
 
 F4 = GaloisField.default(2, 2)
 # sums of products of residues leave int64 over these two: the object path
@@ -225,9 +226,11 @@ def test_builds_and_checks_never_read_the_dense_view(forbid_dense_view):
     ]
     verdicts = [is_azumaya(A).status for A in built]
     assert verdicts == ["pass", "pass", "fail", "pass", "pass", "fail", "pass", "pass", "pass", "fail", "fail"]
-    # a fail decided in the fiber loop, by an env-map kernel vector
-    rep = is_azumaya(_ut2_squared(ProductRing([ZMod(3), ZMod(2)])))
-    assert rep.status == "fail" and "env_kernel_vector" in rep.witness
+    # a fail decided in the fiber loop, by a radical element
+    A = _ut2_squared(ProductRing([ZMod(3), ZMod(2)]))
+    rep = is_azumaya(A)
+    assert rep.status == "fail"
+    assert_radical_witness(A, rep.witness)
     for A in built:
         assert center.__wrapped__(A).order >= 1
         assert commutant(A, A.unit_flat[None]).order == A.size

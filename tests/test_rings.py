@@ -33,6 +33,7 @@ from azumaya.algebras import matrix_algebra, rank_at
 from azumaya.linalg import Subgroup
 from ring_oracles import (
     base_hom_refutation,
+    basis_elem,
     element_coords,
     factorize_trial,
     gf_default_search,
@@ -43,6 +44,7 @@ from ring_oracles import (
     maximal_ideal_sets,
     mul_coords,
     nilpotent_elements,
+    ring_elements,
 )
 
 
@@ -158,7 +160,7 @@ def test_gf_irreducibility_decided_for_a_large_characteristic():
     with pytest.raises(ReduciblePolynomial, match="repeated factor"):
         GaloisField(p, [1, 2, 1])
     assert time.perf_counter() - started < 5
-    t = F.basis_elem(1)
+    t = basis_elem(F, 1)
     assert (t * t).coords == (p - 1, 0)
 
 
@@ -171,7 +173,7 @@ def test_gf_characteristic_from_2_63_refused(p):
 def test_gf_inverse_all_elements():
     F8 = GaloisField.default(2, 3)
     one = F8.one()
-    units = [e for e in F8.elements() if not e.is_zero()]
+    units = [e for e in ring_elements(F8) if not e.is_zero()]
     assert len(units) == 7
     for e in units:
         assert e * e.inv() == one
@@ -265,7 +267,7 @@ def test_crt_z12():
 def test_crt_roundtrip_all_elements():
     R = ZMod(60)
     product, fwd, back = crt_decompose(R)
-    for e in R.elements():
+    for e in ring_elements(R):
         assert back.apply(fwd.apply(e)) == e
         assert fwd.apply(back.apply(fwd.apply(e))) == fwd.apply(e)
 
@@ -404,12 +406,6 @@ def test_ideal_from_group_is_the_generated_ideal():
 
 # ---------------------------------------------------------------------------
 # base ring homs
-
-
-def test_base_hom_identity_and_compose():
-    R = ZMod(12)
-    ident = BaseRingHom.identity(R)
-    assert ident.compose(ident).matrix.tolist() == ident.matrix.tolist()
 
 
 def test_base_hom_verifies_multiplicativity():
@@ -593,7 +589,7 @@ def _frobenius(F):
     """Matrix of x -> x^p: column s holds the coordinates of (t^s)^p."""
     cols = []
     for s in range(F.flatten_len):
-        b = F.basis_elem(s)
+        b = basis_elem(F, s)
         power = F.one()
         for _ in range(F.p):
             power = power * b
@@ -607,7 +603,7 @@ def test_frobenius_verifies(k):
     H = _frobenius(F)
     assert base_hom_refutation(F, F, H) is None
     hom = BaseRingHom(F, F, H)
-    t = F.basis_elem(1)
+    t = basis_elem(F, 1)
     assert hom.apply(t) == t * t
 
 

@@ -25,8 +25,8 @@ from azumaya.homs import weyl_splitting
 from azumaya.linalg import is_bijective_additive, kernel_mod, rank_mod_p
 from azumaya.rings import BaseRingHom, GaloisField, ProductRing, ZMod, crt_decompose, factorize
 from azumaya.suites import _split_quadratic_f2
-from ring_oracles import inverse_mod, r_linear, table_algebra, twisted
-from test_algebras import _m2_f2_by_f3_4
+from ring_oracles import inverse_mod, r_linear, ring_elements, table_algebra, twisted, unit_basis
+from test_algebras import _m2_f2_by_f3_4, assert_matches_fiber_loop
 
 MATRIX_GRID = [(n, m) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
 WEYL_GRID = [(p, a, b) for p in (2, 3, 5) for a in range(p) for b in range(p)]
@@ -85,7 +85,7 @@ def _draw_invertible(data, R, d):
     the flat R-linear map of `r_linear`: a diagonal of units times
     elementary transvections I + c E_ij, i != j."""
     f, N = R.flatten_len, R._N  # every coordinate is a residue mod N
-    elements = [x.coords for x in R.elements()]
+    elements = [x.coords for x in ring_elements(R)]
     units = [c for c in elements if R.element(c).is_unit()]
     diagonal = np.zeros((d, d, f), dtype=np.int64)
     diagonal[np.arange(d), np.arange(d)] = data.draw(st.lists(st.sampled_from(units), min_size=d, max_size=d))
@@ -140,6 +140,8 @@ def _truncated_polynomials(R):
 def test_twisted_commutative_rank_4_never_certifies(data, R, make):
     A = twisted(make(R), _draw_invertible(data, R, 4))
     assert splitting(A) is None
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_fiber_loop(A, monkeypatch)
     assert is_azumaya(A).status == "fail"
 
 
@@ -161,10 +163,7 @@ _FALLBACK_CASES = {
 
 @pytest.mark.parametrize("name", list(_FALLBACK_CASES))
 def test_report_equals_forced_env_map_decision(name, monkeypatch):
-    A = _FALLBACK_CASES[name]()
-    got = is_azumaya(A).comparable_dict()
-    monkeypatch.setattr(algebras, "splitting", lambda A: None)
-    assert got == is_azumaya(A).comparable_dict()
+    assert_matches_fiber_loop(_FALLBACK_CASES[name](), monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["UT_2", "UT_4", "split quadratic", "F_2^4"])
@@ -227,12 +226,9 @@ def test_certified_pass_skips_the_env_map(name, monkeypatch):
     assert is_azumaya(A).status == "pass"
 
 
-@pytest.mark.parametrize("name", list(_SEARCHED_FORMS))
+@pytest.mark.parametrize("name", list(_CERTIFIED_CASES))
 def test_searched_forms_match_the_fiber_loop(name, monkeypatch):
-    A = _SEARCHED_FORMS[name]()
-    got = is_azumaya(A).comparable_dict()
-    monkeypatch.setattr(algebras, "splitting", lambda A: None)
-    assert got == is_azumaya(A).comparable_dict()
+    assert_matches_fiber_loop(_CERTIFIED_CASES[name](), monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["op(M_8(Z/67))", "op(M_8(Z/2 x Z/3))"])
@@ -277,35 +273,41 @@ def test_twisted_forms_pass_without_env_maps(data, n, base):
 
 def _ut2_squared(R):
     """UT_2 (x) UT_2 over R: rank 9 = 3^2, a scalar center and a nonzero
-    radical, so its failing fibers are explained by an env-map kernel vector."""
+    radical, so its failing fibers are explained by a radical element."""
     U = upper_triangular_algebra(R, 2)
     return tensor_product(U, U)
 
 
 @pytest.mark.parametrize(
-    "make, fibers, witness",
+    "make, witness",
     [
-        (lambda: _diagonal_power(ZMod(2)), 1, "nonscalar_central_element"),
-        (lambda: _ut2_squared(ZMod(2)), 1, "env_kernel_vector"),
+        (lambda: _diagonal_power(ZMod(2)), "nonscalar_central_element"),
+        (lambda: _ut2_squared(ZMod(2)), "radical_element"),
         # Z/3 x Z/2: the fiber at (3, 1), over F_2, fails first
-        (lambda: _ut2_squared(ProductRing([ZMod(3), ZMod(2)])), 1, "env_kernel_vector"),
-        # passes over F_2, fails over F_3: one env map per fiber
-        (_m2_f2_by_f3_4, 2, "nonscalar_central_element"),
+        (lambda: _ut2_squared(ProductRing([ZMod(3), ZMod(2)])), "radical_element"),
+        # passes over F_2, fails over F_3
+        (_m2_f2_by_f3_4, "nonscalar_central_element"),
+        (lambda: tensor_product(matrix_algebra(ZMod(2), 2), _ut2_squared(ZMod(2))), "radical_element"),
     ],
-    ids=["F_2^4", "UT_2(x)UT_2(F_2)", "UT_2(x)UT_2(Z/3 x Z/2)", "M_2(F_2) x F_3^4"],
+    ids=["F_2^4", "UT_2(x)UT_2(F_2)", "UT_2(x)UT_2(Z/3 x Z/2)", "M_2(F_2) x F_3^4", "M_2(x)UT_2(x)UT_2(F_2)"],
 )
-def test_failing_fiber_forms_its_env_map_once(make, fibers, witness, monkeypatch):
-    # the kernel-vector witness reuses the bijectivity check's matrix
-    A, formed = make(), []
-    env_map_flat = algebras.env_map_flat
-    monkeypatch.setattr(algebras, "env_map_flat", lambda A: formed.append(A) or env_map_flat(A))
-    rep = is_azumaya(A)
-    assert rep.status == "fail" and witness in rep.witness
-    assert len(formed) == fibers
-    if witness == "env_kernel_vector":
-        F, src, _ = env_map_flat(formed[-1])
-        v = np.asarray(rep.witness[witness])
-        assert v.any() and not ((F @ v) % np.asarray(src)).any()
+def test_failing_fiber_forms_no_env_map(make, witness, monkeypatch):
+    A = make()
+    assert_matches_fiber_loop(A, monkeypatch)
+    assert witness in is_azumaya(A).witness
+
+
+def test_m3_ut2_squared_fails_by_its_radical_within_64_mb():
+    # D = 81: the fiber loop's enveloping map would be 6,561 x 6,561
+    A = tensor_product(matrix_algebra(ZMod(2), 3, check=False), _ut2_squared(ZMod(2)))
+    tracemalloc.start()
+    try:
+        rep = is_azumaya(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "fail" and rep.witness["radical_dimension"] == 45
+    assert peak < 64 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +493,7 @@ def test_splitting_agrees_with_weyl_splitting_up_to_inner(p, a, b):
     cert = splitting(W)
     assert cert.target == M
     blocks = []
-    for gen in (W.basis_flat(p), W.basis_flat(1)):  # x and y
+    for gen in (unit_basis(W, p), unit_basis(W, 1)):  # x and y
         X, X2 = explicit.apply_flat(gen), cert.apply_flat(gen)
         blocks.append(M.mul_matrices(X[None], "right")[0] - M.mul_matrices(X2[None], "left")[0])  # u -> u X - X' u
     solutions = kernel_mod(np.concatenate(blocks) % p, p)

@@ -11,7 +11,7 @@ enveloping map are kernel / bijectivity computations over the coordinate
 moduli.  The tensor's contractions with itself are one sparse join
 (`linalg.sparse_join`): the associativity check, (e_a e_b) e_c against
 e_a (e_b e_c), and the enveloping map's triple products (eps_a e_t) e_j;
-the hom check reads the same entries (`rings.hom_refutation`).  An algebra
+the hom check joins the same entries (`rings.hom_refutation`).  An algebra
 also carries the rows that generate it as a ring (`Algebra.generators`):
 2(n - 1) + f - 1 for M_n(R), x and y for a Weyl quotient, its factors'
 for a tensor product or an opposite, their images and b_s 1 for a base
@@ -193,16 +193,6 @@ class Algebra:
         if self._generators is None:
             return np.eye(self.dim, dtype=np.int64)
         return self._generators
-
-    @cached_property
-    def _generator_products(self):
-        """The generators x_t and the nonzero entries ((t, b, k), v) of the
-        products x_t e_b, by t, for the hom check: `_sparse_rows` for the
-        identity rows, else one `mul_matrices` scatter."""
-        if self._generators is None:
-            return self.generators, self._sparse_rows
-        products = self.mul_matrices(self._generators, "left").transpose(0, 2, 1)  # [t, b, k]
-        return self._generators, linalg.sparse_rows(products)
 
     @property
     def size(self):

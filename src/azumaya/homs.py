@@ -9,9 +9,10 @@ moduli, unit preservation, and multiplicativity on the pairs (s, e_b) of a
 generator s of the source as a ring (`Algebra.generators`) and a
 coordinate generator e_b; by Z-bilinearity of both products and
 associativity this implies full multiplicativity, so the check is
-complete.  A refuted hom names the first failing pair of coordinate
-generators, from a scan over all of them.  All homs here are unital by
-definition: a non-unital map is refuted, never accepted.
+complete; each side is a sparse join with a structure tensor.  A refuted
+hom names the first failing pair of coordinate generators, from a scan
+over all of them.  All homs here are unital by definition: a non-unital
+map is refuted, never accepted.
 
 Theorem 4.1's conclusion holds over every finite base, reduced or not.  An
 Azumaya source A of rank n^2 over a finite commutative ring is M_n(R) (the
@@ -420,7 +421,7 @@ def isomorphism_check(f):
         elimination of f's matrix (`linalg.image_order_and_kernel`); (c)
         keeps its own forward pass.  When f is onto, C is by definition
         Z(target), taken from the `center` memo; otherwise it is the
-        commutant of f's columns.
+        commutant of f(S), which generates A2 for S the source's generators.
 
     (a) and (b) together imply (c) by the isomorphism criterion; (c) and (d)
     agree by the commutant decomposition.  Any disagreement is flagged
@@ -439,8 +440,7 @@ def isomorphism_check(f):
 
     image_order, kernel = linalg.image_order_and_kernel(f.matrix, f.source.moduli, f.target.moduli)
     onto = image_order == f.target.size
-    # column j of the matrix is the image of the j-th coordinate generator
-    C = center(f.target) if onto else commutant(f.target, f.matrix.T)
+    C = center(f.target) if onto else commutant(f.target, f.apply_flat(f.source.generators))
     c_scalar = C == f.target.unit_span()
     d_ok = c_scalar and kernel.order == 1 and onto
 

@@ -137,15 +137,15 @@ def sparse_join(link, ptr, lo, hi, budget):
     chosen by `_dtype`, and adds them up by key."""
     first = ptr[link[lo:hi]]
     counts = ptr[link[lo:hi] + 1] - first
-    ends = np.cumsum(counts)  # pairs of the outer entries up to each one
+    ends = counts.cumsum()  # pairs of the outer entries up to each one
     start = 0
     while start < len(ends):
         done = ends[start] - counts[start]  # pairs before this chunk
-        stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        stop = max(start + 1, int(ends.searchsorted(done + budget, side="right")))
         n = counts[start:stop]
-        outer = np.repeat(np.arange(lo + start, lo + stop), n)
+        outer = np.arange(lo + start, lo + stop).repeat(n)
         # the chunk's pair p is pair p - (ends - n - done) of its entry's row
-        inner = np.repeat(first[start:stop] - (ends[start:stop] - n - done), n)
+        inner = (first[start:stop] - (ends[start:stop] - n - done)).repeat(n)
         yield outer, inner + np.arange(len(inner))
         start = stop
 

@@ -8,7 +8,8 @@ is [[[1]]], GF(p^k) = F_p[t]/(f) the regular representation read off the
 powers of t, and a product ring its factors' tensors placed
 block-diagonally.  Everything else is one path over that data: one product
 (`mul_batch`), one inverse (solving x*y = 1 through multiplication-by-x),
-and one hom check (`hom_refutation`), which algebra homs share.
+and one hom check (`hom_refutation`), which algebra homs share: it reads
+`_sparse_rows` and `generators` of both alike.
 
 Elements are stored canonically reduced (each flattened coordinate in
 [0, modulus)), so equality is plain tuple comparison.  Every ring here is
@@ -185,11 +186,10 @@ class FiniteCommRing:
     def flatten_len(self):
         return len(self.moduli)
 
-    @cached_property
-    def _generator_products(self):
-        """The hom check's generators, the identity rows, and their products
-        with the coordinate generators, the nonzero entries of `struct`."""
-        return np.eye(self.flatten_len, dtype=np.int64), self._sparse_rows
+    @property
+    def generators(self):
+        """The identity rows, which generate the ring, for the hom check."""
+        return np.eye(self.flatten_len, dtype=np.int64)
 
     @property
     def size(self):
@@ -547,13 +547,11 @@ def hom_refutation(matrix, source, target):
     source coordinates, residues) fails to be a unital ring hom, or None.
 
     Source and target are base rings or algebras, both stored as `moduli`,
-    `unit_flat`, `_N` and the nonzero structure constants by first index
-    (`_sparse_rows`), with a row-wise `mul_batch`; the source also gives
-    rows that generate it as a ring and their products with its coordinate
-    generators (`_generator_products`).  The conditions, in order:
-    well-definedness over the coordinate moduli, the unit, and
-    multiplicativity, reported at the first failing pair (a, b) of
-    coordinate generators in row-major order.
+    `unit_flat`, `_N`, the nonzero structure constants by first index
+    (`_sparse_rows`) and rows that generate them as rings (`generators`).
+    The conditions, in order: well-definedness over the coordinate moduli,
+    the unit, and multiplicativity, reported at the first failing pair
+    (a, b) of coordinate generators in row-major order.
 
     Multiplicativity is checked on the pairs (s, e_b) of a generator s and
     a coordinate generator e_b (`_first_unmultiplicative`), |S| D products
@@ -565,8 +563,8 @@ def hom_refutation(matrix, source, target):
     f(x1) f(x2) f(y) = f(x1 x2) f(y), so T is closed under products; this
     step reads associativity of the source and of the target.  So T is a
     subring, and T contains S, which generates the source: T is all of it.
-    A failure on the generators is scanned again over every pair (e_a, e_b),
-    which names the same first failing pair a full check would.
+    A refuted scan runs again over the identity rows, which names the first
+    failing pair (a, b) a full check would.
     """
     if not linalg.check_well_defined(matrix, source.moduli, target.moduli):
         return {"condition": "well-defined"}
@@ -574,37 +572,49 @@ def hom_refutation(matrix, source, target):
     unit = linalg.einsum_mod("j,ij->i", source.unit_flat, matrix, moduli=moduli, N=N)
     if not np.array_equal(unit, target.unit_flat):
         return {"condition": "unit"}
-    rows, products = source._generator_products
-    bad = _first_unmultiplicative(matrix, rows, products, target, N)
-    if bad is not None and products is not source._sparse_rows:
-        eye = np.eye(len(source.unit_flat), dtype=np.int64)
-        bad = _first_unmultiplicative(matrix, eye, source._sparse_rows, target, N)
-    return None if bad is None else {"condition": "multiplicative", "pair": bad}
+    if _first_unmultiplicative(matrix, source.generators, source, target, N) is None:
+        return None
+    eye = np.eye(matrix.shape[1], dtype=np.int64)
+    return {"condition": "multiplicative", "pair": _first_unmultiplicative(matrix, eye, source, target, N)}
 
 
-def _first_unmultiplicative(matrix, rows, products, target, N):
+def _first_unmultiplicative(matrix, rows, source, target, N):
     """The first pair [t, b] in row-major order with f(x_t e_b) !=
     f(x_t) f(e_b), for the rows x_t of `rows` and the coordinate generators
-    e_b of the source, or None.  `products` holds the nonzero entries
-    ((t, b, k), v) of the products x_t e_b, by t, with their pointer.
+    e_b of the source, or None.
 
-    The right sides are one `target.mul_batch` over len(rows) * D pairs.
-    The left sides f(x_t e_b) = sum_k v f(e_k) are subtracted over the
-    entries, a few rows t at a time, each piece of at most D^2 T products
-    (or 2^16)."""
+    For H the matrix, both sides are summed into [t, b, m] over the terms
+    of one join each (`_products`): f(x_t e_b) = sum c H[:, k] over the
+    terms c e_k of x_t e_b, and f(x_t) f(e_b) = sum_j H[j, b] f(x_t) e'_j =
+    sum c H[j, b] e'_m over the terms c e'_m of f(x_t) e'_j.  An entry sums
+    at most D^2 + T^2 products of two residues.  Rows go in blocks of at
+    most 2^16 entries (or one row), up to the first block that fails."""
     T, D = matrix.shape
-    moduli, images = target._moduli_arr, matrix.T  # row j of images is f(e_j)
-    (t, b, k), v, ptr = products
-    dtype = linalg._dtype(N, D + 1, 2)  # a residue less at most D products
-    v, cols = v.astype(dtype, copy=False)[:, None], images.astype(dtype, copy=False)
-    X = linalg.matmul_mod(rows, images, moduli=moduli, N=N)  # f(x_t)
-    diff = target.mul_batch(np.repeat(X, D, axis=0), np.tile(images, (len(rows), 1))).astype(dtype, copy=False)
-    step = max(1, (1 << 16) // (D * D * T))
+    moduli, dtype = target._moduli_arr, linalg._dtype(N, D * D + T * T, 2)
+    X = linalg.matmul_mod(rows, matrix.T, moduli=moduli, N=N)  # f(x_t)
+    H, rows, X = (a.astype(dtype, copy=False) for a in (matrix, rows, X))
+    step, budget = max(1, (1 << 16) // (D * T)), max(1, (1 << 16) // max(D, T))
     for t0 in range(0, len(rows), step):
-        lo, hi = ptr[t0], ptr[min(t0 + step, len(rows))]
-        np.subtract.at(diff, t[lo:hi] * D + b[lo:hi], v[lo:hi] * cols[k[lo:hi]])
-    bad = np.flatnonzero((diff % moduli).any(axis=1))
-    return [int(bad[0]) // D, int(bad[0]) % D] if bad.size else None
+        acc = np.zeros((min(step, len(rows) - t0), D, T), dtype=dtype)
+        for t, b, k, c in _products(rows[t0 : t0 + step], source, budget):
+            np.add.at(acc, (t, b), c[:, None] * H.T[k])
+        for t, j, m, c in _products(X[t0 : t0 + step], target, budget):
+            np.subtract.at(acc, (t, slice(None), m), c[:, None] * H[j])
+        bad = (acc % moduli).ravel().nonzero()[0]
+        if bad.size:
+            return [t0 + int(bad[0]) // (D * T), int(bad[0]) // T % D]
+    return None
+
+
+def _products(Y, ring, budget):
+    """The terms c e_k, c = Y[t, i] S[i, j, k] mod the modulus of k, of the
+    products of the rows of Y with the e_j, as (t, j, k, c) in chunks of at
+    most `budget`: Y's nonzeros (t, i) joined with the ring's entries."""
+    (_, J, K), V, ptr = ring._sparse_rows
+    t, i = Y.nonzero()
+    for x, e in linalg.sparse_join(i, ptr, 0, len(i), budget):
+        k = K[e]
+        yield t[x], J[e], k, Y[t[x], i[x]] * V[e] % ring._moduli_arr[k]
 
 
 # InvalidBaseHom message for each condition `hom_refutation` reports

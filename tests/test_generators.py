@@ -201,6 +201,17 @@ def test_a_refuted_generator_check_rescans_every_pair(scanned):
     assert scanned == [4, 9]
 
 
+def test_a_failure_past_the_first_block_of_rows_is_named():
+    # on M_16(F_2) a block is one row (D T = 2^16); with f(E_(15,15)) and
+    # f(E_(16,16)) swapped, E_(1,15) E_(15,15) is the first product that fails
+    n = 16
+    A = matrix_algebra(ZMod(2), n, check=False)
+    H = np.eye(A.dim, dtype=np.int64)
+    i, j = (n - 2) * (n + 1), (n - 1) * (n + 1)
+    H[:, [i, j]] = H[:, [j, i]]
+    assert rings.hom_refutation(H, A, A) == {"condition": "multiplicative", "pair": [n - 2, i]}
+
+
 def test_m16_f2_is_certified_within_128_mb():
     A = matrix_algebra(ZMod(2), 16, check=False)
     tracemalloc.start()
@@ -210,6 +221,18 @@ def test_m16_f2_is_certified_within_128_mb():
     finally:
         tracemalloc.stop()
     assert peak < 128 << 20
+
+
+def test_m24_f2_is_certified_within_64_mb():
+    # the hom check forms no (|S|, D, D) products and no |S| D x D right side
+    A = matrix_algebra(ZMod(2), 24, check=False)
+    tracemalloc.start()
+    try:
+        assert is_azumaya(A).status == "pass"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_the_center_reads_only_the_generators(monkeypatch):

@@ -164,6 +164,12 @@ def test_join_is_exact_beyond_int64(ring):
     S = A.struct.copy()
     S[0, 0, 1] = (S[0, 0, 1] + 2**60) % A.moduli[1]
     assert _assert_axioms_agree(Algebra(A.base, entries(S), A.unit_flat, check=False)) is not None
+    # the hom check's products of residues leave int64 too
+    eye, T = np.eye(A.dim, dtype=np.int64), _transpose(2, ring)[1]
+    for H in (eye, T):
+        assert rings.hom_refutation(H, A, A) == hom_refutation_dense(H, A, A) == hom_refutation_full(H, A, A)
+    assert rings.hom_refutation(eye, A, A) is None
+    assert rings.hom_refutation(T, A, A)["condition"] == "multiplicative"
 
 
 def _transpose(n, ring):

@@ -13,12 +13,12 @@ whatever its checks, and a check that draws is refused at its first draw
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 from .algebras import (
     Algebra,
+    _square_root,
     flat_entries,
     matrix_algebra,
     opposite,
@@ -41,8 +41,9 @@ from .rings import RingError, RingIdeal, make_ring
 MAX_DENSE_ENTRIES = 2**26
 
 # Cap on the draws a configured check may ask for (`samples`, `count`,
-# `trials`).  A draw costs microseconds to about a millisecond (an s_8 tuple
-# of M_4), so a check within the cap ends in minutes, not hours.
+# `trials`), and on the generator subsets a witness search may walk
+# (`budget`).  A draw or a subset costs microseconds to about a millisecond
+# (an s_8 tuple of M_4), so a check within the cap ends in minutes, not hours.
 MAX_DRAWS = 10**5
 
 
@@ -191,8 +192,8 @@ def make_hom(cfg, algebras, homs=None, location="hom"):
         return reduction_hom(source, RingIdeal(source.base, _require(cfg, "ideal", location)))
     if kind == "diagonal":
         k = integer(_require(cfg, "k", location), location, "k")
-        m = math.isqrt(source.rank)
-        if m * m != source.rank:
+        m = _square_root(source.rank)
+        if m is None:
             raise ConfigError("diagonal embedding needs a matrix algebra source", location)
         _check_size((k * m) ** 2 * source.base.flatten_len, False, location)
         return diagonal_embed(source.base, m, k)
@@ -240,7 +241,6 @@ class RunConfig:
         self.seed = data.get("seed")
         if self.seed is not None:
             self.seed = integer(self.seed, "seed", "seed")
-        self.max_tuples = integer(data.get("max_tuples", 10**7), "max_tuples", "max_tuples")
         self.rings = {}
         for name, cfg in objects.get("rings", {}).items():
             self.rings[name] = make_ring_checked(cfg, f"objects.rings.{name}")

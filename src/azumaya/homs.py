@@ -35,6 +35,7 @@ import numpy as np
 from . import linalg
 from .algebras import (
     AlgElem,
+    _square_root,
     base_change,
     candidate_batches,
     center,
@@ -376,8 +377,8 @@ def jordan_obstruction_probe(n, Aprime, samples=10000, seed=None):
     n' (n among them, when n' < n) is reported with the first candidate
     that shows it.  Over a ring that is not a field the bound fails (in
     M_2(Z/12), [[6, 10], [3, 6]] has index 4), so such a base is refused."""
-    nprime = math.isqrt(Aprime.rank)
-    if nprime * nprime != Aprime.rank:
+    nprime = _square_root(Aprime.rank)
+    if nprime is None:
         raise PreconditionUnmet("probe target must be a full matrix algebra")
     if not Aprime.base.is_field:
         raise PreconditionUnmet("probe target must be a matrix algebra over a field (Lemma 3.2)")

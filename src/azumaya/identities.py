@@ -5,18 +5,19 @@ The standard identity s_k is evaluated with a subset dynamic program
 algebra's sparse product kernel (`Algebra.mul_batch`); its k! signed terms
 are built only when something reads them, and the alternating-sum
 definition stays available as an independent oracle for tests.  Every
-search (exhaustive or sampled tuples, generator subsets) goes through the
+search (sampled tuples, generator subsets) goes through the
 one batched first-hit search, `algebras.first_hit`, with its one batch-size
 rule, and reports the first hit in the order a one-at-a-time loop would
 meet it.
 
 s_k is Z-multilinear and alternating, and the coordinate generators span A,
 so s_k vanishes on A iff it vanishes on every k-subset of them.  The
-witness search walks only those subsets, and `al_vanishing_check` decides a
-pass on them before any tuple scan: exhaustively always, and in sampled
-mode when there are no more subsets than samples or the subset tables
-below fit.  Only when some subset gives a nonzero value does it scan the
-tuples, to report the first failing tuple in scan order.
+witness search walks only those subsets, and so does `al_vanishing_check`
+wherever the walk runs: when every smaller size's table fits, when
+there are no subsets, or, sampled, when there are no more subsets than
+samples.  Its verdict is then the walk's in either mode, a pass or the
+first failing subset.  Past those tables a sampled check scans tuples and
+an exhaustive one is refused.
 
 Only a sampled tuple scan and the identity transfer draw.  Each takes its
 seed as given, and without one it is refused at its first draw
@@ -174,10 +175,9 @@ def _standard_batch(A, X):
     return table[(1 << k) - 1]
 
 
-def _tuples(A, k, count=None, seed=None):
-    """Source of k-tuples of A for `first_hit`: every tuple in
-    itertools.product order, or the first `count` seeded random tuples
-    (tuple t is row t of `random_rows`); as (T, k, D) arrays."""
+def _tuples(A, k, count, seed):
+    """Source of k-tuples of A for `first_hit`: the first `count` seeded
+    random tuples (tuple t is row t of `random_rows`), as (T, k, D) arrays."""
     return lambda rows: (
         X.reshape(-1, k, A.dim) for X in candidate_batches(A.moduli * k, rows, count, seed)
     )
@@ -385,36 +385,36 @@ def _subset_hit(sk, A, budget=None):
     return (None if S is None else np.eye(D, dtype=np.int64)[S]), value, position
 
 
-def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None, max_tuples=10**7):
-    """Does s_(2n) vanish on A?  Over all 2n-tuples (`mode="exhaustive"`,
-    within `max_tuples`) or `count` seeded random ones (`mode="samples"`);
-    either way exact per tuple.  `tested` counts the tuples up to and
-    including a witness, or all of them on a pass.
+def al_vanishing_check(A, n, mode="exhaustive", count=2000, seed=None):
+    """Does s_(2n) vanish on A?  On all 2n-tuples (`mode="exhaustive"`) or
+    on `count` seeded random ones (`mode="samples"`).
 
-    A pass is decided on the 2n-subsets of the coordinate generators, when
-    exhaustive, when there are no more subsets than samples, or when all
-    smaller subsets' tables fit (`_depth`): s_(2n) vanishing on them means
-    it vanishes on every tuple, so the scan is skipped and nothing is
-    drawn.  Otherwise, or when a subset gives a nonzero value, the tuples
-    are scanned in order; only a sampled scan draws, and without a seed
-    its first draw raises AlgebraError."""
+    The 2n-subsets of the coordinate generators decide it, and they give
+    the verdict in either mode whenever they are walked: when every smaller
+    size's table fits (`_depth`), when there are none (2n > dim, a vacuous
+    pass), or, sampled, when there are no more of them than `count`.  A
+    pass reports as `tested` every tuple or every sample; a failure reports
+    the first subset with s_(2n) != 0 and, as `tested`, its 1-based
+    position; nothing is drawn.  Past those tables an exhaustive check
+    raises BudgetExceeded, and a sampled one scans its seeded tuples, exact
+    per tuple, `tested` counting them up to and including a witness;
+    without a seed its first draw raises AlgebraError."""
     if mode not in MODES:
         raise IdentityError(f"unknown mode {mode!r}, expected one of {MODES}")
-    k = 2 * n
+    k, D = 2 * n, A.dim
     sk = standard_identity(k)
-    if mode == "exhaustive":
-        total = A.size**k
-        if total > max_tuples:
-            raise BudgetExceeded(f"{total} tuples exceed the exhaustive budget {max_tuples}")
-        tuples = _tuples(A, k)
+    subsets = math.comb(D, k)
+    if not subsets or _depth(D, k) == k - 1 or (mode == "samples" and subsets <= count):
+        X, value, tested = _subset_hit(sk, A)
+        if X is None:
+            tested = A.size**k if mode == "exhaustive" else count
+    elif mode == "exhaustive":
+        raise BudgetExceeded(
+            f"exhaustive s_{k} on {D} generators needs their subset tables up to size {k - 1}, "
+            "beyond the search's entry budget"
+        )
     else:
-        total = count
-        tuples = _tuples(A, k, count, seed)
-    on_subsets = mode == "exhaustive" or math.comb(A.dim, k) <= count or _depth(A.dim, k) == k - 1
-    if on_subsets and _subset_hit(sk, A)[0] is None:
-        X, value, tested = None, None, total
-    else:
-        X, value, tested = first_hit(tuples, _entries(k, A.dim), _nonzero(sk, A))
+        X, value, tested = first_hit(_tuples(A, k, count, seed), _entries(k, D), _nonzero(sk, A))
     details = {"k": k, "mode": mode, "tested": tested}
     if X is None:
         return CheckReport(check="al_vanishing", status=PASS, seed=seed, details=details)

@@ -60,7 +60,7 @@ def _expect_fail(report, name):
     )
 
 
-def suite_azumaya_def21(seed=None, **_):
+def suite_azumaya_def21(seed=None):
     reports = []
     for n, m in _MATRIX_GRID:
         A = matrix_algebra(ZMod(m), n, check=False)
@@ -72,24 +72,18 @@ def suite_azumaya_def21(seed=None, **_):
     return reports
 
 
-def suite_al_thm26(seed=None, max_tuples=10**7, **_):
+def suite_al_thm26(seed=None):
     """Amitsur-Levitzki on small matrix and Weyl algebras.  Every check is
     decided on generator subsets and draws nothing, so no seed is needed;
     a given one is recorded in the reports."""
     reports = []
     M2F2 = matrix_algebra(ZMod(2), 2, check=False)
-    reports.append(
-        _named(idn.al_vanishing_check(M2F2, 2, mode="exhaustive", max_tuples=max_tuples), "s4:M2(F_2):exhaustive")
-    )
+    reports.append(_named(idn.al_vanishing_check(M2F2, 2, mode="exhaustive"), "s4:M2(F_2):exhaustive"))
     for a in range(2):
         for b in range(2):
             W = weyl_quotient(2, a, b)
-            reports.append(
-                _named(
-                    idn.al_vanishing_check(W, 2, mode="exhaustive", max_tuples=max_tuples),
-                    f"s4:W(2,{a},{b}):exhaustive",
-                )
-            )
+            rep = idn.al_vanishing_check(W, 2, mode="exhaustive")
+            reports.append(_named(rep, f"s4:W(2,{a},{b}):exhaustive"))
     for m in (4, 6):
         A = matrix_algebra(ZMod(m), 2, check=False)
         reports.append(
@@ -117,7 +111,7 @@ def suite_al_thm26(seed=None, max_tuples=10**7, **_):
     return reports
 
 
-def suite_split_cor29(seed=None, **_):
+def suite_split_cor29(seed=None):
     reports = []
     for p, a, b in _WEYL_GRID:
         hom = homs_mod.weyl_splitting(p, a, b)
@@ -141,7 +135,7 @@ def _corpus():
     return tuple(corpus_mod.build_corpus())
 
 
-def suite_matrixcenter_thm31(seed=None, **_):
+def suite_matrixcenter_thm31(seed=None):
     """Center preservation restricted to matrix-algebra corpus homs."""
     reports = []
     for e in _corpus():
@@ -151,7 +145,7 @@ def suite_matrixcenter_thm31(seed=None, **_):
     return reports
 
 
-def suite_jordan_lem32(seed=None, **_):
+def suite_jordan_lem32(seed=None):
     reports = []
     for p in (2, 3, 5):
         ring = ZMod(p)
@@ -176,7 +170,7 @@ def suite_jordan_lem32(seed=None, **_):
     return reports
 
 
-def suite_center_thm41(seed=None, **_):
+def suite_center_thm41(seed=None):
     reports = []
     for e in _corpus():
         if not e.equal_rank_reduced:
@@ -185,7 +179,7 @@ def suite_center_thm41(seed=None, **_):
     return reports
 
 
-def suite_rank_thm41(seed=None, **_):
+def suite_rank_thm41(seed=None):
     reports = []
     for e in _corpus():
         rep = homs_mod.rank_comparison_check(e.hom)
@@ -193,7 +187,7 @@ def suite_rank_thm41(seed=None, **_):
     return reports
 
 
-def suite_iso_prop51_thm53(seed=None, **_):
+def suite_iso_prop51_thm53(seed=None):
     reports = []
     for e in _corpus():
         rep = homs_mod.isomorphism_check(e.hom)
@@ -221,7 +215,7 @@ def suite_iso_prop51_thm53(seed=None, **_):
     return reports
 
 
-def suite_endo_cor52(seed=None, **_):
+def suite_endo_cor52(seed=None):
     reports = []
     for e in _corpus():
         h = e.hom
@@ -240,7 +234,7 @@ def _split_quadratic_f2():
     return Algebra(ZMod(2), (([0, 1], [0, 1], [0, 1]), [1, 1]), [1, 1], label="F_2xF_2")
 
 
-def suite_tensor_env_rem23(seed=None, **_):
+def suite_tensor_env_rem23(seed=None):
     reports = []
     env_cases = [
         ("M2(F_2)", matrix_algebra(ZMod(2), 2, check=False), True),
@@ -298,7 +292,7 @@ def builtin_suites():
     return list(BUILTIN_SUITES)
 
 
-def run_suite(name, seed=None, max_tuples=10**7):
+def run_suite(name, seed=None):
     if name not in BUILTIN_SUITES:
         raise SuiteError(f"unknown suite {name!r}; known: {', '.join(BUILTIN_SUITES)}")
-    return BUILTIN_SUITES[name](seed=seed, max_tuples=max_tuples)
+    return BUILTIN_SUITES[name](seed=seed)

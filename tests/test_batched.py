@@ -33,6 +33,7 @@ from azumaya.identities import (
     MultilinearIdentity,
     _tuples,
     al_vanishing_check,
+    evaluate,
     identity_transfer_check,
     nonvanishing_witness,
     standard_identity,
@@ -151,8 +152,9 @@ def test_mul_batch_empty_batch():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_exhaustive_tuples_in_product_order(k):
+    # a search's exhaustive candidates over k copies of A's coordinates
     A = matrix_algebra(ZMod(2), 2)  # 16 elements, 16^3 = 4096 triples
-    got = list(_tuples(A, k)(100))
+    got = [X.reshape(-1, k, A.dim) for X in algebras.candidate_batches(A.moduli * k, 100)]
     want = list(exhaustive_tuples_loop(A, k, batch=100))
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -260,16 +262,16 @@ def _z2z3():
 @pytest.mark.parametrize(
     "make,n,mode,count,seed",
     [
-        # exhaustive: a pass is decided on the generator subsets
+        # exhaustive passes, decided on the generator subsets
         (lambda: matrix_algebra(_gf4(), 1), 1, "exhaustive", None, None),
         (lambda: matrix_algebra(_z2z3(), 1), 1, "exhaustive", None, None),
         (lambda: matrix_algebra(ZMod(4), 1), 2, "exhaustive", None, None),  # C(1, 4) = 0
         (lambda: upper_triangular_algebra(ZMod(2), 2), 2, "exhaustive", None, None),
-        # exhaustive failures: a subset gives s_2 != 0, then the scan runs
+        # exhaustive failures: the first generator pair with s_2 != 0
         (lambda: matrix_algebra(ZMod(4), 2), 1, "exhaustive", None, None),
         (lambda: matrix_algebra(_gf4(), 2), 1, "exhaustive", None, None),
         (lambda: upper_triangular_algebra(_z2z3(), 2), 1, "exhaustive", None, None),
-        # sampled, C(dim, 2n) <= count: decided on the subsets when they vanish
+        # sampled, C(dim, 2n) <= count
         (lambda: matrix_algebra(_gf4(), 2), 2, "samples", 100, 1),  # C(8, 4) = 70
         (lambda: matrix_algebra(_z2z3(), 2), 2, "samples", 80, 2),
         (lambda: matrix_algebra(ZMod(4), 2), 2, "samples", 50, 3),  # C(4, 4) = 1
@@ -277,9 +279,9 @@ def _z2z3():
         (lambda: matrix_algebra(ZMod(4), 2), 1, "samples", 50, 5),  # C(4, 2) = 6, fails
         (lambda: matrix_algebra(_gf4(), 2), 1, "samples", 50, 6),  # C(8, 2) = 28, fails
         (lambda: upper_triangular_algebra(_z2z3(), 2), 1, "samples", 30, 7),  # C(6, 2) = 15
-        (lambda: upper_triangular_algebra(ZMod(2), 2), 1, "samples", 3, 8),  # C(3, 2) = 3
-        (lambda: upper_triangular_algebra(ZMod(2), 2), 1, "samples", 3, 9),  # the scan misses
-        # sampled, C(dim, 2n) > count: the seeded scan runs
+        (lambda: upper_triangular_algebra(ZMod(2), 2), 1, "samples", 3, 8),  # the oracle's 3 pairs miss
+        (lambda: upper_triangular_algebra(ZMod(2), 2), 1, "samples", 3, 9),  # C(3, 2) = 3
+        # sampled, C(dim, 2n) > count: decided on the subsets, whose tables fit
         (lambda: matrix_algebra(_gf4(), 2), 2, "samples", 40, 9),
         (lambda: matrix_algebra(_z2z3(), 2), 2, "samples", 30, 10),
         (lambda: matrix_algebra(ZMod(4), 3), 1, "samples", 20, 11),  # C(9, 2) = 36
@@ -288,21 +290,41 @@ def _z2z3():
     ],
 )
 def test_al_vanishing_matches_loop(make, n, mode, count, seed, monkeypatch):
+    # a pass is the loop oracle's report; a failure names the first
+    # generator subset with s_2n != 0, which the oracle's tuples may miss
     A = make()
     kwargs = {"mode": mode, "seed": seed} if count is None else {"mode": mode, "count": count, "seed": seed}
     want = al_vanishing_check_loop(A, n, **kwargs)
+    sk = standard_identity(2 * n)
+    X, value, position = identities._subset_hit(sk, A)
     # at the batch rule's own size, then at a patched size
     for chunk in (None, 7):
         if chunk:
             monkeypatch.setattr(algebras, "search_rows", lambda entries: chunk)
-        assert al_vanishing_check(A, n, **kwargs).comparable_dict() == want.comparable_dict()
+        got = al_vanishing_check(A, n, **kwargs)
+        if got.status == "pass":
+            assert got.comparable_dict() == want.comparable_dict()
+        else:
+            assert got.status == "fail" and got.details == {"k": 2 * n, "mode": mode, "tested": position}
+            assert got.witness == {"tuple": X.tolist(), "value": value.tolist()}
+            xs = [A.element(v) for v in got.witness["tuple"]]
+            assert evaluate(sk, xs).flat.tolist() == got.witness["value"] and any(got.witness["value"])
 
 
-def test_al_vanishing_sampled_pass_despite_a_nonvanishing_subset():
-    # s_2 does not vanish on UT_2(F_2), but none of the 3 seeded pairs shows it
+def test_al_vanishing_sampled_fails_on_a_nonvanishing_subset():
+    # s_2 does not vanish on UT_2(F_2), and s_4 not on M_3(F_2): the subset
+    # walk decides either, whatever the seed, though a sampled tuple scan
+    # misses at some seeds (the 3 pairs at seed 8, 1 tuple at seed 7)
     A = upper_triangular_algebra(ZMod(2), 2)
-    assert al_vanishing_check(A, 1, mode="samples", count=3, seed=8).status == "pass"
-    assert al_vanishing_check(A, 1, mode="samples", count=3, seed=9).status == "fail"
+    assert al_vanishing_check(A, 1, mode="samples", count=3, seed=8).status == "fail"
+    assert al_vanishing_check_loop(A, 1, mode="samples", count=3, seed=8).status == "pass"
+    B = matrix_algebra(ZMod(2), 3, check=False)
+    assert identities._depth(B.dim, 4) == 3
+    first = al_vanishing_check(B, 2, mode="samples", count=1, seed=0)
+    for seed in range(40):
+        rep = al_vanishing_check(B, 2, mode="samples", count=1, seed=seed)
+        assert rep.status == "fail" and (rep.witness, rep.details) == (first.witness, first.details), seed
+    assert al_vanishing_check_loop(B, 2, mode="samples", count=1, seed=7).status == "pass"
 
 
 def test_passing_exhaustive_s4_on_m2f2_evaluates_one_tuple(monkeypatch):

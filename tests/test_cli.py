@@ -90,6 +90,8 @@ def test_run_config_basic(tmp_path):
     assert set(cfg.algebras) == {"M2_4", "M2_F2"}
     assert cfg.homs["red"].is_verified
     assert cfg.seed == 42
+    # the retired exhaustive budget's key still loads, whatever its value
+    assert set(load_run_config(write_config(tmp_path, dict(BASIC, max_tuples=-1))).algebras) == {"M2_4", "M2_F2"}
 
 
 def test_config_unknown_ring_name():
@@ -197,6 +199,15 @@ def _seedless(check):
     }
 
 
+def test_cli_sampled_al_failure_on_a_subset_draws_nothing(tmp_path, capsys):
+    # s_2 is nonzero on a generator pair of M_2(F_2): the walk names it,
+    # with no draw and no seed
+    path = write_config(tmp_path, _seedless({"check": "al_vanishing", "n": 1, "mode": "samples", "count": 100}))
+    assert main(["check", "all", "--config", path]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert "seed" not in rep and rep["status"] == "fail" and rep["details"]["mode"] == "samples"
+
+
 def test_cli_seedless_al_check_runs_exhaustively(tmp_path, capsys):
     # no mode means the exhaustive scan, which draws nothing
     path = write_config(tmp_path, _seedless({"check": "al_vanishing", "n": 2}))
@@ -222,14 +233,25 @@ def test_config_seed_required_for_sampled_jordan_probe(tmp_path, capsys):
     assert err.startswith("error: checks.c: ") and "needs a seed" in err
 
 
+# s_8 on M_5(F_2): its subset tables stop at size 4, and C(25, 8) > 3, so
+# the sampled check draws; s_8 does not vanish on M_5
+PAST_TABLES_M5 = {
+    "objects": {
+        "rings": {"F2": {"kind": "zmod", "n": 2}},
+        "algebras": {"A": {"kind": "matrix", "n": 5, "ring": "F2"}},
+    },
+    "checks": [{"name": "c", "check": "al_vanishing", "algebra": "A", "n": 4, "mode": "samples", "count": 3}],
+}
+
+
 def test_cli_seed_option_serves_a_seedless_sampled_config(tmp_path, capsys):
     # s_4 on M_2(F_2) is decided on its one generator 4-subset: no draw, no seed
     path = write_config(tmp_path, _seedless({"check": "al_vanishing", "n": 2, "mode": "samples", "count": 100}))
     assert main(["check", "all", "--config", path]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert "seed" not in rep and rep["details"] == {"k": 4, "mode": "samples", "tested": 100}
-    # s_2 is nonzero on a generator pair, so the check goes on to draw
-    path = write_config(tmp_path, _seedless({"check": "al_vanishing", "n": 1, "mode": "samples", "count": 100}))
+    # past the subset tables the check draws
+    path = write_config(tmp_path, PAST_TABLES_M5)
     assert main(["check", "all", "--config", path]) == 2
     assert capsys.readouterr().err.startswith("error: checks.c: a seeded draw needs a seed")
     assert main(["check", "all", "--config", path, "--seed", "42"]) == 1
@@ -253,9 +275,8 @@ DRAWING_CHECKS = {
         "objects": BASIC["objects"],
         "checks": [{"name": "c", "check": "identity_transfer", "hom": "red", "identity": "s2"}],
     },
-    # s_2 is nonzero on a generator pair of M_2(F_2)
-    "al-subset-hit": _seedless({"check": "al_vanishing", "n": 1, "mode": "samples", "count": 100}),
     "al-past-tables": dict(SAMPLED_S8, checks=[dict(SAMPLED_S8["checks"][0], name="c")]),
+    "al-past-tables-nonvanishing": PAST_TABLES_M5,
 }
 
 
@@ -549,6 +570,9 @@ def test_cli_search_subcommand_is_gone(capsys):
         {"check": "al_vanishing", "algebra": "M2_4", "n": 1, "mode": "samples", "count": 0},
         {"check": "jordan_obstruction", "algebra": "M2_4", "n": 3, "samples": -5},
         {"check": "identity_transfer", "hom": "red", "identity": "s2", "trials": 0},
+        # a witness search that walks no subsets would report not-found
+        {"check": "nonvanishing_witness", "algebra": "M2_4", "k": 2, "budget": -5},
+        {"check": "nonvanishing_witness", "algebra": "M2_4", "k": 2, "budget": 0},
     ],
 )
 def test_cli_malformed_check_parameter_exits_2(tmp_path, capsys, check):
@@ -564,18 +588,33 @@ def test_cli_malformed_check_parameter_exits_2(tmp_path, capsys, check):
         {"check": "al_vanishing", "algebra": "M2_4", "n": 1, "mode": "samples"},
         {"check": "jordan_obstruction", "algebra": "M2_F2", "n": 3},
         {"check": "identity_transfer", "hom": "red", "identity": "s2"},
+        {"check": "nonvanishing_witness", "algebra": "M2_4", "k": 2},
     ],
 )
 def test_cli_draws_above_cap_exit_2(tmp_path, capsys, check):
     # refused before anything is drawn: at 10 us a trial, 10^9 trials would
     # run for about 3 hours
-    key = {"al_vanishing": "count", "jordan_obstruction": "samples", "identity_transfer": "trials"}
+    key = {
+        "al_vanishing": "count",
+        "jordan_obstruction": "samples",
+        "identity_transfer": "trials",
+        "nonvanishing_witness": "budget",
+    }
     data = dict(BASIC, checks=[dict(check, name="big", **{key[check["check"]]: MAX_DRAWS + 1})])
     started = time.perf_counter()
     assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
     assert time.perf_counter() - started < 5
     err = capsys.readouterr().err
     assert err.startswith("error: checks.big: ") and f"between 1 and {MAX_DRAWS}" in err
+
+
+@pytest.mark.parametrize("expected", ["true", 1])
+def test_cli_env_bijective_expected_is_a_boolean(tmp_path, capsys, expected):
+    # M_2(F_2)'s enveloping map is bijective; "true" would fail it and 1
+    # would pass it, so anything but a JSON boolean is refused
+    data = dict(BASIC, checks=[{"name": "env", "check": "env_bijective", "algebra": "M2_F2", "expected": expected}])
+    assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"error: checks.env: expected must be true or false, got {expected!r}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from azumaya.identities import (
     nonvanishing_witness,
     standard_identity,
 )
-from azumaya.rings import RingIdeal, ZMod
+from azumaya.rings import GaloisField, RingIdeal, ZMod
 from loop_oracles import standard_identity_terms_loop
 from ring_oracles import identity_hom
 
@@ -183,12 +183,16 @@ def test_al_weyl_exhaustive():
 
 
 def test_al_sampled_requires_seed():
-    # s_2 on M_2(Z/4) and s_4 on M_3(F_2) are decided on generator subsets,
-    # but each is nonzero on one, so the check goes on to draw, and the
-    # draw refuses to run without a seed
-    for A, n in [(matrix_algebra(ZMod(4), 2), 1), (matrix_algebra(ZMod(2), 3), 2)]:
+    # past the subset tables, with more subsets than samples, the check
+    # scans seeded tuples, and the draw refuses to run without a seed: s_8
+    # on M_5(F_2), whose tables stop at size 4, and on M_2(GF(32)), whose
+    # tables stop at size 5 and on which s_8 vanishes
+    M5 = matrix_algebra(ZMod(2), 5, check=False)
+    for A in (M5, matrix_algebra(GaloisField.default(2, 5), 2, check=False)):
+        assert identities._depth(A.dim, 8) < 7
         with pytest.raises(AlgebraError, match="needs a seed"):
-            al_vanishing_check(A, n, mode="samples", count=10)
+            al_vanishing_check(A, 4, mode="samples", count=10)
+    assert al_vanishing_check(M5, 4, mode="samples", count=3, seed=7).status == "fail"
 
 
 def test_al_sampled_without_seed_decided_on_subsets():
@@ -214,9 +218,14 @@ def test_al_sampled_m3z6():
 
 
 def test_al_budget_exceeded():
-    A = matrix_algebra(ZMod(6), 3)  # 6^9 elements, tuples astronomically many
-    with pytest.raises(BudgetExceeded):
+    # M_5(F_2) has 25 generators, and its subset tables stop at size 4, so
+    # exhaustive s_6 is refused before anything is evaluated
+    A = matrix_algebra(ZMod(2), 5, check=False)
+    with pytest.raises(BudgetExceeded, match="exhaustive s_6 on 25 generators"):
         al_vanishing_check(A, 3, mode="exhaustive")
+    # 6^54 tuples of M_3(Z/6), decided on its C(9, 6) = 84 generator subsets
+    rep = al_vanishing_check(matrix_algebra(ZMod(6), 3), 3, mode="exhaustive")
+    assert rep.status == "pass" and rep.details == {"k": 6, "mode": "exhaustive", "tested": 6**54}
 
 
 def test_al_below_boundary_fails_with_witness():

@@ -46,7 +46,6 @@ from .homs import (
     kernel_ideal,
     rank_comparison_check,
     reduction_hom,
-    verify_hom,
     weyl_splitting,
 )
 from .identities import (

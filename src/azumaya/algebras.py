@@ -17,11 +17,10 @@ also carries the rows that generate it as a ring (`Algebra.generators`):
 for a tensor product or an opposite, their images and b_s 1 for a base
 change, and the D identity rows otherwise.  The hom check and `center` run
 on them, |S| D products and an |S| D x D commutator matrix rather than D^2
-and D^2 x D.  Searches over elements or tuples take their candidates from
-`candidate_batches` (product order, or seeded rows named by index, each a
-counter-based hash of the seed and its entries' positions, `random_rows`)
-and stop at the first hit through `first_hit`, in batches sized by the one
-rule `search_rows`.
+and D^2 x D.  Searches over tuples or subsets stop at the first hit
+through `first_hit`, in batches sized by the one rule `search_rows`; a
+seeded tuple is a row of `random_rows`, a counter-based hash of the seed
+and its entries' positions.
 
 Every constructor emits the nonzero structure constants as entries, and no
 dense table is formed: matrix and upper-triangular algebras E_ij E_jl = E_il,
@@ -418,22 +417,6 @@ def search_rows(entries):
     return max(1, min(1024, SEARCH_ENTRIES // entries))
 
 
-def candidate_batches(radices, rows, count=None, seed=None):
-    """Search candidates in batches of at most `rows` rows: every row of
-    itertools.product(*map(range, radices)), or with a `count`, rows
-    0..count-1 of random_rows(seed, radices, ...), in the order a loop
-    taking one candidate at a time would meet them.  Seeded rows are named
-    by their index, so the batching does not change them; drawing without a
-    seed raises AlgebraError."""
-    if count is None:
-        total = math.prod(radices)
-        for lo in range(0, total, rows):
-            yield product_rows(lo, min(lo + rows, total), radices)
-    else:
-        for lo in range(0, count, rows):
-            yield random_rows(seed, radices, lo, min(lo + rows, count))
-
-
 def first_hit(source, entries, evaluate):
     """The first marked candidate of a search, evaluated in batches.
 
@@ -717,6 +700,19 @@ def env_map_bijective(A):
     return linalg.is_bijective_additive(F, src, tgt)
 
 
+def env_bijective_check(A, expected):
+    """Whether A's enveloping map is bijective, against `expected`: a pass
+    when the two agree, otherwise a fail naming both."""
+    bij = env_map_bijective(A)
+    ok = bij == expected
+    return CheckReport(
+        check="env_bijective",
+        status="pass" if ok else "fail",
+        witness=None if ok else {"bijective": bij, "expected": expected},
+        details={"bijective": bij},
+    )
+
+
 # The search's fixed seed (x is drawn under it, z under the next one) and
 # its number of draws: of x in all, and of z per x.
 _SPLIT_SEED = 0
@@ -880,7 +876,7 @@ def splitting(A):
         H = _searched_splitting(A)
     if H is None:
         return None
-    hom = AlgebraHom(A, M, H, label=label).verify()
+    hom = AlgebraHom(A, M, H, label=label)
     return hom if hom.is_verified and hom.is_bijective() else None
 
 
@@ -1038,15 +1034,20 @@ def nilpotency_indices(A, X, cap):
     return index
 
 
+def jordan_flat(ring, blocks):
+    """Flat coordinates of the Jordan matrix J_blocks in M_n(ring),
+    n = sum(blocks): one nilpotent block per part, with ones on the
+    superdiagonal inside each block and zeros elsewhere."""
+    n = sum(blocks)
+    inside = np.ones(n - 1, dtype=bool)
+    inside[np.cumsum(blocks)[:-1] - 1] = False  # the last row of a block
+    i = np.flatnonzero(inside)
+    flat = np.zeros((n * n, ring.flatten_len), dtype=np.int64)
+    flat[i * n + i + 1] = ring.one().coords
+    return flat.ravel()
+
+
 def jordan_cell(ring, n):
-    """Element of M_n(ring) sending e_i to e_{i-1}: first column zero, then
-    column i equal to the (i-1)-th standard basis vector."""
-    A = matrix_algebra(ring, n, check=False)
-    flat = np.zeros(A.dim, dtype=np.int64)
-    f = ring.flatten_len
-    one = ring.one().coords
-    for i in range(1, n):
-        # entry (i-1, i) = 1
-        slot = (i - 1) * n + i
-        flat[slot * f : (slot + 1) * f] = one
-    return AlgElem(A, flat)
+    """Element of M_n(ring) sending e_i to e_{i-1}: the one Jordan block
+    J_(n)."""
+    return AlgElem(matrix_algebra(ring, n, check=False), jordan_flat(ring, (n,)))

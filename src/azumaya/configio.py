@@ -40,10 +40,10 @@ from .rings import RingError, RingIdeal, make_ring
 # the D^4 cap stays.
 MAX_DENSE_ENTRIES = 2**26
 
-# Cap on the draws a configured check may ask for (`samples`, `count`,
-# `trials`), and on the generator subsets a witness search may walk
-# (`budget`).  A draw or a subset costs microseconds to about a millisecond
-# (an s_8 tuple of M_4), so a check within the cap ends in minutes, not hours.
+# Cap on the draws a configured check may ask for (`count`, `trials`), and
+# on the generator subsets a witness search may walk (`budget`).  A draw or
+# a subset costs microseconds to about a millisecond (an s_8 tuple of M_4),
+# so a check within the cap ends in minutes, not hours.
 MAX_DRAWS = 10**5
 
 
@@ -207,7 +207,7 @@ def make_hom(cfg, algebras, homs=None, location="hom"):
             )
         # row i reduced mod the modulus of target coordinate i, as Python ints
         matrix = matrix % np.asarray(target.moduli, dtype=object)[:, None]
-        return AlgebraHom(source, target, matrix, label="explicit").verify()
+        return AlgebraHom(source, target, matrix, label="explicit")
     raise ConfigError(f"unknown hom kind {kind!r}", location)
 
 

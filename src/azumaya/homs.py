@@ -12,7 +12,15 @@ associativity this implies full multiplicativity, so the check is
 complete; each side is a sparse join with a structure tensor.  A refuted
 hom names the first failing pair of coordinate generators, from a scan
 over all of them.  All homs here are unital by definition: a non-unital
-map is refuted, never accepted.
+map is refuted, never accepted.  A hom is checked once, when it is made,
+so every `AlgebraHom` is verified or refuted.
+
+Lemma 3.2 (no element of M_n'(k) has nilpotency index above n') is decided
+on the Jordan types: every nilpotent of M_n'(k) is similar to exactly one
+J_lambda, lambda a partition of n', and similarity and isomorphisms keep
+the index, so `jordan_obstruction_probe` pulls the p(n') matrices J_lambda
+back through the verified isomorphism of `algebras.splitting` and reads
+their indices.  Nothing is drawn.
 
 Theorem 4.1's conclusion holds over every finite base, reduced or not.  An
 Azumaya source A of rank n^2 over a finite commutative ring is M_n(R) (the
@@ -37,22 +45,21 @@ from .algebras import (
     AlgElem,
     _square_root,
     base_change,
-    candidate_batches,
     center,
     commutant,
     commutator_matrix,
-    first_hit,
     is_azumaya,
+    jordan_flat,
     matrix_algebra,
     nilpotency_indices,
     quotient_algebra,
+    splitting,
 )
 from .reports import CONTRADICTS, FAIL, PASS, CheckReport
 from .rings import RingIdeal, ZMod, hom_refutation, is_reduced
 
 VERIFIED = "verified"
 REFUTED = "refuted"
-UNVERIFIED = "unverified"
 
 
 class HomError(Exception):
@@ -80,8 +87,8 @@ class PreconditionUnmet(HomError):
 
 
 class AlgebraHom:
-    """Additive map between the flattened modules of two algebras, with a
-    verification status (unverified / verified / refuted(witness))."""
+    """Additive map between the flattened modules of two algebras, verified
+    when it is made: its status is verified, or refuted with a witness."""
 
     def __init__(self, source, target, matrix, label=""):
         self.source = source
@@ -93,9 +100,8 @@ class AlgebraHom:
             )
         self.matrix = matrix % target._moduli_arr[:, None]
         self._N = max(source._N, target._N)  # every entry is a residue below it
-        self.status = UNVERIFIED
-        self.refutation = None
         self.label = label
+        self.verify()
 
     def apply(self, elem):
         if elem.algebra != self.source:
@@ -113,7 +119,8 @@ class AlgebraHom:
         (`rings.hom_refutation`), on the source's generators times its
         coordinate generators; returns self.  A refutation carries the first
         failing condition: well-definedness, the unit, or the first pair
-        (j, k) of coordinate generators on which f is not multiplicative."""
+        (j, k) of coordinate generators on which f is not multiplicative.
+        The constructor calls it, once."""
         self.refutation = hom_refutation(self.matrix, self.source, self.target)
         self.status = REFUTED if self.refutation else VERIFIED
         return self
@@ -123,8 +130,6 @@ class AlgebraHom:
         return self.status == VERIFIED
 
     def require_verified(self):
-        if self.status == UNVERIFIED:
-            self.verify()
         if self.status != VERIFIED:
             raise PreconditionUnmet(f"hom is not verified: {self.refutation}")
 
@@ -149,18 +154,13 @@ class AlgebraHom:
         return f"<{name}: {self.source!r} -> {self.target!r} [{self.status}]>"
 
 
-def verify_hom(matrix, source, target, label=""):
-    """Wrap and verify an explicit integer matrix as an AlgebraHom."""
-    return AlgebraHom(source, target, matrix, label=label).verify()
-
-
 def compose(g, f):
     """g after f."""
     if f.target != g.source:
         raise ComposabilityMismatch("inner target differs from outer source")
     moduli = g.target._moduli_arr[:, None]
     matrix = linalg.einsum_mod("ij,jk->ik", g.matrix, f.matrix, moduli=moduli, N=max(g._N, f._N))
-    return AlgebraHom(f.source, g.target, matrix, label=f"{g.label}.{f.label}").verify()
+    return AlgebraHom(f.source, g.target, matrix, label=f"{g.label}.{f.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def compose(g, f):
 def _verified(source, target, matrix, label, failure):
     """The verified hom of `matrix`; a refuted one raises VerificationFailed
     with the message `failure` and the refutation."""
-    hom = AlgebraHom(source, target, matrix, label=label).verify()
+    hom = AlgebraHom(source, target, matrix, label=label)
     if hom.status != VERIFIED:
         raise VerificationFailed(f"{failure}: {hom.refutation}")
     return hom
@@ -313,8 +313,6 @@ def center_preservation_check(f):
     commutator check itself runs regardless.  A failure with all
     preconditions met is flagged contradicts-theorem.
     """
-    if f.status == UNVERIFIED:
-        f.verify()
     pre = _azumaya_preconditions(f)
     pre_met = (
         pre["hom_verified"]
@@ -366,17 +364,29 @@ def rank_comparison_check(f):
     )
 
 
-def jordan_obstruction_probe(n, Aprime, samples=10000, seed=None):
-    """No element of A' = M_{n'}(k) with n' < n may have nilpotency index
-    exactly n.  Exhaustive when the algebra is small enough, seeded sampling
-    otherwise (without a seed, its first draw raises AlgebraError);
-    candidates are raised to powers a batch at a time through the batched
-    first-hit search (`algebras.first_hit`).
+def _partitions(n, top=None):
+    """The partitions of n into parts of at most `top` (default n), each a
+    tuple with its largest part first, in decreasing lexicographic order."""
+    top = n if top is None else top
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, top), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
 
-    A nilpotent of M_{n'} over a field has index <= n', so any index above
-    n' (n among them, when n' < n) is reported with the first candidate
-    that shows it.  Over a ring that is not a field the bound fails (in
-    M_2(Z/12), [[6, 10], [3, 6]] has index 4), so such a base is refused."""
+
+def jordan_obstruction_probe(n, Aprime, samples=None, seed=None):
+    """Lemma 3.2: no element of A' = M_{n'}(k) has nilpotency index above
+    n', so none has index n > n'.  Decided on the p(n') Jordan types (see
+    the module docstring), each pulled back through the verified
+    phi: A' -> M_{n'}(k) of `algebras.splitting`, the identity in
+    matrix-unit coordinates; nothing is drawn, and `samples` and `seed` are
+    not read.  Refused, in this order, when the rank is not a square, when
+    the base is not a field, where the bound fails (in M_2(Z/12),
+    [[6, 10], [3, 6]] has index 4), and, for n > 1, when there is no
+    splitting: the lemma's hypothesis is A' = M_{n'}(k).  A fail names the
+    pulled-back element, its index and lambda."""
     nprime = _square_root(Aprime.rank)
     if nprime is None:
         raise PreconditionUnmet("probe target must be a full matrix algebra")
@@ -384,26 +394,22 @@ def jordan_obstruction_probe(n, Aprime, samples=10000, seed=None):
         raise PreconditionUnmet("probe target must be a matrix algebra over a field (Lemma 3.2)")
     if n <= 1:
         return CheckReport(check="jordan_obstruction", status=PASS, details={"vacuous": True})
-    exhaustive = Aprime.size <= samples
-    count = None if exhaustive else samples
-
-    def above_nprime(X):
-        index = nilpotency_indices(Aprime, X, Aprime.rank)
-        return index, index > nprime
-
-    def candidates(rows):
-        return candidate_batches(Aprime.moduli, rows, count, seed)
-
-    # a batch holds its candidates and their powers
-    x, index, checked = first_hit(candidates, 2 * Aprime.dim, above_nprime)
-    details = {"checked": checked, "exhaustive": exhaustive}
-    if x is None:
-        return CheckReport(check="jordan_obstruction", status=PASS, seed=seed, details=details)
+    phi = splitting(Aprime)
+    if phi is None:
+        raise PreconditionUnmet("probe target has no verified isomorphism to M_n'(k) (Lemma 3.2)")
+    types = list(_partitions(nprime))
+    J = [jordan_flat(Aprime.base, blocks) for blocks in types]
+    X = np.stack([linalg.solve_additive(phi.matrix, j, Aprime.moduli, phi.target.moduli)[0] for j in J])
+    index = nilpotency_indices(Aprime, X, Aprime.rank)
+    details = {"jordan_types": len(types), "largest_index": int(index.max())}
+    above = np.flatnonzero(index > nprime)
+    if not above.size:
+        return CheckReport(check="jordan_obstruction", status=PASS, details=details)
+    t = int(above[0])
     return CheckReport(
         check="jordan_obstruction",
         status=FAIL,
-        witness={"element": x.tolist(), "index": int(index)},
-        seed=seed,
+        witness={"element": X[t].tolist(), "index": int(index[t]), "partition": list(types[t])},
         details=details,
     )
 

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .algebras import SEARCH_ENTRIES, AlgElem, candidate_batches, first_hit, product_rows, search_rows
+from .algebras import SEARCH_ENTRIES, AlgElem, first_hit, product_rows, random_rows, search_rows
 from .reports import FAIL, NOT_FOUND, PASS, CheckReport
 
 MAX_ARITY = 8
@@ -177,9 +177,14 @@ def _standard_batch(A, X):
 
 def _tuples(A, k, count, seed):
     """Source of k-tuples of A for `first_hit`: the first `count` seeded
-    random tuples (tuple t is row t of `random_rows`), as (T, k, D) arrays."""
+    random tuples, tuple t being row t of `random_rows` over k copies of
+    A's coordinates, as (T, k, D) arrays of at most `rows` tuples.  A tuple
+    is named by its index, so the batching does not change it; without a
+    seed the first draw raises AlgebraError."""
+    radices = A.moduli * k
     return lambda rows: (
-        X.reshape(-1, k, A.dim) for X in candidate_batches(A.moduli * k, rows, count, seed)
+        random_rows(seed, radices, lo, min(lo + rows, count)).reshape(-1, k, A.dim)
+        for lo in range(0, count, rows)
     )
 
 
@@ -435,9 +440,12 @@ def nonvanishing_witness(A, k, budget=10000, seed=None):
     docstring): the search is complete, and nothing is drawn at random.
     `seed` is only recorded in the report.  `tried` counts the subsets up to
     and including the witness, or all that were walked: min(budget, C(dim, k)).
+    A budget below 1 would walk no subset, so it raises IdentityError.
 
     Returns (tuple of AlgElem or None, CheckReport)."""
-    X, value, tried = _subset_hit(standard_identity(k), A, max(budget, 0))
+    if budget < 1:
+        raise IdentityError(f"budget must be >= 1, got {budget}")
+    X, value, tried = _subset_hit(standard_identity(k), A, budget)
     if X is None:
         return None, CheckReport(
             check="nonvanishing_witness", status=NOT_FOUND, seed=seed, details={"k": k, "tried": tried}

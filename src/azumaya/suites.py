@@ -1,11 +1,10 @@
 """Builtin theorem suites: named bundles of checks over fixed object grids
 and the deterministic hom corpus.
 
-Each suite returns an ordered list of CheckReports.  Only `jordan-lem32`
-draws (its probes of M_3(F_3) and M_3(F_5) sample elements), so only it
-needs a seed: without one, its first draw raises AlgebraError, which names
-the probe that drew.  The others draw nothing; `al-thm26` records a given
-seed in its reports, and the rest ignore it.
+Each suite returns an ordered list of CheckReports.  No suite draws, so
+none needs a seed: `jordan-lem32` decides its probes on the Jordan types,
+and `al-thm26` on generator subsets.  `al-thm26` records a given seed in
+its reports, and the rest ignore it.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from . import homs as homs_mod
 from . import identities as idn
 from .algebras import (
     Algebra,
-    AlgebraError,
-    env_map_bijective,
+    env_bijective_check,
     ideal_intersection_check,
     is_azumaya,
     jordan_cell,
@@ -161,12 +159,9 @@ def suite_jordan_lem32(seed=None):
             )
         for n in range(2, 5):
             for nprime in range(1, n):
-                A, name = matrix_algebra(ring, nprime, check=False), f"jordan-probe:F_{p}:n={n}:nprime={nprime}"
-                try:
-                    rep = homs_mod.jordan_obstruction_probe(n, A, samples=10**4, seed=seed)
-                except AlgebraError as e:  # a draw without a seed, named by its probe
-                    raise AlgebraError(f"{name}: {e}") from e
-                reports.append(_named(rep, name))
+                A = matrix_algebra(ring, nprime, check=False)
+                rep = homs_mod.jordan_obstruction_probe(n, A)
+                reports.append(_named(rep, f"jordan-probe:F_{p}:n={n}:nprime={nprime}"))
     return reports
 
 
@@ -243,16 +238,7 @@ def suite_tensor_env_rem23(seed=None):
         ("F_2xF_2", _split_quadratic_f2(), False),
     ]
     for name, A, expected in env_cases:
-        bij = env_map_bijective(A)
-        ok = bij == expected
-        reports.append(
-            CheckReport(
-                check=f"env:{name}",
-                status=PASS if ok else FAIL,
-                witness=None if ok else {"bijective": bij, "expected": expected},
-                details={"bijective": bij},
-            )
-        )
+        reports.append(_named(env_bijective_check(A, expected), f"env:{name}"))
     # tensor of Azumaya algebras is Azumaya (Rem 2.3(6))
     M2 = matrix_algebra(ZMod(2), 2, check=False)
     T = tensor_product(M2, opposite(M2))

@@ -9,12 +9,13 @@ kept verbatim in behaviour: seeded tuple t is row t of
 `algebras.random_rows`, drawn alone, and the reports are the same, so a
 test can compare the two forms report by report.  The AL loop scans every
 tuple, where the library decides a pass on the generator subsets first.
+`largest_nilpotency_index_loop` walks elements one at a time, where the
+jordan probe reads only the Jordan types.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -119,40 +120,16 @@ def al_vanishing_check_loop(A, n, mode="exhaustive", count=2000, seed=None):
     )
 
 
-def jordan_obstruction_probe_loop(n, Aprime, samples=10000, seed=0):
-    nprime = math.isqrt(Aprime.rank)
-    if n <= 1:
-        return CheckReport(check="jordan_obstruction", status=PASS, details={"vacuous": True})
-    exhaustive = Aprime.size <= samples
-
-    def candidates():
-        if exhaustive:
-            for coords in itertools.product(*(range(m) for m in Aprime.moduli)):
-                yield AlgElem(Aprime, np.asarray(coords, dtype=np.int64))
-        else:
-            for t in range(samples):
-                yield AlgElem(Aprime, random_rows(seed, Aprime.moduli, t, t + 1)[0])
-
-    checked = 0
-    for x in candidates():
-        checked += 1
-        e = _nilpotency_index_loop(x, Aprime.rank)
-        if e is None:
-            continue
-        if (e == n and nprime < n) or e > nprime:
-            return CheckReport(
-                check="jordan_obstruction",
-                status=FAIL,
-                witness={"element": x.flat.tolist(), "index": e},
-                seed=seed,
-                details={"checked": checked, "exhaustive": exhaustive},
-            )
-    return CheckReport(
-        check="jordan_obstruction",
-        status=PASS,
-        seed=seed,
-        details={"checked": checked, "exhaustive": exhaustive},
-    )
+def largest_nilpotency_index_loop(A, samples, seed):
+    """The largest nilpotency index, up to the rank, over every element of A
+    when it has at most `samples`, else over `samples` seeded ones (row t of
+    `algebras.random_rows`), one element at a time; 0 when none is
+    nilpotent."""
+    if A.size <= samples:
+        rows = (np.asarray(x, dtype=np.int64) for x in itertools.product(*(range(m) for m in A.moduli)))
+    else:
+        rows = (random_rows(seed, A.moduli, t, t + 1)[0] for t in range(samples))
+    return max(_nilpotency_index_loop(AlgElem(A, x), A.rank) or 0 for x in rows)
 
 
 def nonvanishing_witness_loop(A, k, budget=10000, seed=0):

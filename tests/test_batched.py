@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya import algebras, identities
+from azumaya import algebras, homs, identities
 from azumaya.algebras import (
     Algebra,
     matrix_algebra,
@@ -44,7 +44,7 @@ from loop_oracles import (
     dense_mul_batch,
     exhaustive_tuples_loop,
     identity_transfer_check_loop,
-    jordan_obstruction_probe_loop,
+    largest_nilpotency_index_loop,
     nilpotency_indices_walk,
     nonvanishing_witness_loop,
     sampled_tuples_loop,
@@ -152,9 +152,11 @@ def test_mul_batch_empty_batch():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_exhaustive_tuples_in_product_order(k):
-    # a search's exhaustive candidates over k copies of A's coordinates
+    # every k-tuple of A, in batches of product_rows over k copies of A's
+    # coordinates
     A = matrix_algebra(ZMod(2), 2)  # 16 elements, 16^3 = 4096 triples
-    got = [X.reshape(-1, k, A.dim) for X in algebras.candidate_batches(A.moduli * k, 100)]
+    total, radices = A.size**k, A.moduli * k
+    got = [product_rows(lo, min(lo + 100, total), radices).reshape(-1, k, A.dim) for lo in range(0, total, 100)]
     want = list(exhaustive_tuples_loop(A, k, batch=100))
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -180,47 +182,67 @@ def test_sampled_tuples_draw_in_loop_order():
 
 
 _JORDAN_CASES = [
-    # (n, algebra, samples, seed)
-    (4, lambda: matrix_algebra(ZMod(3), 3, check=False), 3000, 17),  # sampled, pass
-    (3, lambda: matrix_algebra(ZMod(5), 2), 10**4, 1),  # exhaustive, pass
-    (3, lambda: matrix_algebra(ZMod(9), 2), 10**4, 0),  # exhaustive, fail over Z/9
-    (3, lambda: matrix_algebra(ZMod(4), 2), 100, 5),  # sampled, fail over Z/4
-    (3, lambda: matrix_algebra(ZMod(4), 2), 10**3, 5),  # exhaustive, fail over Z/4
+    # (n, algebra, samples, seed): the oracle walks every element when there
+    # are at most `samples`, else `samples` seeded ones
+    (4, lambda: matrix_algebra(ZMod(3), 3, check=False), 3000, 17),  # sampled
+    (3, lambda: matrix_algebra(ZMod(5), 2), 10**4, 1),  # every element
+    (3, lambda: matrix_algebra(ZMod(9), 2), 10**4, 0),  # every element; index 3 over Z/9
+    (3, lambda: matrix_algebra(ZMod(4), 2), 100, 5),  # sampled; index 3 over Z/4
+    (3, lambda: matrix_algebra(ZMod(4), 2), 10**3, 5),  # every element; index 3 over Z/4
     (3, lambda: matrix_algebra(GaloisField.default(2, 2), 2), 100, 3),  # sampled, radix 2 per coordinate
     (3, lambda: matrix_algebra(ZMod(2**31 - 1), 2, check=False), 200, 11),  # sampled, near 2^31
 ]
 
 
-def _lift_field_precondition(A, monkeypatch):
-    """Lemma 3.2 needs a field, so the probe refuses Z/9 and Z/4, where the
-    index bound fails; the search itself is still compared there, with the
-    refusal lifted."""
-    if not A.base.is_field:
-        with pytest.raises(PreconditionUnmet, match="over a field"):
-            jordan_obstruction_probe(3, A)
-        monkeypatch.setattr(ZMod, "is_field", property(lambda self: True))
+@functools.cache
+def _largest_index_loop(make, samples, seed):
+    return largest_nilpotency_index_loop(make(), samples, seed)
 
 
 @pytest.mark.parametrize("n,make,samples,seed", _JORDAN_CASES)
 @pytest.mark.parametrize("chunk", [1, 7, 1024])
-def test_jordan_probe_matches_loop(n, make, samples, seed, chunk, monkeypatch):
-    monkeypatch.setattr(algebras, "search_rows", lambda entries: chunk)
+def test_jordan_probe_matches_loop(n, make, samples, seed, chunk):
+    # the case's elements, all of them or `samples` seeded ones, one at a
+    # time and in batches of `chunk` through the probe's kernel
+    # `nilpotency_indices`: over a field no index exceeds the largest over
+    # the Jordan types, n'; off a field one does, and the probe is refused
     A = make()
-    _lift_field_precondition(A, monkeypatch)
-    got = jordan_obstruction_probe(n, A, samples=samples, seed=seed)
-    want = jordan_obstruction_probe_loop(n, A, samples=samples, seed=seed)
-    assert got.comparable_dict() == want.comparable_dict()
+    nprime = math.isqrt(A.rank)
+    if A.size <= samples:
+        X = product_rows(0, A.size, A.moduli)
+    else:
+        X = algebras.random_rows(seed, A.moduli, 0, samples)
+    batches = (algebras.nilpotency_indices(A, X[lo : lo + chunk], A.rank) for lo in range(0, len(X), chunk))
+    largest = _largest_index_loop(make, samples, seed)
+    assert max(int(index.max()) for index in batches) == largest
+    if A.base.is_field:
+        rep = jordan_obstruction_probe(n, A)
+        assert rep.status == "pass" and largest <= rep.details["largest_index"] == nprime
+    else:
+        with pytest.raises(PreconditionUnmet, match="over a field"):
+            jordan_obstruction_probe(n, A)
+        assert largest > nprime
 
 
 def test_jordan_probe_fail_cases_fail(monkeypatch):
-    # the comparisons above meet the failing path: over Z/9 and Z/4 the
-    # search finds an index above n'
-    statuses = []
-    for n, make, samples, seed in _JORDAN_CASES:
-        A = make()
-        _lift_field_precondition(A, monkeypatch)
-        statuses.append(jordan_obstruction_probe(n, A, samples=samples, seed=seed).status)
-    assert statuses == ["pass", "pass", "fail", "fail", "fail", "pass", "pass"]
+    # the failing path on every field case above: an index above n'
+    # injected for the last type, lambda = (1, ..., 1), whose J_lambda and
+    # its pullback are 0, fails the probe and names it
+    indices = algebras.nilpotency_indices
+
+    def wrong(A, X, cap):
+        index = indices(A, X, cap)
+        index[-1] = cap + 1
+        return index
+
+    monkeypatch.setattr(homs, "nilpotency_indices", wrong)
+    fields = [make() for _, make, _, _ in _JORDAN_CASES if make().base.is_field]
+    assert len(fields) == 4
+    for A in fields:
+        rep = jordan_obstruction_probe(3, A)
+        nprime = math.isqrt(A.rank)
+        assert rep.status == "fail", A
+        assert rep.witness == {"element": [0] * A.dim, "index": A.rank + 1, "partition": [1] * nprime}
 
 
 @pytest.mark.parametrize(
@@ -522,7 +544,7 @@ def test_sampled_s8_on_m4f2_decided_on_subsets_draws_nothing(seed, monkeypatch):
         drawn.append(stop - start)
         return random_rows(seed, radices, start, stop)
 
-    monkeypatch.setattr(algebras, "random_rows", counting)
+    monkeypatch.setattr(identities, "random_rows", counting)
     # the scan the subsets replace: without stored tables, C(16, 8) = 12,870
     # subsets exceed the 200 samples, and the seeded tuples are scanned
     with monkeypatch.context() as scan:

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import azumaya
-from azumaya.algebras import AlgebraError
+from azumaya import algebras
 from azumaya.cli import main
 from azumaya.configio import MAX_DRAWS, ConfigError, RunConfig, load_run_config, make_algebra, make_hom, make_identity
 from azumaya.suites import builtin_suites, run_suite
@@ -217,20 +217,30 @@ def test_cli_seedless_al_check_runs_exhaustively(tmp_path, capsys):
 
 
 def test_cli_seedless_exhaustive_jordan_probe_runs(tmp_path, capsys):
-    # M_2(F_2) has 16 elements, at most `samples`, so the probe is exhaustive
-    path = write_config(tmp_path, _seedless({"check": "jordan_obstruction", "n": 3, "samples": 16}))
+    # the probe reads M_2(F_2)'s two Jordan types and draws nothing; a
+    # config's `samples` key still loads, unread
+    path = write_config(tmp_path, _seedless({"check": "jordan_obstruction", "n": 3, "samples": 15}))
     assert main(["check", "all", "--config", path]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["status"] == "pass" and rep["details"] == {"checked": 16, "exhaustive": True}
+    assert "seed" not in rep and rep["status"] == "pass"
+    assert rep["details"] == {"jordan_types": 2, "largest_index": 2}
 
 
-def test_config_seed_required_for_sampled_jordan_probe(tmp_path, capsys):
-    # M_2(F_2) has 16 elements, more than `samples`: the probe draws
-    data = _seedless({"check": "jordan_obstruction", "n": 3, "samples": 15})
-    assert RunConfig(data).seed is None
-    assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: checks.c: ") and "needs a seed" in err
+def test_cli_jordan_probe_without_a_splitting_is_precondition_unmet(tmp_path, capsys):
+    # F_2[x]/(x^4) from its structure constants: rank 4 over a field, but
+    # not M_2(F_2), so the lemma's hypothesis is unmet
+    table = [[[int(i + j == k) for k in range(4)] for j in range(4)] for i in range(4)]
+    data = {
+        "objects": {
+            "algebras": {
+                "A": {"kind": "structure_constants", "ring": {"kind": "zmod", "n": 2}, "rank": 4, "table": table, "unit": [1, 0, 0, 0]}
+            }
+        },
+        "checks": [{"name": "c", "check": "jordan_obstruction", "algebra": "A", "n": 3}],
+    }
+    assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "precondition-unmet" and "no verified isomorphism" in rep["details"]["reason"]
 
 
 # s_8 on M_5(F_2): its subset tables stop at size 4, and C(25, 8) > 3, so
@@ -270,7 +280,6 @@ def test_cli_unknown_al_mode_exits_2(tmp_path, capsys, seed):
 
 # one config per kind of check that draws, each with a seedless check named "c"
 DRAWING_CHECKS = {
-    "probe": _seedless({"check": "jordan_obstruction", "n": 3, "samples": 15}),
     "transfer": {
         "objects": BASIC["objects"],
         "checks": [{"name": "c", "check": "identity_transfer", "hom": "red", "identity": "s2"}],
@@ -347,14 +356,79 @@ def test_cli_gf_and_product_rings_byte_identical(argv, capsys):
         assert all(o["canonical"]["status"] == "verified" for o in lines if o["type"] == "hom")
 
 
-IDEALS_CONFIG = Path(__file__).parent / "configs" / "ideals.json"
+CONFIGS = Path(__file__).parent / "configs"
 
 
-def test_cli_ideal_config_matches_pinned_output(capsys):
+def _check_all(name, *seed):
+    return ["check", "all", "--config", str(CONFIGS / f"{name}.json"), *seed]
+
+
+# (argv, pin, exit code): every pinned stream, one row per pin, and the
+# jordan suite once more without a seed, since none of its checks draws
+_PINNED = {
+    "tensor-env-rem23": (["suite", "tensor-env-rem23", "--seed", "42", "--json"], 0),
+    "al-thm26": (["suite", "al-thm26", "--seed", "42", "--json"], 0),
+    # its transfer draws over the mixed radices (4, 2, 2)
+    "gf_product": (_check_all("gf_product", "--seed", "42"), 0),
     # reductions by a GF zero ideal and a product ideal, their kernel ideals,
     # an intersection over Z/4 x GF(4) and a failing is_azumaya over Z/2 x Z/3
-    assert main(["check", "all", "--config", str(IDEALS_CONFIG), "--seed", "42"]) == 1
-    assert capsys.readouterr().out == IDEALS_CONFIG.with_suffix(".expected").read_text()
+    "ideals": (_check_all("ideals", "--seed", "42"), 1),
+    # failing center-preservation and Azumaya checks, with their witnesses
+    "commutants": (_check_all("commutants", "--seed", "42"), 1),
+    # is_azumaya over product and local bases: two passes and six fails, one
+    # at a second maximal ideal and one explained by a radical element
+    "fibers": (_check_all("fibers", "--seed", "42"), 1),
+    # checked Weyl and structure-constant builds, enveloping maps and a
+    # refuted transpose hom
+    "structure": (_check_all("structure", "--seed", "42"), 1),
+    "azumaya-def21": (["suite", "azumaya-def21", "--seed", "42", "--json"], 0),
+    "split-cor29": (["suite", "split-cor29", "--seed", "42", "--json"], 0),
+    "center-thm41": (["suite", "center-thm41", "--seed", "42", "--json"], 0),
+    "iso-prop51-thm53": (["suite", "iso-prop51-thm53", "--seed", "42", "--json"], 0),
+    "matrixcenter-thm31": (["suite", "matrixcenter-thm31", "--seed", "42", "--json"], 0),
+    "rank-thm41": (["suite", "rank-thm41", "--seed", "42", "--json"], 0),
+    "endo-cor52": (["suite", "endo-cor52", "--seed", "42", "--json"], 0),
+    "jordan-lem32": (["suite", "jordan-lem32", "--seed", "42", "--json"], 0),
+    "jordan-lem32-seedless": (["suite", "jordan-lem32", "--json"], 0),
+    # M_2 over GF((2^61 - 1)^2) by t^2 + 1, irreducible by Berlekamp's criterion
+    "gf_large": (_check_all("gf_large"), 0),
+    # M_2 and M_3 in matrix-unit coordinates and their opposites
+    "forms": (_check_all("forms"), 0),
+    # s_2n decided on generator subsets in either mode; one check draws
+    "vanishing": (_check_all("vanishing", "--seed", "7"), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_cli_output_matches_its_pin(name, capsys):
+    argv, code = _PINNED[name]
+    assert main(argv) == code
+    pin = CONFIGS / (name.removesuffix("-seedless") + ".expected")
+    assert capsys.readouterr().out == pin.read_text()
+
+
+def test_cli_pins_all_have_a_row():
+    assert {p.stem for p in CONFIGS.glob("*.expected")} == {name for name in _PINNED if "seedless" not in name}
+
+
+def test_cli_truncated_table_exits_2(capsys):
+    # a structure_constants table longer than its rank is refused at load
+    assert main(_check_all("truncated")) == 2
+    assert capsys.readouterr().err.startswith("error: objects.algebras.")
+
+
+def test_cli_env_map_too_large_exits_2_before_forming_it(monkeypatch, capsys, tmp_path):
+    # M_4(F_2) (x) M_5(F_2) builds from its entries, but its enveloping map
+    # would be a 160,000 x 160,000 matrix: the check is refused by its size
+    def forbidden(A):
+        raise AssertionError("env_map_flat called")
+
+    monkeypatch.setattr(algebras, "env_map_flat", forbidden)
+    data = json.loads((CONFIGS / "large_builds.json").read_text())
+    data["checks"] = [{"name": "env", "check": "env_bijective", "algebra": "M4(x)M5"}]
+    assert main(["check", "all", "--config", write_config(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checks.env: the enveloping map of rank 400 needs 25600000000 dense entries")
 
 
 @pytest.mark.parametrize("ideal", ["zero", 2.5, None, [2], True])
@@ -491,23 +565,15 @@ def test_cli_suite_unknown_exits_2(capsys):
     assert main(["suite", "definitely-not-a-suite"]) == 2
 
 
-def test_cli_suite_seed_required(capsys):
-    assert main(["suite", "jordan-lem32"]) == 2
+def test_no_suite_draws(monkeypatch):
+    # every suite runs without a seed and draws no tuple (the splitting
+    # search draws under its own fixed seed)
+    def forbidden(*args):
+        raise AssertionError("a suite drew")
 
-
-def test_cli_seedless_suite_names_the_suite_probe_and_seed(capsys):
-    # M_3(F_3) has 3^9 > 10^4 elements, so its probe is the first to draw
-    assert main(["suite", "jordan-lem32"]) == 2
-    err = capsys.readouterr().err
-    assert err == (
-        "error: suite jordan-lem32: jordan-probe:F_3:n=4:nprime=3: "
-        "a seeded draw needs a seed; rerun with --seed\n"
-    )
-
-
-def test_jordan_suite_without_seed_refused_at_its_first_draw():
-    with pytest.raises(AlgebraError, match="needs a seed"):
-        run_suite("jordan-lem32")
+    monkeypatch.setattr(azumaya.identities, "random_rows", forbidden)
+    for name in builtin_suites():
+        assert all(r.status in ("pass", "not-found") for r in run_suite(name)), name
 
 
 def test_every_seed_default_is_none():
@@ -568,7 +634,7 @@ def test_cli_search_subcommand_is_gone(capsys):
         {"check": "identity_transfer", "hom": "red", "identity": "s2", "trials": "x"},
         # no samples: s_2 does not vanish on M_2(Z/4), yet nothing would be tested
         {"check": "al_vanishing", "algebra": "M2_4", "n": 1, "mode": "samples", "count": 0},
-        {"check": "jordan_obstruction", "algebra": "M2_4", "n": 3, "samples": -5},
+        {"check": "jordan_obstruction", "algebra": "M2_4", "n": "three"},
         {"check": "identity_transfer", "hom": "red", "identity": "s2", "trials": 0},
         # a witness search that walks no subsets would report not-found
         {"check": "nonvanishing_witness", "algebra": "M2_4", "k": 2, "budget": -5},
@@ -586,7 +652,8 @@ def test_cli_malformed_check_parameter_exits_2(tmp_path, capsys, check):
     "check",
     [
         {"check": "al_vanishing", "algebra": "M2_4", "n": 1, "mode": "samples"},
-        {"check": "jordan_obstruction", "algebra": "M2_F2", "n": 3},
+        # the count is held to the cap in either mode
+        {"check": "al_vanishing", "algebra": "M2_4", "n": 1},
         {"check": "identity_transfer", "hom": "red", "identity": "s2"},
         {"check": "nonvanishing_witness", "algebra": "M2_4", "k": 2},
     ],
@@ -596,7 +663,6 @@ def test_cli_draws_above_cap_exit_2(tmp_path, capsys, check):
     # run for about 3 hours
     key = {
         "al_vanishing": "count",
-        "jordan_obstruction": "samples",
         "identity_transfer": "trials",
         "nonvanishing_witness": "budget",
     }
@@ -655,7 +721,7 @@ _CHECK_PARAMS = {
     "isomorphism": {},
     "endo_auto": {},
     "kernel_ideal": {},
-    "jordan_obstruction": {"n": _check_param(st.integers(1, 4)), "samples": _check_param(st.integers(1, 12), bad=(-1, 0))},
+    "jordan_obstruction": {"n": _check_param(st.integers(1, 4))},
     "al_vanishing": {
         "n": _check_param(st.integers(1, 2), bad=(-1, 0, 9)),
         "mode": _check_param(st.sampled_from(["exhaustive", "samples"]), bad=("sampels",)),
@@ -767,6 +833,7 @@ def test_deterministic_suite_reports_stable():
 
 
 def test_sampled_suite_stable_for_fixed_seed():
-    a = [r.comparable_dict() for r in run_suite("jordan-lem32", seed=42)]
-    b = [r.comparable_dict() for r in run_suite("jordan-lem32", seed=42)]
-    assert a == b
+    # al-thm26's sampled-mode checks record the seed
+    a = [r.comparable_dict() for r in run_suite("al-thm26", seed=42)]
+    b = [r.comparable_dict() for r in run_suite("al-thm26", seed=42)]
+    assert a == b and all(r["seed"] == 42 for r in a if "sampled" in r["check"])

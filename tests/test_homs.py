@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -5,17 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya import linalg
+from azumaya import homs, linalg
 from azumaya.algebras import (
     Algebra,
     center,
     commutant,
+    jordan_flat,
     matrix_algebra,
     nilpotency_index,
+    nilpotency_indices,
+    opposite,
+    product_rows,
+    splitting,
     weyl_quotient,
 )
 from azumaya.corpus import build_corpus
 from azumaya.homs import (
+    AlgebraHom,
     ComposabilityMismatch,
     DimensionMismatch,
     NotInvertible,
@@ -32,7 +39,6 @@ from azumaya.homs import (
     rank_comparison_check,
     reduction_hom,
     tensor_commutant_map,
-    verify_hom,
     weyl_splitting,
 )
 from azumaya.rings import GaloisField, RingIdeal, ZMod, crt_decompose, is_reduced
@@ -82,7 +88,7 @@ def test_conjugation_verified_beyond_int64_products():
 
 def test_unit_killing_map_refuted():
     A = matrix_algebra(ZMod(3), 2)
-    h = verify_hom(np.zeros((A.dim, A.dim), dtype=np.int64), A, A)
+    h = AlgebraHom(A, A, np.zeros((A.dim, A.dim), dtype=np.int64))
     assert h.status == "refuted"
     assert h.refutation["condition"] == "unit"
 
@@ -93,7 +99,7 @@ def test_transpose_refuted_anti_multiplicative():
     for i in range(2):
         for j in range(2):
             T[j * 2 + i, i * 2 + j] = 1
-    h = verify_hom(T, A, A)
+    h = AlgebraHom(A, A, T)
     assert h.status == "refuted"
     assert h.refutation["condition"] == "multiplicative"
 
@@ -102,14 +108,14 @@ def test_dimension_mismatch():
     A = matrix_algebra(ZMod(2), 2)
     B = matrix_algebra(ZMod(2), 3)
     with pytest.raises(DimensionMismatch):
-        verify_hom(np.zeros((3, 3), dtype=np.int64), A, B)
+        AlgebraHom(A, B, np.zeros((3, 3), dtype=np.int64))
 
 
 def test_ill_formed_base_change_refuted():
     # identity matrix Z/2 coords -> Z/4 coords is not well-defined
     A = matrix_algebra(ZMod(2), 2)
     B = matrix_algebra(ZMod(4), 2)
-    h = verify_hom(np.eye(4, dtype=np.int64), A, B)
+    h = AlgebraHom(A, B, np.eye(4, dtype=np.int64))
     assert h.status == "refuted"
     assert h.refutation["condition"] == "well-defined"
 
@@ -288,9 +294,86 @@ def test_endo_auto_requires_base_identity():
 
 def test_jordan_probe_no_index3_in_m2():
     A = matrix_algebra(ZMod(5), 2)
-    rep = jordan_obstruction_probe(3, A, samples=10**4, seed=1)
-    assert rep.status == "pass"
-    assert rep.details["exhaustive"]
+    rep = jordan_obstruction_probe(3, A)
+    assert rep.comparable_dict() == {
+        "check": "jordan_obstruction",
+        "details": {"jordan_types": 2, "largest_index": 2},
+        "preconditions": {},
+        "status": "pass",
+    }
+
+
+@pytest.mark.parametrize("p,nprime", [(2, 2), (3, 2), (2, 3)], ids=["M2(F_2)", "M2(F_3)", "M3(F_2)"])
+def test_jordan_types_give_the_largest_index_of_every_element(p, nprime):
+    # every element's index, against the largest over the Jordan types
+    A = matrix_algebra(ZMod(p), nprime, check=False)
+    every = nilpotency_indices(A, product_rows(0, A.size, A.moduli), A.rank)
+    rep = jordan_obstruction_probe(nprime + 1, A)
+    assert rep.status == "pass" and rep.details["largest_index"] == every.max() == nprime
+    # the indices the Jordan types take are all the indices there are
+    types = np.stack([jordan_flat(A.base, lam) for lam in homs._partitions(nprime)])
+    assert set(nilpotency_indices(A, types, A.rank).tolist()) == set(every.tolist()) - {0}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: opposite(matrix_algebra(ZMod(5), 3, check=False)),
+        lambda: weyl_quotient(3, 1, 2),
+        lambda: opposite(matrix_algebra(GaloisField.default(2, 2), 2, check=False)),
+    ],
+    ids=["op(M3(F_5))", "W(3,1,2)", "op(M2(GF(4)))"],
+)
+def test_jordan_probe_passes_on_forms_in_other_coordinates(make, monkeypatch):
+    # the types are pulled back through a searched splitting; each pulled-back
+    # element maps to its J_lambda, and nothing is drawn by the probe itself
+    A = make()
+    nprime = math.isqrt(A.rank)
+    pulled = []
+    indices = homs.nilpotency_indices
+
+    def recording(B, X, cap):
+        pulled.append(X)
+        return indices(B, X, cap)
+
+    monkeypatch.setattr(homs, "nilpotency_indices", recording)
+    rep = jordan_obstruction_probe(nprime + 1, A)
+    assert rep.status == "pass" and rep.details == {"jordan_types": len(list(homs._partitions(nprime))), "largest_index": nprime}
+    phi = splitting(A)
+    want = [jordan_flat(A.base, lam) for lam in homs._partitions(nprime)]
+    assert np.array_equal(phi.apply_flat(pulled[0]), np.stack(want))
+
+
+def test_jordan_probe_fails_on_an_index_above_nprime(monkeypatch):
+    # an injected index 4 for J_(2,1) of op(M_3(F_3)): the fail names the
+    # pulled-back element, the index and lambda
+    A = opposite(matrix_algebra(ZMod(3), 3, check=False))
+    indices = homs.nilpotency_indices
+
+    def wrong(B, X, cap):
+        index = indices(B, X, cap)
+        index[1] = 4
+        return index
+
+    monkeypatch.setattr(homs, "nilpotency_indices", wrong)
+    rep = jordan_obstruction_probe(4, A)
+    assert rep.status == "fail" and rep.details == {"jordan_types": 3, "largest_index": 4}
+    assert rep.witness["index"] == 4 and rep.witness["partition"] == [2, 1]
+    image = splitting(A).apply_flat(np.asarray(rep.witness["element"]))
+    assert np.array_equal(image, jordan_flat(ZMod(3), (2, 1)))
+
+
+def test_jordan_probe_refuses_a_rank_4_algebra_that_is_not_m2():
+    # F_2[x]/(x^4) from its structure constants: square rank, a field base,
+    # and no splitting, so the lemma's hypothesis A' = M_2(F_2) fails
+    table = np.zeros((4, 4, 4), dtype=np.int64)
+    for i in range(4):
+        for j in range(4 - i):
+            table[i, j, i + j] = 1
+    A = Algebra(ZMod(2), entries(table), [1, 0, 0, 0])
+    assert splitting(A) is None
+    with pytest.raises(PreconditionUnmet, match="no verified isomorphism"):
+        jordan_obstruction_probe(3, A)
 
 
 def test_jordan_probe_refuses_non_field_base():
@@ -298,7 +381,7 @@ def test_jordan_probe_refuses_non_field_base():
     # [[6, 10], [3, 6]] of index 4, which contradicts nothing there
     A = matrix_algebra(ZMod(12), 2)
     with pytest.raises(PreconditionUnmet, match="over a field"):
-        jordan_obstruction_probe(3, A, samples=2000, seed=1)
+        jordan_obstruction_probe(3, A)
     assert nilpotency_index(A.element([6, 10, 3, 6]), cap=8) == 4
 
 
@@ -410,7 +493,7 @@ def _idempotents_to_diagonal(images):
     table = np.zeros((d, d, d), dtype=np.int64)
     table[range(d), range(d), range(d)] = 1
     source = Algebra(F2, entries(table), np.ones(d, dtype=np.int64))
-    return verify_hom(np.asarray(images).T, source, matrix_algebra(F2, 2))
+    return AlgebraHom(source, matrix_algebra(F2, 2), np.asarray(images).T)
 
 
 # e_1 -> E_11 and e_2 -> E_22 fails at the first center generator; with

@@ -276,6 +276,13 @@ def test_witness_s4_m3f3_first_subset():
     assert rep.status == "pass" and rep.details["tried"] == 1
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_witness_budget_below_1_refused(budget):
+    # a walk over no subsets would report not-found for want of trying
+    with pytest.raises(IdentityError, match="budget must be >= 1"):
+        nonvanishing_witness(matrix_algebra(ZMod(2), 2), 2, budget=budget)
+
+
 def test_witness_not_found_on_commutative():
     A = matrix_algebra(ZMod(6), 1)
     elems, rep = nonvanishing_witness(A, 2, budget=200)

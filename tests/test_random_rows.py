@@ -4,7 +4,6 @@ every entry lies below its radix, and no passing sampled report depends on
 which rows are drawn."""
 
 import ast
-import json
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from azumaya import algebras
-from azumaya.algebras import AlgebraError, candidate_batches, matrix_algebra, random_rows
+from azumaya import identities
+from azumaya.algebras import AlgebraError, matrix_algebra, random_rows
 from azumaya.cli import main
 from azumaya.homs import diagonal_embed, jordan_obstruction_probe
-from azumaya.identities import identity_transfer_check, standard_identity
-from azumaya.rings import ZMod
-from azumaya.suites import suite_jordan_lem32
+from azumaya.identities import _tuples, identity_transfer_check, standard_identity
+from azumaya.rings import GaloisField, ProductRing, ZMod
 
 SRC = Path(algebras.__file__).parent
 CONFIGS = Path(__file__).parent / "configs"
@@ -86,10 +85,12 @@ def test_short_mixed_tuples_match_loop(radices, seed, T, cuts):
 
 @pytest.mark.parametrize("rows", [1, 7, 1024])
 def test_candidate_batches_name_rows_by_index(rows):
-    radices = (4, 2, 2) * 3
-    batches = list(candidate_batches(radices, rows, 2000, 42))
-    assert all(0 < len(X) <= rows for X in batches)
-    assert np.array_equal(np.concatenate(batches), random_rows(42, radices, 0, 2000))
+    # the seeded candidate batches of `identities._tuples`: triples of
+    # M_1(Z/4 x GF(4)), whose coordinates have radices (4, 2, 2)
+    A = matrix_algebra(ProductRing([ZMod(4), GaloisField.default(2, 2)]), 1, check=False)
+    batches = list(_tuples(A, 3, 2000, 42)(rows))
+    assert all(0 < len(X) <= rows and X.shape[1:] == (3, 3) for X in batches)
+    assert np.array_equal(np.concatenate(batches).reshape(2000, 9), random_rows(42, (4, 2, 2) * 3, 0, 2000))
 
 
 @pytest.mark.parametrize("radices", [(0,), (3, 2**63), (-1, 2)])
@@ -122,13 +123,14 @@ def test_draw_without_a_seed_refused():
     with pytest.raises(AlgebraError, match="seed"):
         random_rows(None, (2, 3), 0, 1)
     with pytest.raises(AlgebraError, match="seed"):
-        next(candidate_batches((2, 3), 10, count=5))
+        next(_tuples(matrix_algebra(ZMod(6), 1), 2, 5, None)(10))
     f, s4 = diagonal_embed(ZMod(5), 2, 2), standard_identity(4)
     with pytest.raises(AlgebraError, match="seed"):
         identity_transfer_check(f, s4, trials=10, seed=None)
-    # an exhaustive probe draws nothing, so it needs no seed
-    rep = jordan_obstruction_probe(3, matrix_algebra(ZMod(5), 2), samples=10**4, seed=None)
-    assert rep.status == "pass" and rep.details == {"checked": 625, "exhaustive": True}
+    # the jordan probe reads the Jordan types and draws nothing, so it needs
+    # no seed
+    rep = jordan_obstruction_probe(3, matrix_algebra(ZMod(5), 3), seed=None)
+    assert rep.status == "pass" and rep.details == {"jordan_types": 3, "largest_index": 3}
 
 
 def test_no_library_module_imports_random():
@@ -141,23 +143,15 @@ def test_no_library_module_imports_random():
 
 
 def test_pinned_sampled_reports_do_not_depend_on_the_rows_drawn(monkeypatch, capsys):
-    # the pinned jordan probes and the transfer over radices (4, 2, 2) pass
-    # and record only counts, so another seed's rows give the same bytes
-    draw, seeds = algebras.random_rows, []
+    # the pinned transfer over radices (4, 2, 2) passes and records only its
+    # count, so another seed's rows give the same bytes
+    draw, seeds = identities.random_rows, []
 
     def next_seed(seed, *args):
         seeds.append(seed)
         return draw(seed + 1, *args)
 
-    monkeypatch.setattr(algebras, "random_rows", next_seed)
-    reports = [r.comparable_dict() for r in suite_jordan_lem32(seed=42)]
-    stream = json.dumps({"reports": reports}, sort_keys=True) + "\n"
-    assert stream == (CONFIGS / "jordan-lem32.expected").read_text()
-    assert seeds  # the sampled probes drew under the patch
-    seeds.clear()
+    monkeypatch.setattr(identities, "random_rows", next_seed)
     assert main(["check", "all", "--config", str(CONFIGS / "gf_product.json"), "--seed", "42"]) == 0
     assert capsys.readouterr().out == (CONFIGS / "gf_product.expected").read_text()
-    # the transfer drew under the patch; the certificate of the GF(4) algebra
-    # draws under its own fixed seeds
-    split = (algebras._SPLIT_SEED, algebras._SPLIT_SEED + 1)
-    assert [s for s in seeds if s not in split] == [42]
+    assert seeds == [42]  # the transfer drew under the patch

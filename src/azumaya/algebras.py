@@ -9,18 +9,23 @@ Element products go through one sparse kernel over the nonzero entries
 (`Algebra.mul_matrices`), so centers, commutants, radicals and the
 enveloping map are kernel / bijectivity computations over the coordinate
 moduli.  The tensor's contractions with itself are one sparse join
-(`linalg.sparse_join`): the associativity check, (e_a e_b) e_c against
-e_a (e_b e_c), and the enveloping map's triple products (eps_a e_t) e_j;
+(`linalg.sparse_join`): the associativity check, (e_a e_s) e_c against
+e_a (e_s e_c), and the enveloping map's triple products (eps_a e_t) e_j;
 the hom check joins the same entries (`rings.hom_refutation`).  An algebra
 also carries the rows that generate it as a ring (`Algebra.generators`):
-2(n - 1) + f - 1 for M_n(R), x and y for a Weyl quotient, its factors'
-for a tensor product or an opposite, their images and b_s 1 for a base
-change, and the D identity rows otherwise.  The hom check and `center` run
-on them, |S| D products and an |S| D x D commutator matrix rather than D^2
-and D^2 x D.  Searches over tuples or subsets stop at the first hit
-through `first_hit`, in batches sized by the one rule `search_rows`; a
-seeded tuple is a row of `random_rows`, a counter-based hash of the seed
-and its entries' positions.
+2(n - 1) + f - 1 for M_n(R) (2(n - 1) + f over a product base), x and y
+for a Weyl quotient, its factors' for a tensor product or an opposite,
+their images and b_s 1 for a base change, and the D identity rows
+otherwise.  The hom check and `center` run on them, |S| D products and an
+|S| D x D commutator matrix rather than D^2 and D^2 x D.  `matrix_algebra`
+and `weyl_quotient` also derive every coordinate from their generators,
+so every build of theirs is checked by Light's test on the generators'
+support alone (`Algebra._verify_axioms`), and memoized; the derived
+constructors `opposite`, `tensor_product` and `base_change` inherit their
+inputs' axioms and generators unchecked.  Searches over tuples or
+subsets stop at the first hit through `first_hit`, in batches sized by the
+one rule `search_rows`; a seeded tuple is a row of `random_rows`, a
+counter-based hash of the seed and its entries' positions.
 
 Every constructor emits the nonzero structure constants as entries, and no
 dense table is formed: matrix and upper-triangular algebras E_ij E_jl = E_il,
@@ -82,18 +87,24 @@ class Algebra:
     its output coordinate's modulus and keeps the nonzero ones in row-major
     order (`_sparse_rows`); `_sparse_struct` sorts them by output
     coordinate, and the view `struct` rebuilds S, read-only, on each read.
-    `generators` are rows of flat coordinates whose products and sums, with
-    1, give every element: the identity rows unless a constructor passes
-    fewer.
-    Unless `check` is False, associativity on all basis triples and the
-    two-sided unit law are verified by a sparse join over the entries
-    (`_verify_axioms`), which refuses the first failing triple in
-    lexicographic order.
+    Every array the algebra holds is read-only, so a memoized build can be
+    shared.  `generators` are rows of flat coordinates whose products and
+    sums, with 1, give every element: the identity rows unless a
+    constructor passes fewer.  A constructor that passes them with
+    `derivation` proves that they generate (`_underived`); only the derived
+    constructors (`opposite`, `tensor_product`, `base_change`) pass them
+    unproved, with `check` False.
+    Unless `check` is False the two-sided unit law and associativity are
+    verified (`_verify_axioms`), which refuses the first failing basis
+    triple in lexicographic order, else the unit.
     """
 
-    def __init__(self, base, entries, unit_flat, label="", check=True, generators=None):
+    def __init__(self, base, entries, unit_flat, label="", check=True, generators=None, derivation=None):
         self.base = base
         self.label = label
+        if generators is not None:
+            generators = np.asarray(generators, dtype=np.int64)
+            generators.setflags(write=False)
         self._generators = generators
         f = base.flatten_len
         self.dim = D = len(unit_flat)  # flattened Z-coordinate count
@@ -117,8 +128,10 @@ class Algebra:
         index = np.unravel_index(keys[keep], (D,) * 3)
         self._sparse_rows = index, sums[keep].astype(np.int64), np.searchsorted(index[0], np.arange(D + 1))
         self.unit_flat = np.asarray(unit_flat, dtype=np.int64) % self._moduli_arr
+        for a in (*index, *self._sparse_rows[1:], self.unit_flat, self._moduli_arr):
+            a.setflags(write=False)
         if check:
-            self._verify_axioms()
+            self._verify_axioms(derivation)
 
     @property
     def struct(self):
@@ -130,65 +143,128 @@ class Algebra:
         S.setflags(write=False)
         return S
 
-    def _verify_axioms(self):
-        """Refuse the tensor unless it is associative on every basis triple
-        and `unit_flat` is a two-sided unit, with S the structure tensor.
+    def _verify_axioms(self, derivation=None):
+        """Refuse the tensor unless `unit_flat` is a two-sided unit and it is
+        associative: the first failing triple in lexicographic order, else
+        the unit, else the derivation.
 
-        (e_a e_b) e_c = sum_k S[a, b, k] S[k, c, :] joins the entries
-        (a, b, k) with row k; e_a (e_b e_c) = sum_k S[b, c, k] S[a, k, :]
-        joins the entries (a, k, m) with the products (b, c) landing on k
+        With no `derivation` every triple of coordinates is checked.  With
+        one that proves the generators generate (`_underived`), the check
+        is on the triples (x, s, y), x and y coordinates and s in the
+        generators' support.  That is complete (Light's associativity test;
+        Clifford and Preston, The Algebraic Theory of Semigroups I, 1961):
+        the t with [x, t, y] = (x t) y - x (t y) = 0 for all coordinates x, y
+        form an additive subgroup T holding 1 and the generators, and
+        [w t, t', z] - [w, t t', z] + [w, t, t' z] = w [t, t', z] + [w, t, t'] z,
+        an identity of every nonassociative ring, puts t t' in T whenever t
+        and t' are; so T is a subring, all of A.  A build that fails any
+        part is scanned again with every middle, so it names what the full
+        check names."""
+        D, u = self.dim, self.unit_flat[None]
+        eye = np.eye(D, dtype=np.int64) % self._moduli_arr[:, None]
+        unit = all(np.array_equal(self.mul_matrices(u, side)[0], eye) for side in ("left", "right"))
+        underived = self._underived(derivation) if derivation is not None and unit else None
+        every = np.arange(D)
+        middles = every if derivation is None else np.flatnonzero(self.generators.any(axis=0))
+        triple = self._first_unassociative(middles) if unit and underived is None else None
+        if unit and underived is None and triple is None:
+            return
+        if triple is None or len(middles) < D:
+            triple = self._first_unassociative(every)
+        if triple is not None:
+            raise AlgebraError(f"associativity fails on basis triple {triple}")
+        raise AlgebraError("unit vector is not a two-sided unit" if not unit else underived)
+
+    def _underived(self, derivation):
+        """None when `derivation` derives every coordinate from 1 and the
+        generators, else what fails; the unit law is assumed.
+
+        Step (c, p, g, left) records e_c = e_p x, or x e_p when left is 1,
+        for x generator g; p = -1 and g = -1 stand for 1.  Each coordinate
+        is the child of one step and each parent that of an earlier one, so
+        by induction every coordinate lies in the subring that 1 and the
+        generators generate.  The products join x's nonzeros x_i with the
+        entries (p, i, .) or (i, p, .) of S, and each step's row less its
+        child's identity row must sum to 0 (`linalg.sum_by_key`)."""
+        D, G = self.dim, np.vstack([self.generators, self.unit_flat])  # generator -1 is 1
+        child, parent, gen, left = np.asarray(derivation, dtype=np.int64).reshape(-1, 4).T
+        if not np.array_equal(np.sort(child), np.arange(D)):
+            return "the derivation does not record each coordinate once"
+        if ((parent < -1) | (parent >= D) | (gen < -1) | (gen >= len(G) - 1)).any():
+            return "the derivation names a parent or a generator that does not exist"
+        place = np.empty(D, dtype=np.int64)
+        place[child] = np.arange(D)
+        if (place[parent[parent >= 0]] >= place[child[parent >= 0]]).any():
+            return "the derivation records a parent after its child"
+        (I, J, K), V, _ = self._sparse_rows
+        V = V.astype(linalg._dtype(self._N, D + 1, 2))  # a coordinate sums at most D products
+        rows, cols = np.nonzero(G)
+        gptr = np.searchsorted(rows, np.arange(len(G) + 1))
+        t, n = linalg.ranges(gptr[gen % len(G)], gptr[gen % len(G) + 1])  # step t meets x's nonzero n
+        i, x = cols[n], G[rows[n], cols[n]].astype(V.dtype)
+        one = parent[t] < 0  # 1 x = x
+        keys, values = [t[one] * D + i[one], np.arange(D) * D + child], [x[one], np.full(D, -1, dtype=V.dtype)]
+        t, i, x = t[~one], i[~one], x[~one]
+        pair, row_major = np.where(left[t] == 1, i * D + parent[t], parent[t] * D + i), I * D + J
+        q, e = linalg.ranges(np.searchsorted(row_major, pair), np.searchsorted(row_major, pair, side="right"))
+        keys.append(t[q] * D + K[e])
+        values.append(x[q] * V[e])
+        bad = linalg.sum_by_key(np.concatenate(keys), np.concatenate(values), self._moduli_arr)[0]
+        if bad.size:
+            return f"coordinate row {int(child[bad[0] // D])} is not the product its derivation records"
+        return None
+
+    # products per piece of the associativity check, whose arrays follow them
+    _PIECE = 1 << 17
+
+    def _first_unassociative(self, middles):
+        """The first triple (a, s, c) in lexicographic order, s in the sorted
+        array `middles`, with (e_a e_s) e_c != e_a (e_s e_c), or None.
+
+        The left side joins the entries (a, s, k) with row k, the right the
+        entries (a, k, m) with the products (s, c) landing on k
         (`linalg.sparse_join`).  Left minus right is summed per key
-        (a, b, c, m) in a buffer of D^3 keys or more, over a few first
-        factors a at a time; each piece of products reduces the entries it
-        touched, so the buffer is zero again after first factors that pass.
-        The first failing triple in lexicographic order is named."""
-        mod, N, D = self._moduli_arr, self._N, self.dim
+        (a, s, c, m) over blocks of first factors, in pieces of at most
+        _PIECE products (`linalg.sum_by_key`), so memory follows the
+        products, not the |middles| D^2 keys of a first factor."""
+        mod, D, g = self._moduli_arr, self.dim, len(middles)
         (I, J, K), V, ptr = self._sparse_rows
-        Io, Jo, Co, outs, starts, _ = self._sparse_struct
-        # the products landing on k are _sparse_struct's entries optr[k]..optr[k + 1] - 1
-        landing = np.zeros(D, dtype=np.int64)
-        landing[outs] = np.diff(starts, append=len(Co))
-        optr = np.concatenate([[0], np.cumsum(landing)])
-        # an entry is a residue plus at most D left and D right products
-        dtype = linalg._dtype(N, 2 * D + 1, 2)
-        V, Co = V.astype(dtype), Co.astype(dtype)
-        piece = max(D**3, self._CHUNK_ENTRIES)
-        step = min(D, piece // D**3) if D else 1  # first factors per buffer
-        buffer = np.zeros(step * D**3, dtype=dtype)
-        # the parts of a key each side of a join reads off its entries,
-        # left (a, b | c, m) and right (a, m | b, c), and the modulus of m
-        left, row = (I * D + J) * D * D, J * D + K
-        right, landed = I * D**3 + K, (Io * D + Jo) * D
-        at = mod[K]
-        for a0 in range(0, D, step):
-            acc, base = buffer[: min(step, D - a0) * D**3], a0 * D**3
-            lo, hi = ptr[a0], ptr[min(a0 + step, D)]
-            for x, y in linalg.sparse_join(K, ptr, lo, hi, piece):
-                key = left[x] + row[y] - base
-                np.add.at(acc, key, V[x] * V[y])
-                acc[key] %= at[y]
-            for x, y in linalg.sparse_join(J, optr, lo, hi, piece):
-                key = right[x] + landed[y] - base
-                np.subtract.at(acc, key, V[x] * Co[y])
-                acc[key] %= at[x]
-            bad = np.flatnonzero(acc)
-            if bad.size:
-                a, b, c = np.unravel_index(bad[0] // D, (step, D, D))
-                raise AlgebraError(
-                    f"associativity fails on basis triple {(int(a0 + a), int(b), int(c))}"
-                )
-        u = self.unit_flat[None]
-        eye = np.eye(D, dtype=np.int64) % mod[:, None]
-        if np.any(self.mul_matrices(u, "left") != eye) or np.any(self.mul_matrices(u, "right") != eye):
-            raise AlgebraError("unit vector is not a two-sided unit")
+        place = np.full(D, -1, dtype=np.int64)
+        place[middles] = np.arange(g)
+        left = np.flatnonzero(place[J] >= 0)  # the entries (a, s, k)
+        land = np.flatnonzero(place[I] >= 0)  # the products (s, c) landing on k, by k
+        land = land[np.argsort(K[land], kind="stable")]
+        lptr, kptr = np.searchsorted(I[left], np.arange(D + 1)), np.searchsorted(K[land], np.arange(D + 1))
+        # a key is a residue plus at most D left or D right products
+        dtype = linalg._dtype(self._N, 2 * D + 1, 2)
+        V = V.astype(dtype)
+        # the parts of a key each side reads off its entries: (a, s | c, m), (a, m | s, c)
+        link, lkey, row = K[left], (I[left] * g + place[J[left]]) * D * D, J * D + K
+        rkey, landed = I * g * D * D + K, (place[I[land]] * D + J[land]) * D
+        per = np.bincount(I[left], np.diff(ptr)[link], D) + np.bincount(I, np.diff(kptr)[J], D)
+        ends = per.cumsum()  # products up to each first factor
+        a0 = 0
+        while a0 < D:
+            a1 = max(a0 + 1, int(ends.searchsorted(ends[a0] - per[a0] + self._PIECE, side="right")))
+            keys, sums = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
+            for x, y in linalg.sparse_join(link, ptr, lptr[a0], lptr[a1], self._PIECE):
+                keys, sums = linalg.sum_by_key(np.concatenate([keys, lkey[x] + row[y]]), np.concatenate([sums, V[left[x]] * V[y]]), mod)
+            for x, y in linalg.sparse_join(J, kptr, ptr[a0], ptr[a1], self._PIECE):
+                keys, sums = linalg.sum_by_key(np.concatenate([keys, rkey[x] + landed[y]]), np.concatenate([sums, -V[x] * V[land[y]]]), mod)
+            if keys.size:
+                a, s, c = np.unravel_index(keys[0] // D, (D, g, D))
+                return int(a), int(middles[s]), int(c)
+            a0 = a1
+        return None
 
     # -- basic data
 
     @property
     def generators(self):
-        """Rows that generate A as a ring (see the class docstring); only
-        constructors associative by construction record fewer than the
-        identity rows, since the hom check and `center` need associativity."""
+        """Rows that generate A as a ring (see the class docstring), read-only.
+        Fewer than the identity rows are recorded only when a checked build
+        proves them (`_underived`) or a derived build inherits them from
+        its checked inputs, since the hom check and `center` rely on them."""
         if self._generators is None:
             return np.eye(self.dim, dtype=np.int64)
         return self._generators
@@ -218,14 +294,16 @@ class Algebra:
         segment of k, the output coordinates that have a segment, each
         segment's start, and the dtype of the products: a sum runs over one
         segment of products of three residues (`linalg._dtype`).
-        `mul_batch` sums each segment; the axiom check's join reads the
-        segment of k as the products (b, c) that land on k."""
+        `mul_batch` sums each segment.  The arrays are read-only."""
         (I, J, K), V, _ = self._sparse_rows
         order = np.argsort(K, kind="stable")
         outs, starts = np.unique(K[order], return_index=True)
         longest = int(np.diff(starts, append=len(K)).max(initial=0))
         dtype = linalg._dtype(self._N, longest, 3)
-        return I[order], J[order], V[order].astype(dtype), outs, starts, dtype
+        arrays = I[order], J[order], V[order].astype(dtype), outs, starts
+        for a in arrays:
+            a.setflags(write=False)
+        return *arrays, dtype
 
     def mul_flat(self, x, y):
         return self.mul_batch(np.asarray(x)[None], np.asarray(y)[None])[0]
@@ -479,26 +557,60 @@ def _scalar_generators(ring):
     return [s for s in range(ring.flatten_len) if s != first]
 
 
+def _matrix_generators(ring, n):
+    """The rows that generate M_n(R), n >= 2, and the derivation
+    (`Algebra._underived`) of every coordinate from them.
+
+    The rows are E_(i,i+1) and E_(i+1,i), then b_s E_11 for each
+    coordinate generator b_s but 1 (for every b_s over a product base,
+    where 1 is no coordinate generator).  b_s E_11 is 1 times its row, or
+    E_12 E_21 when b_s is 1, with E_21 = 1 E_21 first; then
+    b_s E_(i+1,1) = E_(i+1,i) (b_s E_i1) down the first column, and
+    b_s E_(i,j+1) = (b_s E_ij) E_(j,j+1) along each row."""
+    f, unit = ring.flatten_len, ring.unit_flat
+    one = int(np.flatnonzero(unit)[0]) if np.count_nonzero(unit) == 1 else None  # 1 = b_one
+    scalars = [s for s in range(f) if s != one]
+    blocks = [e for i in range(n - 1) for e in (i * n + i + 1, (i + 1) * n + i)]
+    rows = np.zeros((len(blocks) + len(scalars), n * n, f), dtype=np.int64)
+    rows[np.arange(len(blocks)), blocks] = unit
+    rows[len(blocks) + np.arange(len(scalars)), 0, scalars] = 1
+    steps = []  # (child, parent, generator, left); generator 2i is E_(i,i+1), 2i + 1 is E_(i+1,i)
+    for s in range(f):
+        at = np.arange(n * n).reshape(n, n) * f + s
+        if s == one:
+            steps += [(at[1, 0], -1, 1, 0), (at[0, 0], at[1, 0], 0, 1)]
+        else:
+            steps.append((at[0, 0], -1, len(blocks) + scalars.index(s), 0))
+        steps += [(at[i, 0], at[i - 1, 0], 2 * i - 1, 1) for i in range(2 if s == one else 1, n)]
+        steps += [(at[i, j], at[i, j - 1], 2 * j - 2, 0) for i in range(n) for j in range(1, n)]
+    return rows.reshape(len(rows), -1), np.asarray(steps, dtype=np.int64)
+
+
 def matrix_algebra(ring, n, check=True):
     """The algebra of n x n matrices, basis E_ij ordered row-major.
 
-    For n >= 2 it records the generators E_(i,i+1) and E_(i+1,i), and
-    b_s E_11 for the b_s of `_scalar_generators`: 2(n - 1) + f - 1 rows.
-    They generate it as a ring: products of the first give every E_ij, and
-    b_s E_ij = E_i1 (b_s E_11) E_1j."""
+    For n >= 2 it records the generators of `_matrix_generators` and
+    derives every coordinate from them, so the check runs on their support
+    (`Algebra._verify_axioms`); M_1 keeps the identity rows and the full
+    check.  Every build is checked and memoized by its arguments (256
+    builds; `matrix_algebra.cache_clear` empties the memo), so equal
+    arguments return one object, whose arrays are read-only.  `check` is
+    unread: it stays for callers that still pass it."""
+    return _matrix_algebra(ring, n)
+
+
+@lru_cache(maxsize=256)
+def _matrix_algebra(ring, n):
     if n < 1:
         raise AlgebraError("matrix size must be >= 1")
     i, j, l = np.unravel_index(np.arange(n**3), (n,) * 3)
     entries = flat_entries(ring, (i * n + j, j * n + l, i * n + l), ring.unit_flat)  # E_ij E_jl = E_il
     unit = np.outer(np.eye(n, dtype=np.int64), ring.unit_flat).ravel()
-    # E_(i,i+1) and E_(i+1,i), then b_s E_11
-    blocks = [e for i in range(n - 1) for e in (i * n + i + 1, (i + 1) * n + i)]
-    scalars = _scalar_generators(ring)
-    rows = np.zeros((len(blocks) + len(scalars), n * n, ring.flatten_len), dtype=np.int64)
-    rows[np.arange(len(blocks)), blocks] = ring.unit_flat
-    rows[len(blocks) + np.arange(len(scalars)), 0, scalars] = 1
-    generators = rows.reshape(len(rows), -1) if n > 1 else None
-    return Algebra(ring, entries, unit, label=f"M_{n}({ring!r})", check=check, generators=generators)
+    generators, derivation = _matrix_generators(ring, n) if n > 1 else (None, None)
+    return Algebra(ring, entries, unit, label=f"M_{n}({ring!r})", generators=generators, derivation=derivation)
+
+
+matrix_algebra.cache_clear = _matrix_algebra.cache_clear
 
 
 def upper_triangular_algebra(ring, n):
@@ -538,16 +650,17 @@ def _normal_order(j, k):
     return cur
 
 
-def weyl_quotient(p, a, b, check=True):
+@lru_cache(maxsize=256)
+def weyl_quotient(p, a, b):
     """Rank-p^2 algebra over F_p with basis x^i y^j (0 <= i, j < p) and
     relations y x = x y + 1, x^p = a, y^p = b.
 
     Structure constants come from memoized normal-ordering rewriting; the
-    closed-form commutation formula is used only as a test oracle.  The
-    axioms are verified unless `check` is False.  It is associative by
-    construction, the quotient of the Weyl algebra by its central elements
-    x^p - a and y^p - b, and records the generators x and y: the basis
-    element x^i y^j is a product of them.
+    closed-form commutation formula is used only as a test oracle.  It
+    records the generators x and y and derives every coordinate from them
+    (`_weyl_generators`), so the check runs on the middles x and y
+    (`Algebra._verify_axioms`).  Every build is checked and memoized by its
+    arguments, like `matrix_algebra`.
     """
     ring = ZMod(p)
     a %= p
@@ -564,15 +677,27 @@ def weyl_quotient(p, a, b, check=True):
                 qy, ry = np.divmod(e + l, p)
                 terms.append((i * p + j, k * p + l, rx * p + ry, coeff % p * a**qx * b**qy))
     I, J, K, V = map(np.concatenate, zip(*terms))
-    xy = np.eye(p * p, dtype=np.int64)[[p, 1]]  # x = x^1 y^0 and y = x^0 y^1
     unit = np.eye(1, p * p, dtype=np.int64)[0]
-    return Algebra(ring, ((I, J, K), V), unit, label=f"W({p},{a},{b})", check=check, generators=xy)
+    xy, derivation = _weyl_generators(p)
+    return Algebra(ring, ((I, J, K), V), unit, label=f"W({p},{a},{b})", generators=xy, derivation=derivation)
+
+
+def _weyl_generators(p):
+    """The rows x = x^1 y^0 and y = x^0 y^1 of a Weyl quotient, and the
+    derivation (`Algebra._underived`) of every coordinate from them, all
+    right products: 1 = 1 1, x^i = x^(i-1) x and x^i y^j = x^i y^(j-1) y."""
+    c = np.arange(p * p)
+    steps = np.stack([c, np.where(c % p, c - 1, c - p), np.where(c % p, 1, 0), 0 * c], axis=1)
+    steps[0, 1:3] = -1
+    return np.eye(p * p, dtype=np.int64)[[p, 1]], steps
 
 
 def opposite(A):
     """Same module, reversed multiplication.  A's generators generate it:
     a subset closed under every product of A is closed under the reversed
-    ones."""
+    ones.  A derived build, it is not checked: its associativity is A's
+    read backwards and its unit A's, so its axioms and generators follow
+    from those of the checked A."""
     (I, J, K), V, _ = A._sparse_rows
     return Algebra(A.base, ((J, I, K), V), A.unit_flat, label=f"op({A.label})", check=False, generators=A._generators)
 
@@ -580,7 +705,9 @@ def opposite(A):
 def tensor_product(A, B):
     """A tensor B over the common base; basis e_i (x) f_j ordered with the
     A-index major.  It records the generators s (x) 1 and 1 (x) t, for s
-    and t those of A and B: a (x) b = (a (x) 1)(1 (x) b)."""
+    and t those of A and B: a (x) b = (a (x) 1)(1 (x) b).  A derived build,
+    it is not checked: A (x) B is associative with unit 1 (x) 1 when A and B
+    are, so its axioms and generators follow from those of A and B."""
     if A.base != B.base:
         raise BaseMismatch("tensor factors must share the base ring")
     f, M, moduli, dB = A.base.flatten_len, A.base.struct, A.base._moduli_arr, B.rank
@@ -604,7 +731,9 @@ def base_change(A, hom):
     """Push the structure constants through a verified base-ring hom.  The
     images of A's recorded generators, and b_s 1 for the target's
     `_scalar_generators`, generate the result: the images over the image of
-    A's base, the b_s with 1 every scalar."""
+    A's base, the b_s with 1 every scalar.  A derived build, it is not
+    checked: the axioms are identities in the structure constants, which a
+    ring hom preserves, so they and the generators follow from A's."""
     if not isinstance(hom, BaseRingHom):
         raise AlgebraError("base_change expects a BaseRingHom")
     if hom.source != A.base:
@@ -868,7 +997,7 @@ def splitting(A):
     n = _square_root(A.rank)
     if n is None:
         return None
-    M, label = matrix_algebra(A.base, n, check=False), f"split {A.label}"
+    M, label = matrix_algebra(A.base, n), f"split {A.label}"
     if A == M:
         # equal algebras share one product, so M's generators serve A too
         A, H = M, np.eye(A.dim, dtype=np.int64)
@@ -1050,4 +1179,4 @@ def jordan_flat(ring, blocks):
 def jordan_cell(ring, n):
     """Element of M_n(ring) sending e_i to e_{i-1}: the one Jordan block
     J_(n)."""
-    return AlgElem(matrix_algebra(ring, n, check=False), jordan_flat(ring, (n,)))
+    return AlgElem(matrix_algebra(ring, n), jordan_flat(ring, (n,)))

@@ -34,10 +34,13 @@ from .rings import RingError, RingIdeal, make_ring
 # anything is allocated.  D^3 bounds the dense table of a
 # `structure_constants` config (d^3 f <= D^3 entries) and the entries a
 # build emits, at most D^3 (2^26 int64 entries are 512 MiB).  A checked
-# build is held to D^4: its associativity check sums into a buffer of D^3
-# keys or more, and its sparse join bounds its time: a dense table has up
-# to D^3 nonzeros, each joined with a row of up to D^2, so D^5 terms, and
-# the D^4 cap stays.
+# build is held to D^4.  The rule was written for a full associativity
+# check; matrix and Weyl builds now check only their generators' middles
+# (Light's test), so it bounds the identity-row builds, `upper_triangular`
+# and `structure_constants`, whose check runs every middle: a dense table
+# has up to D^3 nonzeros, each joined with a row of up to D^2, so D^5
+# terms.  The rule is left as it was; changing it is a gate decision of
+# its own.
 MAX_DENSE_ENTRIES = 2**26
 
 # Cap on the draws a configured check may ask for (`count`, `trials`), and

@@ -41,11 +41,6 @@ class CorpusEntry:
         return f"CorpusEntry({self.name!r}, {self.kind!r})"
 
 
-@lru_cache(maxsize=None)
-def _mat(ring_key, n):
-    return matrix_algebra(_ring(ring_key), n, check=False)
-
-
 _RINGS = {
     "F2": lambda: ZMod(2),
     "F3": lambda: ZMod(3),
@@ -129,12 +124,12 @@ _WEYL = [(2, a, b) for a in range(2) for b in range(2)] + [
 def _base_entries():
     entries = []
     for (rk, n), units in _CONJ_UNITS.items():
-        A = _mat(rk, n)
+        A = matrix_algebra(_ring(rk), n)
         for idx, u in enumerate(units):
             hom = conjugation_auto(A, _unit_matrix(A, n, u))
             entries.append(CorpusEntry(f"conj-M{n}({rk})-{idx}", "conjugation", hom))
     for rk, n, d in _REDUCTIONS:
-        A = _mat(rk, n)
+        A = matrix_algebra(_ring(rk), n)
         hom = reduction_hom(A, RingIdeal(A.base, d))
         entries.append(CorpusEntry(f"red-M{n}({rk})-mod{d}", "reduction", hom))
     for rk, m, k in _DIAGONALS:
@@ -142,7 +137,7 @@ def _base_entries():
         entries.append(CorpusEntry(f"diag-M{m}({rk})-x{k}", "diagonal", hom))
     for rk, n in _CRT:
         _, fwd, _ = crt_decompose(_ring(rk))
-        hom = base_change_hom(_mat(rk, n), fwd)
+        hom = base_change_hom(matrix_algebra(_ring(rk), n), fwd)
         entries.append(CorpusEntry(f"crt-M{n}({rk})", "crt", hom))
     for p, a, b in _WEYL:
         hom = weyl_splitting(p, a, b)

@@ -211,8 +211,8 @@ def diagonal_embed(ring, m, k):
     """M_m(R) -> M_{km}(R), x -> diag(x, ..., x); verified unital injection."""
     if k < 1:
         raise HomError("block count must be >= 1")
-    src = matrix_algebra(ring, m, check=False)
-    tgt = matrix_algebra(ring, k * m, check=False)
+    src = matrix_algebra(ring, m)
+    tgt = matrix_algebra(ring, k * m)
     f = ring.flatten_len
     n = k * m
     H = np.zeros((tgt.dim, src.dim), dtype=np.int64)
@@ -232,16 +232,16 @@ def weyl_splitting(p, a, b):
 
     The relations hold because (t + a)^p = a and (d/dt + b)^p = b in
     characteristic p; everything is re-verified computationally.  W is
-    built without its axiom check, being associative by construction
-    (`weyl_quotient`), so the hom check runs on its generators x and y.
+    the checked, memoized build of `weyl_quotient`, whose generators x and
+    y it proves, so the hom check runs on them.
     """
     from .algebras import weyl_quotient
 
     ring = ZMod(p)
     a %= p
     b %= p
-    W = weyl_quotient(p, a, b, check=False)
-    M = matrix_algebra(ring, p, check=False)
+    W = weyl_quotient(p, a, b)
+    M = matrix_algebra(ring, p)
     # on the basis 1, t, ..., t^(p-1)
     I = np.eye(p, dtype=np.int64)
     X = a * I + np.eye(p, k=-1, dtype=np.int64)

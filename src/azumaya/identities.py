@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -210,9 +210,12 @@ def _nonzero(identity, A):
 # -- s_k on the k-subsets of the coordinate generators
 
 
+@lru_cache(maxsize=256)
 def _binomials(D, m):
-    """C(a, j) at [j, a], for j <= m and a < D."""
-    return np.asarray([[math.comb(a, j) for a in range(D)] for j in range(m + 1)], dtype=np.int64)
+    """C(a, j) at [j, a], for j <= m and a < D; memoized, read-only."""
+    table = np.asarray([[math.comb(a, j) for a in range(D)] for j in range(m + 1)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def _drop_ranks(D, G):
@@ -231,11 +234,15 @@ def _drop_ranks(D, G):
     return math.comb(D, m - 1) - 1 - ahead - behind
 
 
+@lru_cache(maxsize=256)
 def _positions(k, m):
     """The m-subsets of range(k) in combinations order, and their
-    `_drop_ranks`."""
+    `_drop_ranks`; memoized, read-only."""
     P = next(_subsets(k, m, math.comb(k, m)))
-    return P, _drop_ranks(k, P)
+    drop = _drop_ranks(k, P)
+    P.setflags(write=False)
+    drop.setflags(write=False)
+    return P, drop
 
 
 def _subsets(D, m, rows, budget=None):

@@ -135,19 +135,36 @@ def sparse_join(link, ptr, lo, hi, budget):
     sum_k X[.., k] Y[k, ..] over the nonzeros joins X's entries, linked by
     k, with Y's rows; the caller multiplies the paired values, in a dtype
     chosen by `_dtype`, and adds them up by key."""
-    first = ptr[link[lo:hi]]
-    counts = ptr[link[lo:hi] + 1] - first
+    first, last = ptr[link[lo:hi]], ptr[link[lo:hi] + 1]
+    counts = last - first
     ends = counts.cumsum()  # pairs of the outer entries up to each one
     start = 0
     while start < len(ends):
         done = ends[start] - counts[start]  # pairs before this chunk
         stop = max(start + 1, int(ends.searchsorted(done + budget, side="right")))
-        n = counts[start:stop]
-        outer = np.arange(lo + start, lo + stop).repeat(n)
-        # the chunk's pair p is pair p - (ends - n - done) of its entry's row
-        inner = (first[start:stop] - (ends[start:stop] - n - done)).repeat(n)
-        yield outer, inner + np.arange(len(inner))
+        outer, inner = ranges(first[start:stop], last[start:stop])
+        yield outer + lo + start, inner
         start = stop
+
+
+def ranges(lo, hi):
+    """The pairs (q, e) with lo[q] <= e < hi[q], in order, as two arrays."""
+    n = hi - lo
+    q = np.repeat(np.arange(len(n)), n)
+    return q, np.repeat(lo - np.cumsum(n) + n, n) + np.arange(len(q))
+
+
+def sum_by_key(keys, values, moduli):
+    """The sorted distinct keys whose values sum to nonzero, and the sums:
+    key k sums mod moduli[k % len(moduli)], the modulus of its last
+    coordinate."""
+    order = np.argsort(keys, kind="stable")  # callers pass sorted runs
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    keys = keys[first]
+    sums = np.add.reduceat(values[order], first) % moduli[keys % len(moduli)] if keys.size else values
+    keep = np.flatnonzero(sums)
+    return keys[keep], sums[keep]
 
 
 def power(mul, X, e):

@@ -61,7 +61,7 @@ def _expect_fail(report, name):
 def suite_azumaya_def21(seed=None):
     reports = []
     for n, m in _MATRIX_GRID:
-        A = matrix_algebra(ZMod(m), n, check=False)
+        A = matrix_algebra(ZMod(m), n)
         reports.append(_named(is_azumaya(A), f"azumaya:M{n}(Z/{m})"))
     for p, a, b in _WEYL_GRID:
         reports.append(_named(is_azumaya(weyl_quotient(p, a, b)), f"azumaya:W({p},{a},{b})"))
@@ -75,7 +75,7 @@ def suite_al_thm26(seed=None):
     decided on generator subsets and draws nothing, so no seed is needed;
     a given one is recorded in the reports."""
     reports = []
-    M2F2 = matrix_algebra(ZMod(2), 2, check=False)
+    M2F2 = matrix_algebra(ZMod(2), 2)
     reports.append(_named(idn.al_vanishing_check(M2F2, 2, mode="exhaustive"), "s4:M2(F_2):exhaustive"))
     for a in range(2):
         for b in range(2):
@@ -83,7 +83,7 @@ def suite_al_thm26(seed=None):
             rep = idn.al_vanishing_check(W, 2, mode="exhaustive")
             reports.append(_named(rep, f"s4:W(2,{a},{b}):exhaustive"))
     for m in (4, 6):
-        A = matrix_algebra(ZMod(m), 2, check=False)
+        A = matrix_algebra(ZMod(m), 2)
         reports.append(
             _named(
                 idn.al_vanishing_check(A, 2, mode="samples", count=2000, seed=seed),
@@ -91,7 +91,7 @@ def suite_al_thm26(seed=None):
             )
         )
     for m in (2, 3, 6):
-        A = matrix_algebra(ZMod(m), 3, check=False)
+        A = matrix_algebra(ZMod(m), 3)
         reports.append(
             _named(
                 idn.al_vanishing_check(A, 3, mode="samples", count=2000, seed=seed),
@@ -99,11 +99,11 @@ def suite_al_thm26(seed=None):
             )
         )
     for m in (2, 4):
-        A = matrix_algebra(ZMod(m), 2, check=False)
+        A = matrix_algebra(ZMod(m), 2)
         _, rep = idn.nonvanishing_witness(A, 2, seed=seed)
         reports.append(_named(rep, f"s2-witness:M2(Z/{m})"))
     for m in (2, 3):
-        A = matrix_algebra(ZMod(m), 3, check=False)
+        A = matrix_algebra(ZMod(m), 3)
         _, rep = idn.nonvanishing_witness(A, 4, seed=seed)
         reports.append(_named(rep, f"s4-witness:M3(Z/{m})"))
     return reports
@@ -159,7 +159,7 @@ def suite_jordan_lem32(seed=None):
             )
         for n in range(2, 5):
             for nprime in range(1, n):
-                A = matrix_algebra(ring, nprime, check=False)
+                A = matrix_algebra(ring, nprime)
                 rep = homs_mod.jordan_obstruction_probe(n, A)
                 reports.append(_named(rep, f"jordan-probe:F_{p}:n={n}:nprime={nprime}"))
     return reports
@@ -232,19 +232,19 @@ def _split_quadratic_f2():
 def suite_tensor_env_rem23(seed=None):
     reports = []
     env_cases = [
-        ("M2(F_2)", matrix_algebra(ZMod(2), 2, check=False), True),
-        ("M2(Z/4)", matrix_algebra(ZMod(4), 2, check=False), True),
+        ("M2(F_2)", matrix_algebra(ZMod(2), 2), True),
+        ("M2(Z/4)", matrix_algebra(ZMod(4), 2), True),
         ("W(3,1,2)", weyl_quotient(3, 1, 2), True),
         ("F_2xF_2", _split_quadratic_f2(), False),
     ]
     for name, A, expected in env_cases:
         reports.append(_named(env_bijective_check(A, expected), f"env:{name}"))
     # tensor of Azumaya algebras is Azumaya (Rem 2.3(6))
-    M2 = matrix_algebra(ZMod(2), 2, check=False)
+    M2 = matrix_algebra(ZMod(2), 2)
     T = tensor_product(M2, opposite(M2))
     reports.append(_named(is_azumaya(T), "azumaya:M2(F_2)(x)op"))
     # ideal correspondence and intersection identity (Rem 2.3(2),(3))
-    M212 = matrix_algebra(ZMod(12), 2, check=False)
+    M212 = matrix_algebra(ZMod(12), 2)
     reports.append(
         _named(
             ideal_intersection_check(M212, [RingIdeal(ZMod(12), 2), RingIdeal(ZMod(12), 3)]),
@@ -255,7 +255,7 @@ def suite_tensor_env_rem23(seed=None):
     ideal, rep = homs_mod.kernel_ideal(red)
     reports.append(_named(rep, "kernel-ideal:M2(Z/12)-mod2"))
     for n, m in [(1, 4), (2, 6), (3, 4)]:
-        A = matrix_algebra(ZMod(m), n, check=False)
+        A = matrix_algebra(ZMod(m), n)
         reports.append(_named(square_rank_check(A), f"square-rank:M{n}(Z/{m})"))
     return reports
 

@@ -152,8 +152,11 @@ def test_opposite_reverses_products():
 
 
 def test_elements_of_equal_algebras_combine():
-    # two distinct Algebra objects with the same structure are equal
-    A, B = matrix_algebra(ZMod(3), 2), matrix_algebra(ZMod(3), 2)
+    # two distinct Algebra objects with the same structure are equal: a
+    # memoized build and a fresh one
+    A = matrix_algebra(ZMod(3), 2)
+    matrix_algebra.cache_clear()
+    B = matrix_algebra(ZMod(3), 2)
     assert A is not B and A == B and B == A
     x, y = A.element(unit_basis(A, 1)), B.element(unit_basis(B, 2))
     assert (x * y).flat.tolist() == unit_basis(A, 0).tolist()
@@ -327,7 +330,7 @@ def test_memoized_results_are_read_only():
 def test_memos_are_bounded():
     from azumaya import homs
 
-    for memo in (center, Algebra.unit_span, homs._azumaya_ok):
+    for memo in (center, Algebra.unit_span, homs._azumaya_ok, algebras._matrix_algebra, weyl_quotient):
         assert memo.cache_info().maxsize == 256
 
 

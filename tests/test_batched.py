@@ -427,7 +427,7 @@ _MATRIX_GRID = [(n, m) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
 _WEYL_GRID = [(p, a, b) for p in (2, 3, 5) for a in range(p) for b in range(p)]
 _SUBSET_ALGEBRAS = {
     **{f"M{n}(Z/{m})": functools.partial(matrix_algebra, ZMod(m), n, check=False) for n, m in _MATRIX_GRID},
-    **{f"W({p},{a},{b})": functools.partial(weyl_quotient, p, a, b, check=False) for p, a, b in _WEYL_GRID},
+    **{f"W({p},{a},{b})": functools.partial(weyl_quotient, p, a, b) for p, a, b in _WEYL_GRID},
     "M2(GF(4))": lambda: matrix_algebra(_gf4(), 2),
     "M2(Z/2 x Z/3)": lambda: matrix_algebra(_z2z3(), 2),
     # products of two residues pass 2^63: the Python-int path

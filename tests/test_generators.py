@@ -44,7 +44,7 @@ def _matrix(R, n):
 
 
 def _weyl(p, a, b):
-    return lambda: weyl_quotient(p, a, b, check=False)
+    return lambda: weyl_quotient(p, a, b)
 
 
 def _tensors():
@@ -112,9 +112,10 @@ def test_dropping_any_one_row_leaves_a_proper_subring(name):
     A = BUILDS[name]()
     rows, needed = A.generators, len(A.generators)
     if isinstance(A.base, ProductRing):
-        # over a product base the rows b_s E_11 can still be redundant (Z 1
-        # is all of Z/2 x Z/3), so only E_(i,i+1) and E_(i+1,i) are each needed
-        needed -= A.base.flatten_len - 1
+        # over a product base the last rows, b_s E_11 for every b_s in M_n
+        # and b_s 1 for all but one in a base change, can still be redundant
+        # (Z 1 is all of Z/2 x Z/3), so only E_(i,i+1) and E_(i+1,i) are each needed
+        needed -= A.base.flatten_len - (not name.startswith(("M_", "op(M_")))
     for t in range(needed):
         assert _ring_span(A, np.delete(rows, t, axis=0)).order < A.size, (name, t)
 
@@ -124,11 +125,12 @@ def test_generator_counts():
         f = R.flatten_len
         assert len(matrix_algebra(R, 1, check=False).generators) == f  # the identity rows
         for n in (2, 5, 16 if R == ZMod(2) else 3):
-            # E_(i,i+1), E_(i+1,i) and b_s E_11 for all but one coordinate generator b_s
-            shape = (2 * (n - 1) + f - 1, n * n * f)
+            # E_(i,i+1), E_(i+1,i) and b_s E_11 for every coordinate generator
+            # b_s but 1; over a product base 1 is none of them
+            shape = (2 * (n - 1) + f - (not isinstance(R, ProductRing)), n * n * f)
             assert matrix_algebra(R, n, check=False).generators.shape == shape
     assert len(matrix_algebra(F4, 4, check=False).generators) == 7
-    assert weyl_quotient(11, 0, 4, check=False).generators.shape == (2, 121)
+    assert weyl_quotient(11, 0, 4).generators.shape == (2, 121)
     M = matrix_algebra(ZMod(2), 3, check=False)
     assert np.array_equal(opposite(M).generators, M.generators)
     assert len(tensor_product(M, M).generators) == 8
@@ -146,7 +148,7 @@ def _assert_checks_agree(H, source, target):
 
 def test_generator_check_matches_the_full_scan_on_the_grid_certificates():
     grid = [matrix_algebra(ZMod(m), n, check=False) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
-    grid += [weyl_quotient(p, a, b, check=False) for p in (2, 3, 5) for a in range(p) for b in range(p)]
+    grid += [weyl_quotient(p, a, b) for p in (2, 3, 5) for a in range(p) for b in range(p)]
     for A in grid:
         hom = splitting(A)
         assert _assert_checks_agree(hom.matrix, A, hom.target) is None, A.label
@@ -213,10 +215,10 @@ def test_a_failure_past_the_first_block_of_rows_is_named():
 
 
 def test_m16_f2_is_certified_within_128_mb():
-    A = matrix_algebra(ZMod(2), 16, check=False)
+    matrix_algebra.cache_clear()  # the checked build is measured too
     tracemalloc.start()
     try:
-        assert is_azumaya(A).status == "pass"
+        assert is_azumaya(matrix_algebra(ZMod(2), 16)).status == "pass"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,11 +226,12 @@ def test_m16_f2_is_certified_within_128_mb():
 
 
 def test_m24_f2_is_certified_within_64_mb():
-    # the hom check forms no (|S|, D, D) products and no |S| D x D right side
-    A = matrix_algebra(ZMod(2), 24, check=False)
+    # the hom check forms no (|S|, D, D) products and no |S| D x D right
+    # side, and the checked build holds no buffer of |S| D^2 keys
+    matrix_algebra.cache_clear()
     tracemalloc.start()
     try:
-        assert is_azumaya(A).status == "pass"
+        assert is_azumaya(matrix_algebra(ZMod(2), 24)).status == "pass"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -151,8 +151,8 @@ _SEARCHED = {
     "op(M_3(Z/9))": (lambda: opposite(matrix_algebra(ZMod(9), 3, check=False)), 3, 2),
     "op(M_2(Z/2^62))": (lambda: opposite(matrix_algebra(Z2_62, 2, check=False)), 2, 62),
     "op(M_2(GF(4)))": (lambda: opposite(matrix_algebra(F4, 2, check=False)), 2, 1),
-    "W(3,1,2)": (lambda: weyl_quotient(3, 1, 2, check=False), 3, 1),
-    "W(5,0,4)": (lambda: weyl_quotient(5, 0, 4, check=False), 5, 1),
+    "W(3,1,2)": (lambda: weyl_quotient(3, 1, 2), 3, 1),
+    "W(5,0,4)": (lambda: weyl_quotient(5, 0, 4), 5, 1),
 }
 
 
@@ -216,7 +216,7 @@ def test_builds_and_checks_never_read_the_dense_view(forbid_dense_view):
         matrix_algebra(F4, 2, check=False),
         upper_triangular_algebra(ZMod(4), 3),
         weyl_quotient(5, 1, 2),
-        weyl_quotient(3, 0, 1, check=False),
+        weyl_quotient(3, 0, 1),
         tensor_product(matrix_algebra(ZMod(2), 2), upper_triangular_algebra(ZMod(2), 2)),
         split,
         opposite(matrix_algebra(ZMod(4), 2, check=False)),
@@ -285,12 +285,14 @@ _LARGE_BUILDS = {
     "M_16(F_2)": lambda: matrix_algebra(ZMod(2), 16, check=False),
     "M_4(F_2)(x)M_4(F_2)": lambda: tensor_product(*[matrix_algebra(ZMod(2), 4, check=False)] * 2),
     "op(M_4(F_2)(x)M_4(F_2))": lambda: opposite(tensor_product(*[matrix_algebra(ZMod(2), 4, check=False)] * 2)),
-    "W(13,0,0)": lambda: weyl_quotient(13, 0, 0, check=False),
+    "W(13,0,0)": lambda: weyl_quotient(13, 0, 0),
 }
 
 
 @pytest.mark.parametrize("name", _LARGE_BUILDS)
 def test_large_builds_peak_below_32_mb(name):
+    matrix_algebra.cache_clear()  # a fresh build, with its check
+    weyl_quotient.cache_clear()
     tracemalloc.start()
     try:
         _LARGE_BUILDS[name]()

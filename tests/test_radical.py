@@ -53,7 +53,7 @@ KNOWN = {
     "M_3(F_3)": (lambda: matrix_algebra(ZMod(3), 3), 0),
     "M_2(GF(4))": (lambda: matrix_algebra(F4, 2), 0),
     "W(5,1,2)": (lambda: weyl_quotient(5, 1, 2), 0),
-    "W(7,0,0)": (lambda: weyl_quotient(7, 0, 0, check=False), 0),
+    "W(7,0,0)": (lambda: weyl_quotient(7, 0, 0), 0),
     "op(M_4(GF(4)))": (lambda: opposite(matrix_algebra(F4, 4, check=False)), 0),
     "UT_2(F_2)": (lambda: upper_triangular_algebra(ZMod(2), 2), 1),
     "UT_3(F_3)": (lambda: upper_triangular_algebra(ZMod(3), 3), 3),

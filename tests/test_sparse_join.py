@@ -60,11 +60,11 @@ _BUILDS = {
     "UT_3(Z/2)": lambda: upper_triangular_algebra(ZMod(2), 3),
     "UT_2(GF(4))": lambda: upper_triangular_algebra(F4, 2),
     "UT_2(Z/2xZ/3)": lambda: upper_triangular_algebra(Z2xZ3, 2),
-    "W(2,1,0)": lambda: weyl_quotient(2, 1, 0, check=False),
-    "W(3,1,2)": lambda: weyl_quotient(3, 1, 2, check=False),
-    "W(5,0,0)": lambda: weyl_quotient(5, 0, 0, check=False),
-    "W(5,2,1)": lambda: weyl_quotient(5, 2, 1, check=False),
-    "W(7,1,1)": lambda: weyl_quotient(7, 1, 1, check=False),
+    "W(2,1,0)": lambda: weyl_quotient(2, 1, 0),
+    "W(3,1,2)": lambda: weyl_quotient(3, 1, 2),
+    "W(5,0,0)": lambda: weyl_quotient(5, 0, 0),
+    "W(5,2,1)": lambda: weyl_quotient(5, 2, 1),
+    "W(7,1,1)": lambda: weyl_quotient(7, 1, 1),
     "M_2(Z/2)(x)UT_2(Z/2)": lambda: tensor_product(
         matrix_algebra(ZMod(2), 2, check=False), upper_triangular_algebra(ZMod(2), 2)
     ),
@@ -123,7 +123,7 @@ def test_hom_check_matches_dense_oracle_on_every_constructor(name):
 
 
 def test_a_perturbed_weyl_tensor_is_refused_at_the_dense_oracle_triple():
-    A = weyl_quotient(5, 2, 1, check=False)
+    A = weyl_quotient(5, 2, 1)
     S = A.struct.copy()
     S[3, 7, 11] = (S[3, 7, 11] + 1) % 5
     B = Algebra(A.base, entries(S), A.unit_flat, check=False)
@@ -224,7 +224,7 @@ def test_base_ring_hom_refutations_match_dense_oracle(data):
 
 
 def test_join_chunks_cover_every_pair_once_at_any_budget():
-    A = weyl_quotient(3, 1, 2, check=False)
+    A = weyl_quotient(3, 1, 2)
     (_, _, k), _, ptr = A._sparse_rows
     lo, hi = int(ptr[2]), int(ptr[7])
     want = [(e, y) for e in range(lo, hi) for y in range(ptr[k[e]], ptr[k[e] + 1])]
@@ -246,9 +246,11 @@ def _traced_peak(build):
 
 
 def test_checked_weyl_build_peaks_no_higher_than_the_dense_check(monkeypatch):
-    weyl_quotient(7, 1, 1, check=False)  # warm the normal-ordering cache
+    weyl_quotient(7, 1, 1)  # warm the normal-ordering cache
+    weyl_quotient.cache_clear()
     sparse_peak = _traced_peak(lambda: weyl_quotient(7, 1, 1))
-    monkeypatch.setattr(Algebra, "_verify_axioms", verify_axioms_dense)
+    monkeypatch.setattr(Algebra, "_verify_axioms", lambda A, derivation=None: verify_axioms_dense(A))
+    weyl_quotient.cache_clear()
     dense_peak = _traced_peak(lambda: weyl_quotient(7, 1, 1))
     assert sparse_peak <= dense_peak
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from azumaya import algebras
 from azumaya.algebras import (
+    Algebra,
     base_change,
     env_map_bijective,
     is_azumaya,
@@ -34,7 +35,7 @@ WEYL_GRID = [(p, a, b) for p in (2, 3, 5) for a in range(p) for b in range(p)]
 
 def _grid_algebras():
     yield from (matrix_algebra(ZMod(m), n, check=False) for n, m in MATRIX_GRID)
-    yield from (weyl_quotient(p, a, b, check=False) for p, a, b in WEYL_GRID)
+    yield from (weyl_quotient(p, a, b) for p, a, b in WEYL_GRID)
 
 
 def _assert_certificate(A):
@@ -214,7 +215,7 @@ _SEARCHED_FORMS = {
     "op(M_2(Z/2 x GF(4)))": lambda: opposite(
         matrix_algebra(ProductRing([ZMod(2), GaloisField.default(2, 2)]), 2, check=False)
     ),
-    "W(7,5,0)": lambda: weyl_quotient(7, 5, 0, check=False),
+    "W(7,5,0)": lambda: weyl_quotient(7, 5, 0),
 }
 _CERTIFIED_CASES.update(_SEARCHED_FORMS)
 
@@ -475,7 +476,7 @@ def test_opposite_forms_are_searched(R, n, monkeypatch):
 
 
 def test_search_is_deterministic():
-    A = weyl_quotient(5, 2, 1, check=False)
+    A = weyl_quotient(5, 2, 1)
     assert np.array_equal(splitting(A).matrix, splitting(A).matrix)
 
 
@@ -509,6 +510,12 @@ def test_splitting_agrees_with_weyl_splitting_up_to_inner(p, a, b):
 
 @pytest.mark.parametrize("p, a, b", WEYL_GRID)
 def test_unchecked_weyl_equals_checked(p, a, b):
-    W, U = weyl_quotient(p, a, b), weyl_quotient(p, a, b, check=False)
+    # the memoized checked build, a fresh one, and an unchecked build of its entries
+    W = weyl_quotient(p, a, b)
+    weyl_quotient.cache_clear()
+    assert weyl_quotient(p, a, b) is not W and weyl_quotient(p, a, b) == W
+    (I, J, K), V, _ = W._sparse_rows
+    U = Algebra(W.base, ((I, J, K), V), W.unit_flat, check=False)
+    assert U == W
     assert np.array_equal(W.struct, U.struct)
     assert np.array_equal(W.unit_flat, U.unit_flat)

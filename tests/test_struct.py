@@ -290,7 +290,7 @@ def test_constructors_store_the_entries_of_their_dense_bodies(ring):
 
 @pytest.mark.parametrize("p,a,b", [(2, 1, 1), (3, 1, 2), (5, 2, 3), (7, 0, 0), (7, 6, 3)])
 def test_weyl_quotients_store_the_entries_of_their_dense_bodies(p, a, b):
-    W, M = weyl_quotient(p, a, b, check=False), matrix_algebra(ZMod(p), 2, check=False)
+    W, M = weyl_quotient(p, a, b), matrix_algebra(ZMod(p), 2, check=False)
     _assert_dense_body(W, *_weyl_dense(p, a, b))
     _assert_dense_body(opposite(W), W.struct.transpose(1, 0, 2), W.unit_flat)
     if p <= 3:

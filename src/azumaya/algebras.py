@@ -37,13 +37,13 @@ go through `flat_entries` as the constructors' do.
 
 `is_azumaya` decides the rank first: a rank that is not a square fails at
 once.  A pass is decided by a certificate when it can be: `splitting`
-takes an isomorphism A -> M_n(R), the identity when A is M_n(R) in
-matrix-unit coordinates, otherwise one searched inside A over any finite
-base (idempotents of A/pA split by Berlekamp and Cantor-Zassenhaus, lifted
-and joined by the CRT), verified by the one hom check and the one
-bijectivity check.  On a miss each fiber A (x) R/m is decided by its
-center, then its radical (Cohen-Ivanyos-Wales, `_radical`): D-vectors, and
-no enveloping map.
+returns the matrix of an isomorphism A -> M_n(R), the identity unchecked
+when A equals M_n(R), otherwise one searched inside A over any finite base
+(idempotents of A/pA split by Berlekamp and Cantor-Zassenhaus, lifted and
+joined by the CRT) that passes the one hom check and the one bijectivity
+check.  On a miss each fiber A (x) R/m is decided by its center, then its
+radical (Cohen-Ivanyos-Wales, `_radical`): D-vectors, and no enveloping
+map.
 """
 
 from __future__ import annotations
@@ -160,9 +160,7 @@ class Algebra:
         and t' are; so T is a subring, all of A.  A build that fails any
         part is scanned again with every middle, so it names what the full
         check names."""
-        D, u = self.dim, self.unit_flat[None]
-        eye = np.eye(D, dtype=np.int64) % self._moduli_arr[:, None]
-        unit = all(np.array_equal(self.mul_matrices(u, side)[0], eye) for side in ("left", "right"))
+        D, unit = self.dim, self._is_unit()
         underived = self._underived(derivation) if derivation is not None and unit else None
         every = np.arange(D)
         middles = every if derivation is None else np.flatnonzero(self.generators.any(axis=0))
@@ -174,6 +172,20 @@ class Algebra:
         if triple is not None:
             raise AlgebraError(f"associativity fails on basis triple {triple}")
         raise AlgebraError("unit vector is not a two-sided unit" if not unit else underived)
+
+    def _is_unit(self):
+        """Whether `unit_flat` u is a two-sided unit: u e_j = e_j u = e_j for
+        every coordinate j.  The terms u_i S[i, j, :] and u_i S[j, i, :] of
+        u's nonzeros, less the identity rows, must sum to 0
+        (`linalg.sum_by_key`), keyed (j, k) on the left and D^2 + (j, k) on
+        the right."""
+        D, u = self.dim, self.unit_flat
+        (I, J, K), V, _ = self._sparse_rows
+        V = V.astype(linalg._dtype(self._N, D + 1, 2))  # a coordinate sums at most D products
+        left, right, ones = np.flatnonzero(u[I]), np.flatnonzero(u[J]), np.arange(D) * (D + 1)
+        keys = [J[left] * D + K[left], D * D + I[right] * D + K[right], ones, D * D + ones]
+        values = [u[I[left]] * V[left], u[J[right]] * V[right], np.full(2 * D, -1, dtype=V.dtype)]
+        return not linalg.sum_by_key(np.concatenate(keys), np.concatenate(values), self._moduli_arr)[0].size
 
     def _underived(self, derivation):
         """None when `derivation` derives every coordinate from 1 and the
@@ -979,34 +991,31 @@ def _searched_splitting(A):
 
 
 def splitting(A):
-    """A verified isomorphism A -> M_n(R) of R-algebras, as a bijective
-    `homs.AlgebraHom`, or None when the search misses.
+    """The (D, D) matrix (target by source coordinates) of an isomorphism
+    A -> M_n(R) of R-algebras, or None when the search misses.
 
     An Azumaya algebra of rank n^2 over a finite commutative ring R is
     M_n(R): the Brauer group of a commutative Artin ring is the sum of those
     of its residue fields (the paper's Theorem 2.8), and finite fields have
-    trivial Brauer groups (Wedderburn).  The candidate is the identity when
-    A is M_n(R) in its matrix-unit coordinates, checked on M_n(R)'s
-    generators however A was built, and otherwise comes from the search
-    (`_searched_splitting`).  The one hom check and the one bijectivity
-    check are complete, so a hom returned here proves A Azumaya.  A miss
-    proves nothing: a rank that is not a square, no hom within the fixed
-    draws of the fixed seed, or a hom that fails either check."""
+    trivial Brauer groups (Wedderburn).  When A equals M_n(R), however it
+    was built, the identity is an isomorphism and nothing is checked.  A
+    candidate from the search (`_searched_splitting`) is kept only when its
+    `homs.AlgebraHom` verifies and is bijective, two complete checks.  A
+    miss proves nothing: a rank that is not a square, no hom within the
+    fixed draws of the fixed seed, or a hom that fails either check."""
     from .homs import AlgebraHom
 
     n = _square_root(A.rank)
     if n is None:
         return None
-    M, label = matrix_algebra(A.base, n), f"split {A.label}"
+    M = matrix_algebra(A.base, n)
     if A == M:
-        # equal algebras share one product, so M's generators serve A too
-        A, H = M, np.eye(A.dim, dtype=np.int64)
-    else:
-        H = _searched_splitting(A)
+        return np.eye(A.dim, dtype=np.int64)
+    H = _searched_splitting(A)
     if H is None:
         return None
-    hom = AlgebraHom(A, M, H, label=label)
-    return hom if hom.is_verified and hom.is_bijective() else None
+    hom = AlgebraHom(A, M, H)
+    return hom.matrix if hom.is_verified and hom.is_bijective() else None
 
 
 def _radical(A):
@@ -1035,8 +1044,8 @@ def is_azumaya(A):
     A (x) R/m, m maximal, is central simple over the field R/m
     (Auslander-Goldman).  The rank is decided first (`square_rank_check`):
     a rank that is not a square fails with the witness {"rank": d} before
-    any certificate, quotient or contraction.  A pass is then decided by a
-    verified isomorphism A -> M_n(R) from `splitting`; one exists whenever
+    any certificate, quotient or contraction.  A pass is then decided by an
+    isomorphism A -> M_n(R) from `splitting`; one exists whenever
     A is Azumaya, so only the fixed draws of its search can miss it.  On a
     miss the fibers decide, each over its residue field: A (x) R/m is
     central simple iff its center is the scalars and its radical is zero

@@ -19,8 +19,8 @@ Lemma 3.2 (no element of M_n'(k) has nilpotency index above n') is decided
 on the Jordan types: every nilpotent of M_n'(k) is similar to exactly one
 J_lambda, lambda a partition of n', and similarity and isomorphisms keep
 the index, so `jordan_obstruction_probe` pulls the p(n') matrices J_lambda
-back through the verified isomorphism of `algebras.splitting` and reads
-their indices.  Nothing is drawn.
+back through the isomorphism matrix of `algebras.splitting` (the identity
+when A' equals M_n'(k)) and reads their indices.  Nothing is drawn.
 
 Theorem 4.1's conclusion holds over every finite base, reduced or not.  An
 Azumaya source A of rank n^2 over a finite commutative ring is M_n(R) (the
@@ -379,10 +379,10 @@ def _partitions(n, top=None):
 def jordan_obstruction_probe(n, Aprime, samples=None, seed=None):
     """Lemma 3.2: no element of A' = M_{n'}(k) has nilpotency index above
     n', so none has index n > n'.  Decided on the p(n') Jordan types (see
-    the module docstring), each pulled back through the verified
-    phi: A' -> M_{n'}(k) of `algebras.splitting`, the identity in
-    matrix-unit coordinates; nothing is drawn, and `samples` and `seed` are
-    not read.  Refused, in this order, when the rank is not a square, when
+    the module docstring), each pulled back through the matrix of
+    phi: A' -> M_{n'}(k) from `algebras.splitting`, the identity when A'
+    equals M_{n'}(k); nothing is drawn, and `samples` and `seed` are not
+    read.  Refused, in this order, when the rank is not a square, when
     the base is not a field, where the bound fails (in M_2(Z/12),
     [[6, 10], [3, 6]] has index 4), and, for n > 1, when there is no
     splitting: the lemma's hypothesis is A' = M_{n'}(k).  A fail names the
@@ -399,7 +399,7 @@ def jordan_obstruction_probe(n, Aprime, samples=None, seed=None):
         raise PreconditionUnmet("probe target has no verified isomorphism to M_n'(k) (Lemma 3.2)")
     types = list(_partitions(nprime))
     J = [jordan_flat(Aprime.base, blocks) for blocks in types]
-    X = np.stack([linalg.solve_additive(phi.matrix, j, Aprime.moduli, phi.target.moduli)[0] for j in J])
+    X = np.stack([linalg.solve_additive(phi, j, Aprime.moduli, Aprime.moduli)[0] for j in J])
     index = nilpotency_indices(Aprime, X, Aprime.rank)
     details = {"jordan_types": len(types), "largest_index": int(index.max())}
     above = np.flatnonzero(index > nprime)

@@ -564,7 +564,8 @@ def hom_refutation(matrix, source, target):
     step reads associativity of the source and of the target.  So T is a
     subring, and T contains S, which generates the source: T is all of it.
     A refuted scan runs again over the identity rows, which names the first
-    failing pair (a, b) a full check would.
+    failing pair (a, b) a full check would; when the generators already are
+    the identity rows, the first scan named it.
     """
     if not linalg.check_well_defined(matrix, source.moduli, target.moduli):
         return {"condition": "well-defined"}
@@ -572,10 +573,13 @@ def hom_refutation(matrix, source, target):
     unit = linalg.einsum_mod("j,ij->i", source.unit_flat, matrix, moduli=moduli, N=N)
     if not np.array_equal(unit, target.unit_flat):
         return {"condition": "unit"}
-    if _first_unmultiplicative(matrix, source.generators, source, target, N) is None:
+    pair = _first_unmultiplicative(matrix, source.generators, source, target, N)
+    if pair is None:
         return None
     eye = np.eye(matrix.shape[1], dtype=np.int64)
-    return {"condition": "multiplicative", "pair": _first_unmultiplicative(matrix, eye, source, target, N)}
+    if not np.array_equal(source.generators, eye):
+        pair = _first_unmultiplicative(matrix, eye, source, target, N)
+    return {"condition": "multiplicative", "pair": pair}
 
 
 def _first_unmultiplicative(matrix, rows, source, target, N):

@@ -72,7 +72,8 @@ structure constants and ring-entry matrices -- as independent references:
   by its center and its radical; `ideal_closure`, `is_nilpotent_ideal` and
   `trace_form_radical` are references for that radical: the ideal rows
   generate, whether it is nilpotent, and Dickson's trace-form radical;
-- `identity_hom`, `solve_mod`, `unit_basis`, `basis_elem` and
+- `identity_hom`, `certified_hom` (`splitting`'s matrix re-verified as a
+  bijective hom into M_n(R)), `solve_mod`, `unit_basis`, `basis_elem` and
   `ring_elements` are helpers only tests use.
 """
 
@@ -84,7 +85,17 @@ import math
 import numpy as np
 
 from azumaya import linalg, rings
-from azumaya.algebras import AlgebraError, AlgElem, Algebra, _normal_order, center, env_map_flat, quotient_algebra
+from azumaya.algebras import (
+    AlgebraError,
+    AlgElem,
+    Algebra,
+    _normal_order,
+    center,
+    env_map_flat,
+    matrix_algebra,
+    quotient_algebra,
+    splitting,
+)
 from azumaya.homs import AlgebraHom, _azumaya_preconditions
 from azumaya.linalg import LinalgError, howell
 from azumaya.reports import CONTRADICTS, FAIL, PASS, CheckReport
@@ -623,6 +634,16 @@ def ring_elements(R):
 
 def identity_hom(A):
     return AlgebraHom(A, A, np.eye(A.dim, dtype=np.int64), label="id")
+
+
+def certified_hom(A):
+    """The matrix `splitting(A)` returns, re-verified: as a hom into
+    M_n(R) it must pass the hom check and be bijective."""
+    H = splitting(A)
+    assert H is not None, A.label
+    hom = AlgebraHom(A, matrix_algebra(A.base, math.isqrt(A.rank)), H)
+    assert hom.is_verified and hom.is_bijective(), (A.label, hom.refutation)
+    return hom
 
 
 def solve_mod(A, b, N):

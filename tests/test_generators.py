@@ -26,7 +26,7 @@ from azumaya.algebras import (
     weyl_quotient,
 )
 from azumaya.rings import BaseRingHom, GaloisField, ProductRing, ZMod, crt_decompose, maximal_ideals
-from ring_oracles import center_dense, entries, hom_refutation_dense, hom_refutation_full
+from ring_oracles import center_dense, certified_hom, entries, hom_refutation_dense, hom_refutation_full
 
 F4 = GaloisField.default(2, 2)
 MATRIX_BASES = {
@@ -150,7 +150,7 @@ def test_generator_check_matches_the_full_scan_on_the_grid_certificates():
     grid = [matrix_algebra(ZMod(m), n, check=False) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
     grid += [weyl_quotient(p, a, b) for p in (2, 3, 5) for a in range(p) for b in range(p)]
     for A in grid:
-        hom = splitting(A)
+        hom = certified_hom(A)
         assert _assert_checks_agree(hom.matrix, A, hom.target) is None, A.label
 
 
@@ -186,14 +186,16 @@ def scanned(monkeypatch):
 
 
 def test_an_equal_matrix_algebra_is_certified_on_its_generators(scanned):
-    # M_3(Z/3) built from its entries alone carries the identity rows
+    # M_3(Z/3) built from its entries alone carries the identity rows, and
+    # equals M_3(Z/3), so its certificate is the identity with no scan
     M = matrix_algebra(ZMod(3), 3, check=False)
     A = Algebra(M.base, entries(M.struct), M.unit_flat, check=False)
     assert A == M and len(A.generators) == A.dim
     scanned.clear()  # the ring hom's own check
-    hom = splitting(A)
-    assert hom.is_verified and hom.is_bijective() and np.array_equal(hom.matrix, np.eye(A.dim))
-    assert scanned == [4]  # E_12, E_23, E_21 and E_32
+    assert np.array_equal(splitting(A), np.eye(A.dim))
+    assert scanned == []
+    assert certified_hom(A).target == M
+    assert scanned == [9]  # the re-verification, on A's identity rows
 
 
 def test_a_refuted_generator_check_rescans_every_pair(scanned):
@@ -201,6 +203,19 @@ def test_a_refuted_generator_check_rescans_every_pair(scanned):
     T = np.eye(M.dim, dtype=np.int64).reshape(3, 3, -1).transpose(1, 0, 2).reshape(M.dim, M.dim)  # transpose
     assert rings.hom_refutation(T, M, M) == hom_refutation_dense(T, M, M)
     assert scanned == [4, 9]
+
+
+def test_a_refuted_check_on_identity_rows_scans_once(scanned):
+    # the generators of M_3(Z/3) built from its entries are its identity
+    # rows, so the first scan names the pair a full scan would
+    M = matrix_algebra(ZMod(3), 3, check=False)
+    A = Algebra(M.base, entries(M.struct), M.unit_flat, check=False)
+    T = np.eye(A.dim, dtype=np.int64).reshape(3, 3, -1).transpose(1, 0, 2).reshape(A.dim, A.dim)  # transpose
+    scanned.clear()  # the ring hom's own check
+    refutation = rings.hom_refutation(T, A, A)
+    assert scanned == [9]
+    assert refutation == hom_refutation_full(T, A, A) == hom_refutation_dense(T, A, A)
+    assert refutation["condition"] == "multiplicative"
 
 
 def test_a_failure_past_the_first_block_of_rows_is_named():
@@ -226,8 +241,8 @@ def test_m16_f2_is_certified_within_128_mb():
 
 
 def test_m24_f2_is_certified_within_64_mb():
-    # the hom check forms no (|S|, D, D) products and no |S| D x D right
-    # side, and the checked build holds no buffer of |S| D^2 keys
+    # the checked build holds no buffer of |S| D^2 keys, and the
+    # certificate is the identity by equality, with no hom check
     matrix_algebra.cache_clear()
     tracemalloc.start()
     try:
@@ -236,6 +251,33 @@ def test_m24_f2_is_certified_within_64_mb():
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20
+
+
+def test_m24_f2_identity_hom_check_within_64_mb():
+    # is_azumaya certifies M_24(F_2) by equality, so the hom check at this
+    # size is held here: no (|S|, D, D) products and no |S| D x D right side
+    M = matrix_algebra(ZMod(2), 24)
+    tracemalloc.start()
+    try:
+        assert rings.hom_refutation(np.eye(M.dim, dtype=np.int64), M, M) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
+def test_m32_f2_checked_build_within_half_of_a_dense_unit_law():
+    # the unit law sums the terms of the unit's nonzeros and forms no D x D
+    # array; with two D x D multiplication matrices of the unit and an
+    # identity it peaked at 29.4 MB (14.2 MB without)
+    matrix_algebra.cache_clear()
+    tracemalloc.start()
+    try:
+        matrix_algebra(ZMod(2), 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 29.4 / 2 * 2**20, peak
 
 
 def test_the_center_reads_only_the_generators(monkeypatch):

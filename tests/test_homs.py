@@ -43,7 +43,7 @@ from azumaya.homs import (
 )
 from azumaya.rings import GaloisField, RingIdeal, ZMod, crt_decompose, is_reduced
 from loop_oracles import dense_mul_batch
-from ring_oracles import center_preservation_loop, entries, identity_hom, unit_basis
+from ring_oracles import center_preservation_loop, certified_hom, entries, identity_hom, unit_basis
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +339,7 @@ def test_jordan_probe_passes_on_forms_in_other_coordinates(make, monkeypatch):
     monkeypatch.setattr(homs, "nilpotency_indices", recording)
     rep = jordan_obstruction_probe(nprime + 1, A)
     assert rep.status == "pass" and rep.details == {"jordan_types": len(list(homs._partitions(nprime))), "largest_index": nprime}
-    phi = splitting(A)
+    phi = certified_hom(A)
     want = [jordan_flat(A.base, lam) for lam in homs._partitions(nprime)]
     assert np.array_equal(phi.apply_flat(pulled[0]), np.stack(want))
 
@@ -359,7 +359,7 @@ def test_jordan_probe_fails_on_an_index_above_nprime(monkeypatch):
     rep = jordan_obstruction_probe(4, A)
     assert rep.status == "fail" and rep.details == {"jordan_types": 3, "largest_index": 4}
     assert rep.witness["index"] == 4 and rep.witness["partition"] == [2, 1]
-    image = splitting(A).apply_flat(np.asarray(rep.witness["element"]))
+    image = certified_hom(A).apply_flat(np.asarray(rep.witness["element"]))
     assert np.array_equal(image, jordan_flat(ZMod(3), (2, 1)))
 
 

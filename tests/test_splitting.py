@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azumaya import algebras
+from azumaya import algebras, linalg, rings
 from azumaya.algebras import (
     Algebra,
     base_change,
@@ -26,7 +26,7 @@ from azumaya.homs import weyl_splitting
 from azumaya.linalg import is_bijective_additive, kernel_mod, rank_mod_p
 from azumaya.rings import BaseRingHom, GaloisField, ProductRing, ZMod, crt_decompose, factorize
 from azumaya.suites import _split_quadratic_f2
-from ring_oracles import inverse_mod, r_linear, ring_elements, table_algebra, twisted, unit_basis
+from ring_oracles import certified_hom, entries, inverse_mod, r_linear, ring_elements, table_algebra, twisted, unit_basis
 from test_algebras import _m2_f2_by_f3_4, assert_matches_fiber_loop
 
 MATRIX_GRID = [(n, m) for n in (1, 2, 3) for m in (2, 3, 4, 6, 8, 9, 12)]
@@ -39,10 +39,7 @@ def _grid_algebras():
 
 
 def _assert_certificate(A):
-    hom = splitting(A)
-    assert hom is not None, A.label
-    assert hom.is_verified and hom.is_bijective()
-    assert hom.target == matrix_algebra(A.base, math.isqrt(A.rank), check=False)
+    certified_hom(A)
     assert env_map_bijective(A), A.label
 
 
@@ -323,9 +320,7 @@ def test_gf_matrix_algebras_certify(p, k, n):
     # M_n(GF(q)) in its own coordinates, and its opposite through the search
     M = matrix_algebra(GaloisField.default(p, k), n, check=False)
     for A in (M, opposite(M)):
-        hom = splitting(A)
-        assert hom is not None and hom.is_verified and hom.is_bijective()
-        assert hom.target == M
+        assert certified_hom(A).target == M
         if A.dim <= 16:  # the enveloping map agrees where it is small
             assert env_map_bijective(A)
 
@@ -336,9 +331,7 @@ def test_twisted_gf_matrix_algebras_certify(data, n, pk):
     R = GaloisField.default(*pk)
     A = twisted(matrix_algebra(R, n, check=False), _draw_invertible(data, R, n * n))
     A._verify_axioms()
-    hom = splitting(A)
-    assert hom is not None and hom.is_verified and hom.is_bijective()
-    assert hom.target == matrix_algebra(R, n, check=False)
+    certified_hom(A)
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +428,20 @@ STANDARD_BASES = {
 }
 
 
+def _m3(m):
+    return matrix_algebra(ZMod(m), 3)
+
+
 def _standard_forms():
     for name, R in STANDARD_BASES.items():
         for n in (2, 3):
             yield f"M_{n}({name})", lambda R=R, n=n: matrix_algebra(R, n, check=False)
-    # equal to M_3(Z/3) once its base is changed
-    yield "M_3(Z/12) over Z/3", lambda: base_change(
-        matrix_algebra(ZMod(12), 3, check=False), BaseRingHom(ZMod(12), ZMod(3), [[1]])
-    )
+    # equal to M_n(R), built another way: from the entries alone (which
+    # carries the identity rows), twice transposed, or by a base change
+    yield "M_3(Z/12) over Z/3", lambda: base_change(_m3(12), BaseRingHom(ZMod(12), ZMod(3), [[1]]))
+    yield "M_3(Z/12) over Z/4", lambda: base_change(_m3(12), BaseRingHom(ZMod(12), ZMod(4), [[1]]))
+    yield "M_3(Z/3) from its entries", lambda: Algebra(ZMod(3), entries(_m3(3).struct), _m3(3).unit_flat)
+    yield "op(op(M_3(Z/12)))", lambda: opposite(opposite(_m3(12)))
 
 
 _STANDARD = dict(_standard_forms())
@@ -450,18 +449,20 @@ _STANDARD = dict(_standard_forms())
 
 @pytest.mark.parametrize("name", list(_STANDARD))
 def test_standard_forms_take_the_identity(name, monkeypatch):
+    # equality certifies: no search, draw, hom scan, bijectivity
+    # elimination, env map or fiber
     A = _STANDARD[name]()
-    hom = splitting(A)
-    assert np.array_equal(hom.matrix, np.eye(A.dim, dtype=np.int64))
-    assert hom.is_verified and hom.is_bijective() and hom.target == A
 
     def forbidden(*args):
-        raise AssertionError("searched, drew or formed an env map")
+        raise AssertionError("searched, drew, checked a hom or formed an env map")
 
     _forbid_env_maps(monkeypatch)
-    for fn in ("_local_splitting", "random_rows"):
-        monkeypatch.setattr(algebras, fn, forbidden)
+    for module, fn in [(algebras, "_local_splitting"), (algebras, "random_rows"), (rings, "_first_unmultiplicative"), (linalg, "is_bijective_additive")]:
+        monkeypatch.setattr(module, fn, forbidden)
+    assert np.array_equal(splitting(A), np.eye(A.dim, dtype=np.int64))
     assert is_azumaya(A).status == "pass"
+    monkeypatch.undo()
+    assert A == matrix_algebra(A.base, math.isqrt(A.rank)) and certified_hom(A).target == A
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -470,14 +471,14 @@ def test_opposite_forms_are_searched(R, n, monkeypatch):
     A, calls = opposite(matrix_algebra(R, n, check=False)), []
     local = algebras._local_splitting
     monkeypatch.setattr(algebras, "_local_splitting", lambda *args: calls.append(args) or local(*args))
-    hom = splitting(A)
-    assert calls and hom is not None and hom.is_verified and hom.is_bijective()
-    assert not np.array_equal(hom.matrix, np.eye(A.dim, dtype=np.int64))
+    H = splitting(A)
+    assert calls and not np.array_equal(H, np.eye(A.dim, dtype=np.int64))
+    assert np.array_equal(certified_hom(A).matrix, H)
 
 
 def test_search_is_deterministic():
     A = weyl_quotient(5, 2, 1)
-    assert np.array_equal(splitting(A).matrix, splitting(A).matrix)
+    assert np.array_equal(certified_hom(A).matrix, splitting(A))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +492,7 @@ def test_splitting_agrees_with_weyl_splitting_up_to_inner(p, a, b):
     of y, which generate W.  The solutions u are one kernel computation."""
     explicit = weyl_splitting(p, a, b)
     W, M = explicit.source, explicit.target
-    cert = splitting(W)
+    cert = certified_hom(W)
     assert cert.target == M
     blocks = []
     for gen in (unit_basis(W, p), unit_basis(W, 1)):  # x and y

@@ -13,14 +13,20 @@ complete; each side is a sparse join with a structure tensor.  A refuted
 hom names the first failing pair of coordinate generators, from a scan
 over all of them.  All homs here are unital by definition: a non-unital
 map is refuted, never accepted.  A hom is checked once, when it is made,
-so every `AlgebraHom` is verified or refuted.
+so every `AlgebraHom` is verified or refuted.  Its matrix is read-only, and
+its image order comes from one forward pass over it, memoized: bijectivity
+and the isomorphism routes all read that order.  A verified bijective hom
+onto M_n(R') from an algebra of the same rank n^2 is itself a certificate
+that its source is Azumaya (`_azumaya_preconditions`), so no splitting is
+searched for that source.
 
 Lemma 3.2 (no element of M_n'(k) has nilpotency index above n') is decided
 on the Jordan types: every nilpotent of M_n'(k) is similar to exactly one
 J_lambda, lambda a partition of n', and similarity and isomorphisms keep
 the index, so `jordan_obstruction_probe` pulls the p(n') matrices J_lambda
 back through the isomorphism matrix of `algebras.splitting` (the identity
-when A' equals M_n'(k)) and reads their indices.  Nothing is drawn.
+when A' equals M_n'(k)), all from one elimination of it, and reads their
+indices.  Nothing is drawn.
 
 Theorem 4.1's conclusion holds over every finite base, reduced or not.  An
 Azumaya source A of rank n^2 over a finite commutative ring is M_n(R) (the
@@ -36,7 +42,7 @@ a bug, and there is no counterexample to search for.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -99,6 +105,7 @@ class AlgebraHom:
                 f"expected {(target.dim, source.dim)}, got {matrix.shape}"
             )
         self.matrix = matrix % target._moduli_arr[:, None]
+        self.matrix.setflags(write=False)  # `image_order` is memoized on it
         self._N = max(source._N, target._N)  # every entry is a residue below it
         self.label = label
         self.verify()
@@ -133,10 +140,14 @@ class AlgebraHom:
         if self.status != VERIFIED:
             raise PreconditionUnmet(f"hom is not verified: {self.refutation}")
 
+    @cached_property
+    def image_order(self):
+        """|f(source)|, from one forward pass over the matrix
+        (`linalg.image_order`)."""
+        return linalg.image_order(self.matrix, self.source.moduli, self.target.moduli)
+
     def is_bijective(self):
-        return linalg.is_bijective_additive(
-            self.matrix, self.source.moduli, self.target.moduli
-        )
+        return self.source.size == self.target.size == self.image_order
 
     def kernel_subgroup(self):
         return linalg.kernel_additive(self.matrix, self.source.moduli, self.target.moduli)
@@ -294,10 +305,30 @@ def _azumaya_ok(A):
 
 
 def _azumaya_preconditions(f):
-    """Every Algebra is free, so its rank is constant: `A.rank`."""
+    """Every Algebra is free, so its rank is constant: `A.rank`.
+
+    The source A, of rank d over R, is Azumaya without a search when f is a
+    certificate for it: f is verified and bijective, its target equals
+    M_n(R') for n^2 = d' its rank, and d = d'.  Then
+    |R|^(n^2) = |A| = |R'|^(n^2), so |R| = |R'|.  R*1 lies in Z(A), which
+    f maps onto Z(M_n(R')) = R'*1, and R*1 has |R| = |R'| elements because
+    A is free, so R*1 = Z(A) and f restricts to a ring isomorphism
+    psi: R -> R'.  So M_n(psi^-1) o f is an R-algebra isomorphism
+    A -> M_n(R), and A is Azumaya.  The equal ranks are needed: GF(16) as
+    a rank-4 algebra over F_2, with the identity onto M_1(GF(16)), is
+    verified, bijective and of square rank, but not Azumaya over F_2.
+    Otherwise `is_azumaya` decides, memoized per algebra."""
+    n = _square_root(f.target.rank)
+    certified = (
+        f.is_verified
+        and n is not None
+        and f.source.rank == f.target.rank
+        and f.target == matrix_algebra(f.target.base, n)
+        and f.is_bijective()
+    )
     return {
         "hom_verified": f.is_verified,
-        "source_azumaya": _azumaya_ok(f.source),
+        "source_azumaya": certified or _azumaya_ok(f.source),
         "target_azumaya": _azumaya_ok(f.target),
         "source_constant_rank": f.source.rank,
         "target_constant_rank": f.target.rank,
@@ -379,9 +410,10 @@ def _partitions(n, top=None):
 def jordan_obstruction_probe(n, Aprime, samples=None, seed=None):
     """Lemma 3.2: no element of A' = M_{n'}(k) has nilpotency index above
     n', so none has index n > n'.  Decided on the p(n') Jordan types (see
-    the module docstring), each pulled back through the matrix of
-    phi: A' -> M_{n'}(k) from `algebras.splitting`, the identity when A'
-    equals M_{n'}(k); nothing is drawn, and `samples` and `seed` are not
+    the module docstring), pulled back together, by one block solve
+    (`linalg.solve_additive`), through the matrix of phi: A' -> M_{n'}(k)
+    from `algebras.splitting`, the identity when A' equals M_{n'}(k);
+    nothing is drawn, and `samples` and `seed` are not
     read.  Refused, in this order, when the rank is not a square, when
     the base is not a field, where the bound fails (in M_2(Z/12),
     [[6, 10], [3, 6]] has index 4), and, for n > 1, when there is no
@@ -399,7 +431,7 @@ def jordan_obstruction_probe(n, Aprime, samples=None, seed=None):
         raise PreconditionUnmet("probe target has no verified isomorphism to M_n'(k) (Lemma 3.2)")
     types = list(_partitions(nprime))
     J = [jordan_flat(Aprime.base, blocks) for blocks in types]
-    X = np.stack([linalg.solve_additive(phi, j, Aprime.moduli, Aprime.moduli)[0] for j in J])
+    X, _ = linalg.solve_additive(phi, np.stack(J), Aprime.moduli, Aprime.moduli)
     index = nilpotency_indices(Aprime, X, Aprime.rank)
     details = {"jordan_types": len(types), "largest_index": int(index.max())}
     above = np.flatnonzero(index > nprime)
@@ -424,9 +456,10 @@ def isomorphism_check(f):
     (d) the commutant route: with A2 the image of f, the commutant C of A2
         in the target equals R'*1, the image has full order, and the source
         injects -- making the canonical multiplication map A2 (x) C -> target
-        an isomorphism.  The image order and the kernel come from one
-        elimination of f's matrix (`linalg.image_order_and_kernel`); (c)
-        keeps its own forward pass.  When f is onto, C is by definition
+        an isomorphism.  (c) and (d) read the one image order of f
+        (`AlgebraHom.image_order`): f injects iff its image has |source|
+        elements, since |ker f| = |source| / |image|, and is onto iff it has
+        |target| elements.  When f is onto, C is by definition
         Z(target), taken from the `center` memo; otherwise it is the
         commutant of f(S), which generates A2 for S the source's generators.
 
@@ -445,11 +478,10 @@ def isomorphism_check(f):
     b_ok = pre["source_constant_rank"] == pre["target_constant_rank"]
     c_ok = f.is_bijective()
 
-    image_order, kernel = linalg.image_order_and_kernel(f.matrix, f.source.moduli, f.target.moduli)
-    onto = image_order == f.target.size
+    injective, onto = f.image_order == f.source.size, f.image_order == f.target.size
     C = center(f.target) if onto else commutant(f.target, f.apply_flat(f.source.generators))
     c_scalar = C == f.target.unit_span()
-    d_ok = c_scalar and kernel.order == 1 and onto
+    d_ok = c_scalar and injective and onto
 
     verdicts = {"center_iso_and_rank": a_ok and b_ok, "direct_bijectivity": c_ok, "commutant_route": d_ok}
     agree = len(set(verdicts.values())) == 1

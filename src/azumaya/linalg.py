@@ -434,27 +434,32 @@ def kernel_additive(H, src_moduli, tgt_moduli):
     return image_order_and_kernel(H, src_moduli, tgt_moduli)[1]
 
 
-def is_bijective_additive(H, src_moduli, tgt_moduli):
-    """Decide bijectivity of a well-defined map of finite abelian groups.
-
-    It is bijective iff source and target have the same order and the
-    columns generate the target; the order of their span over Z/L is read
-    off the forward pass, with no back-reduction.
-    """
+def image_order(H, src_moduli, tgt_moduli):
+    """Order of the image of the well-defined additive map given by H: the
+    order of the span of its columns over Z/L, read off the forward pass,
+    with no back-reduction.  Raises IllFormedMap if H is not well-defined."""
     cols, L = _columns_over_lcm(H, src_moduli, tgt_moduli)
+    return _order(_echelon(cols, L), L)
+
+
+def is_bijective_additive(H, src_moduli, tgt_moduli):
+    """Decide bijectivity of a well-defined map of finite abelian groups:
+    source and target have the same order, and the image (`image_order`)
+    is the whole target."""
     order = math.prod(int(m) for m in tgt_moduli)
-    return (
-        math.prod(int(m) for m in src_moduli) == order
-        and _order(_echelon(cols, L), L) == order
-    )
+    return image_order(H, src_moduli, tgt_moduli) == order == math.prod(int(m) for m in src_moduli)
 
 
 def solve_additive(H, b, src_moduli, tgt_moduli):
     """One solution x of H x = b over the coordinate moduli, plus the kernel.
 
-    Raises NoSolution when b is not in the image.
+    A (T, m) block of right-hand sides b gets the (T, n) block of
+    solutions, row by row from one elimination.  Raises NoSolution when a
+    right-hand side is not in the image.
     """
     cols, L = _columns_over_lcm(H, src_moduli, tgt_moduli)
     rows, kernel = _kernel_form(cols.T, L)
-    x = _solve(rows, _embed(b, tgt_moduli, L), L)
-    return x % np.asarray(src_moduli, dtype=x.dtype), Subgroup(kernel, src_moduli)
+    B = _embed(b, tgt_moduli, L)
+    x = np.stack([_solve(rows, v, L) for v in B.reshape(-1, B.shape[-1])])
+    x = x % np.asarray(src_moduli, dtype=x.dtype)
+    return x.reshape(*B.shape[:-1], -1), Subgroup(kernel, src_moduli)

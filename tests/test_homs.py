@@ -104,6 +104,16 @@ def test_transpose_refuted_anti_multiplicative():
     assert h.refutation["condition"] == "multiplicative"
 
 
+def test_hom_matrix_is_read_only():
+    # the memoized image order is read off the matrix, which cannot change
+    h = identity_hom(matrix_algebra(ZMod(3), 2))
+    assert h.image_order == h.source.size
+    with pytest.raises(ValueError):
+        h.matrix[0, 1] = 1
+    with pytest.raises(ValueError):
+        h.matrix += 1
+
+
 def test_dimension_mismatch():
     A = matrix_algebra(ZMod(2), 2)
     B = matrix_algebra(ZMod(2), 3)
@@ -390,6 +400,22 @@ def test_jordan_probe_vacuous():
     assert jordan_obstruction_probe(1, A).status == "pass"
 
 
+def test_jordan_probe_eliminates_its_certificate_once(monkeypatch):
+    # the 11 Jordan types of M_6(F_2) are pulled back by one block solve
+    A = matrix_algebra(ZMod(2), 6)
+    calls = []
+    kernel_form = linalg._kernel_form
+
+    def counted(H, N):
+        calls.append(H.shape)
+        return kernel_form(H, N)
+
+    monkeypatch.setattr(linalg, "_kernel_form", counted)
+    rep = jordan_obstruction_probe(7, A)
+    assert rep.status == "pass" and rep.details == {"jordan_types": 11, "largest_index": 6}
+    assert calls == [(A.dim, A.dim)]
+
+
 def test_tensor_commutant_diag_m2_in_m4():
     h = diagonal_embed(ZMod(5), 2, 2)
     gens = [h.apply_flat(np.eye(h.source.dim, dtype=np.int64)[j]) for j in range(h.source.dim)]
@@ -480,10 +506,82 @@ def test_corpus_image_order_and_kernel_from_one_elimination(corpus):
         src, tgt = f.source.moduli, f.target.moduli
         image_order, kernel = linalg.image_order_and_kernel(f.matrix, src, tgt)
         assert image_order == linalg.Subgroup(f.matrix.T, tgt).order, e.name
+        # the memoized forward pass gives the same order
+        assert f.image_order == image_order, e.name
         assert kernel.order == linalg.kernel_additive(f.matrix, src, tgt).order, e.name
         # |image| |kernel| = |source|, and the kernel maps to 0
         assert image_order * kernel.order == f.source.size, e.name
         assert not f.apply_flat(kernel.generators()).any(), e.name
+
+
+def _searched_preconditions(f):
+    """`_azumaya_preconditions` with `is_azumaya` deciding both sides."""
+    return {
+        "hom_verified": f.is_verified,
+        "source_azumaya": homs._azumaya_ok(f.source),
+        "target_azumaya": homs._azumaya_ok(f.target),
+        "source_constant_rank": f.source.rank,
+        "target_constant_rank": f.target.rank,
+        "target_base_reduced": is_reduced(f.target.base),
+    }
+
+
+def test_certified_preconditions_match_the_searched_ones(corpus):
+    # a verified bijective hom onto M_n(R') of equal rank certifies its
+    # source; on the corpus and the split-cor29 splittings that changes no
+    # precondition
+    from azumaya.suites import _WEYL_GRID
+
+    maps = [e.hom for e in corpus] + [weyl_splitting(*pab) for pab in _WEYL_GRID]
+    for f in maps:
+        assert homs._azumaya_preconditions(f) == _searched_preconditions(f), f
+
+
+def test_a_certificate_of_unequal_rank_certifies_nothing():
+    # GF(16) as a rank-4 algebra over F_2: the identity onto M_1(GF(16)) is
+    # verified, bijective and of square rank, but GF(16) is commutative of
+    # rank 4, so not Azumaya over F_2
+    F16 = GaloisField.default(2, 4)
+    A = Algebra(ZMod(2), entries(F16.struct), F16.unit_flat, label="GF(16)/F_2")
+    f = AlgebraHom(A, matrix_algebra(F16, 1), np.eye(4, dtype=np.int64))
+    assert f.is_verified and f.is_bijective() and A.rank == 4
+    assert homs._azumaya_preconditions(f)["source_azumaya"] is False
+    with pytest.raises(PreconditionUnmet, match="Azumaya"):
+        isomorphism_check(f)
+
+
+def test_the_benchmark_suites_search_one_splitting(monkeypatch):
+    # with the Azumaya memo cold, the seven corpus and probe suites search
+    # only M_2(F_2) (x) M_2(F_2)^op, which no hom certifies; split-cor29's
+    # Weyl quotients are certified by their splittings
+    from azumaya import algebras, suites
+    from azumaya.algebras import tensor_product
+
+    searched = []
+    search = algebras._searched_splitting
+
+    def recording(A):
+        searched.append(A)
+        return search(A)
+
+    monkeypatch.setattr(algebras, "_searched_splitting", recording)
+    homs._azumaya_ok.cache_clear()
+    for name in (
+        "matrixcenter-thm31",
+        "jordan-lem32",
+        "center-thm41",
+        "rank-thm41",
+        "iso-prop51-thm53",
+        "endo-cor52",
+        "tensor-env-rem23",
+    ):
+        assert all(rep.status == "pass" for rep in suites.run_suite(name, seed=42)), name
+    M2 = matrix_algebra(ZMod(2), 2)
+    assert searched == [tensor_product(M2, opposite(M2))]
+    searched.clear()
+    homs._azumaya_ok.cache_clear()
+    assert all(rep.status == "pass" for rep in suites.run_suite("split-cor29", seed=42))
+    assert searched == []
 
 
 def _idempotents_to_diagonal(images):

@@ -466,6 +466,30 @@ def test_solve_additive_solution_and_kernel(case, data):
     assert ker == kernel_additive(H, src, tgt)
 
 
+@st.composite
+def _single_modulus_map(draw):
+    """A map (Z/N)^n -> (Z/N)^m."""
+    N = draw(st.sampled_from([4, 6, 12, 30, 49]))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    H = draw(st.lists(st.lists(st.integers(0, N - 1), min_size=n, max_size=n), min_size=m, max_size=m))
+    return np.asarray(H, dtype=np.int64), (N,) * n, (N,) * m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_single_modulus_map(), _additive_map()), st.integers(1, 4), st.data())
+def test_block_solve_equals_the_row_by_row_solves(case, T, data):
+    # a (T, m) block of right-hand sides in the image, solved from one
+    # elimination, against one solve per row
+    H, src, tgt = case
+    X = np.asarray([[data.draw(st.integers(0, N - 1)) for N in src] for _ in range(T)], dtype=np.int64)
+    B = X @ H.T % np.asarray(tgt)
+    Y, ker = solve_additive(H, B, src, tgt)
+    rows = [solve_additive(H, b, src, tgt) for b in B]
+    assert Y.shape == (T, len(src))
+    assert Y.tolist() == [y.tolist() for y, _ in rows]
+    assert all(k == ker for _, k in rows)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_subgroup_order_splits_by_crt_beyond_int64(m, n, data):
